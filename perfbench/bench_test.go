@@ -6,36 +6,31 @@ import (
 	"time"
 )
 
-// TestTailRuleRefusesThinTail: a window whose tail percentile has fewer
-// than ten samples beyond it is refused; one with ten is accepted.
+// TestTailRuleRefusesThinTail: a tail percentile with fewer than ten
+// samples beyond it is refused; one with ten is accepted.
 func TestTailRuleRefusesThinTail(t *testing.T) {
-	run := func(perWindow int) *loadResult {
-		out := &loadResult{region: 2 * window, wall: 2 * window}
-		for w := 0; w < 2; w++ {
-			for i := 0; i < perWindow; i++ {
-				out.latencies = append(out.latencies, time.Duration(i+1)*time.Microsecond)
-				out.at = append(out.at, time.Duration(w)*window+time.Duration(i))
-			}
+	samples := func(n int) []time.Duration {
+		var lat []time.Duration
+		for i := 0; i < n; i++ {
+			lat = append(lat, time.Duration(n-i)*time.Microsecond)
 		}
-		return out
+		return lat
 	}
 	// p99 of 1000 samples is rank 990: 10 beyond it.
-	if err := windowed(run(1000), 0.99).tailRule(); err != nil {
-		t.Fatalf("1000 samples per window, p99: %v", err)
+	if s := summarize(samples(1000), 0.99); s.beyond != 10 || s.tailRule(0.99) != nil {
+		t.Fatalf("1000 samples, p99: %d beyond, rule %v", s.beyond, s.tailRule(0.99))
 	}
 	// p99 of 999 samples is rank 990 too, leaving 9 beyond it.
-	ws := windowed(run(999), 0.99)
-	if ws.minBeyond != 9 {
-		t.Fatalf("999 samples per window: %d beyond p99, want 9", ws.minBeyond)
+	s := summarize(samples(999), 0.99)
+	if s.beyond != 9 {
+		t.Fatalf("999 samples: %d beyond p99, want 9", s.beyond)
 	}
-	if err := ws.tailRule(); err == nil {
+	if err := s.tailRule(0.99); err == nil {
 		t.Fatal("tail rule accepted a p99 with 9 samples beyond it")
 	}
-	// One thin window among full ones is enough to refuse the run.
-	out := run(1000)
-	out.latencies, out.at = out.latencies[:1500], out.at[:1500]
-	if err := windowed(out, 0.99).tailRule(); err == nil {
-		t.Fatal("tail rule accepted a run with one thin window")
+	// p90 needs only 100 samples.
+	if err := summarize(samples(100), 0.90).tailRule(0.90); err != nil {
+		t.Fatalf("100 samples, p90: %v", err)
 	}
 }
 
@@ -77,7 +72,7 @@ func TestOpenLoopCountsFromDueTime(t *testing.T) {
 		stall = 100 * time.Millisecond
 	)
 	var calls atomic.Int64
-	out := openLoop(400*time.Millisecond, rate, 1, func(i int, _ time.Time) error {
+	out := openLoop(400*time.Millisecond, rate, func(i int, _ time.Time) error {
 		calls.Add(1)
 		if i == 50 {
 			time.Sleep(stall)
@@ -102,7 +97,35 @@ func TestOpenLoopCountsFromDueTime(t *testing.T) {
 	if max := summarize(out.latencies, 1).tail; max < float64(stall/time.Millisecond)-5 {
 		t.Fatalf("worst latency %.1f ms, want about the %v stall", max, stall)
 	}
+	// The stall is a sleep: it costs wall time, not CPU time.
+	if worst := summarize(out.cpu, 1).tail; worst > float64(stall/time.Millisecond)/2 {
+		t.Fatalf("worst CPU time %.1f ms across a %v sleep, want far less", worst, stall)
+	}
 	if calls.Load() != 400 {
 		t.Fatalf("%d calls, want 400", calls.Load())
+	}
+}
+
+// TestSpeedAdjustPerWindow: an operation's CPU time is scaled by how fast
+// the reference job ran in its own second, so the same operation reads the
+// same whether the host ran at full speed or at half.
+func TestSpeedAdjustPerWindow(t *testing.T) {
+	p := &speedProbe{
+		at:   []time.Duration{100 * time.Millisecond, 600 * time.Millisecond, 1200 * time.Millisecond, 1700 * time.Millisecond},
+		cost: []time.Duration{refJobNominal, refJobNominal, 2 * refJobNominal, 2 * refJobNominal},
+	}
+	cpu := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond}
+	at := []time.Duration{300 * time.Millisecond, 1500 * time.Millisecond, 2500 * time.Millisecond}
+	got := p.adjust(cpu, at)
+	// Window 0 ran at nominal speed, window 1 at half; window 2 has no
+	// sample and takes the run's median job cost, 1.5x nominal.
+	want := []time.Duration{10 * time.Millisecond, 10 * time.Millisecond, 40 * time.Millisecond * 2 / 3}
+	for i := range want {
+		if d := got[i] - want[i]; d < -time.Microsecond || d > time.Microsecond {
+			t.Fatalf("operation %d: adjusted %v, want %v", i, got[i], want[i])
+		}
+	}
+	if (&speedProbe{}).adjust(cpu, at)[1] != cpu[1] {
+		t.Fatal("with no reference samples the CPU times must pass through unchanged")
 	}
 }

@@ -622,8 +622,8 @@ func (p *prober) verifySelf(ctx context.Context, shm *verifyLoad) error {
 	return nil
 }
 
-// parSpeedup compares sequential and Workers(nproc) verdicts on the
-// verify-mp-par instances.
+// parSpeedup compares the verify-mp instances' sequential verdicts, the
+// workload's blocking path, with Workers(nproc) verdicts on one P per CPU.
 func (p *prober) parSpeedup(ctx context.Context, mp *verifyLoad) error {
 	until(func() {
 		for i := range mp.insts {
@@ -631,13 +631,20 @@ func (p *prober) parSpeedup(ctx context.Context, mp *verifyLoad) error {
 			var err error
 			p.span("repro.Verify.seq", 1, func() { _, err = in.p.Verify(ctx, in.inputs, in.depth) })
 			p.check(err)
-			p.span("repro.Verify.par", 1, func() { _, err = in.p.Verify(ctx, in.inputs, in.depth, in.opts...) })
-			p.check(err)
-			p.paths["verify-mp-par"] = append(p.paths["verify-mp-par"], float64(p.lastNs())/1e6)
+			p.paths["verify-mp"] = append(p.paths["verify-mp"], float64(p.lastNs())/1e6)
 		}
 	})
-	st := byName(p.tr.spans)
-	p.set("explore.par_speedup", float64(st["repro.Verify.seq"].selfNs)/float64(st["repro.Verify.par"].selfNs), "ratio")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(runtime.NumCPU()))
+	workers := repro.Workers(runtime.NumCPU())
+	until(func() {
+		for i := range mp.insts {
+			in := &mp.insts[i]
+			var err error
+			p.span("repro.Verify.par", 1, func() { _, err = in.p.Verify(ctx, in.inputs, in.depth, workers) })
+			p.check(err)
+		}
+	})
+	p.set("explore.par_speedup", p.stat("repro.Verify.seq")/p.stat("repro.Verify.par"), "ratio")
 	return nil
 }
 

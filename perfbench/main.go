@@ -7,10 +7,14 @@
 //	perfbench --workload solve-table --seed 1 --seconds 10 --trace 0
 //
 // With --trace 0 the run reports the end-to-end metrics, measured with
-// tracing off. With --trace 1 it runs the workload once untraced and once
-// with spans recorded around every public-layer call, prints the tracing
-// overhead, and then reports the per-layer metrics from the layer probes
-// (layers.go). Spans are written to --spans when the run ends.
+// tracing off: set-up time, the live heap, and the process CPU time the
+// operations took, scaled to the reference host's speed (speed.go) —
+// throughput and the median and tail time per operation. The raw CPU and
+// wall-clock figures are printed beside them. With --trace 1 it runs the
+// workload once untraced and once with spans recorded around every
+// public-layer call, prints the tracing overhead, and then reports the
+// per-layer metrics from the layer probes (layers.go). Spans are written
+// to --spans when the run ends.
 //
 // The benchmark calls each layer only through its exported functions and
 // times those calls from its own files; nothing inside the program is
@@ -35,6 +39,10 @@ import (
 // the median, so a few slow set-ups (a neighbour's burst, a cold page
 // cache) do not move the figure.
 const setupRepeats = 9
+
+// setupRefJobs is how many reference jobs time the host's speed before
+// each set-up.
+const setupRefJobs = 5
 
 // config is one run's command line.
 type config struct {
@@ -72,6 +80,11 @@ func main() {
 	flag.StringVar(&cfg.spans, "spans", filepath.Join(".bench_build", "spans"), "directory the traced run writes its spans to")
 	flag.Parse()
 	cfg.trace = trace == 1
+	// Every workload runs its load on one P. With two, the garbage
+	// collector's worker and its stop-the-world pauses wait on a second
+	// vCPU that the host may be running another guest on, and a run
+	// measures the host's load rather than the program.
+	runtime.GOMAXPROCS(1)
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "perfbench:", err)
 		os.Exit(1)
@@ -109,7 +122,9 @@ func run(cfg config) error {
 }
 
 // setUp builds the workload setupRepeats times, closing all but the last,
-// and returns the last with the median set-up time.
+// and returns the last with the median set-up time. Each set-up's wall
+// time is scaled, like the operations', by the reference job's speed just
+// before it (speed.go).
 func setUp(cfg config, w workload) (load, float64, error) {
 	var times []float64
 	var ld load
@@ -117,6 +132,7 @@ func setUp(cfg config, w workload) (load, float64, error) {
 		if ld != nil {
 			ld.close()
 		}
+		speed := refSpeed(setupRefJobs)
 		start := time.Now()
 		var err error
 		ld, err = w.setup(cfg)
@@ -124,7 +140,7 @@ func setUp(cfg config, w workload) (load, float64, error) {
 			return nil, 0, fmt.Errorf("%s set-up: %w", w.name, err)
 		}
 		runtime.GC()
-		times = append(times, time.Since(start).Seconds())
+		times = append(times, time.Since(start).Seconds()*speed)
 	}
 	return ld, median(times), nil
 }
@@ -140,25 +156,33 @@ func runTimed(cfg config, w workload) error {
 		return err
 	}
 	heap := startHeapSampler()
+	steal0 := stealTicks()
 	out := ld.run(time.Duration(cfg.seconds)*time.Second, nil)
+	steal := stealTicks() - steal0
 	heapP95 := heap.stop()
 	stopProfile()
 	ld.check(out)
-	ws := windowed(out, w.tail)
-	if err := ws.tailRule(); err != nil {
+	adjusted := out.speed.adjust(out.cpu, out.at)
+	adj := summarize(adjusted, w.tail)
+	if err := adj.tailRule(w.tail); err != nil {
 		return err
 	}
 	ms := map[string]metric{
 		"setup_s":          {setup, "s"},
-		"ops_per_s":        {float64(len(out.latencies)) / out.wall.Seconds(), "1/s"},
-		"p50_ms":           {ws.p50, "ms"},
-		"tail_ms":          {ws.tail, "ms"},
+		"ref_ops_per_s":    {1e3 / meanMs(adjusted), "1/s"},
+		"ref_p50_ms":       {adj.p50, "ms"},
+		"ref_tail_ms":      {adj.tail, "ms"},
 		"live_heap_p95_mb": {heapP95, "MB"},
 	}
-	fmt.Printf("windows: min/q25/median/q75/max: %s\n", ws.spread)
-	pooled := summarize(out.latencies, w.tail)
-	fmt.Printf("latency: %d windows of %v, at least %d samples and %d beyond p%g in each; pooled p50 %.4f ms, p%g %.4f ms (%d beyond)\n",
-		ws.windows, window, ws.minSamples, ws.minBeyond, w.tail*100, pooled.p50, w.tail*100, pooled.tail, pooled.beyond)
+	cpu, wall := summarize(out.cpu, w.tail), summarize(out.latencies, w.tail)
+	fmt.Printf("reference job: median %.1f us of CPU against %.1f us nominal; speed %.3f of the reference host\n",
+		float64(out.speed.median())/1e3, float64(refJobNominal)/1e3, float64(refJobNominal)/float64(out.speed.median()))
+	fmt.Printf("adjusted: %d operations; %.2f ops/s; p50 %.4f ms, p%g %.4f ms (%d beyond)\n",
+		adj.n, 1e3/meanMs(adjusted), adj.p50, w.tail*100, adj.tail, adj.beyond)
+	fmt.Printf("cpu: %.2f ops per CPU-s; p50 %.4f ms, p%g %.4f ms; %.3f s of process CPU in %.3f s of wall time\n",
+		1e3/meanMs(out.cpu), cpu.p50, w.tail*100, cpu.tail, out.cpuTotal.Seconds(), out.wall.Seconds())
+	fmt.Printf("wall: %.2f ops/s; p50 %.4f ms, p%g %.4f ms; host steal %.2f vCPU-s during the region\n",
+		float64(len(out.latencies))/out.wall.Seconds(), wall.p50, w.tail*100, wall.tail, float64(steal)/100)
 	keys := make([]string, 0, len(out.notes))
 	for k := range out.notes {
 		keys = append(keys, k)

@@ -11,7 +11,6 @@ import (
 	"net/http"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,8 +19,10 @@ import (
 	"repro/internal/serve"
 )
 
-// serveRate is serve-mix's offered load in requests per second: about
-// half of the mix's closed-loop capacity on the reference host (2 CPUs).
+// serveRate is serve-mix's offered load in requests per second: about 40%
+// of what one P serves of this mix on the reference host (about 6400
+// requests per CPU-second), so a host running a third slower still keeps
+// up.
 // BENCHMARK.json records it; changing it changes the workload.
 const serveRate = 2500
 
@@ -96,7 +97,7 @@ type bodyCase struct {
 
 // serveMix is the serve-mix workload: an in-process serve.Server on a
 // loopback listener with a fresh on-disk result cache, driven by an open
-// loop at serveRate over at most nproc connections.
+// loop at serveRate over one connection.
 type serveMix struct {
 	srv    *serve.Server
 	stop   context.CancelFunc
@@ -303,9 +304,8 @@ func (m *serveMix) start(resultLog string) error {
 		time.Sleep(time.Millisecond)
 	}
 	m.base = "http://" + srv.Addr()
-	conns := runtime.NumCPU()
 	m.client = &http.Client{Transport: &http.Transport{
-		MaxConnsPerHost: conns, MaxIdleConnsPerHost: conns, MaxIdleConns: conns,
+		MaxConnsPerHost: 1, MaxIdleConnsPerHost: 1, MaxIdleConns: 1,
 	}}
 	return nil
 }
@@ -467,7 +467,7 @@ func (m *serveMix) run(d time.Duration, tr *tracer) *loadResult {
 	m.mu.Lock()
 	m.jobTimes = nil
 	m.mu.Unlock()
-	out := openLoop(d, serveRate, runtime.NumCPU(), func(i int, due time.Time) error {
+	out := openLoop(d, serveRate, func(i int, due time.Time) error {
 		// The operation's span runs from its due time; its first child is
 		// the wait for a worker, which ends now.
 		k := m.plan[i%len(m.plan)]
@@ -484,42 +484,39 @@ func (m *serveMix) run(d time.Duration, tr *tracer) *loadResult {
 func (m *serveMix) check(*loadResult) {}
 
 // openLoop offers operations at rate per second for d, each due at
-// start + i/rate, whether or not earlier ones have finished. conns workers
-// carry them out. Latency counts from the due time, so a stall delays —
-// and is charged to — every operation due during it. The generator's own
-// lateness (dispatch time minus due time) is noted as gen_late_p99_ms.
-func openLoop(d time.Duration, rate float64, conns int, op func(i int, due time.Time) error) *loadResult {
+// start + i/rate, whether or not earlier ones have finished. One worker
+// carries them out in order, so the process CPU time spent while it runs
+// an operation is that operation's. Latency counts from the due time, so a
+// stall delays — and is charged to — every operation due during it. The
+// generator's own lateness (dispatch time minus due time) is noted as
+// gen_late_p99_ms.
+func openLoop(d time.Duration, rate float64, op func(i int, due time.Time) error) *loadResult {
 	type due struct {
 		i  int
 		at time.Time
 	}
-	total := int(d.Seconds() * rate)
+	total := min(int(d.Seconds()*rate), recordCap)
 	// The queue holds every operation of the run, so the generator never
-	// blocks on busy workers: a stall backs up the queue, not the clock.
+	// blocks on a busy worker: a stall backs up the queue, not the clock.
 	queue := make(chan due, total)
-	out := &loadResult{latencies: make([]time.Duration, 0, total), open: true}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < conns; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for q := range queue {
-				err := op(q.i, q.at)
-				el := time.Since(q.at)
-				mu.Lock()
-				out.attempted++
-				if err != nil {
-					out.fail(fmt.Errorf("op %d: %w", q.i, err))
-				} else {
-					out.latencies = append(out.latencies, el)
-					out.at = append(out.at, q.at.Sub(start))
-				}
-				mu.Unlock()
+	done := make(chan struct{})
+	start, cpuStart := time.Now(), cpuNow()
+	out := newLoadResult(start)
+	go func() {
+		defer close(done)
+		for q := range queue {
+			t0, c0 := time.Now(), cpuNow()
+			err := op(q.i, q.at)
+			el, cpu := time.Since(q.at), cpuNow()-c0
+			out.attempted++
+			if err != nil {
+				out.fail(fmt.Errorf("op %d: %w", q.i, err))
+				continue
 			}
-		}()
-	}
+			out.record(el, cpu, t0.Sub(start))
+			out.speed.maybe()
+		}
+	}()
 	lateness := make([]float64, 0, total)
 	for i := 0; i < total; i++ {
 		at := start.Add(time.Duration(float64(i) / rate * float64(time.Second)))
@@ -530,8 +527,8 @@ func openLoop(d time.Duration, rate float64, conns int, op func(i int, due time.
 		queue <- due{i, at}
 	}
 	close(queue)
-	wg.Wait()
-	out.wall, out.region = time.Since(start), d
+	<-done
+	out.wall, out.cpuTotal = time.Since(start), cpuNow()-cpuStart
 	out.note("gen_late_p99_ms", percentile(lateness, 0.99))
 	return out
 }

@@ -14,7 +14,9 @@ import (
 	"runtime/debug"
 	"runtime/metrics"
 	"sort"
+	"strconv"
 	"strings"
+	"syscall"
 	"time"
 )
 
@@ -184,75 +186,42 @@ func sourceDigest(root string) string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// window is the length of the slices a timed region is cut into; p50_ms
-// and tail_ms are read per window and then reduced over the windows.
-//
-// A closed loop reports the median window: a stall from outside the
-// process (another tenant, a hypervisor steal) delays the one operation
-// in flight, so it hardly moves a window's percentiles, and the median
-// over windows is the steadiest figure. An open loop reports the fastest
-// window: a stall delays every operation due while it lasts, so the
-// windows it hits say more about the host than the program, and
-// interference only ever adds time.
-const window = 2 * time.Second
-
-// windowSummary reduces a run to one window's worth of p50 and tail.
-type windowSummary struct {
-	windows    int
-	p50, tail  float64 // ms
-	minSamples int     // fewest samples in a window
-	minBeyond  int     // fewest samples beyond the tail in a window
-	q          float64
-	spread     string // each figure's quartiles across windows
-}
-
-// quartiles renders min, lower quartile, median, upper quartile and max.
-func quartiles(xs []float64) string {
-	return fmt.Sprintf("%.4g/%.4g/%.4g/%.4g/%.4g", percentile(xs, 0), percentile(xs, 0.25), median(xs), percentile(xs, 0.75), percentile(xs, 1))
-}
-
-// windowed cuts out's operations into windows by start (or due) time and
-// summarizes each; a trailing partial window is dropped.
-func windowed(out *loadResult, q float64) windowSummary {
-	n := int(out.region / window)
-	if n < 1 {
-		n = 1
-	}
-	buckets := make([][]time.Duration, n)
-	for i, at := range out.at {
-		if b := int(at / window); b < n {
-			buckets[b] = append(buckets[b], out.latencies[i])
-		}
-	}
-	ws := windowSummary{windows: n, q: q, minSamples: -1, minBeyond: -1}
-	var ops, p50, tail []float64
-	for _, b := range buckets {
-		s := summarize(b, q)
-		ops = append(ops, float64(len(b))/window.Seconds())
-		p50 = append(p50, s.p50)
-		tail = append(tail, s.tail)
-		if ws.minSamples < 0 || s.n < ws.minSamples {
-			ws.minSamples = s.n
-		}
-		if ws.minBeyond < 0 || s.beyond < ws.minBeyond {
-			ws.minBeyond = s.beyond
-		}
-	}
-	if out.open {
-		ws.p50, ws.tail = percentile(p50, 0), percentile(tail, 0)
-	} else {
-		ws.p50, ws.tail = median(p50), median(tail)
-	}
-	ws.spread = fmt.Sprintf("ops/s %s; p50 %s; tail %s", quartiles(ops), quartiles(p50), quartiles(tail))
-	return ws
-}
-
-// tailRule refuses a run in which some window's tail percentile has fewer
-// than minBeyondTail samples beyond it.
-func (ws windowSummary) tailRule() error {
-	if ws.minBeyond < minBeyondTail {
-		return fmt.Errorf("p%g rests on %d samples beyond it in some window (of %d); each window needs at least %d",
-			ws.q*100, ws.minBeyond, ws.minSamples, minBeyondTail)
+// tailRule refuses a figure whose tail percentile has fewer than
+// minBeyondTail samples beyond it.
+func (s latSummary) tailRule(q float64) error {
+	if s.beyond < minBeyondTail {
+		return fmt.Errorf("p%g rests on %d samples beyond it (of %d); it needs at least %d",
+			q*100, s.beyond, s.n, minBeyondTail)
 	}
 	return nil
+}
+
+// cpuNow is the CPU time the process has used so far, on all its threads,
+// at microsecond resolution. Unlike wall time it leaves out the time the
+// process waits: for the next request of an open loop, for a timer, or for
+// the host to run its vCPU, where the kernel accounts steal time. It reads
+// getrusage, which sums the threads' run times exactly; the process CPU
+// clock reads a tick-granular cache while the CPU profiler's timer is set.
+func cpuNow() time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		panic(fmt.Sprintf("getrusage: %v", err))
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
+// stealTicks reads the host's steal time, summed over all vCPUs, in clock
+// ticks from /proc/stat; 0 where it is not reported.
+func stealTicks() int64 {
+	b, err := os.ReadFile("/proc/stat")
+	if err != nil {
+		return 0
+	}
+	line, _, _ := strings.Cut(string(b), "\n")
+	f := strings.Fields(line)
+	if len(f) < 9 || f[0] != "cpu" {
+		return 0
+	}
+	v, _ := strconv.ParseInt(f[8], 10, 64)
+	return v
 }

@@ -101,9 +101,9 @@ func accounting(workload string, ms map[string]metric, paths map[string][]float6
 			ops = append(ops, r+self)
 		}
 		path = "explore.Exhaustive with the handle's factory and options + repro.verify_self"
-	case "verify-mp-par":
+	case "verify-mp":
 		ops = paths[workload]
-		path = "repro.Verify with Workers(nproc); the parallel walk is not split further"
+		path = "repro.Verify, sequential; the walk is not split further"
 	case "serve-mix":
 		// An open-loop operation's span runs from its due time: the wait
 		// for a worker, then the request, which serve.transport_us and

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"slices"
 	"time"
 
@@ -148,7 +147,6 @@ const (
 func setupVerifyMP(cfg config) (load, error) {
 	r := rng(cfg.seed, 3)
 	ctx := context.Background()
-	workers := repro.Workers(runtime.NumCPU())
 	l := &verifyLoad{}
 	add := func(name string, p *repro.Protocol, in []int, depth int, want bool) error {
 		pin, err := p.Verify(ctx, in, depth)
@@ -156,7 +154,7 @@ func setupVerifyMP(cfg config) (load, error) {
 			return fmt.Errorf("%s: pinning: %w", name, err)
 		}
 		l.insts = append(l.insts, verifyInst{
-			name: name, p: p, inputs: in, depth: depth, opts: []repro.VerifyOption{workers},
+			name: name, p: p, inputs: in, depth: depth,
 			pin: pin, wantViolation: want, countsDistinct: true,
 		})
 		return nil

@@ -3,7 +3,9 @@ package main
 import (
 	"fmt"
 	"math/rand"
+	"syscall"
 	"time"
+	"unsafe"
 )
 
 // workload is one named set of inputs. Every workload exists because it
@@ -15,13 +17,13 @@ import (
 //   - verify-shm: the sequential walk, the seen-state tables, the state
 //     key or hash, and fork/close; the solve path and the service are
 //     absent.
-//   - verify-mp-par: channel cells, delivery branches and the parallel
-//     walk, which verify-shm never touches.
+//   - verify-mp: channel cells and delivery branches, which verify-shm
+//     never touches.
 //   - serve-mix: JSON, the handle LRU, the result-cache log and the job
 //     queue, under an open loop.
 type workload struct {
 	name  string
-	tail  float64 // percentile reported as tail_ms
+	tail  float64 // percentile reported as ref_tail_ms
 	setup func(cfg config) (load, error)
 }
 
@@ -39,8 +41,8 @@ type load interface {
 var workloads = []workload{
 	{name: "solve-table", tail: 0.99, setup: setupSolveTable},
 	{name: "verify-shm", tail: 0.90, setup: setupVerifySHM},
-	{name: "verify-mp-par", tail: 0.90, setup: setupVerifyMP},
-	{name: "serve-mix", tail: 0.90, setup: setupServeMix},
+	{name: "verify-mp", tail: 0.90, setup: setupVerifyMP},
+	{name: "serve-mix", tail: 0.99, setup: setupServeMix},
 }
 
 func workloadByName(name string) (workload, bool) {
@@ -62,15 +64,51 @@ func workloadNames() []string {
 
 // loadResult is what a timed region produced.
 type loadResult struct {
-	latencies []time.Duration // one per successful operation
-	at        []time.Duration // when each of them started (closed loop) or was due (open loop), from the start
+	latencies []time.Duration // wall time of each successful operation, from its start (closed loop) or due time (open loop)
+	cpu       []time.Duration // process CPU time spent during each successful operation
+	at        []time.Duration // when each successful operation began to run, from the start
+	speed     *speedProbe     // the reference job's runs during the region
 	wall      time.Duration
-	region    time.Duration // the timed region asked for; windows cut it
-	open      bool          // an open loop offered the operations
+	cpuTotal  time.Duration // process CPU time over the whole region
 	attempted int64
 	failed    int64
 	errs      []string // the first few failures, for the log
 	notes     map[string]any
+}
+
+// recordCap is the most operations one timed region records: far more
+// than the fastest workload completes in a minute.
+const recordCap = 1 << 22
+
+// The per-operation records of a timed region live outside the Go heap,
+// in memory mapped once per process and reused by every region, so that
+// live_heap_p95_mb counts the program and not the benchmark's own
+// records, which grow with the number of operations a run completes. A
+// region's records are valid until the next region starts.
+var recLat, recCPU, recAt = offHeap(recordCap), offHeap(recordCap), offHeap(recordCap)
+
+// offHeap returns an empty slice with room for n durations in anonymous
+// memory the garbage collector neither counts nor scans; pages are
+// committed as they are first written.
+func offHeap(n int) []time.Duration {
+	b, err := syscall.Mmap(-1, 0, n*int(unsafe.Sizeof(time.Duration(0))), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		panic(fmt.Sprintf("mapping %d records: %v", n, err))
+	}
+	return unsafe.Slice((*time.Duration)(unsafe.Pointer(&b[0])), n)[:0]
+}
+
+func newLoadResult(start time.Time) *loadResult {
+	return &loadResult{latencies: recLat[:0], cpu: recCPU[:0], at: recAt[:0], speed: newSpeedProbe(start)}
+}
+
+// record adds one successful operation and reports whether there is room
+// for another.
+func (r *loadResult) record(lat, cpu, at time.Duration) bool {
+	r.latencies = append(r.latencies, lat)
+	r.cpu = append(r.cpu, cpu)
+	r.at = append(r.at, at)
+	return len(r.cpu) < cap(r.cpu)
 }
 
 const maxLoggedErrors = 8
@@ -94,27 +132,29 @@ func (r *loadResult) note(k string, v any) {
 // each operation starts when the previous one returns. op's error marks
 // the operation failed.
 func closedLoop(d time.Duration, tr *tracer, name string, op func(i int, parent int32) error) *loadResult {
-	out := &loadResult{latencies: make([]time.Duration, 0, 1<<14)}
-	start := time.Now()
+	start, cpuStart := time.Now(), cpuNow()
+	out := newLoadResult(start)
 	deadline := start.Add(d)
 	for i := 0; ; i++ {
-		t0 := time.Now()
+		t0, c0 := time.Now(), cpuNow()
 		if !t0.Before(deadline) {
 			break
 		}
 		id := tr.begin(name, -1, int64(i))
 		err := op(i, id)
-		el := time.Since(t0)
+		el, cpu := time.Since(t0), cpuNow()-c0
 		tr.end(id, 1)
 		out.attempted++
 		if err != nil {
 			out.fail(fmt.Errorf("op %d: %w", i, err))
 			continue
 		}
-		out.latencies = append(out.latencies, el)
-		out.at = append(out.at, t0.Sub(start))
+		if !out.record(el, cpu, t0.Sub(start)) {
+			break
+		}
+		out.speed.maybe()
 	}
-	out.wall, out.region = time.Since(start), d
+	out.wall, out.cpuTotal = time.Since(start), cpuNow()-cpuStart
 	return out
 }
 
