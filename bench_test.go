@@ -219,17 +219,10 @@ func benchEngineSteps(b *testing.B, e sim.Engine) {
 func BenchmarkEngineSteps_VM(b *testing.B)        { benchEngineSteps(b, sim.EngineVM) }
 func BenchmarkEngineSteps_Goroutine(b *testing.B) { benchEngineSteps(b, sim.EngineGoroutine) }
 
-// BenchmarkExplore measures the forkable-configuration refactor on the
-// systematic explorer: for a depth-bounded instance, each variant runs one
-// full exhaustive exploration per iteration.
+// BenchmarkExplore measures the systematic explorer: for a depth-bounded
+// instance, each variant runs one full exhaustive exploration per
+// iteration.
 //
-//   - replay-body: approximates the pre-refactor explorer — coroutine-
-//     adapted bodies, every configuration re-executed from a fresh system
-//     (the only option before configurations became forkable). It runs on
-//     the current adapters, which also pay result recording and
-//     fingerprint upkeep; EXPERIMENTS.md additionally records the true
-//     baseline measured at the parent commit.
-//   - replay: same replay strategy over the explicit forkable steppers.
 //   - fork: configurations forked at branch points, no dedup.
 //   - fork-dedup: forking plus the canonical seen-state table.
 func BenchmarkExplore(b *testing.B) {
@@ -243,10 +236,6 @@ func BenchmarkExplore(b *testing.B) {
 		{"maxreg2-depth9", consensus.MaxRegisters, []int{0, 1}, 9},
 	}
 	for _, tc := range cases {
-		bodyFactory := func() (*sim.System, error) {
-			pr := tc.build(len(tc.inputs))
-			return sim.NewSystem(pr.NewMemory(), tc.inputs, pr.Body), nil
-		}
 		stepperFactory := func() (*sim.System, error) {
 			return tc.build(len(tc.inputs)).NewSystem(tc.inputs)
 		}
@@ -255,10 +244,8 @@ func BenchmarkExplore(b *testing.B) {
 			f    explore.Factory
 			opts explore.Options
 		}{
-			{"replay-body", bodyFactory, explore.Options{MaxDepth: tc.depth, Strategy: explore.StrategyReplay}},
-			{"replay", stepperFactory, explore.Options{MaxDepth: tc.depth, Strategy: explore.StrategyReplay}},
-			{"fork", stepperFactory, explore.Options{MaxDepth: tc.depth, Strategy: explore.StrategyFork}},
-			{"fork-dedup", stepperFactory, explore.Options{MaxDepth: tc.depth, Strategy: explore.StrategyFork, Dedup: true}},
+			{"fork", stepperFactory, explore.Options{MaxDepth: tc.depth}},
+			{"fork-dedup", stepperFactory, explore.Options{MaxDepth: tc.depth, Dedup: true}},
 		}
 		for _, v := range variants {
 			b.Run(tc.name+"/"+v.name, func(b *testing.B) {
@@ -280,14 +267,14 @@ func BenchmarkExplore(b *testing.B) {
 	}
 }
 
-// BenchmarkExploreParallel records the worker-scaling curve of the parallel
-// explorer against the sequential fork baseline on instances large enough
-// (thousands to tens of thousands of configurations) for the pool to matter:
-// the full 6-process CAS tree and depth-bounded 2- and 3-process
-// max-register trees, with and without the sharded seen-state table. The
-// "seq" variant is StrategyFork; "p1".."p8" are StrategyParallel at 1/2/4/8
-// workers. Reports are verified identical to the sequential baseline every
-// iteration, so the benchmark doubles as a determinism check. On a
+// BenchmarkExploreParallel records the worker-scaling curve of the walk
+// against its one-worker run on instances large enough (thousands to tens
+// of thousands of configurations) for the pool to matter: the full
+// 6-process CAS tree and depth-bounded 2- and 3-process max-register trees,
+// with and without the sharded seen-state table. The "seq" variant leaves
+// Workers unset; "p1".."p8" set it to 1/2/4/8. Reports are verified
+// identical to the one-worker baseline every iteration, so the benchmark
+// doubles as a determinism check. On a
 // single-core host the curve measures pure synchronization overhead (see
 // EXPERIMENTS.md); the speedup column needs >= 4 hardware threads.
 func BenchmarkExploreParallel(b *testing.B) {
@@ -307,36 +294,22 @@ func BenchmarkExploreParallel(b *testing.B) {
 		f := func() (*sim.System, error) {
 			return tc.build(len(tc.inputs)).NewSystem(tc.inputs)
 		}
-		base := explore.Options{MaxDepth: tc.depth, Strategy: explore.StrategyFork, Dedup: tc.dedup}
-		seqWant, err := explore.Exhaustive(context.Background(), f, base)
-		if err != nil {
-			b.Fatal(err)
-		}
 		popts := func(w int) explore.Options {
-			return explore.Options{MaxDepth: tc.depth, Strategy: explore.StrategyParallel, Workers: w, Dedup: tc.dedup}
+			return explore.Options{MaxDepth: tc.depth, Workers: w, Dedup: tc.dedup}
 		}
-		// With dedup the parallel pruning rule (exact (state, depth)) counts
-		// differently from the sequential depth-aware rule, so the p*
-		// variants pin against the worker-count-invariant parallel reference;
-		// DistinctStates must match across everything.
-		parWant, err := explore.Exhaustive(context.Background(), f, popts(1))
+		want, err := explore.Exhaustive(context.Background(), f, popts(0))
 		if err != nil {
 			b.Fatal(err)
-		}
-		if parWant.DistinctStates != seqWant.DistinctStates {
-			b.Fatalf("distinct states diverged: seq %d, parallel %d",
-				seqWant.DistinctStates, parWant.DistinctStates)
 		}
 		variants := []struct {
 			name string
 			opts explore.Options
-			want *explore.Report
 		}{
-			{"seq", base, seqWant},
-			{"p1", popts(1), parWant},
-			{"p2", popts(2), parWant},
-			{"p4", popts(4), parWant},
-			{"p8", popts(8), parWant},
+			{"seq", popts(0)},
+			{"p1", popts(1)},
+			{"p2", popts(2)},
+			{"p4", popts(4)},
+			{"p8", popts(8)},
 		}
 		for _, v := range variants {
 			b.Run(tc.name+"/"+v.name, func(b *testing.B) {
@@ -347,9 +320,9 @@ func BenchmarkExploreParallel(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if rep.States != v.want.States || rep.Runs != v.want.Runs ||
-						rep.DistinctStates != v.want.DistinctStates || len(rep.Violations) != 0 {
-						b.Fatalf("report diverged from baseline:\nwant %+v\ngot  %+v", v.want, rep)
+					if rep.States != want.States || rep.Runs != want.Runs ||
+						rep.DistinctStates != want.DistinctStates || len(rep.Violations) != 0 {
+						b.Fatalf("report diverged from baseline:\nwant %+v\ngot  %+v", want, rep)
 					}
 				}
 				b.ReportMetric(float64(rep.States), "states")
@@ -381,7 +354,7 @@ func BenchmarkExploreSymmetry(b *testing.B) {
 		f := func() (*sim.System, error) {
 			return tc.build(len(tc.inputs)).NewSystem(tc.inputs)
 		}
-		exact := explore.Options{MaxDepth: tc.depth, Strategy: explore.StrategyFork, Dedup: true}
+		exact := explore.Options{MaxDepth: tc.depth, Dedup: true}
 		want, err := explore.Exhaustive(context.Background(), f, exact)
 		if err != nil {
 			b.Fatal(err)

@@ -251,13 +251,13 @@ func measureAll(minTime time.Duration) ([]rowMeasurements, error) {
 		rows = append(rows, rowMeasurements{Name: strings.ToLower(id) + "-solve", Metrics: m})
 	}
 	casM, err := measureExplore(func() *consensus.Protocol { return consensus.CAS(3) },
-		[]int{2, 0, 1}, explore.Options{MaxDepth: 6, Strategy: explore.StrategyFork, Dedup: true}, minTime)
+		[]int{2, 0, 1}, explore.Options{MaxDepth: 6, Dedup: true}, minTime)
 	if err != nil {
 		return nil, fmt.Errorf("cas3-explore: %w", err)
 	}
 	rows = append(rows, rowMeasurements{Name: "cas3-explore", Metrics: casM})
 	incM, err := measureExplore(func() *consensus.Protocol { return consensus.Increment(4) },
-		[]int{1, 0, 1, 0}, explore.Options{MaxDepth: 7, Strategy: explore.StrategyFork, Dedup: true, Symmetry: true}, minTime)
+		[]int{1, 0, 1, 0}, explore.Options{MaxDepth: 7, Dedup: true, Symmetry: true}, minTime)
 	if err != nil {
 		return nil, fmt.Errorf("increment4-sym-explore: %w", err)
 	}
@@ -266,7 +266,7 @@ func measureAll(minTime time.Duration) ([]rowMeasurements, error) {
 	// as deep through the hash-compaction table, adding bytes_per_state —
 	// the metric the compacted modes exist to shrink.
 	cmpM, err := measureExplore(func() *consensus.Protocol { return consensus.Increment(4) },
-		[]int{1, 0, 1, 0}, explore.Options{MaxDepth: 12, Strategy: explore.StrategyFork,
+		[]int{1, 0, 1, 0}, explore.Options{MaxDepth: 12,
 			Dedup: true, Symmetry: true, Table: explore.TableCompact}, minTime)
 	if err != nil {
 		return nil, fmt.Errorf("increment4-d12-compact-explore: %w", err)
@@ -277,7 +277,7 @@ func measureAll(minTime time.Duration) ([]rowMeasurements, error) {
 	// rolling fp128 lanes on the mutation path, which replaced per-state
 	// streamed rehashing.
 	cmp128M, err := measureExplore(func() *consensus.Protocol { return consensus.Increment(4) },
-		[]int{1, 0, 1, 0}, explore.Options{MaxDepth: 12, Strategy: explore.StrategyFork,
+		[]int{1, 0, 1, 0}, explore.Options{MaxDepth: 12,
 			Dedup: true, Symmetry: true, Table: explore.TableCompact128}, minTime)
 	if err != nil {
 		return nil, fmt.Errorf("increment4-d12-compact128-explore: %w", err)

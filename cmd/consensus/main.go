@@ -130,7 +130,7 @@ func main() {
 	if *exploreDepth >= 0 {
 		// Exploration covers every schedule up to the depth bound; the
 		// single-run and batch flags have no meaning there. -workers does:
-		// it sizes the parallel explorer's pool.
+		// it sets how many goroutines the exploration walk spreads across.
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
 			case "sched", "seed", "crash", "trace", "max-steps", "batch":

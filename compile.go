@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"runtime"
 	"sync"
 
 	"repro/internal/consensus"
@@ -533,7 +534,6 @@ func (p *Protocol) Verify(ctx context.Context, inputs []int, maxDepth int, opts 
 		MaxDepth:   maxDepth,
 		MaxRuns:    c.maxRuns,
 		SoloBudget: c.soloBudget,
-		Strategy:   explore.StrategyFork,
 		Dedup:      true,
 		Symmetry:   c.symmetry,
 		Table:      table,
@@ -543,7 +543,10 @@ func (p *Protocol) Verify(ctx context.Context, inputs []int, maxDepth int, opts 
 		Progress:   c.progress,
 	}
 	if c.workersSet {
-		eo.Strategy, eo.Workers = explore.StrategyParallel, c.workers
+		eo.Workers = c.workers
+		if eo.Workers <= 0 {
+			eo.Workers = runtime.GOMAXPROCS(0)
+		}
 	}
 	rep, err := explore.Exhaustive(ctx, func() (*sim.System, error) {
 		return p.newRun(inputs)

@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"errors"
+	"reflect"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -120,6 +121,40 @@ func TestScenarioPortfolioVerify(t *testing.T) {
 				t.Fatalf("unexpected violation: %v", rep.Violations[0])
 			}
 		})
+	}
+}
+
+// TestScenarioPortfolioWorkerInvariant: over every portfolio scenario under
+// each delivery adversary, the whole VerifyReport — violation witnesses
+// included — is the same at every worker count, Mem aside.
+func TestScenarioPortfolioWorkerInvariant(t *testing.T) {
+	for _, info := range Scenarios() {
+		for _, adv := range []struct {
+			mode  DeliveryMode
+			drops int
+		}{{DeliveryOrdered, 0}, {DeliveryReorder, 0}, {DeliveryLossy, 1}} {
+			t.Run(info.Name+"/"+adv.mode.String(), func(t *testing.T) {
+				p, err := Compile("MP.QSC", len(info.Inputs), WithScenario(info.Name), WithDelivery(adv.mode, adv.drops))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := p.Verify(context.Background(), info.Inputs, info.Depth)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.Mem = VerifyMemStats{}
+				for _, w := range []int{1, 2, 4, 8} {
+					got, err := p.Verify(context.Background(), info.Inputs, info.Depth, Workers(w))
+					if err != nil {
+						t.Fatal(err)
+					}
+					got.Mem = VerifyMemStats{}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("workers=%d: report depends on the worker count:\nunset %+v\nthis  %+v", w, want, got)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -346,7 +346,10 @@ func (s *maxRegStepper) Resume(res machine.Value) bool {
 		case v1.Cmp(v2) == 0:
 			s.pc, s.pending = mrWrite, writeMax(0, EncodePair(MaxRegPair{R: p1.R + 1, X: p1.X}, s.y))
 		default:
-			s.pc, s.pending = mrWrite, writeMax(1, v1)
+			// The catch-up write gets its own copy of v1 (s.a2): a pooled
+			// ForkInto recycles a2's storage in place, which must not reach
+			// into the poised instruction a live fork shares with us.
+			s.pc, s.pending = mrWrite, writeMax(1, new(big.Int).Set(v1))
 		}
 	}
 	return false

@@ -2,6 +2,7 @@ package consensus
 
 import (
 	"fmt"
+	"math/big"
 	"testing"
 
 	"repro/internal/machine"
@@ -145,5 +146,41 @@ func TestStepperStateKeysDiverge(t *testing.T) {
 	}
 	if k3, _ := fk.StateKey(); k3 == k1 {
 		t.Fatal("state key unchanged after a step")
+	}
+}
+
+// TestMaxRegForkIntoKeepsForkWrite: a stepper poised on the catch-up
+// write-max shares its pending instruction with its forks, so recycling the
+// original through ForkInto — which reuses its big.Int storage in place —
+// must leave the fork's poised argument untouched.
+func TestMaxRegForkIntoKeepsForkWrite(t *testing.T) {
+	const y = 5
+	hi, lo := EncodePair(MaxRegPair{R: 2, X: 1}, y), EncodePair(MaxRegPair{R: 0, X: 1}, y)
+	// driveToCatchUp runs the double collect with stable reads m1=a, m2=b,
+	// a > b without deciding, which poises the catch-up write of a to m2.
+	driveToCatchUp := func(a, b *big.Int) *maxRegStepper {
+		s := newMaxRegStepper(1, y)
+		for _, res := range []machine.Value{nil, new(big.Int).Set(a), new(big.Int).Set(b), new(big.Int).Set(a), new(big.Int).Set(b)} {
+			if s.Resume(res) {
+				t.Fatal("stepper decided on a catch-up collect")
+			}
+		}
+		if s.pc != mrWrite {
+			t.Fatalf("pc %d, want the catch-up write", s.pc)
+		}
+		return s
+	}
+	s := driveToCatchUp(hi, lo)
+	fk := s.Fork()
+	other := driveToCatchUp(EncodePair(MaxRegPair{R: 3, X: 0}, y), EncodePair(MaxRegPair{R: 1, X: 0}, y))
+	if got := other.ForkInto(s); got != s {
+		t.Fatal("ForkInto did not recycle its argument")
+	}
+	op, ok := fk.Poise()
+	if !ok || op.Loc != 1 || op.Op != machine.OpWriteMax {
+		t.Fatalf("fork poised on %+v, want write-max to m2", op)
+	}
+	if got := machine.MustInt(op.Args[0]); got.Cmp(hi) != 0 {
+		t.Fatalf("fork's catch-up write changed to %v after recycling the original, want %v", got, hi)
 	}
 }

@@ -18,10 +18,10 @@ import (
 const maxAllocsPerState = 10.0
 
 // TestExploreAllocsPerState pins the explorer's per-state allocation rate
-// under StrategyFork with dedup and symmetry — the configuration the BENCH
+// on one worker with dedup and symmetry — the configuration the BENCH
 // trajectory tracks as increment4-sym-explore.
 func TestExploreAllocsPerState(t *testing.T) {
-	opts := Options{MaxDepth: 7, Strategy: StrategyFork, Dedup: true, Symmetry: true}
+	opts := Options{MaxDepth: 7, Dedup: true, Symmetry: true}
 	factory := func() (*sim.System, error) {
 		return consensus.Increment(4).NewSystem([]int{1, 0, 1, 0})
 	}

@@ -10,17 +10,17 @@ import (
 	"repro/internal/consensus"
 )
 
-// cancelCase runs one strategy against a deliberately oversized exploration
-// (registers, n=4, deep bound: far too many interleavings to finish) and
-// cancels it mid-flight.
-func cancelCase(t *testing.T, opts Options) {
+// cancelCase runs one explorer against a deliberately oversized
+// exploration (registers, n=4, deep bound: far too many interleavings to
+// finish) and cancels it mid-flight.
+func cancelCase(t *testing.T, explore func(context.Context, Factory, Options) (*Report, error), opts Options) {
 	t.Helper()
 	f := factoryFor(func() *consensus.Protocol { return consensus.Registers(4) }, []int{0, 1, 2, 3})
 
 	// Pre-cancelled: the walk must not expand anything.
 	pre, preCancel := context.WithCancel(context.Background())
 	preCancel()
-	if _, err := Exhaustive(pre, f, opts); !errors.Is(err, context.Canceled) {
+	if _, err := explore(pre, f, opts); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled: want context.Canceled, got %v", err)
 	}
 
@@ -31,7 +31,7 @@ func cancelCase(t *testing.T, opts Options) {
 		cancel()
 	}()
 	start := time.Now()
-	rep, err := Exhaustive(ctx, f, opts)
+	rep, err := explore(ctx, f, opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v (rep=%+v)", err, rep)
 	}
@@ -49,19 +49,19 @@ func cancelCase(t *testing.T, opts Options) {
 	}
 }
 
-// TestCancelSequentialFork: the sequential fork DFS checks the context at
-// every popped configuration.
+// TestCancelSequentialFork: the one-worker walk checks the context at every
+// configuration it takes from the frontier.
 func TestCancelSequentialFork(t *testing.T) {
-	cancelCase(t, Options{MaxDepth: 40, Strategy: StrategyFork, Dedup: true})
+	cancelCase(t, Exhaustive, Options{MaxDepth: 40, Dedup: true})
 }
 
 // TestCancelReplay: the replay oracle checks the context at every prefix.
 func TestCancelReplay(t *testing.T) {
-	cancelCase(t, Options{MaxDepth: 40, Strategy: StrategyReplay})
+	cancelCase(t, exhaustiveReplay, Options{MaxDepth: 40})
 }
 
-// TestCancelParallel: every worker of the parallel explorer observes the
-// cancellation, drains its deque, and exits; all forks are closed.
+// TestCancelParallel: every worker of the walk observes the cancellation,
+// drains its deque, and exits; all forks are closed.
 func TestCancelParallel(t *testing.T) {
-	cancelCase(t, Options{MaxDepth: 40, Strategy: StrategyParallel, Workers: 4, Dedup: true})
+	cancelCase(t, Exhaustive, Options{MaxDepth: 40, Workers: 4, Dedup: true})
 }

@@ -102,24 +102,23 @@ func TestStateHash128MatchesKey(t *testing.T) {
 // --- compacted-vs-exact differential battery ---------------------------------
 
 // TestCompactMatchesExact is the soundness battery for hash compaction:
-// over the forkable portfolio x {replay, fork, parallel 1/2/4 workers} x
-// symmetry on/off x {compact, compact128}, the compacted run must reproduce
-// the exact run of the same strategy field-for-field (telemetry and the
-// under-approximation bound aside). At these state counts a 64-bit
+// over the forkable portfolio x {replay oracle, one worker, 2 and 4
+// workers} x symmetry on/off x {compact, compact128}, the compacted run
+// must reproduce the exact run of the same explorer field-for-field
+// (telemetry and the under-approximation bound aside). At these state counts a 64-bit
 // fingerprint collision has probability ~2^-40 per instance, so any
 // divergence is a real bug, not bad luck.
 func TestCompactMatchesExact(t *testing.T) {
 	type variant struct {
-		name     string
-		strategy Strategy
-		workers  int
+		name    string
+		run     func(*testing.T, Factory, Options) *Report
+		workers int
 	}
 	variants := []variant{
-		{"replay", StrategyReplay, 0},
-		{"fork", StrategyFork, 0},
-		{"par1", StrategyParallel, 1},
-		{"par2", StrategyParallel, 2},
-		{"par4", StrategyParallel, 4},
+		{"replay", runReplay, 0},
+		{"fork", run, 0},
+		{"par2", run, 2},
+		{"par4", run, 4},
 	}
 	for _, tc := range consensus.ForkablePortfolio() {
 		t.Run(tc.Name, func(t *testing.T) {
@@ -132,13 +131,12 @@ func TestCompactMatchesExact(t *testing.T) {
 					continue
 				}
 				for _, v := range variants {
-					opts := Options{MaxDepth: depth, Dedup: true, Symmetry: sym,
-						Strategy: v.strategy, Workers: v.workers}
-					exact := run(t, f, opts)
+					opts := Options{MaxDepth: depth, Dedup: true, Symmetry: sym, Workers: v.workers}
+					exact := v.run(t, f, opts)
 					for _, mode := range []Table{TableCompact, TableCompact128} {
 						co := opts
 						co.Table = mode
-						compact := run(t, f, co)
+						compact := v.run(t, f, co)
 						if !reflect.DeepEqual(stripApprox(compact), stripApprox(exact)) {
 							t.Fatalf("%s sym=%v %v: compacted run diverged\nexact   %+v\ncompact %+v",
 								v.name, sym, mode, exact, compact)
@@ -151,25 +149,23 @@ func TestCompactMatchesExact(t *testing.T) {
 }
 
 // TestBitstateMatchesPairClaims: bitstate claims (state, depth) pairs — the
-// parallel exact table's rule — so at negligible occupancy (no false
-// positives plausible) its counters must reproduce the parallel exact run's
-// under every strategy, with DistinctStates 0 (uncountable) and, whenever
-// anything was pruned, the under-approximation flag raised with a nonzero
-// probability bound.
+// exact table's rule — so at negligible occupancy (no false positives
+// plausible) its counters must reproduce the exact run's at every worker
+// count, with DistinctStates 0 (uncountable) and, whenever anything was
+// pruned, the under-approximation flag raised with a nonzero probability
+// bound.
 func TestBitstateMatchesPairClaims(t *testing.T) {
 	for _, tc := range consensus.ForkablePortfolio()[:6] {
 		t.Run(tc.Name, func(t *testing.T) {
 			f := factoryFor(tc.Build, tc.Inputs)
 			depth := portfolioDepth(tc.Inputs)
-			oracle := run(t, f, Options{MaxDepth: depth, Dedup: true,
-				Strategy: StrategyParallel, Workers: 1})
+			oracle := run(t, f, Options{MaxDepth: depth, Dedup: true})
 			for _, v := range []struct {
-				name     string
-				strategy Strategy
-				workers  int
-			}{{"fork", StrategyFork, 0}, {"par4", StrategyParallel, 4}} {
+				name    string
+				workers int
+			}{{"fork", 0}, {"par4", 4}} {
 				bit := run(t, f, Options{MaxDepth: depth, Dedup: true, Table: TableBitstate,
-					Strategy: v.strategy, Workers: v.workers})
+					Workers: v.workers})
 				if bit.Runs != oracle.Runs || bit.States != oracle.States || bit.Deduped != oracle.Deduped {
 					t.Fatalf("%s: counters diverged from pair-claim oracle\noracle   %+v\nbitstate %+v",
 						v.name, oracle, bit)
@@ -257,11 +253,9 @@ func fpOf(i uint64) machine.Hash128 {
 	return machine.SeedHash128().Word(i)
 }
 
-// TestCompactTableClaims pins the slot semantics of both depth rules.
+// TestCompactTableClaims pins the slot semantics of the (state, depth)
+// claim rule, growable and pre-sized alike.
 func TestCompactTableClaims(t *testing.T) {
-	// Sequential min-depth rule, mirroring the exact walk: revisits with
-	// less remaining depth prune; deeper-remaining revisits re-expand.
-	seq := newCompactTable(false, false, true, 0, 0)
 	mustClaim := func(tb *compactTable, fp machine.Hash128, depth int, wantClaim, wantNew bool) {
 		t.Helper()
 		claimed, newState, err := tb.claim(fp, depth)
@@ -272,27 +266,25 @@ func TestCompactTableClaims(t *testing.T) {
 			t.Fatalf("claim(depth=%d) = (%v, %v), want (%v, %v)", depth, claimed, newState, wantClaim, wantNew)
 		}
 	}
-	mustClaim(seq, fpOf(1), 5, true, true)
-	mustClaim(seq, fpOf(1), 5, false, false) // same depth: prune
-	mustClaim(seq, fpOf(1), 7, false, false) // deeper: less remaining, prune
-	mustClaim(seq, fpOf(1), 3, true, false)  // shallower: more remaining, re-expand
-	mustClaim(seq, fpOf(1), 4, false, false) // min depth updated to 3
-	mustClaim(seq, fpOf(2), 9, true, true)
-
-	// Parallel depth-bitmap rule: exact (state, depth) pairs, including
-	// across the 64-depth epoch fold.
-	par := newCompactTable(false, true, false, 1<<16, 0)
-	mustClaim(par, fpOf(1), 5, true, true)
-	mustClaim(par, fpOf(1), 5, false, false)
-	mustClaim(par, fpOf(1), 7, true, false) // distinct depth: own claim
-	for _, d := range []int{63, 64, 127, 128} {
-		mustClaim(par, fpOf(1), d, true, false) // new epoch = new slot, same state
-		mustClaim(par, fpOf(1), d, false, false)
-	}
-	mustClaim(par, fpOf(2), 100, true, true) // deep first sighting still counts once
-	mustClaim(par, fpOf(2), 101, true, false)
-	if par.distinct() != 2 {
-		t.Fatalf("distinct = %d, want 2 (epoch slots must not count)", par.distinct())
+	for _, growable := range []bool{true, false} {
+		tb := newCompactTable(false, growable, 0, 0)
+		if !growable {
+			tb = newCompactTable(false, false, 1<<16, 0)
+		}
+		mustClaim(tb, fpOf(1), 5, true, true)
+		mustClaim(tb, fpOf(1), 5, false, false) // same pair: prune
+		mustClaim(tb, fpOf(1), 7, true, false)  // distinct depth: own claim
+		mustClaim(tb, fpOf(1), 3, true, false)  // shallower too
+		mustClaim(tb, fpOf(1), 3, false, false)
+		for _, d := range []int{63, 64, 127, 128} {
+			mustClaim(tb, fpOf(1), d, true, false) // new epoch = new slot, same state
+			mustClaim(tb, fpOf(1), d, false, false)
+		}
+		mustClaim(tb, fpOf(2), 100, true, true) // deep first sighting still counts once
+		mustClaim(tb, fpOf(2), 101, true, false)
+		if tb.distinct() != 2 {
+			t.Fatalf("growable=%v: distinct = %d, want 2 (epoch slots must not count)", growable, tb.distinct())
+		}
 	}
 }
 
@@ -301,7 +293,7 @@ func TestCompactTableClaims(t *testing.T) {
 // (zero) leaves growth enabled — explicit budgets pre-size, so this is the
 // one path that still rehashes.
 func TestCompactTableGrows(t *testing.T) {
-	tb := newCompactTable(true, false, true, 0, 0)
+	tb := newCompactTable(true, true, 0, 0)
 	const n = 5000 // >> compactMinEntries, forces multiple doublings
 	for i := uint64(0); i < n; i++ {
 		claimed, newState, err := tb.claim(fpOf(i), 0)
@@ -343,7 +335,7 @@ func TestCompactTablePreSized(t *testing.T) {
 			stride = 3
 		}
 		budget := int64(entries) * stride * 8
-		tb := newCompactTable(wide, false, true, budget, 0)
+		tb := newCompactTable(wide, true, budget, 0)
 		if tb.growable {
 			t.Fatalf("wide=%v: explicit budget left the table growable", wide)
 		}
@@ -373,7 +365,7 @@ func TestCompactTablePreSized(t *testing.T) {
 // TestCompactTableFull: a budget-capped table must refuse inserts with
 // ErrTableFull instead of looping or silently dropping states.
 func TestCompactTableFull(t *testing.T) {
-	tb := newCompactTable(false, true, false, 1, 0) // floor: compactMinEntries
+	tb := newCompactTable(false, false, 1, 0) // floor: compactMinEntries
 	var err error
 	for i := uint64(0); err == nil && i < 2*compactMinEntries; i++ {
 		_, _, err = tb.claim(fpOf(i), 0)
@@ -384,15 +376,15 @@ func TestCompactTableFull(t *testing.T) {
 	if !errors.Is(err, ErrTableFull) {
 		t.Fatalf("got %v, want ErrTableFull", err)
 	}
-	// The sequential explorer must surface it, not mislabel the report.
+	// The walk must surface it, not mislabel the report.
 	f := factoryFor(func() *consensus.Protocol { return consensus.MaxRegisters(3) }, []int{0, 1, 2})
 	w := Options{MaxDepth: 10, Dedup: true, Table: TableCompact, TableBytes: 1}
 	if _, err := Exhaustive(context.Background(), f, w); !errors.Is(err, ErrTableFull) {
-		t.Fatalf("sequential explorer: got %v, want ErrTableFull", err)
+		t.Fatalf("one worker: got %v, want ErrTableFull", err)
 	}
-	w.Strategy, w.Workers = StrategyParallel, 4
+	w.Workers = 4
 	if _, err := Exhaustive(context.Background(), f, w); !errors.Is(err, ErrTableFull) {
-		t.Fatalf("parallel explorer: got %v, want ErrTableFull", err)
+		t.Fatalf("four workers: got %v, want ErrTableFull", err)
 	}
 }
 
@@ -422,7 +414,7 @@ func TestBitTableClaims(t *testing.T) {
 // workload; every pair must be granted exactly once and every fingerprint
 // counted exactly once, no matter the interleaving. Failures here are
 // either lost CAS claims (double expansion) or double counting — the two
-// invariants the parallel explorer's accounting stands on.
+// invariants the walk's accounting stands on.
 func TestCompactTableClaimInvariance(t *testing.T) {
 	const (
 		goroutines = 8
@@ -430,7 +422,7 @@ func TestCompactTableClaimInvariance(t *testing.T) {
 		depths     = 70 // crosses the 64-depth epoch fold
 	)
 	for _, wide := range []bool{false, true} {
-		tb := newCompactTable(wide, true, false, 1<<22, 0)
+		tb := newCompactTable(wide, false, 1<<22, 0)
 		claims := make([]int32, fps*depths)
 		news := make([]int32, fps)
 		var wg sync.WaitGroup
@@ -592,23 +584,18 @@ func TestSpillBoundsResidentFrontier(t *testing.T) {
 	}
 }
 
-// TestParallelSpillPreservesReport is the parallel half of the spilling
-// determinism claim: with per-worker spill files the Report must stay
-// byte-identical (modulo Mem) to the unspilled parallel run at every worker
-// count, worker-count-invariant across {1, 2, 4}, and — dedup off, where
-// the parallel walk reproduces the sequential tree exactly — identical to
-// the sequential oracle too.
+// TestParallelSpillPreservesReport is the several-worker half of the
+// spilling determinism claim: with per-worker spill files the Report must
+// stay byte-identical (modulo Mem) to the unspilled run at every worker
+// count, and to the unspilled one-worker walk.
 func TestParallelSpillPreservesReport(t *testing.T) {
 	f := factoryFor(func() *consensus.Protocol { return consensus.MaxRegisters(3) }, []int{0, 1, 2})
 	for _, dedup := range []bool{false, true} {
 		opts := Options{MaxDepth: 7, Dedup: dedup}
-		seq := opts
-		seq.Strategy = StrategyFork
-		oracle := run(t, f, seq)
-		var base *Report
+		oracle := run(t, f, opts)
 		for _, wk := range []int{1, 2, 4} {
 			po := opts
-			po.Strategy, po.Workers = StrategyParallel, wk
+			po.Workers = wk
 			plain := run(t, f, po)
 			dir := t.TempDir()
 			po.SpillNodes, po.SpillDir = 4, dir
@@ -623,15 +610,10 @@ func TestParallelSpillPreservesReport(t *testing.T) {
 			if left, err := filepath.Glob(filepath.Join(dir, "*")); err != nil || len(left) != 0 {
 				t.Fatalf("spill files not removed: %v (%v)", left, err)
 			}
-			if base == nil {
-				base = spilled
-			} else if !reflect.DeepEqual(stripApprox(spilled), stripApprox(base)) {
-				t.Fatalf("dedup=%v workers=%d: spilled report not worker-count invariant:\nfirst %+v\nthis  %+v",
-					dedup, wk, base, spilled)
+			if !reflect.DeepEqual(stripApprox(spilled), stripApprox(oracle)) {
+				t.Fatalf("dedup=%v workers=%d: spilled report diverged from the one-worker walk:\none %+v\nthis %+v",
+					dedup, wk, oracle, spilled)
 			}
-		}
-		if !dedup && !reflect.DeepEqual(stripApprox(base), stripApprox(oracle)) {
-			t.Fatalf("spilled parallel run diverged from the sequential oracle:\nseq %+v\npar %+v", oracle, base)
 		}
 	}
 }
@@ -644,12 +626,12 @@ func TestParallelSpillBoundsResidentFrontier(t *testing.T) {
 	f := factoryFor(func() *consensus.Protocol { return consensus.MaxRegisters(3) }, []int{0, 1, 2})
 	const bound, procs = 6, 3
 	for _, wk := range []int{2, 4} {
-		plain := run(t, f, Options{MaxDepth: 8, Strategy: StrategyParallel, Workers: wk})
+		plain := run(t, f, Options{MaxDepth: 8, Workers: wk})
 		if plain.Mem.PeakResident <= bound {
 			t.Fatalf("workers=%d: deques peak at %d nodes; cannot exercise spilling", wk, plain.Mem.PeakResident)
 		}
 		spilled := run(t, f, Options{
-			MaxDepth: 8, Strategy: StrategyParallel, Workers: wk,
+			MaxDepth: 8, Workers: wk,
 			SpillNodes: bound, SpillDir: t.TempDir(),
 		})
 		if spilled.Mem.SpilledBatches == 0 {
@@ -708,8 +690,8 @@ func TestSpillCorruptReload(t *testing.T) {
 // only back DistinctStates, which keys on 64-bit hashes — so planted
 // collisions may shrink that one count but must leave the search itself
 // untouched: every other field byte-identical, and no under-approximation
-// flag (the envelope was fully explored). Checked on both the sequential
-// hash-set path and the parallel seenTable path.
+// flag (the envelope was fully explored). Checked on one worker and on
+// four.
 func TestPlantedCollisionCountOnly(t *testing.T) {
 	f := factoryFor(func() *consensus.Protocol { return consensus.MaxRegisters(2) }, []int{0, 1})
 	cases := []struct {
@@ -718,8 +700,8 @@ func TestPlantedCollisionCountOnly(t *testing.T) {
 	}{
 		{"sequential", Options{MaxDepth: 8},
 			Options{MaxDepth: 8, testPWMask: 0x0f}},
-		{"parallel", Options{MaxDepth: 8, Strategy: StrategyParallel, Workers: 4},
-			Options{MaxDepth: 8, Strategy: StrategyParallel, Workers: 4, testPWMask: 0x0f}},
+		{"parallel", Options{MaxDepth: 8, Workers: 4},
+			Options{MaxDepth: 8, Workers: 4, testPWMask: 0x0f}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,11 +1,11 @@
 package explore
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/consensus"
@@ -15,7 +15,7 @@ import (
 
 // This file is the delivery differential battery: message-passing systems —
 // where pending-message choices are scheduler branches like any other — must
-// explore byte-identically to the sequential fork oracle across strategies,
+// explore byte-identically to the one-worker walk across the replay oracle,
 // worker counts, dedup, symmetry, and compacted tables, under every delivery
 // mode. The explorers themselves have no channel-specific code; these tests
 // pin that the branch-point encoding (virtual delivery pids) composes with
@@ -100,12 +100,32 @@ func (ci chanInstance) factory() Factory {
 	}
 }
 
-// TestDeliveryDifferential: the full cross-product. Parallel at 1/2/4
-// workers against the sequential fork oracle (byte-identical without dedup,
-// invariant-identical with), with and without symmetry, for every
-// channel-bearing instance under every delivery mode — including the
-// prefixed Byzantine fork attack, whose violations pin verdict and witness
-// ordering.
+// oneWorkerReports memoizes chanInstance.oneWorker across the delivery
+// tests and their -count/-cpu repetitions.
+var oneWorkerReports sync.Map // string -> *Report
+
+// oneWorker returns the one-worker Report of the instance under opts,
+// computed once per test binary: the one-worker walk runs on the calling
+// goroutine and is deterministic, so repeating it checks nothing new, while
+// the undeduplicated Byzantine trees are the largest in the package (605k
+// configurations for byz-fork-lossy) and the slowest to walk under -race.
+func (ci chanInstance) oneWorker(t *testing.T, opts Options) *Report {
+	t.Helper()
+	key := fmt.Sprintf("%s %+v", ci.name, opts)
+	if rep, ok := oneWorkerReports.Load(key); ok {
+		return rep.(*Report)
+	}
+	rep := run(t, ci.factory(), opts)
+	oneWorkerReports.Store(key, rep)
+	return rep
+}
+
+// TestDeliveryDifferential: the full cross-product. Two and four workers
+// against the one-worker walk, byte-identical with and without dedup and
+// symmetry, for every channel-bearing instance under every delivery mode —
+// including the prefixed Byzantine fork attack, whose violations pin verdict
+// and witness ordering. Workers 1 is left out: it takes the one-worker path
+// the oracle already ran.
 func TestDeliveryDifferential(t *testing.T) {
 	for _, ci := range chanInstances() {
 		ci := ci
@@ -114,56 +134,18 @@ func TestDeliveryDifferential(t *testing.T) {
 			for _, dedup := range []bool{false, true} {
 				for _, sym := range []bool{false, true} {
 					opts := Options{MaxDepth: ci.depth, Dedup: dedup, Symmetry: sym}
-					if dedup && ci.violating {
-						// Dedup claims race across workers, so the schedule
-						// attached to a violation is not worker-count
-						// invariant; pin the order-invariant fields instead.
-						// (Without dedup the full byte-identity above covers
-						// violations in DFS order.)
-						violatingBattery(t, f, opts, []int{1, 2, 4})
-						continue
+					rep := ci.oneWorker(t, opts)
+					batteryAgainst(t, rep, f, opts, []int{2, 4})
+					if found := len(rep.Violations) > 0; found != ci.violating {
+						t.Fatalf("dedup=%v sym=%v: violations %v, planted %v", dedup, sym, rep.Violations, ci.violating)
 					}
-					battery(t, f, opts, []int{1, 2, 4})
 				}
 			}
 		})
 	}
 }
 
-// violatingBattery is battery's dedup branch for instances with planted
-// violations: decided values, distinct states, and violation presence must
-// match the sequential oracle at every worker count.
-func violatingBattery(t *testing.T, f Factory, opts Options, workers []int) {
-	t.Helper()
-	seq := opts
-	seq.Strategy = StrategyFork
-	oracle, err := Exhaustive(context.Background(), f, seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(oracle.Violations) == 0 {
-		t.Fatal("oracle found no planted violation")
-	}
-	for _, wk := range workers {
-		po := opts
-		po.Strategy, po.Workers = StrategyParallel, wk
-		par, err := Exhaustive(context.Background(), f, po)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", wk, err)
-		}
-		if !slices.Equal(par.DecidedValues, oracle.DecidedValues) {
-			t.Fatalf("workers=%d: decided values %v, oracle %v", wk, par.DecidedValues, oracle.DecidedValues)
-		}
-		if par.DistinctStates != oracle.DistinctStates {
-			t.Fatalf("workers=%d: distinct states %d, oracle %d", wk, par.DistinctStates, oracle.DistinctStates)
-		}
-		if len(par.Violations) == 0 {
-			t.Fatalf("workers=%d: planted violation lost", wk)
-		}
-	}
-}
-
-// TestDeliveryReplayMatchesFork: the replay strategy re-executes schedules
+// TestDeliveryReplayMatchesFork: the replay oracle re-executes schedules
 // through fresh systems — including the delivery adversary's moves — and
 // must reproduce the fork-based walk exactly.
 func TestDeliveryReplayMatchesFork(t *testing.T) {
@@ -172,8 +154,8 @@ func TestDeliveryReplayMatchesFork(t *testing.T) {
 		t.Run(ci.name, func(t *testing.T) {
 			f := ci.factory()
 			for _, sym := range []bool{false, true} {
-				fork := run(t, f, Options{MaxDepth: ci.depth, Dedup: true, Symmetry: sym, Strategy: StrategyFork})
-				rep := run(t, f, Options{MaxDepth: ci.depth, Dedup: true, Symmetry: sym, Strategy: StrategyReplay})
+				opts := Options{MaxDepth: ci.depth, Dedup: true, Symmetry: sym}
+				fork, rep := ci.oneWorker(t, opts), runReplay(t, f, opts)
 				if !reflect.DeepEqual(stripMem(rep), stripMem(fork)) {
 					t.Fatalf("sym=%v: replay diverged\nfork   %+v\nreplay %+v", sym, fork, rep)
 				}
@@ -190,7 +172,7 @@ func TestDeliveryCompactMatchesExact(t *testing.T) {
 		ci := ci
 		t.Run(ci.name, func(t *testing.T) {
 			f := ci.factory()
-			exact := run(t, f, Options{MaxDepth: ci.depth, Dedup: true})
+			exact := ci.oneWorker(t, Options{MaxDepth: ci.depth, Dedup: true})
 			for _, mode := range []Table{TableCompact, TableCompact128} {
 				compact := run(t, f, Options{MaxDepth: ci.depth, Dedup: true, Table: mode})
 				if !reflect.DeepEqual(stripApprox(compact), stripApprox(exact)) {
@@ -309,9 +291,9 @@ func TestSymmetryFuzzChannels(t *testing.T) {
 		depth := 4 + rng.Intn(2)
 		wk := 1 + rng.Intn(4)
 		t.Run(fmt.Sprintf("iter%02d-n%d-%v-%v-depth%d", iter, n, kind, deliver.Mode, depth), func(t *testing.T) {
-			exact := run(t, f, Options{MaxDepth: depth, Strategy: StrategyFork, Dedup: true})
-			symSeq := run(t, f, Options{MaxDepth: depth, Strategy: StrategyFork, Dedup: true, Symmetry: true})
-			symPar := run(t, f, Options{MaxDepth: depth, Strategy: StrategyParallel, Workers: wk, Dedup: true, Symmetry: true})
+			exact := run(t, f, Options{MaxDepth: depth, Dedup: true})
+			symSeq := run(t, f, Options{MaxDepth: depth, Dedup: true, Symmetry: true})
+			symPar := run(t, f, Options{MaxDepth: depth, Workers: wk, Dedup: true, Symmetry: true})
 			if !slices.Equal(symSeq.DecidedValues, exact.DecidedValues) {
 				t.Fatalf("decided values %v with symmetry, %v without", symSeq.DecidedValues, exact.DecidedValues)
 			}
@@ -321,9 +303,8 @@ func TestSymmetryFuzzChannels(t *testing.T) {
 			if symSeq.DistinctStates > exact.DistinctStates {
 				t.Fatalf("orbits %d exceed %d exact states", symSeq.DistinctStates, exact.DistinctStates)
 			}
-			if symPar.DistinctStates != symSeq.DistinctStates ||
-				!slices.Equal(symPar.DecidedValues, symSeq.DecidedValues) {
-				t.Fatalf("parallel symmetric run diverged:\nseq %+v\npar %+v", symSeq, symPar)
+			if !reflect.DeepEqual(stripMem(symPar), stripMem(symSeq)) {
+				t.Fatalf("workers=%d symmetric run diverged:\none  %+v\nmany %+v", wk, symSeq, symPar)
 			}
 		})
 	}

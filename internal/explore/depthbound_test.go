@@ -1,13 +1,13 @@
 package explore
 
-// This file pins the soundness of depth-aware deduplication at the MaxDepth
+// This file pins the soundness of depth-bounded deduplication at the MaxDepth
 // boundary: a configuration revisited with MORE remaining depth than its
 // recorded visit had must be re-expanded, because the recorded visit's
 // subtree was truncated shallower than the revisit's would be. The planted
 // protocol below makes the deep visit happen FIRST in DFS order, hides a
 // violation exactly in the extra depth the shallow revisit has, and fails
-// if either the sequential depth-aware table or the parallel sharded
-// (state, depth) table ever prunes on a bare key match.
+// if the (state, depth) claim rule — or the replay oracle sharing it —
+// ever prunes on a bare key match, at any worker count.
 //
 // State graph (gate = pid 0, writer = pid 1; inputs both 0):
 //
@@ -109,9 +109,9 @@ func depthBoundFactory() (*sim.System, error) {
 		[]sim.Stepper{&gateStepper{}, &writerSpinStepper{}}), nil
 }
 
-// TestDedupDepthBoundaryRevisit: with dedup on, both the sequential
-// depth-aware table and the parallel exact (state, depth) table must
-// re-expand the shallow revisit and surface the planted violation; a table
+// TestDedupDepthBoundaryRevisit: with dedup on, the exact (state, depth)
+// claim rule must re-expand the shallow revisit and surface the planted
+// violation, on one worker, on several, and in the replay oracle; a table
 // that prunes on the bare key loses it. The no-dedup runs pin that the
 // violation is genuinely in the envelope, and Deduped > 0 pins that the
 // table did fire elsewhere (the wait/spin self-loops), so the test cannot
@@ -119,17 +119,18 @@ func depthBoundFactory() (*sim.System, error) {
 func TestDedupDepthBoundaryRevisit(t *testing.T) {
 	const maxDepth = 4
 	for _, tc := range []struct {
-		name string
-		opts Options
+		name    string
+		explore func(context.Context, Factory, Options) (*Report, error)
+		opts    Options
 	}{
-		{"fork-nodedup", Options{MaxDepth: maxDepth, Strategy: StrategyFork}},
-		{"fork-dedup", Options{MaxDepth: maxDepth, Strategy: StrategyFork, Dedup: true}},
-		{"replay-dedup", Options{MaxDepth: maxDepth, Strategy: StrategyReplay, Dedup: true}},
-		{"parallel-dedup", Options{MaxDepth: maxDepth, Strategy: StrategyParallel, Workers: 4, Dedup: true}},
-		{"parallel-dedup-1w", Options{MaxDepth: maxDepth, Strategy: StrategyParallel, Workers: 1, Dedup: true}},
+		{"fork-nodedup", Exhaustive, Options{MaxDepth: maxDepth}},
+		{"fork-dedup", Exhaustive, Options{MaxDepth: maxDepth, Dedup: true}},
+		{"replay-dedup", exhaustiveReplay, Options{MaxDepth: maxDepth, Dedup: true}},
+		{"parallel-dedup", Exhaustive, Options{MaxDepth: maxDepth, Workers: 4, Dedup: true}},
+		{"parallel-dedup-1w", Exhaustive, Options{MaxDepth: maxDepth, Workers: 1, Dedup: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rep, err := Exhaustive(context.Background(), depthBoundFactory, tc.opts)
+			rep, err := tc.explore(context.Background(), depthBoundFactory, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,7 +146,7 @@ func TestDedupDepthBoundaryRevisit(t *testing.T) {
 	// One depth shallower the violation must be out of reach on every path —
 	// pinning that the test really straddles the boundary.
 	rep, err := Exhaustive(context.Background(), depthBoundFactory,
-		Options{MaxDepth: maxDepth - 1, Strategy: StrategyFork, Dedup: true})
+		Options{MaxDepth: maxDepth - 1, Dedup: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,14 +4,19 @@
 // configuration in O(state) for protocols expressed as explicit forkable
 // steppers (every racing/TAS/CAS/max-register row — see
 // internal/consensus/steppers.go) and by per-process result-replay for the
-// coroutine Body adapters, so the default exploration strategy forks at
-// branch points instead of re-executing the whole schedule prefix from a
-// fresh system. A seen-state table keyed on the canonical configuration —
+// coroutine Body adapters, so the explorer forks at branch points instead of
+// re-executing the whole schedule prefix from a fresh system. Systems that
+// cannot fork are refused with sim.ErrNotForkable.
+//
+// There is one walk (walk.go): a depth-first search over a work-stealing
+// frontier, run on the calling goroutine for one worker and across a pool
+// for more. A seen-state table keyed on the canonical configuration —
 // incremental memory fingerprint, per-process local-state keys, decisions —
-// optionally deduplicates the search: most interleavings of commuting steps
-// converge to identical configurations, and the transposition table
-// collapses that blow-up. The pre-fork replay strategy is retained behind
-// Options.Strategy as a differential-testing oracle.
+// optionally deduplicates the search under one claim rule, exact
+// (state, depth) pairs: most interleavings of commuting steps converge to
+// identical configurations, and each reachable pair is expanded exactly
+// once whichever path or worker reaches it first. Every Report field but
+// Mem is therefore independent of the worker count.
 //
 // The package also provides the bounded CanDecide/Bivalent oracles that the
 // paper's valency arguments (Lemmas 6.4-6.7, 9.1) are phrased in terms of.
@@ -19,11 +24,8 @@ package explore
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sort"
 
-	"repro/internal/machine"
 	"repro/internal/sim"
 )
 
@@ -31,34 +33,14 @@ import (
 // closed by the explorer after use.
 type Factory func() (*sim.System, error)
 
-// Strategy selects how the explorer materializes configurations.
+// Strategy is kept so existing callers compile; the explorer ignores it.
+// Every exploration forks configurations at branch points, and
+// Options.Workers alone selects the worker count.
 type Strategy int
 
-const (
-	// StrategyAuto forks when the systems support it (all built-in
-	// protocols do) and falls back to replay otherwise. The default.
-	StrategyAuto Strategy = iota
-	// StrategyReplay re-executes each schedule prefix from a fresh system —
-	// the pre-fork explorer, kept as a differential oracle.
-	StrategyReplay
-	// StrategyFork forks the parent configuration at every branch point.
-	StrategyFork
-	// StrategyParallel is the fork strategy spread across a worker pool:
-	// workers pop forked configurations from per-worker work-stealing deques
-	// and deduplicate through a sharded concurrent seen-state table. Without
-	// Dedup its Report is byte-identical to StrategyFork's. With Dedup the
-	// pruning rule is the order-independent exact (state, depth) claim
-	// rather than the sequential walk's depth-aware rule, so
-	// Runs/States/Deduped are compared to the sequential oracle through the
-	// order-invariant DecidedValues and DistinctStates fields; every counter
-	// is identical across runs and worker counts, with one caveat — when
-	// Dedup merges several same-depth configurations sharing a canonical
-	// state, which of their schedules labels a violation found at or below
-	// that state depends on the claim winner, so for a *violating* protocol
-	// only the set of violated properties (not the witness schedules) is
-	// run-invariant. See parallel.go.
-	StrategyParallel
-)
+// StrategyFork names the one exploration strategy: fork the parent
+// configuration at every branch point.
+const StrategyFork Strategy = 0
 
 // Options bounds an exploration.
 type Options struct {
@@ -73,16 +55,16 @@ type Options struct {
 	// decide within SoloBudget steps. This multiplies the cost by roughly
 	// n×SoloBudget per configuration.
 	SoloBudget int64
-	// Strategy selects fork- or replay-based materialization.
+	// Strategy is ignored (see Strategy).
 	Strategy Strategy
 	// Dedup enables the seen-state table: a configuration whose canonical
 	// state key (memory fingerprint, per-process local state, decisions)
-	// was already visited with at least as much remaining depth is pruned.
-	// Pruning is sound for safety violations — the first visit explores a
-	// superset of the pruned subtree — but it changes the Runs/States
-	// accounting, so the fork-vs-replay differential tests run with it off.
-	// Silently ignored when the systems expose no state key (external
-	// steppers without sim.StateKeyer).
+	// was already claimed at the same depth is pruned. The claimed twin has
+	// the same future and the same remaining depth, so its subtree covers
+	// the pruned one and pruning is sound for safety violations. It changes
+	// the Runs/States accounting, not the verdict or DecidedValues.
+	// Configurations that expose no state key (external steppers without
+	// sim.StateKeyer) are never pruned.
 	Dedup bool
 	// Symmetry keys the seen-state table (and the DistinctStates count) on
 	// the symmetry-reduced canonical state key instead of the exact one:
@@ -94,13 +76,16 @@ type Options struct {
 	// symmetry); Runs/States/Deduped shrink and DistinctStates counts
 	// orbits rather than exact states. Systems with live non-SymKeyer
 	// steppers transparently fall back to the exact key, so the option is
-	// sound for every protocol. It applies to all three strategies.
+	// sound for every protocol.
 	Symmetry bool
-	// Workers is the worker-pool size for StrategyParallel (and for
-	// StrategyAuto when set above 1); <= 0 means GOMAXPROCS. Worker count
-	// changes wall-clock time, never the accounting: the parallel
-	// explorer's counters are order-independent by construction (violation
-	// witness schedules excepted under Dedup — see StrategyParallel).
+	// Workers is the number of goroutines the walk spreads across; <= 1
+	// runs it on the calling goroutine. A MaxRuns cap forces one worker,
+	// because "the first k maximal schedules" is a depth-first-order
+	// notion. Worker count changes wall-clock time, never the Report (Mem
+	// aside): the set of claimed (state, depth) pairs does not depend on
+	// which worker claims first, and a several-worker run with Dedup stops
+	// at its first violation and re-runs on one worker so that each
+	// violation carries the schedule the depth-first order assigns it.
 	Workers int
 	// Table selects the seen-state storage. The default TableExact stores
 	// full canonical keys and never under-approximates; the compacted
@@ -113,20 +98,19 @@ type Options struct {
 	// provably exhaustive); TableBitstate cannot count and reports 0.
 	Table Table
 	// TableBytes caps the compacted table's memory (0 = a mode-specific
-	// default; ignored by TableExact). Compact sequential tables grow up
-	// to the cap and then refuse inserts with ErrTableFull; compact
-	// parallel tables allocate it up front; bitstate sizes its bit array
-	// from it and never fills.
+	// default; ignored by TableExact). A one-worker compact table with
+	// the default budget grows up to it; an explicit budget, or several
+	// workers, allocate it up front. Either way a full compact table
+	// refuses inserts with ErrTableFull. Bitstate sizes its bit array from
+	// it and never fills.
 	TableBytes int64
-	// SpillNodes, when positive, bounds the resident frontier of the
-	// fork-based explorers: when the DFS stack (or, under StrategyParallel,
-	// a worker's deque — the bound is per worker) exceeds it, the oldest
-	// half is spilled to a temp file as schedules (a few bytes per node,
-	// systems closed back into the pool) and reloaded batch-wise when the
-	// resident frontier drains. The sequential walk preserves the exact DFS
-	// order; the parallel Report is schedule-order-independent anyway, so
-	// spilled runs stay byte-identical either way. Ignored by the replay
-	// strategy, whose frontier is the recursion stack.
+	// SpillNodes, when positive, bounds each worker's resident frontier:
+	// when a worker's deque exceeds it, the oldest half is spilled to a
+	// temp file as schedules (a few bytes per node, systems closed back
+	// into the pool) and reloaded batch-wise when the resident frontier
+	// drains. One worker keeps the exact depth-first order, and the claimed
+	// pairs do not depend on order anyway, so a spilled run's Report equals
+	// the unspilled one (Mem aside).
 	SpillNodes int
 	// SpillDir is the directory for frontier spill files ("" means the
 	// system temp directory). Files are removed when the search ends.
@@ -134,7 +118,7 @@ type Options struct {
 	// Progress, when non-nil, is called with the running expanded-state
 	// count roughly every progressStride configurations, so long
 	// explorations can surface liveness (a job's states-visited counter)
-	// without per-state overhead. Under StrategyParallel the callback runs
+	// without per-state overhead. With several workers the callback runs
 	// on worker goroutines — possibly several at once — so it must be safe
 	// for concurrent use and should return quickly.
 	Progress func(states int64)
@@ -161,9 +145,9 @@ type Report struct {
 	// depth reached).
 	Runs int64
 	// States counts configurations expanded (internal nodes included).
-	// With Dedup this is close to, but not exactly, the number of distinct
-	// canonical states: the depth-aware table re-expands a state when it is
-	// reached again with more remaining depth than its recorded visit had.
+	// With Dedup this is the number of distinct (state, depth) pairs
+	// reached: a state reached at several depths is expanded once per
+	// depth.
 	States int64
 	// Deduped counts configurations pruned by the seen-state table.
 	Deduped int64
@@ -171,20 +155,19 @@ type Report struct {
 	Truncated bool
 	// Violations lists any safety violations (empty means the protocol is
 	// safe over the explored space), ordered lexicographically by schedule —
-	// which is exactly the sequential DFS discovery order.
+	// which is exactly the depth-first discovery order.
 	Violations []Violation
 	// DecidedValues is the sorted set of values decided in any explored
-	// configuration. It is invariant across strategies, worker counts, and
-	// (for the depth-bounded search) the Dedup setting: pruning only ever
+	// configuration. It is invariant across worker counts and (for the
+	// depth-bounded search) the Dedup setting: pruning only ever
 	// removes configurations whose decisions also occur in a retained twin
 	// subtree.
 	DecidedValues []int
 	// DistinctStates counts distinct canonical state keys among all
 	// configurations reached (including ones pruned by the seen-state
 	// table), or 0 when some configuration exposed no state key. Like
-	// DecidedValues it is invariant across strategies, worker counts, and
-	// Dedup, which makes it the reachable-state quantity the
-	// parallel-vs-sequential differential suite pins. Compacted tables
+	// DecidedValues it is invariant across worker counts and Dedup.
+	// Compacted tables
 	// count distinct fingerprints instead of keys (equal up to the
 	// reported collision probability); TableBitstate cannot count and
 	// reports 0. With Dedup off, even TableExact counts 64-bit key hashes
@@ -206,8 +189,8 @@ type Report struct {
 	// per-mode formulas). Zero whenever UnderApprox is false.
 	FalseMergeProb float64
 	// Mem describes the run's memory machinery. Unlike every field above
-	// it is diagnostic, not semantic: it varies across strategies, worker
-	// counts, and table modes, and is excluded from the differential
+	// it is diagnostic, not semantic: it varies with the worker count,
+	// spilling, and table mode, and is excluded from the differential
 	// byte-identity contracts.
 	Mem MemStats
 }
@@ -222,23 +205,25 @@ type MemStats struct {
 	// bits) in use; 0 for the exact maps.
 	TableOccupancy float64
 	// PeakFrontier is the largest number of pending frontier nodes —
-	// resident plus spilled — held at once by the fork-based strategies
-	// (0 for replay, whose frontier is the recursion stack).
+	// resident plus spilled, across all workers — seen after an expansion.
 	PeakFrontier int64
-	// PeakResident is the largest number of frontier nodes resident in
-	// memory at once: the DFS stack's high-water mark for the sequential
-	// fork strategy, the largest single worker deque for the parallel one
-	// (0 for replay). Without spilling the sequential value equals
-	// PeakFrontier; with Options.SpillNodes it is what the spill bound
-	// actually bounds — per worker, under every worker count.
+	// PeakResident is the high-water mark of the largest single worker
+	// deque. With one worker and no spilling it equals PeakFrontier; with
+	// Options.SpillNodes it is what the spill bound actually bounds.
 	PeakResident int64
 	// SpilledBatches counts frontier batches written to disk, summed across
-	// workers for the parallel strategy (0 unless Options.SpillNodes
-	// triggered).
+	// workers (0 unless Options.SpillNodes triggered).
 	SpilledBatches int64
 }
 
-// replay builds a fresh system and applies the schedule prefix.
+// progressStride is the state-count interval between Options.Progress
+// callbacks: a power of two so the check is a mask, coarse enough that the
+// callback never shows up in profiles, fine enough that a watcher sees
+// movement within milliseconds on any non-trivial exploration.
+const progressStride = 4096
+
+// replay builds a fresh system and applies the schedule prefix: the walk's
+// rematerialization of spilled frontier nodes, and CanDecide's start.
 func replay(f Factory, prefix []int) (*sim.System, error) {
 	sys, err := f()
 	if err != nil {
@@ -255,360 +240,41 @@ func replay(f Factory, prefix []int) (*sim.System, error) {
 
 // Exhaustive explores every interleaving of the live processes up to
 // opts.MaxDepth, validating agreement and validity at every configuration.
-// Every strategy checks ctx at its exploration frontier — the sequential
-// walks once per popped configuration, the parallel workers once per loop
-// iteration — so cancelling ctx aborts the search promptly with ctx.Err()
-// (all forked systems closed, all workers joined).
+// Every worker checks ctx once per configuration it takes from the
+// frontier, so cancelling ctx aborts the search promptly with ctx.Err()
+// (all forked systems closed, all workers joined). Systems that cannot
+// fork fail with sim.ErrNotForkable.
 func Exhaustive(ctx context.Context, f Factory, opts Options) (*Report, error) {
-	switch opts.Strategy {
-	case StrategyReplay:
-		return exhaustiveReplay(ctx, f, opts)
-	case StrategyFork:
-		return exhaustiveFork(ctx, f, opts)
-	case StrategyParallel:
-		return exhaustiveParallel(ctx, f, opts)
-	default:
-		run := exhaustiveFork
-		if opts.Workers > 1 {
-			run = exhaustiveParallel
-		}
-		rep, err := run(ctx, f, opts)
-		if errors.Is(err, sim.ErrNotForkable) {
-			return exhaustiveReplay(ctx, f, opts)
-		}
-		return rep, err
-	}
-}
-
-// walk carries the shared per-exploration state of both sequential
-// strategies.
-type walk struct {
-	opts   Options
-	rep    *Report
-	inputs []int
-	// seen (Dedup on) maps canonical state key -> shallowest depth at which
-	// the state was expanded: a revisit is pruned only when it has no more
-	// remaining depth than the recorded visit, which keeps pruning sound
-	// under MaxDepth (the recorded visit explored a superset).
-	seen map[string]int
-	// seenHashes (Dedup off) records 64-bit hashes of the visited keys so
-	// Report.DistinctStates stays comparable across strategies without
-	// retaining full key strings per state. The parallel explorer hashes
-	// with the same function, so counts match exactly even under the (~2^-64
-	// per pair) collision odds the state-key machinery already accepts.
-	seenHashes map[uint64]struct{}
-	// decided accumulates every decision value observed at a visited
-	// configuration (Report.DecidedValues).
-	decided map[int]struct{}
-	keyBuf  []byte // scratch for allocation-free seen lookups
-	// symScratch is the symmetric keyer's reusable buffers (Symmetry on).
-	symScratch sim.SymScratch
-	// table replaces seen/seenHashes for the compacted modes
-	// (Options.Table != TableExact); countOnly marks a table that only
-	// backs DistinctStates (Dedup off) and never prunes.
-	table      ctable
-	countOnly  bool
-	exactBytes int64 // estimated bytes held by the exact maps
-}
-
-func newWalk(opts Options) *walk {
-	w := &walk{
-		opts:    opts,
-		rep:     &Report{},
-		decided: make(map[int]struct{}),
-	}
-	if t := newCTable(opts, false); t != nil {
-		w.table, w.countOnly = t, !opts.Dedup
-	} else if opts.Dedup {
-		w.seen = make(map[string]int)
-	} else {
-		w.seenHashes = make(map[uint64]struct{})
-	}
-	return w
-}
-
-// Per-entry overhead estimates for the exact maps' telemetry: a string-keyed
-// map bucket with its header, hash, and value word; a bare uint64 set entry.
-const (
-	exactEntryOverhead = 48
-	hashEntryOverhead  = 16
-)
-
-// progressStride is the state-count interval between Options.Progress
-// callbacks: a power of two so the check is a mask, coarse enough that the
-// callback never shows up in profiles, fine enough that a watcher sees
-// movement within milliseconds on any non-trivial exploration.
-const progressStride = 4096
-
-// finish fills the order-invariant summary fields and returns the report.
-func (w *walk) finish() *Report {
-	w.rep.DecidedValues = sortedValueSet(w.decided)
-	switch {
-	case w.table != nil:
-		w.rep.DistinctStates = w.table.distinct()
-		w.rep.Mem.TableBytes = w.table.memBytes()
-		w.rep.Mem.TableOccupancy = w.table.occupancy()
-		if w.rep.Deduped > 0 {
-			w.rep.UnderApprox = true
-			w.rep.FalseMergeProb = w.table.falseMergeProb(w.rep.Deduped)
-		}
-	case w.seen != nil:
-		w.rep.DistinctStates = int64(len(w.seen))
-		w.rep.Mem.TableBytes = w.exactBytes
-	case w.seenHashes != nil:
-		w.rep.DistinctStates = int64(len(w.seenHashes))
-		w.rep.Mem.TableBytes = w.exactBytes
-	}
-	return w.rep
-}
-
-// sortedValueSet flattens a decision-value set into a sorted slice (nil when
-// empty, so reports compare equal across strategies).
-func sortedValueSet(set map[int]struct{}) []int {
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// cutRuns reports whether the run cap is exhausted, recording truncation.
-func (w *walk) cutRuns() bool {
-	if w.opts.MaxRuns > 0 && w.rep.Runs >= w.opts.MaxRuns {
-		w.rep.Truncated = true
-		return true
-	}
-	return false
-}
-
-// appendKey materializes the configuration key the exploration deduplicates
-// and counts on: the exact canonical key, or the symmetry-reduced one when
-// Options.Symmetry is set (sc carries the keyer's reusable buffers). Both
-// sides of a run always use the same keyer, so counts stay comparable
-// within it.
-func appendKey(sys *sim.System, dst []byte, symmetry bool, sc *sim.SymScratch) ([]byte, bool) {
-	if symmetry {
-		return sys.AppendSymStateKey(dst, sc)
-	}
-	return sys.AppendStateKey(dst)
-}
-
-// dedup records the configuration of sys in the seen table and, with Dedup
-// enabled, reports whether it was already expanded with at least as much
-// remaining depth. The lookup is allocation-free: the key string is only
-// materialized when a new state is recorded. The error is non-nil only for
-// a full compacted table (ErrTableFull).
-func (w *walk) dedup(sys *sim.System, depth int) (bool, error) {
-	if w.table != nil {
-		return w.dedupCompact(sys, depth)
-	}
-	if w.seen == nil && w.seenHashes == nil {
-		return false, nil
-	}
-	key, ok := appendKey(sys, w.keyBuf[:0], w.opts.Symmetry, &w.symScratch)
-	w.keyBuf = key[:0]
-	if !ok {
-		// Unkeyable steppers: dedup and distinct counting off for the walk.
-		w.seen, w.seenHashes = nil, nil
-		return false, nil
-	}
-	if w.seenHashes != nil {
-		h := hashKey(key)
-		if w.opts.testPWMask != 0 {
-			h &= w.opts.testPWMask // test hook: plant count-only collisions
-		}
-		if _, hit := w.seenHashes[h]; !hit {
-			w.seenHashes[h] = struct{}{}
-			w.exactBytes += hashEntryOverhead
-		}
-		return false, nil
-	}
-	if prev, hit := w.seen[string(key)]; hit {
-		if prev <= depth {
-			w.rep.Deduped++
-			return true, nil
-		}
-	} else {
-		w.exactBytes += int64(len(key)) + exactEntryOverhead
-	}
-	w.seen[string(key)] = depth
-	return false, nil
-}
-
-// dedupCompact is dedup against a compacted table: the configuration is
-// fingerprinted without materializing its key (sim.System.StateHash128),
-// except under Symmetry, whose sorted-multiset canonicalization needs the
-// bytes anyway and hashes them.
-func (w *walk) dedupCompact(sys *sim.System, depth int) (bool, error) {
-	var fp machine.Hash128
-	ok := false
-	if w.opts.Symmetry {
-		var key []byte
-		if key, ok = sys.AppendSymStateKey(w.keyBuf[:0], &w.symScratch); ok {
-			fp = machine.HashBytes128(key)
-		}
-		w.keyBuf = key[:0]
-	} else {
-		fp, ok = sys.StateHash128()
-	}
-	if !ok {
-		// Unkeyable steppers: dedup and distinct counting off for the walk.
-		w.table = nil
-		return false, nil
-	}
-	claimed, _, err := w.table.claim(fp, depth)
+	root, err := f()
 	if err != nil {
-		return false, err
-	}
-	if !w.countOnly && !claimed {
-		w.rep.Deduped++
-		return true, nil
-	}
-	return false, nil
-}
-
-// schedSource lazily materializes a configuration's schedule for violation
-// reports. Passing an existing pointer (a *treeNode) through the interface
-// costs nothing on the no-violation fast path, unlike a per-configuration
-// closure, which allocates whether or not a violation ever reads it.
-type schedSource interface {
-	schedule() []int
-}
-
-// prefixSched adapts the replay strategy's explicit prefix to schedSource.
-type prefixSched []int
-
-func (p prefixSched) schedule() []int { return append([]int(nil), p...) }
-
-// visit performs the per-configuration work — state accounting, decided-
-// value collection, and the safety check. sched lazily materializes the
-// schedule for violation reports.
-func (w *walk) visit(sys *sim.System, sched schedSource) {
-	w.rep.States++
-	if w.opts.Progress != nil && w.rep.States&(progressStride-1) == 0 {
-		w.opts.Progress(w.rep.States)
-	}
-	for pid := 0; pid < sys.N(); pid++ {
-		if d, ok := sys.Decided(pid); ok {
-			w.decided[d] = struct{}{}
-		}
-	}
-	if problem := checkSafety(sys, w.inputs); problem != "" {
-		w.rep.Violations = append(w.rep.Violations, Violation{
-			Schedule: sched.schedule(),
-			Problem:  problem,
-		})
-	}
-}
-
-// soloCheck verifies obstruction-freedom probes at a configuration.
-// soloFrom must yield a fresh system advanced to the configuration, owned
-// by soloCheck.
-func (w *walk) soloCheck(live []int, sched schedSource, soloFrom func() (*sim.System, error)) error {
-	vs, err := soloViolations(live, w.opts.SoloBudget, sched, soloFrom)
-	if err != nil {
-		return err
-	}
-	w.rep.Violations = append(w.rep.Violations, vs...)
-	return nil
-}
-
-// soloViolations runs the obstruction-freedom probes at one configuration:
-// each live process, alone on a fresh copy of the configuration (soloFrom),
-// must decide within budget steps. Shared between the sequential walks and
-// the parallel workers.
-func soloViolations(live []int, budget int64, sched schedSource, soloFrom func() (*sim.System, error)) ([]Violation, error) {
-	var out []Violation
-	for _, pid := range live {
-		sys, err := soloFrom()
-		if err != nil {
-			return nil, err
-		}
-		ok, err := soloDecides(sys, pid, budget)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			out = append(out, Violation{
-				Schedule: sched.schedule(),
-				Problem: fmt.Sprintf("obstruction-freedom: process %d undecided after %d solo steps",
-					pid, budget),
-			})
-		}
-	}
-	return out, nil
-}
-
-// exhaustiveReplay is the pre-fork explorer: each configuration is
-// materialized by re-executing its schedule prefix from a fresh system.
-func exhaustiveReplay(ctx context.Context, f Factory, opts Options) (*Report, error) {
-	w := newWalk(opts)
-	var rec func(prefix []int) error
-	rec = func(prefix []int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if w.cutRuns() {
-			return nil
-		}
-		sys, err := replay(f, prefix)
-		if err != nil {
-			return err
-		}
-		if w.inputs == nil {
-			w.inputs = sys.Inputs() // the root replay doubles as input probe
-		}
-		prune, err := w.dedup(sys, len(prefix))
-		if err != nil {
-			sys.Close()
-			return err
-		}
-		if prune {
-			sys.Close()
-			return nil
-		}
-		sched := prefixSched(prefix)
-		w.visit(sys, sched)
-		live := sys.LiveSet()
-		sys.Close()
-		if opts.SoloBudget > 0 {
-			err := w.soloCheck(live, sched, func() (*sim.System, error) {
-				return replay(f, prefix)
-			})
-			if err != nil {
-				return err
-			}
-		}
-		if len(live) == 0 || (opts.MaxDepth > 0 && len(prefix) >= opts.MaxDepth) {
-			w.rep.Runs++
-			return nil
-		}
-		for _, pid := range live {
-			next := make([]int, len(prefix)+1)
-			copy(next, prefix)
-			next[len(prefix)] = pid
-			if err := rec(next); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := rec(nil); err != nil {
 		return nil, err
 	}
-	return w.finish(), nil
+	w := newWalker(f, root, opts)
+	// Which of several same-depth paths to a shared state claims it is a
+	// race between workers, and the claimant's schedule labels every
+	// violation below it. One worker claims in depth-first order, which
+	// makes the labels a function of the protocol alone: so a several-worker
+	// walk with Dedup stops at its first violation and the search re-runs on
+	// one worker, bounding the discarded work by the time to that violation.
+	w.stopAtViolation = opts.Dedup && len(w.workers) > 1
+	rep, err := w.walk(ctx)
+	if err == nil && w.stopAtViolation && len(rep.Violations) > 0 {
+		one := opts
+		one.Workers = 1
+		if p := opts.Progress; p != nil {
+			done := rep.States
+			one.Progress = func(states int64) { p(done + states) }
+		}
+		return Exhaustive(ctx, f, one)
+	}
+	return rep, err
 }
 
-// treeNode is one live configuration of the fork-based explorers. Nodes
-// carry their schedule as a parent chain — immutable after construction —
-// materialized into a slice only when a violation needs reporting. A node
-// reloaded from a frontier spill has no parent chain: it carries its whole
-// schedule in prefix, a nil sys until first popped, and rematerializes by
-// replay.
+// treeNode is one pending configuration of the walk. Nodes carry their
+// schedule as a parent chain — immutable after construction — materialized
+// into a slice only when a violation needs reporting. A node reloaded from
+// a frontier spill has no parent chain: it carries its whole schedule in
+// prefix, a nil sys until first taken, and rematerializes by replay.
 type treeNode struct {
 	sys    *sim.System
 	parent *treeNode
@@ -629,191 +295,37 @@ func (nd *treeNode) schedule() []int {
 	return out
 }
 
-// exhaustiveFork is the fork-based explorer: an iterative DFS whose stack
-// holds live forked systems, so materializing a child costs one Fork plus
-// one step instead of a fresh system plus the whole prefix. Visit order is
-// identical to exhaustiveReplay's recursion — including across frontier
-// spills, which remove and restore stack segments in place (see spill.go).
-func exhaustiveFork(ctx context.Context, f Factory, opts Options) (rep *Report, err error) {
-	w := newWalk(opts)
-	root, err := f()
-	if err != nil {
-		return nil, err
-	}
-	w.inputs = root.Inputs()
-	// Recycle the fork/step/close churn: every popped node's system returns
-	// to the pool on Close and the next Fork rebuilds in place, making the
-	// steady-state expansion allocation-free for natively forking protocols.
-	pool := new(sim.Pool)
-	root.SetPool(pool)
+// schedSource lazily materializes a configuration's schedule for violation
+// reports. Passing an existing pointer (a *treeNode) through the interface
+// costs nothing on the no-violation fast path, unlike a per-configuration
+// closure, which allocates whether or not a violation ever reads it.
+type schedSource interface {
+	schedule() []int
+}
 
-	stack := []*treeNode{{sys: root}}
-	// Every stacked system is closed exactly once: popped nodes by the loop
-	// body, unpopped ones here on early error returns (spill-reloaded nodes
-	// have none until first popped).
-	defer func() {
-		for _, nd := range stack {
-			if nd.sys != nil {
-				nd.sys.Close()
-			}
-		}
-	}()
-	var sp *frontierSpill
-	defer func() {
-		if sp != nil {
-			w.rep.Mem.SpilledBatches = sp.spilled
-			sp.close()
-		}
-	}()
-
-	// Node recycling mirrors the system pool: a popped node that pushes no
-	// children (pruned, deduped, or ending a run) was never made a parent, so
-	// nothing holds a reference to it and its storage can back the next push.
-	// Expanded nodes stay out of the list — their children's parent chains
-	// reach through them when a violation materializes its schedule.
-	var freeNodes []*treeNode
-	newNode := func(sys *sim.System, parent *treeNode, pid, depth int) *treeNode {
-		if n := len(freeNodes); n > 0 {
-			nd := freeNodes[n-1]
-			freeNodes = freeNodes[:n-1]
-			*nd = treeNode{sys: sys, parent: parent, pid: pid, depth: depth}
-			return nd
-		}
-		return &treeNode{sys: sys, parent: parent, pid: pid, depth: depth}
-	}
-
-	var liveBuf []int
-	for {
-		if len(stack) == 0 {
-			// The resident stack is dry; restore the most recently spilled
-			// batch, whose nodes are exactly the next ones DFS order visits.
-			if sp == nil || sp.pending() == 0 || w.rep.Truncated {
-				break
-			}
-			scheds, err := sp.reload()
-			if err != nil {
-				return nil, err
-			}
-			for _, sched := range scheds {
-				nd := newNode(nil, nil, 0, len(sched))
-				nd.prefix = sched
-				stack = append(stack, nd)
-			}
-			continue
-		}
-		nd := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-
-		if err := ctx.Err(); err != nil {
-			if nd.sys != nil {
-				nd.sys.Close()
-			}
-			return nil, err
-		}
-		if w.cutRuns() {
-			if nd.sys != nil {
-				nd.sys.Close()
-			}
-			freeNodes = append(freeNodes, nd)
-			continue
-		}
-		if nd.sys == nil {
-			// A spill root: rematerialize the configuration by replaying its
-			// recorded schedule — the replay/fork equivalence the strategy
-			// battery pins makes this reach the identical configuration.
-			rsys, err := replay(f, nd.prefix)
-			if err != nil {
-				return nil, err
-			}
-			rsys.SetPool(pool)
-			nd.sys = rsys
-		}
-		sys := nd.sys
-		prune, err := w.dedup(sys, nd.depth)
+// soloViolations runs the obstruction-freedom probes at one configuration:
+// each live process, alone on a fresh copy of the configuration (soloFrom),
+// must decide within budget steps.
+func soloViolations(live []int, budget int64, sched schedSource, soloFrom func() (*sim.System, error)) ([]Violation, error) {
+	var out []Violation
+	for _, pid := range live {
+		sys, err := soloFrom()
 		if err != nil {
-			sys.Close()
 			return nil, err
 		}
-		if prune {
-			sys.Close()
-			freeNodes = append(freeNodes, nd)
-			continue
+		ok, err := soloDecides(sys, pid, budget)
+		if err != nil {
+			return nil, err
 		}
-		w.visit(sys, nd)
-		live := sys.AppendLive(liveBuf[:0])
-		liveBuf = live
-		if opts.SoloBudget > 0 {
-			err := w.soloCheck(live, nd, func() (*sim.System, error) {
-				return sys.Fork()
+		if !ok {
+			out = append(out, Violation{
+				Schedule: sched.schedule(),
+				Problem: fmt.Sprintf("obstruction-freedom: process %d undecided after %d solo steps",
+					pid, budget),
 			})
-			if err != nil {
-				sys.Close()
-				return nil, err
-			}
-		}
-		if len(live) == 0 || (opts.MaxDepth > 0 && nd.depth >= opts.MaxDepth) {
-			w.rep.Runs++
-			sys.Close()
-			freeNodes = append(freeNodes, nd)
-			continue
-		}
-		// Push children in reverse so they pop in ascending pid order,
-		// matching the replay recursion's visit order. The first child
-		// (pushed last) takes ownership of the parent system and steps it in
-		// place — one fork per sibling beyond the first, none for chains.
-		for i := len(live) - 1; i >= 1; i-- {
-			pid := live[i]
-			child, err := sys.Fork()
-			if err != nil {
-				sys.Close()
-				return nil, err
-			}
-			if _, err := child.Step(pid); err != nil {
-				child.Close()
-				sys.Close()
-				return nil, fmt.Errorf("explore: extending %v by %d: %w", nd.schedule(), pid, err)
-			}
-			stack = append(stack, newNode(child, nd, pid, nd.depth+1))
-		}
-		pid := live[0]
-		if _, err := sys.Step(pid); err != nil {
-			sys.Close()
-			return nil, fmt.Errorf("explore: extending %v by %d: %w", nd.schedule(), pid, err)
-		}
-		stack = append(stack, newNode(sys, nd, pid, nd.depth+1))
-
-		frontier := int64(len(stack))
-		if frontier > w.rep.Mem.PeakResident {
-			w.rep.Mem.PeakResident = frontier
-		}
-		if sp != nil {
-			frontier += sp.pending()
-		}
-		if frontier > w.rep.Mem.PeakFrontier {
-			w.rep.Mem.PeakFrontier = frontier
-		}
-		if opts.SpillNodes > 0 && len(stack) > opts.SpillNodes {
-			// Spill the bottom half — the nodes DFS visits last — as
-			// schedules and release their systems back to the pool.
-			if sp == nil {
-				if sp, err = newFrontierSpill(opts.SpillDir); err != nil {
-					return nil, err
-				}
-			}
-			k := len(stack) / 2
-			if err := sp.spill(stack[:k]); err != nil {
-				return nil, err
-			}
-			for _, snd := range stack[:k] {
-				if snd.sys != nil {
-					snd.sys.Close()
-				}
-				freeNodes = append(freeNodes, snd)
-			}
-			stack = append(stack[:0], stack[k:]...)
 		}
 	}
-	return w.finish(), nil
+	return out, nil
 }
 
 // soloDecides runs pid alone on sys (which it owns and closes) for at most
@@ -867,136 +379,42 @@ func checkSafety(sys *sim.System, inputs []int) string {
 // CanDecide reports whether value v can be decided from the configuration
 // reached by prefix using only steps of the processes in set, searching
 // schedules up to extraDepth additional steps. It is the bounded executable
-// form of the paper's "P can decide v from C". The search forks
-// configurations (with seen-state dedup) when the systems support it and
-// falls back to schedule replay otherwise.
+// form of the paper's "P can decide v from C". The search is the
+// exploration walk with seen-state dedup, restricted to set and stopped at
+// the first decision on v; systems that cannot fork fail with
+// sim.ErrNotForkable.
 func CanDecide(f Factory, prefix []int, set []int, v, extraDepth int) (bool, error) {
 	base, err := replay(f, prefix)
 	if err != nil {
 		return false, err
 	}
-	got, err := CanDecideFrom(base, set, v, extraDepth)
-	if errors.Is(err, sim.ErrNotForkable) {
-		return canDecideReplay(f, prefix, set, v, extraDepth)
-	}
-	return got, err
+	return CanDecideFrom(base, set, v, extraDepth)
 }
 
 // CanDecideFrom is CanDecide starting from a live configuration, which it
 // owns and closes. The lower-bound machinery calls it directly with forked
 // configurations to avoid re-materializing the prefix per oracle query.
-func CanDecideFrom(base *sim.System, set []int, v, extraDepth int) (found bool, err error) {
-	inSet := make(map[int]bool, len(set))
-	for _, p := range set {
-		inSet[p] = true
-	}
-	type node struct {
-		sys   *sim.System
-		depth int
-	}
-	stack := []node{{sys: base, depth: 0}}
-	defer func() {
-		for _, nd := range stack {
-			nd.sys.Close()
-		}
-	}()
-	// seen maps state key -> shallowest depth expanded, as in Exhaustive.
-	seen := make(map[string]int)
-	for len(stack) > 0 {
-		nd := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		sys := nd.sys
-		decided := false
-		for pid := 0; pid < sys.N(); pid++ {
-			if d, ok := sys.Decided(pid); ok && d == v {
-				decided = true
-				break
-			}
-		}
-		if decided {
-			sys.Close()
-			return true, nil
-		}
-		if nd.depth >= extraDepth {
-			sys.Close()
-			continue
-		}
-		if key, ok := sys.StateKey(); ok {
-			if prev, hit := seen[key]; hit && prev <= nd.depth {
-				sys.Close()
-				continue
-			}
-			seen[key] = nd.depth
-		}
-		var pids []int
-		for _, pid := range sys.LiveSet() {
-			if inSet[pid] {
-				pids = append(pids, pid)
-			}
-		}
-		if len(pids) == 0 {
-			sys.Close()
-			continue
-		}
-		// The first child reuses the parent system in place.
-		for _, pid := range pids[1:] {
-			child, err := sys.Fork()
-			if err != nil {
-				sys.Close()
-				return false, err
-			}
-			if _, err := child.Step(pid); err != nil {
-				child.Close()
-				sys.Close()
-				return false, fmt.Errorf("explore: extending by %d: %w", pid, err)
-			}
-			stack = append(stack, node{sys: child, depth: nd.depth + 1})
-		}
-		if _, err := sys.Step(pids[0]); err != nil {
-			sys.Close()
-			return false, fmt.Errorf("explore: extending by %d: %w", pids[0], err)
-		}
-		stack = append(stack, node{sys: sys, depth: nd.depth + 1})
-	}
-	return false, nil
-}
-
-// canDecideReplay is the replay fallback for systems that cannot fork.
-func canDecideReplay(f Factory, prefix []int, set []int, v, extraDepth int) (bool, error) {
-	inSet := make(map[int]bool, len(set))
-	for _, p := range set {
-		inSet[p] = true
-	}
-	var rec func(sched []int) (bool, error)
-	rec = func(sched []int) (bool, error) {
-		sys, err := replay(f, sched)
-		if err != nil {
-			return false, err
-		}
-		for _, d := range sys.Decisions() {
-			if d == v {
-				sys.Close()
+func CanDecideFrom(base *sim.System, set []int, v, extraDepth int) (bool, error) {
+	if extraDepth <= 0 {
+		// Options.MaxDepth 0 means unbounded; here it means base alone.
+		defer base.Close()
+		for pid := 0; pid < base.N(); pid++ {
+			if d, ok := base.Decided(pid); ok && d == v {
 				return true, nil
-			}
-		}
-		live := sys.LiveSet()
-		sys.Close()
-		if len(sched)-len(prefix) >= extraDepth {
-			return false, nil
-		}
-		for _, pid := range live {
-			if !inSet[pid] {
-				continue
-			}
-			next := make([]int, len(sched)+1)
-			copy(next, sched)
-			next[len(sched)] = pid
-			ok, err := rec(next)
-			if err != nil || ok {
-				return ok, err
 			}
 		}
 		return false, nil
 	}
-	return rec(append([]int(nil), prefix...))
+	w := newWalker(nil, base, Options{MaxDepth: extraDepth, Dedup: true})
+	w.allowed = make([]bool, base.N())
+	for _, pid := range set {
+		if pid >= 0 && pid < len(w.allowed) {
+			w.allowed[pid] = true
+		}
+	}
+	w.target, w.hunting = v, true
+	if _, err := w.walk(context.Background()); err != nil {
+		return false, err
+	}
+	return w.found.Load(), nil
 }

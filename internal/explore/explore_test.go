@@ -2,6 +2,7 @@ package explore
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -116,12 +117,13 @@ func TestExhaustiveCatchesBrokenProtocol(t *testing.T) {
 	}
 }
 
-// TestStrategiesAgree is the fork-vs-replay differential: with dedup off,
-// both strategies must produce byte-identical Reports — same runs, same
-// states, same truncation, same violations in the same order — across
-// natively forkable protocols, coroutine-body protocols (result-replay
-// forking), a depth-bounded instance, a MaxRuns-truncated instance, a
-// SoloBudget instance, and a deliberately broken protocol.
+// TestStrategiesAgree is the fork-vs-replay differential: the one-worker
+// walk and the test-only replay oracle must produce byte-identical Reports
+// — same runs, same states, same truncation, same violations in the same
+// order — across natively forkable protocols, coroutine-body protocols
+// (result-replay forking), a depth-bounded instance, a MaxRuns-truncated
+// instance, a SoloBudget instance, dedup on and off, and a deliberately
+// broken protocol.
 func TestStrategiesAgree(t *testing.T) {
 	broken := func() (*sim.System, error) {
 		mem := machine.New(machine.SetReadWrite, 1)
@@ -144,19 +146,14 @@ func TestStrategiesAgree(t *testing.T) {
 		{"maxruns", factoryFor(func() *consensus.Protocol { return consensus.MaxRegisters(3) }, []int{0, 1, 2}), Options{MaxDepth: 12, MaxRuns: 5}},
 		{"solo", factoryFor(func() *consensus.Protocol { return consensus.CAS(2) }, []int{0, 1}), Options{SoloBudget: 5}},
 		{"broken", broken, Options{}},
+		{"dedup-max-registers-depth8", factoryFor(func() *consensus.Protocol { return consensus.MaxRegisters(2) }, []int{0, 1}), Options{MaxDepth: 8, Dedup: true}},
+		{"dedup-maxruns", factoryFor(func() *consensus.Protocol { return consensus.MaxRegisters(3) }, []int{0, 1, 2}), Options{MaxDepth: 12, MaxRuns: 5, Dedup: true}},
+		{"dedup-broken", broken, Options{Dedup: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ro, fo := tc.opts, tc.opts
-			ro.Strategy, fo.Strategy = StrategyReplay, StrategyFork
-			rrep, err := Exhaustive(context.Background(), tc.f, ro)
-			if err != nil {
-				t.Fatal(err)
-			}
-			frep, err := Exhaustive(context.Background(), tc.f, fo)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rrep := runReplay(t, tc.f, tc.opts)
+			frep := run(t, tc.f, tc.opts)
 			if !reflect.DeepEqual(stripMem(rrep), stripMem(frep)) {
 				t.Fatalf("strategies disagree:\nreplay %+v\nfork   %+v", rrep, frep)
 			}
@@ -344,5 +341,57 @@ func TestMaxRunsTruncation(t *testing.T) {
 	}
 	if rep.Runs > 5 {
 		t.Fatalf("runs = %d beyond cap", rep.Runs)
+	}
+}
+
+// refuseForkStepper is a one-shot read-then-decide protocol whose stepper
+// implements no sim.Forker, counting every system built and every stepper
+// halted so tests can check that each one was closed.
+type refuseForkStepper struct {
+	input  int
+	done   bool
+	halted bool
+	count  *refuseForkCount
+}
+
+type refuseForkCount struct{ built, halted int }
+
+func (s *refuseForkStepper) Poise() (sim.OpInfo, bool) {
+	return sim.OpInfo{Loc: 0, Op: machine.OpRead}, !s.done
+}
+func (s *refuseForkStepper) Resume(machine.Value) bool   { s.done = true; return true }
+func (s *refuseForkStepper) Outcome() (bool, int, error) { return s.done, s.input, nil }
+func (s *refuseForkStepper) Halt() {
+	if !s.halted {
+		s.halted = true
+		s.count.halted++
+	}
+}
+
+// TestNotForkableRefused: systems whose steppers cannot fork are refused
+// with sim.ErrNotForkable — there is no replay fallback — by both
+// Exhaustive (at every worker count, with and without solo probes) and
+// CanDecide, and every system built on the way is closed.
+func TestNotForkableRefused(t *testing.T) {
+	count := &refuseForkCount{}
+	f := func() (*sim.System, error) {
+		inputs := []int{0, 1}
+		steppers := make([]sim.Stepper, len(inputs))
+		for i, in := range inputs {
+			steppers[i] = &refuseForkStepper{input: in, count: count}
+		}
+		count.built += len(steppers)
+		return sim.NewSystemSteppers(machine.New(machine.SetReadWrite, 1), inputs, steppers), nil
+	}
+	for _, opts := range []Options{{}, {Dedup: true}, {Workers: 4}, {SoloBudget: 3}} {
+		if _, err := Exhaustive(context.Background(), f, opts); !errors.Is(err, sim.ErrNotForkable) {
+			t.Fatalf("Exhaustive(%+v): err = %v, want sim.ErrNotForkable", opts, err)
+		}
+	}
+	if _, err := CanDecide(f, nil, []int{0, 1}, 1, 4); !errors.Is(err, sim.ErrNotForkable) {
+		t.Fatalf("CanDecide: err = %v, want sim.ErrNotForkable", err)
+	}
+	if count.built == 0 || count.halted != count.built {
+		t.Fatalf("%d steppers built, %d halted: some system was left open", count.built, count.halted)
 	}
 }

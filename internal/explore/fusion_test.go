@@ -28,13 +28,15 @@ func unfusedFactoryFor(build func() *consensus.Protocol, inputs []int) Factory {
 
 // TestFusionDifferential compares entire exploration reports — runs, state
 // counts, dedup hits, violations, decided values, distinct states — between
-// fused and unfused execution, for every forkable portfolio row under every
-// strategy, with dedup and symmetry toggled. Report equality is the
-// strongest available statement that fusion is unobservable: it implies the
-// explorers saw identical state graphs in identical order.
+// fused and unfused execution, for every forkable portfolio row at several
+// worker counts and in the replay oracle, with dedup and symmetry toggled.
+// Report equality is the strongest available statement that fusion is
+// unobservable: it implies the explorers saw identical state graphs in
+// identical order.
 func TestFusionDifferential(t *testing.T) {
 	type cfg struct {
 		label string
+		run   func(*testing.T, Factory, Options) *Report
 		opts  Options
 	}
 	for _, tc := range consensus.ForkablePortfolio() {
@@ -46,23 +48,18 @@ func TestFusionDifferential(t *testing.T) {
 			var cfgs []cfg
 			for _, dedup := range []bool{false, true} {
 				for _, symm := range []bool{false, true} {
-					base := Options{MaxDepth: depth, Dedup: dedup, Symmetry: symm}
-					o := base
-					o.Strategy = StrategyFork
-					cfgs = append(cfgs, cfg{fmt.Sprintf("fork dedup=%v sym=%v", dedup, symm), o})
-					for _, wk := range []int{1, 2, 4} {
-						o := base
-						o.Strategy, o.Workers = StrategyParallel, wk
-						cfgs = append(cfgs, cfg{fmt.Sprintf("parallel w=%d dedup=%v sym=%v", wk, dedup, symm), o})
+					for _, wk := range []int{0, 2, 4} {
+						o := Options{MaxDepth: depth, Dedup: dedup, Symmetry: symm, Workers: wk}
+						cfgs = append(cfgs, cfg{fmt.Sprintf("w=%d dedup=%v sym=%v", wk, dedup, symm), run, o})
 					}
 				}
 			}
-			cfgs = append(cfgs, cfg{"replay dedup=true", Options{MaxDepth: depth, Strategy: StrategyReplay, Dedup: true}})
+			cfgs = append(cfgs, cfg{"replay dedup=true", runReplay, Options{MaxDepth: depth, Dedup: true}})
 
 			for _, c := range cfgs {
-				want := run(t, unfused, c.opts)
-				got := run(t, fused, c.opts)
-				if c.opts.Strategy == StrategyParallel && c.opts.Workers > 1 {
+				want := c.run(t, unfused, c.opts)
+				got := c.run(t, fused, c.opts)
+				if c.opts.Workers > 1 {
 					// Peak frontier/residency depend on how far ahead the
 					// workers raced, which no fusion property constrains.
 					got.Mem.PeakFrontier, want.Mem.PeakFrontier = 0, 0

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/consensus"
@@ -14,62 +15,79 @@ import (
 )
 
 // stripMem clears Report.Mem before a byte-identity comparison: the memory
-// telemetry is diagnostic and strategy-shaped by design (the parallel
-// frontier peak depends on scheduling), so Report's contract excludes it
-// from the cross-strategy identity guarantees.
+// telemetry is diagnostic and shaped by the worker count and spilling by
+// design (the frontier peak depends on scheduling), so Report's contract
+// excludes it from the identity guarantees.
 func stripMem(r *Report) *Report {
 	c := *r
 	c.Mem = MemStats{}
 	return &c
 }
 
-// battery drives one factory through the parallel explorer at several worker
-// counts and compares against the sequential StrategyFork oracle.
-//
-// Without dedup the comparison is byte-identity of the whole Report: the
-// parallel explorer walks the exact same tree, and its deterministic merge
-// must reproduce the sequential counters and the DFS-ordered violations.
-//
-// With dedup the pruning rules differ (depth-aware sequential vs
-// order-independent exact (state, depth) parallel), so the comparison pins
-// the order-invariant quantities — decided-value sets, distinct reachable
-// states, violation presence — plus byte-identity of the parallel report
-// across worker counts, which is the determinism claim of StrategyParallel.
-func battery(t *testing.T, f Factory, opts Options, workers []int) {
+// stripSchedules clears Mem and reduces the violations to their sorted
+// problem strings: the parts of a Report a several-worker walk with Dedup
+// fixes by itself, before Exhaustive re-labels its violations on one worker.
+func stripSchedules(r *Report) *Report {
+	c := stripMem(r)
+	c.Violations = nil
+	for _, v := range r.Violations {
+		c.Violations = append(c.Violations, Violation{Problem: v.Problem})
+	}
+	slices.SortStableFunc(c.Violations, func(a, b Violation) int { return strings.Compare(a.Problem, b.Problem) })
+	return c
+}
+
+// walkOnly runs the walk as it stands, without Exhaustive's one-worker
+// re-run after a violation under Dedup.
+func walkOnly(t *testing.T, f Factory, opts Options) *Report {
 	t.Helper()
-	seq := opts
-	seq.Strategy = StrategyFork
-	oracle, err := Exhaustive(context.Background(), f, seq)
+	root, err := f()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var base *Report
+	rep, err := newWalker(f, root, opts).walk(context.Background())
+	if err != nil {
+		t.Fatalf("workers=%d: %v", opts.Workers, err)
+	}
+	return rep
+}
+
+// battery drives one factory through the walk at several worker counts and
+// requires each Report byte-identical, Mem aside, to the one-worker run's:
+// the claimed (state, depth) pairs do not depend on which worker claims
+// first, and the merge sorts violations into depth-first order. Where a
+// several-worker walk with Dedup finds violations, Exhaustive re-labels them
+// on one worker; the several-worker walk's own counters, decided values and
+// violation problems are then checked separately. It returns the one-worker
+// Report.
+func battery(t *testing.T, f Factory, opts Options, workers []int) *Report {
+	t.Helper()
+	one := opts
+	one.Workers = 0
+	oracle := run(t, f, one)
+	batteryAgainst(t, oracle, f, opts, workers)
+	return oracle
+}
+
+// batteryAgainst is battery with the one-worker Report already in hand.
+func batteryAgainst(t *testing.T, oracle *Report, f Factory, opts Options, workers []int) {
+	t.Helper()
 	for _, wk := range workers {
 		po := opts
-		po.Strategy, po.Workers = StrategyParallel, wk
+		po.Workers = wk
 		par, err := Exhaustive(context.Background(), f, po)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", wk, err)
 		}
-		if !opts.Dedup {
-			if !reflect.DeepEqual(stripMem(par), stripMem(oracle)) {
-				t.Fatalf("workers=%d dedup=off: parallel report diverged\nseq %+v\npar %+v", wk, oracle, par)
+		if !reflect.DeepEqual(stripMem(par), stripMem(oracle)) {
+			t.Fatalf("workers=%d %+v: report depends on the worker count\none  %+v\nmany %+v",
+				wk, opts, oracle, par)
+		}
+		if opts.Dedup && workerCount(po) > 1 && len(oracle.Violations) > 0 {
+			if raw := walkOnly(t, f, po); !reflect.DeepEqual(stripSchedules(raw), stripSchedules(oracle)) {
+				t.Fatalf("workers=%d %+v: several-worker walk diverged before re-labelling\none  %+v\nmany %+v",
+					wk, opts, oracle, raw)
 			}
-			continue
-		}
-		if !slices.Equal(par.DecidedValues, oracle.DecidedValues) {
-			t.Fatalf("workers=%d: decided values %v, oracle %v", wk, par.DecidedValues, oracle.DecidedValues)
-		}
-		if par.DistinctStates != oracle.DistinctStates {
-			t.Fatalf("workers=%d: distinct states %d, oracle %d", wk, par.DistinctStates, oracle.DistinctStates)
-		}
-		if (len(par.Violations) == 0) != (len(oracle.Violations) == 0) {
-			t.Fatalf("workers=%d: violations %v, oracle %v", wk, par.Violations, oracle.Violations)
-		}
-		if base == nil {
-			base = par
-		} else if !reflect.DeepEqual(stripMem(par), stripMem(base)) {
-			t.Fatalf("workers=%d dedup=on: parallel report not worker-count invariant\nfirst %+v\nthis  %+v", wk, base, par)
 		}
 	}
 }
@@ -83,29 +101,39 @@ func portfolioDepth(inputs []int) int {
 	return 6
 }
 
-// TestParallelMatchesSequential is the headline differential battery: every
-// forkable protocol x worker counts {1,2,4,8} x dedup on/off against the
-// StrategyFork oracle, then the CanDecide oracle cross-checked against the
-// parallel report's decided-value set.
+// TestParallelMatchesSequential is the headline worker-count battery:
+// every forkable protocol x dedup on/off x symmetry on/off x every table
+// mode, spilled and unspilled, at 1/2/4/8 workers against the one-worker
+// walk; then the CanDecide oracle cross-checked against the decided-value
+// set.
 func TestParallelMatchesSequential(t *testing.T) {
 	workers := []int{1, 2, 4, 8}
 	for _, tc := range consensus.ForkablePortfolio() {
 		t.Run(tc.Name, func(t *testing.T) {
 			f := factoryFor(tc.Build, tc.Inputs)
 			depth := portfolioDepth(tc.Inputs)
+			var rep *Report
 			for _, dedup := range []bool{false, true} {
-				battery(t, f, Options{MaxDepth: depth, Dedup: dedup}, workers)
+				for _, sym := range []bool{false, true} {
+					for _, table := range []Table{TableExact, TableCompact, TableCompact128, TableBitstate} {
+						// A small budget keeps the pre-sized compacted tables
+						// cheap to allocate; these spaces fill a few percent.
+						opts := Options{MaxDepth: depth, Dedup: dedup, Symmetry: sym, Table: table, TableBytes: 1 << 20}
+						rep = battery(t, f, opts, workers)
+						if table != TableExact {
+							continue
+						}
+						opts.SpillNodes, opts.SpillDir = 4, t.TempDir()
+						if spilled := battery(t, f, opts, workers); !reflect.DeepEqual(stripMem(spilled), stripMem(rep)) {
+							t.Fatalf("%+v: spilling changed the report\nplain   %+v\nspilled %+v", opts, rep, spilled)
+						}
+					}
+				}
 			}
 
 			// CanDecide verdicts: over the same schedule envelope, the
 			// bounded valency oracle must say v is decidable exactly when the
-			// parallel exploration observed a decision on v.
-			par, err := Exhaustive(context.Background(), f, Options{
-				MaxDepth: depth, Strategy: StrategyParallel, Workers: 4, Dedup: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			// exploration observed a decision on v.
 			all := make([]int, len(tc.Inputs))
 			for i := range all {
 				all[i] = i
@@ -120,8 +148,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := slices.Contains(par.DecidedValues, v); can != want {
-					t.Fatalf("CanDecide(%d) = %v, parallel decided set %v", v, can, par.DecidedValues)
+				if want := slices.Contains(rep.DecidedValues, v); can != want {
+					t.Fatalf("CanDecide(%d) = %v, explored decided set %v", v, can, rep.DecidedValues)
 				}
 			}
 		})
@@ -129,7 +157,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 }
 
 // TestParallelSoloBudget: the obstruction-freedom probes run inside workers;
-// the report stays byte-identical to the sequential oracle.
+// the report stays byte-identical to the one-worker walk's.
 func TestParallelSoloBudget(t *testing.T) {
 	f := factoryFor(func() *consensus.Protocol { return consensus.CAS(2) }, []int{0, 1})
 	battery(t, f, Options{SoloBudget: 5}, []int{1, 2, 4})
@@ -138,7 +166,7 @@ func TestParallelSoloBudget(t *testing.T) {
 }
 
 // TestParallelBodyProtocols: coroutine-body systems fork by result-replay;
-// the parallel explorer must handle them identically.
+// several workers must handle them identically.
 func TestParallelBodyProtocols(t *testing.T) {
 	body := func() (*sim.System, error) {
 		pr := consensus.MaxRegisters(2)
@@ -151,7 +179,7 @@ func TestParallelBodyProtocols(t *testing.T) {
 
 // TestParallelCatchesBrokenProtocol: the planted agreement violation must
 // surface with the identical DFS-ordered witness schedules, at every worker
-// count.
+// count, with dedup on and off.
 func TestParallelCatchesBrokenProtocol(t *testing.T) {
 	broken := func() (*sim.System, error) {
 		mem := machine.New(machine.SetReadWrite, 1)
@@ -161,52 +189,32 @@ func TestParallelCatchesBrokenProtocol(t *testing.T) {
 		}
 		return sim.NewSystem(mem, []int{0, 1}, b), nil
 	}
-	battery(t, broken, Options{}, []int{1, 2, 4, 8})
-	// With dedup the violated-property set must survive pruning too.
-	rep, err := Exhaustive(context.Background(), broken, Options{Strategy: StrategyParallel, Workers: 4, Dedup: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Violations) == 0 {
-		t.Fatal("parallel dedup exploration missed the agreement violation")
+	for _, dedup := range []bool{false, true} {
+		if rep := battery(t, broken, Options{Dedup: dedup}, []int{1, 2, 4, 8}); len(rep.Violations) == 0 {
+			t.Fatalf("dedup=%v: exploration missed the agreement violation", dedup)
+		}
 	}
 }
 
-// TestParallelMaxRunsFallsBack: a run cap is a DFS-order notion, so the
-// parallel strategy must route to the sequential explorer and stay
-// byte-identical.
+// TestParallelMaxRunsFallsBack: a run cap is a DFS-order notion, so a
+// capped walk runs on one worker whatever Workers says.
 func TestParallelMaxRunsFallsBack(t *testing.T) {
 	f := factoryFor(func() *consensus.Protocol { return consensus.MaxRegisters(3) }, []int{0, 1, 2})
-	opts := Options{MaxDepth: 12, MaxRuns: 5}
-	seq := opts
-	seq.Strategy = StrategyFork
-	want, err := Exhaustive(context.Background(), f, seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par := opts
-	par.Strategy, par.Workers = StrategyParallel, 8
-	got, err := Exhaustive(context.Background(), f, par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(stripMem(got), stripMem(want)) {
-		t.Fatalf("MaxRuns fallback diverged:\nseq %+v\npar %+v", want, got)
-	}
-	if !got.Truncated {
+	if rep := battery(t, f, Options{MaxDepth: 12, MaxRuns: 5}, []int{8}); !rep.Truncated {
 		t.Fatal("expected truncation")
 	}
 }
 
 // TestParallelDedupCollapsesStates: the sharded (state, depth) table must
-// prune commuting interleavings, not just match the no-dedup tree.
+// prune commuting interleavings under several workers, not just match the
+// no-dedup tree.
 func TestParallelDedupCollapsesStates(t *testing.T) {
 	f := factoryFor(func() *consensus.Protocol { return consensus.MaxRegisters(2) }, []int{0, 1})
-	plain, err := Exhaustive(context.Background(), f, Options{MaxDepth: 10, Strategy: StrategyParallel, Workers: 4})
+	plain, err := Exhaustive(context.Background(), f, Options{MaxDepth: 10, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dedup, err := Exhaustive(context.Background(), f, Options{MaxDepth: 10, Strategy: StrategyParallel, Workers: 4, Dedup: true})
+	dedup, err := Exhaustive(context.Background(), f, Options{MaxDepth: 10, Workers: 4, Dedup: true})
 	if err != nil {
 		t.Fatal(err)
 	}

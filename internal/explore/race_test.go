@@ -1,6 +1,6 @@
 package explore
 
-// Race-focused hammering of the parallel explorer's shared structures.
+// Race-focused hammering of the walk's shared structures.
 // These tests are meaningful under -race (the CI workflow runs the package
 // with it explicitly) but also verify the claim-accounting invariants that
 // the deterministic-report argument rests on.
@@ -18,18 +18,18 @@ import (
 )
 
 // TestSeenTableClaimRace hammers one seenTable from many goroutines with
-// overlapping (key, depth) pairs and verifies the claim invariant behind the
-// parallel explorer's determinism: every pair is claimed by exactly one
-// caller, no matter how the insertions interleave, and the distinct-key
-// count is exact.
+// overlapping (key, depth) pairs — crossing the 64-depth epoch fold — and
+// verifies the claim invariant behind the walk's worker-count invariance:
+// every pair is claimed by exactly one caller, no matter how the insertions
+// interleave, and the distinct-key count is exact.
 func TestSeenTableClaimRace(t *testing.T) {
 	const (
 		goroutines = 16
 		keys       = 97 // not a multiple of the shard count: uneven shards
-		depths     = 7
+		depths     = 70
 		rounds     = 50
 	)
-	table := newSeenTable(true, 0)
+	table := newSeenTable(true, 0, seenShardCount)
 	claims := make([]atomic.Int64, keys*depths)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -42,11 +42,10 @@ func TestSeenTableClaimRace(t *testing.T) {
 					// Perturb the visiting order per goroutine so shards are
 					// hit in different sequences.
 					key := (k*(g+1) + r) % keys
-					depth := (k + g + r) % depths
+					depth := (g*rounds + r) % depths
 					binary.LittleEndian.PutUint64(buf[:8], uint64(key)*0x9e3779b97f4a7c15)
 					binary.LittleEndian.PutUint64(buf[8:], uint64(key))
-					claimed, _ := table.touch(buf[:], depth)
-					if claimed {
+					if table.touch(buf[:], depth) {
 						claims[key*depths+depth].Add(1)
 					}
 				}
@@ -68,7 +67,7 @@ func TestSeenTableClaimRace(t *testing.T) {
 // always claims, and the distinct count stays exact.
 func TestSeenTableCountRace(t *testing.T) {
 	const goroutines, keys = 12, 256
-	table := newSeenTable(false, 0)
+	table := newSeenTable(false, 0, seenShardCount)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -77,7 +76,7 @@ func TestSeenTableCountRace(t *testing.T) {
 			var buf [8]byte
 			for k := 0; k < keys; k++ {
 				binary.LittleEndian.PutUint64(buf[:], uint64((k*(g+1))%keys))
-				if claimed, _ := table.touch(buf[:], k%5); !claimed {
+				if !table.touch(buf[:], k%5) {
 					t.Error("dedup-off touch refused a claim")
 					return
 				}
@@ -102,7 +101,7 @@ func TestDequeRingBounded(t *testing.T) {
 		pushes  = 20000
 	)
 	var (
-		d      deque
+		d      = deque{shared: true}
 		stolen atomic.Int64
 		popped atomic.Int64
 		done   atomic.Bool
@@ -146,7 +145,7 @@ func TestDequeRingBounded(t *testing.T) {
 	}
 }
 
-// TestParallelExplorerUnderLoad runs the full parallel explorer with far
+// TestParallelExplorerUnderLoad runs the walk with far
 // more workers than subtrees of the instance at a shallow depth, so the
 // steal path and the idle/termination protocol are exercised hard rather
 // than every worker staying busy on its own deque.
@@ -168,7 +167,7 @@ func TestParallelErrorTeardown(t *testing.T) {
 		return sim.NewSystemSteppers(pr.NewMemory(), []int{0, 1},
 			[]sim.Stepper{&failingStepper{fuse: 2}, &failingStepper{fuse: 3}}), nil
 	}
-	_, err := Exhaustive(context.Background(), f, Options{MaxDepth: 6, Strategy: StrategyParallel, Workers: 8})
+	_, err := Exhaustive(context.Background(), f, Options{MaxDepth: 6, Workers: 8})
 	if err == nil {
 		t.Fatal("expected the planted process failure to surface")
 	}
@@ -176,7 +175,7 @@ func TestParallelErrorTeardown(t *testing.T) {
 
 // failingStepper performs max-register reads until its fuse burns, then
 // poises an out-of-range access whose Step fails. It forks natively so the
-// parallel explorer exercises its error path rather than ErrNotForkable.
+// walk exercises its error path rather than ErrNotForkable.
 type failingStepper struct {
 	fuse int
 }

@@ -1,25 +1,25 @@
 package explore
 
-// Disk-spilling frontier for the fork-based explorers. The DFS stack (or a
-// parallel worker's deque) normally holds one live forked system per
-// pending node; on wide trees (large n, no dedup) the frontier — not the
-// seen table — is what outgrows RAM. With Options.SpillNodes set, whenever
-// the resident frontier exceeds the bound its oldest half (the nodes DFS
-// visits last; the deque's steal end) is written to a temp file as
+// Disk-spilling frontier for the exploration walk. A worker's deque
+// normally holds one live forked system per pending node; on wide trees
+// (large n, no dedup) the frontier — not the seen table — is what outgrows
+// RAM. With Options.SpillNodes set, whenever a worker's resident frontier
+// exceeds the bound its oldest half (the nodes depth-first order visits
+// last; the deque's steal end) is written to the worker's temp file as
 // schedules — a few bytes per node instead of a full system — and the
 // systems are closed back into the pool. Batches reload in LIFO order when
 // the resident frontier drains, and a reloaded node lazily rematerializes
-// its system by replaying its recorded schedule on first pop.
+// its system by replaying its recorded schedule when first taken.
 //
-// Sequentially, spilling the bottom and reloading last-batch-first
-// preserves the exact DFS pop order, so a spilled run's Report is
-// byte-identical to the unspilled one (the replay rematerialization reaches
-// the identical configuration the closed fork held — that is the
-// fork/replay equivalence the strategy battery pins). In parallel each
-// worker owns one frontierSpill, guarded by the worker's spill mutex so
-// idle peers can reload from it; there the Report is schedule-order-
-// independent anyway (the exact (state, depth) claim rule), so spilling
-// cannot change it either.
+// With one worker, spilling the oldest half and reloading
+// last-batch-first preserves the exact depth-first order, so a spilled
+// run's Report is byte-identical to the unspilled one (the replay
+// rematerialization reaches the identical configuration the closed fork
+// held — the fork/replay equivalence the replay oracle battery pins). With
+// several workers each owns one frontierSpill, guarded by the worker's
+// spill mutex so idle peers can reload from it; there the Report is
+// schedule-order-independent anyway (the exact (state, depth) claim rule),
+// so spilling cannot change it either.
 
 import (
 	"encoding/binary"
@@ -33,7 +33,6 @@ type frontierSpill struct {
 	f       *os.File
 	off     int64 // next write offset
 	batches []spillBatch
-	nodes   int64 // nodes currently spilled
 	spilled int64 // batches ever written (Report.Mem.SpilledBatches)
 	buf     []byte
 }
@@ -55,9 +54,9 @@ func newFrontierSpill(dir string) (*frontierSpill, error) {
 	return &frontierSpill{f: f}, nil
 }
 
-// spill appends one batch holding the schedules of nds, bottom of the
-// stack first. Callers close the systems afterwards; the nodes' parent
-// chains are released with them.
+// spill appends one batch holding the schedules of nds, oldest first.
+// Callers close the systems afterwards; the nodes' parent chains are
+// released with them.
 func (sp *frontierSpill) spill(nds []*treeNode) error {
 	buf := sp.buf[:0]
 	for _, nd := range nds {
@@ -72,14 +71,13 @@ func (sp *frontierSpill) spill(nds []*treeNode) error {
 	}
 	sp.batches = append(sp.batches, spillBatch{off: sp.off, size: int64(len(buf)), count: len(nds)})
 	sp.off += int64(len(buf))
-	sp.nodes += int64(len(nds))
 	sp.spilled++
 	sp.buf = buf[:0]
 	return nil
 }
 
 // reload pops the most recent batch and decodes its schedules in stored
-// (bottom-first) order, so pushing them back onto the empty stack restores
+// (oldest-first) order, so pushing them back onto the empty deque restores
 // the exact relative order they had before spilling.
 func (sp *frontierSpill) reload() ([][]int, error) {
 	n := len(sp.batches)
@@ -88,7 +86,6 @@ func (sp *frontierSpill) reload() ([][]int, error) {
 	}
 	b := sp.batches[n-1]
 	sp.batches = sp.batches[:n-1]
-	sp.nodes -= int64(b.count)
 	if cap(sp.buf) < int(b.size) {
 		sp.buf = make([]byte, b.size)
 	}
@@ -120,8 +117,6 @@ func (sp *frontierSpill) reload() ([][]int, error) {
 	}
 	return out, nil
 }
-
-func (sp *frontierSpill) pending() int64 { return sp.nodes }
 
 func (sp *frontierSpill) close() {
 	if sp.f != nil {

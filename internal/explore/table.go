@@ -17,8 +17,8 @@ package explore
 // compacted modes set Report.UnderApprox and quantify the risk in
 // Report.FalseMergeProb. The exact mode never under-approximates.
 //
-// The hash-compaction table doubles as the lock-free replacement for the
-// mutex-sharded parallel table (ROADMAP item 2): slots are write-once —
+// The hash-compaction table doubles as the lock-free alternative to the
+// mutex-sharded exact table: slots are write-once —
 // published by a single CompareAndSwap from zero to the probe word — so
 // claims need no locks, and claim uniqueness follows from CAS monotonicity:
 // for two workers inserting the same fingerprint along the same probe
@@ -31,9 +31,11 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/machine"
+	"repro/internal/sim"
 )
 
 // Table selects the seen-state storage backing Dedup and the
@@ -41,8 +43,7 @@ import (
 type Table int
 
 const (
-	// TableExact stores full canonical key bytes — the sequential
-	// depth-aware map or the sharded parallel table. Never
+	// TableExact stores full canonical key bytes in a (sharded) map. Never
 	// under-approximates the *search*: no configuration is ever pruned on a
 	// hash. (With Dedup off nothing is pruned at all and only
 	// Report.DistinctStates is tracked, as 64-bit key hashes — that count,
@@ -104,12 +105,12 @@ func ParseTable(s string) (Table, error) {
 // Raising Options.TableBytes (or switching to TableBitstate) lifts the cap.
 var ErrTableFull = errors.New("explore: compacted seen-state table is full")
 
-// ctable is the compacted seen-state store shared by the sequential walks
-// and the parallel workers. claim records a visit of the fingerprinted
-// state at the given depth and reports whether the caller owns its
-// expansion (claimed) and whether the fingerprint itself was first recorded
-// by this call (newState, the DistinctStates unit). All methods except the
-// read-only summaries are safe for concurrent use.
+// ctable is the compacted seen-state store. claim records a visit of the
+// fingerprinted state at the given depth and reports whether the caller
+// owns the expansion of that (state, depth) pair (claimed) and whether the
+// fingerprint itself was first recorded by this call (newState, the
+// DistinctStates unit). All methods except the read-only summaries are safe
+// for concurrent use.
 type ctable interface {
 	claim(fp machine.Hash128, depth int) (claimed, newState bool, err error)
 	// distinct counts distinct fingerprints recorded (0 when the mode
@@ -125,14 +126,14 @@ type ctable interface {
 	falseMergeProb(deduped int64) float64
 }
 
-// newCTable builds the store for opts.Table, or nil for TableExact.
-// parallel selects the order-independent exact (state, depth) claim rule
-// used by the worker pool; sequential tables instead reproduce the
-// depth-aware min-depth rule of the exact sequential walk.
-func newCTable(opts Options, parallel bool) ctable {
+// newCTable builds the store for opts.Table, or nil for TableExact. shared
+// marks a table several workers claim through at once: a compact table
+// then allocates its whole budget up front, because growing would move
+// slots under concurrent readers.
+func newCTable(opts Options, shared bool) ctable {
 	switch opts.Table {
 	case TableCompact, TableCompact128:
-		return newCompactTable(opts.Table == TableCompact128, parallel, !parallel, opts.TableBytes, opts.testPWMask)
+		return newCompactTable(opts.Table == TableCompact128, !shared, opts.TableBytes, opts.testPWMask)
 	case TableBitstate:
 		return newBitTable(opts.TableBytes)
 	default:
@@ -152,11 +153,11 @@ const (
 	compactMinEntries = 1 << 10
 	// bitstateK is the number of bits set per claim. All k bits land in one
 	// 64-bit word (a blocked Bloom filter), so a claim is a single atomic
-	// Or — which is also what makes parallel claims exact: the Or returns
+	// Or — which is also what makes concurrent claims exact: the Or returns
 	// the prior word, so exactly one claimant observes the last missing bit.
 	bitstateK = 3
-	// depthEpochTag decorrelates the depth-epoch fold (parallel claims at
-	// depth >= 64) from the plain fingerprint space.
+	// depthEpochTag decorrelates the depth-epoch fold (claims at depth >=
+	// 64) from the plain fingerprint space.
 	depthEpochTag = 0xc2b2ae3d27d4eb4f
 )
 
@@ -167,24 +168,19 @@ const (
 // CAS(0 -> fingerprint), which makes every slot's contents monotone and the
 // whole structure lock-free.
 //
-// Depth rules: sequential tables (depthSets=false) store min expanded depth
-// in the depth word and prune a revisit iff the recorded visit had at least
-// as much remaining depth — bit-for-bit the exact sequential walk's rule,
-// so absent collisions the compact sequential run reproduces the exact
-// Report. Parallel tables (depthSets=true) treat the depth word as a bitmap
-// of claimed depths (depths >= 64 fold their epoch into the probe word, so
-// an entry is a (state, depth-epoch) pair) — the order-independent exact
-// (state, depth) claim rule of the sharded table.
+// Claim rule: the depth word is a bitmap of claimed depths (depths >= 64
+// fold their epoch into the probe word, so an entry is a (state,
+// depth-epoch) pair) — the exact (state, depth) claim rule of the exact
+// table, so absent collisions a compact run reproduces the exact Report.
 //
-// Sizing: parallel tables, and any table given an explicit TableBytes
+// Sizing: shared tables, and any table given an explicit TableBytes
 // budget, allocate their final size up front (growing would move slots
 // under concurrent readers, and a rehash transiently holds ~1.5x the cap).
-// Only default-budget sequential tables grow, by single-threaded rehash at
+// Only default-budget one-worker tables grow, by single-threaded rehash at
 // 3/4 load, until the default budget is reached. Either way inserts refuse
 // at 15/16 load with ErrTableFull, which also guarantees probe termination.
 type compactTable struct {
 	wide       bool // 128-bit mode: check word present
-	depthSets  bool // parallel claim rule (depth bitmap) vs sequential min-depth
 	growable   bool
 	stride     uint64
 	pwMask     uint64 // test hook: truncates probe words to plant collisions
@@ -195,7 +191,7 @@ type compactTable struct {
 	states     atomic.Int64 // distinct fingerprints (base entries only)
 }
 
-func newCompactTable(wide, depthSets, growable bool, budget int64, pwMask uint64) *compactTable {
+func newCompactTable(wide, growable bool, budget int64, pwMask uint64) *compactTable {
 	stride := uint64(2)
 	if wide {
 		stride = 3
@@ -208,7 +204,7 @@ func newCompactTable(wide, depthSets, growable bool, budget int64, pwMask uint64
 		// never rehashes: a growth rehash transiently holds the old and
 		// doubled slot arrays together — ~1.5x the final size — busting caps
 		// the final table fits comfortably. Growth only serves the
-		// default-budget sequential case, where starting at 1024 entries
+		// default-budget one-worker case, where starting at 1024 entries
 		// keeps small explorations small.
 		growable = false
 	}
@@ -226,7 +222,6 @@ func newCompactTable(wide, depthSets, growable bool, budget int64, pwMask uint64
 	}
 	return &compactTable{
 		wide:       wide,
-		depthSets:  depthSets,
 		growable:   growable,
 		stride:     stride,
 		pwMask:     pwMask,
@@ -238,10 +233,9 @@ func newCompactTable(wide, depthSets, growable bool, budget int64, pwMask uint64
 
 // words derives the slot contents from the fingerprint: the probe word
 // (lane Lo) and the 128-bit check word (lane Hi), with epoch (nonzero only
-// for depth-bitmap claims at depth >= 64) folded into both. Zero is
-// reserved as the empty/unpublished marker in both words, so real zeros
-// are nudged to 1 — a 2^-64 perturbation already inside the fingerprint
-// collision budget.
+// for claims at depth >= 64) folded into both. Zero is reserved as the
+// empty/unpublished marker in both words, so real zeros are nudged to 1 — a
+// 2^-64 perturbation already inside the fingerprint collision budget.
 func (t *compactTable) words(fp machine.Hash128, epoch uint64) (pw, check uint64) {
 	pw, check = fp.Lo, fp.Hi
 	if epoch != 0 {
@@ -262,9 +256,9 @@ func (t *compactTable) words(fp machine.Hash128, epoch uint64) (pw, check uint64
 
 func (t *compactTable) claim(fp machine.Hash128, depth int) (claimed, newState bool, err error) {
 	var epoch uint64
-	if t.depthSets && depth >= 64 {
-		// Depth-bitmap claims beyond one 64-bit word get their own
-		// (state, depth-epoch) entry — but that entry must not stand in for
+	if depth >= 64 {
+		// Claims beyond one 64-bit depth word get their own (state,
+		// depth-epoch) entry — but that entry must not stand in for
 		// the state in the distinct count, or every extra epoch would count
 		// the state again. The state's base entry carries the count; a
 		// race-hammer invariant (one newState per fingerprint) pins this.
@@ -286,7 +280,17 @@ func (t *compactTable) claim(fp machine.Hash128, depth int) (claimed, newState b
 	if newState {
 		t.states.Add(1)
 	}
-	return t.recordDepth(base, depth, inserted), newState, nil
+	// The atomic Or alone decides the claim, even for the slot's CAS winner:
+	// a same-depth visitor may reach the bitmap before the winner does, and
+	// the Or hands the claim to exactly one of them. Bits are never cleared,
+	// so a plain load that sees the bit already set proves a lost claim
+	// without the read-modify-write.
+	bit := uint64(1) << (uint(depth) & 63)
+	depths := &t.slots[base+t.stride-1]
+	if atomic.LoadUint64(depths)&bit != 0 {
+		return false, newState, nil
+	}
+	return atomic.OrUint64(depths, bit)&bit == 0, newState, nil
 }
 
 // slotFor finds or claims the slot holding (pw, check), returning its word
@@ -345,31 +349,6 @@ func (t *compactTable) checkMatches(base uint64, check uint64) bool {
 	return c == check
 }
 
-// recordDepth applies the depth rule to the entry's depth word and reports
-// whether this visit claimed an expansion. first marks the caller as the
-// slot's CAS winner; in depth-bitmap mode the Or result alone decides the
-// claim even then, because a same-depth visitor may reach the bitmap before
-// the winner does — the atomic Or hands the claim to exactly one of them.
-func (t *compactTable) recordDepth(base uint64, depth int, first bool) bool {
-	aux := &t.slots[base+t.stride-1]
-	if t.depthSets {
-		bit := uint64(1) << (uint(depth) & 63)
-		old := atomic.OrUint64(aux, bit)
-		return old&bit == 0
-	}
-	// Sequential min-depth rule: the depth word stores 1 + the shallowest
-	// depth expanded so far (0 = none yet); a revisit with no more
-	// remaining depth than that is pruned.
-	if !first {
-		prev := atomic.LoadUint64(aux)
-		if prev != 0 && int64(prev-1) <= int64(depth) {
-			return false
-		}
-	}
-	atomic.StoreUint64(aux, uint64(depth)+1)
-	return true
-}
-
 func (t *compactTable) needsGrow() bool {
 	entries := t.mask + 1
 	return entries < t.maxEntries && uint64(t.used.Load())*4 >= entries*3
@@ -379,8 +358,8 @@ func (t *compactTable) full() bool {
 	return uint64(t.used.Load())*16 >= (t.mask+1)*15
 }
 
-// grow doubles the table and reinserts every slot. Growable tables are
-// sequential-only, so plain loads and stores suffice.
+// grow doubles the table and reinserts every slot. Growable tables have a
+// single claimant, so plain loads and stores suffice.
 func (t *compactTable) grow() {
 	old := t.slots
 	entries := (t.mask + 1) * 2
@@ -429,11 +408,10 @@ func (t *compactTable) falseMergeProb(deduped int64) float64 {
 
 // bitTable is the bitstate (supertrace) store: a blocked Bloom filter whose
 // claims are (state, depth) pairs — the depth is folded into the
-// fingerprint, so the rule is the order-independent exact-pair claim under
-// both the sequential and the parallel explorer. Each claim derives one
-// word index and k bit positions from the folded fingerprint and issues a
-// single atomic Or; the Or's return value hands the pair's expansion to
-// exactly one concurrent claimant. Distinct states are uncountable here, so
+// fingerprint, so the rule is the exact-pair claim of the other tables.
+// Each claim derives one word index and k bit positions from the folded
+// fingerprint and issues a single atomic Or; the Or's return value hands
+// the pair's expansion to exactly one concurrent claimant. Distinct states are uncountable here, so
 // distinct reports 0 and Report.DistinctStates follows.
 type bitTable struct {
 	words []uint64
@@ -459,6 +437,9 @@ func (t *bitTable) claim(fp machine.Hash128, depth int) (claimed, newState bool,
 	for i := 0; i < bitstateK; i++ {
 		mask |= 1 << (hi & 63)
 		hi >>= 6
+	}
+	if atomic.LoadUint64(&t.words[wi])&mask == mask {
+		return false, false, nil // bits are never cleared: a lost claim
 	}
 	old := atomic.OrUint64(&t.words[wi], mask)
 	return old&mask != mask, false, nil
@@ -489,4 +470,233 @@ func (t *bitTable) falseMergeProb(deduped int64) float64 {
 	}
 	perQuery := math.Pow(rho, bitstateK)
 	return -math.Expm1(float64(deduped) * math.Log1p(-perQuery))
+}
+
+// --- exact table and the claim point -----------------------------------------
+
+// seenShardCount is the number of independently locked shards of an exact
+// table shared by several workers. 64 shards keep the expected number of
+// workers contending on one mutex below W^2/64 pairs even at W=16 workers.
+// A one-worker walk uses a single shard and takes no locks. Must be a power
+// of two.
+const seenShardCount = 64
+
+// Per-entry overhead estimates for the exact table's telemetry: a
+// string-keyed map entry with its header, hash, and value word; a bare
+// uint64 set entry.
+const (
+	exactEntryOverhead = 48
+	hashEntryOverhead  = 16
+)
+
+// seenTable is the exact seen-state table (TableExact). Keys are canonical
+// configuration encodings (sim.System.AppendStateKey). In dedup mode each
+// key maps to one word, the bitmap of depths below 64 at which the state
+// was claimed — the same (state, depth) rule as the compact table's depth
+// word; claims at depth >= 64 get a (key, depth-epoch) entry of their own.
+// In count-only mode (dedup off) the shards hold 64-bit key hashes and
+// every touch claims.
+type seenTable struct {
+	dedup bool
+	// mask truncates count-only key hashes (Options.testPWMask) so tests can
+	// plant the 64-bit DistinctStates collision deterministically; zero
+	// outside tests. Dedup mode stores full keys and ignores it.
+	mask   uint64
+	shards []seenShard
+}
+
+type seenShard struct {
+	mu     sync.Mutex
+	m      map[string]uint64    // dedup mode: key -> claimed depths 0..63
+	deep   map[deepClaim]uint64 // dedup mode: claimed depths >= 64
+	hashes map[uint64]struct{}  // count-only mode
+	bytes  int64                // estimated bytes held (Report.Mem telemetry)
+	_      [64]byte             // shards sit a cache line apart
+}
+
+// deepClaim keys the claimed-depth bitmap of one 64-depth epoch (>= 1).
+type deepClaim struct {
+	key   string
+	epoch int
+}
+
+func newSeenTable(dedup bool, mask uint64, shards int) *seenTable {
+	t := &seenTable{dedup: dedup, mask: mask, shards: make([]seenShard, shards)}
+	for i := range t.shards {
+		if dedup {
+			t.shards[i].m = make(map[string]uint64)
+		} else {
+			t.shards[i].hashes = make(map[uint64]struct{})
+		}
+	}
+	return t
+}
+
+// hashKey hashes a full state key (FNV-1a 64; the key already starts with
+// the well-mixed memory fingerprint, but hashing all bytes keeps the
+// distribution flat even for states differing only in process-local keys).
+// It backs the count-only set and picks the shard of a shared table.
+func hashKey(key []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, b := range key {
+		h ^= uint64(b)
+		h *= 1099511628211
+	}
+	return h
+}
+
+// touch records the (key, depth) visit and reports whether the caller owns
+// the expansion of this pair (always true in count-only mode). The lookup
+// is allocation-free unless it records a new key or depth.
+func (t *seenTable) touch(key []byte, depth int) bool {
+	var h uint64
+	if !t.dedup || len(t.shards) > 1 {
+		h = hashKey(key)
+		if t.mask != 0 {
+			h &= t.mask // test hook: plant count-only hash collisions
+		}
+	}
+	sh := &t.shards[h&uint64(len(t.shards)-1)]
+	if len(t.shards) > 1 {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+	}
+	if !t.dedup {
+		if _, hit := sh.hashes[h]; !hit {
+			sh.hashes[h] = struct{}{}
+			sh.bytes += hashEntryOverhead
+		}
+		return true
+	}
+	depths, hit := sh.m[string(key)]
+	if !hit {
+		sh.bytes += int64(len(key)) + exactEntryOverhead
+	}
+	bit := uint64(1) << (uint(depth) & 63)
+	if depth < 64 {
+		if depths&bit != 0 {
+			return false
+		}
+		sh.m[string(key)] = depths | bit
+		return true
+	}
+	if !hit {
+		sh.m[string(key)] = 0 // the state counts once, from any depth
+	}
+	if sh.deep == nil {
+		sh.deep = make(map[deepClaim]uint64)
+	}
+	dk := deepClaim{string(key), depth >> 6}
+	deep, deepHit := sh.deep[dk]
+	if deep&bit != 0 {
+		return false
+	}
+	if !deepHit {
+		sh.bytes += int64(len(key)) + exactEntryOverhead
+	}
+	sh.deep[dk] = deep | bit
+	return true
+}
+
+// memBytes sums the shards' byte estimates; distinct counts distinct keys.
+// Callers must have joined all writers first.
+func (t *seenTable) memBytes() int64 {
+	var n int64
+	for i := range t.shards {
+		n += t.shards[i].bytes
+	}
+	return n
+}
+
+func (t *seenTable) distinct() int64 {
+	var n int64
+	for i := range t.shards {
+		n += int64(len(t.shards[i].m) + len(t.shards[i].hashes))
+	}
+	return n
+}
+
+// claimer is the claim point of an exploration: it keys a configuration
+// (exactly, or up to symmetry) and claims its (state, depth) pair in the
+// table Options.Table selects. With Dedup off the table only backs the
+// DistinctStates count and every claim succeeds.
+type claimer struct {
+	exact     *seenTable // TableExact
+	ctab      ctable     // the compacted modes
+	countOnly bool
+	symmetry  bool
+	// unkeyable records that some configuration exposed no canonical state
+	// key; DistinctStates then reports 0.
+	unkeyable atomic.Bool
+}
+
+// keyScratch is one claimant's reusable key buffers.
+type keyScratch struct {
+	buf []byte
+	sym sim.SymScratch
+}
+
+func newClaimer(opts Options, shared bool) *claimer {
+	c := &claimer{countOnly: !opts.Dedup, symmetry: opts.Symmetry}
+	if c.ctab = newCTable(opts, shared); c.ctab == nil {
+		shards := 1
+		if shared {
+			shards = seenShardCount
+		}
+		c.exact = newSeenTable(opts.Dedup, opts.testPWMask, shards)
+	}
+	return c
+}
+
+// claim reports whether the caller owns the expansion of sys at depth. A
+// compacted table fingerprints the configuration without materializing its
+// key (sim.System.StateHash128), except under Symmetry, whose
+// sorted-multiset canonicalization needs the bytes anyway and hashes them.
+// The error is non-nil only for a full compacted table (ErrTableFull).
+func (c *claimer) claim(sys *sim.System, depth int, ks *keyScratch) (bool, error) {
+	var key []byte
+	var fp machine.Hash128
+	ok := false
+	switch {
+	case c.symmetry:
+		key, ok = sys.AppendSymStateKey(ks.buf[:0], &ks.sym)
+		ks.buf = key[:0]
+	case c.exact != nil:
+		key, ok = sys.AppendStateKey(ks.buf[:0])
+		ks.buf = key[:0]
+	default:
+		fp, ok = sys.StateHash128()
+	}
+	if !ok {
+		c.unkeyable.Store(true)
+		return true, nil
+	}
+	if c.exact != nil {
+		return c.exact.touch(key, depth), nil
+	}
+	if c.symmetry {
+		fp = machine.HashBytes128(key)
+	}
+	claimed, _, err := c.ctab.claim(fp, depth)
+	return claimed || c.countOnly, err
+}
+
+// summarize fills the table-derived Report fields once every claimant has
+// finished.
+func (c *claimer) summarize(rep *Report) {
+	if c.ctab == nil {
+		rep.DistinctStates = c.exact.distinct()
+		rep.Mem.TableBytes = c.exact.memBytes()
+	} else {
+		rep.DistinctStates = c.ctab.distinct()
+		rep.Mem.TableBytes = c.ctab.memBytes()
+		rep.Mem.TableOccupancy = c.ctab.occupancy()
+		if rep.Deduped > 0 {
+			rep.UnderApprox = true
+			rep.FalseMergeProb = c.ctab.falseMergeProb(rep.Deduped)
+		}
+	}
+	if c.unkeyable.Load() {
+		rep.DistinctStates = 0
+	}
 }

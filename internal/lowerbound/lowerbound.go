@@ -19,7 +19,6 @@
 package lowerbound
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/explore"
@@ -131,9 +130,6 @@ func (c *Config) Bivalent(set []int, extraDepth int) (bool, error) {
 			return false, err
 		}
 		can, err := explore.CanDecideFrom(sys, set, v, extraDepth)
-		if errors.Is(err, sim.ErrNotForkable) {
-			can, err = explore.CanDecide(c.f, c.Prefix, set, v, extraDepth)
-		}
 		if err != nil {
 			return false, err
 		}

@@ -57,8 +57,10 @@ type BatchResult struct {
 // VerifyRequest is the body of POST /verify: an exhaustive safety
 // exploration, executed asynchronously through the job queue. Table takes
 // the TableMode flag spellings ("exact", "compact", "compact128",
-// "bitstate"); Workers sizes the parallel explorer and never changes the
-// report.
+// "bitstate"). Workers is how many goroutines the exploration walk spreads
+// across (0 or absent: one, the calling goroutine). It changes wall-clock
+// time only: every report field but Mem is the same at every worker count,
+// which is why the result cache does not key on it.
 type VerifyRequest struct {
 	Row        string `json:"row"`
 	Inputs     []int  `json:"inputs"`

@@ -46,12 +46,12 @@ type verifyParams struct {
 // cacheKey derives the persistent result-cache key: the handle identity
 // (via the public CacheKey accessor, which canonicalizes the value domain
 // and buffer capacity) plus every result-affecting exploration parameter.
-// Workers and frontier spilling are deliberately excluded — the explorer's
-// reports are pinned worker-count- and spill-invariant by the differential
-// batteries, so including them would only fragment the cache. Table mode
-// and table budget are included: compacted tables can under-approximate
-// (UnderApprox/FalseMergeProb differ by mode), and the bitstate false-merge
-// bound depends on the budget via occupancy.
+// Workers and frontier spilling are deliberately excluded — one exploration
+// walk with one claim rule makes every report field but Mem worker-count-
+// and spill-invariant, so including them would only fragment the cache.
+// Table mode and table budget are included: compacted tables can
+// under-approximate (UnderApprox/FalseMergeProb differ by mode), and the
+// bitstate false-merge bound depends on the budget via occupancy.
 func (vp verifyParams) cacheKey(p *repro.Protocol) string {
 	return fmt.Sprintf("%s inputs=%v depth=%d runs=%d solo=%d sym=%t table=%s tbytes=%d",
 		p.CacheKey(), vp.inputs, vp.maxDepth, vp.maxRuns, vp.soloBudget,

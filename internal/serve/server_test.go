@@ -239,6 +239,42 @@ func TestServeVerifyJobLifecycleAndResultCache(t *testing.T) {
 	}
 }
 
+// TestServeVerifyCacheWorkerInvariant: the result-cache key leaves out
+// workers, so a verdict computed by a several-worker job must be the
+// verdict a one-worker request gets. POST /verify with workers=2, then the
+// same envelope without workers: the cache hit must equal a fresh
+// Protocol.Verify without Workers, Mem aside.
+func TestServeVerifyCacheWorkerInvariant(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	vreq := VerifyRequest{Row: "T1.9", Inputs: []int{2, 0, 1}, MaxDepth: 10, Workers: 2}
+	var vr VerifyResponse
+	if code := postJSON(t, ts.URL+"/verify", vreq, &vr); code != http.StatusAccepted {
+		t.Fatalf("verify: code=%d %+v", code, vr)
+	}
+	if st := pollJob(t, ts.URL, vr.ID); st.State != JobDone {
+		t.Fatalf("job ended %s (%s)", st.State, st.Error)
+	}
+	vreq.Workers = 0
+	var hit VerifyResponse
+	if code := postJSON(t, ts.URL+"/verify", vreq, &hit); code != http.StatusOK || !hit.Cached || hit.Report == nil {
+		t.Fatalf("repeat verify without workers: code=%d %+v", code, hit)
+	}
+	p, err := repro.Compile("T1.9", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := p.Verify(context.Background(), vreq.Inputs, vreq.MaxDepth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit.Report.Mem, fresh.Mem = repro.VerifyMemStats{}, repro.VerifyMemStats{}
+	a, _ := json.Marshal(hit.Report)
+	b, _ := json.Marshal(fresh)
+	if !bytes.Equal(a, b) {
+		t.Fatalf("cached verdict of a workers=2 job differs from a one-worker Verify:\n cache %s\n fresh %s", a, b)
+	}
+}
+
 // TestServeVerifyJobProgress pins the liveness surface of long verify
 // jobs: GET /jobs/{id} carries states_visited, populated by the explorer's
 // WithProgress callback once the exploration crosses the progress stride,

@@ -151,10 +151,12 @@ type maxStepsOption int64
 func (o maxStepsOption) applySolve(c *solveConfig) { c.maxSteps = int64(o) }
 func (o maxStepsOption) applyBatch(c *batchConfig) { c.maxSteps = int64(o) }
 
-// Workers sizes the worker pool (0 = GOMAXPROCS). On Verify it selects the
-// parallel work-stealing explorer; on SolveBatch it sets the number of
-// concurrent runs. Worker count changes wall-clock time, never results: the
-// exploration report and every batch outcome are worker-count-invariant.
+// Workers sizes the worker pool (0 = GOMAXPROCS). On Verify it sets how
+// many goroutines the exploration walk spreads across (without it the walk
+// runs on the calling goroutine); on SolveBatch it sets the number of
+// concurrent runs. Worker count changes wall-clock time, never results:
+// every VerifyReport field but Mem, violation schedules included, and
+// every batch outcome are worker-count-invariant.
 func Workers(w int) PoolOption { return workersOption(w) }
 
 type workersOption int
@@ -164,8 +166,8 @@ func (o workersOption) applyBatch(c *batchConfig)   { c.workers = int(o) }
 
 // MaxRuns caps the number of maximal schedules Verify examines (0 =
 // unlimited); a capped exploration sets VerifyReport.Truncated. Run caps
-// are a DFS-order notion, so they route the exploration to the sequential
-// strategy even when Workers is given.
+// are a depth-first-order notion, so a capped exploration runs on one
+// worker even when Workers is given.
 func MaxRuns(k int64) VerifyOption { return maxRunsOption(k) }
 
 type maxRunsOption int64
@@ -268,14 +270,14 @@ func (o tableBytesOption) applyVerify(c *verifyConfig) {
 }
 
 // WithSpillFrontier bounds the resident exploration frontier to about nodes
-// pending configurations: when the DFS stack outgrows the bound, its bottom
-// half is spilled to a temporary file under dir ("" = the OS temp
-// directory) as compact schedules and rematerialized by replay when the
-// search returns to it. The report is byte-identical to the unspilled run's
-// (only VerifyReport.Mem differs). Under Workers the bound applies to each
-// worker of the parallel explorer separately — every worker spills its own
-// deque to its own file, and idle workers reload from peers before going
-// to sleep — so the resident frontier is bounded by about nodes x workers.
+// pending configurations per worker: when a worker's frontier outgrows the
+// bound, its oldest half is spilled to a temporary file under dir ("" = the
+// OS temp directory) as compact schedules and rematerialized by replay when
+// the search returns to it. The report is byte-identical to the unspilled
+// run's (only VerifyReport.Mem differs). Under Workers every worker spills
+// its own frontier to its own file, and idle workers reload from peers
+// before going to sleep, so the resident frontier is bounded by about
+// nodes x workers.
 func WithSpillFrontier(nodes int, dir string) VerifyOption {
 	return spillOption{nodes: nodes, dir: dir}
 }

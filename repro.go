@@ -114,8 +114,8 @@ type VerifyReport struct {
 	// states stored. Nonzero exactly when UnderApprox is set.
 	FalseMergeProb float64
 	// Mem is the exploration's memory telemetry. It is diagnostic: unlike
-	// every field above, it may vary across strategies, worker counts, and
-	// spill bounds for one same verdict.
+	// every field above, it may vary across worker counts and spill bounds
+	// for one same verdict.
 	Mem VerifyMemStats
 }
 
@@ -131,9 +131,9 @@ type VerifyMemStats struct {
 	// exploration held at once, spilled batches included.
 	PeakFrontier int64
 	// PeakResident is the largest number of configurations resident in
-	// memory at once — the DFS stack, or under Workers the largest single
-	// worker deque. WithSpillFrontier bounds it to about the spill bound
-	// (per worker); without spilling it tracks PeakFrontier.
+	// memory at once: the largest single worker frontier. WithSpillFrontier
+	// bounds it to about the spill bound (per worker); without spilling it
+	// tracks PeakFrontier.
 	PeakResident int64
 	// SpilledBatches counts frontier batches written to disk
 	// (WithSpillFrontier), summed across workers.

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -154,36 +155,36 @@ func TestSteps(t *testing.T) {
 	}
 }
 
-// TestVerifyWorkers: the parallel verifier must agree with the sequential
-// one on the order-invariant quantities and be identical across worker
-// counts; Solve rejects the Verify-only option.
+// TestVerifyWorkers: the whole VerifyReport, Mem aside, must not depend on
+// the worker count — unset, 1, 2, or 4 — for an exact and a symmetric
+// compacted exploration.
 func TestVerifyWorkers(t *testing.T) {
-	inputs := []int{0, 1, 2}
-	seq, err := Verify("T1.10", inputs, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var first *VerifyReport
-	for _, w := range []int{1, 4} {
-		par, err := Verify("T1.10", inputs, 6, WithWorkers(w))
+	for _, tc := range []struct {
+		row  string
+		opts []VerifyOption
+	}{
+		{"T1.9", nil},
+		{"T1.12", []VerifyOption{WithSymmetry(), WithTable(TableCompact)}},
+	} {
+		p, err := Compile(tc.row, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(par.Violations) != 0 {
-			t.Fatalf("workers=%d: %v", w, par.Violations)
+		inputs := []int{2, 0, 1}
+		want, err := p.Verify(context.Background(), inputs, 10, tc.opts...)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(par.DecidedValues, seq.DecidedValues) ||
-			par.DistinctStates != seq.DistinctStates {
-			t.Fatalf("workers=%d: decided %v distinct %d, sequential %v / %d",
-				w, par.DecidedValues, par.DistinctStates, seq.DecidedValues, seq.DistinctStates)
+		want.Mem = VerifyMemStats{}
+		for _, w := range []int{1, 2, 4} {
+			got, err := p.Verify(context.Background(), inputs, 10, append(tc.opts, Workers(w))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.Mem = VerifyMemStats{}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s workers=%d: report depends on the worker count:\nunset %+v\nthis  %+v", tc.row, w, want, got)
+			}
 		}
-		if first == nil {
-			first = par
-		} else if !reflect.DeepEqual(par, first) {
-			t.Fatalf("verify report depends on worker count:\n%+v\n%+v", first, par)
-		}
-	}
-	if _, err := Solve("T1.10", inputs, WithWorkers(4)); err == nil {
-		t.Fatal("Solve accepted WithWorkers")
 	}
 }
