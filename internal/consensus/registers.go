@@ -140,14 +140,14 @@ func (a *heteroArray) Write(val any) {
 
 func (a *heteroArray) Collect() ([]any, string) {
 	vals := make([]any, 0, len(a.groupOf))
-	fp := ""
+	var fp []byte
 	for g := range a.regs {
 		if len(a.slots[g]) == 0 {
 			continue
 		}
 		gv, gfp := a.regs[g].ReadAll(a.slots[g])
 		vals = append(vals, gv...)
-		fp += gfp + "|"
+		fp = append(append(fp, gfp...), '|')
 	}
-	return vals, fp
+	return vals, string(fp)
 }

@@ -1,8 +1,8 @@
 package consensus
 
 import (
-	"fmt"
-	"strings"
+	"bytes"
+	"strconv"
 
 	"repro/internal/machine"
 	"repro/internal/sim"
@@ -21,10 +21,6 @@ type swapCell struct {
 	pid  int
 	seq  int64
 	laps []int64
-}
-
-func (c swapCell) fingerprint() string {
-	return fmt.Sprintf("%d.%d", c.pid, c.seq)
 }
 
 // Hash64 implements machine.Hashable so the memory fingerprint and the
@@ -57,33 +53,40 @@ func Swap(n int) *Protocol {
 }
 
 // swapScan double-collects the n-1 locations, returning each location's lap
-// vector (zero vector where never written).
+// vector (zero vector where never written). The result is read-only: every
+// never-written location shares one zero vector. The two latest collects
+// and their fingerprints take turns in two buffers each.
 func swapScan(p *sim.Proc, k int) [][]int64 {
-	n := p.N()
-	collect := func() ([][]int64, string) {
-		out := make([][]int64, k)
-		var fp strings.Builder
+	var zero []int64
+	collect := func(out [][]int64, fp []byte) ([][]int64, []byte) {
+		out = out[:0]
 		for j := 0; j < k; j++ {
 			v := p.Apply(j, machine.OpRead)
 			if v == nil {
-				out[j] = make([]int64, n)
-				fp.WriteString("-,")
+				if zero == nil {
+					zero = make([]int64, p.N())
+				}
+				out = append(out, zero)
+				fp = append(fp, "-,"...)
 				continue
 			}
 			c := v.(swapCell)
-			out[j] = c.laps
-			fp.WriteString(c.fingerprint())
-			fp.WriteByte(',')
+			out = append(out, c.laps)
+			fp = strconv.AppendInt(fp, int64(c.pid), 10)
+			fp = append(fp, '.')
+			fp = strconv.AppendInt(fp, c.seq, 10)
+			fp = append(fp, ',')
 		}
-		return out, fp.String()
+		return out, fp
 	}
-	_, fp := collect()
-	for {
-		cur, fp2 := collect()
-		if fp2 == fp {
-			return cur
+	var outs [2][][]int64
+	var fps [2][]byte
+	outs[0], fps[0] = collect(nil, nil)
+	for i := 1; ; i ^= 1 {
+		outs[i], fps[i] = collect(outs[i], fps[i][:0])
+		if bytes.Equal(fps[i], fps[i^1]) {
+			return outs[i]
 		}
-		fp = fp2
 	}
 }
 

@@ -1,8 +1,7 @@
 package counter
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/machine"
 	"repro/internal/sim"
@@ -46,12 +45,12 @@ func (c *Increment) Inc(v int) {
 func (c *Increment) Scan() []int64 {
 	return doubleCollect(func() ([]int64, string) {
 		counts := make([]int64, c.m)
-		var fp strings.Builder
+		fp := make([]byte, 0, 4*c.m)
 		for v := 0; v < c.m; v++ {
 			x := machine.MustInt(c.p.Apply(c.base+v, machine.OpRead))
 			counts[v] = x.Int64()
-			fmt.Fprintf(&fp, "%d,", counts[v])
+			fp = append(strconv.AppendInt(fp, counts[v], 10), ',')
 		}
-		return counts, fp.String()
+		return counts, string(fp)
 	})
 }

@@ -1,8 +1,7 @@
 package counter
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/machine"
 	"repro/internal/sim"
@@ -92,11 +91,11 @@ func (c *Tracks) Inc(v int) {
 func (c *Tracks) Scan() []int64 {
 	return doubleCollect(func() ([]int64, string) {
 		counts := make([]int64, c.m)
-		var fp strings.Builder
+		fp := make([]byte, 0, 4*c.m)
 		for v := 0; v < c.m; v++ {
 			counts[v] = c.advance(v)
-			fmt.Fprintf(&fp, "%d,", counts[v])
+			fp = append(strconv.AppendInt(fp, counts[v], 10), ',')
 		}
-		return counts, fp.String()
+		return counts, string(fp)
 	})
 }

@@ -1,8 +1,7 @@
 package counter
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/machine"
 	"repro/internal/sim"
@@ -95,16 +94,19 @@ func (c *Unary) Dec(v int) {
 func (c *Unary) Scan() []int64 {
 	collect := func() ([]int64, string) {
 		counts := make([]int64, c.m)
-		var fp strings.Builder
+		var fp []byte
 		for v := 0; v < c.m; v++ {
 			for j := 0; j < c.width; j++ {
 				if c.bit(v, j) {
 					counts[v]++
-					fmt.Fprintf(&fp, "%d.%d,", v, j)
+					fp = strconv.AppendInt(fp, int64(v), 10)
+					fp = append(fp, '.')
+					fp = strconv.AppendInt(fp, int64(j), 10)
+					fp = append(fp, ',')
 				}
 			}
 		}
-		return counts, fp.String()
+		return counts, string(fp)
 	}
 	cur, fp := collect()
 	same := 1

@@ -8,6 +8,8 @@ package history
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 
 	"repro/internal/machine"
 	"repro/internal/sim"
@@ -31,6 +33,35 @@ func (e Entry) sameID(o Entry) bool { return e.PID == o.PID && e.Seq == o.Seq }
 type record struct {
 	hist  []Entry
 	entry Entry
+}
+
+// Tags keep the payload hashes apart from each other and from the numeric
+// value hashes.
+const (
+	recordTag  = 0x686973746f7279 // "history"
+	slottedTag = 0x736c6f74746564 // "slotted"
+)
+
+// Hash64 implements machine.Hashable. Records sit in every l-buffer slot
+// and in every buffer-read result, so the memory fingerprint and the
+// adapters' history keys hash one per step; the reflective fallback would
+// format the whole carried history each time. The hash covers the carried
+// history's length, then the PID, Seq and value hash of every carried
+// entry and of the new one, so payloads equal under machine.EqualValues
+// hash equal.
+func (r record) Hash64() uint64 {
+	h := machine.Mix64(recordTag ^ uint64(len(r.hist)))
+	for _, e := range r.hist {
+		h = e.fold(h)
+	}
+	return r.entry.fold(h)
+}
+
+// fold absorbs the entry's identity and value into a running hash.
+func (e Entry) fold(h uint64) uint64 {
+	h = machine.Mix64(h ^ uint64(e.PID))
+	h = machine.Mix64(h ^ uint64(e.Seq))
+	return machine.Mix64(h ^ machine.HashValue(e.Val))
 }
 
 // History is one process's handle on the simulated history object backed by
@@ -136,31 +167,45 @@ type slotted struct {
 	val  any
 }
 
+// Hash64 implements machine.Hashable for the entries record.Hash64 folds.
+func (s slotted) Hash64() uint64 {
+	h := machine.Mix64(slottedTag ^ uint64(s.slot))
+	return machine.Mix64(h ^ machine.HashValue(s.val))
+}
+
 // Write writes val to register slot: one append.
 func (r *Registers) Write(slot int, val any) {
 	r.h.Append(slotted{slot: slot, val: val})
 }
 
 // ReadAll returns the newest value of every requested slot (nil when never
-// written) along with a version fingerprint suitable for double collects.
-// It costs a single atomic l-buffer-read.
+// written) along with a version fingerprint suitable for double collects:
+// "[v0 v1 ...]", each vi "pid.seq" of the slot's newest entry or "-". It
+// costs a single atomic l-buffer-read.
 func (r *Registers) ReadAll(slots []int) ([]any, string) {
 	hist := r.h.GetHistory()
 	vals := make([]any, len(slots))
-	vers := make([]string, len(slots))
-	for i := range vers {
-		vers[i] = "-"
-	}
-	idx := make(map[int]int, len(slots))
-	for i, s := range slots {
-		idx[s] = i
-	}
-	for _, e := range hist {
-		sl := e.Val.(slotted)
-		if i, ok := idx[sl.slot]; ok {
+	newest := make([]*Entry, len(slots))
+	for j := range hist {
+		sl := hist[j].Val.(slotted)
+		if i := slices.Index(slots, sl.slot); i >= 0 {
 			vals[i] = sl.val
-			vers[i] = fmt.Sprintf("%d.%d", e.PID, e.Seq)
+			newest[i] = &hist[j]
 		}
 	}
-	return vals, fmt.Sprint(vers)
+	fp := make([]byte, 0, 2+8*len(slots))
+	fp = append(fp, '[')
+	for i, e := range newest {
+		if i > 0 {
+			fp = append(fp, ' ')
+		}
+		if e == nil {
+			fp = append(fp, '-')
+			continue
+		}
+		fp = strconv.AppendInt(fp, int64(e.PID), 10)
+		fp = append(fp, '.')
+		fp = strconv.AppendInt(fp, e.Seq, 10)
+	}
+	return vals, string(append(fp, ']'))
 }

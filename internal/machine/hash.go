@@ -3,6 +3,7 @@ package machine
 import (
 	"math/big"
 	"sort"
+	"sync/atomic"
 )
 
 // Canonical state hashing. The explorer deduplicates configurations by a
@@ -110,14 +111,23 @@ func hashString(s string) uint64 {
 }
 
 // Hashable lets a structured payload provide its canonical 64-bit hash
-// directly. Payloads stored on hot protocol paths (the swap cells, the
-// single-writer register cells) implement it because the reflective
-// fallback — hashing the payload's formatted form — costs more than the
-// instruction it instruments. Implementations must agree with EqualValues:
-// payloads that compare equal must hash equal.
+// directly. Every payload a Table 1 protocol stores or receives implements
+// it — the swap cells, the single-writer register cells, the QSC messages,
+// and the history objects' records and (slot, value) entries — because the
+// reflective fallback, hashing the payload's formatted form, costs more
+// than the instruction it instruments (for a history record it formats the
+// whole carried history). Implementations must agree with EqualValues:
+// payloads that compare equal must hash equal. A composite payload hashes
+// its components with HashValue, so a component type without a Hashable of
+// its own falls back on its own, not for its container.
 type Hashable interface {
 	Hash64() uint64
 }
+
+// reflectiveHashes counts HashValue calls that fell back to hashing a
+// payload's formatted form. Only tests read it, to keep the Table 1 rows
+// off that path.
+var reflectiveHashes atomic.Uint64
 
 // HashValue returns the canonical 64-bit hash of a Value: numeric values
 // hash by integer value regardless of representation (nil ≡ word(0) ≡ a
@@ -169,6 +179,7 @@ func HashValue(v Value) uint64 {
 		}
 		return h
 	default:
+		reflectiveHashes.Add(1)
 		return hashString(fingerprintValue(v))
 	}
 }

@@ -102,16 +102,22 @@ func (g *goroutineStepper) Poise() (OpInfo, bool) {
 
 func (g *goroutineStepper) Resume(res machine.Value) bool {
 	g.record(res)
+	return g.deliver(res)
+}
+
+// deliver hands res to the body, without recording it.
+func (g *goroutineStepper) deliver(res machine.Value) bool {
 	g.resp <- res
 	g.await()
 	return g.finished
 }
 
 // forkInto implements replayForker the same way the coroutine adapter does:
-// a fresh goroutine re-runs the body over the recorded results, with the
-// clock replaying its historical values (see coroStepper.forkInto). The
-// body only reads the clock between Resume and the next poise/finish, and
-// await blocks until then, so the temporary clock values never race.
+// a fresh goroutine re-runs the body over the recorded results and then
+// shares the source's log, with the clock replaying its historical values
+// (see coroStepper.forkInto). The body only reads the clock between Resume
+// and the next poise/finish, and await blocks until then, so the temporary
+// clock values never race.
 func (g *goroutineStepper) forkInto(clock *int64) (Stepper, bool) {
 	if g.overflow {
 		return nil, false
@@ -121,9 +127,10 @@ func (g *goroutineStepper) forkInto(clock *int64) (Stepper, bool) {
 	f := newGoroutineStepper(g.id, g.n, g.input, clock, g.body)
 	for i, res := range g.results {
 		*clock = g.clocks[i]
-		f.Resume(machine.CloneValue(res))
+		f.deliver(machine.CloneValue(res))
 	}
 	*clock = saved
+	g.shareInto(&f.replayLog)
 	return f, true
 }
 

@@ -228,8 +228,10 @@ func (s *System) StateKey() (key string, ok bool) {
 // AppendStateKey is StateKey appending into dst, for callers that look the
 // key up allocation-free (map[string(dst)] compiles to a no-alloc access).
 //
-// Concurrency: like Fork, it only reads the receiver — safe concurrently
-// with Forks of the same system, but not with Step/Crash/Close.
+// Concurrency: it is safe concurrently with Forks and other keys of the
+// same system, but not with Step/Crash/Close. It reads the receiver except
+// for a Body adapter's lazily folded history hash, which the adapter
+// advances under its own lock (see replayLog).
 func (s *System) AppendStateKey(dst []byte) (key []byte, ok bool) {
 	if s.closed {
 		return dst, false

@@ -90,10 +90,11 @@ func TestConcurrentForkBodies(t *testing.T) {
 	}, inputs)
 }
 
-// TestConcurrentStateKeys: AppendStateKey is read-only and must be safe to
-// call concurrently with Forks of the same system (the parallel explorer
+// TestConcurrentStateKeys: AppendStateKey must be safe to call
+// concurrently with Forks of the same system (the parallel explorer
 // computes keys for siblings while a cousin subtree forks the shared
-// ancestor's descendants).
+// ancestor's descendants). TestConcurrentBodyStateKeys covers the Body
+// adapters, whose keys fold their result logs lazily.
 func TestConcurrentStateKeys(t *testing.T) {
 	pr := consensus.MaxRegisters(2)
 	inputs := []int{0, 1}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"slices"
+	"sync"
 
 	"repro/internal/machine"
 )
@@ -128,7 +130,19 @@ var maxReplayLog = 1 << 20
 // replayLog is the recording half of replayForker, embedded in both Body
 // adapters: the per-process result history — with the system clock value
 // observed alongside each result, so replay reproduces Clock() readings —
-// plus a rolling canonical hash of it (the adapter's StateKey).
+// plus a canonical hash of it (the adapter's StateKey).
+//
+// The hash is folded lazily: record only appends, and StateKey folds the
+// results logged since the last query (results[hashed:]) into histHash, so
+// a Solve, which never asks for a key, hashes nothing on its step path. The
+// fold is the same rolling chain an eager hash would compute, so keys are
+// bit-identical either way. Once the log overflows maxReplayLog it is
+// dropped and record hashes each result eagerly instead.
+//
+// Logged results are immutable once recorded (record clones them), so a
+// replay fork shares the source's log — clipped, so neither side's appends
+// reach the other's view — and carries its hash state over instead of
+// re-hashing the replayed history.
 type replayLog struct {
 	id, n, input int
 	body         Body
@@ -137,7 +151,12 @@ type replayLog struct {
 	clocks       []int64
 	overflow     bool
 	resumes      uint64
-	histHash     uint64
+	// mu guards the lazy hash state (histHash, hashed), which StateKey
+	// advances: keys may be taken concurrently with Forks of the same
+	// system, which read it (see System.AppendStateKey).
+	mu       sync.Mutex
+	histHash uint64
+	hashed   int // results[:hashed] are folded into histHash
 	// clockDep is set once the body reads Clock(): its local state may then
 	// depend on more than the result history, so the adapter withdraws from
 	// state-keyed deduplication (see System.StateKey).
@@ -147,22 +166,48 @@ type replayLog struct {
 // record notes one consumed instruction result.
 func (r *replayLog) record(res machine.Value) {
 	r.resumes++
-	r.histHash = machine.Mix64(r.histHash ^ machine.HashValue(res))
 	if r.overflow {
+		r.histHash = machine.Mix64(r.histHash ^ machine.HashValue(res))
 		return
 	}
 	if len(r.results) >= maxReplayLog {
-		r.results, r.clocks, r.overflow = nil, nil, true
+		// Fold what the dropped log still owes the hash, then go eager.
+		r.foldLocked()
+		r.results, r.clocks, r.hashed, r.overflow = nil, nil, 0, true
+		r.histHash = machine.Mix64(r.histHash ^ machine.HashValue(res))
 		return
 	}
 	r.results = append(r.results, machine.CloneValue(res))
 	r.clocks = append(r.clocks, *r.clock)
 }
 
+// foldLocked folds the not yet hashed results into histHash. The caller
+// holds mu or owns the log exclusively.
+func (r *replayLog) foldLocked() {
+	for _, res := range r.results[r.hashed:] {
+		r.histHash = machine.Mix64(r.histHash ^ machine.HashValue(res))
+	}
+	r.hashed = len(r.results)
+}
+
 // StateKey hashes (input, result history); see StateKeyer.
 func (r *replayLog) StateKey() uint64 {
+	r.mu.Lock()
+	r.foldLocked()
 	h := machine.Mix64(uint64(r.input) ^ r.histHash)
+	r.mu.Unlock()
 	return machine.Mix64(h ^ r.resumes)
+}
+
+// shareInto hands the log and its hash state to f, a fresh adapter that has
+// just replayed it. The two slices are clipped, so an append on either side
+// reallocates rather than writing into the other's view.
+func (r *replayLog) shareInto(f *replayLog) {
+	f.results, f.clocks = slices.Clip(r.results), slices.Clip(r.clocks)
+	f.resumes = r.resumes
+	r.mu.Lock()
+	f.histHash, f.hashed = r.histHash, r.hashed
+	r.mu.Unlock()
 }
 
 func (r *replayLog) clockDependent() bool { return r.clockDep }
@@ -254,11 +299,16 @@ func (c *coroStepper) Poise() (OpInfo, bool) {
 
 func (c *coroStepper) Resume(res machine.Value) bool {
 	c.record(res)
+	return c.deliver(res)
+}
+
+// deliver hands res to the body, without recording it.
+func (c *coroStepper) deliver(res machine.Value) bool {
 	if n := len(c.slot.ops); n != 0 {
 		// The body is parked inside ApplyRun: buffer the result and switch
-		// into the coroutine only on the run's final one. Recording above
-		// stays per-instruction, so state keys and result-replay forks are
-		// position-exact regardless of fusion.
+		// into the coroutine only on the run's final one. Recording (in
+		// Resume) stays per-instruction, so state keys and result-replay
+		// forks are position-exact regardless of fusion.
 		c.slot.dst = append(c.slot.dst, res)
 		if c.buffered++; c.buffered < n {
 			return false
@@ -274,7 +324,9 @@ func (c *coroStepper) Resume(res machine.Value) bool {
 }
 
 // forkInto implements replayForker: a fresh coroutine re-runs the body over
-// the recorded results, landing at the same poise point. The forked
+// the recorded results, landing at the same poise point, and then shares
+// the source's log (see replayLog). The body gets its own copy of each
+// result, since it may keep and mutate what it receives. The forked
 // system's clock temporarily replays its historical values so a body that
 // reads Clock() recomputes exactly the state the original reached; the
 // fork-time value is restored before the stepper is handed back.
@@ -287,9 +339,10 @@ func (c *coroStepper) forkInto(clock *int64) (Stepper, bool) {
 	f := newCoroStepper(c.id, c.n, c.input, clock, c.body, c.fused)
 	for i, res := range c.results {
 		*clock = c.clocks[i]
-		f.Resume(machine.CloneValue(res))
+		f.deliver(machine.CloneValue(res))
 	}
 	*clock = saved
+	c.shareInto(&f.replayLog)
 	return f, true
 }
 

@@ -12,8 +12,7 @@
 package swreg
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/history"
 	"repro/internal/machine"
@@ -67,18 +66,21 @@ func (a *Direct) Write(val any) {
 func (a *Direct) Collect() ([]any, string) {
 	n := a.p.N()
 	vals := make([]any, n)
-	var fp strings.Builder
+	fp := make([]byte, 0, 8*n)
 	for i := 0; i < n; i++ {
 		v := a.p.Apply(a.base+i, machine.OpRead)
 		if v == nil {
-			fp.WriteString("-,")
+			fp = append(fp, "-,"...)
 			continue
 		}
 		c := v.(cell)
 		vals[i] = c.val
-		fmt.Fprintf(&fp, "%d.%d,", i, c.seq)
+		fp = strconv.AppendInt(fp, int64(i), 10)
+		fp = append(fp, '.')
+		fp = strconv.AppendInt(fp, c.seq, 10)
+		fp = append(fp, ',')
 	}
-	return vals, fp.String()
+	return vals, string(fp)
 }
 
 // Buffered is an Array over ceil(n/l) l-buffers: register i lives in the
@@ -116,7 +118,7 @@ func (a *Buffered) Write(val any) {
 func (a *Buffered) Collect() ([]any, string) {
 	n := a.p.N()
 	vals := make([]any, 0, n)
-	var fp strings.Builder
+	var fp []byte
 	for gi, g := range a.groups {
 		lo := gi * a.l
 		hi := lo + a.l
@@ -129,8 +131,7 @@ func (a *Buffered) Collect() ([]any, string) {
 		}
 		gv, gfp := g.ReadAll(slots)
 		vals = append(vals, gv...)
-		fp.WriteString(gfp)
-		fp.WriteByte('|')
+		fp = append(append(fp, gfp...), '|')
 	}
-	return vals, fp.String()
+	return vals, string(fp)
 }

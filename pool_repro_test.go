@@ -69,3 +69,43 @@ func TestSolveRepeatAllocs(t *testing.T) {
 		t.Fatalf("repeat Solve allocates %.0f times, want <= 400", avg)
 	}
 }
+
+// The Body-adapter rows' repeat Solves stay within allocation budgets too.
+// Their step path neither hashes nor formats: the result log is hashed only
+// when a state key is asked for, and the double-collect versions are built
+// with strconv. Measured on 4-process inputs at seed 7: T1.5 544 (736 when
+// every step hashed its result and formatted its versions), T1.6 1164
+// (1566). The bounds sit 15-18% above the measurement and below the older
+// figures.
+func TestSolveBodyRowAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		row    string
+		budget float64
+	}{
+		{"T1.5", 640},
+		{"T1.6", 1340},
+	} {
+		t.Run(tc.row, func(t *testing.T) {
+			p, err := Compile(tc.row, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inputs := []int{3, 1, 0, 2}
+			ctx := context.Background()
+			for i := int64(1); i <= 3; i++ {
+				if _, err := p.Solve(ctx, inputs, Seed(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			avg := testing.AllocsPerRun(50, func() {
+				if _, err := p.Solve(ctx, inputs, Seed(7)); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("allocs per repeat Solve: %.1f", avg)
+			if avg > tc.budget {
+				t.Fatalf("repeat Solve allocates %.0f times, want <= %.0f", avg, tc.budget)
+			}
+		})
+	}
+}
