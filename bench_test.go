@@ -187,37 +187,7 @@ func BenchmarkX1_IntroFAA2TAS(b *testing.B) { benchIntro(b, consensus.IntroFAA2T
 // supporting {read, decrement, multiply} (introduction, example 2).
 func BenchmarkX2_IntroDecMul(b *testing.B) { benchIntro(b, consensus.IntroDecMul) }
 
-// --- Execution engine -------------------------------------------------------
-
-// benchEngineSteps measures raw steady-state step throughput of one
-// execution engine: four processes spinning on shared counters, stepped
-// round-robin. This is the microbenchmark behind the step-VM refactor — the
-// goroutine engine pays two channel handoffs and a scheduler round trip per
-// step, the VM a single coroutine switch.
-func benchEngineSteps(b *testing.B, e sim.Engine) {
-	b.Helper()
-	mem := machine.New(machine.NewInstrSet("bench", machine.OpRead, machine.OpIncrement), 2)
-	spin := func(p *sim.Proc) int {
-		for {
-			p.Apply(0, machine.OpIncrement)
-			p.Apply(1, machine.OpRead)
-		}
-	}
-	sys := sim.NewSystem(mem, make([]int, 4), spin, sim.WithEngine(e))
-	defer sys.Close()
-	sched := &sim.RoundRobin{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sys.Step(sched.Next(sys)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "steps/sec")
-}
-
-func BenchmarkEngineSteps_VM(b *testing.B)        { benchEngineSteps(b, sim.EngineVM) }
-func BenchmarkEngineSteps_Goroutine(b *testing.B) { benchEngineSteps(b, sim.EngineGoroutine) }
+// --- Exploration ---------------------------------------------------------------
 
 // BenchmarkExplore measures the systematic explorer: for a depth-bounded
 // instance, each variant runs one full exhaustive exploration per
@@ -392,9 +362,13 @@ func BenchmarkExploreSymmetry(b *testing.B) {
 // of spreading independent schedules across cores is directly visible.
 func BenchmarkSolveBatch(b *testing.B) {
 	inputs := []int{3, 1, 4, 1, 2, 0, 6, 5}
-	specs := make([]BatchSpec, 64)
+	p, err := Compile("T1.9", len(inputs))
+	if err != nil {
+		b.Fatal(err)
+	}
+	specs := make([]RunSpec, 64)
 	for i := range specs {
-		specs[i] = BatchSpec{Row: "T1.9", Inputs: inputs, Seed: int64(i + 1)}
+		specs[i] = RunSpec{Inputs: inputs, Seed: int64(i + 1)}
 	}
 	for _, tc := range []struct {
 		name    string
@@ -404,11 +378,11 @@ func BenchmarkSolveBatch(b *testing.B) {
 			var steps int64
 			for i := 0; i < b.N; i++ {
 				steps = 0
-				for _, bo := range SolveBatch(specs, tc.workers) {
-					if bo.Err != nil {
-						b.Fatal(bo.Err)
+				for _, ro := range p.SolveBatch(context.Background(), specs, Workers(tc.workers)) {
+					if ro.Err != nil {
+						b.Fatal(ro.Err)
 					}
-					steps += bo.Outcome.Steps
+					steps += ro.Outcome.Steps
 				}
 			}
 			b.ReportMetric(float64(steps*int64(b.N))/b.Elapsed().Seconds(), "steps/sec")

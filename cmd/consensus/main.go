@@ -98,6 +98,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	if *l < 1 {
+		log.Fatalf("-l %d: buffer capacity must be at least 1", *l)
+	}
 	// The delivery flags parse once for every mode; an empty -deliver keeps
 	// the row's default model (ordered FIFO, no drops).
 	var deliverOpts []repro.CompileOption
@@ -377,8 +380,7 @@ func runBatch(ctx context.Context, rowID string, inputs []int, l, n, workers int
 	}
 	opts := []repro.BatchOption{repro.Workers(workers)}
 	if maxSteps > 0 {
-		// -max-steps 0 keeps the library default, matching the legacy
-		// zero-means-default BatchSpec convention.
+		// -max-steps 0 keeps the library default.
 		opts = append(opts, repro.MaxSteps(maxSteps))
 	}
 	start := time.Now()

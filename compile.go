@@ -106,9 +106,9 @@ func inputsKey(inputs []int) string {
 
 // Compile resolves a Table 1 row (for example "T1.9" for two max-registers)
 // for n processes and returns the reusable handle. Unknown rows report
-// ErrUnknownRow; n < 1 reports ErrBadInput.
+// ErrUnknownRow; n < 1 and invalid options report ErrBadInput.
 func Compile(rowID string, n int, opts ...CompileOption) (*Protocol, error) {
-	c := compileConfig{l: defaultOptions().l}
+	c := compileConfig{l: defaultBufferCap}
 	for _, o := range opts {
 		o.applyCompile(&c)
 	}
@@ -481,14 +481,13 @@ func (p *Protocol) makeRun(inputs []int) (*sim.System, error) {
 // of sweep length, which is the intended way to scan very long (or
 // unbounded, via a generated slice) seed sweeps for a condition.
 func (p *Protocol) SolveSeq(ctx context.Context, specs []RunSpec) iter.Seq2[int, RunResult] {
-	dflt := defaultOptions().maxSteps
 	return func(yield func(int, RunResult) bool) {
 		for i, sp := range specs {
 			if err := ctx.Err(); err != nil {
 				yield(i, RunResult{Spec: sp, Err: err})
 				return
 			}
-			out, err := p.solveOne(ctx, sp.Inputs, sp.Seed, sp.budget(dflt))
+			out, err := p.solveOne(ctx, sp.Inputs, sp.Seed, sp.budget(defaultMaxSteps))
 			if !yield(i, RunResult{Spec: sp, Outcome: out, Err: err}) {
 				return
 			}
@@ -576,5 +575,5 @@ func (p *Protocol) Verify(ctx context.Context, inputs []int, maxDepth int, opts 
 // at the compiled n — the extra hierarchy axis the paper's conclusion calls
 // for.
 func (p *Protocol) Steps(ctx context.Context) (*StepProfile, error) {
-	return core.MeasureSteps(ctx, p.row, p.n, defaultOptions().maxSteps)
+	return core.MeasureSteps(ctx, p.row, p.n, defaultMaxSteps)
 }

@@ -21,6 +21,15 @@ func TestCompileBadArguments(t *testing.T) {
 			t.Fatalf("n=%d: want ErrBadInput, got %v", n, err)
 		}
 	}
+	// A buffer capacity below one is rejected up front, on the l-buffer
+	// rows (where it once divided by zero) and on every other row alike.
+	for _, row := range []string{"T1.6", "T1.MA", "T1.9"} {
+		for _, l := range []int{0, -1} {
+			if _, err := Compile(row, 4, BufferCap(l)); !errors.Is(err, ErrBadInput) {
+				t.Fatalf("%s BufferCap(%d): want ErrBadInput, got %v", row, l, err)
+			}
+		}
+	}
 }
 
 func TestSolveBadInputs(t *testing.T) {
@@ -45,13 +54,6 @@ func TestSolveBadInputs(t *testing.T) {
 		if !errors.Is(outs[0].Err, ErrBadInput) {
 			t.Fatalf("batch %s: want ErrBadInput, got %v", name, outs[0].Err)
 		}
-	}
-	// The legacy free function inherits the up-front validation.
-	if _, err := Solve("T1.9", []int{0, 9, 1}); !errors.Is(err, ErrBadInput) {
-		t.Fatalf("legacy Solve: want ErrBadInput, got %v", err)
-	}
-	if _, err := Solve("T1.9", nil); !errors.Is(err, ErrBadInput) {
-		t.Fatalf("legacy Solve empty: want ErrBadInput, got %v", err)
 	}
 }
 

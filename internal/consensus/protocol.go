@@ -44,9 +44,9 @@ type Protocol struct {
 	Body sim.Body
 	// Steppers, when non-nil, builds the processes as explicit forkable
 	// state machines issuing the same instruction stream as Body
-	// (steppers.go). NewSystem prefers it on the VM engine, which makes
+	// (steppers.go). NewSystem prefers it whenever it is set, which makes
 	// System.Fork O(state) and the explorer's dedup keys canonical; Body
-	// remains the reference semantics and the goroutine oracle's path.
+	// remains the reference semantics (TestSteppersMatchBodies).
 	// Callers that wrap or replace Body must clear Steppers.
 	Steppers func(inputs []int) []sim.Stepper
 	// WaitFree marks protocols that decide in a bounded number of own
@@ -55,9 +55,9 @@ type Protocol struct {
 }
 
 // SetBody replaces the protocol's per-process code and clears any explicit
-// steppers, so the replacement is authoritative on every engine. Deriving a
-// protocol variant by assigning Body directly would silently keep the
-// parent's steppers on the VM path; always derive through SetBody.
+// steppers, so the replacement is authoritative. Deriving a protocol
+// variant by assigning Body directly would silently keep the parent's
+// steppers; always derive through SetBody.
 func (pr *Protocol) SetBody(body sim.Body) {
 	pr.Body = body
 	pr.Steppers = nil
@@ -93,7 +93,7 @@ func (pr *Protocol) NewSystem(inputs []int, opts ...sim.SystemOption) (*sim.Syst
 			return nil, fmt.Errorf("consensus: input %d outside [0,%d)", in, pr.Values)
 		}
 	}
-	if pr.Steppers != nil && sim.EngineOf(opts...) == sim.EngineVM {
+	if pr.Steppers != nil {
 		return sim.NewSystemSteppers(pr.NewMemory(), inputs, pr.Steppers(inputs), opts...), nil
 	}
 	return sim.NewSystem(pr.NewMemory(), inputs, pr.Body, opts...), nil

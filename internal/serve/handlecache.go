@@ -96,11 +96,13 @@ func (c *handleCache) get(k HandleKey) (*repro.Protocol, error) {
 }
 
 func compileKey(k HandleKey) (*repro.Protocol, error) {
+	// Only zero means "default": Compile rejects a negative capacity or
+	// value count with ErrBadInput rather than compiling the default.
 	var opts []repro.CompileOption
-	if k.L > 0 {
+	if k.L != 0 {
 		opts = append(opts, repro.BufferCap(k.L))
 	}
-	if k.Values > 0 {
+	if k.Values != 0 {
 		opts = append(opts, repro.WithValues(k.Values))
 	}
 	return repro.Compile(k.Row, k.N, opts...)

@@ -88,6 +88,8 @@ func TestServeSolveErrors(t *testing.T) {
 		{"out-of-range input", SolveRequest{Row: "T1.10", Inputs: []int{7, 0, 1}}, http.StatusBadRequest},
 		{"no inputs", SolveRequest{Row: "T1.10"}, http.StatusBadRequest},
 		{"unknown field", map[string]any{"row": "T1.10", "inputs": []int{0, 1, 2}, "bogus": 1}, http.StatusBadRequest},
+		{"negative buffer cap", SolveRequest{Row: "T1.6", Inputs: []int{0, 1, 2}, BufferCap: -1}, http.StatusBadRequest},
+		{"negative values", SolveRequest{Row: "T1.12", Inputs: []int{0, 1, 2}, Values: -1}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		var er ErrorResponse

@@ -84,9 +84,9 @@ func TestEngineEquivalenceSweep(t *testing.T) {
 	for _, pr := range protocols {
 		t.Run(pr.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 25; seed++ {
-				run := func(e Engine, crashP float64) (string, map[int]int, string) {
+				run := func(newSys systemBuilder, crashP float64) (string, map[int]int, string) {
 					mem := machine.New(pr.set, pr.locs)
-					sys := NewSystem(mem, pr.inputs, pr.body, WithTrace(), WithEngine(e))
+					sys := newSys(mem, pr.inputs, pr.body, WithTrace())
 					defer sys.Close()
 					var sched Scheduler = NewRandom(seed)
 					if crashP > 0 {
@@ -98,8 +98,8 @@ func TestEngineEquivalenceSweep(t *testing.T) {
 					return traceString(sys.Trace()), sys.Decisions(), mem.Fingerprint()
 				}
 				for _, crashP := range []float64{0, 0.05} {
-					vmTrace, vmDec, vmMem := run(EngineVM, crashP)
-					goTrace, goDec, goMem := run(EngineGoroutine, crashP)
+					vmTrace, vmDec, vmMem := run(NewSystem, crashP)
+					goTrace, goDec, goMem := run(newGoroutineSystem, crashP)
 					if vmTrace != goTrace {
 						t.Fatalf("seed %d crash %.2f: trace diverged\nvm: %s\ngo: %s",
 							seed, crashP, vmTrace, goTrace)
@@ -125,7 +125,7 @@ func TestEngineEquivalenceSweep(t *testing.T) {
 // step-for-step identically on the other.
 func TestEngineEquivalenceReplay(t *testing.T) {
 	mem1 := machine.New(machine.NewInstrSet("t", machine.OpRead, machine.OpIncrement), 2)
-	sys1 := NewSystem(mem1, []int{0, 0, 0}, raceBody, WithTrace(), WithEngine(EngineGoroutine))
+	sys1 := newGoroutineSystem(mem1, []int{0, 0, 0}, raceBody, WithTrace())
 	if _, err := sys1.Run(NewRandom(7), 10_000); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestEngineEquivalenceReplay(t *testing.T) {
 	sys1.Close()
 
 	mem2 := machine.New(machine.NewInstrSet("t", machine.OpRead, machine.OpIncrement), 2)
-	sys2 := NewSystem(mem2, []int{0, 0, 0}, raceBody, WithTrace()) // default: EngineVM
+	sys2 := NewSystem(mem2, []int{0, 0, 0}, raceBody, WithTrace()) // the step-VM
 	defer sys2.Close()
 	if _, err := sys2.Run(&Script{PIDs: pids}, 10_000); err != nil {
 		t.Fatal(err)

@@ -1,19 +1,36 @@
 package sim
 
+// The pre-VM goroutine engine, kept as a test oracle: the determinism suite
+// drives it and the coroutine adapter over seed sweeps and requires
+// step-for-step identical traces, and BenchmarkEngineSteps uses it as the
+// step-throughput baseline.
+
 import (
 	"errors"
 	"fmt"
 	"sync"
+	"testing"
 
 	"repro/internal/machine"
 )
 
+// systemBuilder is the shape of NewSystem and newGoroutineSystem, so a test
+// can run one scenario on either engine.
+type systemBuilder func(*machine.Memory, []int, Body, ...SystemOption) *System
+
+// newGoroutineSystem is NewSystem with every process on the goroutine
+// engine.
+func newGoroutineSystem(mem *machine.Memory, inputs []int, body Body, opts ...SystemOption) *System {
+	s := newSystem(mem, inputs, opts)
+	for i := range inputs {
+		s.adopt(i, newGoroutineStepper(i, len(inputs), inputs[i], &s.steps, body))
+	}
+	return s
+}
+
 // goroutineStepper adapts a Body onto the Stepper interface the way the
 // pre-VM engine did: the body runs on its own goroutine and every poise
-// point costs two channel handoffs and a scheduler round trip. It is kept
-// as a differential-testing oracle — the determinism suite drives both
-// engines over seed sweeps and requires step-for-step identical traces —
-// and as the baseline for the step-throughput benchmarks.
+// point costs two channel handoffs and a scheduler round trip.
 type goroutineStepper struct {
 	replayLog
 	req      chan OpInfo
@@ -143,3 +160,33 @@ func (g *goroutineStepper) Halt() {
 	g.finished = true
 	g.wg.Wait()
 }
+
+// benchEngineSteps measures raw steady-state step throughput of one
+// execution engine: four processes spinning on shared counters, stepped
+// round-robin. This is the microbenchmark behind the step-VM refactor — the
+// goroutine engine pays two channel handoffs and a scheduler round trip per
+// step, the VM a single coroutine switch.
+func benchEngineSteps(b *testing.B, build systemBuilder) {
+	b.Helper()
+	mem := machine.New(machine.NewInstrSet("bench", machine.OpRead, machine.OpIncrement), 2)
+	spin := func(p *Proc) int {
+		for {
+			p.Apply(0, machine.OpIncrement)
+			p.Apply(1, machine.OpRead)
+		}
+	}
+	sys := build(mem, make([]int, 4), spin)
+	defer sys.Close()
+	sched := &RoundRobin{}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.Step(sched.Next(sys)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "steps/sec")
+}
+
+func BenchmarkEngineSteps_VM(b *testing.B)        { benchEngineSteps(b, NewSystem) }
+func BenchmarkEngineSteps_Goroutine(b *testing.B) { benchEngineSteps(b, newGoroutineSystem) }

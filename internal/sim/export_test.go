@@ -17,3 +17,7 @@ func (s *System) ProcStateKey(pid int) (key uint64, ok bool) {
 	}
 	return k.StateKey(), true
 }
+
+// NewGoroutineSystem builds a system of Body processes on the goroutine
+// engine, the oracle the coroutine adapter is tested against.
+var NewGoroutineSystem = newGoroutineSystem

@@ -81,7 +81,7 @@ func (s *System) Fork() (*System, error) {
 	}
 	n.inputs = s.inputs // never mutated after construction
 	n.steps = s.steps
-	n.tracing, n.engine, n.nofuse = s.tracing, s.engine, s.nofuse
+	n.tracing, n.nofuse = s.tracing, s.nofuse
 	n.pool, n.pooled = s.pool, s.pool != nil
 	n.closed = false
 	// Delivery state: the layout slices are structural and immutable after

@@ -97,7 +97,7 @@ func TestForkMatchesReplay(t *testing.T) {
 // TestForkGoroutineEngine: the legacy engine's steppers fork by
 // result-replay too.
 func TestForkGoroutineEngine(t *testing.T) {
-	sys := NewSystem(forkTestMem(), []int{0, 0}, raceBody, WithEngine(EngineGoroutine))
+	sys := newGoroutineSystem(forkTestMem(), []int{0, 0}, raceBody)
 	defer sys.Close()
 	for _, pid := range []int{0, 1, 0} {
 		if _, err := sys.Step(pid); err != nil {

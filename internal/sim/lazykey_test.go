@@ -44,12 +44,8 @@ type keyedRun struct {
 	steps  int
 }
 
-func newKeyedRun(t *testing.T, name string, pr *consensus.Protocol, inputs []int, seed int64, stride int, opts ...sim.SystemOption) *keyedRun {
+func newKeyedRun(t *testing.T, name string, sys *sim.System, inputs []int, seed int64, stride int) *keyedRun {
 	t.Helper()
-	sys, err := pr.NewSystem(inputs, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if sys.ForksNatively() {
 		t.Fatalf("%s: expected Body adapters", name)
 	}
@@ -119,9 +115,13 @@ func bodyRows(n int) map[string]*consensus.Protocol {
 	}
 }
 
-var adapterEngines = map[string][]sim.SystemOption{
-	"coroutine": nil,
-	"goroutine": {sim.WithEngine(sim.EngineGoroutine)},
+// adapterEngines builds a Body row's system on each Body adapter: the
+// coroutine adapter of the step-VM and the goroutine oracle.
+var adapterEngines = map[string]func(pr *consensus.Protocol, inputs []int) *sim.System{
+	"coroutine": func(pr *consensus.Protocol, inputs []int) *sim.System { return pr.MustSystem(inputs) },
+	"goroutine": func(pr *consensus.Protocol, inputs []int) *sim.System {
+		return sim.NewGoroutineSystem(pr.NewMemory(), inputs, pr.Body)
+	},
 }
 
 // TestLazyStateKeyMatchesEagerOracle: at every step of a coroutine row, on a
@@ -132,11 +132,11 @@ var adapterEngines = map[string][]sim.SystemOption{
 func TestLazyStateKeyMatchesEagerOracle(t *testing.T) {
 	const n = 3
 	inputs := []int{1, 2, 0}
-	for engine, opts := range adapterEngines {
+	for engine, build := range adapterEngines {
 		for row, pr := range bodyRows(n) {
 			for _, stride := range []int{1, 3, 1000} {
 				name := fmt.Sprintf("%s/%s/stride%d", engine, row, stride)
-				src := newKeyedRun(t, name, pr, inputs, 7, stride, opts...)
+				src := newKeyedRun(t, name, build(pr, inputs), inputs, 7, stride)
 				src.advance(t, 25)
 				fk := src.fork(t, name+"/fork", 11)
 				// At the fork point both sides hold the same history.
@@ -169,11 +169,11 @@ func TestLazyStateKeyAcrossLogOverflow(t *testing.T) {
 	defer sim.SetMaxReplayLog(6)()
 	const n = 3
 	inputs := []int{2, 0, 1}
-	for engine, opts := range adapterEngines {
+	for engine, build := range adapterEngines {
 		for row, pr := range bodyRows(n) {
 			for _, stride := range []int{3, 1000} {
 				name := fmt.Sprintf("%s/%s/stride%d", engine, row, stride)
-				src := newKeyedRun(t, name, pr, inputs, 5, stride, opts...)
+				src := newKeyedRun(t, name, build(pr, inputs), inputs, 5, stride)
 				src.advance(t, 8)
 				fk := src.fork(t, name+"/fork", 9)
 				src.advance(t, 60)

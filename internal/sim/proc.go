@@ -10,8 +10,8 @@
 // synchronously, with no goroutine handoff and no channel operation on the
 // step path. Processes written as ordinary Go functions (Body) are adapted
 // onto the VM by a coroutine adapter (see stepper.go); the pre-VM
-// goroutine+channel engine is retained behind WithEngine(EngineGoroutine)
-// as a differential-testing oracle.
+// goroutine+channel engine survives only in the package's tests, as a
+// differential-testing oracle.
 package sim
 
 import (

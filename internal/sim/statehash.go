@@ -130,34 +130,3 @@ func procHashContribution(pid int, ps *procState) (lo, hi uint64, keyed, adapter
 	}
 	return h.Lo, h.Hi, true, adapter
 }
-
-// streamedStateHash128 recomputes StateHash128 from scratch, stepper by
-// stepper, ignoring every cache. It is the reference implementation the
-// differential battery pins the incremental path against at each point of a
-// portfolio walk (steps, forks, crashes, failures); it must combine exactly
-// as StateHash128 does.
-func (s *System) streamedStateHash128() (fp machine.Hash128, ok bool) {
-	if s.closed {
-		return machine.Hash128{}, false
-	}
-	var aggLo, aggHi uint64
-	adapters := false
-	for pid, ps := range s.procs {
-		lo, hi, keyed, adapter := procHashContribution(pid, ps)
-		if !keyed {
-			return machine.Hash128{}, false
-		}
-		aggLo ^= lo
-		aggHi ^= hi
-		adapters = adapters || adapter
-	}
-	mfp := s.mem.Fingerprint128()
-	h := machine.SeedHash128().Word(mfp.Lo).Word(mfp.Hi).Word(aggLo).Word(aggHi)
-	if adapters {
-		h = h.Word(uint64(s.steps))
-	}
-	if s.hasChans() {
-		h = h.Word(uint64(s.dropsUsed))
-	}
-	return h, true
-}

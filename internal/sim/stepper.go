@@ -215,8 +215,8 @@ func (r *replayLog) clockDependent() bool { return r.clockDep }
 // coroStepper adapts a function-shaped Body onto the Stepper interface using
 // a pull coroutine (iter.Pull): the body runs on its own stack and control
 // transfers directly between it and the VM at poise points — no scheduler
-// round trip, no channel operation, no allocation per step. This is the
-// default engine.
+// round trip, no channel operation, no allocation per step. It is the only
+// Body adapter outside the package's tests.
 type coroStepper struct {
 	replayLog
 	// slot is the single rendezvous cell shared with the body's coroutine.

@@ -16,20 +16,6 @@ var (
 	ErrClosed = errors.New("sim: system closed")
 )
 
-// Engine selects how function-shaped process bodies are executed.
-type Engine int
-
-const (
-	// EngineVM runs bodies as coroutines on the step-VM: control transfers
-	// directly between the scheduler and the body at poise points, with no
-	// goroutine handoff and no channel operation per step. The default.
-	EngineVM Engine = iota
-	// EngineGoroutine runs bodies on goroutines lock-stepped over channels —
-	// the pre-VM engine, kept as a differential-testing oracle and
-	// benchmark baseline.
-	EngineGoroutine
-)
-
 // procState is the System-side view of one process.
 type procState struct {
 	st Stepper
@@ -129,7 +115,6 @@ type System struct {
 	steps   int64
 	trace   []StepInfo // recorded when tracing enabled
 	tracing bool
-	engine  Engine
 	nofuse  bool
 	closed  bool
 	// pool, when non-nil, recycles forked Systems across Fork/Close cycles;
@@ -172,11 +157,6 @@ func WithTrace() SystemOption {
 	return func(s *System) { s.tracing = true }
 }
 
-// WithEngine selects the execution engine for function-shaped bodies.
-func WithEngine(e Engine) SystemOption {
-	return func(s *System) { s.engine = e }
-}
-
 // WithoutFusion disables superword step fusion: steppers implementing
 // RunPoiser are driven through the plain per-instruction Poise/Resume
 // protocol, and bodies suspend once per instruction even inside ApplyRun.
@@ -186,18 +166,6 @@ func WithEngine(e Engine) SystemOption {
 // isolating fusion when debugging.
 func WithoutFusion() SystemOption {
 	return func(s *System) { s.nofuse = true }
-}
-
-// EngineOf reports which engine a set of system options selects, without
-// building a system. Protocol constructors use it to decide between their
-// explicit forkable steppers (the VM path) and their Body form (which the
-// goroutine oracle engine requires).
-func EngineOf(opts ...SystemOption) Engine {
-	probe := &System{}
-	for _, o := range opts {
-		o(probe)
-	}
-	return probe.engine
 }
 
 // NewSystem starts n processes with the given inputs, all running body, and
@@ -218,14 +186,7 @@ func NewSystemBodies(mem *machine.Memory, inputs []int, bodies []Body, opts ...S
 	}
 	s := newSystem(mem, inputs, opts)
 	for i, body := range bodies {
-		var st Stepper
-		switch s.engine {
-		case EngineGoroutine:
-			st = newGoroutineStepper(i, len(inputs), inputs[i], &s.steps, body)
-		default:
-			st = newCoroStepper(i, len(inputs), inputs[i], &s.steps, body, !s.nofuse)
-		}
-		s.adopt(i, st)
+		s.adopt(i, newCoroStepper(i, len(inputs), inputs[i], &s.steps, body, !s.nofuse))
 	}
 	return s
 }
@@ -451,8 +412,7 @@ func (s *System) Crash(pid int) {
 }
 
 // Close tears down all processes. The System must not be used afterwards.
-// With the default VM engine this releases the bodies' coroutines; with
-// EngineGoroutine it terminates and joins the process goroutines. A System
+// It releases the coroutines of processes built from a Body. A System
 // built by a pooled Fork is recycled into its Pool (which is why the
 // must-not-use-afterwards contract is load-bearing: the next Fork rebuilds
 // over the same storage).

@@ -7,18 +7,16 @@ import "fmt"
 // CompileOption, SolveOption, VerifyOption, BatchOption — so an option that
 // makes no sense for an operation (a schedule seed on the exhaustive
 // verifier, a worker-pool size on a single-schedule solve) cannot be passed
-// to it: the misuse the deprecated free functions rejected at runtime is a
-// type error here. Options meaningful to several verbs implement several
-// interfaces (MaxSteps is a RunOption, Workers a PoolOption) and remain a
-// single value at call sites.
+// to it: such misuse is a type error. Options meaningful to several verbs
+// implement several interfaces (MaxSteps is a RunOption, Workers a
+// PoolOption) and remain a single value at call sites.
 
-// defaults carries the package-wide run defaults: schedule seed 1, buffer
-// capacity l=2 for the l-buffer rows, and a 50-million-step budget. It is
-// the single source of truth for both the legacy options bag and the typed
-// configs of the compiled-handle API.
-func defaultOptions() options {
-	return options{seed: 1, l: 2, maxSteps: 50_000_000}
-}
+// The package-wide run defaults.
+const (
+	defaultSeed      = 1          // schedule seed of Solve
+	defaultBufferCap = 2          // l for the l-buffer rows
+	defaultMaxSteps  = 50_000_000 // step budget of Solve, SolveBatch and Steps
+)
 
 // CompileOption configures Compile.
 type CompileOption interface{ applyCompile(*compileConfig) }
@@ -89,8 +87,7 @@ type batchConfig struct {
 }
 
 func (p *Protocol) solveConfig(opts []SolveOption) solveConfig {
-	d := defaultOptions()
-	c := solveConfig{seed: d.seed, maxSteps: d.maxSteps}
+	c := solveConfig{seed: defaultSeed, maxSteps: defaultMaxSteps}
 	for _, o := range opts {
 		o.applySolve(&c)
 	}
@@ -106,7 +103,7 @@ func (p *Protocol) verifyConfig(opts []VerifyOption) verifyConfig {
 }
 
 func (p *Protocol) batchConfig(opts []BatchOption) batchConfig {
-	c := batchConfig{maxSteps: defaultOptions().maxSteps}
+	c := batchConfig{maxSteps: defaultMaxSteps}
 	for _, o := range opts {
 		o.applyBatch(&c)
 	}
@@ -115,12 +112,18 @@ func (p *Protocol) batchConfig(opts []BatchOption) batchConfig {
 
 // BufferCap sets the buffer capacity l for the l-buffer rows (T1.6, T1.MA).
 // Capacity is part of the row's identity — it changes the instruction set
-// and the space bounds — so it is fixed at compile time. Default 2.
+// and the space bounds — so it is fixed at compile time. Default 2; Compile
+// reports ErrBadInput for l < 1.
 func BufferCap(l int) CompileOption { return bufferCapOption(l) }
 
 type bufferCapOption int
 
-func (o bufferCapOption) applyCompile(c *compileConfig) { c.l = int(o) }
+func (o bufferCapOption) applyCompile(c *compileConfig) {
+	c.l = int(o)
+	if o < 1 && c.err == nil {
+		c.err = fmt.Errorf("%w: BufferCap(%d) needs capacity at least 1", ErrBadInput, int(o))
+	}
+}
 
 // WithValues compiles the row's m-valued form: n processes with inputs
 // drawn from [0, m) rather than the default [0, n). The rows stated for

@@ -9,7 +9,11 @@ import (
 
 func TestSolveMaxRegisters(t *testing.T) {
 	inputs := []int{3, 1, 4, 1, 2}
-	out, err := Solve("T1.9", inputs, WithSeed(7))
+	p, err := Compile("T1.9", len(inputs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := p.Solve(context.Background(), inputs, Seed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,44 +34,60 @@ func TestSolveMaxRegisters(t *testing.T) {
 	}
 }
 
+// TestSolveEveryConstructiveRow: every constructive row decides an input,
+// and a handle's second run, which takes the fork-amortized path on the
+// forkable rows, repeats its first, freshly constructed run exactly.
 func TestSolveEveryConstructiveRow(t *testing.T) {
 	inputs := []int{2, 0, 3, 1}
 	for _, row := range Hierarchy(2) {
 		if row.Build == nil {
 			continue
 		}
-		out, err := Solve(row.ID, inputs, WithSeed(3), WithBufferCap(2))
-		if err != nil {
-			t.Fatalf("row %s: %v", row.ID, err)
-		}
-		if out.Value < 0 || out.Value > 3 {
-			t.Fatalf("row %s: decided %d", row.ID, out.Value)
+		for _, seed := range []int64{3, 1234} {
+			p, err := Compile(row.ID, len(inputs), BufferCap(2))
+			if err != nil {
+				t.Fatalf("row %s: %v", row.ID, err)
+			}
+			fresh, err := p.Solve(context.Background(), inputs, Seed(seed))
+			if err != nil {
+				t.Fatalf("row %s seed %d: %v", row.ID, seed, err)
+			}
+			if fresh.Value < 0 || fresh.Value > 3 {
+				t.Fatalf("row %s seed %d: decided %d", row.ID, seed, fresh.Value)
+			}
+			again, err := p.Solve(context.Background(), inputs, Seed(seed))
+			if err != nil {
+				t.Fatalf("row %s seed %d: amortized: %v", row.ID, seed, err)
+			}
+			if *again != *fresh {
+				t.Fatalf("row %s seed %d: amortized %+v != fresh %+v", row.ID, seed, *again, *fresh)
+			}
 		}
 	}
 }
 
 func TestSolveUnknownRow(t *testing.T) {
-	if _, err := Solve("T9.99", []int{0, 1}); !errors.Is(err, ErrUnknownRow) {
+	if _, err := Compile("T9.99", 2); !errors.Is(err, ErrUnknownRow) {
 		t.Fatalf("want ErrUnknownRow, got %v", err)
 	}
 }
 
 func TestSpaceBounds(t *testing.T) {
-	lo, up, err := SpaceBounds("T1.6", 7, 2)
-	if err != nil {
-		t.Fatal(err)
+	bounds := func(row string, n, l int) (lo, up int) {
+		t.Helper()
+		p, err := Compile(row, n, BufferCap(l))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Bounds()
 	}
-	if lo != 3 || up != 4 {
+	if lo, up := bounds("T1.6", 7, 2); lo != 3 || up != 4 {
 		t.Fatalf("buffer bounds (%d,%d), want (3,4)", lo, up)
 	}
-	lo, up, err = SpaceBounds("T1.1", 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo != Unbounded || up != Unbounded {
+	if lo, up := bounds("T1.1", 5, 1); lo != Unbounded || up != Unbounded {
 		t.Fatalf("TAS row bounds (%d,%d), want ∞", lo, up)
 	}
-	if _, _, err := SpaceBounds("nope", 5, 1); !errors.Is(err, ErrUnknownRow) {
+	if _, err := Compile("nope", 5, BufferCap(1)); !errors.Is(err, ErrUnknownRow) {
 		t.Fatal("unknown row accepted")
 	}
 }
@@ -75,7 +95,11 @@ func TestSpaceBounds(t *testing.T) {
 func TestBufferCapacitySweep(t *testing.T) {
 	inputs := []int{0, 1, 2, 3, 4, 5}
 	for l := 1; l <= 4; l++ {
-		out, err := Solve("T1.6", inputs, WithBufferCap(l))
+		p, err := Compile("T1.6", len(inputs), BufferCap(l))
+		if err != nil {
+			t.Fatalf("l=%d: %v", l, err)
+		}
+		out, err := p.Solve(context.Background(), inputs)
 		if err != nil {
 			t.Fatalf("l=%d: %v", l, err)
 		}
@@ -89,7 +113,12 @@ func TestBufferCapacitySweep(t *testing.T) {
 func TestSolveNoDecisionSentinel(t *testing.T) {
 	// Two max-registers need far more than one step to decide: the budget
 	// exhausts and the typed sentinel must surface, unwrappable by callers.
-	_, err := Solve("T1.9", []int{1, 0, 2}, WithMaxSteps(1))
+	inputs := []int{1, 0, 2}
+	p, err := Compile("T1.9", len(inputs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = p.Solve(context.Background(), inputs, MaxSteps(1))
 	if !errors.Is(err, ErrNoDecision) {
 		t.Fatalf("want ErrNoDecision, got %v", err)
 	}
@@ -97,61 +126,71 @@ func TestSolveNoDecisionSentinel(t *testing.T) {
 
 func TestSolveBatchMatchesSolve(t *testing.T) {
 	inputs := []int{3, 1, 4, 1, 2}
-	var specs []BatchSpec
-	for seed := int64(1); seed <= 16; seed++ {
-		specs = append(specs, BatchSpec{Row: "T1.9", Inputs: inputs, Seed: seed})
+	p, err := Compile("T1.9", len(inputs))
+	if err != nil {
+		t.Fatal(err)
 	}
-	outs := SolveBatch(specs, 0)
+	var specs []RunSpec
+	for seed := int64(1); seed <= 16; seed++ {
+		specs = append(specs, RunSpec{Inputs: inputs, Seed: seed})
+	}
+	outs := p.SolveBatch(context.Background(), specs)
 	if len(outs) != len(specs) {
 		t.Fatalf("got %d outcomes for %d specs", len(outs), len(specs))
 	}
-	for i, bo := range outs {
-		if bo.Err != nil {
-			t.Fatalf("spec %d: %v", i, bo.Err)
+	for i, ro := range outs {
+		if ro.Err != nil {
+			t.Fatalf("spec %d: %v", i, ro.Err)
 		}
-		want, err := Solve("T1.9", inputs, WithSeed(specs[i].Seed))
+		want, err := p.Solve(context.Background(), inputs, Seed(specs[i].Seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if *bo.Outcome != *want {
-			t.Fatalf("seed %d: batch %+v != serial %+v", specs[i].Seed, *bo.Outcome, *want)
+		if *ro.Outcome != *want {
+			t.Fatalf("seed %d: batch %+v != serial %+v", specs[i].Seed, *ro.Outcome, *want)
 		}
 	}
 }
 
+// TestSolveBatchMixedRows: one batch mixing a healthy spec, an exhausted
+// budget and an out-of-range input fails only the bad specs, each with its
+// own sentinel.
 func TestSolveBatchMixedRows(t *testing.T) {
-	specs := []BatchSpec{
-		{Row: "T1.9", Inputs: []int{1, 0, 2}, Seed: 5},
-		{Row: "T9.99", Inputs: []int{0, 1}, Seed: 1},            // unknown row
-		{Row: "T1.10", Inputs: []int{2, 2, 1}, Seed: 9},         // CAS
-		{Row: "T1.9", Inputs: []int{1, 0, 2}, MaxSteps: 1},      // budget exhausted
-		{Row: "T1.6", Inputs: []int{0, 1, 2, 3}, Seed: 4, L: 2}, // buffers
+	p, err := Compile("T1.6", 4, BufferCap(2))
+	if err != nil {
+		t.Fatal(err)
 	}
-	outs := SolveBatch(specs, 2)
-	if outs[0].Err != nil || outs[2].Err != nil || outs[4].Err != nil {
-		t.Fatalf("healthy specs errored: %v / %v / %v", outs[0].Err, outs[2].Err, outs[4].Err)
+	specs := []RunSpec{
+		{Inputs: []int{0, 1, 2, 3}, Seed: 4},
+		{Inputs: []int{0, 1, 2, 3}, MaxSteps: 1}, // budget exhausted
+		{Inputs: []int{0, 1, 9, 3}, Seed: 1},     // input out of range
 	}
-	if !errors.Is(outs[1].Err, ErrUnknownRow) {
-		t.Fatalf("spec 1: want ErrUnknownRow, got %v", outs[1].Err)
+	outs := p.SolveBatch(context.Background(), specs, Workers(2))
+	if outs[0].Err != nil {
+		t.Fatalf("healthy spec errored: %v", outs[0].Err)
 	}
-	if !errors.Is(outs[3].Err, ErrNoDecision) {
-		t.Fatalf("spec 3: want ErrNoDecision, got %v", outs[3].Err)
+	if outs[0].Outcome.Footprint != 2 {
+		t.Fatalf("l-buffer run footprint %d, want ceil(4/2)=2", outs[0].Outcome.Footprint)
 	}
-	if outs[4].Outcome.Footprint != 2 {
-		t.Fatalf("l-buffer run footprint %d, want ceil(4/2)=2", outs[4].Outcome.Footprint)
+	if !errors.Is(outs[1].Err, ErrNoDecision) {
+		t.Fatalf("spec 1: want ErrNoDecision, got %v", outs[1].Err)
+	}
+	if !errors.Is(outs[2].Err, ErrBadInput) {
+		t.Fatalf("spec 2: want ErrBadInput, got %v", outs[2].Err)
 	}
 }
 
 func TestSteps(t *testing.T) {
-	p, err := Steps("T1.9", 4, 1)
+	p, err := Compile("T1.9", 4, BufferCap(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Solo <= 0 || p.ContendedTotal < p.Solo {
-		t.Fatalf("implausible profile %+v", p)
+	prof, err := p.Steps(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Steps("nope", 4, 1); !errors.Is(err, ErrUnknownRow) {
-		t.Fatal("unknown row accepted")
+	if prof.Solo <= 0 || prof.ContendedTotal < prof.Solo {
+		t.Fatalf("implausible profile %+v", prof)
 	}
 }
 
