@@ -1,13 +1,13 @@
 // Command loadtest is the load-test and smoke-test client for the reprod
 // verification service. In load mode it hammers POST /solve from many
 // concurrent connections for a fixed duration, scrapes /metrics mid-run,
-// and reports sustained requests/sec with latency percentiles; with
-// -append-bench it records the run as the "reprod-solve-rps" row of the
-// most recent BENCH.json entry. In -smoke mode it exercises every endpoint
-// once — solve, streamed batch, the verify job lifecycle (queue, poll,
-// cache hit, cancel), status, healthz, metrics — and exits non-zero on the
-// first contract violation, which is what the CI end-to-end step runs
-// before asserting a clean SIGTERM drain.
+// and reports sustained requests/sec with latency percentiles: saturation
+// throughput across many connections, which perfbench's fixed-rate
+// serve-mix workload does not measure. In -smoke mode it exercises every
+// endpoint once — solve, streamed batch, the verify job lifecycle (queue,
+// poll, cache hit, cancel), status, healthz, metrics — and exits non-zero
+// on the first contract violation, which is what the CI end-to-end step
+// runs before asserting a clean SIGTERM drain.
 package main
 
 import (
@@ -32,14 +32,13 @@ import (
 
 func main() {
 	var (
-		addr        = flag.String("addr", "http://127.0.0.1:8090", "service base URL")
-		duration    = flag.Duration("duration", 10*time.Second, "load-test duration")
-		conns       = flag.Int("conns", 32, "concurrent load connections")
-		row         = flag.String("row", "T1.10", "row to solve in load mode")
-		inputs      = flag.String("inputs", "2,0,1", "comma-separated inputs for load mode")
-		verifyJobs  = flag.Int("verify-jobs", 2, "verify jobs enqueued at load start (exercises the queue)")
-		smoke       = flag.Bool("smoke", false, "run the endpoint smoke battery instead of load")
-		appendBench = flag.String("append-bench", "", "append the measured reprod-solve-rps row to this BENCH.json")
+		addr       = flag.String("addr", "http://127.0.0.1:8090", "service base URL")
+		duration   = flag.Duration("duration", 10*time.Second, "load-test duration")
+		conns      = flag.Int("conns", 32, "concurrent load connections")
+		row        = flag.String("row", "T1.10", "row to solve in load mode")
+		inputs     = flag.String("inputs", "2,0,1", "comma-separated inputs for load mode")
+		verifyJobs = flag.Int("verify-jobs", 2, "verify jobs enqueued at load start (exercises the queue)")
+		smoke      = flag.Bool("smoke", false, "run the endpoint smoke battery instead of load")
 	)
 	flag.Parse()
 	c := &client{base: strings.TrimRight(*addr, "/"), hc: &http.Client{
@@ -65,12 +64,6 @@ func main() {
 		fatal("load: %v", err)
 	}
 	res.print()
-	if *appendBench != "" {
-		if err := appendBenchRow(*appendBench, res); err != nil {
-			fatal("append-bench: %v", err)
-		}
-		fmt.Printf("loadtest: recorded reprod-solve-rps in %s\n", *appendBench)
-	}
 }
 
 func fatal(format string, args ...any) {
@@ -426,67 +419,6 @@ func (c *client) scrapeMetrics() (string, error) {
 		return "", fmt.Errorf("no recognized series in /metrics")
 	}
 	return strings.Join(parts, " "), nil
-}
-
-// --- BENCH.json recording ----------------------------------------------------
-
-// The minimal mirror of cmd/bench's schema: the loadtest only touches the
-// rows of the most recent entry.
-type benchFile struct {
-	Schema  int          `json:"schema"`
-	Entries []benchEntry `json:"entries"`
-}
-
-type benchEntry struct {
-	Label  string     `json:"label"`
-	Commit string     `json:"commit"`
-	Date   string     `json:"date"`
-	Go     string     `json:"go"`
-	Note   string     `json:"note,omitempty"`
-	Rows   []benchRow `json:"rows"`
-}
-
-type benchRow struct {
-	Name    string             `json:"name"`
-	Metrics map[string]float64 `json:"metrics"`
-}
-
-// appendBenchRow records the run as the reprod-solve-rps row of the latest
-// entry (replacing a previous measurement of the same row). runs_per_sec is
-// the gated higher-is-better throughput metric; p99_ms rides along
-// lower-is-better.
-func appendBenchRow(path string, res *loadResult) error {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var doc benchFile
-	if err := json.Unmarshal(buf, &doc); err != nil {
-		return err
-	}
-	if len(doc.Entries) == 0 {
-		return fmt.Errorf("%s: no entries to record into", path)
-	}
-	row := benchRow{Name: "reprod-solve-rps", Metrics: map[string]float64{
-		"runs_per_sec": res.rps(),
-		"p99_ms":       ms(res.p99),
-	}}
-	e := &doc.Entries[len(doc.Entries)-1]
-	replaced := false
-	for i := range e.Rows {
-		if e.Rows[i].Name == row.Name {
-			e.Rows[i], replaced = row, true
-			break
-		}
-	}
-	if !replaced {
-		e.Rows = append(e.Rows, row)
-	}
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
 // --- smoke mode --------------------------------------------------------------

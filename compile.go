@@ -379,13 +379,7 @@ func (p *Protocol) Solve(ctx context.Context, inputs []int, opts ...SolveOption)
 // solveOne is the shared single-run path of Solve, SolveBatch error
 // pre-checks, and SolveSeq.
 func (p *Protocol) solveOne(ctx context.Context, inputs []int, seed, maxSteps int64) (*Outcome, error) {
-	if p.pr == nil {
-		return nil, p.errNoProtocol()
-	}
-	if err := p.checkInputs(inputs); err != nil {
-		return nil, err
-	}
-	sys, err := p.newRun(inputs)
+	sys, err := p.makeRun(inputs, maxSteps)
 	if err != nil {
 		return nil, err
 	}
@@ -401,7 +395,7 @@ func (p *Protocol) solveOne(ctx context.Context, inputs []int, seed, maxSteps in
 // compiled handle: the process inputs and the schedule seed. Seed is used
 // verbatim, so a sweep entry equals Solve(ctx, Inputs, Seed(Seed)) exactly;
 // a zero MaxSteps takes the batch default (MaxSteps option, else 50
-// million).
+// million), and a negative one fails the spec with ErrBadInput.
 type RunSpec struct {
 	Inputs   []int
 	Seed     int64
@@ -434,20 +428,27 @@ func (sp RunSpec) budget(dflt int64) int64 {
 func (p *Protocol) SolveBatch(ctx context.Context, specs []RunSpec, opts ...BatchOption) []RunResult {
 	c := p.batchConfig(opts)
 	out := make([]RunResult, len(specs))
+	if c.err != nil {
+		for i, sp := range specs {
+			out[i] = RunResult{Spec: sp, Err: c.err}
+		}
+		return out
+	}
 	jobs := make([]sim.BatchJob, len(specs))
 	stats := make([]machine.Stats, len(specs))
 	for i, sp := range specs {
 		out[i].Spec = sp
 		i, sp := i, sp
+		budget := sp.budget(c.maxSteps)
 		jobs[i] = sim.BatchJob{
 			Make: func() (*sim.System, error) {
-				return p.makeRun(sp.Inputs)
+				return p.makeRun(sp.Inputs, budget)
 			},
 			Sched: func() sim.Scheduler { return sim.NewRandom(sp.Seed) },
 			// The run's System is recycled on Close (the handle's pool), so
 			// its measurements are snapshotted while it is still alive.
 			Done:     func(sys *sim.System) { stats[i] = sys.Mem().Stats() },
-			MaxSteps: sp.budget(c.maxSteps),
+			MaxSteps: budget,
 		}
 	}
 	results, _ := sim.RunBatch(ctx, jobs, c.workers)
@@ -461,11 +462,14 @@ func (p *Protocol) SolveBatch(ctx context.Context, specs []RunSpec, opts ...Batc
 	return out
 }
 
-// makeRun is newRun behind the verb-independent validity checks, for batch
-// job factories.
-func (p *Protocol) makeRun(inputs []int) (*sim.System, error) {
+// makeRun is newRun behind the validity checks shared by every solve verb:
+// a compiled protocol, well-formed inputs and a non-negative step budget.
+func (p *Protocol) makeRun(inputs []int, maxSteps int64) (*sim.System, error) {
 	if p.pr == nil {
 		return nil, p.errNoProtocol()
+	}
+	if maxSteps < 0 {
+		return nil, fmt.Errorf("%w: step budget %d is negative", ErrBadInput, maxSteps)
 	}
 	if err := p.checkInputs(inputs); err != nil {
 		return nil, err
@@ -502,7 +506,8 @@ func (p *Protocol) SolveSeq(ctx context.Context, specs []RunSpec) iter.Seq2[int,
 
 // Verify exhaustively model-checks the compiled protocol on the given
 // inputs over every interleaving up to maxDepth scheduler steps (0 = until
-// all processes decide; only safe for wait-free rows). Exploration runs on
+// all processes decide, which only wait-free rows accept; a negative depth,
+// or 0 on any other row, reports ErrBadInput). Exploration runs on
 // forked configuration snapshots with canonical-state deduplication; the
 // Workers option spreads it across a work-stealing pool without changing
 // the report, and WithSymmetry additionally merges configurations equal up
@@ -522,8 +527,11 @@ func (p *Protocol) Verify(ctx context.Context, inputs []int, maxDepth int, opts 
 	// Unbounded exploration only terminates when every process decides in a
 	// bounded number of own steps regardless of scheduling: the
 	// obstruction-free rows have infinite interleaving trees.
-	if maxDepth <= 0 && !p.pr.WaitFree {
-		return nil, fmt.Errorf("repro: row %s is not wait-free; Verify needs maxDepth > 0 to bound the exploration", p.row.ID)
+	if maxDepth < 0 {
+		return nil, fmt.Errorf("%w: Verify maxDepth %d is negative", ErrBadInput, maxDepth)
+	}
+	if maxDepth == 0 && !p.pr.WaitFree {
+		return nil, fmt.Errorf("%w: row %s is not wait-free; Verify needs maxDepth > 0 to bound the exploration", ErrBadInput, p.row.ID)
 	}
 	table, err := c.table.exploreTable()
 	if err != nil {

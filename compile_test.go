@@ -32,6 +32,70 @@ func TestCompileBadArguments(t *testing.T) {
 	}
 }
 
+// TestVerifyBadArguments: a negative bound is an input error, never a
+// silent "unbounded" (a negative depth once explored like depth 0), and so
+// is an unbounded depth on a row that is not wait-free.
+func TestVerifyBadArguments(t *testing.T) {
+	in := []int{0, 1, 2}
+	cases := []struct {
+		name  string
+		row   string
+		depth int
+		opts  []VerifyOption
+	}{
+		{"negative depth", "T1.10", -1, nil},
+		{"negative depth, not wait-free", "T1.9", -1, nil},
+		{"unbounded depth, not wait-free", "T1.9", 0, nil},
+		{"negative MaxRuns", "T1.10", 3, []VerifyOption{MaxRuns(-3)}},
+		{"negative SoloBudget", "T1.10", 3, []VerifyOption{SoloBudget(-3)}},
+		{"negative spill nodes", "T1.10", 3, []VerifyOption{WithSpillFrontier(-3, "")}},
+		{"negative Workers", "T1.10", 3, []VerifyOption{Workers(-3)}},
+		{"negative WithTableBytes", "T1.10", 3, []VerifyOption{WithTable(TableCompact), WithTableBytes(-3)}},
+	}
+	for _, tc := range cases {
+		p, err := Compile(tc.row, len(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Verify(context.Background(), in, tc.depth, tc.opts...); !errors.Is(err, ErrBadInput) {
+			t.Errorf("%s: want ErrBadInput, got %v", tc.name, err)
+		}
+	}
+}
+
+// TestRunBadBudgets: a negative step budget or worker count on the solve
+// verbs is an input error, not an exhausted budget.
+func TestRunBadBudgets(t *testing.T) {
+	ctx := context.Background()
+	in := []int{0, 1, 2}
+	p, err := Compile("T1.9", len(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Solve(ctx, in, MaxSteps(-1)); !errors.Is(err, ErrBadInput) {
+		t.Errorf("Solve MaxSteps(-1): want ErrBadInput, got %v", err)
+	}
+	for name, opts := range map[string][]BatchOption{
+		"MaxSteps(-1)": {MaxSteps(-1)},
+		"Workers(-1)":  {Workers(-1)},
+	} {
+		for _, r := range p.SolveBatch(ctx, []RunSpec{{Inputs: in, Seed: 1}, {Inputs: in, Seed: 2, MaxSteps: 1000}}, opts...) {
+			if !errors.Is(r.Err, ErrBadInput) {
+				t.Errorf("SolveBatch %s: want ErrBadInput, got %v", name, r.Err)
+			}
+		}
+	}
+	bad := []RunSpec{{Inputs: in, Seed: 1, MaxSteps: -1}}
+	if r := p.SolveBatch(ctx, bad); !errors.Is(r[0].Err, ErrBadInput) {
+		t.Errorf("SolveBatch spec MaxSteps -1: want ErrBadInput, got %v", r[0].Err)
+	}
+	for _, r := range p.SolveSeq(ctx, bad) {
+		if !errors.Is(r.Err, ErrBadInput) {
+			t.Errorf("SolveSeq spec MaxSteps -1: want ErrBadInput, got %v", r.Err)
+		}
+	}
+}
+
 func TestSolveBadInputs(t *testing.T) {
 	p, err := Compile("T1.9", 3)
 	if err != nil {

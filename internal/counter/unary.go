@@ -47,9 +47,6 @@ func NewUnaryTAS(p *sim.Proc, base, m, width int) *Unary {
 // Components returns m.
 func (c *Unary) Components() int { return c.m }
 
-// Width returns the number of bit locations per component.
-func (c *Unary) Width() int { return c.width }
-
 // Locations returns the total number of bit locations the counter occupies.
 func (c *Unary) Locations() int { return c.m * c.width }
 

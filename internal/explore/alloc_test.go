@@ -18,8 +18,8 @@ import (
 const maxAllocsPerState = 10.0
 
 // TestExploreAllocsPerState pins the explorer's per-state allocation rate
-// on one worker with dedup and symmetry — the configuration the BENCH
-// trajectory tracks as increment4-sym-explore.
+// on one worker with dedup and symmetry — the configuration of the retired
+// increment4-sym-explore benchmark row (EXPERIMENTS.md).
 func TestExploreAllocsPerState(t *testing.T) {
 	opts := Options{MaxDepth: 7, Dedup: true, Symmetry: true}
 	factory := func() (*sim.System, error) {

@@ -60,7 +60,9 @@ type BatchResult struct {
 // "bitstate"). Workers is how many goroutines the exploration walk spreads
 // across (0 or absent: one, the calling goroutine). It changes wall-clock
 // time only: every report field but Mem is the same at every worker count,
-// which is why the result cache does not key on it.
+// which is why the result cache does not key on it. MaxDepth 0 explores to
+// completion, which only wait-free rows accept; a negative bound, or depth
+// 0 on any other row, is a 400 before any job is queued.
 type VerifyRequest struct {
 	Row        string `json:"row"`
 	Inputs     []int  `json:"inputs"`

@@ -171,6 +171,9 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) int {
 	if err != nil {
 		return writeError(w, err)
 	}
+	if err := params.check(p); err != nil {
+		return writeError(w, err)
+	}
 	key := params.cacheKey(p)
 	if rep, ok := s.results.get(key); ok {
 		return writeJSON(w, http.StatusOK, VerifyResponse{State: JobDone, Cached: true, Report: rep})
@@ -182,6 +185,21 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) int {
 	return writeJSON(w, http.StatusAccepted, VerifyResponse{
 		ID: j.id, State: JobQueued, StatusURL: "/jobs/" + j.id,
 	})
+}
+
+// check refuses, before a job exists, what Verify refuses: negative
+// bounds, which runVerify would otherwise drop as unset (or, for the
+// depth, explore unbounded) while the result cache keyed the request apart
+// from its zero-valued twin, and an unbounded depth on a row that is not
+// wait-free, which would be queued only to fail.
+func (vp verifyParams) check(p *repro.Protocol) error {
+	if vp.maxDepth < 0 || vp.maxRuns < 0 || vp.soloBudget < 0 || vp.tableBytes < 0 || vp.workers < 0 {
+		return fmt.Errorf("%w: max_depth, max_runs, solo_budget, table_bytes and workers must not be negative", repro.ErrBadInput)
+	}
+	if build := p.Row().Build; vp.maxDepth == 0 && build != nil && !build(p.N()).WaitFree {
+		return fmt.Errorf("%w: row %s is not wait-free; max_depth must be positive", repro.ErrBadInput, p.ID())
+	}
+	return nil
 }
 
 // runVerify is the job-queue runner: it executes the exploration under the

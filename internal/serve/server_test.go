@@ -328,15 +328,35 @@ func pollJob(t *testing.T, base, id string) *JobStatus {
 }
 
 func TestServeVerifyValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	// Non-wait-free row without a depth bound fails synchronously as a job;
-	// bad rows and bad table modes fail before any job exists.
-	var er ErrorResponse
-	if code := postJSON(t, ts.URL+"/verify", VerifyRequest{Row: "T9.99", Inputs: []int{0, 1}, MaxDepth: 3}, &er); code != http.StatusNotFound {
-		t.Errorf("unknown row: HTTP %d (%s)", code, er.Error)
+	s, ts := newTestServer(t, Config{})
+	// Bad rows, bad table modes and every bound Verify would refuse fail
+	// synchronously, before any job exists. A negative depth once ran as
+	// an unbounded exploration, cached under its own key beside depth 0,
+	// and an unbounded depth on a row that is not wait-free was queued
+	// only to fail.
+	in := []int{0, 1, 2}
+	cases := []struct {
+		name string
+		req  VerifyRequest
+		want int
+	}{
+		{"unknown row", VerifyRequest{Row: "T9.99", Inputs: []int{0, 1}, MaxDepth: 3}, http.StatusNotFound},
+		{"bad table mode", VerifyRequest{Row: "T1.10", Inputs: in, MaxDepth: 3, Table: "zip"}, http.StatusBadRequest},
+		{"negative max_depth", VerifyRequest{Row: "T1.10", Inputs: in, MaxDepth: -1}, http.StatusBadRequest},
+		{"negative max_runs", VerifyRequest{Row: "T1.10", Inputs: in, MaxDepth: 3, MaxRuns: -1}, http.StatusBadRequest},
+		{"negative solo_budget", VerifyRequest{Row: "T1.10", Inputs: in, MaxDepth: 3, SoloBudget: -1}, http.StatusBadRequest},
+		{"negative table_bytes", VerifyRequest{Row: "T1.10", Inputs: in, MaxDepth: 3, Table: "compact", TableBytes: -1}, http.StatusBadRequest},
+		{"negative workers", VerifyRequest{Row: "T1.10", Inputs: in, MaxDepth: 3, Workers: -1}, http.StatusBadRequest},
+		{"unbounded depth, not wait-free", VerifyRequest{Row: "T1.9", Inputs: in, MaxDepth: 0}, http.StatusBadRequest},
 	}
-	if code := postJSON(t, ts.URL+"/verify", VerifyRequest{Row: "T1.10", Inputs: []int{0, 1, 2}, MaxDepth: 3, Table: "zip"}, &er); code != http.StatusBadRequest {
-		t.Errorf("bad table mode: HTTP %d (%s)", code, er.Error)
+	for _, tc := range cases {
+		var er ErrorResponse
+		if code := postJSON(t, ts.URL+"/verify", tc.req, &er); code != tc.want {
+			t.Errorf("%s: HTTP %d, want %d (%s)", tc.name, code, tc.want, er.Error)
+		}
+	}
+	if _, queued, _, _, _ := s.jobs.stats(); queued != 0 {
+		t.Errorf("%d jobs queued for rejected requests, want 0", queued)
 	}
 	// Unknown job id.
 	r, err := http.Get(ts.URL + "/jobs/nope")
@@ -346,6 +366,11 @@ func TestServeVerifyValidation(t *testing.T) {
 	r.Body.Close()
 	if r.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job: HTTP %d", r.StatusCode)
+	}
+	// Depth 0 stays valid on a wait-free row.
+	var vr VerifyResponse
+	if code := postJSON(t, ts.URL+"/verify", VerifyRequest{Row: "T1.10", Inputs: in}, &vr); code != http.StatusAccepted {
+		t.Errorf("T1.10 depth 0: HTTP %d, want 202", code)
 	}
 }
 

@@ -72,16 +72,6 @@ func WithDelivery(d Delivery) SystemOption {
 	return func(s *System) { s.deliver = d }
 }
 
-// DeliveryOf reports which delivery model a set of system options selects,
-// without building a system.
-func DeliveryOf(opts ...SystemOption) Delivery {
-	probe := &System{}
-	for _, o := range opts {
-		o(probe)
-	}
-	return probe.deliver
-}
-
 // initChannels scans the memory for channel locations and lays out the
 // virtual pid space. Called once at construction; the layout is structural
 // and shared by forks.

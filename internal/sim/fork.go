@@ -10,8 +10,8 @@ import (
 )
 
 // forkTally counts successful System.Fork calls process-wide. It exists for
-// throughput accounting (forks/sec in the BENCH trajectory): one atomic add
-// per fork, read via ForkTally deltas around a measured region.
+// throughput accounting (perfbench's sim.forks_per_state probe): one atomic
+// add per fork, read via ForkTally deltas around a measured region.
 var forkTally atomic.Int64
 
 // ForkTally returns the monotonically increasing count of successful Forks

@@ -84,6 +84,9 @@ type verifyConfig struct {
 type batchConfig struct {
 	workers  int
 	maxSteps int64
+	// err records the first invalid option; SolveBatch reports it in every
+	// result slot.
+	err error
 }
 
 func (p *Protocol) solveConfig(opts []SolveOption) solveConfig {
@@ -108,6 +111,14 @@ func (p *Protocol) batchConfig(opts []BatchOption) batchConfig {
 		o.applyBatch(&c)
 	}
 	return c
+}
+
+// negativeOption records in *first, unless an earlier option already
+// failed, that the option name was given a negative bound v.
+func negativeOption(first *error, name string, v int64) {
+	if v < 0 && *first == nil {
+		*first = fmt.Errorf("%w: %s(%d) is negative", ErrBadInput, name, v)
+	}
 }
 
 // BufferCap sets the buffer capacity l for the l-buffer rows (T1.6, T1.MA).
@@ -146,46 +157,63 @@ type seedOption int64
 func (o seedOption) applySolve(c *solveConfig) { c.seed = int64(o) }
 
 // MaxSteps bounds a run's step count (default 50 million). On SolveBatch it
-// is the default budget for specs that leave RunSpec.MaxSteps zero.
+// is the default budget for specs that leave RunSpec.MaxSteps zero. A
+// negative budget reports ErrBadInput.
 func MaxSteps(s int64) RunOption { return maxStepsOption(s) }
 
 type maxStepsOption int64
 
 func (o maxStepsOption) applySolve(c *solveConfig) { c.maxSteps = int64(o) }
-func (o maxStepsOption) applyBatch(c *batchConfig) { c.maxSteps = int64(o) }
+func (o maxStepsOption) applyBatch(c *batchConfig) {
+	c.maxSteps = int64(o)
+	negativeOption(&c.err, "MaxSteps", int64(o))
+}
 
-// Workers sizes the worker pool (0 = GOMAXPROCS). On Verify it sets how
-// many goroutines the exploration walk spreads across (without it the walk
-// runs on the calling goroutine); on SolveBatch it sets the number of
-// concurrent runs. Worker count changes wall-clock time, never results:
+// Workers sizes the worker pool (0 = GOMAXPROCS; negative reports
+// ErrBadInput). On Verify it sets how many goroutines the exploration walk
+// spreads across (without it the walk runs on the calling goroutine); on
+// SolveBatch it sets the number of concurrent runs. Worker count changes wall-clock time, never results:
 // every VerifyReport field but Mem, violation schedules included, and
 // every batch outcome are worker-count-invariant.
 func Workers(w int) PoolOption { return workersOption(w) }
 
 type workersOption int
 
-func (o workersOption) applyVerify(c *verifyConfig) { c.workers, c.workersSet = int(o), true }
-func (o workersOption) applyBatch(c *batchConfig)   { c.workers = int(o) }
+func (o workersOption) applyVerify(c *verifyConfig) {
+	c.workers, c.workersSet = int(o), true
+	negativeOption(&c.err, "Workers", int64(o))
+}
+
+func (o workersOption) applyBatch(c *batchConfig) {
+	c.workers = int(o)
+	negativeOption(&c.err, "Workers", int64(o))
+}
 
 // MaxRuns caps the number of maximal schedules Verify examines (0 =
-// unlimited); a capped exploration sets VerifyReport.Truncated. Run caps
-// are a depth-first-order notion, so a capped exploration runs on one
-// worker even when Workers is given.
+// unlimited; negative reports ErrBadInput); a capped exploration sets
+// VerifyReport.Truncated. Run caps are a depth-first-order notion, so a
+// capped exploration runs on one worker even when Workers is given.
 func MaxRuns(k int64) VerifyOption { return maxRunsOption(k) }
 
 type maxRunsOption int64
 
-func (o maxRunsOption) applyVerify(c *verifyConfig) { c.maxRuns = int64(o) }
+func (o maxRunsOption) applyVerify(c *verifyConfig) {
+	c.maxRuns = int64(o)
+	negativeOption(&c.err, "MaxRuns", int64(o))
+}
 
 // SoloBudget additionally checks obstruction-freedom at every explored
 // configuration: each live process, run alone, must decide within budget
 // steps. This multiplies the exploration cost by roughly n×budget per
-// configuration.
+// configuration. Zero disables the check; negative reports ErrBadInput.
 func SoloBudget(budget int64) VerifyOption { return soloBudgetOption(budget) }
 
 type soloBudgetOption int64
 
-func (o soloBudgetOption) applyVerify(c *verifyConfig) { c.soloBudget = int64(o) }
+func (o soloBudgetOption) applyVerify(c *verifyConfig) {
+	c.soloBudget = int64(o)
+	negativeOption(&c.err, "SoloBudget", int64(o))
+}
 
 // TableMode selects the representation of Verify's seen-state table — the
 // exactness/memory trade-off of the exploration. See WithTable.
@@ -263,13 +291,8 @@ func WithTableBytes(b int64) VerifyOption { return tableBytesOption(b) }
 type tableBytesOption int64
 
 func (o tableBytesOption) applyVerify(c *verifyConfig) {
-	if o < 0 {
-		if c.err == nil {
-			c.err = fmt.Errorf("%w: WithTableBytes(%d) is negative", ErrBadInput, int64(o))
-		}
-		return
-	}
 	c.tableBytes = int64(o)
+	negativeOption(&c.err, "WithTableBytes", int64(o))
 }
 
 // WithSpillFrontier bounds the resident exploration frontier to about nodes
@@ -280,7 +303,8 @@ func (o tableBytesOption) applyVerify(c *verifyConfig) {
 // run's (only VerifyReport.Mem differs). Under Workers every worker spills
 // its own frontier to its own file, and idle workers reload from peers
 // before going to sleep, so the resident frontier is bounded by about
-// nodes x workers.
+// nodes x workers. Zero nodes disables spilling; negative reports
+// ErrBadInput.
 func WithSpillFrontier(nodes int, dir string) VerifyOption {
 	return spillOption{nodes: nodes, dir: dir}
 }
@@ -290,7 +314,10 @@ type spillOption struct {
 	dir   string
 }
 
-func (o spillOption) applyVerify(c *verifyConfig) { c.spillNodes, c.spillDir = o.nodes, o.dir }
+func (o spillOption) applyVerify(c *verifyConfig) {
+	c.spillNodes, c.spillDir = o.nodes, o.dir
+	negativeOption(&c.err, "WithSpillFrontier", int64(o.nodes))
+}
 
 // WithSymmetry keys Verify's seen-state table on the symmetry-reduced
 // canonical configuration: the paper's model requires uniform,
