@@ -87,15 +87,17 @@ type Options struct {
 	// at its first violation and re-runs on one worker so that each
 	// violation carries the schedule the depth-first order assigns it.
 	Workers int
-	// Table selects the seen-state storage. The default TableExact stores
-	// full canonical keys and never under-approximates; the compacted
-	// modes (TableCompact, TableCompact128, TableBitstate) store
-	// fingerprints — 16-24 bytes or a few bits per state — and may merge
-	// distinct states with the (reported) collision probability, in which
-	// case Report.UnderApprox is set. See table.go for the soundness
-	// contract. With Dedup off a compacted table only backs the
-	// DistinctStates count (nothing is ever pruned, so the search is still
-	// provably exhaustive); TableBitstate cannot count and reports 0.
+	// Table selects the seen-state storage. Every mode keys a
+	// configuration by one 128-bit fingerprint built from 64-bit component
+	// hashes. The default TableExact keeps every fingerprint in an
+	// unbounded map and never sets UnderApprox; the compacted modes
+	// (TableCompact, TableCompact128, TableBitstate) store 16-24 bytes or a
+	// few bits per state under a budget and may merge distinct states with
+	// the (reported) collision probability, in which case
+	// Report.UnderApprox is set. See table.go for the soundness contract.
+	// With Dedup off a table only backs the DistinctStates count (nothing
+	// is ever pruned, so the search is still provably exhaustive);
+	// TableBitstate cannot count and reports 0.
 	Table Table
 	// TableBytes caps the compacted table's memory (0 = a mode-specific
 	// default; ignored by TableExact). A one-worker compact table with
@@ -123,9 +125,9 @@ type Options struct {
 	// for concurrent use and should return quickly.
 	Progress func(states int64)
 	// testPWMask truncates the compacted modes' probe words — and the exact
-	// count-only modes' 64-bit key hashes — so tests can plant fingerprint
-	// collisions deterministically. Zero (always, outside tests) leaves
-	// fingerprints untouched.
+	// table's fingerprints, to (Lo&mask, 0) — so tests can plant
+	// fingerprint collisions deterministically. Zero (always, outside
+	// tests) leaves fingerprints untouched.
 	testPWMask uint64
 }
 
@@ -163,18 +165,13 @@ type Report struct {
 	// removes configurations whose decisions also occur in a retained twin
 	// subtree.
 	DecidedValues []int
-	// DistinctStates counts distinct canonical state keys among all
+	// DistinctStates counts distinct state fingerprints among all
 	// configurations reached (including ones pruned by the seen-state
 	// table), or 0 when some configuration exposed no state key. Like
 	// DecidedValues it is invariant across worker counts and Dedup.
-	// Compacted tables
-	// count distinct fingerprints instead of keys (equal up to the
-	// reported collision probability); TableBitstate cannot count and
-	// reports 0. With Dedup off, even TableExact counts 64-bit key hashes
-	// rather than keys — nothing is pruned, so the search is provably
-	// exhaustive and UnderApprox stays false, but the count itself is
-	// fingerprint-approximate: a colliding pair (~2^-64 per pair) would
-	// undercount by one. Only a Dedup-on TableExact run counts exactly.
+	// Every table counts fingerprints, so two states whose 64-bit
+	// component hashes collide (~2^-64 per pair) count once, in any mode
+	// and with Dedup on or off; TableBitstate cannot count and reports 0.
 	DistinctStates int64
 	// UnderApprox reports that the run may have under-approximated the
 	// bounded state space: a compacted table pruned at least one
@@ -198,11 +195,11 @@ type Report struct {
 // MemStats is the memory telemetry of one exploration (Report.Mem).
 type MemStats struct {
 	// TableBytes is the seen-state table's backing-store size — exact for
-	// the compacted modes, an estimate (key bytes + per-entry overhead)
-	// for the exact maps.
+	// the compacted modes, an estimate (a fixed size per fingerprint
+	// entry) for the exact map.
 	TableBytes int64
 	// TableOccupancy is the fraction of compacted-table slots (or bitstate
-	// bits) in use; 0 for the exact maps.
+	// bits) in use; 0 for the exact map.
 	TableOccupancy float64
 	// PeakFrontier is the largest number of pending frontier nodes —
 	// resident plus spilled, across all workers — seen after an expansion.

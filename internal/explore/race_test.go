@@ -7,7 +7,6 @@ package explore
 
 import (
 	"context"
-	"encoding/binary"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,11 +16,12 @@ import (
 	"repro/internal/sim"
 )
 
-// TestSeenTableClaimRace hammers one seenTable from many goroutines with
-// overlapping (key, depth) pairs — crossing the 64-depth epoch fold — and
-// verifies the claim invariant behind the walk's worker-count invariance:
-// every pair is claimed by exactly one caller, no matter how the insertions
-// interleave, and the distinct-key count is exact.
+// TestSeenTableClaimRace hammers one shared exact table from many
+// goroutines with overlapping (state, depth) pairs — crossing the 64-depth
+// epoch fold — and verifies the claim invariant behind the walk's
+// worker-count invariance: every pair is claimed by exactly one caller, and
+// every state is reported new exactly once, no matter how the insertions
+// interleave, so the distinct-state count is exact.
 func TestSeenTableClaimRace(t *testing.T) {
 	const (
 		goroutines = 16
@@ -29,24 +29,27 @@ func TestSeenTableClaimRace(t *testing.T) {
 		depths     = 70
 		rounds     = 50
 	)
-	table := newSeenTable(true, 0, seenShardCount)
+	table := newExactTable(0, exactShardCount)
 	claims := make([]atomic.Int64, keys*depths)
+	news := make([]atomic.Int64, keys)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			var buf [16]byte
 			for r := 0; r < rounds; r++ {
 				for k := 0; k < keys; k++ {
 					// Perturb the visiting order per goroutine so shards are
 					// hit in different sequences.
 					key := (k*(g+1) + r) % keys
 					depth := (g*rounds + r) % depths
-					binary.LittleEndian.PutUint64(buf[:8], uint64(key)*0x9e3779b97f4a7c15)
-					binary.LittleEndian.PutUint64(buf[8:], uint64(key))
-					if table.touch(buf[:], depth) {
+					fp := machine.Hash128{Lo: uint64(key) * 0x9e3779b97f4a7c15, Hi: uint64(key)}
+					claimed, newState, _ := table.claim(fp, depth)
+					if claimed {
 						claims[key*depths+depth].Add(1)
+					}
+					if newState {
+						news[key].Add(1)
 					}
 				}
 			}
@@ -58,33 +61,39 @@ func TestSeenTableClaimRace(t *testing.T) {
 			t.Fatalf("pair %d claimed %d times, want exactly 1", i, got)
 		}
 	}
+	for k := range news {
+		if got := news[k].Load(); got != 1 {
+			t.Fatalf("state %d reported new %d times, want exactly 1", k, got)
+		}
+	}
 	if got := table.distinct(); got != keys {
 		t.Fatalf("distinct keys %d, want %d", got, keys)
 	}
 }
 
-// TestSeenTableCountRace is the dedup-off mode of the same hammer: touch
-// always claims, and the distinct count stays exact.
+// TestSeenTableCountRace is the dedup-off mode of the same hammer, at the
+// claimer: every claim succeeds, even a repeated (state, depth) pair, and
+// the distinct count stays exact.
 func TestSeenTableCountRace(t *testing.T) {
 	const goroutines, keys = 12, 256
-	table := newSeenTable(false, 0, seenShardCount)
+	c := newClaimer(Options{}, true)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			var buf [8]byte
 			for k := 0; k < keys; k++ {
-				binary.LittleEndian.PutUint64(buf[:], uint64((k*(g+1))%keys))
-				if !table.touch(buf[:], k%5) {
-					t.Error("dedup-off touch refused a claim")
+				key := uint64((k * (g + 1)) % keys)
+				claimed, err := c.claimFingerprint(machine.Hash128{Lo: key, Hi: ^key}, k%5)
+				if err != nil || !claimed {
+					t.Errorf("dedup-off claim refused: claimed=%v err=%v", claimed, err)
 					return
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if got := table.distinct(); got != keys {
+	if got := c.table.distinct(); got != keys {
 		t.Fatalf("distinct keys %d, want %d", got, keys)
 	}
 }

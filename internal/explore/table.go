@@ -1,12 +1,14 @@
 package explore
 
-// Compacted seen-state storage: the SPIN-style alternatives to the exact
-// tables, selected by Options.Table. Instead of full canonical key bytes the
-// compacted modes store a 64- or 128-bit fingerprint of the key (hash
-// compaction, 16-24 bytes per state) or k bits of a Bloom filter (bitstate /
-// supertrace, well under a byte per state), trading a quantified
-// false-merge probability for one to two orders of magnitude more states per
-// gigabyte.
+// Seen-state storage, selected by Options.Table. Every table keys a
+// configuration by one 128-bit fingerprint (sim.System.StateHash128, or a
+// hash of the symmetric key) and claims exact (state, depth) pairs. The
+// exact table keeps every fingerprint in an unbounded map; the SPIN-style
+// compacted modes store a 64- or 128-bit probe of it in a fixed budget
+// (hash compaction, 16-24 bytes per state) or k bits of a Bloom filter
+// (bitstate / supertrace, well under a byte per state), trading a
+// quantified false-merge probability for one to two orders of magnitude
+// more states per gigabyte.
 //
 // Soundness contract (also in DESIGN.md): a false merge — two distinct
 // canonical states sharing a fingerprint — can only ever *prune* a subtree,
@@ -15,7 +17,11 @@ package explore
 // the full bounded space. A run that pruned nothing (Report.Deduped == 0)
 // provably explored everything regardless of table mode; otherwise the
 // compacted modes set Report.UnderApprox and quantify the risk in
-// Report.FalseMergeProb. The exact mode never under-approximates.
+// Report.FalseMergeProb. The exact mode never sets it. Every fingerprint,
+// the exact table's included, is folded from 64-bit component hashes (the
+// memory's per-location cell hashes and each process's StateKey), so no
+// table tells apart two configurations whose components collide at 64 bits;
+// FalseMergeProb covers only the fold above that floor.
 //
 // The hash-compaction table doubles as the lock-free alternative to the
 // mutex-sharded exact table: slots are write-once —
@@ -43,12 +49,11 @@ import (
 type Table int
 
 const (
-	// TableExact stores full canonical key bytes in a (sharded) map. Never
-	// under-approximates the *search*: no configuration is ever pruned on a
-	// hash. (With Dedup off nothing is pruned at all and only
-	// Report.DistinctStates is tracked, as 64-bit key hashes — that count,
-	// and only that count, is fingerprint-approximate; see
-	// Report.DistinctStates.) The default.
+	// TableExact stores each configuration's 128-bit fingerprint in an
+	// unbounded (sharded) map. It never refuses a claim and never sets
+	// Report.UnderApprox. Like every mode it rests on the 64-bit component
+	// hashes beneath the fingerprint, which no table reports; the fold
+	// above them adds ~2^-128 per pair of states. The default.
 	TableExact Table = iota
 	// TableCompact is SPIN-style hash compaction: a lock-free
 	// open-addressing table over 64-bit fingerprints of the canonical key,
@@ -59,7 +64,8 @@ const (
 	// TableCompact128 widens TableCompact with a second, independently
 	// seeded 64-bit check word per entry (24 bytes per state), pushing the
 	// false-merge bound to ~states^2/2^129 — negligible at any reachable
-	// state count.
+	// state count. That bound covers the 128-bit fold only, not the 64-bit
+	// component hashes beneath it (see the contract above).
 	TableCompact128
 	// TableBitstate is SPIN's supertrace mode: a k-hash Bloom filter over
 	// (state, depth) claims. Minimum memory, no distinct-state counting
@@ -105,7 +111,7 @@ func ParseTable(s string) (Table, error) {
 // Raising Options.TableBytes (or switching to TableBitstate) lifts the cap.
 var ErrTableFull = errors.New("explore: compacted seen-state table is full")
 
-// ctable is the compacted seen-state store. claim records a visit of the
+// ctable is a seen-state store. claim records a visit of the
 // fingerprinted state at the given depth and reports whether the caller
 // owns the expansion of that (state, depth) pair (claimed) and whether the
 // fingerprint itself was first recorded by this call (newState, the
@@ -116,9 +122,10 @@ type ctable interface {
 	// distinct counts distinct fingerprints recorded (0 when the mode
 	// cannot count, i.e. bitstate). Callers must have joined all writers.
 	distinct() int64
-	// memBytes is the table's backing-store size.
+	// memBytes is the table's backing-store size (an estimate for exact).
 	memBytes() int64
-	// occupancy is the fraction of slots (compact) or bits (bitstate) set.
+	// occupancy is the fraction of slots (compact) or bits (bitstate) set;
+	// 0 for the unbounded exact table.
 	occupancy() float64
 	// falseMergeProb estimates the probability that at least one of the
 	// run's merges was false — two distinct states sharing a fingerprint —
@@ -126,10 +133,10 @@ type ctable interface {
 	falseMergeProb(deduped int64) float64
 }
 
-// newCTable builds the store for opts.Table, or nil for TableExact. shared
-// marks a table several workers claim through at once: a compact table
-// then allocates its whole budget up front, because growing would move
-// slots under concurrent readers.
+// newCTable builds the store for opts.Table. shared marks a table several
+// workers claim through at once: an exact table then locks per shard, and a
+// compact table allocates its whole budget up front, because growing would
+// move slots under concurrent readers.
 func newCTable(opts Options, shared bool) ctable {
 	switch opts.Table {
 	case TableCompact, TableCompact128:
@@ -137,14 +144,18 @@ func newCTable(opts Options, shared bool) ctable {
 	case TableBitstate:
 		return newBitTable(opts.TableBytes)
 	default:
-		return nil
+		shards := 1
+		if shared {
+			shards = exactShardCount
+		}
+		return newExactTable(opts.testPWMask, shards)
 	}
 }
 
 const (
 	// compactDefaultBytes sizes a compact table when Options.TableBytes is
-	// unset: 64 MiB holds 4M states in 64-bit mode — roughly 50x what the
-	// same budget holds as full keys.
+	// unset: 64 MiB holds 4M states in 64-bit mode, about three times
+	// what the exact table's map holds in the same bytes.
 	compactDefaultBytes = 64 << 20
 	// bitstateDefaultBytes sizes the Bloom filter when unset: 32 MiB is
 	// 2^28 bits, good for ~20M states below 1% per-query false-merge rate.
@@ -169,7 +180,7 @@ const (
 // whole structure lock-free.
 //
 // Claim rule: the depth word is a bitmap of claimed depths (depths >= 64
-// fold their epoch into the probe word, so an entry is a (state,
+// fold their epoch into the fingerprint, so an entry is a (state,
 // depth-epoch) pair) — the exact (state, depth) claim rule of the exact
 // table, so absent collisions a compact run reproduces the exact Report.
 //
@@ -231,17 +242,50 @@ func newCompactTable(wide, growable bool, budget int64, pwMask uint64) *compactT
 	}
 }
 
-// words derives the slot contents from the fingerprint: the probe word
-// (lane Lo) and the 128-bit check word (lane Hi), with epoch (nonzero only
-// for claims at depth >= 64) folded into both. Zero is reserved as the
-// empty/unpublished marker in both words, so real zeros are nudged to 1 — a
-// 2^-64 perturbation already inside the fingerprint collision budget.
-func (t *compactTable) words(fp machine.Hash128, epoch uint64) (pw, check uint64) {
-	pw, check = fp.Lo, fp.Hi
+// entrySetter is the one primitive of a counting table: set ORs bit into
+// the depth bitmap of fp's entry, creating the entry if absent, and reports
+// whether bit was newly set and whether the entry was new.
+type entrySetter interface {
+	set(fp machine.Hash128, bit uint64) (newBit, inserted bool, err error)
+}
+
+// claimPair is the claim rule of the counting tables (exact and compact).
+// A state's claims at depths below 64 are bits of its base entry; claims at
+// depth >= 64 are bits of a (state, depth-epoch) entry, whose fingerprint
+// folds the epoch into both lanes. Only the base entry counts the state in
+// states, or every extra epoch would count it again; a race-hammer
+// invariant (one newState per fingerprint) pins this.
+func claimPair(t entrySetter, states *atomic.Int64, fp machine.Hash128, depth int) (claimed, newState bool, err error) {
+	epoch := uint64(depth) >> 6
 	if epoch != 0 {
-		pw = machine.Mix64(pw ^ machine.Mix64(epoch^depthEpochTag))
-		check = machine.Mix64(check ^ epoch)
+		if _, newState, err = t.set(fp, 0); err != nil {
+			return false, false, err
+		}
+		fp = machine.Hash128{
+			Lo: machine.Mix64(fp.Lo ^ machine.Mix64(epoch^depthEpochTag)),
+			Hi: machine.Mix64(fp.Hi ^ epoch),
+		}
 	}
+	claimed, inserted, err := t.set(fp, 1<<(uint(depth)&63))
+	if err != nil {
+		return false, false, err
+	}
+	if epoch == 0 {
+		newState = inserted
+	}
+	if newState {
+		states.Add(1)
+	}
+	return claimed, newState, nil
+}
+
+// words derives the slot contents from an (epoch-folded) fingerprint: the
+// probe word (lane Lo) and the 128-bit check word (lane Hi). Zero is
+// reserved as the empty/unpublished marker in both words, so real zeros are
+// nudged to 1 — a 2^-64 perturbation already inside the fingerprint
+// collision budget.
+func (t *compactTable) words(fp machine.Hash128) (pw, check uint64) {
+	pw, check = fp.Lo, fp.Hi
 	if t.pwMask != 0 {
 		pw &= t.pwMask
 	}
@@ -255,42 +299,24 @@ func (t *compactTable) words(fp machine.Hash128, epoch uint64) (pw, check uint64
 }
 
 func (t *compactTable) claim(fp machine.Hash128, depth int) (claimed, newState bool, err error) {
-	var epoch uint64
-	if depth >= 64 {
-		// Claims beyond one 64-bit depth word get their own (state,
-		// depth-epoch) entry — but that entry must not stand in for
-		// the state in the distinct count, or every extra epoch would count
-		// the state again. The state's base entry carries the count; a
-		// race-hammer invariant (one newState per fingerprint) pins this.
-		epoch = uint64(depth) >> 6
-		pw, check := t.words(fp, 0)
-		_, newState, err = t.slotFor(pw, check)
-		if err != nil {
-			return false, false, err
-		}
-	}
-	pw, check := t.words(fp, epoch)
-	base, inserted, err := t.slotFor(pw, check)
-	if err != nil {
-		return false, false, err
-	}
-	if epoch == 0 {
-		newState = inserted
-	}
-	if newState {
-		t.states.Add(1)
+	return claimPair(t, &t.states, fp, depth)
+}
+
+func (t *compactTable) set(fp machine.Hash128, bit uint64) (newBit, inserted bool, err error) {
+	base, inserted, err := t.slotFor(t.words(fp))
+	if err != nil || bit == 0 {
+		return false, inserted, err
 	}
 	// The atomic Or alone decides the claim, even for the slot's CAS winner:
 	// a same-depth visitor may reach the bitmap before the winner does, and
 	// the Or hands the claim to exactly one of them. Bits are never cleared,
 	// so a plain load that sees the bit already set proves a lost claim
 	// without the read-modify-write.
-	bit := uint64(1) << (uint(depth) & 63)
 	depths := &t.slots[base+t.stride-1]
 	if atomic.LoadUint64(depths)&bit != 0 {
-		return false, newState, nil
+		return false, inserted, nil
 	}
-	return atomic.OrUint64(depths, bit)&bit == 0, newState, nil
+	return atomic.OrUint64(depths, bit)&bit == 0, inserted, nil
 }
 
 // slotFor finds or claims the slot holding (pw, check), returning its word
@@ -474,155 +500,85 @@ func (t *bitTable) falseMergeProb(deduped int64) float64 {
 
 // --- exact table and the claim point -----------------------------------------
 
-// seenShardCount is the number of independently locked shards of an exact
+// exactShardCount is the number of independently locked shards of an exact
 // table shared by several workers. 64 shards keep the expected number of
 // workers contending on one mutex below W^2/64 pairs even at W=16 workers.
 // A one-worker walk uses a single shard and takes no locks. Must be a power
 // of two.
-const seenShardCount = 64
+const exactShardCount = 64
 
-// Per-entry overhead estimates for the exact table's telemetry: a
-// string-keyed map entry with its header, hash, and value word; a bare
-// uint64 set entry.
-const (
-	exactEntryOverhead = 48
-	hashEntryOverhead  = 16
-)
+// exactEntryBytes estimates one exact-table entry for Report.Mem: a 24-byte
+// (fingerprint, depth bitmap) map slot and its control byte, at a load
+// factor of about one half.
+const exactEntryBytes = 48
 
-// seenTable is the exact seen-state table (TableExact). Keys are canonical
-// configuration encodings (sim.System.AppendStateKey). In dedup mode each
-// key maps to one word, the bitmap of depths below 64 at which the state
-// was claimed — the same (state, depth) rule as the compact table's depth
-// word; claims at depth >= 64 get a (key, depth-epoch) entry of their own.
-// In count-only mode (dedup off) the shards hold 64-bit key hashes and
-// every touch claims.
-type seenTable struct {
-	dedup bool
-	// mask truncates count-only key hashes (Options.testPWMask) so tests can
-	// plant the 64-bit DistinctStates collision deterministically; zero
-	// outside tests. Dedup mode stores full keys and ignores it.
+// exactTable is the exact seen-state table (TableExact): an unbounded map
+// from an entry's fingerprint to its depth bitmap, claimed by the compact
+// table's rule (claimPair). Unlike the compacted tables it never refuses a
+// claim and never reports under-approximation.
+type exactTable struct {
+	// mask truncates fingerprints to (Lo&mask, 0) (Options.testPWMask) so
+	// tests can plant collisions deterministically; zero outside tests.
 	mask   uint64
-	shards []seenShard
+	states atomic.Int64 // distinct fingerprints (base entries only)
+	shards []exactShard
 }
 
-type seenShard struct {
-	mu     sync.Mutex
-	m      map[string]uint64    // dedup mode: key -> claimed depths 0..63
-	deep   map[deepClaim]uint64 // dedup mode: claimed depths >= 64
-	hashes map[uint64]struct{}  // count-only mode
-	bytes  int64                // estimated bytes held (Report.Mem telemetry)
-	_      [64]byte             // shards sit a cache line apart
+type exactShard struct {
+	mu sync.Mutex
+	m  map[machine.Hash128]uint64 // (state, depth-epoch) -> claimed depths mod 64
+	_  [64]byte                   // shards sit a cache line apart
 }
 
-// deepClaim keys the claimed-depth bitmap of one 64-depth epoch (>= 1).
-type deepClaim struct {
-	key   string
-	epoch int
-}
-
-func newSeenTable(dedup bool, mask uint64, shards int) *seenTable {
-	t := &seenTable{dedup: dedup, mask: mask, shards: make([]seenShard, shards)}
+func newExactTable(mask uint64, shards int) *exactTable {
+	t := &exactTable{mask: mask, shards: make([]exactShard, shards)}
 	for i := range t.shards {
-		if dedup {
-			t.shards[i].m = make(map[string]uint64)
-		} else {
-			t.shards[i].hashes = make(map[uint64]struct{})
-		}
+		t.shards[i].m = make(map[machine.Hash128]uint64)
 	}
 	return t
 }
 
-// hashKey hashes a full state key (FNV-1a 64; the key already starts with
-// the well-mixed memory fingerprint, but hashing all bytes keeps the
-// distribution flat even for states differing only in process-local keys).
-// It backs the count-only set and picks the shard of a shared table.
-func hashKey(key []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return h
+func (t *exactTable) claim(fp machine.Hash128, depth int) (claimed, newState bool, err error) {
+	return claimPair(t, &t.states, fp, depth)
 }
 
-// touch records the (key, depth) visit and reports whether the caller owns
-// the expansion of this pair (always true in count-only mode). The lookup
-// is allocation-free unless it records a new key or depth.
-func (t *seenTable) touch(key []byte, depth int) bool {
-	var h uint64
-	if !t.dedup || len(t.shards) > 1 {
-		h = hashKey(key)
-		if t.mask != 0 {
-			h &= t.mask // test hook: plant count-only hash collisions
-		}
+// set allocates only when a map grows.
+func (t *exactTable) set(fp machine.Hash128, bit uint64) (newBit, inserted bool, err error) {
+	if t.mask != 0 {
+		fp = machine.Hash128{Lo: fp.Lo & t.mask}
 	}
-	sh := &t.shards[h&uint64(len(t.shards)-1)]
+	sh := &t.shards[fp.Lo&uint64(len(t.shards)-1)]
 	if len(t.shards) > 1 {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
 	}
-	if !t.dedup {
-		if _, hit := sh.hashes[h]; !hit {
-			sh.hashes[h] = struct{}{}
-			sh.bytes += hashEntryOverhead
-		}
-		return true
+	depths, hit := sh.m[fp]
+	newBit = depths&bit != bit
+	if newBit || !hit {
+		sh.m[fp] = depths | bit
 	}
-	depths, hit := sh.m[string(key)]
-	if !hit {
-		sh.bytes += int64(len(key)) + exactEntryOverhead
-	}
-	bit := uint64(1) << (uint(depth) & 63)
-	if depth < 64 {
-		if depths&bit != 0 {
-			return false
-		}
-		sh.m[string(key)] = depths | bit
-		return true
-	}
-	if !hit {
-		sh.m[string(key)] = 0 // the state counts once, from any depth
-	}
-	if sh.deep == nil {
-		sh.deep = make(map[deepClaim]uint64)
-	}
-	dk := deepClaim{string(key), depth >> 6}
-	deep, deepHit := sh.deep[dk]
-	if deep&bit != 0 {
-		return false
-	}
-	if !deepHit {
-		sh.bytes += int64(len(key)) + exactEntryOverhead
-	}
-	sh.deep[dk] = deep | bit
-	return true
+	return newBit, !hit, nil
 }
 
-// memBytes sums the shards' byte estimates; distinct counts distinct keys.
-// Callers must have joined all writers first.
-func (t *seenTable) memBytes() int64 {
+func (t *exactTable) distinct() int64 { return t.states.Load() }
+
+func (t *exactTable) memBytes() int64 {
 	var n int64
 	for i := range t.shards {
-		n += t.shards[i].bytes
+		n += int64(len(t.shards[i].m)) * exactEntryBytes
 	}
 	return n
 }
 
-func (t *seenTable) distinct() int64 {
-	var n int64
-	for i := range t.shards {
-		n += int64(len(t.shards[i].m) + len(t.shards[i].hashes))
-	}
-	return n
-}
+func (t *exactTable) occupancy() float64                   { return 0 }
+func (t *exactTable) falseMergeProb(deduped int64) float64 { return 0 }
 
-// claimer is the claim point of an exploration: it keys a configuration
-// (exactly, or up to symmetry) and claims its (state, depth) pair in the
-// table Options.Table selects. With Dedup off the table only backs the
-// DistinctStates count and every claim succeeds.
+// claimer is the claim point of an exploration: it fingerprints a
+// configuration (exactly, or up to symmetry) and claims its (state, depth)
+// pair in the table Options.Table selects. With Dedup off the table only
+// backs the DistinctStates count and every claim succeeds.
 type claimer struct {
-	exact     *seenTable // TableExact
-	ctab      ctable     // the compacted modes
+	table     ctable
 	countOnly bool
 	symmetry  bool
 	// unkeyable records that some configuration exposed no canonical state
@@ -630,71 +586,55 @@ type claimer struct {
 	unkeyable atomic.Bool
 }
 
-// keyScratch is one claimant's reusable key buffers.
+// keyScratch is one claimant's reusable symmetric-key buffers.
 type keyScratch struct {
 	buf []byte
 	sym sim.SymScratch
 }
 
 func newClaimer(opts Options, shared bool) *claimer {
-	c := &claimer{countOnly: !opts.Dedup, symmetry: opts.Symmetry}
-	if c.ctab = newCTable(opts, shared); c.ctab == nil {
-		shards := 1
-		if shared {
-			shards = seenShardCount
-		}
-		c.exact = newSeenTable(opts.Dedup, opts.testPWMask, shards)
-	}
-	return c
+	return &claimer{table: newCTable(opts, shared), countOnly: !opts.Dedup, symmetry: opts.Symmetry}
 }
 
-// claim reports whether the caller owns the expansion of sys at depth. A
-// compacted table fingerprints the configuration without materializing its
-// key (sim.System.StateHash128), except under Symmetry, whose
-// sorted-multiset canonicalization needs the bytes anyway and hashes them.
-// The error is non-nil only for a full compacted table (ErrTableFull).
+// claim reports whether the caller owns the expansion of sys at depth. The
+// configuration's fingerprint is sim.System.StateHash128, computed without
+// materializing a key, except under Symmetry, whose sorted-multiset
+// canonicalization needs the key bytes anyway and hashes them. The error is
+// non-nil only for a full compacted table (ErrTableFull).
 func (c *claimer) claim(sys *sim.System, depth int, ks *keyScratch) (bool, error) {
-	var key []byte
 	var fp machine.Hash128
 	ok := false
-	switch {
-	case c.symmetry:
+	if c.symmetry {
+		var key []byte
 		key, ok = sys.AppendSymStateKey(ks.buf[:0], &ks.sym)
 		ks.buf = key[:0]
-	case c.exact != nil:
-		key, ok = sys.AppendStateKey(ks.buf[:0])
-		ks.buf = key[:0]
-	default:
+		fp = machine.HashBytes128(key)
+	} else {
 		fp, ok = sys.StateHash128()
 	}
 	if !ok {
 		c.unkeyable.Store(true)
 		return true, nil
 	}
-	if c.exact != nil {
-		return c.exact.touch(key, depth), nil
-	}
-	if c.symmetry {
-		fp = machine.HashBytes128(key)
-	}
-	claimed, _, err := c.ctab.claim(fp, depth)
+	return c.claimFingerprint(fp, depth)
+}
+
+// claimFingerprint claims the fingerprinted (state, depth) pair.
+func (c *claimer) claimFingerprint(fp machine.Hash128, depth int) (bool, error) {
+	claimed, _, err := c.table.claim(fp, depth)
 	return claimed || c.countOnly, err
 }
 
 // summarize fills the table-derived Report fields once every claimant has
-// finished.
+// finished. Only a compacted table that pruned something may have merged
+// two distinct states on a fingerprint (see the contract above).
 func (c *claimer) summarize(rep *Report) {
-	if c.ctab == nil {
-		rep.DistinctStates = c.exact.distinct()
-		rep.Mem.TableBytes = c.exact.memBytes()
-	} else {
-		rep.DistinctStates = c.ctab.distinct()
-		rep.Mem.TableBytes = c.ctab.memBytes()
-		rep.Mem.TableOccupancy = c.ctab.occupancy()
-		if rep.Deduped > 0 {
-			rep.UnderApprox = true
-			rep.FalseMergeProb = c.ctab.falseMergeProb(rep.Deduped)
-		}
+	rep.DistinctStates = c.table.distinct()
+	rep.Mem.TableBytes = c.table.memBytes()
+	rep.Mem.TableOccupancy = c.table.occupancy()
+	if _, exact := c.table.(*exactTable); !exact && rep.Deduped > 0 {
+		rep.UnderApprox = true
+		rep.FalseMergeProb = c.table.falseMergeProb(rep.Deduped)
 	}
 	if c.unkeyable.Load() {
 		rep.DistinctStates = 0

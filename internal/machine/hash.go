@@ -38,7 +38,7 @@ const (
 // Hash128 is a 128-bit rolling fingerprint: two independently seeded
 // splitmix64 lanes fed the same word stream (the second lane remixes each
 // word against its own tag before absorbing it, so the lanes decorrelate).
-// It is the unit of the explorer's compacted seen-state modes, which store
+// It is the unit of every explorer seen-state table, which stores
 // fingerprints of the canonical configuration key instead of the key bytes:
 // equal streams always produce equal fingerprints, distinct streams collide
 // with probability ~2^-64 per lane. Use SeedHash128 to start a stream and

@@ -51,11 +51,16 @@ type verifyParams struct {
 // and spill-invariant, so including them would only fragment the cache.
 // Table mode and table budget are included: compacted tables can
 // under-approximate (UnderApprox/FalseMergeProb differ by mode), and the
-// bitstate false-merge bound depends on the budget via occupancy.
+// bitstate false-merge bound depends on the budget via occupancy. The
+// exact table ignores the budget, so it keys as tbytes=0.
 func (vp verifyParams) cacheKey(p *repro.Protocol) string {
+	tbytes := vp.tableBytes
+	if vp.table == repro.TableExact {
+		tbytes = 0
+	}
 	return fmt.Sprintf("%s inputs=%v depth=%d runs=%d solo=%d sym=%t table=%s tbytes=%d",
 		p.CacheKey(), vp.inputs, vp.maxDepth, vp.maxRuns, vp.soloBudget,
-		vp.symmetry, vp.table, vp.tableBytes)
+		vp.symmetry, vp.table, tbytes)
 }
 
 // job is one queued verification. Mutable fields are guarded by mu; done is

@@ -277,6 +277,38 @@ func TestServeVerifyCacheWorkerInvariant(t *testing.T) {
 	}
 }
 
+// TestServeVerifyCacheExactIgnoresTableBytes: the exact table ignores
+// table_bytes, so the result cache must too — an exact-table request with a
+// budget is served the verdict of the same request without one, rather
+// than queued as a job of its own. A compacted table's budget still keys.
+func TestServeVerifyCacheExactIgnoresTableBytes(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	vreq := VerifyRequest{Row: "T1.9", Inputs: []int{2, 0, 1}, MaxDepth: 6, Table: "exact"}
+	var vr VerifyResponse
+	if code := postJSON(t, ts.URL+"/verify", vreq, &vr); code != http.StatusAccepted {
+		t.Fatalf("verify: code=%d %+v", code, vr)
+	}
+	if st := pollJob(t, ts.URL, vr.ID); st.State != JobDone {
+		t.Fatalf("job ended %s (%s)", st.State, st.Error)
+	}
+	vreq.TableBytes = 1 << 20
+	var hit VerifyResponse
+	if code := postJSON(t, ts.URL+"/verify", vreq, &hit); code != http.StatusOK || !hit.Cached {
+		t.Fatalf("exact verify with table_bytes: code=%d %+v, want a cache hit", code, hit)
+	}
+	vreq.Table = "compact"
+	var miss VerifyResponse
+	if code := postJSON(t, ts.URL+"/verify", vreq, &miss); code != http.StatusAccepted {
+		t.Fatalf("compact verify: code=%d %+v, want a queued job", code, miss)
+	}
+	pollJob(t, ts.URL, miss.ID)
+	vreq.TableBytes = 2 << 20
+	if code := postJSON(t, ts.URL+"/verify", vreq, &miss); code != http.StatusAccepted {
+		t.Fatalf("compact verify with another budget: code=%d %+v, want a queued job", code, miss)
+	}
+	pollJob(t, ts.URL, miss.ID)
+}
+
 // TestServeVerifyJobProgress pins the liveness surface of long verify
 // jobs: GET /jobs/{id} carries states_visited, populated by the explorer's
 // WithProgress callback once the exploration crosses the progress stride,

@@ -6,10 +6,9 @@ import "repro/internal/machine"
 // hash of exactly the logical components the key encodes — the memory's
 // incremental fingerprint, per process either its terminal status or its
 // local-state key, and the global step count when a live Body adapter is
-// present — without materializing the key bytes at all. The compacted
-// seen-state tables store only this fingerprint (8–16 bytes per state
-// instead of the full key), so it is the whole keying path of the
-// memory-bounded explorer modes.
+// present — without materializing the key bytes at all. Every seen-state
+// table of the explorer claims this fingerprint (outside symmetry
+// reduction), so it is the whole keying path of a non-symmetric walk.
 //
 // It is maintained incrementally, like machine.Fingerprint64: the hash
 // combines the memory's rolling 128-bit fingerprint with an XOR aggregate of
@@ -21,8 +20,9 @@ import "repro/internal/machine"
 //
 // Equal configurations always hash equally (the aggregate is a function of
 // exactly the fields AppendStateKey encodes); distinct configurations
-// collide with ~2^-64 per lane, the under-approximation the compacted modes
-// report via Report.FalseMergeProb. ok is false in exactly the cases
+// collide with ~2^-64 per lane above the 64-bit component hashes the key
+// itself is made of; the compacted modes report that fold's risk via
+// Report.FalseMergeProb. ok is false in exactly the cases
 // AppendStateKey's is: a closed system, a live process without a state key,
 // or a clock-dependent Body adapter.
 //

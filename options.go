@@ -220,8 +220,11 @@ func (o soloBudgetOption) applyVerify(c *verifyConfig) {
 type TableMode int
 
 const (
-	// TableExact stores full canonical state keys: exact deduplication,
-	// the default, and the memory-hungriest representation.
+	// TableExact stores each state's 128-bit fingerprint in an unbounded
+	// map: the default, and the memory-hungriest representation. It never
+	// refuses and never reports UnderApprox. Like every mode it rests on
+	// the 64-bit per-location and per-process hashes the fingerprint is
+	// folded from, which no mode reports (see DESIGN.md).
 	TableExact TableMode = iota
 	// TableCompact stores 64-bit state fingerprints (hash compaction,
 	// 8 bytes per state): distinct states whose fingerprints collide merge
@@ -230,7 +233,8 @@ const (
 	TableCompact
 	// TableCompact128 stores 128-bit fingerprints (16 bytes per state):
 	// the same compaction with a collision probability that is negligible
-	// at any reachable state count.
+	// at any reachable state count. Its FalseMergeProb covers the 128-bit
+	// fold only, not the 64-bit component hashes beneath it.
 	TableCompact128
 	// TableBitstate marks (state, depth) claims as bits in a Bloom filter
 	// (bitstate/supertrace search): a fixed memory budget regardless of

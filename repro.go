@@ -87,12 +87,11 @@ type VerifyReport struct {
 	// DecidedValues is the sorted set of values decided somewhere in the
 	// explored envelope; invariant across worker counts and deduplication.
 	DecidedValues []int
-	// DistinctStates counts distinct canonical configurations reached
-	// within the envelope (0 if the systems expose no state key). Under the
-	// compacted table modes with deduplication off (dedup is always on for
-	// Verify, but see the explorer's count-only mode) the count keys on
-	// 64-bit hashes and is fingerprint-approximate; only a deduplicating
-	// TableExact run counts exactly.
+	// DistinctStates counts distinct configuration fingerprints reached
+	// within the envelope (0 if the systems expose no state key; 0 under
+	// TableBitstate). Every table mode counts fingerprints folded from
+	// 64-bit per-location and per-process hashes, so two configurations
+	// whose component hashes collide (~2^-64 per pair) count once.
 	DistinctStates int64
 	// UnderApprox reports that the exploration ran with a compacted
 	// seen-state table (WithTable) and pruned at least one revisit, so the
@@ -113,7 +112,8 @@ type VerifyReport struct {
 // VerifyMemStats is VerifyReport's memory telemetry.
 type VerifyMemStats struct {
 	// TableBytes is the seen-state table's backing-store size — exact for
-	// the compacted modes, an estimate of key storage for TableExact.
+	// the compacted modes, an estimate of fingerprint-map storage for
+	// TableExact.
 	TableBytes int64
 	// TableOccupancy is the fraction of the table in use (compacted modes
 	// only).
