@@ -106,7 +106,8 @@ func inputsKey(inputs []int) string {
 
 // Compile resolves a Table 1 row (for example "T1.9" for two max-registers)
 // for n processes and returns the reusable handle. Unknown rows report
-// ErrUnknownRow; n < 1 and invalid options report ErrBadInput.
+// ErrUnknownRow; n outside the row's range (at least 1, and Row.MinN and
+// Row.MaxN where set) and invalid options report ErrBadInput.
 func Compile(rowID string, n int, opts ...CompileOption) (*Protocol, error) {
 	c := compileConfig{l: defaultBufferCap}
 	for _, o := range opts {
@@ -121,6 +122,12 @@ func Compile(rowID string, n int, opts ...CompileOption) (*Protocol, error) {
 	}
 	if n < 1 {
 		return nil, fmt.Errorf("%w: need at least one process, got n=%d", ErrBadInput, n)
+	}
+	if n < row.MinN {
+		return nil, fmt.Errorf("%w: row %s needs at least %d processes, got n=%d", ErrBadInput, rowID, row.MinN, n)
+	}
+	if row.MaxN > 0 && n > row.MaxN {
+		return nil, fmt.Errorf("%w: row %s supports at most %d processes, got n=%d", ErrBadInput, rowID, row.MaxN, n)
 	}
 	p := &Protocol{row: row, n: n}
 	switch {

@@ -21,6 +21,28 @@ func TestCompileBadArguments(t *testing.T) {
 			t.Fatalf("n=%d: want ErrBadInput, got %v", n, err)
 		}
 	}
+	// Algorithm 1 (T1.5) is built for n >= 2 and QSC (MP.QSC) for n <= 63:
+	// n outside a row's range is an input error, not a panic out of the
+	// protocol constructor.
+	for _, tc := range []struct {
+		row string
+		n   int
+	}{{"T1.5", 1}, {"MP.QSC", 64}} {
+		if _, err := Compile(tc.row, tc.n); !errors.Is(err, ErrBadInput) {
+			t.Fatalf("%s n=%d: want ErrBadInput, got %v", tc.row, tc.n, err)
+		}
+	}
+	// Every row compiles at the ends of its range.
+	for _, r := range Hierarchy(defaultBufferCap) {
+		for _, n := range []int{max(1, r.MinN), r.MaxN} {
+			if n == 0 {
+				continue
+			}
+			if _, err := Compile(r.ID, n); err != nil {
+				t.Fatalf("%s at n=%d: %v", r.ID, n, err)
+			}
+		}
+	}
 	// A buffer capacity below one is rejected up front, on the l-buffer
 	// rows (where it once divided by zero) and on every other row alike.
 	for _, row := range []string{"T1.6", "T1.MA", "T1.9"} {
@@ -174,9 +196,10 @@ func TestHandleAmortizesForkableRows(t *testing.T) {
 		t.Fatalf("after input swap %+v != fresh handle %+v", *viaCache, *want)
 	}
 
-	// Swap (T1.5) runs on the coroutine Body adapter — no native forking,
-	// no snapshot, same results either way.
-	body, err := Compile("T1.5", len(inputs))
+	// A handle whose protocol runs on the coroutine Body adapter (T1.5's
+	// Body form) forks by result replay: no snapshot is cached, and results
+	// are the same either way.
+	body, err := compileBody("T1.5", len(inputs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,6 +210,12 @@ func TestHandleAmortizesForkableRows(t *testing.T) {
 	b2, err := body.Solve(context.Background(), inputs, Seed(3))
 	if err != nil {
 		t.Fatal(err)
+	}
+	body.mu.Lock()
+	bodyCached := len(body.pristine) != 0
+	body.mu.Unlock()
+	if bodyCached {
+		t.Fatal("a Body-adapter handle cached a pristine snapshot")
 	}
 	if *b1 != *b2 {
 		t.Fatalf("body-row runs diverged: %+v vs %+v", *b1, *b2)

@@ -1,10 +1,13 @@
 package repro
 
-// TestBodyRowsGolden pins the Solve outcomes and Verify reports of the rows
-// that still run as coroutine Body adapters (T1.1, T1.3, T1.5, T1.6, T1.MA)
-// to testdata/body_rows.golden. Their step path hashes replay logs, history
-// payloads and double-collect versions; none of that may move a decision, a
-// step count or a verdict. Regenerate deliberately with
+// TestBodyRowsGolden pins the Solve outcomes and Verify reports of the Body
+// forms of T1.1, T1.3, T1.5, T1.6 and T1.MA, run on the coroutine Body
+// adapter, to testdata/body_rows.golden. The Body forms are the reference
+// semantics of those rows: their step path hashes replay logs, history
+// payloads and double-collect versions, and none of that may move a
+// decision, a step count or a verdict. The rows' handles run forkable
+// steppers; TestStepperRowsMatchBodyGolden pins those against the same
+// file. Regenerate deliberately with
 //
 //	go test -run TestBodyRowsGolden -update-body-golden .
 
@@ -13,8 +16,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/consensus"
 )
 
 var updateBodyGolden = flag.Bool("update-body-golden", false, "rewrite testdata/body_rows.golden")
@@ -43,13 +49,38 @@ func bodyGoldenInputs(p *Protocol, variant int) []int {
 	return in
 }
 
-func renderBodyGolden(t *testing.T) string {
+// compileBody is Compile with the row's steppers cleared from every
+// protocol the handle builds, so its runs take the coroutine Body adapter:
+// the reference form the golden file pins.
+func compileBody(row string, n int) (*Protocol, error) {
+	p, err := Compile(row, n)
+	if err != nil {
+		return nil, err
+	}
+	build := p.build
+	p.build = func() *consensus.Protocol {
+		pr := build()
+		pr.Steppers = nil
+		return pr
+	}
+	p.pr = p.build()
+	return p, nil
+}
+
+// bodyGoldenRun is one line of the golden file, with the Verify report
+// behind it (nil for solve lines).
+type bodyGoldenRun struct {
+	line string
+	rep  *VerifyReport
+}
+
+func renderBodyGolden(t *testing.T, compile func(row string, n int) (*Protocol, error)) []bodyGoldenRun {
 	t.Helper()
 	ctx := context.Background()
-	var b strings.Builder
+	var runs []bodyGoldenRun
 	for _, row := range bodyRows {
 		for _, n := range bodyGoldenNs {
-			p, err := Compile(row, n)
+			p, err := compile(row, n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,7 +90,7 @@ func renderBodyGolden(t *testing.T) string {
 				if err != nil {
 					t.Fatalf("%s n=%d seed %d: %v", row, n, seed, err)
 				}
-				fmt.Fprintf(&b, "solve %s n=%d seed=%d inputs=%v: %+v\n", row, n, seed, in, *out)
+				runs = append(runs, bodyGoldenRun{line: fmt.Sprintf("solve %s n=%d seed=%d inputs=%v: %+v\n", row, n, seed, in, *out)})
 			}
 			if n != 3 {
 				continue
@@ -75,15 +106,26 @@ func renderBodyGolden(t *testing.T) string {
 					t.Fatalf("verify %s n=%d: %v", row, n, err)
 				}
 				rep.Mem = VerifyMemStats{} // diagnostic only, see VerifyReport.Mem
-				fmt.Fprintf(&b, "verify %s n=%d depth=%d solo=%d inputs=%v: %+v\n", row, n, depth, solo, in, *rep)
+				runs = append(runs, bodyGoldenRun{
+					line: fmt.Sprintf("verify %s n=%d depth=%d solo=%d inputs=%v: %+v\n", row, n, depth, solo, in, *rep),
+					rep:  rep,
+				})
 			}
 		}
+	}
+	return runs
+}
+
+func joinGolden(runs []bodyGoldenRun) string {
+	var b strings.Builder
+	for _, r := range runs {
+		b.WriteString(r.line)
 	}
 	return b.String()
 }
 
 func TestBodyRowsGolden(t *testing.T) {
-	got := renderBodyGolden(t)
+	got := joinGolden(renderBodyGolden(t, compileBody))
 	if *updateBodyGolden {
 		if err := os.WriteFile(bodyGoldenFile, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -96,5 +138,31 @@ func TestBodyRowsGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Fatalf("Body-row outcomes changed\n--- %s\n+++ current\n%s", bodyGoldenFile, diffLines(string(want), got))
+	}
+}
+
+// TestStepperRowsMatchBodyGolden: the handles of the five rows run their
+// forkable steppers, and every Solve outcome must equal the Body form's
+// golden line byte for byte. Verify must reach the same decided values and
+// violations; its state counts may differ, because stepper state keys are
+// canonical where the Body adapter's fold its result log and the step
+// count (so they are logged, not compared).
+func TestStepperRowsMatchBodyGolden(t *testing.T) {
+	body := renderBodyGolden(t, compileBody)
+	stepper := renderBodyGolden(t, func(row string, n int) (*Protocol, error) { return Compile(row, n) })
+	for i, s := range stepper {
+		b := body[i]
+		if s.rep == nil {
+			if s.line != b.line {
+				t.Fatalf("stepper solve diverged from the Body form\nbody    %sstepper %s", b.line, s.line)
+			}
+			continue
+		}
+		if !slices.Equal(s.rep.DecidedValues, b.rep.DecidedValues) || !slices.Equal(s.rep.Violations, b.rep.Violations) {
+			t.Fatalf("stepper verdict diverged from the Body form\nbody    %sstepper %s", b.line, s.line)
+		}
+		t.Logf("%s: runs %d->%d states %d->%d deduped %d->%d distinct %d->%d",
+			strings.SplitN(b.line, ":", 2)[0], b.rep.Runs, s.rep.Runs, b.rep.States, s.rep.States,
+			b.rep.Deduped, s.rep.Deduped, b.rep.DistinctStates, s.rep.DistinctStates)
 	}
 }

@@ -32,5 +32,11 @@ func ForkablePortfolio() []ForkableInstance {
 		{"binary-bits", func() *Protocol { return BinaryBits(3) }, []int{1, 0, 1}},
 		{"write-bits", func() *Protocol { return WriteBits(3) }, []int{2, 0, 1}},
 		{"tas-reset", func() *Protocol { return TASReset(3) }, []int{1, 2, 0}},
+		{"tas-tracks", func() *Protocol { return TASTracks(3) }, []int{2, 0, 1}},
+		{"registers", func() *Protocol { return Registers(3) }, []int{1, 2, 0}},
+		{"swap", func() *Protocol { return Swap(3) }, []int{2, 1, 0}},
+		{"swap-4", func() *Protocol { return Swap(4) }, []int{3, 1, 0, 2}},
+		{"buffers", func() *Protocol { return Buffered(3, 2) }, []int{0, 2, 1}},
+		{"buffers-multi-assign", func() *Protocol { return BufferedMultiAssign(3, 2) }, []int{1, 0, 2}},
 	}
 }

@@ -27,7 +27,18 @@ func RegistersValues(n, m int) *Protocol {
 			arr := swreg.NewDirect(p, 0)
 			return RaceUnbounded(counter.NewRegisters(arr, m), n, p.Input())
 		},
+		Steppers: func(inputs []int) []sim.Stepper {
+			return registerSteppers(n, m, inputs, func(id int) swreg.Machine { return swreg.NewDirectMachine(0, n, id) })
+		},
 	}
+}
+
+// registerSteppers builds the forkable form of the racing loop over a
+// register array, arr(id) being process id's view of it.
+func registerSteppers(n, m int, inputs []int, arr func(id int) swreg.Machine) []sim.Stepper {
+	return steppersOf(inputs, func(id, in int) sim.Stepper {
+		return newExactRaceStepper(counter.NewRegistersMachine(arr(id), m), n, in)
+	})
 }
 
 // Buffered solves n-consensus using ceil(n/l) l-buffers (Theorem 6.3): the
@@ -48,6 +59,9 @@ func BufferedValues(n, l, m int) *Protocol {
 		Body: func(p *sim.Proc) int {
 			arr := swreg.NewBuffered(p, 0, l)
 			return RaceUnbounded(counter.NewRegisters(arr, m), n, p.Input())
+		},
+		Steppers: func(inputs []int) []sim.Stepper {
+			return registerSteppers(n, m, inputs, func(id int) swreg.Machine { return swreg.NewBufferedMachine(0, n, l, id) })
 		},
 	}
 }

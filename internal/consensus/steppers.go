@@ -9,16 +9,21 @@ import (
 	"repro/internal/sim"
 )
 
-// This file ports the hot protocol bodies to explicit forkable state
-// machines (sim.Stepper + sim.Forker + sim.StateKeyer): the CAS,
-// introduction, max-register, racing-counter, and Lemma 5.2 multi-valued
-// protocols — every Table 1 row except the history-shaped ones (tracks,
-// swap, registers, buffers), which stay on the coroutine Body adapter and
-// fork by result-replay. Each stepper issues the exact same instruction
-// stream as its Body twin (pinned by TestSteppersMatchBodies), so seeded
+// This file ports the protocol bodies to explicit forkable state machines
+// (sim.Stepper + sim.Forker + sim.StateKeyer): the CAS, introduction,
+// max-register, racing-counter and Lemma 5.2 multi-valued protocols. The
+// racing loops run over every counter machine, the unbounded tracks (T1.1)
+// and the register arrays of T1.3, T1.6 and T1.MA included; Algorithm 1's
+// stepper (T1.5) sits beside its Body in swap.go. Every Table 1 row runs on
+// these steppers. Each issues the exact same instruction stream and
+// payloads as its Body twin (pinned by TestSteppersMatchBodies), so seeded
 // runs, traces, and measurements are unchanged; what the port buys is
-// O(local state) System.Fork and true canonical state keys for the
-// explorer's deduplication.
+// O(local state) System.Fork, no coroutine switch per step, and true
+// canonical state keys for the explorer's deduplication. The Body forms
+// stay the reference semantics, and the coroutine adapter with its
+// result-replay fork stays for the protocols that exist only as Bodies:
+// SetBody variants such as the sticky tracks, BufferedHeterogeneous, and
+// user protocols like examples/ledger.
 
 // opInfoKey hashes a poised instruction into a state key: the pending
 // instruction is part of a process's canonical state (it encodes every
@@ -48,13 +53,14 @@ func opInfoSymKey(i sim.OpInfo, relabel func(int) int) uint64 {
 	return h
 }
 
-// All the steppers in this file implement sim.SymKeyer: each is built from
-// its input alone (never its pid — see steppersOf call sites), and each
-// folds every location its future behavior can reference through the
-// relabeling, in a fixed role order, which is exactly the SymKeyer
-// contract. The set-bit machine is the one place a process id is genuine
-// behavioral state (it picks the bit lane); its SymKey folds the id, which
-// conservatively keeps those processes unmerged.
+// All the steppers in this file but exactRaceStepper implement
+// sim.SymKeyer: each is built from its input alone (never its pid — see
+// steppersOf call sites), and each folds every location its future
+// behavior can reference through the relabeling, in a fixed role order,
+// which is exactly the SymKeyer contract. The set-bit machine is the one
+// place a process id is genuine behavioral state (it picks the bit lane);
+// its SymKey folds the id, which conservatively keeps those processes
+// unmerged.
 
 // --- compare-and-swap (Table 1 row 10) ---------------------------------------
 
@@ -463,7 +469,9 @@ const (
 
 // raceStepper runs RaceUnbounded (bounded=false) or RaceBounded
 // (bounded=true) over a forkable counter machine, issuing the identical
-// instruction stream.
+// instruction stream. Its machine is a counter.SymMachine (the
+// constructors' parameter type), which SymStateKey relies on; loops over
+// plain machines run as exactRaceSteppers.
 type raceStepper struct {
 	cm       counter.Machine
 	n, input int
@@ -474,7 +482,7 @@ type raceStepper struct {
 	decision int
 }
 
-func newRaceStepper(cm counter.Machine, n, input int, bounded bool) *raceStepper {
+func newRaceStepper(cm counter.SymMachine, n, input int, bounded bool) *raceStepper {
 	return newRaceStepperInto(nil, cm, n, input, bounded)
 }
 
@@ -483,11 +491,16 @@ func newRaceStepper(cm counter.Machine, n, input int, bounded bool) *raceStepper
 // transitions in a long-lived stepper stop allocating. cm is typically built
 // over spare.cm's storage first (NewIncMachineInto and friends); the rebuilt
 // stepper is indistinguishable from a fresh one.
-func newRaceStepperInto(spare *raceStepper, cm counter.Machine, n, input int, bounded bool) *raceStepper {
+func newRaceStepperInto(spare *raceStepper, cm counter.SymMachine, n, input int, bounded bool) *raceStepper {
 	s := spare
 	if s == nil {
 		s = new(raceStepper)
 	}
+	s.init(cm, n, input, bounded)
+	return s
+}
+
+func (s *raceStepper) init(cm counter.Machine, n, input int, bounded bool) {
 	*s = raceStepper{cm: cm, n: n, input: input, bounded: bounded}
 	if bounded {
 		s.stage = rsInitScan
@@ -496,7 +509,6 @@ func newRaceStepperInto(spare *raceStepper, cm counter.Machine, n, input int, bo
 		s.stage = rsUpdate
 		s.pending = cm.StartInc(input)
 	}
-	return s
 }
 
 // promoteOp mirrors RaceBounded's promote: decrement the largest other
@@ -610,8 +622,44 @@ func (s *raceStepper) SymStateKey(relabel func(int) int) uint64 {
 	if s.stage == rsInitScan {
 		h = mix2(h, uint64(s.input))
 	}
-	h = mix2(h, s.cm.SymKey(relabel))
+	h = mix2(h, s.cm.(counter.SymMachine).SymKey(relabel))
 	return mix2(h, opInfoSymKey(s.pending, relabel))
+}
+
+// exactRaceStepper is the RaceUnbounded loop over a plain counter.Machine:
+// the tracks machine, whose location span is unbounded, and the register
+// arrays, where each process writes its own register (over buffers, with
+// its id in the payload). Neither admits a sound symmetric key, so the
+// wrapper exposes everything raceStepper does except SymStateKey, and
+// symmetric explorations of these rows fall back to the exact key.
+type exactRaceStepper struct{ r raceStepper }
+
+func newExactRaceStepper(cm counter.Machine, n, input int) *exactRaceStepper {
+	s := new(exactRaceStepper)
+	s.r.init(cm, n, input, false)
+	return s
+}
+
+func (s *exactRaceStepper) Poise() (sim.OpInfo, bool)              { return s.r.Poise() }
+func (s *exactRaceStepper) Resume(res machine.Value) bool          { return s.r.Resume(res) }
+func (s *exactRaceStepper) PoiseRun(dst []sim.OpInfo) []sim.OpInfo { return s.r.PoiseRun(dst) }
+func (s *exactRaceStepper) Outcome() (bool, int, error)            { return s.r.Outcome() }
+func (s *exactRaceStepper) Halt()                                  {}
+func (s *exactRaceStepper) StateKey() uint64                       { return s.r.StateKey() }
+
+func (s *exactRaceStepper) Fork() sim.Stepper {
+	f := &exactRaceStepper{r: s.r}
+	f.r.cm = s.r.cm.Fork()
+	return f
+}
+
+func (s *exactRaceStepper) ForkInto(prev sim.Stepper) sim.Stepper {
+	p, ok := prev.(*exactRaceStepper)
+	if !ok {
+		return s.Fork()
+	}
+	s.r.forkInto(&p.r)
+	return p
 }
 
 // --- the Lemma 5.2 multi-valued lift -----------------------------------------

@@ -15,10 +15,31 @@ func portedProtocols() []ForkableInstance {
 	return ForkablePortfolio()
 }
 
+// twinOnlyInstances widen the Body-twin comparison past the portfolio's
+// explorer-sized instances: more processes, other buffer capacities, the
+// m-valued forms and the write(1) tracks. The explorer batteries skip them.
+func twinOnlyInstances() []ForkableInstance {
+	return []ForkableInstance{
+		{"write1-tracks", func() *Protocol { return WriteOneTracks(3) }, []int{1, 2, 0}},
+		{"tas-tracks-5", func() *Protocol { return TASTracks(5) }, []int{4, 1, 1, 0, 3}},
+		{"registers-5", func() *Protocol { return Registers(5) }, []int{2, 4, 0, 1, 3}},
+		{"registers-values", func() *Protocol { return RegistersValues(4, 6) }, []int{5, 0, 3, 3}},
+		{"swap-5", func() *Protocol { return Swap(5) }, []int{1, 4, 2, 0, 3}},
+		{"buffers-l1", func() *Protocol { return Buffered(4, 1) }, []int{3, 0, 2, 1}},
+		{"buffers-l3", func() *Protocol { return Buffered(5, 3) }, []int{0, 4, 2, 1, 3}},
+		{"buffers-values", func() *Protocol { return BufferedValues(4, 2, 3) }, []int{2, 0, 1, 2}},
+		{"buffers-multi-assign-5", func() *Protocol { return BufferedMultiAssign(5, 2) }, []int{4, 3, 0, 1, 2}},
+	}
+}
+
 func stepString(st sim.StepInfo) string {
 	s := fmt.Sprintf("%d:%v(", st.PID, st.Info)
 	for _, a := range st.Info.Args {
-		s += fmt.Sprintf("%v,", machine.MustInt(a))
+		if x, ok := machine.AsInt(a); ok {
+			s += fmt.Sprintf("%v,", x)
+		} else {
+			s += fmt.Sprintf("%+v,", a)
+		}
 	}
 	return s + fmt.Sprintf(")=%v", st.Result)
 }
@@ -28,7 +49,7 @@ func stepString(st sim.StepInfo) string {
 // instruction traces (pid, op, location, arguments, result), identical
 // decisions, and identical final memory — across a seed sweep.
 func TestSteppersMatchBodies(t *testing.T) {
-	for _, tc := range portedProtocols() {
+	for _, tc := range append(portedProtocols(), twinOnlyInstances()...) {
 		t.Run(tc.Name, func(t *testing.T) {
 			for seed := int64(1); seed <= 12; seed++ {
 				pr := tc.Build()

@@ -2,6 +2,7 @@ package consensus
 
 import (
 	"bytes"
+	"slices"
 	"strconv"
 
 	"repro/internal/machine"
@@ -49,6 +50,9 @@ func Swap(n int) *Protocol {
 		Values:    n,
 		Locations: n - 1,
 		Body:      swapBody,
+		Steppers: func(inputs []int) []sim.Stepper {
+			return steppersOf(inputs, func(id, in int) sim.Stepper { return newSwapStepper(n, id, in) })
+		},
 	}
 }
 
@@ -172,4 +176,239 @@ func swapBody(p *sim.Proc) int {
 			s = old.(swapCell).laps
 		}
 	}
+}
+
+// swapVer is a swap cell's version, the (writer, sequence) pair the
+// double collect compares; the zero value marks a never-written location
+// (sequence numbers start at 1).
+type swapVer struct {
+	pid int
+	seq int64
+}
+
+// swapStepper program counter values.
+const (
+	swCollect = iota // a read of the collect in progress is poised
+	swSwap           // the line-13 swap is poised
+)
+
+// swapStepper is swapBody as an explicit forkable state machine, issuing
+// the identical instruction stream and payloads. A scan is unrolled into
+// the collect reads; two consecutive collects with equal version vectors
+// end it, exactly as swapScan's fingerprints do.
+//
+// Published lap vectors are immutable: every swap publishes a fresh copy of
+// ell, and s and the collected vectors alias memory payloads (or the shared
+// all-zero vector), so they are only ever read. Fork and ForkInto copy the
+// private vectors (ell, the version and collect buffers) and share the
+// rest.
+type swapStepper struct {
+	n, k, id int
+	seq      int64
+	pc       int
+	j        int       // collect read in flight (swCollect); swap target (swSwap)
+	ell      []int64   // this process's view of each value's lap (private)
+	s        []int64   // lap vector the last swap displaced (read-only)
+	zero     []int64   // the all-zero lap vector, shared with forks
+	cur      [][]int64 // this collect's lap vectors, read through j
+	curVer   []swapVer // and their versions
+	prevVer  []swapVer // the previous collect's versions, while havePrev
+	havePrev bool
+	pending  sim.OpInfo
+	done     bool
+	decision int
+}
+
+func newSwapStepper(n, id, input int) *swapStepper {
+	k := n - 1
+	zero := make([]int64, n)
+	st := &swapStepper{n: n, k: k, id: id, ell: make([]int64, n), s: zero, zero: zero,
+		cur: make([][]int64, k), curVer: make([]swapVer, k), prevVer: make([]swapVer, k)}
+	st.ell[input] = 1 // line 1
+	st.startCollect()
+	return st
+}
+
+func (st *swapStepper) startCollect() {
+	st.pc, st.j = swCollect, 0
+	st.pending = sim.OpInfo{Loc: 0, Op: machine.OpRead}
+}
+
+func (st *swapStepper) Poise() (sim.OpInfo, bool) {
+	if st.done {
+		return sim.OpInfo{}, false
+	}
+	return st.pending, true
+}
+
+func (st *swapStepper) Resume(res machine.Value) bool {
+	if st.pc == swSwap {
+		// line 13: remember the displaced vector, then rescan (line 3).
+		st.s = st.zero
+		if res != nil {
+			st.s = res.(swapCell).laps
+		}
+		st.havePrev = false
+		st.startCollect()
+		return false
+	}
+	if res == nil {
+		st.cur[st.j], st.curVer[st.j] = st.zero, swapVer{}
+	} else {
+		c := res.(swapCell)
+		st.cur[st.j], st.curVer[st.j] = c.laps, swapVer{pid: c.pid, seq: c.seq}
+	}
+	if st.j++; st.j < st.k {
+		st.pending = sim.OpInfo{Loc: st.j, Op: machine.OpRead}
+		return false
+	}
+	if !st.havePrev || !slices.Equal(st.curVer, st.prevVer) {
+		copy(st.prevVer, st.curVer)
+		st.havePrev = true
+		st.startCollect()
+		return false
+	}
+	return st.afterScan()
+}
+
+// afterScan is lines 4-13 over the completed scan st.cur: it decides, or
+// poises the swap.
+func (st *swapStepper) afterScan() bool {
+	n, k, ell, a := st.n, st.k, st.ell, st.cur
+	for v := 0; v < n; v++ { // lines 4-5
+		if st.s[v] > ell[v] {
+			ell[v] = st.s[v]
+		}
+		for j := 0; j < k; j++ {
+			if a[j][v] > ell[v] {
+				ell[v] = a[j][v]
+			}
+		}
+	}
+	vStar := 0 // lines 6-7
+	for v := 1; v < n; v++ {
+		if ell[v] > ell[vStar] {
+			vStar = v
+		}
+	}
+	allEqual := true // line 8
+	for j := 0; j < k; j++ {
+		if !eqVec(a[j], ell) {
+			allEqual = false
+			break
+		}
+	}
+	if allEqual {
+		ahead := true // line 9
+		for v := 0; v < n; v++ {
+			if v != vStar && ell[vStar] < ell[v]+2 {
+				ahead = false
+				break
+			}
+		}
+		if ahead {
+			st.done, st.decision = true, vStar // line 10
+			return true
+		}
+		ell[vStar]++ // line 11
+	}
+	j := 0 // line 12
+	for ; j < k; j++ {
+		if !eqVec(a[j], ell) {
+			break
+		}
+	}
+	if j == k {
+		j = 0
+	}
+	st.seq++ // line 13
+	laps := make([]int64, n)
+	copy(laps, ell)
+	st.pc, st.j = swSwap, j
+	st.pending = sim.OpInfo{Loc: j, Op: machine.OpSwap,
+		Args: []machine.Value{swapCell{pid: st.id, seq: st.seq, laps: laps}}}
+	return false
+}
+
+// PoiseRun: the rest of a collect is certain, and so is a whole collect
+// after the swap (the rescan starts unconditionally). A collect's last read
+// is where the scan ends or repeats, so runs stop there; decisions happen
+// only on it.
+func (st *swapStepper) PoiseRun(dst []sim.OpInfo) []sim.OpInfo {
+	if st.done {
+		return dst
+	}
+	dst = append(dst, st.pending)
+	from := st.j + 1
+	if st.pc == swSwap {
+		from = 0
+	}
+	for j := from; j < st.k; j++ {
+		dst = append(dst, sim.OpInfo{Loc: j, Op: machine.OpRead})
+	}
+	return dst
+}
+
+func (st *swapStepper) Outcome() (bool, int, error) { return st.done, st.decision, nil }
+func (st *swapStepper) Halt()                       {}
+
+func (st *swapStepper) Fork() sim.Stepper {
+	f := *st
+	f.ell = slices.Clone(st.ell)
+	f.cur = slices.Clone(st.cur)
+	f.curVer = slices.Clone(st.curVer)
+	f.prevVer = slices.Clone(st.prevVer)
+	return &f
+}
+
+// ForkInto reuses prev's private buffers only. The vectors the collect
+// buffer points at, and s, belong to memory payloads (or to the shared
+// zero vector) and are shared, never written.
+func (st *swapStepper) ForkInto(prev sim.Stepper) sim.Stepper {
+	p, ok := prev.(*swapStepper)
+	if !ok {
+		return st.Fork()
+	}
+	ell, cur, curVer, prevVer := p.ell, p.cur, p.curVer, p.prevVer
+	*p = *st
+	p.ell = append(ell[:0], st.ell...)
+	p.cur = append(cur[:0], st.cur...)
+	p.curVer = append(curVer[:0], st.curVer...)
+	p.prevVer = append(prevVer[:0], st.prevVer...)
+	return p
+}
+
+// StateKey folds the state the future depends on. Mid-collect that is the
+// scan so far (the vectors and versions read, the previous collect's
+// versions) together with ell, s and seq; with the swap poised, the scan
+// and s are dead — the swap's result replaces s and a fresh scan follows —
+// and the swap target joins ell (the payload) and seq.
+func (st *swapStepper) StateKey() uint64 {
+	h := machine.Mix64(uint64(st.pc) ^ 0x73777073)
+	h = mix2(h, uint64(st.j))
+	h = mix2(h, uint64(st.seq))
+	h = foldLaps(h, st.ell)
+	if st.pc == swSwap {
+		return h
+	}
+	h = foldLaps(h, st.s)
+	for j := 0; j < st.j; j++ {
+		h = foldLaps(h, st.cur[j])
+		h = mix2(mix2(h, uint64(st.curVer[j].pid)), uint64(st.curVer[j].seq))
+	}
+	if !st.havePrev {
+		return mix2(h, 0)
+	}
+	h = mix2(h, 1)
+	for _, v := range st.prevVer {
+		h = mix2(mix2(h, uint64(v.pid)), uint64(v.seq))
+	}
+	return h
+}
+
+func foldLaps(h uint64, laps []int64) uint64 {
+	for _, x := range laps {
+		h = mix2(h, uint64(x))
+	}
+	return h
 }

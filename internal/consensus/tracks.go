@@ -29,6 +29,7 @@ func WriteOneTracks(n int) *Protocol {
 		Body: func(p *sim.Proc) int {
 			return RaceUnbounded(counter.NewTracks(p, 0, n), n, p.Input())
 		},
+		Steppers: func(inputs []int) []sim.Stepper { return tracksSteppers(n, false, inputs) },
 	}
 }
 
@@ -45,7 +46,15 @@ func TASTracks(n int) *Protocol {
 		Body: func(p *sim.Proc) int {
 			return RaceUnbounded(counter.NewTracksTAS(p, 0, n), n, p.Input())
 		},
+		Steppers: func(inputs []int) []sim.Stepper { return tracksSteppers(n, true, inputs) },
 	}
+}
+
+// tracksSteppers builds the forkable form of the racing loop over n tracks.
+func tracksSteppers(n int, tas bool, inputs []int) []sim.Stepper {
+	return steppersOf(inputs, func(_, in int) sim.Stepper {
+		return newExactRaceStepper(counter.NewTracksMachine(0, n, tas), n, in)
+	})
 }
 
 // WriteOneTracksSticky and TASTracksSticky are the same protocols with the

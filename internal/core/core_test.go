@@ -4,6 +4,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/consensus"
 )
 
 // TestSanityAllRows checks every row's internal consistency across n.
@@ -13,6 +15,41 @@ func TestSanityAllRows(t *testing.T) {
 			for n := 2; n <= 10; n++ {
 				if err := Sanity(r, n); err != nil {
 					t.Errorf("%v", err)
+				}
+			}
+		}
+	}
+}
+
+// TestTableRowsForkNatively guards the Table 1 hot path: every
+// row, in its standard and m-valued forms and at several buffer
+// capacities, builds a system of forkable steppers — none runs on the
+// coroutine Body adapter and its result-replay fork. The message-passing
+// companion row is held to the same rule.
+func TestTableRowsForkNatively(t *testing.T) {
+	for _, l := range []int{1, 2, 3} {
+		for _, r := range Table(l) {
+			if r.Build == nil {
+				continue
+			}
+			for _, n := range []int{max(2, r.MinN), 4} {
+				prs := []*consensus.Protocol{r.Build(n)}
+				if r.BuildValues != nil {
+					prs = append(prs, r.BuildValues(n, n+2))
+				}
+				for _, pr := range prs {
+					inputs := make([]int, n)
+					for i := range inputs {
+						inputs[i] = (i * 2) % pr.Values
+					}
+					sys, err := pr.NewSystem(inputs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !sys.ForksNatively() {
+						t.Errorf("%s (l=%d, n=%d, values=%d) does not fork natively", r.ID, l, n, pr.Values)
+					}
+					sys.Close()
 				}
 			}
 		}

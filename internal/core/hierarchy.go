@@ -42,6 +42,10 @@ type Row struct {
 	Lower, Upper Bound
 	// L is the buffer capacity for the l-buffer rows (0 elsewhere).
 	L int
+	// MinN and MaxN bound the process counts the row's protocol is built
+	// for: MinN 0 means 1, MaxN 0 means no limit. Callers check them before
+	// Build, which panics outside them.
+	MinN, MaxN int
 	// Build constructs the upper-bound protocol for n processes; nil for
 	// rows whose upper bound is non-constructive in this codebase.
 	Build func(n int) *consensus.Protocol
@@ -117,6 +121,7 @@ func Table(l int) []Row {
 			Sets:  "{read, swap(x)}",
 			Lower: asym("Ω(√n)", func(n int) int { return int(math.Sqrt(float64(n))) }),
 			Upper: exact("n-1", func(n int) int { return n - 1 }),
+			MinN:  2,
 			Build: consensus.Swap,
 			Notes: "Algorithm 1 / Theorem 8.8 (anonymous); lower bound from [FHS98]",
 		},
@@ -219,6 +224,7 @@ func Table(l int) []Row {
 			Sets:   "{send(m), recv, deliver, drop}",
 			Lower:  exact("n", func(n int) int { return n }),
 			Upper:  exact("n", func(n int) int { return n }),
+			MaxN:   63,
 			Build:  consensus.QSC,
 			Quorum: true,
 			Notes: "message-passing companion: threshold adopt-commit over n channel locations, " +

@@ -37,13 +37,6 @@ type Machine interface {
 	// of the explorer's per-process dedup key, so any state that can affect
 	// future instructions must enter it.
 	Key() uint64
-	// SymKey is Key relative to a memory-location relabeling: every
-	// location the machine's current and future operations may touch is
-	// folded in through relabel, in a fixed role order. It is the
-	// counter-machine component of the symmetry-reduced state key
-	// (sim.SymKeyer); machines reference their location span and nothing
-	// else, so folding the whole span satisfies the SymKeyer contract.
-	SymKey(relabel func(loc int) int) uint64
 	// StartInc begins an increment of component v.
 	StartInc(v int) sim.OpInfo
 	// StartDec begins a decrement of component v; it panics on machines for
@@ -75,6 +68,21 @@ type Machine interface {
 	// up to the first result-dependent branch (one full collect for the
 	// multi-location machines), without starting the scan.
 	AppendScanRun(dst []sim.OpInfo) []sim.OpInfo
+}
+
+// SymMachine is a Machine with a symmetry-reduced key: the machines over a
+// fixed location span that behave the same under every process id. The
+// tracks machine (an unbounded span) and the register-array machine (each
+// process writes its own register) are plain Machines.
+type SymMachine interface {
+	Machine
+	// SymKey is Key relative to a memory-location relabeling: every
+	// location the machine's current and future operations may touch is
+	// folded in through relabel, in a fixed role order. It is the
+	// counter-machine component of the symmetry-reduced state key
+	// (sim.SymKeyer); machines reference their location span and nothing
+	// else, so folding the whole span satisfies the SymKeyer contract.
+	SymKey(relabel func(loc int) int) uint64
 }
 
 func mixKey(h, x uint64) uint64 { return machine.Mix64(h ^ x) }

@@ -99,3 +99,130 @@ func (c *Tracks) Scan() []int64 {
 		return counts, string(fp)
 	})
 }
+
+// TracksMachine is the forkable twin of Tracks: the same instruction stream,
+// with the per-track low-water marks (persistent) and the scan's progress
+// (transient) in plain fields. Every track read branches on its result — a
+// 1 moves along the track, a 0 moves to the next track — so no collect read
+// is certain in advance; only a scan's very first read is.
+type TracksMachine struct {
+	base, m int
+	tas     bool
+	low     []int64 // first position of each track not known to be 1
+	op      opKind
+	v       int // track of the in-flight scan read; 0 outside scans
+	// prev holds the previous collect's counts while havePrev is set. A
+	// completed collect's counts are the low-water marks themselves, so the
+	// collect in progress needs no buffer of its own.
+	prev     []int64
+	havePrev bool
+	counts   []int64
+}
+
+// NewTracksMachine mirrors NewTracks (tas=false) and NewTracksTAS (tas=true)
+// for m tracks starting at location base.
+func NewTracksMachine(base, m int, tas bool) *TracksMachine {
+	return &TracksMachine{base: base, m: m, tas: tas, low: make([]int64, m)}
+}
+
+func (c *TracksMachine) Components() int { return c.m }
+
+func (c *TracksMachine) Counts() []int64 { return c.counts }
+
+func (c *TracksMachine) Fork() Machine {
+	f := *c
+	f.low = append([]int64(nil), c.low...)
+	f.prev = append([]int64(nil), c.prev...)
+	f.counts = appendInto(nil, c.counts)
+	return &f
+}
+
+// ForkInto copies every slice into prev's storage: all three are private to
+// the machine (nothing it holds is ever published to memory), so reuse
+// cannot alias a live fork.
+func (c *TracksMachine) ForkInto(prev Machine) Machine {
+	p, ok := prev.(*TracksMachine)
+	if !ok {
+		return c.Fork()
+	}
+	low, prv, counts := p.low, p.prev, p.counts
+	*p = *c
+	p.low = append(low[:0], c.low...)
+	p.prev = append(prv[:0], c.prev...)
+	p.counts = appendInto(counts, c.counts)
+	return p
+}
+
+func (c *TracksMachine) Key() uint64 {
+	h := mixKey(0x74726b30, uint64(c.op)|uint64(c.v)<<8)
+	h = mixCounts(h, c.low)
+	if !c.havePrev {
+		return mixKey(h, 0)
+	}
+	return mixCounts(mixKey(h, 1), c.prev)
+}
+
+func (c *TracksMachine) read(track int) sim.OpInfo {
+	return sim.OpInfo{Loc: c.base + int(c.low[track])*c.m + track, Op: machine.OpRead}
+}
+
+// StartInc sets the position of track v from which this process last read
+// 0, advancing the mark at once: the mark is not read again before the
+// write's result arrives, and AppendScanRun must see the advanced mark.
+func (c *TracksMachine) StartInc(v int) sim.OpInfo {
+	pos := c.low[v]
+	c.low[v] = pos + 1
+	c.op = opInc
+	op := machine.OpWriteOne
+	if c.tas {
+		op = machine.OpTestAndSet
+	}
+	return sim.OpInfo{Loc: c.base + int(pos)*c.m + v, Op: op}
+}
+
+func (c *TracksMachine) StartDec(int) sim.OpInfo {
+	panic("counter: TracksMachine is unbounded; Dec unsupported")
+}
+
+func (c *TracksMachine) StartScan() sim.OpInfo {
+	c.op, c.v, c.havePrev = opScan, 0, false
+	return c.read(0)
+}
+
+func (c *TracksMachine) Step(res machine.Value) (sim.OpInfo, bool) {
+	if c.op != opScan {
+		c.op = opIdle
+		return sim.OpInfo{}, false
+	}
+	if mustInt64(res) != 0 {
+		c.low[c.v]++
+		return c.read(c.v), true
+	}
+	if c.v++; c.v < c.m {
+		return c.read(c.v), true
+	}
+	// One collect complete: its counts are the marks. Two equal
+	// consecutive collects form the snapshot (doubleCollect).
+	if c.havePrev && equalCounts(c.low, c.prev) {
+		c.counts = append(c.counts[:0], c.low...)
+		c.op, c.v, c.havePrev = opIdle, 0, false
+		return sim.OpInfo{}, false
+	}
+	c.prev = append(c.prev[:0], c.low...)
+	c.havePrev, c.v = true, 0
+	return c.read(0), true
+}
+
+// AppendRun: every track read branches on its result, and an increment is
+// one instruction, so nothing is certain past the in-flight instruction.
+func (c *TracksMachine) AppendRun(dst []sim.OpInfo) []sim.OpInfo { return dst }
+
+// OpEndsAfterRun: an increment completes with its result; a scan read may
+// continue along the track or recollect.
+func (c *TracksMachine) OpEndsAfterRun() bool { return c.op != opScan }
+
+// AppendScanRun: a scan starts with the read of track 0 at its mark; the
+// next read depends on that read's result.
+func (c *TracksMachine) AppendScanRun(dst []sim.OpInfo) []sim.OpInfo {
+	return append(dst, c.read(0))
+}

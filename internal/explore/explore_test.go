@@ -143,6 +143,10 @@ func TestStrategiesAgree(t *testing.T) {
 		{"max-registers-depth8", factoryFor(func() *consensus.Protocol { return consensus.MaxRegisters(2) }, []int{0, 1}), Options{MaxDepth: 8}},
 		{"add-depth7", factoryFor(func() *consensus.Protocol { return consensus.Add(2) }, []int{1, 0}), Options{MaxDepth: 7}},
 		{"buffered-depth7", factoryFor(func() *consensus.Protocol { return consensus.Buffered(2, 2) }, []int{1, 0}), Options{MaxDepth: 7}},
+		{"buffered-body-depth7", func() (*sim.System, error) {
+			pr := consensus.Buffered(2, 2)
+			return sim.NewSystem(pr.NewMemory(), []int{1, 0}, pr.Body), nil
+		}, Options{MaxDepth: 7}},
 		{"maxruns", factoryFor(func() *consensus.Protocol { return consensus.MaxRegisters(3) }, []int{0, 1, 2}), Options{MaxDepth: 12, MaxRuns: 5}},
 		{"solo", factoryFor(func() *consensus.Protocol { return consensus.CAS(2) }, []int{0, 1}), Options{SoloBudget: 5}},
 		{"broken", broken, Options{}},

@@ -209,3 +209,76 @@ func (r *Registers) ReadAll(slots []int) ([]any, string) {
 	}
 	return vals, string(append(fp, ']'))
 }
+
+// The two functions below are the instruction-level form of Registers, for
+// the forkable register-array machine (swreg.Machine): the payload types
+// stay private to this package, so the package builds the append's
+// buffer-write and decodes buffer-read results itself.
+
+// AppendSlotOp is the buffer-write that completes Registers.Write(slot,
+// val) by process pid, given the raw result of the append's get-history
+// read and the appender's sequence number for the new entry. The payload is
+// the one Append writes: the reconstructed history plus the new entry.
+func AppendSlotOp(loc int, raw []machine.Value, pid int, seq int64, slot int, val any) sim.OpInfo {
+	e := Entry{PID: pid, Seq: seq, Val: slotted{slot: slot, val: val}}
+	return sim.OpInfo{Loc: loc, Op: machine.OpBufferWrite,
+		Args: []machine.Value{record{hist: Reconstruct(raw), entry: e}}}
+}
+
+// NewestSlots decodes one l-buffer-read into the newest entry of each
+// register slot lo..lo+len(seqs)-1, exactly as Registers.ReadAll would find
+// it in the reconstructed history: seqs[i] is the entry's sequence number
+// (0 when the slot was never written) and vals[i] its value (set only when
+// seqs[i] is not 0). It walks the history newest first without
+// materializing it — the buffer's records, then the carried history
+// Reconstruct would prefix them with — and stops once every slot is
+// resolved. A slot is written only by the process it belongs to, so the
+// sequence number alone versions it. len(vals) must be at least len(seqs).
+func NewestSlots(raw []machine.Value, lo int, seqs []int64, vals []any) {
+	clear(seqs)
+	left := len(seqs)
+	resolve := func(e *Entry) {
+		sl := e.Val.(slotted)
+		if i := sl.slot - lo; i >= 0 && i < len(seqs) && seqs[i] == 0 {
+			seqs[i], vals[i] = e.Seq, sl.val
+			left--
+		}
+	}
+	// The records, newest first. Along the way, note what Reconstruct
+	// needs for the prefix: the record count, the oldest record, and the
+	// longest carried history (the newest among equally long ones, as
+	// Reconstruct's forward scan keeps the last).
+	nrec, first := 0, -1
+	var longest []Entry
+	for i := len(raw) - 1; i >= 0; i-- {
+		if raw[i] == nil {
+			continue
+		}
+		r := raw[i].(record)
+		if left > 0 {
+			resolve(&r.entry)
+			if left == 0 {
+				return
+			}
+		}
+		if first < 0 || len(r.hist) > len(longest) {
+			longest = r.hist
+		}
+		nrec, first = nrec+1, i
+	}
+	if nrec == 0 || nrec < len(raw) {
+		// Fewer than l appends ever happened: the records are the history.
+		return
+	}
+	x1 := raw[first].(record).entry
+	cut := len(longest)
+	for i := range longest {
+		if longest[i].sameID(x1) {
+			cut = i
+			break
+		}
+	}
+	for i := cut - 1; i >= 0 && left > 0; i-- {
+		resolve(&longest[i])
+	}
+}

@@ -271,3 +271,61 @@ func TestRegistersVersioning(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNewestSlotsMatchesReadAll pins NewestSlots, the forkable register
+// machines' collect decoder, to Registers.ReadAll's semantics over the
+// reconstructed history: after every step of random concurrent writers
+// (l slot owners, writing their own slot, at an offset so windows need not
+// start at 0), every window of slots decodes to the newest entry per slot
+// that a forward scan of Reconstruct's history finds.
+func TestNewestSlotsMatchesReadAll(t *testing.T) {
+	const offset = 3
+	for seed := int64(0); seed < 30; seed++ {
+		l := 1 + int(seed%4)
+		mem := newBufferMem(l)
+		body := func(p *sim.Proc) int {
+			r := NewRegisters(p, 0)
+			for i := 0; i < 4+p.ID(); i++ {
+				r.Write(offset+p.ID(), fmt.Sprintf("p%d-%d", p.ID(), i))
+			}
+			return 0
+		}
+		sys := sim.NewSystem(mem, make([]int, l), body)
+		sched := sim.NewRandom(seed)
+		for step := 0; ; step++ {
+			raw := make([]machine.Value, l)
+			buf := sys.Mem().PeekBuffer(0)
+			copy(raw[l-len(buf):], buf)
+			hist := Reconstruct(raw)
+			for lo := offset; lo < offset+l; lo++ {
+				for width := 1; lo+width <= offset+l; width++ {
+					wantSeq := make([]int64, width)
+					wantVal := make([]any, width)
+					for _, e := range hist {
+						sl := e.Val.(slotted)
+						if i := sl.slot - lo; i >= 0 && i < width {
+							wantSeq[i], wantVal[i] = e.Seq, sl.val
+						}
+					}
+					seqs := make([]int64, width)
+					vals := make([]any, width+1) // longer than seqs is allowed
+					NewestSlots(raw, lo, seqs, vals)
+					for i := range seqs {
+						if seqs[i] != wantSeq[i] || (seqs[i] != 0 && vals[i] != wantVal[i]) {
+							t.Fatalf("seed %d step %d slots [%d,%d): slot %d newest (%d, %v), ReadAll finds (%d, %v)",
+								seed, step, lo, lo+width, lo+i, seqs[i], vals[i], wantSeq[i], wantVal[i])
+						}
+					}
+				}
+			}
+			pid := sched.Next(sys)
+			if pid < 0 {
+				break
+			}
+			if _, err := sys.Step(pid); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sys.Close()
+	}
+}

@@ -43,9 +43,19 @@ type verifyParams struct {
 	workers    int // wall-clock only; not part of the result-cache key
 }
 
-// cacheKey derives the persistent result-cache key: the handle identity
-// (via the public CacheKey accessor, which canonicalizes the value domain
-// and buffer capacity) plus every result-affecting exploration parameter.
+// resultKeyGen is the result-cache key generation, the first coordinate of
+// every key. It changes whenever the reports an unchanged request produces
+// change, so records written by an older service miss instead of being
+// served stale. Generation 1 keys carried no tag; generation 2 began when
+// T1.1, T1.3, T1.5, T1.6 and T1.MA moved from the coroutine Body adapter to
+// forkable steppers, whose canonical state keys change those rows'
+// States, Runs, Deduped and DistinctStates.
+const resultKeyGen = 2
+
+// cacheKey derives the persistent result-cache key: the key generation,
+// the handle identity (via the public CacheKey accessor, which
+// canonicalizes the value domain and buffer capacity) and every
+// result-affecting exploration parameter.
 // Workers and frontier spilling are deliberately excluded — one exploration
 // walk with one claim rule makes every report field but Mem worker-count-
 // and spill-invariant, so including them would only fragment the cache.
@@ -58,8 +68,8 @@ func (vp verifyParams) cacheKey(p *repro.Protocol) string {
 	if vp.table == repro.TableExact {
 		tbytes = 0
 	}
-	return fmt.Sprintf("%s inputs=%v depth=%d runs=%d solo=%d sym=%t table=%s tbytes=%d",
-		p.CacheKey(), vp.inputs, vp.maxDepth, vp.maxRuns, vp.soloBudget,
+	return fmt.Sprintf("gen=%d %s inputs=%v depth=%d runs=%d solo=%d sym=%t table=%s tbytes=%d",
+		resultKeyGen, p.CacheKey(), vp.inputs, vp.maxDepth, vp.maxRuns, vp.soloBudget,
 		vp.symmetry, vp.table, tbytes)
 }
 

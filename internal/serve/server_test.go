@@ -107,6 +107,30 @@ func TestServeSolveErrors(t *testing.T) {
 	}
 }
 
+// TestServeOutsideRowRangeTwice: T1.5 (Algorithm 1) needs n >= 2 and
+// MP.QSC supports n <= 63. A request outside a row's range is a client
+// error on every request — the handle cache must not turn the first
+// refusal into a cached nil handle for the second.
+func TestServeOutsideRowRangeTwice(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, tc := range []struct {
+		row string
+		n   int
+	}{{"T1.5", 1}, {"MP.QSC", 64}} {
+		inputs := make([]int, tc.n)
+		for i := 0; i < 2; i++ {
+			var er ErrorResponse
+			if code := postJSON(t, ts.URL+"/solve", SolveRequest{Row: tc.row, Inputs: inputs}, &er); code != http.StatusBadRequest {
+				t.Fatalf("%s n=%d: solve request %d: HTTP %d, want 400 (%s)", tc.row, tc.n, i, code, er.Error)
+			}
+			er = ErrorResponse{}
+			if code := postJSON(t, ts.URL+"/verify", VerifyRequest{Row: tc.row, Inputs: inputs, MaxDepth: 4}, &er); code != http.StatusBadRequest {
+				t.Fatalf("%s n=%d: verify request %d: HTTP %d, want 400 (%s)", tc.row, tc.n, i, code, er.Error)
+			}
+		}
+	}
+}
+
 func TestServeBatchStreamsNDJSON(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	req := BatchRequest{Row: "T1.10", Runs: []BatchRun{
@@ -238,6 +262,52 @@ func TestServeVerifyJobLifecycleAndResultCache(t *testing.T) {
 	c, _ := json.Marshal(vr4.Report)
 	if !bytes.Equal(a, c) {
 		t.Fatalf("report changed across restart:\n before %s\n after  %s", a, c)
+	}
+}
+
+// TestServeVerifyCacheSkipsOldGeneration: a result-cache record written
+// under the untagged generation-1 key format, for a row whose reports the
+// stepper port changed, must miss — the request is queued and computed
+// afresh, and its report replaces the stale one.
+func TestServeVerifyCacheSkipsOldGeneration(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results")
+	vreq := VerifyRequest{Row: "T1.5", Inputs: []int{1, 2, 2}, MaxDepth: 10}
+	// The generation-1 key and the report the Body adapter produced for it.
+	oldKey := "row=T1.5 n=3 values=3 l=0 inputs=[1 2 2] depth=10 runs=0 solo=0 sym=false table=exact tbytes=0"
+	stale := &repro.VerifyReport{Runs: 243, States: 643, Deduped: 558, DistinctStates: 643}
+	p, err := repro.Compile(vreq.Row, len(vreq.Inputs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vp := verifyParams{inputs: vreq.Inputs, maxDepth: vreq.MaxDepth, table: repro.TableExact}
+	if got := vp.cacheKey(p); got != fmt.Sprintf("gen=%d %s", resultKeyGen, oldKey) {
+		t.Fatalf("key %q is not the generation-1 key %q behind a generation tag", got, oldKey)
+	}
+	c, err := openResultCache(path, quietLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.put(oldKey, stale); err != nil {
+		t.Fatal(err)
+	}
+	c.close()
+
+	_, ts := newTestServer(t, Config{ResultCachePath: path})
+	var vr VerifyResponse
+	if code := postJSON(t, ts.URL+"/verify", vreq, &vr); code != http.StatusAccepted || vr.Cached {
+		t.Fatalf("verify over an old-generation record: code=%d %+v, want a queued job", code, vr)
+	}
+	st := pollJob(t, ts.URL, vr.ID)
+	if st.State != JobDone {
+		t.Fatalf("job ended %s (%s)", st.State, st.Error)
+	}
+	if st.Report.DistinctStates == stale.DistinctStates {
+		t.Fatalf("fresh report %+v repeats the stale record", st.Report)
+	}
+	var hit VerifyResponse
+	if code := postJSON(t, ts.URL+"/verify", vreq, &hit); code != http.StatusOK || !hit.Cached ||
+		hit.Report.DistinctStates != st.Report.DistinctStates {
+		t.Fatalf("repeat verify: code=%d %+v, want the fresh report from the cache", code, hit)
 	}
 }
 

@@ -104,7 +104,8 @@ func (r *keyedRun) check(t *testing.T, all bool) {
 	}
 }
 
-// bodyRows are the Table 1 rows that run as Body adapters.
+// bodyRows are the Table 1 rows whose Body forms the adapters run here
+// (their compiled handles run the steppers twinned with these Bodies).
 func bodyRows(n int) map[string]*consensus.Protocol {
 	return map[string]*consensus.Protocol{
 		"T1.1":  consensus.TASTracks(n),
@@ -118,7 +119,9 @@ func bodyRows(n int) map[string]*consensus.Protocol {
 // adapterEngines builds a Body row's system on each Body adapter: the
 // coroutine adapter of the step-VM and the goroutine oracle.
 var adapterEngines = map[string]func(pr *consensus.Protocol, inputs []int) *sim.System{
-	"coroutine": func(pr *consensus.Protocol, inputs []int) *sim.System { return pr.MustSystem(inputs) },
+	"coroutine": func(pr *consensus.Protocol, inputs []int) *sim.System {
+		return sim.NewSystem(pr.NewMemory(), inputs, pr.Body)
+	},
 	"goroutine": func(pr *consensus.Protocol, inputs []int) *sim.System {
 		return sim.NewGoroutineSystem(pr.NewMemory(), inputs, pr.Body)
 	},
@@ -194,7 +197,7 @@ func TestConcurrentBodyStateKeys(t *testing.T) {
 	pr := consensus.Buffered(3, 2)
 	inputs := []int{0, 1, 2}
 	build := func() *sim.System {
-		sys := pr.MustSystem(inputs)
+		sys := sim.NewSystem(pr.NewMemory(), inputs, pr.Body)
 		sched := sim.NewRandom(3)
 		for i := 0; i < 30; i++ {
 			pid := sched.Next(sys)

@@ -135,3 +135,147 @@ func (a *Buffered) Collect() ([]any, string) {
 	}
 	return vals, string(fp)
 }
+
+// Machine is the forkable, instruction-level twin of one process's Direct
+// or Buffered handle, for register arrays whose values are []int64 vectors
+// (the racing counters' contribution vectors). It issues the handle's exact
+// instruction stream and writes identical payloads; the caller drives it
+// one instruction at a time. A write is begun with StartWrite and fed
+// through WriteStep; a collect is the fixed read sequence ReadOp(0..Reads-1),
+// each result decoded by Absorb. A collect's version vector — each
+// register's sequence number, 0 when never written — is what the handle's
+// fingerprint encodes, so equal vectors from consecutive collects certify a
+// snapshot exactly when equal fingerprints do.
+//
+// Machine is a value type: copying it forks it, except for the private
+// scratch slice, which Fork and ForkInto never share.
+type Machine struct {
+	base, n, id int
+	l           int // buffer capacity; 0 for a Direct array
+	seq         int64
+	// pending is the vector a Buffered write is publishing while its
+	// get-history read is in flight (nil otherwise). It was allocated for
+	// this write and is never mutated, so forks share it.
+	pending []int64
+	scratch []any // NewestSlots output, private
+}
+
+// NewDirectMachine is process id's Direct array of n registers at base.
+func NewDirectMachine(base, n, id int) Machine {
+	return Machine{base: base, n: n, id: id}
+}
+
+// NewBufferedMachine is process id's Buffered array of n registers over
+// l-buffers at base.
+func NewBufferedMachine(base, n, l, id int) Machine {
+	return Machine{base: base, n: n, id: id, l: l}
+}
+
+// Fork returns an independent copy.
+func (a *Machine) Fork() Machine {
+	f := *a
+	f.scratch = nil
+	return f
+}
+
+// ForkInto copies a into *dst, keeping dst's private scratch.
+func (a *Machine) ForkInto(dst *Machine) {
+	scratch := dst.scratch
+	*dst = *a
+	dst.scratch = scratch
+}
+
+// Key hashes the state that shapes future payloads: the sequence number
+// and whether a Buffered write is between its two instructions (the vector
+// it publishes is the caller's state).
+func (a *Machine) Key() uint64 {
+	h := machine.Mix64(uint64(a.seq) ^ 0x7377726d)
+	if a.pending != nil {
+		h = machine.Mix64(h ^ 1)
+	}
+	return h
+}
+
+// Registers returns n, the length of a collect's version vector.
+func (a *Machine) Registers() int { return a.n }
+
+// Reads returns how many instructions one collect issues: n for Direct,
+// ceil(n/l) for Buffered.
+func (a *Machine) Reads() int {
+	if a.l == 0 {
+		return a.n
+	}
+	return (a.n + a.l - 1) / a.l
+}
+
+// ReadOp returns the collect's j'th instruction.
+func (a *Machine) ReadOp(j int) sim.OpInfo {
+	if a.l == 0 {
+		return sim.OpInfo{Loc: a.base + j, Op: machine.OpRead}
+	}
+	return sim.OpInfo{Loc: a.base + j, Op: machine.OpBufferRead}
+}
+
+// Absorb decodes the result of ReadOp(j): it sets the version of every
+// register the read covers in vers (length n) and adds each written
+// register's vector into sums.
+func (a *Machine) Absorb(j int, res machine.Value, vers, sums []int64) {
+	if a.l == 0 {
+		if res == nil {
+			vers[j] = 0
+			return
+		}
+		c := res.(cell)
+		vers[j] = c.seq
+		addVec(sums, c.val)
+		return
+	}
+	lo := j * a.l
+	hi := min(lo+a.l, a.n)
+	if cap(a.scratch) < a.l {
+		a.scratch = make([]any, a.l)
+	}
+	vals := a.scratch[:a.l]
+	history.NewestSlots(res.([]machine.Value), lo, vers[lo:hi], vals)
+	for i := range hi - lo {
+		if vers[lo+i] != 0 {
+			addVec(sums, vals[i])
+		}
+	}
+}
+
+func addVec(sums []int64, v any) {
+	for i, x := range v.([]int64) {
+		sums[i] += x
+	}
+}
+
+// StartWrite begins writing val, which the caller must not mutate
+// afterwards, to the process's own register and returns the first
+// instruction: the write itself (Direct) or the append's get-history read
+// (Buffered).
+func (a *Machine) StartWrite(val []int64) sim.OpInfo {
+	if a.l == 0 {
+		a.seq++
+		return sim.OpInfo{Loc: a.base + a.id, Op: machine.OpWrite,
+			Args: []machine.Value{cell{seq: a.seq, val: val}}}
+	}
+	a.pending = val
+	return sim.OpInfo{Loc: a.base + a.id/a.l, Op: machine.OpBufferRead}
+}
+
+// WriteStep consumes the result of the write's in-flight instruction and
+// returns the next one (more=true) or completes the write.
+func (a *Machine) WriteStep(res machine.Value) (next sim.OpInfo, more bool) {
+	if a.pending == nil {
+		return sim.OpInfo{}, false
+	}
+	a.seq++
+	val := a.pending
+	a.pending = nil
+	return history.AppendSlotOp(a.base+a.id/a.l, res.([]machine.Value), a.id, a.seq, a.id, val), true
+}
+
+// WriteEndsAfterStep reports whether the write's in-flight instruction is
+// its last.
+func (a *Machine) WriteEndsAfterStep() bool { return a.pending == nil }
