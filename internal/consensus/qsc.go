@@ -343,27 +343,6 @@ func (s *qscStepper) Poise() (sim.OpInfo, bool) {
 	return sim.OpInfo{Loc: c.id, Op: machine.OpChanRecv}, true
 }
 
-// PoiseRun exposes the rest of the current broadcast as one straight-line
-// run: the remaining destinations are fixed no matter what the sends return.
-// While gathering, the run is the single pending receive.
-func (s *qscStepper) PoiseRun(dst []sim.OpInfo) []sim.OpInfo {
-	c := &s.core
-	if c.done {
-		return dst
-	}
-	if c.dest >= c.n {
-		return append(dst, sim.OpInfo{Loc: c.id, Op: machine.OpChanRecv})
-	}
-	s.args[0] = c.out
-	for d := c.dest; d < c.n; d++ {
-		if d == c.id {
-			continue
-		}
-		dst = append(dst, sim.OpInfo{Loc: d, Op: machine.OpChanSend, Args: s.args[:]})
-	}
-	return dst
-}
-
 func (s *qscStepper) Resume(res machine.Value) bool {
 	c := &s.core
 	if c.dest < c.n {

@@ -124,17 +124,6 @@ func (b *byzStepper) Poise() (sim.OpInfo, bool) {
 	return sim.OpInfo{Loc: b.id, Op: machine.OpChanRecv}, true
 }
 
-// PoiseRun: the remaining script is unconditional straight-line sends.
-func (b *byzStepper) PoiseRun(dst []sim.OpInfo) []sim.OpInfo {
-	if b.pos >= len(b.sends) {
-		return append(dst, sim.OpInfo{Loc: b.id, Op: machine.OpChanRecv})
-	}
-	for _, s := range b.sends[b.pos:] {
-		dst = append(dst, sim.OpInfo{Loc: s.dest, Op: machine.OpChanSend, Args: s.args})
-	}
-	return dst
-}
-
 func (b *byzStepper) Resume(machine.Value) bool {
 	if b.pos < len(b.sends) {
 		b.pos++

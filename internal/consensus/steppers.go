@@ -115,14 +115,6 @@ func (c *casStepper) ForkInto(prev sim.Stepper) sim.Stepper {
 	return c.Fork()
 }
 
-// PoiseRun: the whole protocol is one instruction.
-func (c *casStepper) PoiseRun(dst []sim.OpInfo) []sim.OpInfo {
-	if c.done {
-		return dst
-	}
-	return append(dst, sim.OpInfo{Loc: 0, Op: machine.OpCompareAndSwap, Args: c.args[:]})
-}
-
 func (c *casStepper) StateKey() uint64 { return machine.Mix64(uint64(c.input) ^ 0x636173) }
 
 func (c *casStepper) SymStateKey(relabel func(int) int) uint64 {
@@ -150,14 +142,6 @@ func (c *introFAA2TASStepper) Poise() (sim.OpInfo, bool) {
 		return sim.OpInfo{Loc: 0, Op: machine.OpFetchAndAdd, Args: faa2Args}, true
 	}
 	return sim.OpInfo{Loc: 0, Op: machine.OpTestAndSet}, true
-}
-
-// PoiseRun: one instruction, like CAS.
-func (c *introFAA2TASStepper) PoiseRun(dst []sim.OpInfo) []sim.OpInfo {
-	if op, ok := c.Poise(); ok {
-		dst = append(dst, op)
-	}
-	return dst
 }
 
 func (c *introFAA2TASStepper) Resume(res machine.Value) bool {
@@ -221,21 +205,6 @@ func (c *introDecMulStepper) Poise() (sim.OpInfo, bool) {
 		}
 		return sim.OpInfo{Loc: 0, Op: machine.OpMultiply, Args: c.mulArgs}, true
 	}
-}
-
-// PoiseRun: the update's result is ignored and the read follows it
-// unconditionally, so the whole protocol is one two-instruction run (or just
-// the read, when forked/keyed mid-protocol).
-func (c *introDecMulStepper) PoiseRun(dst []sim.OpInfo) []sim.OpInfo {
-	op, ok := c.Poise()
-	if !ok {
-		return dst
-	}
-	dst = append(dst, op)
-	if !c.reading {
-		dst = append(dst, sim.OpInfo{Loc: 0, Op: machine.OpRead})
-	}
-	return dst
 }
 
 func (c *introDecMulStepper) Resume(res machine.Value) bool {
@@ -359,29 +328,6 @@ func (s *maxRegStepper) Resume(res machine.Value) bool {
 		}
 	}
 	return false
-}
-
-// PoiseRun: every state but mrReadB2 continues deterministically into the
-// unrolled double collect — after a write the full collect [r1 r2 r1 r2] is
-// certain, and mid-collect the remaining reads are. Only the confirming
-// read's result (mrReadB2) branches: agree-and-decide, promote, catch up, or
-// recollect.
-func (s *maxRegStepper) PoiseRun(dst []sim.OpInfo) []sim.OpInfo {
-	if s.done {
-		return dst
-	}
-	dst = append(dst, s.pending)
-	switch s.pc {
-	case mrAnnounce, mrWrite:
-		dst = append(dst, readMax(0), readMax(1), readMax(0), readMax(1))
-	case mrReadA:
-		dst = append(dst, readMax(1), readMax(0), readMax(1))
-	case mrReadB:
-		dst = append(dst, readMax(0), readMax(1))
-	case mrReadA2:
-		dst = append(dst, readMax(1))
-	}
-	return dst
 }
 
 func (s *maxRegStepper) Outcome() (bool, int, error) { return s.done, s.decision, nil }
@@ -562,26 +508,6 @@ func (s *raceStepper) Resume(res machine.Value) bool {
 	return false
 }
 
-// PoiseRun delegates the run structure to the counter machine: the poised
-// instruction, then whatever the machine's in-flight operation is certain to
-// issue next (the rest of a collect). When the poised update is certain to
-// complete its operation, the Resume above unconditionally starts a scan, so
-// the run crosses the operation boundary into the scan's deterministic first
-// collect — the payoff case, fusing update + collect into one scheduling
-// round trip. Decisions only happen after a completed scan whose final read
-// is always run-final, so the RunPoiser contract holds.
-func (s *raceStepper) PoiseRun(dst []sim.OpInfo) []sim.OpInfo {
-	if s.done {
-		return dst
-	}
-	dst = append(dst, s.pending)
-	dst = s.cm.AppendRun(dst)
-	if s.stage == rsUpdate && s.cm.OpEndsAfterRun() {
-		dst = s.cm.AppendScanRun(dst)
-	}
-	return dst
-}
-
 func (s *raceStepper) Outcome() (bool, int, error) { return s.done, s.decision, nil }
 func (s *raceStepper) Halt()                       {}
 
@@ -640,12 +566,11 @@ func newExactRaceStepper(cm counter.Machine, n, input int) *exactRaceStepper {
 	return s
 }
 
-func (s *exactRaceStepper) Poise() (sim.OpInfo, bool)              { return s.r.Poise() }
-func (s *exactRaceStepper) Resume(res machine.Value) bool          { return s.r.Resume(res) }
-func (s *exactRaceStepper) PoiseRun(dst []sim.OpInfo) []sim.OpInfo { return s.r.PoiseRun(dst) }
-func (s *exactRaceStepper) Outcome() (bool, int, error)            { return s.r.Outcome() }
-func (s *exactRaceStepper) Halt()                                  {}
-func (s *exactRaceStepper) StateKey() uint64                       { return s.r.StateKey() }
+func (s *exactRaceStepper) Poise() (sim.OpInfo, bool)     { return s.r.Poise() }
+func (s *exactRaceStepper) Resume(res machine.Value) bool { return s.r.Resume(res) }
+func (s *exactRaceStepper) Outcome() (bool, int, error)   { return s.r.Outcome() }
+func (s *exactRaceStepper) Halt()                         {}
+func (s *exactRaceStepper) StateKey() uint64              { return s.r.StateKey() }
 
 func (s *exactRaceStepper) Fork() sim.Stepper {
 	f := &exactRaceStepper{r: s.r}
@@ -853,20 +778,6 @@ func (s *mvStepper) Resume(res machine.Value) bool {
 		return s.done
 	}
 	return false
-}
-
-// PoiseRun: inside a round the nested binary-consensus stepper defines the
-// run; the record and recover instructions branch per result (record's
-// successor is a fresh sub-stepper, recover's next read depends on the bit
-// observed), so they stay single-instruction runs.
-func (s *mvStepper) PoiseRun(dst []sim.OpInfo) []sim.OpInfo {
-	if s.done || s.err != nil {
-		return dst
-	}
-	if s.phase == mvpRound {
-		return s.sub.PoiseRun(dst)
-	}
-	return append(dst, s.pending)
 }
 
 func (s *mvStepper) Outcome() (bool, int, error) { return s.done, s.decision, s.err }

@@ -330,25 +330,6 @@ func (st *swapStepper) afterScan() bool {
 	return false
 }
 
-// PoiseRun: the rest of a collect is certain, and so is a whole collect
-// after the swap (the rescan starts unconditionally). A collect's last read
-// is where the scan ends or repeats, so runs stop there; decisions happen
-// only on it.
-func (st *swapStepper) PoiseRun(dst []sim.OpInfo) []sim.OpInfo {
-	if st.done {
-		return dst
-	}
-	dst = append(dst, st.pending)
-	from := st.j + 1
-	if st.pc == swSwap {
-		from = 0
-	}
-	for j := from; j < st.k; j++ {
-		dst = append(dst, sim.OpInfo{Loc: j, Op: machine.OpRead})
-	}
-	return dst
-}
-
 func (st *swapStepper) Outcome() (bool, int, error) { return st.done, st.decision, nil }
 func (st *swapStepper) Halt()                       {}
 

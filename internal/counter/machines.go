@@ -49,25 +49,6 @@ type Machine interface {
 	// Counts returns the result of the last completed scan. Callers must
 	// not retain it across operations or mutate it.
 	Counts() []int64
-
-	// The three methods below expose the machine's straight-line structure
-	// for superword step fusion (sim.RunPoiser); none of them mutates the
-	// machine.
-
-	// AppendRun appends the instructions that are certain to follow the
-	// operation's in-flight instruction, in order, stopping at the first
-	// result-dependent branch — e.g. the remaining reads of the collect in
-	// progress. Empty means the next instruction (if any) depends on the
-	// in-flight result.
-	AppendRun(dst []sim.OpInfo) []sim.OpInfo
-	// OpEndsAfterRun reports whether the in-flight operation is certain to
-	// complete once the in-flight instruction and the AppendRun suffix have
-	// consumed their results, regardless of what those results are.
-	OpEndsAfterRun() bool
-	// AppendScanRun appends the instruction prefix a StartScan would issue,
-	// up to the first result-dependent branch (one full collect for the
-	// multi-location machines), without starting the scan.
-	AppendScanRun(dst []sim.OpInfo) []sim.OpInfo
 }
 
 // SymMachine is a Machine with a symmetry-reduced key: the machines over a
@@ -140,13 +121,6 @@ type flatMachine struct {
 func (f *flatMachine) Components() int { return f.m }
 
 func (f *flatMachine) Counts() []int64 { return f.counts }
-
-// Every flat-machine operation is a single instruction: nothing ever follows
-// the in-flight one within the operation, and consuming its result always
-// completes the operation.
-func (f *flatMachine) AppendRun(dst []sim.OpInfo) []sim.OpInfo { return dst }
-
-func (f *flatMachine) OpEndsAfterRun() bool { return true }
 
 func (f *flatMachine) baseKey(tag uint64) uint64 {
 	return mixKey(tag, uint64(f.op))
@@ -236,10 +210,6 @@ func (c *AddMachine) StartScan() sim.OpInfo {
 	return c.scanOp
 }
 
-func (c *AddMachine) AppendScanRun(dst []sim.OpInfo) []sim.OpInfo {
-	return append(dst, c.scanOp)
-}
-
 func (c *AddMachine) Step(res machine.Value) (sim.OpInfo, bool) {
 	if c.op == opScan {
 		c.counts = decodeDigits(machine.MustInt(res), c.base, c.m)
@@ -319,10 +289,6 @@ func (c *MulMachine) StartScan() sim.OpInfo {
 	return c.scanOp
 }
 
-func (c *MulMachine) AppendScanRun(dst []sim.OpInfo) []sim.OpInfo {
-	return append(dst, c.scanOp)
-}
-
 func (c *MulMachine) Step(res machine.Value) (sim.OpInfo, bool) {
 	if c.op == opScan {
 		c.counts = decodeFactors(machine.MustInt(res), c.prms)
@@ -394,10 +360,6 @@ func (c *SetBitMachine) StartDec(int) sim.OpInfo {
 func (c *SetBitMachine) StartScan() sim.OpInfo {
 	c.op = opScan
 	return sim.OpInfo{Loc: c.loc, Op: machine.OpRead}
-}
-
-func (c *SetBitMachine) AppendScanRun(dst []sim.OpInfo) []sim.OpInfo {
-	return append(dst, sim.OpInfo{Loc: c.loc, Op: machine.OpRead})
 }
 
 func (c *SetBitMachine) Step(res machine.Value) (sim.OpInfo, bool) {
@@ -584,32 +546,6 @@ func (c *IncMachine) Step(res machine.Value) (sim.OpInfo, bool) {
 	c.cur = c.scanBuf()
 	c.idx = 0
 	return c.read(0), true
-}
-
-// AppendRun: mid-scan, the in-flight read is read(idx) and the rest of the
-// collect — reads idx+1..m-1 — is certain to follow; the collect's final
-// result decides whether the scan repeats or completes, so the run stops
-// there. Inc is a single instruction with nothing following.
-func (c *IncMachine) AppendRun(dst []sim.OpInfo) []sim.OpInfo {
-	if c.op == opScan {
-		for i := c.idx + 1; i < c.m; i++ {
-			dst = append(dst, c.read(i))
-		}
-	}
-	return dst
-}
-
-// OpEndsAfterRun: an increment completes with its single result; a scan may
-// repeat its collect, so its completion is result-dependent.
-func (c *IncMachine) OpEndsAfterRun() bool { return c.op != opScan }
-
-// AppendScanRun: StartScan deterministically issues the first full collect,
-// reads 0..m-1, before its first result-dependent branch.
-func (c *IncMachine) AppendScanRun(dst []sim.OpInfo) []sim.OpInfo {
-	for i := 0; i < c.m; i++ {
-		dst = append(dst, c.read(i))
-	}
-	return dst
 }
 
 func equalCounts(a, b []int64) bool {
@@ -805,35 +741,6 @@ func (c *UnaryMachine) Step(res machine.Value) (sim.OpInfo, bool) {
 	}
 	c.op = opIdle
 	return sim.OpInfo{}, false
-}
-
-// AppendRun: mid-scan, the remaining reads of the current collect (flat bit
-// index idx+1..m*width-1) are certain. The inc/dec search reads are each
-// result-dependent (the next location depends on the observed bit), so they
-// never fuse; the flip instruction has nothing following it.
-func (c *UnaryMachine) AppendRun(dst []sim.OpInfo) []sim.OpInfo {
-	if c.op == opScan {
-		for i := c.idx + 1; i < c.m*c.width; i++ {
-			dst = append(dst, sim.OpInfo{Loc: c.base + i, Op: machine.OpRead})
-		}
-	}
-	return dst
-}
-
-// OpEndsAfterRun: only the in-flight flip ends its operation unconditionally;
-// a search read may have to continue searching and a scan may recollect.
-func (c *UnaryMachine) OpEndsAfterRun() bool {
-	return (c.op == opInc || c.op == opDec) && c.sub == uFlip
-}
-
-// AppendScanRun: StartScan deterministically issues one full collect — reads
-// of all m*width bit locations — before its first result-dependent branch
-// (a first collect can never complete the scan: confirming >= 2).
-func (c *UnaryMachine) AppendScanRun(dst []sim.OpInfo) []sim.OpInfo {
-	for i := 0; i < c.m*c.width; i++ {
-		dst = append(dst, sim.OpInfo{Loc: c.base + i, Op: machine.OpRead})
-	}
-	return dst
 }
 
 func equalBits(a, b []bool) bool {

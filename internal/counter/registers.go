@@ -182,29 +182,3 @@ func (c *RegistersMachine) Step(res machine.Value) (sim.OpInfo, bool) {
 	c.op = opIdle
 	return sim.OpInfo{}, false
 }
-
-// AppendRun: mid-scan, the rest of the collect's reads are certain. A
-// write's second instruction (the Buffered append's buffer-write) carries
-// the history its first one reads, so it is never certain in advance.
-func (c *RegistersMachine) AppendRun(dst []sim.OpInfo) []sim.OpInfo {
-	if c.op == opScan {
-		for j := c.j + 1; j < c.arr.Reads(); j++ {
-			dst = append(dst, c.arr.ReadOp(j))
-		}
-	}
-	return dst
-}
-
-// OpEndsAfterRun: a write ends with its last instruction; a scan may
-// recollect.
-func (c *RegistersMachine) OpEndsAfterRun() bool {
-	return c.op == opInc && c.arr.WriteEndsAfterStep()
-}
-
-// AppendScanRun: a scan starts with one full collect.
-func (c *RegistersMachine) AppendScanRun(dst []sim.OpInfo) []sim.OpInfo {
-	for j := 0; j < c.arr.Reads(); j++ {
-		dst = append(dst, c.arr.ReadOp(j))
-	}
-	return dst
-}

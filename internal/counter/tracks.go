@@ -168,7 +168,7 @@ func (c *TracksMachine) read(track int) sim.OpInfo {
 
 // StartInc sets the position of track v from which this process last read
 // 0, advancing the mark at once: the mark is not read again before the
-// write's result arrives, and AppendScanRun must see the advanced mark.
+// write's result arrives.
 func (c *TracksMachine) StartInc(v int) sim.OpInfo {
 	pos := c.low[v]
 	c.low[v] = pos + 1
@@ -211,18 +211,4 @@ func (c *TracksMachine) Step(res machine.Value) (sim.OpInfo, bool) {
 	c.prev = append(c.prev[:0], c.low...)
 	c.havePrev, c.v = true, 0
 	return c.read(0), true
-}
-
-// AppendRun: every track read branches on its result, and an increment is
-// one instruction, so nothing is certain past the in-flight instruction.
-func (c *TracksMachine) AppendRun(dst []sim.OpInfo) []sim.OpInfo { return dst }
-
-// OpEndsAfterRun: an increment completes with its result; a scan read may
-// continue along the track or recollect.
-func (c *TracksMachine) OpEndsAfterRun() bool { return c.op != opScan }
-
-// AppendScanRun: a scan starts with the read of track 0 at its mark; the
-// next read depends on that read's result.
-func (c *TracksMachine) AppendScanRun(dst []sim.OpInfo) []sim.OpInfo {
-	return append(dst, c.read(0))
 }

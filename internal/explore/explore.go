@@ -1,11 +1,12 @@
 // Package explore systematically enumerates process interleavings of a
 // deterministic protocol, checking consensus safety over every schedule up
-// to a bound. Configurations are first-class: System.Fork snapshots a
-// configuration in O(state) for protocols expressed as explicit forkable
-// steppers (every racing/TAS/CAS/max-register row — see
-// internal/consensus/steppers.go) and by per-process result-replay for the
-// coroutine Body adapters, so the explorer forks at branch points instead of
-// re-executing the whole schedule prefix from a fresh system. Systems that
+// to a bound. Configurations are first-class, so the explorer forks at
+// branch points instead of re-executing the whole schedule prefix from a
+// fresh system. Every Table 1 row runs as explicit forkable steppers (see
+// internal/consensus/steppers.go), which System.Fork copies in O(state).
+// Per-process result-replay through the coroutine Body adapter forks only
+// the protocols that exist as Bodies alone: the sticky tracks,
+// BufferedHeterogeneous, examples/ledger and SetBody variants. Systems that
 // cannot fork are refused with sim.ErrNotForkable.
 //
 // There is one walk (walk.go): a depth-first search over a work-stealing

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"strconv"
 	"sync"
 
 	"repro"
@@ -126,11 +127,11 @@ func (c *resultCache) compactLog() (err error) {
 	}()
 	w := bufio.NewWriter(f)
 	for key, rep := range c.index {
-		var body []byte
-		if body, err = json.Marshal(resultRecord{Key: key, Report: rep}); err != nil {
+		var line []byte
+		if line, err = encodeRecord(key, rep); err != nil {
 			return err
 		}
-		if _, err = fmt.Fprintf(w, "%08x %s\n", crc32.ChecksumIEEE(body), body); err != nil {
+		if _, err = w.Write(line); err != nil {
 			return err
 		}
 	}
@@ -146,19 +147,30 @@ func (c *resultCache) compactLog() (err error) {
 	return os.Rename(tmp, c.path)
 }
 
-// decodeRecord parses and checks one log line.
+// encodeRecord frames one record as a log line, newline included.
+func encodeRecord(key string, rep *repro.VerifyReport) ([]byte, error) {
+	body, err := json.Marshal(resultRecord{Key: key, Report: rep})
+	if err != nil {
+		return nil, err
+	}
+	return fmt.Appendf(nil, "%08x %s\n", crc32.ChecksumIEEE(body), body), nil
+}
+
+// decodeRecord parses and checks one log line, without its newline.
 func decodeRecord(line []byte) (resultRecord, error) {
 	var rec resultRecord
 	sp := bytes.IndexByte(line, ' ')
 	if sp != 8 {
 		return rec, fmt.Errorf("bad framing (want 8-hex-digit checksum prefix)")
 	}
-	var sum uint32
-	if _, err := fmt.Sscanf(string(line[:8]), "%08x", &sum); err != nil {
+	// All eight bytes must be hex digits: a scan that stops at the first
+	// non-hex byte would take "8406dcbg" as 0x8406dcb.
+	sum, err := strconv.ParseUint(string(line[:8]), 16, 32)
+	if err != nil {
 		return rec, fmt.Errorf("bad checksum field: %v", err)
 	}
 	body := line[sp+1:]
-	if got := crc32.ChecksumIEEE(body); got != sum {
+	if got := crc32.ChecksumIEEE(body); got != uint32(sum) {
 		return rec, fmt.Errorf("checksum mismatch (stored %08x, computed %08x)", sum, got)
 	}
 	if err := json.Unmarshal(body, &rec); err != nil {
@@ -188,18 +200,17 @@ func (c *resultCache) get(key string) (*repro.VerifyReport, bool) {
 // if the append fails (the result is correct either way); persistent write
 // failures are counted and reported to the caller.
 func (c *resultCache) put(key string, rep *repro.VerifyReport) error {
-	body, err := json.Marshal(resultRecord{Key: key, Report: rep})
+	line, err := encodeRecord(key, rep)
 	if err != nil {
 		return fmt.Errorf("result cache: %w", err)
 	}
-	line := fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(body), body)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.index[key] = rep
 	if c.f == nil {
 		return nil
 	}
-	if _, err := c.f.WriteString(line); err != nil {
+	if _, err := c.f.Write(line); err != nil {
 		c.writeErrs++
 		return fmt.Errorf("result cache append: %w", err)
 	}

@@ -182,7 +182,7 @@ func (s *System) procEnabled(ps *procState) bool {
 	if len(s.chanLocs) == 0 {
 		return true
 	}
-	info := ps.poisedInfo()
+	info := ps.poised
 	if info.Multi != nil {
 		return true
 	}
@@ -222,7 +222,7 @@ func (s *System) stepDelivery(pid int) (StepInfo, error) {
 }
 
 // Send returns the OpInfo for sending msg on channel loc, for steppers
-// assembling poised instructions or straight-line broadcast runs.
+// assembling poised instructions.
 func Send(loc int, msg machine.Value) OpInfo {
 	return OpInfo{Loc: loc, Op: machine.OpChanSend, Args: []machine.Value{msg}}
 }

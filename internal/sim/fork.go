@@ -61,7 +61,7 @@ func (d doneStepper) Fork() Stepper               { return d }
 //
 // With a Pool attached (SetPool), Fork first tries to rebuild the copy
 // inside a recycled System, reusing its memory clone buffers, process
-// states, cached runs, and — through ForkerInto — the recycled steppers'
+// states, and — through ForkerInto — the recycled steppers'
 // own heap state. In steady state a fork/step/close cycle then allocates
 // nothing.
 func (s *System) Fork() (*System, error) {
@@ -81,7 +81,7 @@ func (s *System) Fork() (*System, error) {
 	}
 	n.inputs = s.inputs // never mutated after construction
 	n.steps = s.steps
-	n.tracing, n.nofuse = s.tracing, s.nofuse
+	n.tracing = s.tracing
 	n.pool, n.pooled = s.pool, s.pool != nil
 	n.closed = false
 	// Delivery state: the layout slices are structural and immutable after
@@ -101,7 +101,6 @@ func (s *System) Fork() (*System, error) {
 			// was parked in spare.
 			prev = nps.spare
 		}
-		nps.rp, nps.run, nps.pos = nil, nps.run[:0], 0
 		nps.poised, nps.hasPoise = OpInfo{}, false
 		nps.decided, nps.decision = ps.decided, ps.decision
 		nps.crashed, nps.err = ps.crashed, ps.err
@@ -109,64 +108,32 @@ func (s *System) Fork() (*System, error) {
 		// StateHash128 contribution carries over verbatim (stale or not).
 		nps.hcLo, nps.hcHi = ps.hcLo, ps.hcHi
 		nps.hcKeyed, nps.hcAdapter, nps.hcValid = ps.hcKeyed, ps.hcAdapter, ps.hcValid
-		var st Stepper
-		switch {
-		case !ps.hasPoise || ps.crashed:
-			nps.spare = prev // keep the live stepper storage for a later fork
-			nps.doneSt = doneStepper{decided: ps.decided, decision: ps.decision, err: ps.err}
-			st = &nps.doneSt
-		default:
-			if fi, ok := ps.st.(ForkerInto); ok {
-				st = fi.ForkInto(prev)
-			} else if f, ok := ps.st.(Forker); ok {
-				st = f.Fork()
-			} else if rf, ok := ps.st.(replayForker); ok {
-				if st, ok = rf.forkInto(&n.steps); !ok {
-					st = nil
-				}
-			}
-			if st == nil {
-				for _, built := range n.procs[:i+1] {
-					if built.st != nil {
-						built.st.Halt()
-					}
-				}
-				return nil, fmt.Errorf("%w: process %d (%T)", ErrNotForkable, i, ps.st)
-			}
-		}
-		nps.st = st
-		if ps.rp != nil {
-			if rp, ok := st.(RunPoiser); ok {
-				// The forked stepper is at the source's exact state, so the
-				// unexecuted remainder of the source's straight-line run is
-				// its run too: inherit it instead of re-asking the stepper.
-				// (A fresh PoiseRun could only extend it, and a shorter run
-				// just means an earlier re-poise — always sound.)
-				nps.rp = rp
-				nps.run = append(nps.run, ps.run[ps.pos:]...) // non-empty: the source is live
-				// Sever argument aliasing: the inherited entries' Args point
-				// into the source stepper's reusable poise slots, which go
-				// stale the moment the source re-poises — or, under pooling,
-				// when its recycled storage is re-poised by another fork.
-				// Two passes: argsBuf may grow (and move) while gathering.
-				nps.argsBuf = nps.argsBuf[:0]
-				for i := range nps.run {
-					nps.argsBuf = append(nps.argsBuf, nps.run[i].Args...)
-				}
-				for i, off := 0, 0; i < len(nps.run); i++ {
-					if na := len(nps.run[i].Args); na > 0 {
-						nps.run[i].Args = nps.argsBuf[off : off+na : off+na]
-						off += na
-					}
-				}
-				nps.hasPoise = true
-				continue
-			}
-		}
 		if !ps.hasPoise || ps.crashed {
 			// Terminal stub: the outcome fields are already copied.
+			nps.spare = prev // keep the live stepper storage for a later fork
+			nps.doneSt = doneStepper{decided: ps.decided, decision: ps.decision, err: ps.err}
+			nps.st = &nps.doneSt
 			continue
 		}
+		var st Stepper
+		if fi, ok := ps.st.(ForkerInto); ok {
+			st = fi.ForkInto(prev)
+		} else if f, ok := ps.st.(Forker); ok {
+			st = f.Fork()
+		} else if rf, ok := ps.st.(replayForker); ok {
+			if st, ok = rf.forkInto(&n.steps); !ok {
+				st = nil
+			}
+		}
+		if st == nil {
+			for _, built := range n.procs[:i+1] {
+				if built.st != nil {
+					built.st.Halt()
+				}
+			}
+			return nil, fmt.Errorf("%w: process %d (%T)", ErrNotForkable, i, ps.st)
+		}
+		nps.st = st
 		nps.refresh()
 	}
 	n.hcAggLo, n.hcAggHi = s.hcAggLo, s.hcAggHi

@@ -50,12 +50,6 @@ type Proc struct {
 	// result once the scheduler has executed it. Set by the engine adapter.
 	// It panics errKilled to unwind the body on crash or close.
 	submit func(info OpInfo) machine.Value
-	// submitRun parks the body on a straight-line run of instructions and
-	// returns once all results are in — one suspension for the whole run.
-	// Set only by engines that fuse superword runs (the coroutine adapter
-	// with fusion enabled); ApplyRun falls back to per-instruction submit
-	// when nil.
-	submitRun func(dst []machine.Value, ops []OpInfo) []machine.Value
 }
 
 // ID returns the process id in 0..n-1.
@@ -88,29 +82,6 @@ func (p *Proc) Clock() int64 {
 // panic into a run error.
 func (p *Proc) Apply(loc int, op machine.Op, args ...machine.Value) machine.Value {
 	return p.submit(OpInfo{Loc: loc, Op: op, Args: args})
-}
-
-// ApplyRun performs a straight-line run of atomic instructions and appends
-// their results to dst (pass a reused scratch slice to avoid allocation).
-// Each entry is still one scheduler-allocated atomic step, executed and
-// interleaved exactly as if issued by consecutive Apply calls; what changes
-// is that the body suspends once for the whole run instead of once per
-// instruction (superword step fusion), when the engine supports it. The
-// run must be straight-line: no instruction may depend — in operands or in
-// whether it is issued — on the results of earlier instructions in the
-// same run. Collect loops over fixed location ranges are the canonical
-// use. An empty run returns dst unchanged without suspending.
-func (p *Proc) ApplyRun(dst []machine.Value, ops []OpInfo) []machine.Value {
-	if len(ops) == 0 {
-		return dst
-	}
-	if p.submitRun == nil {
-		for _, op := range ops {
-			dst = append(dst, p.submit(op))
-		}
-		return dst
-	}
-	return p.submitRun(dst, ops)
 }
 
 // MultiAssign atomically performs one write-class instruction per listed

@@ -41,36 +41,6 @@ type Stepper interface {
 	Halt()
 }
 
-// RunPoiser is the optional Stepper extension behind superword step fusion:
-// a stepper that can expose, in one call, the straight-line run of
-// instructions it is committed to perform next. The returned run must start
-// with the instruction Poise would return, and every later entry must be
-// certain to be issued in exactly that order regardless of the results the
-// run's earlier instructions produce — no branch, no decision, no
-// data-dependent operand between them. A correct implementation therefore
-// never finishes (Resume reporting done) before the run's final result.
-//
-// The System executes such a run without re-consulting the stepper's poise
-// point between instructions: each result is still delivered through Resume
-// as it is produced (so stepper-observable state — keys, outcomes — is
-// identical to unfused execution at every step boundary), but the per-step
-// Poise call and its OpInfo copy are replaced by one PoiseRun per run, and
-// forks inherit the unexecuted remainder of the run instead of re-asking
-// the forked stepper. Fusion never changes how the execution interleaves —
-// each instruction remains one atomic scheduler step with its own
-// interleaving point. Because the run is predetermined, any Args slices its
-// entries carry must stay valid and unmutated until executed (the same
-// exposure a cached Poise result already has).
-//
-// PoiseRun appends to dst and returns the extended slice. An empty result
-// means the process has finished (the Poise ok=false case); a stepper that
-// can only predict its next instruction returns a one-element run.
-// WithoutFusion disables the fast path, driving RunPoisers through the
-// plain Poise/Resume protocol.
-type RunPoiser interface {
-	PoiseRun(dst []OpInfo) []OpInfo
-}
-
 // Forker is the optional Stepper extension behind System.Fork: a stepper
 // that can produce an independent copy of itself at its current poise
 // point. Explicit state machines (the ported protocols in
@@ -221,19 +191,11 @@ type coroStepper struct {
 	replayLog
 	// slot is the single rendezvous cell shared with the body's coroutine.
 	// Accesses never race: control is in exactly one of the two frames at a
-	// time (the defining property of a coroutine). While the body is parked
-	// inside ApplyRun, ops holds its declared run and the VM appends each
-	// result to dst without a coroutine switch; the switch happens once,
-	// when the run's final result arrives. For a plain Apply, ops is nil
-	// and info/res rendezvous per instruction as before.
+	// time (the defining property of a coroutine).
 	slot struct {
-		info OpInfo          // poised instruction, body → VM (plain Apply)
-		res  machine.Value   // instruction result, VM → body (plain Apply)
-		ops  []OpInfo        // poised run, body → VM (ApplyRun)
-		dst  []machine.Value // run results, VM → body (ApplyRun)
+		info OpInfo        // poised instruction, body → VM
+		res  machine.Value // instruction result, VM → body
 	}
-	buffered int // results of the current run consumed but not delivered
-	fused    bool
 	next     func() (struct{}, bool)
 	stop     func()
 	finished bool
@@ -244,10 +206,8 @@ type coroStepper struct {
 
 // newCoroStepper starts body as a coroutine and runs it to its first poise
 // point (or to completion, for a body that decides without any instruction).
-// fused enables superword runs: a body's ApplyRun then suspends once per
-// run instead of once per instruction (see Proc.ApplyRun).
-func newCoroStepper(id, n, input int, clock *int64, body Body, fused bool) *coroStepper {
-	c := &coroStepper{replayLog: replayLog{id: id, n: n, input: input, body: body, clock: clock}, fused: fused}
+func newCoroStepper(id, n, input int, clock *int64, body Body) *coroStepper {
+	c := &coroStepper{replayLog: replayLog{id: id, n: n, input: input, body: body, clock: clock}}
 	seq := func(yield func(struct{}) bool) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -266,17 +226,6 @@ func newCoroStepper(id, n, input int, clock *int64, body Body, fused bool) *coro
 			}
 			return c.slot.res
 		}
-		if fused {
-			p.submitRun = func(dst []machine.Value, ops []OpInfo) []machine.Value {
-				c.slot.ops, c.slot.dst = ops, dst
-				if !yield(struct{}{}) {
-					panic(errKilled)
-				}
-				out := c.slot.dst
-				c.slot.ops, c.slot.dst = nil, nil
-				return out
-			}
-		}
 		v := body(p)
 		c.decided, c.decision = true, v
 	}
@@ -291,9 +240,6 @@ func (c *coroStepper) Poise() (OpInfo, bool) {
 	if c.finished {
 		return OpInfo{}, false
 	}
-	if len(c.slot.ops) != 0 {
-		return c.slot.ops[c.buffered], true
-	}
 	return c.slot.info, true
 }
 
@@ -304,19 +250,7 @@ func (c *coroStepper) Resume(res machine.Value) bool {
 
 // deliver hands res to the body, without recording it.
 func (c *coroStepper) deliver(res machine.Value) bool {
-	if n := len(c.slot.ops); n != 0 {
-		// The body is parked inside ApplyRun: buffer the result and switch
-		// into the coroutine only on the run's final one. Recording (in
-		// Resume) stays per-instruction, so state keys and result-replay
-		// forks are position-exact regardless of fusion.
-		c.slot.dst = append(c.slot.dst, res)
-		if c.buffered++; c.buffered < n {
-			return false
-		}
-		c.buffered = 0
-	} else {
-		c.slot.res = res
-	}
+	c.slot.res = res
 	if _, ok := c.next(); !ok {
 		c.finished = true
 	}
@@ -336,7 +270,7 @@ func (c *coroStepper) forkInto(clock *int64) (Stepper, bool) {
 	}
 	saved := *clock
 	*clock = 0 // the original body started at step 0
-	f := newCoroStepper(c.id, c.n, c.input, clock, c.body, c.fused)
+	f := newCoroStepper(c.id, c.n, c.input, clock, c.body)
 	for i, res := range c.results {
 		*clock = c.clocks[i]
 		f.deliver(machine.CloneValue(res))

@@ -18,22 +18,7 @@ var (
 
 // procState is the System-side view of one process.
 type procState struct {
-	st Stepper
-	// rp is non-nil when st opts into superword step fusion (RunPoiser) and
-	// the system has fusion enabled. The fused fast path then replaces the
-	// per-step Poise with one PoiseRun per straight-line run: run[pos] is the
-	// poised instruction, and the stepper is only re-asked when the run is
-	// exhausted. Results are still delivered to the stepper one Resume per
-	// step, so stepper-observable state is identical to unfused execution at
-	// every step boundary.
-	rp  RunPoiser
-	run []OpInfo // rp only: cached straight-line run
-	pos int      // rp only: next instruction within run
-	// argsBuf backs the Args of a run inherited by Fork: inherited entries
-	// must not alias the source stepper's reusable argument slots, which the
-	// source (or, under pooling, whoever recycles its storage) re-poises
-	// over. Reused across forks, so severing costs no steady-state allocs.
-	argsBuf  []machine.Value
+	st       Stepper
 	poised   OpInfo // cached poised instruction; valid while hasPoise
 	hasPoise bool
 	decided  bool
@@ -65,19 +50,8 @@ func (ps *procState) live() bool {
 }
 
 // refresh re-reads the stepper's poise point into the cache, recording the
-// outcome if the process finished. For a fused stepper it re-poises the
-// whole straight-line run.
+// outcome if the process finished.
 func (ps *procState) refresh() {
-	if ps.rp != nil {
-		ps.run, ps.pos = ps.rp.PoiseRun(ps.run[:0]), 0
-		if len(ps.run) > 0 {
-			ps.hasPoise = true
-			return
-		}
-		ps.hasPoise = false
-		ps.recordOutcome()
-		return
-	}
 	if info, ok := ps.st.Poise(); ok {
 		ps.poised, ps.hasPoise = info, true
 		return
@@ -94,15 +68,6 @@ func (ps *procState) recordOutcome() {
 	}
 }
 
-// poisedInfo returns the instruction the process will perform next. Valid
-// only while live.
-func (ps *procState) poisedInfo() OpInfo {
-	if ps.rp != nil {
-		return ps.run[ps.pos]
-	}
-	return ps.poised
-}
-
 // System is one execution of n processes against a shared memory. It is
 // driven step by step: Step(pid) lets process pid perform its poised
 // instruction, synchronously on the caller's stack. A System is
@@ -115,7 +80,6 @@ type System struct {
 	steps   int64
 	trace   []StepInfo // recorded when tracing enabled
 	tracing bool
-	nofuse  bool
 	closed  bool
 	// pool, when non-nil, recycles forked Systems across Fork/Close cycles;
 	// see Pool. Inherited by forks.
@@ -157,17 +121,6 @@ func WithTrace() SystemOption {
 	return func(s *System) { s.tracing = true }
 }
 
-// WithoutFusion disables superword step fusion: steppers implementing
-// RunPoiser are driven through the plain per-instruction Poise/Resume
-// protocol, and bodies suspend once per instruction even inside ApplyRun.
-// Execution is step-for-step identical either way — fusion only batches
-// when stepper code runs between a process's own instructions — so the
-// option exists for the fused-vs-unfused differential batteries and for
-// isolating fusion when debugging.
-func WithoutFusion() SystemOption {
-	return func(s *System) { s.nofuse = true }
-}
-
 // NewSystem starts n processes with the given inputs, all running body, and
 // returns with every process poised on its first instruction. bodies may
 // also differ per process via NewSystemBodies.
@@ -186,7 +139,7 @@ func NewSystemBodies(mem *machine.Memory, inputs []int, bodies []Body, opts ...S
 	}
 	s := newSystem(mem, inputs, opts)
 	for i, body := range bodies {
-		s.adopt(i, newCoroStepper(i, len(inputs), inputs[i], &s.steps, body, !s.nofuse))
+		s.adopt(i, newCoroStepper(i, len(inputs), inputs[i], &s.steps, body))
 	}
 	return s
 }
@@ -219,11 +172,6 @@ func newSystem(mem *machine.Memory, inputs []int, opts []SystemOption) *System {
 // adopt installs a stepper as process pid and caches its first poise point.
 func (s *System) adopt(pid int, st Stepper) {
 	ps := &procState{st: st}
-	if !s.nofuse {
-		if rp, ok := st.(RunPoiser); ok {
-			ps.rp = rp
-		}
-	}
 	ps.refresh()
 	s.procs[pid] = ps
 	s.hcDirty = append(s.hcDirty, pid) // fresh cache: contribution pending
@@ -324,7 +272,7 @@ func (s *System) Poised(pid int) (OpInfo, bool) {
 	if !s.procEnabled(ps) {
 		return OpInfo{}, false
 	}
-	return ps.poisedInfo(), true
+	return ps.poised, true
 }
 
 // Step lets process pid perform its poised instruction. The instruction is
@@ -346,9 +294,6 @@ func (s *System) Step(pid int) (StepInfo, error) {
 		return StepInfo{}, fmt.Errorf("%w: pid %d", ErrNotLive, pid)
 	}
 	info := &ps.poised
-	if ps.rp != nil {
-		info = &ps.run[ps.pos]
-	}
 	var (
 		res machine.Value
 		err error
@@ -374,15 +319,8 @@ func (s *System) Step(pid int) (StepInfo, error) {
 		// the retained trace can't alias state the resume will overwrite.
 		step.Info.Args = append([]machine.Value(nil), step.Info.Args...)
 	}
-	if ps.rp != nil {
-		ps.st.Resume(res)
-		if ps.pos++; ps.pos == len(ps.run) {
-			ps.refresh()
-		}
-	} else {
-		ps.st.Resume(res)
-		ps.refresh()
-	}
+	ps.st.Resume(res)
+	ps.refresh()
 	s.hashStale(pid)
 	if s.tracing {
 		s.trace = append(s.trace, step)

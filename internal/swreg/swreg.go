@@ -275,7 +275,3 @@ func (a *Machine) WriteStep(res machine.Value) (next sim.OpInfo, more bool) {
 	a.pending = nil
 	return history.AppendSlotOp(a.base+a.id/a.l, res.([]machine.Value), a.id, a.seq, a.id, val), true
 }
-
-// WriteEndsAfterStep reports whether the write's in-flight instruction is
-// its last.
-func (a *Machine) WriteEndsAfterStep() bool { return a.pending == nil }
