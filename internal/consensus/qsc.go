@@ -146,8 +146,9 @@ type qscCore struct {
 	round int // current round; == rounds when parked
 	phase int // 1 or 2; the bucket currently gathered after the broadcast
 	est   int
-	out   qscMsg // message being broadcast while dest < n
-	dest  int    // next broadcast destination; n = broadcast done, gathering
+	out   qscMsg        // message being broadcast while dest < n
+	box   machine.Value // out boxed once per broadcast, not once per send
+	dest  int           // next broadcast destination; n = broadcast done, gathering
 
 	ready    bool // phase-1 unanimity verdict, carried into the phase-2 message
 	deciding bool // out is the decide announcement
@@ -181,6 +182,7 @@ func (c *qscCore) enterPhase(round, phase, val int) {
 	if phase == 2 {
 		c.out.Ready = c.ready
 	}
+	c.box = c.out
 	c.aggs[round*2+phase-1].fold(c.out)
 	c.dest = 0
 	c.skipSelf()
@@ -259,6 +261,7 @@ func (c *qscCore) advance() {
 			// intersect), so readyVal is the value.
 			c.decision, c.deciding = a.readyVal, true
 			c.out = qscMsg{From: c.id, Round: c.round, Phase: qscDecidePhase, Val: c.decision}
+			c.box = c.out
 			*a = qscAgg{}
 			c.dest = 0
 			c.skipSelf()
@@ -337,7 +340,7 @@ func (s *qscStepper) Poise() (sim.OpInfo, bool) {
 		return sim.OpInfo{}, false
 	}
 	if c.dest < c.n {
-		s.args[0] = c.out
+		s.args[0] = c.box
 		return sim.OpInfo{Loc: c.dest, Op: machine.OpChanSend, Args: s.args[:]}, true
 	}
 	return sim.OpInfo{Loc: c.id, Op: machine.OpChanRecv}, true
@@ -399,7 +402,7 @@ func qscBody(n, t, rounds int) sim.Body {
 		c := newQSCCore(n, t, rounds, p.ID(), p.Input())
 		for !c.done {
 			if c.dest < c.n {
-				p.Send(c.dest, c.out)
+				p.Send(c.dest, c.box)
 				c.resumeSend()
 				continue
 			}

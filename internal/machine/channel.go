@@ -169,7 +169,8 @@ func (m *Memory) applyChan(loc int, l *location, op Op, args []Value) (Value, er
 		if len(l.pending)+len(l.inbox) >= l.chanCap {
 			return nil, fmt.Errorf("%w: send on full channel %d (cap %d)", ErrChanBlocked, loc, l.chanCap)
 		}
-		l.pending = append(l.pending, normValue(args[0]))
+		// Below capacity, so the window keeps every message.
+		l.pending = pushWindow(l.pending, normValue(args[0]), l.chanCap)
 		return nil, nil
 
 	case OpChanRecv:
@@ -177,11 +178,7 @@ func (m *Memory) applyChan(loc int, l *location, op Op, args []Value) (Value, er
 			return nil, fmt.Errorf("%w: recv on empty inbox of channel %d", ErrChanBlocked, loc)
 		}
 		msg := l.inbox[0]
-		// Slide down in place: keeps the backing array stable across the
-		// channel's lifetime and drops the reference to the popped message.
-		copy(l.inbox, l.inbox[1:])
-		l.inbox[len(l.inbox)-1] = nil
-		l.inbox = l.inbox[:len(l.inbox)-1]
+		l.inbox = withoutRank(l.inbox, 0)
 		return msg, nil
 
 	case OpChanDeliver, OpChanDrop:
@@ -191,11 +188,9 @@ func (m *Memory) applyChan(loc int, l *location, op Op, args []Value) (Value, er
 				ErrChanBlocked, op, args[0], loc, len(l.pending))
 		}
 		msg := l.pending[rank]
-		copy(l.pending[rank:], l.pending[rank+1:])
-		l.pending[len(l.pending)-1] = nil
-		l.pending = l.pending[:len(l.pending)-1]
+		l.pending = withoutRank(l.pending, int(rank))
 		if op == OpChanDeliver {
-			l.inbox = append(l.inbox, msg)
+			l.inbox = pushWindow(l.inbox, msg, l.chanCap)
 		}
 		return msg, nil
 

@@ -11,7 +11,9 @@ import (
 // incrementally: every non-trivial instruction updates the memory's rolling
 // fingerprint by XORing out the touched location's old hash and XORing in
 // its new one, so keeping the fingerprint current costs O(touched location)
-// per step instead of O(memory) per query.
+// per step instead of O(memory) per query. Each location caches its current
+// term (location.hlo/hhi), so an instruction hashes its location once,
+// after it applies.
 //
 // "Canonical" means representation-independent: a word, a *big.Int, and (for
 // zero) the lazily-nil initial contents all hash identically when they stand
@@ -292,7 +294,8 @@ func locHash(i int, l *location) uint64 {
 // 64-bit per-location term, the high lane remixes it against its own tag so
 // the lanes decorrelate. Zero-state locations contribute (0, 0) in both
 // lanes, preserving the bounded/unbounded equivalence. It is the
-// per-location term of the rolling 128-bit fingerprint.
+// per-location term of the rolling 128-bit fingerprint, cached in the
+// location by Memory.rehash.
 func locHash128(i int, l *location) (lo, hi uint64) {
 	lo = locHash(i, l)
 	if lo == 0 {

@@ -36,6 +36,52 @@ type location struct {
 	inbox    []Value
 	chanKind ChanKind
 	chanCap  int
+
+	// hlo, hhi cache this location's locHash128 term, so a mutating
+	// instruction XORs the old term out of the rolling fingerprint without
+	// rehashing the contents it is about to replace.
+	hlo, hhi uint64
+}
+
+// The queues (buf, pending, inbox) are immutable once stored: clones share
+// their backing arrays, so no instruction ever writes into one. Every
+// mutation stores a fresh array (pushWindow, withoutRank) or a reslice of
+// the old one whose capacity is clipped to its length, and stored values —
+// plain contents included — are never mutated in place either. A struct
+// copy of a location is therefore a complete, independent snapshot of it.
+
+// pushWindow returns vs with v appended in a fresh array, keeping only the
+// newest max entries.
+func pushWindow(vs []Value, v Value, max int) []Value {
+	keep := len(vs) + 1
+	if keep > max {
+		keep = max
+	}
+	if keep <= 0 {
+		return nil
+	}
+	out := make([]Value, keep)
+	copy(out, vs[len(vs)+1-keep:])
+	out[keep-1] = v
+	return out
+}
+
+// withoutRank returns vs with entry i removed. The first and last entries
+// are removed by a reslice with clipped capacity; a middle one by a copy.
+// A queue that empties becomes nil.
+func withoutRank(vs []Value, i int) []Value {
+	switch {
+	case len(vs) == 1:
+		return nil
+	case i == 0:
+		return vs[1:len(vs):len(vs)]
+	case i == len(vs)-1:
+		return vs[:i:i]
+	}
+	out := make([]Value, len(vs)-1)
+	copy(out, vs[:i])
+	copy(out[i:], vs[i+1:])
+	return out
 }
 
 // Memory is a collection of identical locations supporting one instruction
@@ -110,60 +156,31 @@ func New(set InstrSet, size int, opts ...Option) *Memory {
 	}
 	for i := range m.locs {
 		m.locs[i].val = normValue(m.locs[i].val)
-		lo, hi := locHash128(i, &m.locs[i])
-		m.fp ^= lo
-		m.fph ^= hi
+		m.rehash(i)
 	}
 	return m
 }
 
-// Clone returns an independent deep copy of the memory in O(locations):
-// plain values are copied defensively (words are immutable, big.Ints
-// duplicated), buffers get fresh backing arrays (entries are immutable by
-// convention), and the instrumentation counters are duplicated. The
-// instruction set, capacities, and fingerprint carry over unchanged; the
-// clone and the original never observe each other's subsequent instructions.
-// Clone only reads the receiver: concurrent Clones of one Memory are safe as
-// long as no goroutine concurrently applies instructions to it (the
-// System.Fork concurrency contract).
+// Clone returns an independent copy of the memory in O(locations): the
+// location structs are copied and nothing else. Queues and stored values
+// are immutable once stored (see location), so the clone shares them with
+// the original, and the instruction set and capacities are fixed at
+// construction; only the instrumentation counters are duplicated. The
+// clone and the original never observe each other's subsequent
+// instructions. Clone only reads the receiver: concurrent Clones of one
+// Memory are safe as long as no goroutine concurrently applies
+// instructions to it (the System.Fork concurrency contract).
 func (m *Memory) Clone() *Memory {
-	n := &Memory{
-		set:       m.set,
-		caps:      m.caps, // immutable after construction
-		unbounded: m.unbounded,
-		fp:        m.fp,
-		fph:       m.fph,
-	}
-	n.locs = make([]location, len(m.locs))
-	copy(n.locs, m.locs)
-	for i := range n.locs {
-		l := &n.locs[i]
-		l.val = cloneValue(l.val)
-		l.buf = cloneValues(l.buf)
-		l.pending = cloneValues(l.pending)
-		l.inbox = cloneValues(l.inbox)
-	}
-	n.stats = m.stats.cloneInternal()
+	n := &Memory{}
+	m.CloneInto(n)
 	return n
-}
-
-// cloneValues deep-copies a value queue, returning nil for an empty one. The
-// nil matters: a queue that drained back to empty keeps its backing array,
-// and copying the empty slice header would leave every clone appending into
-// the source's storage — sibling forks would overwrite each other's sends.
-func cloneValues(vs []Value) []Value {
-	if len(vs) == 0 {
-		return nil
-	}
-	return append([]Value(nil), vs...)
 }
 
 // CloneInto is Clone writing over a recycled Memory: semantically identical
 // to n = m.Clone(), but n's location and instrumentation buffers are reused
 // when they have capacity, so a steady-state fork-and-discard loop (the
-// explorer's, via sim.Pool) allocates nothing here beyond defensive copies
-// of big.Int contents. n's previous contents are destroyed. Like Clone it
-// only reads the receiver.
+// explorer's, via sim.Pool) allocates nothing here. n's previous contents
+// are destroyed. Like Clone it only reads the receiver.
 func (m *Memory) CloneInto(n *Memory) {
 	n.set = m.set
 	n.caps = m.caps // immutable after construction
@@ -171,13 +188,6 @@ func (m *Memory) CloneInto(n *Memory) {
 	n.fp = m.fp
 	n.fph = m.fph
 	n.locs = append(n.locs[:0], m.locs...)
-	for i := range n.locs {
-		l := &n.locs[i]
-		l.val = cloneValue(l.val)
-		l.buf = cloneValues(l.buf)
-		l.pending = cloneValues(l.pending)
-		l.inbox = cloneValues(l.inbox)
-	}
 	perLoc := append(n.stats.PerLoc[:0], m.stats.PerLoc...)
 	n.stats = m.stats
 	n.stats.PerLoc = perLoc
@@ -239,22 +249,26 @@ func (m *Memory) Apply(loc int, op Op, args ...Value) (Value, error) {
 }
 
 // apply dispatches without instrumentation and keeps the canonical
-// fingerprint current: for a mutating instruction the touched location's
-// hash is XORed out before and back in after, so the rolling fingerprint is
-// updated per instruction rather than recomputed. Used by Apply and
-// MultiAssign.
+// fingerprint current: a mutating instruction rehashes the touched location
+// once, after it applies, and swaps the new term for the cached old one in
+// the rolling fingerprint. An instruction that fails changes nothing. Used
+// by Apply and MultiAssign.
 func (m *Memory) apply(loc int, op Op, args []Value) (Value, error) {
-	if op.Trivial() {
-		return m.applyOp(loc, op, args)
-	}
-	preLo, preHi := locHash128(loc, &m.locs[loc])
 	res, err := m.applyOp(loc, op, args)
-	if err == nil {
-		postLo, postHi := locHash128(loc, &m.locs[loc])
-		m.fp ^= preLo ^ postLo
-		m.fph ^= preHi ^ postHi
+	if err == nil && !op.Trivial() {
+		m.rehash(loc)
 	}
 	return res, err
+}
+
+// rehash recomputes location i's locHash128 term and rolls the fingerprint
+// from the cached term to the new one.
+func (m *Memory) rehash(i int) {
+	l := &m.locs[i]
+	lo, hi := locHash128(i, l)
+	m.fp ^= l.hlo ^ lo
+	m.fph ^= l.hhi ^ hi
+	l.hlo, l.hhi = lo, hi
 }
 
 // applyOp performs the instruction itself. Numeric instructions run on the
@@ -305,7 +319,7 @@ func (m *Memory) applyOp(loc int, op Op, args []Value) (Value, error) {
 		return old, nil
 
 	case OpSwap:
-		old := l.val
+		old := cloneValue(l.val) // a clone may share the stored big.Int
 		l.val = normValue(args[0])
 		return old, nil
 
@@ -393,11 +407,7 @@ func (m *Memory) applyOp(loc int, op Op, args []Value) (Value, error) {
 		return out, nil
 
 	case OpBufferWrite:
-		cap := m.capacity(loc)
-		l.buf = append(l.buf, args[0])
-		if len(l.buf) > cap {
-			l.buf = l.buf[len(l.buf)-cap:]
-		}
+		l.buf = pushWindow(l.buf, args[0], m.capacity(loc))
 		l.writes++
 		return nil, nil
 
@@ -469,13 +479,14 @@ type Assignment struct {
 
 // MultiAssign atomically performs one write-class instruction per listed
 // location, the paper's model of a simple transaction (Section 7). The whole
-// call is a single step. Locations must be distinct.
+// call is a single step. Locations must be distinct. If any assignment
+// fails, the memory is left exactly as it was: no location, fingerprint or
+// counter moves.
 func (m *Memory) MultiAssign(writes []Assignment) error {
 	if !m.set.multiAssign {
 		return fmt.Errorf("%w: multiple assignment on %v", ErrUnsupported, m.set)
 	}
-	seen := make(map[int]bool, len(writes))
-	for _, w := range writes {
+	for k, w := range writes {
 		if !w.Op.WriteClass() {
 			return fmt.Errorf("%w: %v is not a write-class instruction in a multiple assignment",
 				ErrBadOperand, w.Op)
@@ -487,17 +498,31 @@ func (m *Memory) MultiAssign(writes []Assignment) error {
 			return fmt.Errorf("%w: %v takes %d arguments, got %d",
 				ErrBadOperand, w.Op, w.Op.arity(), len(w.Args))
 		}
-		if seen[w.Loc] {
-			return fmt.Errorf("%w: duplicate location %d in multiple assignment",
-				ErrBadOperand, w.Loc)
+		for _, prev := range writes[:k] {
+			if prev.Loc == w.Loc {
+				return fmt.Errorf("%w: duplicate location %d in multiple assignment",
+					ErrBadOperand, w.Loc)
+			}
 		}
-		seen[w.Loc] = true
 		if err := m.grow(w.Loc); err != nil {
 			return err
 		}
 	}
+	// Snapshot the touched locations before applying: queues and values are
+	// immutable once stored, so a struct copy restores a location fully.
+	var stack [4]location
+	saved := stack[:0]
+	if len(writes) > len(stack) {
+		saved = make([]location, 0, len(writes))
+	}
+	fp, fph := m.fp, m.fph
 	for _, w := range writes {
+		saved = append(saved, m.locs[w.Loc])
 		if _, err := m.apply(w.Loc, w.Op, w.Args); err != nil {
+			for k, l := range saved {
+				m.locs[writes[k].Loc] = l
+			}
+			m.fp, m.fph = fp, fph
 			return err
 		}
 	}

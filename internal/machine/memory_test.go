@@ -339,6 +339,59 @@ func TestMultiAssignRejected(t *testing.T) {
 	}
 }
 
+// TestMultiAssignAtomicOnError pins that a multiple assignment whose later
+// write fails inside the instruction leaves the memory exactly as it was:
+// the earlier writes are undone, and neither fingerprint nor any counter
+// moves.
+func TestMultiAssignAtomicOnError(t *testing.T) {
+	set := NewInstrSet("t", OpRead, OpAdd, OpWrite).WithBuffers(2).WithChannelOps().WithMultiAssign()
+	cases := []struct {
+		name   string
+		writes []Assignment
+		want   error
+	}{
+		{"non-numeric add", []Assignment{
+			{Loc: 0, Op: OpAdd, Args: []Value{Int(5)}},
+			{Loc: 1, Op: OpAdd, Args: []Value{"x"}},
+		}, ErrBadOperand},
+		{"send on full channel", []Assignment{
+			{Loc: 0, Op: OpWrite, Args: []Value{Int(9)}},
+			{Loc: 1, Op: OpBufferWrite, Args: []Value{"b"}},
+			{Loc: 2, Op: OpChanSend, Args: []Value{Int(3)}},
+		}, ErrChanBlocked},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := New(set, 3, WithChannels([]ChannelSpec{{Loc: 2, Kind: ChanFIFO, Cap: 1}}))
+			mustApply(t, m, 1, OpBufferWrite, "a")
+			mustApply(t, m, 2, OpChanSend, Int(1)) // the channel is now full
+			fp, fp128, steps := m.Fingerprint(), m.Fingerprint128(), m.Stats().Steps
+			if err := m.MultiAssign(tc.writes); !errors.Is(err, tc.want) {
+				t.Fatalf("MultiAssign error = %v, want %v", err, tc.want)
+			}
+			if got := m.Fingerprint(); got != fp {
+				t.Fatalf("contents moved: %q, want %q", got, fp)
+			}
+			if m.Fingerprint128() != fp128 {
+				t.Fatal("rolling fingerprint moved on a failed multiple assignment")
+			}
+			if got := m.Stats().Steps; got != steps {
+				t.Fatalf("steps = %d, want %d", got, steps)
+			}
+			wantInt(t, m.Peek(0), 0)
+			if buf := m.PeekBuffer(1); len(buf) != 1 || buf[0] != "a" {
+				t.Fatalf("buffer = %v, want [a]", buf)
+			}
+			// The memory still works from the restored state.
+			mustApply(t, m, 0, OpAdd, Int(2))
+			wantInt(t, m.Peek(0), 2)
+			if m.Fingerprint128() != recomputedFingerprint128(m) {
+				t.Fatal("rolling fingerprint diverged from a recompute after the restore")
+			}
+		})
+	}
+}
+
 func TestStats(t *testing.T) {
 	m := New(SetReadWrite, 3)
 	mustApply(t, m, 0, OpWrite, Int(1))

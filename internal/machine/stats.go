@@ -66,15 +66,6 @@ func (s Stats) Footprint() int {
 	return n
 }
 
-// cloneInternal copies the accumulator form without materializing the PerOp
-// snapshot map; Memory.Clone uses it so forking stays allocation-lean.
-func (s Stats) cloneInternal() Stats {
-	out := s
-	out.PerLoc = append([]int64(nil), s.PerLoc...)
-	out.PerOp = nil
-	return out
-}
-
 func (s Stats) clone() Stats {
 	out := s
 	out.PerLoc = append([]int64(nil), s.PerLoc...)

@@ -83,6 +83,10 @@ func (s *System) initChannels() {
 			s.chanStride = c
 		}
 	}
+	s.ranks = make([]machine.Value, s.chanStride)
+	for j := range s.ranks {
+		s.ranks[j] = machine.Word(int64(j))
+	}
 }
 
 // hasChans reports whether the system has any channel locations (and thus a
@@ -198,13 +202,16 @@ func (s *System) procEnabled(ps *procState) bool {
 // stepDelivery executes one adversary move named by a virtual pid: applies
 // the deliver/drop to memory (which rolls the incremental fingerprints like
 // any instruction) and accounts the step. Process-local state is untouched,
-// so no hash contribution goes stale.
+// so no hash contribution goes stale. The argument slice is a clipped view
+// of the shared ranks table, used for both the instruction and the
+// returned step, so no argument is allocated per step.
 func (s *System) stepDelivery(pid int) (StepInfo, error) {
 	if !s.deliveryLive(pid) {
 		return StepInfo{}, fmt.Errorf("%w: delivery pid %d", ErrNotLive, pid)
 	}
 	op, loc, rank, _ := s.deliveryChoice(pid)
-	res, err := s.mem.Apply(loc, op, machine.Int(int64(rank)))
+	args := s.ranks[rank : rank+1 : rank+1]
+	res, err := s.mem.Apply(loc, op, args...)
 	if err != nil {
 		// Unreachable if deliveryLive gated correctly; surface as a system
 		// error rather than attributing it to a process.
@@ -214,7 +221,7 @@ func (s *System) stepDelivery(pid int) (StepInfo, error) {
 		s.dropsUsed++
 	}
 	s.steps++
-	step := StepInfo{PID: pid, Info: OpInfo{Loc: loc, Op: op, Args: []machine.Value{machine.Int(int64(rank))}}, Result: res}
+	step := StepInfo{PID: pid, Info: OpInfo{Loc: loc, Op: op, Args: args}, Result: res}
 	if s.tracing {
 		s.trace = append(s.trace, step)
 	}

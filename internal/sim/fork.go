@@ -88,7 +88,7 @@ func (s *System) Fork() (*System, error) {
 	// construction, so the fork shares them; the drop budget consumed so far
 	// is configuration state and copies.
 	n.deliver, n.dropsUsed = s.deliver, s.dropsUsed
-	n.chanLocs, n.chanStride = s.chanLocs, s.chanStride
+	n.chanLocs, n.chanStride, n.ranks = s.chanLocs, s.chanStride, s.ranks
 	n.trace = n.trace[:0]
 	if len(s.trace) > 0 {
 		n.trace = append(n.trace, s.trace...)

@@ -96,12 +96,14 @@ type System struct {
 	hcAdapters       int
 	hcDirty          []int
 	// Delivery adversary state (delivery.go). chanLocs/chanStride are the
-	// structural layout of the virtual pid space, fixed at construction;
-	// dropsUsed is observable configuration state and folds into every
-	// canonical key.
+	// structural layout of the virtual pid space, and ranks holds the rank
+	// arguments of the deliver/drop instructions, all fixed at
+	// construction; dropsUsed is observable configuration state and folds
+	// into every canonical key.
 	deliver    Delivery
 	chanLocs   []int
 	chanStride int
+	ranks      []machine.Value
 	dropsUsed  int
 }
 
