@@ -1,6 +1,7 @@
 package consensus
 
 import (
+	"math"
 	"math/big"
 
 	"repro/internal/machine"
@@ -49,6 +50,34 @@ func DecodePair(w *big.Int, y int64) MaxRegPair {
 		r++
 	}
 	return MaxRegPair{R: r, X: int(v.Int64()) - 1}
+}
+
+// encodePairValue is EncodePair as a machine word while (x+1)*y^r fits
+// an int64, and as a *big.Int beyond.
+func encodePairValue(p MaxRegPair, y int64) machine.Value {
+	v := int64(p.X) + 1
+	for i := int64(0); i < p.R; i++ {
+		if v > math.MaxInt64/y {
+			return EncodePair(p, y)
+		}
+		v *= y
+	}
+	return machine.Word(v)
+}
+
+// decodePairValue is DecodePair over a numeric register value, on int64
+// arithmetic while the value fits a word.
+func decodePairValue(w machine.Value, y int64) MaxRegPair {
+	v, ok := machine.AsInt64(w)
+	if !ok {
+		return DecodePair(machine.MustInt(w), y)
+	}
+	r := int64(0)
+	for v != 0 && v%y == 0 {
+		v /= y
+		r++
+	}
+	return MaxRegPair{R: r, X: int(v) - 1}
 }
 
 // MaxRegisters solves n-consensus using two {read-max, write-max} locations

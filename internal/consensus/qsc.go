@@ -2,6 +2,7 @@ package consensus
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/machine"
 	"repro/internal/sim"
@@ -77,6 +78,24 @@ func (m qscMsg) String() string {
 	return fmt.Sprintf("m%d(r%dp%d v%d t%d%s)", m.From, m.Round, m.Phase, m.Val, m.Tkt, tag)
 }
 
+// qscWire is a message as it travels through a channel: boxed once per
+// broadcast, immutable afterwards, and carrying the message's canonical hash,
+// so the channel's cached location hash folds a stored term instead of
+// rehashing every queued message. It renders and hashes exactly as the
+// message it wraps.
+type qscWire struct {
+	msg qscMsg
+	h   uint64
+}
+
+func wire(m qscMsg) *qscWire { return &qscWire{msg: m, h: m.Hash64()} }
+
+// Hash64 returns the wrapped message's hash (machine.Hashable).
+func (w *qscWire) Hash64() uint64 { return w.h }
+
+// String renders the wrapped message.
+func (w *qscWire) String() string { return w.msg.String() }
+
 // qscAgg accumulates the messages gathered for one (round, phase) bucket.
 // Every field is a commutative aggregate — counts, maxima, unanimity flags —
 // so the bucket's value (and with it the process's state key) depends only
@@ -135,6 +154,38 @@ func (a *qscAgg) key() uint64 {
 	return h
 }
 
+// qscAggs is a process's bucket array, shared copy-on-write by a stepper and
+// its forks. A fork marks the array shared with an atomic store (forks of one
+// system may run on several goroutines, and a fork only reads its source
+// otherwise); a holder about to write a shared array copies it first and
+// owns the copy alone. The mark is never cleared, so an array is written in
+// place only while exactly one stepper has ever held it.
+type qscAggs struct {
+	shared atomic.Bool
+	b      []qscAgg
+	// inline backs b for up to the default round cap, so an array is one
+	// allocation.
+	inline [2 * qscDefaultRounds]qscAgg
+}
+
+// newQSCAggs returns an unshared array of n empty buckets.
+func newQSCAggs(n int) *qscAggs {
+	a := new(qscAggs)
+	if n <= len(a.inline) {
+		a.b = a.inline[:n]
+	} else {
+		a.b = make([]qscAgg, n)
+	}
+	return a
+}
+
+// share marks the array as held by more than one stepper.
+func (a *qscAggs) share() {
+	if !a.shared.Load() {
+		a.shared.Store(true)
+	}
+}
+
 // qscCore is the protocol logic shared verbatim by the coroutine Body and
 // the explicit stepper: both drive it through the same three entry points
 // (resumeSend, fold+advance), so their instruction streams agree by
@@ -146,23 +197,28 @@ type qscCore struct {
 	round int // current round; == rounds when parked
 	phase int // 1 or 2; the bucket currently gathered after the broadcast
 	est   int
-	out   qscMsg        // message being broadcast while dest < n
-	box   machine.Value // out boxed once per broadcast, not once per send
-	dest  int           // next broadcast destination; n = broadcast done, gathering
+	out   qscMsg // message being broadcast while dest < n
+	// box is the send argument: out wrapped once per broadcast, not once
+	// per send. It is set where out changes, so Poise only reads it.
+	box  [1]machine.Value
+	dest int // next broadcast destination; n = broadcast done, gathering
 
 	ready    bool // phase-1 unanimity verdict, carried into the phase-2 message
 	deciding bool // out is the decide announcement
 	done     bool
 	decision int
 
-	aggs []qscAgg // rounds*2 buckets, indexed round*2 + phase-1
+	aggs *qscAggs // rounds*2 buckets, indexed round*2 + phase-1
+	// spare is a retired bucket array this core owns alone, the target of
+	// the next copy-on-write; a fork never inherits it.
+	spare *qscAggs
 }
 
 func newQSCCore(n, t, rounds, id, input int) *qscCore {
 	c := &qscCore{
 		n: n, t: t, rounds: rounds, id: id, input: input,
 		est:  input,
-		aggs: make([]qscAgg, 2*rounds),
+		aggs: newQSCAggs(2 * rounds),
 	}
 	c.enterPhase(0, 1, input)
 	if c.dest >= c.n {
@@ -173,17 +229,38 @@ func newQSCCore(n, t, rounds, id, input int) *qscCore {
 
 func (c *qscCore) tkt(round int) int { return round*c.n + c.id }
 
+// bucket returns bucket i for writing, first copying the array when it is
+// shared with a fork.
+func (c *qscCore) bucket(i int) *qscAgg {
+	if c.aggs.shared.Load() {
+		fresh := c.spare
+		c.spare = nil
+		if fresh == nil || len(fresh.b) != len(c.aggs.b) {
+			fresh = newQSCAggs(len(c.aggs.b))
+		}
+		copy(fresh.b, c.aggs.b)
+		c.aggs = fresh
+	}
+	return &c.aggs.b[i]
+}
+
+// setOut makes m the message being broadcast.
+func (c *qscCore) setOut(m qscMsg) {
+	c.out = m
+	c.box[0] = wire(m)
+}
+
 // enterPhase starts broadcasting for (round, phase): the process's own
 // message folds locally (it never travels through its own channel), and the
 // broadcast visits every other channel in ascending order.
 func (c *qscCore) enterPhase(round, phase, val int) {
 	c.round, c.phase = round, phase
-	c.out = qscMsg{From: c.id, Round: round, Phase: phase, Val: val, Tkt: c.tkt(round)}
+	m := qscMsg{From: c.id, Round: round, Phase: phase, Val: val, Tkt: c.tkt(round)}
 	if phase == 2 {
-		c.out.Ready = c.ready
+		m.Ready = c.ready
 	}
-	c.box = c.out
-	c.aggs[round*2+phase-1].fold(c.out)
+	c.setOut(m)
+	c.bucket(round*2 + phase - 1).fold(m)
 	c.dest = 0
 	c.skipSelf()
 }
@@ -231,7 +308,7 @@ func (c *qscCore) fold(m qscMsg) {
 	if m.Round < c.round || (m.Round == c.round && m.Phase < c.phase) {
 		return // stale: that bucket was already acted on
 	}
-	c.aggs[m.Round*2+m.Phase-1].fold(m)
+	c.bucket(m.Round*2 + m.Phase - 1).fold(m)
 }
 
 // advance acts on the current bucket once it holds a quorum. Buckets that
@@ -242,10 +319,12 @@ func (c *qscCore) fold(m qscMsg) {
 // call, since no send resume will ever arrive.
 func (c *qscCore) advance() {
 	for !c.done && !c.deciding && c.round < c.rounds {
-		a := &c.aggs[c.round*2+c.phase-1]
+		i := c.round*2 + c.phase - 1
+		a := c.aggs.b[i]
 		if a.cnt < c.t {
 			return
 		}
+		*c.bucket(i) = qscAgg{}
 		switch {
 		case c.phase == 1:
 			c.ready = !a.mixed
@@ -253,16 +332,13 @@ func (c *qscCore) advance() {
 			if a.mixed {
 				cand = a.maxVal
 			}
-			*a = qscAgg{}
 			c.enterPhase(c.round, 2, cand)
 		case a.readyCnt == a.cnt && !a.readyMixed:
 			// Phase 2, unanimously ready: decide, then announce. Two ready
 			// values cannot coexist honestly (unanimous phase-1 quorums
 			// intersect), so readyVal is the value.
 			c.decision, c.deciding = a.readyVal, true
-			c.out = qscMsg{From: c.id, Round: c.round, Phase: qscDecidePhase, Val: c.decision}
-			c.box = c.out
-			*a = qscAgg{}
+			c.setOut(qscMsg{From: c.id, Round: c.round, Phase: qscDecidePhase, Val: c.decision})
 			c.dest = 0
 			c.skipSelf()
 			if c.dest >= c.n {
@@ -279,7 +355,6 @@ func (c *qscCore) advance() {
 			} else {
 				c.est = a.maxVal
 			}
-			*a = qscAgg{}
 			next := c.round + 1
 			if next >= c.rounds {
 				// Round cap: park. The process keeps gathering (Poise stays
@@ -313,25 +388,24 @@ func (c *qscCore) key() uint64 {
 		flags |= 4
 	}
 	h = machine.Mix64(h ^ flags ^ uint64(int64(c.decision))<<8)
-	for i := range c.aggs {
-		if c.aggs[i].cnt == 0 {
+	for i := range c.aggs.b {
+		a := &c.aggs.b[i]
+		if a.cnt == 0 {
 			continue // zero buckets keep keys sparse and canonical
 		}
-		h = machine.Mix64(h ^ uint64(i)<<48 ^ c.aggs[i].key())
+		h = machine.Mix64(h ^ uint64(i)<<48 ^ a.key())
 	}
 	return h
 }
 
-// qscStepper is the explicit forkable state machine over qscCore.
+// qscStepper is the explicit forkable state machine over qscCore. A fork
+// is a struct copy sharing the bucket array copy-on-write (see qscAggs).
 type qscStepper struct {
 	core qscCore
-	args [1]machine.Value // reusable send-argument slot, repointed per poise
 }
 
 func newQSCStepper(n, t, rounds, id, input int) *qscStepper {
-	s := &qscStepper{}
-	s.core = *newQSCCore(n, t, rounds, id, input)
-	return s
+	return &qscStepper{core: *newQSCCore(n, t, rounds, id, input)}
 }
 
 func (s *qscStepper) Poise() (sim.OpInfo, bool) {
@@ -340,8 +414,7 @@ func (s *qscStepper) Poise() (sim.OpInfo, bool) {
 		return sim.OpInfo{}, false
 	}
 	if c.dest < c.n {
-		s.args[0] = c.box
-		return sim.OpInfo{Loc: c.dest, Op: machine.OpChanSend, Args: s.args[:]}, true
+		return sim.OpInfo{Loc: c.dest, Op: machine.OpChanSend, Args: c.box[:]}, true
 	}
 	return sim.OpInfo{Loc: c.id, Op: machine.OpChanRecv}, true
 }
@@ -352,8 +425,8 @@ func (s *qscStepper) Resume(res machine.Value) bool {
 		c.resumeSend()
 		return c.done
 	}
-	if m, ok := res.(qscMsg); ok {
-		c.fold(m)
+	if w, ok := res.(*qscWire); ok {
+		c.fold(w.msg)
 		c.advance()
 	}
 	return c.done
@@ -363,9 +436,9 @@ func (s *qscStepper) Outcome() (bool, int, error) { return s.core.done, s.core.d
 func (s *qscStepper) Halt()                       {}
 
 func (s *qscStepper) Fork() sim.Stepper {
-	f := &qscStepper{}
-	f.core = s.core
-	f.core.aggs = append([]qscAgg(nil), s.core.aggs...)
+	s.core.aggs.share()
+	f := &qscStepper{core: s.core}
+	f.core.spare = nil
 	return f
 }
 
@@ -374,9 +447,13 @@ func (s *qscStepper) ForkInto(prev sim.Stepper) sim.Stepper {
 	if !ok {
 		return s.Fork()
 	}
-	aggs := p.core.aggs[:0]
+	spare := p.core.spare
+	if old := p.core.aggs; old != nil && !old.shared.Load() {
+		spare = old // never shared, so p owned it alone: recycle it
+	}
+	s.core.aggs.share()
 	p.core = s.core
-	p.core.aggs = append(aggs, s.core.aggs...)
+	p.core.spare = spare
 	return p
 }
 
@@ -402,12 +479,12 @@ func qscBody(n, t, rounds int) sim.Body {
 		c := newQSCCore(n, t, rounds, p.ID(), p.Input())
 		for !c.done {
 			if c.dest < c.n {
-				p.Send(c.dest, c.box)
+				p.Send(c.dest, c.box[0])
 				c.resumeSend()
 				continue
 			}
-			if m, ok := p.Recv(c.id).(qscMsg); ok {
-				c.fold(m)
+			if w, ok := p.Recv(c.id).(*qscWire); ok {
+				c.fold(w.msg)
 				c.advance()
 			}
 		}

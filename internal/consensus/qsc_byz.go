@@ -72,21 +72,21 @@ func byzScript(n, rounds int, adv QSCAdversary) []byzSend {
 		case QSCByzMalformed:
 			s = append(s,
 				byzMsg(dest, machine.Word(42)), // not a message at all
-				byzMsg(dest, qscMsg{From: byz, Round: 0, Phase: 7, Val: 0, Tkt: byz}),
-				byzMsg(dest, qscMsg{From: byz, Phase: qscDecidePhase, Val: n + 39}),
+				byzMsg(dest, wire(qscMsg{From: byz, Round: 0, Phase: 7, Val: 0, Tkt: byz})),
+				byzMsg(dest, wire(qscMsg{From: byz, Phase: qscDecidePhase, Val: n + 39})),
 			)
 		case QSCByzOutOfTurn:
 			future := rounds - 1
 			s = append(s,
-				byzMsg(dest, qscMsg{From: byz, Round: future, Phase: 2, Val: 0, Tkt: future*n + byz, Ready: true}),
-				byzMsg(dest, qscMsg{From: byz, Round: 0, Phase: 2, Val: 0, Tkt: byz}),
-				byzMsg(dest, qscMsg{From: byz, Round: 0, Phase: 1, Val: 0, Tkt: byz}),
-				byzMsg(dest, qscMsg{From: byz, Round: 0, Phase: 1, Val: 0, Tkt: byz}), // duplicate
+				byzMsg(dest, wire(qscMsg{From: byz, Round: future, Phase: 2, Val: 0, Tkt: future*n + byz, Ready: true})),
+				byzMsg(dest, wire(qscMsg{From: byz, Round: 0, Phase: 2, Val: 0, Tkt: byz})),
+				byzMsg(dest, wire(qscMsg{From: byz, Round: 0, Phase: 1, Val: 0, Tkt: byz})),
+				byzMsg(dest, wire(qscMsg{From: byz, Round: 0, Phase: 1, Val: 0, Tkt: byz})), // duplicate
 			)
 		case QSCByzFork:
 			s = append(s,
-				byzMsg(dest, qscMsg{From: byz, Round: 0, Phase: 1, Val: dest, Tkt: byz}),
-				byzMsg(dest, qscMsg{From: byz, Round: 0, Phase: 2, Val: dest, Tkt: byz, Ready: true}),
+				byzMsg(dest, wire(qscMsg{From: byz, Round: 0, Phase: 1, Val: dest, Tkt: byz})),
+				byzMsg(dest, wire(qscMsg{From: byz, Round: 0, Phase: 2, Val: dest, Tkt: byz, Ready: true})),
 			)
 		}
 	}

@@ -2,7 +2,6 @@ package consensus
 
 import (
 	"fmt"
-	"math/big"
 
 	"repro/internal/counter"
 	"repro/internal/machine"
@@ -181,13 +180,11 @@ func (c *introFAA2TASStepper) SymStateKey(relabel func(int) int) uint64 {
 
 type introDecMulStepper struct {
 	input    int
-	n        int
 	reading  bool // the update is done; the read is poised
 	done     bool
 	decision int
-	// mulArgs caches the multiply argument across Poise calls (lazily: the
-	// stepper is built by struct literal). Immutable once built; a fork
-	// sharing it is fine.
+	// mulArgs is the multiply argument, built once per protocol instance
+	// and shared, immutable, by every stepper and fork.
 	mulArgs []machine.Value
 }
 
@@ -200,9 +197,6 @@ func (c *introDecMulStepper) Poise() (sim.OpInfo, bool) {
 	case c.input == 0:
 		return sim.OpInfo{Loc: 0, Op: machine.OpDecrement}, true
 	default:
-		if c.mulArgs == nil {
-			c.mulArgs = []machine.Value{machine.Int(int64(c.n))}
-		}
 		return sim.OpInfo{Loc: 0, Op: machine.OpMultiply, Args: c.mulArgs}, true
 	}
 }
@@ -260,71 +254,77 @@ const (
 	mrWrite           // promotion or catch-up write-max poised
 )
 
+// maxRegStepper keeps the values its collects read as the machine.Values
+// the memory returned. Those are immutable (a read of a big value is a fresh
+// copy nobody else holds, and nothing writes into a stored value), so a fork
+// is a struct copy that shares them, and the catch-up write passes the read
+// value on as its argument. Pairs are decoded only once a double collect
+// completes, on the int64 path while the register values fit a word. The
+// poised instruction is kept as its parts, the write-max argument in the
+// stepper's own slot, so Poise assembles it without allocating and a fork's
+// instruction never points into its source.
 type maxRegStepper struct {
 	y        int64
 	input    int
 	pc       int
-	a, b, a2 *big.Int
-	pending  sim.OpInfo
+	a, b, a2 machine.Value
+	loc      int              // location of the poised instruction
+	arg      [1]machine.Value // write-max argument, while pc is mrAnnounce or mrWrite
 	done     bool
 	decision int
 }
 
 func newMaxRegStepper(input int, y int64) *maxRegStepper {
 	s := &maxRegStepper{y: y, input: input, pc: mrAnnounce}
-	s.pending = writeMax(0, EncodePair(MaxRegPair{R: 0, X: input}, y))
+	s.arg[0] = encodePairValue(MaxRegPair{R: 0, X: input}, y)
 	return s
-}
-
-func writeMax(loc int, v *big.Int) sim.OpInfo {
-	return sim.OpInfo{Loc: loc, Op: machine.OpWriteMax, Args: []machine.Value{v}}
-}
-
-func readMax(loc int) sim.OpInfo {
-	return sim.OpInfo{Loc: loc, Op: machine.OpReadMax}
 }
 
 func (s *maxRegStepper) Poise() (sim.OpInfo, bool) {
 	if s.done {
 		return sim.OpInfo{}, false
 	}
-	return s.pending, true
+	return s.poised(), true
+}
+
+// poised assembles the pending instruction from pc, loc and arg.
+func (s *maxRegStepper) poised() sim.OpInfo {
+	if s.pc == mrAnnounce || s.pc == mrWrite {
+		return sim.OpInfo{Loc: s.loc, Op: machine.OpWriteMax, Args: s.arg[:]}
+	}
+	return sim.OpInfo{Loc: s.loc, Op: machine.OpReadMax}
 }
 
 func (s *maxRegStepper) Resume(res machine.Value) bool {
 	switch s.pc {
 	case mrAnnounce, mrWrite:
-		s.pc, s.pending = mrReadA, readMax(0)
+		s.pc, s.loc = mrReadA, 0
 	case mrReadA:
-		s.a = machine.MustInt(res)
-		s.pc, s.pending = mrReadB, readMax(1)
+		s.a = res
+		s.pc, s.loc = mrReadB, 1
 	case mrReadB:
-		s.b = machine.MustInt(res)
-		s.pc, s.pending = mrReadA2, readMax(0)
+		s.b = res
+		s.pc, s.loc = mrReadA2, 0
 	case mrReadA2:
-		s.a2 = machine.MustInt(res)
-		s.pc, s.pending = mrReadB2, readMax(1)
+		s.a2 = res
+		s.pc, s.loc = mrReadB2, 1
 	case mrReadB2:
-		b2 := machine.MustInt(res)
-		if s.a2.Cmp(s.a) != 0 || b2.Cmp(s.b) != 0 {
+		if !machine.EqualValues(s.a2, s.a) || !machine.EqualValues(res, s.b) {
 			// Collects disagree: keep collecting (scanMax's inner loop).
-			s.a, s.b = s.a2, b2
-			s.pc, s.pending = mrReadA2, readMax(0)
+			s.a, s.b = s.a2, res
+			s.pc, s.loc = mrReadA2, 0
 			return false
 		}
-		v1, v2 := s.a2, b2
-		p1, p2 := DecodePair(v1, s.y), DecodePair(v2, s.y)
+		v1, v2 := s.a2, res
+		p1, p2 := decodePairValue(v1, s.y), decodePairValue(v2, s.y)
 		switch {
 		case p1.R == p2.R+1 && p1.X == p2.X:
 			s.done, s.decision = true, p1.X
 			return true
-		case v1.Cmp(v2) == 0:
-			s.pc, s.pending = mrWrite, writeMax(0, EncodePair(MaxRegPair{R: p1.R + 1, X: p1.X}, s.y))
+		case machine.EqualValues(v1, v2):
+			s.pc, s.loc, s.arg[0] = mrWrite, 0, encodePairValue(MaxRegPair{R: p1.R + 1, X: p1.X}, s.y)
 		default:
-			// The catch-up write gets its own copy of v1 (s.a2): a pooled
-			// ForkInto recycles a2's storage in place, which must not reach
-			// into the poised instruction a live fork shares with us.
-			s.pc, s.pending = mrWrite, writeMax(1, new(big.Int).Set(v1))
+			s.pc, s.loc, s.arg[0] = mrWrite, 1, v1
 		}
 	}
 	return false
@@ -335,52 +335,15 @@ func (s *maxRegStepper) Halt()                       {}
 
 func (s *maxRegStepper) Fork() sim.Stepper {
 	f := *s
-	if s.a != nil {
-		f.a = new(big.Int).Set(s.a)
-	}
-	if s.b != nil {
-		f.b = new(big.Int).Set(s.b)
-	}
-	if s.a2 != nil {
-		f.a2 = new(big.Int).Set(s.a2)
-	}
 	return &f
 }
 
 func (s *maxRegStepper) ForkInto(prev sim.Stepper) sim.Stepper {
-	p, ok := prev.(*maxRegStepper)
-	if !ok {
-		return s.Fork()
+	if p, ok := prev.(*maxRegStepper); ok {
+		*p = *s
+		return p
 	}
-	// The recollect arm of Resume ("collects disagree") assigns s.a = s.a2,
-	// so a recycled stepper's a and a2 may be the same big.Int: reusing both
-	// as distinct destinations would make the second Set clobber the first.
-	// Keep one of an aliased pair and allocate the other fresh.
-	a, b, a2 := p.a, p.b, p.a2
-	if a2 == a || a2 == b {
-		a2 = nil
-	}
-	if b == a {
-		b = nil
-	}
-	*p = *s
-	p.a = setBig(a, s.a)
-	p.b = setBig(b, s.b)
-	p.a2 = setBig(a2, s.a2)
-	return p
-}
-
-// setBig copies src into dst's storage when both exist, preserving src's
-// nil-ness; the recycled big.Ints are what make pooled maxReg forks
-// allocation-free once their limbs have grown to the register width.
-func setBig(dst, src *big.Int) *big.Int {
-	if src == nil {
-		return nil
-	}
-	if dst == nil {
-		return new(big.Int).Set(src)
-	}
-	return dst.Set(src)
+	return s.Fork()
 }
 
 func (s *maxRegStepper) StateKey() uint64 {
@@ -390,7 +353,7 @@ func (s *maxRegStepper) StateKey() uint64 {
 	h = mix2(h, machine.HashValue(s.a))
 	h = mix2(h, machine.HashValue(s.b))
 	h = mix2(h, machine.HashValue(s.a2))
-	return mix2(h, opInfoKey(s.pending))
+	return mix2(h, opInfoKey(s.poised()))
 }
 
 func (s *maxRegStepper) SymStateKey(relabel func(int) int) uint64 {
@@ -398,7 +361,7 @@ func (s *maxRegStepper) SymStateKey(relabel func(int) int) uint64 {
 	h = mix2(h, machine.HashValue(s.a))
 	h = mix2(h, machine.HashValue(s.b))
 	h = mix2(h, machine.HashValue(s.a2))
-	h = mix2(h, opInfoSymKey(s.pending, relabel))
+	h = mix2(h, opInfoSymKey(s.poised(), relabel))
 	// Role order: m1 then m2 — every pc references both registers.
 	h = mix2(h, uint64(relabel(0)))
 	return mix2(h, uint64(relabel(1)))

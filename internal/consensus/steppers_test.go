@@ -171,9 +171,9 @@ func TestStepperStateKeysDiverge(t *testing.T) {
 }
 
 // TestMaxRegForkIntoKeepsForkWrite: a stepper poised on the catch-up
-// write-max shares its pending instruction with its forks, so recycling the
-// original through ForkInto — which reuses its big.Int storage in place —
-// must leave the fork's poised argument untouched.
+// write-max shares the value it read, now its write's argument, with its
+// forks, so recycling the original through ForkInto — which overwrites its
+// storage in place — must leave the fork's poised argument untouched.
 func TestMaxRegForkIntoKeepsForkWrite(t *testing.T) {
 	const y = 5
 	hi, lo := EncodePair(MaxRegPair{R: 2, X: 1}, y), EncodePair(MaxRegPair{R: 0, X: 1}, y)

@@ -67,23 +67,33 @@ func (c *Add) update(delta *big.Int) {
 
 // Scan reads the location once and decomposes it into base-3n digits.
 func (c *Add) Scan() []int64 {
-	var x *big.Int
+	var x machine.Value
 	if c.fetch {
-		x = machine.MustInt(c.p.Apply(c.loc, machine.OpFetchAndAdd, machine.Int(0)))
+		x = c.p.Apply(c.loc, machine.OpFetchAndAdd, machine.Int(0))
 	} else {
-		x = machine.MustInt(c.p.Apply(c.loc, machine.OpRead))
+		x = c.p.Apply(c.loc, machine.OpRead)
 	}
 	return decodeDigits(x, c.base, c.m)
 }
 
-// decodeDigits decomposes x into its m least significant base-`base` digits.
-// Pure local computation shared with the forkable AddMachine.
-func decodeDigits(x, base *big.Int, m int) []int64 {
+// decodeDigits decomposes the numeric value x into its m least significant
+// base-`base` digits, on int64 arithmetic while x fits a word (truncated
+// division, as big.Int.QuoRem). Pure local computation shared with the
+// forkable AddMachine.
+func decodeDigits(x machine.Value, base *big.Int, m int) []int64 {
 	out := make([]int64, m)
-	x = new(big.Int).Set(x)
+	if w, ok := machine.AsInt64(x); ok {
+		b := base.Int64()
+		for v := 0; v < m; v++ {
+			out[v] = w % b
+			w /= b
+		}
+		return out
+	}
+	xb := new(big.Int).Set(machine.MustInt(x))
 	digit := new(big.Int)
 	for v := 0; v < m; v++ {
-		x.QuoRem(x, base, digit)
+		xb.QuoRem(xb, base, digit)
 		out[v] = digit.Int64()
 	}
 	return out

@@ -212,7 +212,7 @@ func (c *AddMachine) StartScan() sim.OpInfo {
 
 func (c *AddMachine) Step(res machine.Value) (sim.OpInfo, bool) {
 	if c.op == opScan {
-		c.counts = decodeDigits(machine.MustInt(res), c.base, c.m)
+		c.counts = decodeDigits(res, c.base, c.m)
 	}
 	c.op = opIdle
 	return sim.OpInfo{}, false
@@ -350,7 +350,7 @@ func (c *SetBitMachine) StartInc(v int) sim.OpInfo {
 	block := int64(c.m * c.n)
 	idx := b*block + int64(v*c.n+c.id)
 	c.op = opInc
-	return sim.OpInfo{Loc: c.loc, Op: machine.OpSetBit, Args: []machine.Value{machine.Int(idx)}}
+	return sim.OpInfo{Loc: c.loc, Op: machine.OpSetBit, Args: []machine.Value{machine.Word(idx)}}
 }
 
 func (c *SetBitMachine) StartDec(int) sim.OpInfo {
@@ -364,7 +364,7 @@ func (c *SetBitMachine) StartScan() sim.OpInfo {
 
 func (c *SetBitMachine) Step(res machine.Value) (sim.OpInfo, bool) {
 	if c.op == opScan {
-		c.counts = decodeBitBlocks(machine.MustInt(res), c.m, c.n)
+		c.counts = decodeBitBlocks(res, c.m, c.n)
 	}
 	c.op = opIdle
 	return sim.OpInfo{}, false

@@ -1,7 +1,7 @@
 package counter
 
 import (
-	"math/big"
+	"math/bits"
 
 	"repro/internal/machine"
 	"repro/internal/sim"
@@ -41,19 +41,26 @@ func (c *SetBit) Inc(v int) {
 // Scan reads the location once; the count of component v is the number of
 // set bits lying in component v's lanes across all blocks.
 func (c *SetBit) Scan() []int64 {
-	x := machine.MustInt(c.p.Apply(c.loc, machine.OpRead))
-	return decodeBitBlocks(x, c.m, c.n)
+	return decodeBitBlocks(c.p.Apply(c.loc, machine.OpRead), c.m, c.n)
 }
 
-// decodeBitBlocks counts set bits per component lane. Pure local
+// decodeBitBlocks counts the set bits of the numeric value x per component
+// lane, walking a non-negative word's bits without a big.Int. Pure local
 // computation shared with the forkable SetBitMachine.
-func decodeBitBlocks(x *big.Int, m, n int) []int64 {
+func decodeBitBlocks(x machine.Value, m, n int) []int64 {
 	out := make([]int64, m)
 	block := m * n
-	for j := 0; j < x.BitLen(); j++ {
-		if x.Bit(j) == 1 {
-			v := (j % block) / n
-			out[v]++
+	if w, ok := machine.AsInt64(x); ok && w >= 0 {
+		for u := uint64(w); u != 0; u &= u - 1 {
+			j := bits.TrailingZeros64(u)
+			out[(j%block)/n]++
+		}
+		return out
+	}
+	xb := machine.MustInt(x)
+	for j := 0; j < xb.BitLen(); j++ {
+		if xb.Bit(j) == 1 {
+			out[(j%block)/n]++
 		}
 	}
 	return out

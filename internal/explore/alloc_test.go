@@ -21,10 +21,22 @@ import (
 // key string. The mp case explores MP.QSC under reordering delivery: with
 // forks sharing channel queues copy-on-write it measured 3.88 per state,
 // against 19.54 when every fork deep-copied every non-empty queue; what
-// remains is the fresh queue array each send or delivery stores.
+// remains is the fresh queue array each send or delivery stores. The maxreg
+// case is Theorem 4.2's two max-registers, the heaviest verify-shm row, and
+// the mvalued case the n-valued racing counters over one {read, add}
+// location. They measured 6.82 and 6.41 per state while the max-register
+// stepper deep-copied its read values into fresh big.Ints on every fork and
+// both boxed every word they read into a big.Int to decode it; sharing the
+// immutable read values and decoding on int64 brought them to 0.89 and 2.40.
 func TestExploreAllocsPerState(t *testing.T) {
 	increment := func() (*sim.System, error) {
 		return consensus.Increment(4).NewSystem([]int{1, 0, 1, 0})
+	}
+	maxReg := func() (*sim.System, error) {
+		return consensus.MaxRegisters(3).NewSystem([]int{0, 1, 2})
+	}
+	mvalued := func() (*sim.System, error) {
+		return consensus.Add(3).NewSystem([]int{0, 1, 2})
 	}
 	qscReorder := func() (*sim.System, error) {
 		return consensus.QSCConfig(3, 2, 2).NewSystem([]int{2, 0, 1},
@@ -39,6 +51,8 @@ func TestExploreAllocsPerState(t *testing.T) {
 		{"symmetric", increment, Options{MaxDepth: 7, Dedup: true, Symmetry: true}, 10},
 		{"exact", increment, Options{MaxDepth: 7, Dedup: true, Table: TableExact}, 2.25},
 		{"mp", qscReorder, Options{MaxDepth: 8, Dedup: true, Table: TableExact}, 6},
+		{"maxreg", maxReg, Options{MaxDepth: 10, Dedup: true, Table: TableExact}, 2},
+		{"mvalued", mvalued, Options{MaxDepth: 10, Dedup: true, Table: TableExact}, 3.5},
 	}
 	for _, tc := range cases {
 		factory := tc.factory

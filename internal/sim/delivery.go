@@ -186,7 +186,7 @@ func (s *System) procEnabled(ps *procState) bool {
 	if len(s.chanLocs) == 0 {
 		return true
 	}
-	info := ps.poised
+	info := ps.poise()
 	if info.Multi != nil {
 		return true
 	}

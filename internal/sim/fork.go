@@ -38,32 +38,41 @@ func (d doneStepper) Halt()                       {}
 func (d doneStepper) Fork() Stepper               { return d }
 
 // Fork returns an independent copy of the system at its current
-// configuration: same memory contents (cloned in O(locations)), same
-// poised instructions, decisions, crashes, and step count. The fork and the
-// original never observe each other's subsequent steps.
+// configuration: same memory contents, same poised instructions, decisions,
+// crashes, and step count. The fork and the original never observe each
+// other's subsequent steps.
 //
-// Live processes fork natively when their stepper implements Forker — a
-// struct copy, O(local state) — and otherwise by result-replay: the Body
-// adapters record the instruction results each process has consumed, and a
-// fresh coroutine re-runs the deterministic body over that log, which costs
-// O(steps taken by that process) but works for every protocol. Finished and
-// crashed processes fork as stubs. ErrNotForkable is returned (and the
-// partial fork torn down) only for external Stepper implementations that
-// support neither path.
+// A fork copies only what a step can change. The memory clone copies the
+// location structs and shares every stored value and queue, which are
+// immutable once stored (machine.Memory.CloneInto). Live processes fork
+// natively when their stepper implements Forker: the built-in steppers are
+// struct copies that share every value they read from memory and every
+// buffer they published, by the same rule. Other steppers fork by
+// result-replay: the Body adapters record the instruction results each
+// process has consumed, and a fresh coroutine re-runs the deterministic
+// body over that log, which costs O(steps taken by that process) but works
+// for every protocol. Finished and crashed processes fork as stubs.
+// ErrNotForkable is returned (and the partial fork torn down) only for
+// external Stepper implementations that support neither path.
 //
-// Concurrency: Fork only reads the receiver, so multiple goroutines may
-// Fork the same System concurrently — and transfer the forks across
-// goroutines — provided no goroutine concurrently calls Step, Crash, or
-// Close on it. External Forker implementations must honor the same
-// contract (the built-in steppers fork by copying). The parallel explorer
-// relies on this when its workers fork a shared configuration's descendants
-// from several deques at once.
+// The fork does not re-poise its processes. Each one's cached instruction
+// is marked stale and read from the stepper when first needed, so a fork
+// that is stepped once and then discarded (the explorer's deduplicated
+// children) re-poises the one process that stepped, not all n.
+//
+// Concurrency: Fork only reads the receiver, and so do Poised, Live and
+// AppendLive (a stale poise is read through Stepper.Poise, which writes
+// nothing), so multiple goroutines may Fork the same System concurrently —
+// and transfer the forks across goroutines — provided no goroutine
+// concurrently calls Step, Crash, or Close on it. External Forker
+// implementations must honor the same contract. A stepper that shares
+// mutable state with its forks must mark it shared without a data race
+// (the MP.QSC stepper's bucket array uses an atomic flag).
 //
 // With a Pool attached (SetPool), Fork first tries to rebuild the copy
 // inside a recycled System, reusing its memory clone buffers, process
-// states, and — through ForkerInto — the recycled steppers'
-// own heap state. In steady state a fork/step/close cycle then allocates
-// nothing.
+// states, and — through ForkerInto — the recycled steppers' storage. In
+// steady state a fork/step/close cycle then allocates nothing.
 func (s *System) Fork() (*System, error) {
 	if s.closed {
 		return nil, ErrClosed
@@ -101,7 +110,7 @@ func (s *System) Fork() (*System, error) {
 			// was parked in spare.
 			prev = nps.spare
 		}
-		nps.poised, nps.hasPoise = OpInfo{}, false
+		nps.hasPoise, nps.stale = false, false
 		nps.decided, nps.decision = ps.decided, ps.decision
 		nps.crashed, nps.err = ps.crashed, ps.err
 		// The fork is at the source's exact configuration, so the cached
@@ -133,8 +142,10 @@ func (s *System) Fork() (*System, error) {
 			}
 			return nil, fmt.Errorf("%w: process %d (%T)", ErrNotForkable, i, ps.st)
 		}
+		// The copy sits at the source's poise point, so it is live; its
+		// instruction is read when first needed (procState.poise).
 		nps.st = st
-		nps.refresh()
+		nps.hasPoise, nps.stale = true, true
 	}
 	n.hcAggLo, n.hcAggHi = s.hcAggLo, s.hcAggHi
 	n.hcUnkeyed, n.hcAdapters = s.hcUnkeyed, s.hcAdapters

@@ -25,7 +25,10 @@ import (
 type Stepper interface {
 	// Poise returns the instruction the process will perform when next
 	// resumed. ok=false means the process has finished (decided or failed);
-	// consult Outcome.
+	// consult Outcome. Poise is idempotent and writes nothing: a forked
+	// system reads a stale poise through it while other goroutines may be
+	// forking the same stepper (see System.Fork). The returned Args may
+	// point into the stepper's own storage, valid until its next Resume.
 	Poise() (info OpInfo, ok bool)
 	// Resume delivers the result of the poised instruction and advances the
 	// process to its next poise point or to its end. done=true means the
@@ -55,11 +58,14 @@ type Forker interface {
 // ForkerInto is the optional pooled-forking extension of Forker: ForkInto
 // returns an independent copy of the stepper exactly like Fork, but may
 // rebuild it inside prev — a discarded stepper popped from a recycled
-// System (sim.Pool) — when prev has the same concrete type, reusing its
-// heap-allocated state (big.Ints, scratch slices) instead of allocating.
-// Implementations must tolerate prev being nil or of a foreign type by
-// falling back to a fresh copy, and must leave the receiver unread by the
-// returned stepper (the Fork independence contract).
+// System (sim.Pool) — when prev has the same concrete type: the struct is
+// overwritten in place, and scratch buffers prev owned alone (collect
+// buffers, retired round steppers) are reused instead of allocated. Values
+// read from memory and published buffers are immutable and shared with the
+// receiver, never copied. Implementations must tolerate prev being nil or
+// of a foreign type by falling back to a fresh copy, and must never write
+// into state the returned stepper shares with the receiver (the Fork
+// independence contract).
 type ForkerInto interface {
 	Forker
 	ForkInto(prev Stepper) Stepper

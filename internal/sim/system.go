@@ -18,8 +18,12 @@ var (
 
 // procState is the System-side view of one process.
 type procState struct {
-	st       Stepper
-	poised   OpInfo // cached poised instruction; valid while hasPoise
+	st     Stepper
+	poised OpInfo // cached poised instruction; valid while hasPoise && !stale
+	// stale marks poised as not yet read from st: a fork copies hasPoise
+	// and leaves the cache stale, so only the processes that step re-poise
+	// (see poise).
+	stale    bool
 	hasPoise bool
 	decided  bool
 	decision int
@@ -52,12 +56,25 @@ func (ps *procState) live() bool {
 // refresh re-reads the stepper's poise point into the cache, recording the
 // outcome if the process finished.
 func (ps *procState) refresh() {
+	ps.stale = false
 	if info, ok := ps.st.Poise(); ok {
 		ps.poised, ps.hasPoise = info, true
 		return
 	}
 	ps.poised, ps.hasPoise = OpInfo{}, false
 	ps.recordOutcome()
+}
+
+// poise returns a live process's poised instruction. A stale cache is read
+// through the stepper without being filled: Poise writes nothing, so the
+// read paths (Poised, Live, AppendLive) leave a system that other
+// goroutines may be forking untouched. Step fills the cache instead.
+func (ps *procState) poise() OpInfo {
+	if ps.stale {
+		info, _ := ps.st.Poise()
+		return info
+	}
+	return ps.poised
 }
 
 func (ps *procState) recordOutcome() {
@@ -258,14 +275,16 @@ func (s *System) Err() error {
 }
 
 // Poised returns the instruction process pid will perform when next
-// scheduled. ok is false if the process is not live.
+// scheduled. ok is false if the process is not live. The Args slice may be
+// shared (a stepper's argument slot, or for a delivery pid the system's rank
+// table) and must not be written.
 func (s *System) Poised(pid int) (OpInfo, bool) {
 	if pid >= len(s.procs) {
 		if !s.deliveryLive(pid) {
 			return OpInfo{}, false
 		}
 		op, loc, rank, _ := s.deliveryChoice(pid)
-		return OpInfo{Loc: loc, Op: op, Args: []machine.Value{machine.Int(int64(rank))}}, true
+		return OpInfo{Loc: loc, Op: op, Args: s.ranks[rank : rank+1 : rank+1]}, true
 	}
 	if pid < 0 {
 		return OpInfo{}, false
@@ -274,7 +293,7 @@ func (s *System) Poised(pid int) (OpInfo, bool) {
 	if !s.procEnabled(ps) {
 		return OpInfo{}, false
 	}
-	return ps.poised, true
+	return ps.poise(), true
 }
 
 // Step lets process pid perform its poised instruction. The instruction is
@@ -294,6 +313,10 @@ func (s *System) Step(pid int) (StepInfo, error) {
 	ps := s.procs[pid]
 	if !s.procEnabled(ps) {
 		return StepInfo{}, fmt.Errorf("%w: pid %d", ErrNotLive, pid)
+	}
+	if ps.stale {
+		ps.poised, _ = ps.st.Poise()
+		ps.stale = false
 	}
 	info := &ps.poised
 	var (
