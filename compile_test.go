@@ -197,8 +197,8 @@ func TestHandleAmortizesForkableRows(t *testing.T) {
 	}
 
 	// A handle whose protocol runs on the coroutine Body adapter (T1.5's
-	// Body form) forks by result replay: no snapshot is cached, and results
-	// are the same either way.
+	// Body form) cannot fork: no snapshot is cached, each run builds a fresh
+	// system, and results are the same either way.
 	body, err := compileBody("T1.5", len(inputs))
 	if err != nil {
 		t.Fatal(err)

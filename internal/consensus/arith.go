@@ -73,11 +73,7 @@ func AddValues(n, m int) *Protocol {
 		Body: func(p *sim.Proc) int {
 			return RaceBounded(counter.NewAdd(p, 0, m, n), n, p.Input())
 		},
-		Steppers: func(inputs []int) []sim.Stepper {
-			return steppersOf(inputs, func(_, in int) sim.Stepper {
-				return newRaceStepper(counter.NewAddMachine(0, m, n, false), n, in, true)
-			})
-		},
+		Steppers: func(inputs []int) []sim.Stepper { return addSteppers(inputs, m, n, false) },
 	}
 }
 
@@ -93,12 +89,19 @@ func FetchAdd(n int) *Protocol {
 		Body: func(p *sim.Proc) int {
 			return RaceBounded(counter.NewFetchAdd(p, 0, n, n), n, p.Input())
 		},
-		Steppers: func(inputs []int) []sim.Stepper {
-			return steppersOf(inputs, func(_, in int) sim.Stepper {
-				return newRaceStepper(counter.NewAddMachine(0, n, n, true), n, in, true)
-			})
-		},
+		Steppers: func(inputs []int) []sim.Stepper { return addSteppers(inputs, n, n, true) },
 	}
+}
+
+// addSteppers builds the racing steppers of Add, AddValues and FetchAdd. The
+// m powers of 3n and their instructions are built once per system and
+// shared: each process gets a Fork of one prototype machine, a struct copy,
+// instead of rebuilding the O(m²)-bit power table for itself.
+func addSteppers(inputs []int, m, n int, fetch bool) []sim.Stepper {
+	proto := counter.NewAddMachine(0, m, n, fetch)
+	return steppersOf(inputs, func(_, in int) sim.Stepper {
+		return newRaceStepper(proto.Fork().(*counter.AddMachine), n, in, true)
+	})
 }
 
 // SetBit solves n-consensus with a single {read, set-bit(x)} location via

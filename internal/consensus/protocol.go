@@ -57,7 +57,9 @@ type Protocol struct {
 // SetBody replaces the protocol's per-process code and clears any explicit
 // steppers, so the replacement is authoritative. Deriving a protocol
 // variant by assigning Body directly would silently keep the parent's
-// steppers; always derive through SetBody.
+// steppers; always derive through SetBody. The variant then runs on the
+// coroutine Body adapter, which solves it but cannot fork it, so exploring
+// it fails with sim.ErrNotForkable.
 func (pr *Protocol) SetBody(body sim.Body) {
 	pr.Body = body
 	pr.Steppers = nil

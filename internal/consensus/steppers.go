@@ -19,10 +19,10 @@ import (
 // runs, traces, and measurements are unchanged; what the port buys is
 // O(local state) System.Fork, no coroutine switch per step, and true
 // canonical state keys for the explorer's deduplication. The Body forms
-// stay the reference semantics, and the coroutine adapter with its
-// result-replay fork stays for the protocols that exist only as Bodies:
-// SetBody variants such as the sticky tracks, BufferedHeterogeneous, and
-// user protocols like examples/ledger.
+// stay the reference semantics. The coroutine adapter runs the protocols
+// that exist only as Bodies — SetBody variants such as the sticky tracks,
+// BufferedHeterogeneous, and user protocols like examples/ledger — but
+// cannot fork or key them, so they solve and replay but are not explored.
 
 // opInfoKey hashes a poised instruction into a state key: the pending
 // instruction is part of a process's canonical state (it encodes every
@@ -484,12 +484,12 @@ func (s *raceStepper) fork() *raceStepper {
 
 func (s *raceStepper) ForkInto(prev sim.Stepper) sim.Stepper {
 	if p, ok := prev.(*raceStepper); ok {
-		return s.forkInto(p)
+		return s.forkOver(p)
 	}
 	return s.fork()
 }
 
-func (s *raceStepper) forkInto(p *raceStepper) *raceStepper {
+func (s *raceStepper) forkOver(p *raceStepper) *raceStepper {
 	cm := p.cm
 	*p = *s
 	p.cm = s.cm.ForkInto(cm)
@@ -546,7 +546,7 @@ func (s *exactRaceStepper) ForkInto(prev sim.Stepper) sim.Stepper {
 	if !ok {
 		return s.Fork()
 	}
-	s.r.forkInto(&p.r)
+	s.r.forkOver(&p.r)
 	return p
 }
 
@@ -773,7 +773,7 @@ func (s *mvStepper) ForkInto(prev sim.Stepper) sim.Stepper {
 	}
 	p.spareSub = spare
 	if sub != nil {
-		p.sub = s.sub.forkInto(sub)
+		p.sub = s.sub.forkOver(sub)
 	} else {
 		p.sub = s.sub.fork()
 	}

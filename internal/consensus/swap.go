@@ -24,9 +24,8 @@ type swapCell struct {
 	laps []int64
 }
 
-// Hash64 implements machine.Hashable so the memory fingerprint and the
-// result-replay history hash do not fall back to reflective formatting on
-// the swap hot path. All three fields enter the hash: the explorer's dedup
+// Hash64 implements machine.Hashable so the memory fingerprint does not
+// fall back to reflective formatting on the swap hot path. All three fields enter the hash: the explorer's dedup
 // table compares configurations across different schedules, where cells
 // with equal (pid, seq) can carry different lap vectors.
 func (c swapCell) Hash64() uint64 {

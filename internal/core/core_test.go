@@ -24,7 +24,7 @@ func TestSanityAllRows(t *testing.T) {
 // TestTableRowsForkNatively guards the Table 1 hot path: every
 // row, in its standard and m-valued forms and at several buffer
 // capacities, builds a system of forkable steppers — none runs on the
-// coroutine Body adapter and its result-replay fork. The message-passing
+// coroutine Body adapter, which cannot fork. The message-passing
 // companion row is held to the same rule.
 func TestTableRowsForkNatively(t *testing.T) {
 	for _, l := range []int{1, 2, 3} {

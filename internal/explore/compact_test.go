@@ -36,17 +36,13 @@ func stripApprox(r *Report) *Report {
 // distinct (up to the 128-bit collision bound, which these few thousand
 // states cannot plausibly hit) — and the ok flag must agree with
 // AppendStateKey's exactly. Checked over every configuration of several
-// portfolio explorations, native steppers and coroutine bodies both.
+// portfolio explorations and of the broken protocol.
 func TestStateHash128MatchesKey(t *testing.T) {
-	body := func() (*sim.System, error) {
-		pr := consensus.MaxRegisters(2)
-		return sim.NewSystem(pr.NewMemory(), []int{0, 1}, pr.Body), nil
-	}
 	factories := []Factory{
 		factoryFor(func() *consensus.Protocol { return consensus.CAS(3) }, []int{0, 1, 2}),
 		factoryFor(func() *consensus.Protocol { return consensus.Increment(3) }, []int{1, 0, 1}),
 		factoryFor(func() *consensus.Protocol { return consensus.MaxRegisters(2) }, []int{0, 1}),
-		body,
+		broken,
 	}
 	byKey := make(map[string]machine.Hash128)
 	byFP := make(map[machine.Hash128]string)
@@ -514,14 +510,6 @@ func TestBitTableClaimInvariance(t *testing.T) {
 // configurations, in the identical DFS order, so the whole Report
 // (violation schedules included) stays byte-identical to the unspilled run.
 func TestSpillPreservesReport(t *testing.T) {
-	broken := func() (*sim.System, error) {
-		mem := machine.New(machine.SetReadWrite, 1)
-		b := func(p *sim.Proc) int {
-			p.Apply(0, machine.OpRead)
-			return p.Input()
-		}
-		return sim.NewSystem(mem, []int{0, 1}, b), nil
-	}
 	cases := []struct {
 		name  string
 		f     Factory

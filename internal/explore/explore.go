@@ -4,10 +4,10 @@
 // branch points instead of re-executing the whole schedule prefix from a
 // fresh system. Every Table 1 row runs as explicit forkable steppers (see
 // internal/consensus/steppers.go), which System.Fork copies in O(state).
-// Per-process result-replay through the coroutine Body adapter forks only
-// the protocols that exist as Bodies alone: the sticky tracks,
-// BufferedHeterogeneous, examples/ledger and SetBody variants. Systems that
-// cannot fork are refused with sim.ErrNotForkable.
+// A system that cannot fork — one on the coroutine Body adapter, such as the
+// sticky tracks, BufferedHeterogeneous, examples/ledger and SetBody
+// variants, or one over external steppers without sim.Forker — is refused
+// with sim.ErrNotForkable before any walk starts.
 //
 // There is one walk (walk.go): a depth-first search over a work-stealing
 // frontier, run on the calling goroutine for one worker and across a pool
@@ -240,11 +240,15 @@ func replay(f Factory, prefix []int) (*sim.System, error) {
 // opts.MaxDepth, validating agreement and validity at every configuration.
 // Every worker checks ctx once per configuration it takes from the
 // frontier, so cancelling ctx aborts the search promptly with ctx.Err()
-// (all forked systems closed, all workers joined). Systems that cannot
-// fork fail with sim.ErrNotForkable.
+// (all forked systems closed, all workers joined). A root that cannot fork
+// (sim.System.ForksNatively is false) fails with sim.ErrNotForkable before
+// any configuration is explored.
 func Exhaustive(ctx context.Context, f Factory, opts Options) (*Report, error) {
 	root, err := f()
 	if err != nil {
+		return nil, err
+	}
+	if err := refuseUnforkable(root); err != nil {
 		return nil, err
 	}
 	w := newWalker(f, root, opts)
@@ -266,6 +270,18 @@ func Exhaustive(ctx context.Context, f Factory, opts Options) (*Report, error) {
 		return Exhaustive(ctx, f, one)
 	}
 	return rep, err
+}
+
+// refuseUnforkable closes a root that cannot fork and returns
+// sim.ErrNotForkable for it. It runs before any walk, so whether a system is
+// refused never depends on the shape of its tree: a walk whose configurations
+// each have one successor would otherwise never fork at all.
+func refuseUnforkable(root *sim.System) error {
+	if root.ForksNatively() {
+		return nil
+	}
+	root.Close()
+	return fmt.Errorf("explore: %w", sim.ErrNotForkable)
 }
 
 // treeNode is one pending configuration of the walk. Nodes carry their
@@ -380,7 +396,7 @@ func checkSafety(sys *sim.System, inputs []int) string {
 // form of the paper's "P can decide v from C". The search is the
 // exploration walk with seen-state dedup, restricted to set and stopped at
 // the first decision on v; systems that cannot fork fail with
-// sim.ErrNotForkable.
+// sim.ErrNotForkable, whatever extraDepth is.
 func CanDecide(f Factory, prefix []int, set []int, v, extraDepth int) (bool, error) {
 	base, err := replay(f, prefix)
 	if err != nil {
@@ -393,6 +409,9 @@ func CanDecide(f Factory, prefix []int, set []int, v, extraDepth int) (bool, err
 // owns and closes. The lower-bound machinery calls it directly with forked
 // configurations to avoid re-materializing the prefix per oracle query.
 func CanDecideFrom(base *sim.System, set []int, v, extraDepth int) (bool, error) {
+	if err := refuseUnforkable(base); err != nil {
+		return false, err
+	}
 	if extraDepth <= 0 {
 		// Options.MaxDepth 0 means unbounded; here it means base alone.
 		defer base.Close()

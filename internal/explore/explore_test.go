@@ -17,6 +17,34 @@ func factoryFor(build func() *consensus.Protocol, inputs []int) Factory {
 	}
 }
 
+// brokenStepper reads location 0 once and then decides its own input: an
+// unsafe protocol (agreement fails whenever inputs differ) that the tests
+// plant to guard against a vacuously green checker. It forks and keys, as
+// every explored system must.
+type brokenStepper struct {
+	input int
+	done  bool
+}
+
+func (s *brokenStepper) Poise() (sim.OpInfo, bool) {
+	return sim.OpInfo{Loc: 0, Op: machine.OpRead}, !s.done
+}
+func (s *brokenStepper) Resume(machine.Value) bool   { s.done = true; return true }
+func (s *brokenStepper) Outcome() (bool, int, error) { return s.done, s.input, nil }
+func (s *brokenStepper) Halt()                       {}
+func (s *brokenStepper) Fork() sim.Stepper           { f := *s; return &f }
+func (s *brokenStepper) StateKey() uint64            { return machine.Mix64(uint64(s.input)) }
+
+// broken is the factory of the two-process broken protocol, inputs 0 and 1.
+func broken() (*sim.System, error) {
+	inputs := []int{0, 1}
+	steppers := make([]sim.Stepper, len(inputs))
+	for i, in := range inputs {
+		steppers[i] = &brokenStepper{input: in}
+	}
+	return sim.NewSystemSteppers(machine.New(machine.SetReadWrite, 1), inputs, steppers), nil
+}
+
 // TestExhaustiveCAS verifies the CAS protocol over every interleaving of
 // three processes (each takes exactly one step, so the space is tiny and
 // exploration is complete, not bounded).
@@ -100,14 +128,6 @@ func TestExhaustiveBuffered(t *testing.T) {
 // (decide own input after one read: no agreement) and checks the explorer
 // reports it — guarding against a vacuously green checker.
 func TestExhaustiveCatchesBrokenProtocol(t *testing.T) {
-	broken := func() (*sim.System, error) {
-		mem := machine.New(machine.SetReadWrite, 1)
-		body := func(p *sim.Proc) int {
-			p.Apply(0, machine.OpRead)
-			return p.Input() // agreement violated whenever inputs differ
-		}
-		return sim.NewSystem(mem, []int{0, 1}, body), nil
-	}
 	rep, err := Exhaustive(context.Background(), broken, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -120,19 +140,10 @@ func TestExhaustiveCatchesBrokenProtocol(t *testing.T) {
 // TestStrategiesAgree is the fork-vs-replay differential: the one-worker
 // walk and the test-only replay oracle must produce byte-identical Reports
 // — same runs, same states, same truncation, same violations in the same
-// order — across natively forkable protocols, coroutine-body protocols
-// (result-replay forking), a depth-bounded instance, a MaxRuns-truncated
-// instance, a SoloBudget instance, dedup on and off, and a deliberately
-// broken protocol.
+// order — across natively forkable protocols, a depth-bounded instance, a
+// MaxRuns-truncated instance, a SoloBudget instance, dedup on and off, and
+// a deliberately broken protocol.
 func TestStrategiesAgree(t *testing.T) {
-	broken := func() (*sim.System, error) {
-		mem := machine.New(machine.SetReadWrite, 1)
-		body := func(p *sim.Proc) int {
-			p.Apply(0, machine.OpRead)
-			return p.Input()
-		}
-		return sim.NewSystem(mem, []int{0, 1}, body), nil
-	}
 	cases := []struct {
 		name string
 		f    Factory
@@ -143,10 +154,6 @@ func TestStrategiesAgree(t *testing.T) {
 		{"max-registers-depth8", factoryFor(func() *consensus.Protocol { return consensus.MaxRegisters(2) }, []int{0, 1}), Options{MaxDepth: 8}},
 		{"add-depth7", factoryFor(func() *consensus.Protocol { return consensus.Add(2) }, []int{1, 0}), Options{MaxDepth: 7}},
 		{"buffered-depth7", factoryFor(func() *consensus.Protocol { return consensus.Buffered(2, 2) }, []int{1, 0}), Options{MaxDepth: 7}},
-		{"buffered-body-depth7", func() (*sim.System, error) {
-			pr := consensus.Buffered(2, 2)
-			return sim.NewSystem(pr.NewMemory(), []int{1, 0}, pr.Body), nil
-		}, Options{MaxDepth: 7}},
 		{"maxruns", factoryFor(func() *consensus.Protocol { return consensus.MaxRegisters(3) }, []int{0, 1, 2}), Options{MaxDepth: 12, MaxRuns: 5}},
 		{"solo", factoryFor(func() *consensus.Protocol { return consensus.CAS(2) }, []int{0, 1}), Options{SoloBudget: 5}},
 		{"broken", broken, Options{}},
@@ -190,14 +197,6 @@ func TestDedupCollapsesStates(t *testing.T) {
 	}
 
 	// A broken protocol must still be caught with dedup on.
-	broken := func() (*sim.System, error) {
-		mem := machine.New(machine.SetReadWrite, 1)
-		body := func(p *sim.Proc) int {
-			p.Apply(0, machine.OpRead)
-			return p.Input()
-		}
-		return sim.NewSystem(mem, []int{0, 1}, body), nil
-	}
 	rep, err := Exhaustive(context.Background(), broken, Options{Dedup: true})
 	if err != nil {
 		t.Fatal(err)

@@ -165,30 +165,10 @@ func TestParallelSoloBudget(t *testing.T) {
 	battery(t, f, Options{MaxDepth: 7, SoloBudget: 60}, []int{1, 4})
 }
 
-// TestParallelBodyProtocols: coroutine-body systems fork by result-replay;
-// several workers must handle them identically.
-func TestParallelBodyProtocols(t *testing.T) {
-	body := func() (*sim.System, error) {
-		pr := consensus.MaxRegisters(2)
-		return sim.NewSystem(pr.NewMemory(), []int{0, 1}, pr.Body), nil
-	}
-	for _, dedup := range []bool{false, true} {
-		battery(t, body, Options{MaxDepth: 7, Dedup: dedup}, []int{1, 2, 4})
-	}
-}
-
 // TestParallelCatchesBrokenProtocol: the planted agreement violation must
 // surface with the identical DFS-ordered witness schedules, at every worker
 // count, with dedup on and off.
 func TestParallelCatchesBrokenProtocol(t *testing.T) {
-	broken := func() (*sim.System, error) {
-		mem := machine.New(machine.SetReadWrite, 1)
-		b := func(p *sim.Proc) int {
-			p.Apply(0, machine.OpRead)
-			return p.Input()
-		}
-		return sim.NewSystem(mem, []int{0, 1}, b), nil
-	}
 	for _, dedup := range []bool{false, true} {
 		if rep := battery(t, broken, Options{Dedup: dedup}, []int{1, 2, 4, 8}); len(rep.Violations) == 0 {
 			t.Fatalf("dedup=%v: exploration missed the agreement violation", dedup)

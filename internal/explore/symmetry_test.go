@@ -119,23 +119,6 @@ func TestSymmetryReducesKnownRows(t *testing.T) {
 	}
 }
 
-// TestSymmetryFallsBackForBodies: coroutine-body systems expose no SymKeyer,
-// so a symmetric exploration must transparently use the exact key — same
-// report as Symmetry off, not an error and not a bogus merge.
-func TestSymmetryFallsBackForBodies(t *testing.T) {
-	body := func() (*sim.System, error) {
-		pr := consensus.MaxRegisters(2)
-		return sim.NewSystem(pr.NewMemory(), []int{0, 1}, pr.Body), nil
-	}
-	exact := run(t, body, Options{MaxDepth: 7, Dedup: true})
-	sym := run(t, body, Options{MaxDepth: 7, Dedup: true, Symmetry: true})
-	if sym.States != exact.States || sym.Deduped != exact.Deduped ||
-		sym.DistinctStates != exact.DistinctStates ||
-		!slices.Equal(sym.DecidedValues, exact.DecidedValues) {
-		t.Fatalf("body fallback diverged:\nexact %+v\nsym   %+v", exact, sym)
-	}
-}
-
 // TestSymmetryCatchesBrokenProtocol: pruning up to symmetry must not lose a
 // planted violation — the orbit representative's subtree contains an
 // equivalent witness.

@@ -9,8 +9,10 @@
 // re-materializing — which the probes do constantly — costs one O(state)
 // fork of the nearest cached ancestor plus the remaining suffix steps,
 // instead of a fresh system plus the whole prefix. Protocols on the
-// coroutine Body adapter transparently fall back to full schedule replay,
-// which the step-VM keeps cheap.
+// coroutine Body adapter cannot fork: Materialize reaches their
+// configurations by replaying the schedule from a fresh system, which the
+// step-VM keeps cheap, and the valency oracle Bivalent, which explores,
+// refuses them with sim.ErrNotForkable.
 //
 // These are bounded, executable forms: the lemmas quantify over all
 // protocols and use unbounded executions; the functions here verify or
@@ -122,7 +124,8 @@ func (c *Config) SoloDecision(pid int, maxSteps int64) (int, bool, error) {
 // configuration, searching set-only schedules up to extraDepth further
 // steps (the executable form of the paper's bivalence; Lemma 6.4 asserts it
 // for initial configurations with both inputs present). Each valency query
-// starts from a fork of the configuration rather than a fresh replay.
+// starts from a fork of the configuration rather than a fresh replay. A
+// protocol that cannot fork (a Body system) fails with sim.ErrNotForkable.
 func (c *Config) Bivalent(set []int, extraDepth int) (bool, error) {
 	for _, v := range []int{0, 1} {
 		sys, err := c.Materialize()

@@ -156,27 +156,6 @@ func cloneValue(v Value) Value {
 	return v
 }
 
-// CloneValue returns a copy of v that shares no mutable storage with the
-// original: big.Ints are duplicated and instruction-result slices (buffer
-// reads) get fresh backing arrays with cloned entries. Words and structured
-// payloads (immutable by convention) pass through. The step-VM uses it to
-// record instruction results for result-replay forking without aliasing
-// values a process may later mutate.
-func CloneValue(v Value) Value {
-	switch t := v.(type) {
-	case *big.Int:
-		return new(big.Int).Set(t)
-	case []Value:
-		out := make([]Value, len(t))
-		for i, e := range t {
-			out[i] = CloneValue(e)
-		}
-		return out
-	default:
-		return v
-	}
-}
-
 // valueBits reports the bit-width of a numeric value, and 0 for non-numeric
 // payloads. It feeds the value-width ablation (paper Section 10 asks how
 // location size should enter a practical hierarchy).

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"maps"
 	"testing"
 
 	"repro/internal/machine"
@@ -201,8 +202,8 @@ func TestDeliveryKeysFoldDrops(t *testing.T) {
 // sends, deliveries, drops, receives, forks, and crashes, pinning the
 // incremental StateHash128 against the streamed reference at every point.
 func TestDeliveryHashIncrementalVsStreamed(t *testing.T) {
-	s := NewSystem(chanMem(3, 6, machine.ChanFIFO), []int{1, 2, 3}, pingPong,
-		WithDelivery(Delivery{Mode: DeliverLossy, MaxDrops: 2}))
+	s := NewSystemSteppers(chanMem(3, 6, machine.ChanFIFO), []int{1, 2, 3},
+		pingPongSteppers([]int{1, 2, 3}), WithDelivery(Delivery{Mode: DeliverLossy, MaxDrops: 2}))
 	defer s.Close()
 	check := func(sys *System, at string) {
 		t.Helper()
@@ -248,8 +249,8 @@ func TestDeliveryHashIncrementalVsStreamed(t *testing.T) {
 // budget, and channel layout, and that replays through the forked system
 // agree with the original.
 func TestDeliveryForkCarriesState(t *testing.T) {
-	s := NewSystem(chanMem(2, 4, machine.ChanFIFO), []int{5, 6}, pingPong,
-		WithDelivery(Delivery{Mode: DeliverLossy, MaxDrops: 3}))
+	s := NewSystemSteppers(chanMem(2, 4, machine.ChanFIFO), []int{5, 6},
+		pingPongSteppers([]int{5, 6}), WithDelivery(Delivery{Mode: DeliverLossy, MaxDrops: 3}))
 	defer s.Close()
 	s.Step(0)                 // proc 0 sends to channel 1
 	s.Step(s.N() + 2*4 + 1*4) // drop space (span 2*4), channel k=1, rank 0
@@ -273,5 +274,30 @@ func TestDeliveryForkCarriesState(t *testing.T) {
 	skf, ok2 := f.SymStateKey()
 	if ok1 != ok2 || sks != skf {
 		t.Fatal("fork sym state key differs from source")
+	}
+}
+
+// TestPingPongTwinMatchesBody: the ping-pong stepper twin that the fork and
+// hash tests run on takes the same steps, under the same seeded schedules
+// and delivery adversary, as the pingPong body, and decides the same.
+func TestPingPongTwinMatchesBody(t *testing.T) {
+	inputs := []int{1, 2, 3}
+	opts := []SystemOption{WithTrace(), WithDelivery(Delivery{Mode: DeliverLossy, MaxDrops: 2})}
+	for seed := int64(1); seed <= 20; seed++ {
+		body := NewSystem(chanMem(3, 6, machine.ChanFIFO), inputs, pingPong, opts...)
+		twin := NewSystemSteppers(chanMem(3, 6, machine.ChanFIFO), inputs, pingPongSteppers(inputs), opts...)
+		for _, s := range []*System{body, twin} {
+			if _, err := s.Run(NewRandom(seed), 1_000); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if a, b := traceString(body.Trace()), traceString(twin.Trace()); a != b {
+			t.Fatalf("seed %d: trace diverged\nbody %s\ntwin %s", seed, a, b)
+		}
+		if a, b := body.Decisions(), twin.Decisions(); !maps.Equal(a, b) {
+			t.Fatalf("seed %d: decisions diverged: body %v twin %v", seed, a, b)
+		}
+		body.Close()
+		twin.Close()
 	}
 }

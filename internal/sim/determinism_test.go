@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"maps"
 	"testing"
 
 	"repro/internal/machine"
@@ -68,7 +69,9 @@ func TestReplayDeterminism(t *testing.T) {
 // injections across a seed sweep, and requires step-for-step identical
 // traces, identical decisions, and identical final memory. This is the
 // differential oracle justifying the engine swap: every consumer of sim
-// observes exactly the behavior the goroutine engine produced.
+// observes exactly the behavior the goroutine engine produced. Each
+// protocol's stepper twin, which the fork and key tests run on because the
+// Body adapter does not fork, is held to the same traces.
 func TestEngineEquivalenceSweep(t *testing.T) {
 	protocols := []struct {
 		name   string
@@ -76,13 +79,23 @@ func TestEngineEquivalenceSweep(t *testing.T) {
 		locs   int
 		inputs []int
 		body   Body
+		twin   func(inputs []int) []Stepper
 	}{
 		{"race-increment", machine.NewInstrSet("t", machine.OpRead, machine.OpIncrement), 2,
-			[]int{0, 0, 0}, raceBody},
-		{"cas-consensus", machine.SetCAS, 1, []int{3, 1, 2, 0}, casBody},
+			[]int{0, 0, 0}, raceBody, func(in []int) []Stepper { return raceSteppers(len(in)) }},
+		{"cas-consensus", machine.SetCAS, 1, []int{3, 1, 2, 0}, casBody, func(in []int) []Stepper {
+			out := make([]Stepper, len(in))
+			for i, x := range in {
+				out[i] = newCASStepper(x)
+			}
+			return out
+		}},
 	}
 	for _, pr := range protocols {
 		t.Run(pr.name, func(t *testing.T) {
+			twinSystem := func(mem *machine.Memory, inputs []int, _ Body, opts ...SystemOption) *System {
+				return NewSystemSteppers(mem, inputs, pr.twin(inputs), opts...)
+			}
 			for seed := int64(1); seed <= 25; seed++ {
 				run := func(newSys systemBuilder, crashP float64) (string, map[int]int, string) {
 					mem := machine.New(pr.set, pr.locs)
@@ -99,21 +112,21 @@ func TestEngineEquivalenceSweep(t *testing.T) {
 				}
 				for _, crashP := range []float64{0, 0.05} {
 					vmTrace, vmDec, vmMem := run(NewSystem, crashP)
-					goTrace, goDec, goMem := run(newGoroutineSystem, crashP)
-					if vmTrace != goTrace {
-						t.Fatalf("seed %d crash %.2f: trace diverged\nvm: %s\ngo: %s",
-							seed, crashP, vmTrace, goTrace)
-					}
-					if len(vmDec) != len(goDec) {
-						t.Fatalf("seed %d: decisions diverged: vm %v go %v", seed, vmDec, goDec)
-					}
-					for pid, d := range goDec {
-						if vmDec[pid] != d {
-							t.Fatalf("seed %d: decisions diverged: vm %v go %v", seed, vmDec, goDec)
+					for _, other := range []struct {
+						name  string
+						build systemBuilder
+					}{{"go", newGoroutineSystem}, {"twin", twinSystem}} {
+						trace, dec, mem := run(other.build, crashP)
+						if vmTrace != trace {
+							t.Fatalf("seed %d crash %.2f: %s trace diverged\nvm: %s\n%s: %s",
+								seed, crashP, other.name, vmTrace, other.name, trace)
 						}
-					}
-					if vmMem != goMem {
-						t.Fatalf("seed %d: final memory diverged:\nvm %s\ngo %s", seed, vmMem, goMem)
+						if !maps.Equal(vmDec, dec) {
+							t.Fatalf("seed %d: decisions diverged: vm %v %s %v", seed, vmDec, other.name, dec)
+						}
+						if vmMem != mem {
+							t.Fatalf("seed %d: final memory diverged:\nvm %s\n%s %s", seed, vmMem, other.name, mem)
+						}
 					}
 				}
 			}

@@ -32,7 +32,6 @@ func newGoroutineSystem(mem *machine.Memory, inputs []int, body Body, opts ...Sy
 // pre-VM engine did: the body runs on its own goroutine and every poise
 // point costs two channel handoffs and a scheduler round trip.
 type goroutineStepper struct {
-	replayLog
 	req      chan OpInfo
 	resp     chan machine.Value
 	done     chan goroutineOutcome
@@ -56,13 +55,12 @@ type goroutineOutcome struct {
 // poised on its first instruction (or has finished).
 func newGoroutineStepper(id, n, input int, clock *int64, body Body) *goroutineStepper {
 	g := &goroutineStepper{
-		replayLog: replayLog{id: id, n: n, input: input, body: body, clock: clock},
-		req:       make(chan OpInfo),
-		resp:      make(chan machine.Value),
-		done:      make(chan goroutineOutcome, 1),
-		kill:      make(chan struct{}),
+		req:  make(chan OpInfo),
+		resp: make(chan machine.Value),
+		done: make(chan goroutineOutcome, 1),
+		kill: make(chan struct{}),
 	}
-	p := &Proc{id: id, n: n, input: input, clock: clock, clockSeen: &g.clockDep}
+	p := &Proc{id: id, n: n, input: input, clock: clock}
 	p.submit = func(info OpInfo) machine.Value {
 		select {
 		case g.req <- info:
@@ -118,37 +116,9 @@ func (g *goroutineStepper) Poise() (OpInfo, bool) {
 }
 
 func (g *goroutineStepper) Resume(res machine.Value) bool {
-	g.record(res)
-	return g.deliver(res)
-}
-
-// deliver hands res to the body, without recording it.
-func (g *goroutineStepper) deliver(res machine.Value) bool {
 	g.resp <- res
 	g.await()
 	return g.finished
-}
-
-// forkInto implements replayForker the same way the coroutine adapter does:
-// a fresh goroutine re-runs the body over the recorded results and then
-// shares the source's log, with the clock replaying its historical values
-// (see coroStepper.forkInto). The body only reads the clock between Resume
-// and the next poise/finish, and await blocks until then, so the temporary
-// clock values never race.
-func (g *goroutineStepper) forkInto(clock *int64) (Stepper, bool) {
-	if g.overflow {
-		return nil, false
-	}
-	saved := *clock
-	*clock = 0 // the original body started at step 0
-	f := newGoroutineStepper(g.id, g.n, g.input, clock, g.body)
-	for i, res := range g.results {
-		*clock = g.clocks[i]
-		f.deliver(machine.CloneValue(res))
-	}
-	*clock = saved
-	g.shareInto(&f.replayLog)
-	return f, true
 }
 
 func (g *goroutineStepper) Outcome() (bool, int, error) {

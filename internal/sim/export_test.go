@@ -1,13 +1,5 @@
 package sim
 
-// SetMaxReplayLog sets the replay-log cap and returns a func restoring the
-// previous one.
-func SetMaxReplayLog(n int) (restore func()) {
-	old := maxReplayLog
-	maxReplayLog = n
-	return func() { maxReplayLog = old }
-}
-
 // ProcStateKey returns process pid's local-state key; ok is false when its
 // stepper has none.
 func (s *System) ProcStateKey(pid int) (key uint64, ok bool) {

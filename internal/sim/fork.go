@@ -18,9 +18,9 @@ var forkTally atomic.Int64
 // performed by this process. Meaningful only as deltas.
 func ForkTally() int64 { return forkTally.Load() }
 
-// ErrNotForkable is returned by System.Fork when some process's stepper
-// supports neither native forking (Forker) nor result-replay (the built-in
-// Body adapters, within their log budget).
+// ErrNotForkable is returned by System.Fork when some live process's
+// stepper does not implement Forker — the Body adapter, or an external
+// stepper — and by the explorer for a system that cannot fork.
 var ErrNotForkable = errors.New("sim: stepper does not support forking")
 
 // doneStepper stands in for a finished or crashed process in a forked
@@ -44,16 +44,13 @@ func (d doneStepper) Fork() Stepper               { return d }
 //
 // A fork copies only what a step can change. The memory clone copies the
 // location structs and shares every stored value and queue, which are
-// immutable once stored (machine.Memory.CloneInto). Live processes fork
-// natively when their stepper implements Forker: the built-in steppers are
-// struct copies that share every value they read from memory and every
-// buffer they published, by the same rule. Other steppers fork by
-// result-replay: the Body adapters record the instruction results each
-// process has consumed, and a fresh coroutine re-runs the deterministic
-// body over that log, which costs O(steps taken by that process) but works
-// for every protocol. Finished and crashed processes fork as stubs.
-// ErrNotForkable is returned (and the partial fork torn down) only for
-// external Stepper implementations that support neither path.
+// immutable once stored (machine.Memory.CloneInto). Each live process forks
+// through its stepper's Forker: the built-in steppers are struct copies that
+// share every value they read from memory and every buffer they published,
+// by the same rule. Finished and crashed processes fork as stubs. A live
+// process whose stepper does not implement Forker — the Body adapter, whose
+// local state lives on a coroutine stack — makes Fork fail with
+// ErrNotForkable, and the partial fork is torn down.
 //
 // The fork does not re-poise its processes. Each one's cached instruction
 // is marked stale and read from the stepper when first needed, so a fork
@@ -116,7 +113,7 @@ func (s *System) Fork() (*System, error) {
 		// The fork is at the source's exact configuration, so the cached
 		// StateHash128 contribution carries over verbatim (stale or not).
 		nps.hcLo, nps.hcHi = ps.hcLo, ps.hcHi
-		nps.hcKeyed, nps.hcAdapter, nps.hcValid = ps.hcKeyed, ps.hcAdapter, ps.hcValid
+		nps.hcKeyed, nps.hcValid = ps.hcKeyed, ps.hcValid
 		if !ps.hasPoise || ps.crashed {
 			// Terminal stub: the outcome fields are already copied.
 			nps.spare = prev // keep the live stepper storage for a later fork
@@ -129,10 +126,6 @@ func (s *System) Fork() (*System, error) {
 			st = fi.ForkInto(prev)
 		} else if f, ok := ps.st.(Forker); ok {
 			st = f.Fork()
-		} else if rf, ok := ps.st.(replayForker); ok {
-			if st, ok = rf.forkInto(&n.steps); !ok {
-				st = nil
-			}
 		}
 		if st == nil {
 			for _, built := range n.procs[:i+1] {
@@ -148,7 +141,7 @@ func (s *System) Fork() (*System, error) {
 		nps.hasPoise, nps.stale = true, true
 	}
 	n.hcAggLo, n.hcAggHi = s.hcAggLo, s.hcAggHi
-	n.hcUnkeyed, n.hcAdapters = s.hcUnkeyed, s.hcAdapters
+	n.hcUnkeyed = s.hcUnkeyed
 	n.hcDirty = append(n.hcDirty[:0], s.hcDirty...)
 	forkTally.Add(1)
 	return n, nil
@@ -171,10 +164,10 @@ func (s *System) recycled() *System {
 	return n
 }
 
-// ForksNatively reports whether every live process is an explicit forkable
-// state machine (implements Forker), making Fork O(state) — no coroutine
-// construction, no result-replay. The explorer and the lower-bound
-// configuration cache use it to decide whether holding snapshots is cheap.
+// ForksNatively reports whether Fork succeeds: the system is open and every
+// live process's stepper implements Forker. The explorer refuses a root that
+// fails it before walking, and the handle and lower-bound caches hold
+// snapshots only of systems that pass it.
 func (s *System) ForksNatively() bool {
 	if s.closed {
 		return false
@@ -195,9 +188,8 @@ func (s *System) ForksNatively() bool {
 // (decision value, crash, failure) or its local-state key. Configurations
 // with equal keys behave identically under every future schedule (up to
 // 64-bit hash collisions per component), which is what the explorer's
-// seen-state table relies on. ok is false when some live process implements
-// neither StateKeyer nor the built-in adapters' history hash, in which case
-// deduplication must stay off.
+// seen-state table relies on. ok is false when some live process does not
+// implement StateKeyer, in which case deduplication must stay off.
 func (s *System) StateKey() (key string, ok bool) {
 	dst, ok := s.AppendStateKey(make([]byte, 0, 8+10*len(s.procs)))
 	return string(dst), ok
@@ -206,16 +198,13 @@ func (s *System) StateKey() (key string, ok bool) {
 // AppendStateKey is StateKey appending into dst, for callers that look the
 // key up allocation-free (map[string(dst)] compiles to a no-alloc access).
 //
-// Concurrency: it is safe concurrently with Forks and other keys of the
-// same system, but not with Step/Crash/Close. It reads the receiver except
-// for a Body adapter's lazily folded history hash, which the adapter
-// advances under its own lock (see replayLog).
+// Concurrency: it only reads the receiver, so it is safe concurrently with
+// Forks and other keys of the same system, but not with Step/Crash/Close.
 func (s *System) AppendStateKey(dst []byte) (key []byte, ok bool) {
 	if s.closed {
 		return dst, false
 	}
 	dst = binary.LittleEndian.AppendUint64(dst, s.mem.Fingerprint64())
-	adapters := false
 	for _, ps := range s.procs {
 		switch {
 		case ps.crashed:
@@ -232,26 +221,9 @@ func (s *System) AppendStateKey(dst []byte) (key []byte, ok bool) {
 			if !keyed {
 				return dst, false
 			}
-			// A Body that has read Clock() may carry state the result
-			// history does not determine: no sound key exists for it.
-			if cd, ok := ps.st.(interface{ clockDependent() bool }); ok {
-				if cd.clockDependent() {
-					return dst, false
-				}
-				adapters = true
-			}
 			dst = append(dst, 'l')
 			dst = binary.LittleEndian.AppendUint64(dst, k.StateKey())
 		}
-	}
-	// A live Body adapter can read Clock() at any future point, and a
-	// process that has not read it yet gives no warning; folding the global
-	// step count into the key makes pruning sound for them (two merged
-	// configurations then expose identical clocks to every future read).
-	// Explicit steppers have no clock access, so their keys stay
-	// step-count-free and merge across schedules of different lengths.
-	if adapters {
-		dst = binary.AppendUvarint(dst, uint64(s.steps))
 	}
 	// Channel systems: the remaining drop budget shapes the enabled delivery
 	// branches, so configurations that differ only in drops consumed must

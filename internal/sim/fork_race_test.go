@@ -79,22 +79,10 @@ func TestConcurrentForkSteppers(t *testing.T) {
 	}, inputs)
 }
 
-// TestConcurrentForkBodies hammers the result-replay fork path of the
-// coroutine Body adapters (each concurrent fork re-runs the body over the
-// recorded result log).
-func TestConcurrentForkBodies(t *testing.T) {
-	inputs := []int{1, 0}
-	hammerConcurrentForks(t, func() *sim.System {
-		pr := consensus.MaxRegisters(2)
-		return sim.NewSystem(pr.NewMemory(), inputs, pr.Body)
-	}, inputs)
-}
-
 // TestConcurrentStateKeys: AppendStateKey must be safe to call
 // concurrently with Forks of the same system (the parallel explorer
 // computes keys for siblings while a cousin subtree forks the shared
-// ancestor's descendants). TestConcurrentBodyStateKeys covers the Body
-// adapters, whose keys fold their result logs lazily.
+// ancestor's descendants).
 func TestConcurrentStateKeys(t *testing.T) {
 	pr := consensus.MaxRegisters(2)
 	inputs := []int{0, 1}

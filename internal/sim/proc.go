@@ -42,10 +42,6 @@ type Proc struct {
 	n     int
 	input int
 	clock *int64 // the system's step counter; read-only for the body
-	// clockSeen, when non-nil, is set on the first Clock() read: a body
-	// whose local state may depend on the clock is forked with replayed
-	// clock values and withdrawn from state-keyed deduplication.
-	clockSeen *bool
 	// submit parks the body on its poised instruction and returns the
 	// result once the scheduler has executed it. Set by the engine adapter.
 	// It panics errKilled to unwind the body on crash or close.
@@ -64,14 +60,8 @@ func (p *Proc) Input() int { return p.input }
 // Clock returns the number of atomic steps the whole system has executed.
 // Reading it between a process's own instructions is race-free: the system
 // is quiescent while a body computes locally. Tests use it to timestamp
-// operation spans for linearizability checking. A body that reads Clock
-// still forks correctly (the fork replays historical clock values), but it
-// is excluded from the explorer's state-keyed deduplication: its local
-// state may depend on more than its instruction results.
+// operation spans for linearizability checking.
 func (p *Proc) Clock() int64 {
-	if p.clockSeen != nil {
-		*p.clockSeen = true
-	}
 	return *p.clock
 }
 

@@ -4,9 +4,8 @@ import "repro/internal/machine"
 
 // StateHash128 is the fingerprint-only form of AppendStateKey: a 128-bit
 // hash of exactly the logical components the key encodes — the memory's
-// incremental fingerprint, per process either its terminal status or its
-// local-state key, and the global step count when a live Body adapter is
-// present — without materializing the key bytes at all. Every seen-state
+// incremental fingerprint and per process either its terminal status or
+// its local-state key — without materializing the key bytes at all. Every seen-state
 // table of the explorer claims this fingerprint (outside symmetry
 // reduction), so it is the whole keying path of a non-symmetric walk.
 //
@@ -23,8 +22,8 @@ import "repro/internal/machine"
 // collide with ~2^-64 per lane above the 64-bit component hashes the key
 // itself is made of; the compacted modes report that fold's risk via
 // Report.FalseMergeProb. ok is false in exactly the cases
-// AppendStateKey's is: a closed system, a live process without a state key,
-// or a clock-dependent Body adapter.
+// AppendStateKey's is: a closed system, or a live process without a state
+// key.
 //
 // Concurrency: unlike AppendStateKey, StateHash128 flushes the stale-cache
 // queue into the receiver, so it is NOT safe concurrently with Fork (or
@@ -41,10 +40,6 @@ func (s *System) StateHash128() (fp machine.Hash128, ok bool) {
 	}
 	mfp := s.mem.Fingerprint128()
 	h := machine.SeedHash128().Word(mfp.Lo).Word(mfp.Hi).Word(s.hcAggLo).Word(s.hcAggHi)
-	// Live Body adapters fold the clock in, exactly as AppendStateKey does.
-	if s.hcAdapters > 0 {
-		h = h.Word(uint64(s.steps))
-	}
 	// Channel systems fold the consumed drop budget, like AppendStateKey.
 	if s.hasChans() {
 		h = h.Word(uint64(s.dropsUsed))
@@ -68,9 +63,6 @@ func (s *System) hashStale(pid int) {
 	if !ps.hcKeyed {
 		s.hcUnkeyed--
 	}
-	if ps.hcAdapter {
-		s.hcAdapters--
-	}
 	s.hcDirty = append(s.hcDirty, pid)
 }
 
@@ -82,15 +74,12 @@ func (s *System) flushStateHash() {
 		if ps.hcValid {
 			continue
 		}
-		ps.hcLo, ps.hcHi, ps.hcKeyed, ps.hcAdapter = procHashContribution(pid, ps)
+		ps.hcLo, ps.hcHi, ps.hcKeyed = procHashContribution(pid, ps)
 		ps.hcValid = true
 		s.hcAggLo ^= ps.hcLo
 		s.hcAggHi ^= ps.hcHi
 		if !ps.hcKeyed {
 			s.hcUnkeyed++
-		}
-		if ps.hcAdapter {
-			s.hcAdapters++
 		}
 	}
 	s.hcDirty = s.hcDirty[:0]
@@ -99,10 +88,9 @@ func (s *System) flushStateHash() {
 // procHashContribution hashes one process's component of the configuration
 // key, mirroring AppendStateKey's per-process cases tag-for-tag and binding
 // the pid so permuting two processes' states changes the XOR aggregate.
-// keyed is false in the cases AppendStateKey rejects: a live process without
-// a StateKeyer, or a Body adapter that has read Clock(). adapter marks a
-// live clock-capable Body adapter, whose key must also fold the step count.
-func procHashContribution(pid int, ps *procState) (lo, hi uint64, keyed, adapter bool) {
+// keyed is false in the case AppendStateKey rejects: a live process without
+// a StateKeyer.
+func procHashContribution(pid int, ps *procState) (lo, hi uint64, keyed bool) {
 	h := machine.SeedHash128().Word(uint64(pid))
 	switch {
 	case ps.crashed:
@@ -116,17 +104,9 @@ func procHashContribution(pid int, ps *procState) (lo, hi uint64, keyed, adapter
 	default:
 		k, ok := ps.st.(StateKeyer)
 		if !ok {
-			return 0, 0, false, false
-		}
-		// A Body that has read Clock() carries state the result history does
-		// not determine — no sound key.
-		if cd, ok := ps.st.(interface{ clockDependent() bool }); ok {
-			if cd.clockDependent() {
-				return 0, 0, false, false
-			}
-			adapter = true
+			return 0, 0, false
 		}
 		h = h.Word('l').Word(k.StateKey())
 	}
-	return h.Lo, h.Hi, true, adapter
+	return h.Lo, h.Hi, true
 }

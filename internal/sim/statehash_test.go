@@ -24,21 +24,16 @@ func (s *System) streamedStateHash128() (fp machine.Hash128, ok bool) {
 		return machine.Hash128{}, false
 	}
 	var aggLo, aggHi uint64
-	adapters := false
 	for pid, ps := range s.procs {
-		lo, hi, keyed, adapter := procHashContribution(pid, ps)
+		lo, hi, keyed := procHashContribution(pid, ps)
 		if !keyed {
 			return machine.Hash128{}, false
 		}
 		aggLo ^= lo
 		aggHi ^= hi
-		adapters = adapters || adapter
 	}
 	mfp := s.mem.Fingerprint128()
 	h := machine.SeedHash128().Word(mfp.Lo).Word(mfp.Hi).Word(aggLo).Word(aggHi)
-	if adapters {
-		h = h.Word(uint64(s.steps))
-	}
 	if s.hasChans() {
 		h = h.Word(uint64(s.dropsUsed))
 	}
@@ -114,7 +109,7 @@ func hashWalk(t *testing.T, sys *System, depth int) {
 }
 
 // TestStateHash128Differential drives the incremental hash through native
-// steppers and coroutine bodies (whose hash also folds the step clock).
+// steppers: the increment spinners and the race protocol's stepper twin.
 func TestStateHash128Differential(t *testing.T) {
 	t.Run("steppers", func(t *testing.T) {
 		mem := machine.New(machine.NewInstrSet("t", machine.OpIncrement), 2)
@@ -123,8 +118,8 @@ func TestStateHash128Differential(t *testing.T) {
 		defer sys.Close()
 		hashWalk(t, sys, 4)
 	})
-	t.Run("body", func(t *testing.T) {
-		sys := NewSystem(forkTestMem(), []int{0, 0}, raceBody)
+	t.Run("body", func(t *testing.T) { // raceBody's stepper twin
+		sys := raceSystem(2)
 		defer sys.Close()
 		hashWalk(t, sys, 3)
 	})
@@ -151,8 +146,8 @@ func TestStateHash128FailedProcess(t *testing.T) {
 }
 
 // TestStateHash128Unkeyed: systems AppendStateKey rejects — a live process
-// without a StateKeyer, or a clock-dependent Body — must report ok=false
-// from both paths, and from the full-key path too.
+// without a StateKeyer, such as a Body process — must report ok=false from
+// both paths, and from the full-key path too.
 func TestStateHash128Unkeyed(t *testing.T) {
 	mem := machine.New(machine.SetCAS, 1)
 	plain := NewSystemSteppers(mem, []int{0, 1},
@@ -165,15 +160,16 @@ func TestStateHash128Unkeyed(t *testing.T) {
 		t.Fatal("keyless stepper must yield no streamed hash either")
 	}
 
-	clock := NewSystem(forkTestMem(), []int{0, 0}, clockBody)
-	defer clock.Close()
-	if _, err := clock.Step(0); err != nil {
+	body := NewSystem(forkTestMem(), []int{0, 0}, raceBody)
+	defer body.Close()
+	if _, err := body.Step(0); err != nil {
 		t.Fatal(err)
 	}
-	hashed := func() bool { _, ok := clock.StateHash128(); return ok }
-	keyed := func() bool { _, ok := clock.StateKey(); return ok }
-	if hashed() != keyed() {
-		t.Fatalf("clock-dependent body: hash ok %v, key ok %v", hashed(), keyed())
+	if _, ok := body.StateHash128(); ok {
+		t.Fatal("Body system must yield no state hash")
 	}
-	checkHash(t, clock, "clock body")
+	if _, ok := body.StateKey(); ok {
+		t.Fatal("Body system must yield no state key")
+	}
+	checkHash(t, body, "body")
 }

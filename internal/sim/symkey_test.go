@@ -133,16 +133,12 @@ func TestSymStateKeyProcessSymmetry(t *testing.T) {
 	}
 }
 
-// TestSymStateKeyBodyFallback: a system with live Body adapters (no
-// SymKeyer) must fall back to the exact key, byte-for-byte, behind the
-// fallback tag — so symmetric explorations of body protocols behave exactly
-// like exact ones.
+// TestSymStateKeyBodyFallback: a system with live keyed steppers that do
+// not implement SymKeyer must fall back to the exact key, byte-for-byte,
+// behind the fallback tag — so symmetric explorations of such protocols
+// behave exactly like exact ones.
 func TestSymStateKeyBodyFallback(t *testing.T) {
-	mem := machine.New(machine.SetReadWrite, 1)
-	sys := NewSystem(mem, []int{0, 1}, func(p *Proc) int {
-		p.Apply(0, machine.OpRead)
-		return p.Input()
-	})
+	sys := raceSystem(2)
 	defer sys.Close()
 	exact, ok := sys.AppendStateKey(nil)
 	if !ok {

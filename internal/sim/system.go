@@ -38,14 +38,12 @@ type procState struct {
 	// still rebuild over it (ForkerInto) instead of allocating afresh.
 	spare Stepper
 	// hcLo/hcHi cache this process's contribution to the incremental
-	// StateHash128 (see statehash.go); hcKeyed and hcAdapter cache whether the
-	// process is soundly keyable and whether it is a live clock-capable Body
-	// adapter. hcValid marks the cache current — invariant: a process is
+	// StateHash128 (see statehash.go); hcKeyed caches whether the process is
+	// keyable. hcValid marks the cache current — invariant: a process is
 	// either hcValid (its contribution is folded into the System aggregates)
 	// or queued exactly once in System.hcDirty.
 	hcLo, hcHi uint64
 	hcKeyed    bool
-	hcAdapter  bool
 	hcValid    bool
 }
 
@@ -105,12 +103,11 @@ type System struct {
 	// pool instead of abandoning it.
 	pooled bool
 	// Incremental StateHash128 state (statehash.go): XOR aggregates of the
-	// per-process hash contributions, counts of unkeyable and live-adapter
-	// processes among the valid caches, and the queue of processes whose
-	// cached contribution is stale.
+	// per-process hash contributions, the count of unkeyable processes
+	// among the valid caches, and the queue of processes whose cached
+	// contribution is stale.
 	hcAggLo, hcAggHi uint64
 	hcUnkeyed        int
-	hcAdapters       int
 	hcDirty          []int
 	// Delivery adversary state (delivery.go). chanLocs/chanStride are the
 	// structural layout of the virtual pid space, and ranks holds the rank
