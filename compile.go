@@ -565,6 +565,9 @@ func (p *Protocol) Verify(ctx context.Context, inputs []int, maxDepth int, opts 
 	rep, err := explore.Exhaustive(ctx, func() (*sim.System, error) {
 		return p.newRun(inputs)
 	}, eo)
+	if errors.Is(err, explore.ErrSoloOnChannels) {
+		return nil, fmt.Errorf("%w: SoloBudget on row %s, which passes messages: %v", ErrBadInput, p.row.ID, err)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -297,6 +297,24 @@ func TestVerifySoloBudget(t *testing.T) {
 	}
 }
 
+// TestVerifySoloBudgetRefusesChannels: a solo probe has no meaning on a
+// message-passing row (a process alone cannot move its own messages), and
+// the probe once indexed a delivery pid as a process and panicked.
+func TestVerifySoloBudgetRefusesChannels(t *testing.T) {
+	p, err := Compile("MP.QSC", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := p.Verify(context.Background(), []int{0, 1}, 5, SoloBudget(200))
+	if !errors.Is(err, ErrBadInput) {
+		t.Fatalf("Verify with SoloBudget on MP.QSC = %+v, %v; want ErrBadInput", rep, err)
+	}
+	// Without solo probes the same envelope verifies.
+	if _, err := p.Verify(context.Background(), []int{0, 1}, 5); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestHandleAccessors covers the metadata verbs.
 func TestHandleAccessors(t *testing.T) {
 	p, err := Compile("T1.6", 7, BufferCap(2))

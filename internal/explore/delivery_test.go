@@ -1,6 +1,8 @@
 package explore
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -142,6 +144,30 @@ func TestDeliveryDifferential(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSoloBudgetRefusesChannels: solo probes on a channel system are refused
+// before the walk, with the root closed. The probe used to reach the
+// delivery pids through the live set and panic indexing them as processes.
+func TestSoloBudgetRefusesChannels(t *testing.T) {
+	for _, d := range []sim.Delivery{{Mode: sim.DeliverOrdered}, {Mode: sim.DeliverLossy, MaxDrops: 1}} {
+		var root *sim.System
+		f := func() (*sim.System, error) {
+			sys, err := consensus.QSC(2).NewSystem([]int{0, 1}, sim.WithDelivery(d))
+			root = sys
+			return sys, err
+		}
+		rep, err := Exhaustive(context.Background(), f, Options{MaxDepth: 5, SoloBudget: 200, Dedup: true})
+		if !errors.Is(err, ErrSoloOnChannels) {
+			t.Fatalf("%v: Exhaustive = %+v, %v; want ErrSoloOnChannels", d.Mode, rep, err)
+		}
+		if _, err := root.Fork(); !errors.Is(err, sim.ErrClosed) {
+			t.Errorf("%v: refused root not closed (Fork: %v)", d.Mode, err)
+		}
+		if _, err := Exhaustive(context.Background(), f, Options{MaxDepth: 5, Dedup: true}); err != nil {
+			t.Fatalf("%v: without solo probes: %v", d.Mode, err)
+		}
 	}
 }
 

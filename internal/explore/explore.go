@@ -25,6 +25,7 @@ package explore
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/sim"
@@ -54,7 +55,8 @@ type Options struct {
 	// SoloBudget, when positive, additionally checks obstruction-freedom at
 	// every explored configuration: each live process, run alone, must
 	// decide within SoloBudget steps. This multiplies the cost by roughly
-	// n×SoloBudget per configuration.
+	// n×SoloBudget per configuration. A system with channels is refused
+	// with ErrSoloOnChannels.
 	SoloBudget int64
 	// Strategy is ignored (see Strategy).
 	Strategy Strategy
@@ -236,13 +238,20 @@ func replay(f Factory, prefix []int) (*sim.System, error) {
 	return sys, nil
 }
 
+// ErrSoloOnChannels is returned by Exhaustive for Options.SoloBudget on a
+// system with channels. A process there cannot progress alone: its messages
+// move only on the delivery adversary's virtual pids, which are not
+// processes and have no solo run, so the probe has no meaning to check.
+var ErrSoloOnChannels = errors.New("explore: solo probes need a system without channels")
+
 // Exhaustive explores every interleaving of the live processes up to
 // opts.MaxDepth, validating agreement and validity at every configuration.
 // Every worker checks ctx once per configuration it takes from the
 // frontier, so cancelling ctx aborts the search promptly with ctx.Err()
 // (all forked systems closed, all workers joined). A root that cannot fork
-// (sim.System.ForksNatively is false) fails with sim.ErrNotForkable before
-// any configuration is explored.
+// (sim.System.ForksNatively is false) fails with sim.ErrNotForkable, and
+// solo probes on a root with channels with ErrSoloOnChannels, before any
+// configuration is explored.
 func Exhaustive(ctx context.Context, f Factory, opts Options) (*Report, error) {
 	root, err := f()
 	if err != nil {
@@ -250,6 +259,10 @@ func Exhaustive(ctx context.Context, f Factory, opts Options) (*Report, error) {
 	}
 	if err := refuseUnforkable(root); err != nil {
 		return nil, err
+	}
+	if opts.SoloBudget > 0 && root.MaxPid() > root.N() {
+		root.Close()
+		return nil, ErrSoloOnChannels
 	}
 	w := newWalker(f, root, opts)
 	// Which of several same-depth paths to a shared state claims it is a

@@ -190,14 +190,22 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) int {
 // check refuses, before a job exists, what Verify refuses: negative
 // bounds, which runVerify would otherwise drop as unset (or, for the
 // depth, explore unbounded) while the result cache keyed the request apart
-// from its zero-valued twin, and an unbounded depth on a row that is not
-// wait-free, which would be queued only to fail.
+// from its zero-valued twin, an unbounded depth on a row that is not
+// wait-free, and solo probes on a row that passes messages, both of which
+// would be queued only to fail.
 func (vp verifyParams) check(p *repro.Protocol) error {
 	if vp.maxDepth < 0 || vp.maxRuns < 0 || vp.soloBudget < 0 || vp.tableBytes < 0 || vp.workers < 0 {
 		return fmt.Errorf("%w: max_depth, max_runs, solo_budget, table_bytes and workers must not be negative", repro.ErrBadInput)
 	}
-	if build := p.Row().Build; vp.maxDepth == 0 && build != nil && !build(p.N()).WaitFree {
+	build := p.Row().Build
+	if build == nil {
+		return nil
+	}
+	if vp.maxDepth == 0 && !build(p.N()).WaitFree {
 		return fmt.Errorf("%w: row %s is not wait-free; max_depth must be positive", repro.ErrBadInput, p.ID())
+	}
+	if vp.soloBudget > 0 && len(build(p.N()).Channels) > 0 {
+		return fmt.Errorf("%w: row %s passes messages; solo_budget needs a shared-memory row", repro.ErrBadInput, p.ID())
 	}
 	return nil
 }

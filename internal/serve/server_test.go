@@ -450,6 +450,9 @@ func TestServeVerifyValidation(t *testing.T) {
 		{"negative table_bytes", VerifyRequest{Row: "T1.10", Inputs: in, MaxDepth: 3, Table: "compact", TableBytes: -1}, http.StatusBadRequest},
 		{"negative workers", VerifyRequest{Row: "T1.10", Inputs: in, MaxDepth: 3, Workers: -1}, http.StatusBadRequest},
 		{"unbounded depth, not wait-free", VerifyRequest{Row: "T1.9", Inputs: in, MaxDepth: 0}, http.StatusBadRequest},
+		// Solo probes on a channel row once reached a job goroutine that
+		// panicked indexing a delivery pid as a process.
+		{"solo_budget on a channel row", VerifyRequest{Row: "MP.QSC", Inputs: []int{0, 1}, MaxDepth: 5, SoloBudget: 200}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		var er ErrorResponse

@@ -204,10 +204,11 @@ func (s *System) procEnabled(ps *procState) bool {
 // any instruction) and accounts the step. Process-local state is untouched,
 // so no hash contribution goes stale. The argument slice is a clipped view
 // of the shared ranks table, used for both the instruction and the
-// returned step, so no argument is allocated per step.
-func (s *System) stepDelivery(pid int) (StepInfo, error) {
+// step written to out (see System.step), so no argument is allocated per
+// step.
+func (s *System) stepDelivery(pid int, out *StepInfo) error {
 	if !s.deliveryLive(pid) {
-		return StepInfo{}, fmt.Errorf("%w: delivery pid %d", ErrNotLive, pid)
+		return fmt.Errorf("%w: delivery pid %d", ErrNotLive, pid)
 	}
 	op, loc, rank, _ := s.deliveryChoice(pid)
 	args := s.ranks[rank : rank+1 : rank+1]
@@ -215,17 +216,22 @@ func (s *System) stepDelivery(pid int) (StepInfo, error) {
 	if err != nil {
 		// Unreachable if deliveryLive gated correctly; surface as a system
 		// error rather than attributing it to a process.
-		return StepInfo{}, fmt.Errorf("sim: delivery on channel %d: %w", loc, err)
+		return fmt.Errorf("sim: delivery on channel %d: %w", loc, err)
 	}
 	if op == machine.OpChanDrop {
 		s.dropsUsed++
 	}
 	s.steps++
-	step := StepInfo{PID: pid, Info: OpInfo{Loc: loc, Op: op, Args: args}, Result: res}
-	if s.tracing {
-		s.trace = append(s.trace, step)
+	if out != nil || s.tracing {
+		step := StepInfo{PID: pid, Info: OpInfo{Loc: loc, Op: op, Args: args}, Result: res}
+		if s.tracing {
+			s.trace = append(s.trace, step)
+		}
+		if out != nil {
+			*out = step
+		}
 	}
-	return step, nil
+	return nil
 }
 
 // Send returns the OpInfo for sending msg on channel loc, for steppers

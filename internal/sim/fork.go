@@ -59,7 +59,8 @@ func (d doneStepper) Fork() Stepper               { return d }
 //
 // Concurrency: Fork only reads the receiver, and so do Poised, Live and
 // AppendLive (a stale poise is read through Stepper.Poise, which writes
-// nothing), so multiple goroutines may Fork the same System concurrently —
+// nothing, and the live list is copied into the fork's own storage), so
+// multiple goroutines may Fork the same System concurrently —
 // and transfer the forks across goroutines — provided no goroutine
 // concurrently calls Step, Crash, or Close on it. External Forker
 // implementations must honor the same contract. A stepper that shares
@@ -69,7 +70,8 @@ func (d doneStepper) Fork() Stepper               { return d }
 // With a Pool attached (SetPool), Fork first tries to rebuild the copy
 // inside a recycled System, reusing its memory clone buffers, process
 // states, and — through ForkerInto — the recycled steppers' storage. In
-// steady state a fork/step/close cycle then allocates nothing.
+// steady state a fork/step/close cycle then allocates nothing: the live list
+// too is copied into the recycled System's capacity.
 func (s *System) Fork() (*System, error) {
 	if s.closed {
 		return nil, ErrClosed
@@ -82,6 +84,9 @@ func (s *System) Fork() (*System, error) {
 		for i := range states {
 			n.procs[i] = &states[i]
 		}
+		// Room for every process, so a recycled fork of any same-sized
+		// source copies its live list without growing it.
+		n.live = make([]int, 0, len(s.procs))
 	} else {
 		s.mem.CloneInto(n.mem)
 	}
@@ -143,6 +148,8 @@ func (s *System) Fork() (*System, error) {
 	n.hcAggLo, n.hcAggHi = s.hcAggLo, s.hcAggHi
 	n.hcUnkeyed = s.hcUnkeyed
 	n.hcDirty = append(n.hcDirty[:0], s.hcDirty...)
+	// Copied, not shared: each side drops its own finished processes.
+	n.live = append(n.live[:0], s.live...)
 	forkTally.Add(1)
 	return n, nil
 }
@@ -172,11 +179,8 @@ func (s *System) ForksNatively() bool {
 	if s.closed {
 		return false
 	}
-	for _, ps := range s.procs {
-		if !ps.hasPoise || ps.crashed {
-			continue
-		}
-		if _, ok := ps.st.(Forker); !ok {
+	for _, pid := range s.live {
+		if _, ok := s.procs[pid].st.(Forker); !ok {
 			return false
 		}
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -76,6 +77,41 @@ func TestForkPoolSteadyStateAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
 		t.Fatalf("steady-state fork/step/close cycle allocates %.1f times, want 0", avg)
+	}
+}
+
+// TestRunStepAllocs pins the run loop's per-step cost at zero allocations:
+// a warm RunContext under Random over a pooled fork allocates only the
+// Result it returns, so a run of 3000 steps allocates exactly what a run of
+// 30 does. The scheduler copies the system's live list into a reused
+// buffer, and the loop builds no StepInfo.
+func TestRunStepAllocs(t *testing.T) {
+	ctx := context.Background()
+	run := func(steps int) func() {
+		root := newLoopSystem(3, steps)
+		root.SetPool(new(Pool))
+		t.Cleanup(root.Close)
+		sched := NewRandom(1)
+		return func() {
+			child, err := root.Fork()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := child.RunContext(ctx, sched, 1<<20)
+			if err != nil || len(res.Decisions) != 3 || res.Steps != int64(3*steps) {
+				t.Fatalf("run: %v, %v", res, err)
+			}
+			child.Close()
+		}
+	}
+	short, long := run(10), run(1000)
+	for i := 0; i < 3; i++ {
+		short() // warm the pools and the scheduler's buffer
+		long()
+	}
+	perShort, perLong := testing.AllocsPerRun(50, short), testing.AllocsPerRun(50, long)
+	if perLong != perShort {
+		t.Fatalf("a 3000-step run allocates %.1f times, a 30-step run %.1f: steps allocate", perLong, perShort)
 	}
 }
 

@@ -61,7 +61,7 @@ func (s *System) RunContext(ctx context.Context, sched Scheduler, maxSteps int64
 			if pid < 0 {
 				return s.Result(), s.Err()
 			}
-			if _, err := s.Step(pid); err != nil {
+			if err := s.step(pid, nil); err != nil {
 				return nil, err
 			}
 		}

@@ -78,7 +78,9 @@ func (r *Random) intn(n int) int {
 	return int(hi)
 }
 
-// Next picks a live process uniformly at random.
+// Next picks a live process uniformly at random. It costs a copy of the
+// system's live list into a reused buffer (System.AppendLive) and one draw:
+// no scan over the processes that have finished.
 func (r *Random) Next(s *System) int {
 	r.buf = s.AppendLive(r.buf[:0])
 	if len(r.buf) == 0 {

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/machine"
 )
@@ -89,9 +90,16 @@ func (ps *procState) recordOutcome() {
 // single-threaded; independent Systems (e.g. the batch runner's) are fully
 // isolated from each other.
 type System struct {
-	mem     *machine.Memory
-	inputs  []int
-	procs   []*procState
+	mem    *machine.Memory
+	inputs []int
+	procs  []*procState
+	// live lists the ids of the live processes (procState.live), ascending.
+	// adopt fills it and dropLive shrinks it where a process stops being
+	// live — a finish or failure in step, and Crash — which happens at most
+	// once per process, so AppendLive copies it instead of rescanning every
+	// process on every step. A fork copies it (never shares it: each side
+	// drops from its own).
+	live    []int
 	steps   int64
 	trace   []StepInfo // recorded when tracing enabled
 	tracing bool
@@ -190,6 +198,9 @@ func (s *System) adopt(pid int, st Stepper) {
 	ps := &procState{st: st}
 	ps.refresh()
 	s.procs[pid] = ps
+	if ps.live() {
+		s.live = append(s.live, pid) // adopted in pid order: stays ascending
+	}
 	s.hcDirty = append(s.hcDirty, pid) // fresh cache: contribution pending
 }
 
@@ -229,19 +240,30 @@ func (s *System) LiveSet() []int {
 
 // AppendLive appends the ids of all live processes to dst, ascending, and
 // returns the extended slice. It is LiveSet without the forced allocation,
-// for schedulers on the hot path. With channels, the enabled delivery
-// branches follow the real pids (delivery.go): schedulers and explorer
-// strategies branch over adversary moves without knowing they exist.
+// for schedulers on the hot path: on a shared-memory system it copies the
+// system's live list, so its cost is the number of live processes, not a
+// scan of every process. With channels, the live list is filtered to the
+// processes whose poised send or recv is not blocked, and the enabled
+// delivery branches follow the real pids (delivery.go): schedulers and
+// explorer strategies branch over adversary moves without knowing they
+// exist. AppendLive only reads the receiver (see Fork).
 func (s *System) AppendLive(dst []int) []int {
-	for i, ps := range s.procs {
-		if s.procEnabled(ps) {
-			dst = append(dst, i)
+	if len(s.chanLocs) == 0 {
+		return append(dst, s.live...)
+	}
+	for _, pid := range s.live {
+		if s.procEnabled(s.procs[pid]) {
+			dst = append(dst, pid)
 		}
 	}
-	if len(s.chanLocs) > 0 {
-		dst = s.appendDeliveryLive(dst)
+	return s.appendDeliveryLive(dst)
+}
+
+// dropLive removes pid from the live list once it stops being live.
+func (s *System) dropLive(pid int) {
+	if i, ok := slices.BinarySearch(s.live, pid); ok {
+		s.live = slices.Delete(s.live, i, i+1)
 	}
-	return dst
 }
 
 // Decided reports process pid's decision, if it has decided.
@@ -298,18 +320,27 @@ func (s *System) Poised(pid int) (OpInfo, bool) {
 // the caller's stack. It returns the executed step, or ErrNotLive / the
 // underlying instruction error.
 func (s *System) Step(pid int) (StepInfo, error) {
+	var step StepInfo
+	err := s.step(pid, &step)
+	return step, err
+}
+
+// step is Step writing the executed step to out, which is left untouched on
+// error. A nil out builds no StepInfo unless tracing records one: RunContext,
+// which discards every step, pays only for the step itself.
+func (s *System) step(pid int, out *StepInfo) error {
 	if s.closed {
-		return StepInfo{}, ErrClosed
+		return ErrClosed
 	}
 	if pid >= len(s.procs) {
-		return s.stepDelivery(pid)
+		return s.stepDelivery(pid, out)
 	}
 	if pid < 0 {
-		return StepInfo{}, fmt.Errorf("%w: pid %d", ErrNotLive, pid)
+		return fmt.Errorf("%w: pid %d", ErrNotLive, pid)
 	}
 	ps := s.procs[pid]
 	if !s.procEnabled(ps) {
-		return StepInfo{}, fmt.Errorf("%w: pid %d", ErrNotLive, pid)
+		return fmt.Errorf("%w: pid %d", ErrNotLive, pid)
 	}
 	if ps.stale {
 		ps.poised, _ = ps.st.Poise()
@@ -331,26 +362,36 @@ func (s *System) Step(pid int) (StepInfo, error) {
 		ps.err = fmt.Errorf("sim: process %d: %w", pid, err)
 		ps.hasPoise = false
 		ps.st.Halt()
+		s.dropLive(pid)
 		s.hashStale(pid)
-		return StepInfo{}, ps.err
+		return ps.err
 	}
 	s.steps++
-	step := StepInfo{PID: pid, Info: *info, Result: res} // before refresh: it may re-poise over *info
-	if s.tracing && len(step.Info.Args) > 0 {
-		// Steppers reuse argument slots across poises; snapshot the values so
-		// the retained trace can't alias state the resume will overwrite.
-		step.Info.Args = append([]machine.Value(nil), step.Info.Args...)
+	if out != nil || s.tracing {
+		step := StepInfo{PID: pid, Info: *info, Result: res} // before refresh: it may re-poise over *info
+		if s.tracing {
+			if len(step.Info.Args) > 0 {
+				// Steppers reuse argument slots across poises; snapshot the
+				// values so the retained trace can't alias state the resume
+				// will overwrite.
+				step.Info.Args = append([]machine.Value(nil), step.Info.Args...)
+			}
+			s.trace = append(s.trace, step)
+		}
+		if out != nil {
+			*out = step
+		}
 	}
 	ps.st.Resume(res)
 	ps.refresh()
-	s.hashStale(pid)
-	if s.tracing {
-		s.trace = append(s.trace, step)
+	if !ps.hasPoise {
+		// Finished: decided, or a body failure after the step (panic
+		// between instructions), which surfaces via Err — the process simply
+		// stops being live, matching the goroutine engine's behavior.
+		s.dropLive(pid)
 	}
-	// A body failure after the step (panic between instructions) surfaces
-	// via Err and the process simply stops being live, matching the
-	// goroutine engine's behavior.
-	return step, nil
+	s.hashStale(pid)
+	return nil
 }
 
 // Crash removes process pid from the execution: it is never scheduled again.
@@ -368,6 +409,7 @@ func (s *System) Crash(pid int) {
 	ps.crashed = true
 	ps.hasPoise = false
 	ps.st.Halt()
+	s.dropLive(pid)
 	s.hashStale(pid)
 }
 

@@ -205,7 +205,9 @@ func (o maxRunsOption) applyVerify(c *verifyConfig) {
 // SoloBudget additionally checks obstruction-freedom at every explored
 // configuration: each live process, run alone, must decide within budget
 // steps. This multiplies the exploration cost by roughly n×budget per
-// configuration. Zero disables the check; negative reports ErrBadInput.
+// configuration. Zero disables the check; negative reports ErrBadInput, and
+// so does a positive budget on a row that passes messages (MP.QSC), where a
+// process alone cannot move its own messages.
 func SoloBudget(budget int64) VerifyOption { return soloBudgetOption(budget) }
 
 type soloBudgetOption int64
