@@ -331,10 +331,8 @@ func runExplore(ctx context.Context, rowID string, inputs []int, l, depth, worke
 		rowID, len(inputs), depth, time.Since(start).Round(time.Millisecond))
 	fmt.Printf("  %d configurations expanded (%d distinct), %d maximal schedules, %d deduplicated, decided values %v\n",
 		rep.States, rep.DistinctStates, rep.Runs, rep.Deduped, rep.DecidedValues)
-	fmt.Printf("  memory: %s table %.1f MiB", mode, float64(rep.Mem.TableBytes)/(1<<20))
-	if mode != repro.TableExact {
-		fmt.Printf(" (%.1f%% occupied)", 100*rep.Mem.TableOccupancy)
-	}
+	fmt.Printf("  memory: %s table %.1f MiB (%.1f%% occupied)", mode,
+		float64(rep.Mem.TableBytes)/(1<<20), 100*rep.Mem.TableOccupancy)
 	fmt.Printf(", peak frontier %d", rep.Mem.PeakFrontier)
 	if rep.Mem.SpilledBatches > 0 {
 		fmt.Printf(" (%d resident), %d batches spilled to disk",

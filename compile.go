@@ -458,7 +458,7 @@ func (p *Protocol) SolveBatch(ctx context.Context, specs []RunSpec, opts ...Batc
 			MaxSteps: budget,
 		}
 	}
-	results, _ := sim.RunBatch(ctx, jobs, c.workers)
+	results := sim.RunBatch(ctx, jobs, c.workers)
 	for i, r := range results {
 		if r.Err != nil {
 			out[i].Err = r.Err

@@ -440,6 +440,30 @@ func TestVerifySpillFrontier(t *testing.T) {
 	}
 }
 
+// TestVerifySharedTableStartsSmall: a slot table without an explicit
+// budget starts small and grows with the exploration at every worker
+// count. A shared table used to allocate its whole default budget up front
+// (64 MiB under compact) for a 165-state envelope.
+func TestVerifySharedTableStartsSmall(t *testing.T) {
+	inputs := []int{2, 0, 1}
+	p, err := Compile("T1.9", len(inputs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []TableMode{TableExact, TableCompact, TableCompact128} {
+		for _, w := range []int{2, 4} {
+			rep, err := p.Verify(context.Background(), inputs, 6, WithTable(mode), Workers(w))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Mem.TableBytes <= 0 || rep.Mem.TableBytes >= 64<<10 {
+				t.Fatalf("%v workers=%d: table holds %d bytes for %d distinct states, want under 64 KiB",
+					mode, w, rep.Mem.TableBytes, rep.DistinctStates)
+			}
+		}
+	}
+}
+
 // TestVerifyBadTableBytes: a negative table budget is an input error,
 // reported before any exploration and unwrapping as ErrBadInput.
 func TestVerifyBadTableBytes(t *testing.T) {

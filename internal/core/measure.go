@@ -146,7 +146,7 @@ func MeasureAll(ctx context.Context, rows []Row, n int, seed, maxSteps int64, wo
 		})
 		jobRow = append(jobRow, i)
 	}
-	results, _ := sim.RunBatch(ctx, jobs, workers)
+	results := sim.RunBatch(ctx, jobs, workers)
 	out := make([]*Measurement, len(rows))
 	for j, res := range results {
 		i := jobRow[j]

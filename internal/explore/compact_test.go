@@ -249,10 +249,17 @@ func fpOf(i uint64) machine.Hash128 {
 	return machine.SeedHash128().Word(i)
 }
 
+// summary returns the Report fields a table's summarize fills.
+func summary(tb ctable) Report {
+	var r Report
+	tb.summarize(&r)
+	return r
+}
+
 // TestCompactTableClaims pins the slot semantics of the (state, depth)
 // claim rule, growable and pre-sized alike.
 func TestCompactTableClaims(t *testing.T) {
-	mustClaim := func(tb *compactTable, fp machine.Hash128, depth int, wantClaim, wantNew bool) {
+	mustClaim := func(tb *slotTable, fp machine.Hash128, depth int, wantClaim, wantNew bool) {
 		t.Helper()
 		claimed, newState, err := tb.claim(fp, depth)
 		if err != nil {
@@ -262,11 +269,8 @@ func TestCompactTableClaims(t *testing.T) {
 			t.Fatalf("claim(depth=%d) = (%v, %v), want (%v, %v)", depth, claimed, newState, wantClaim, wantNew)
 		}
 	}
-	for _, growable := range []bool{true, false} {
-		tb := newCompactTable(false, growable, 0, 0)
-		if !growable {
-			tb = newCompactTable(false, false, 1<<16, 0)
-		}
+	for _, budget := range []int64{0, 1 << 16} {
+		tb := newSlotTable(Options{Table: TableCompact, TableBytes: budget}, false)
 		mustClaim(tb, fpOf(1), 5, true, true)
 		mustClaim(tb, fpOf(1), 5, false, false) // same pair: prune
 		mustClaim(tb, fpOf(1), 7, true, false)  // distinct depth: own claim
@@ -278,8 +282,8 @@ func TestCompactTableClaims(t *testing.T) {
 		}
 		mustClaim(tb, fpOf(2), 100, true, true) // deep first sighting still counts once
 		mustClaim(tb, fpOf(2), 101, true, false)
-		if tb.distinct() != 2 {
-			t.Fatalf("growable=%v: distinct = %d, want 2 (epoch slots must not count)", growable, tb.distinct())
+		if got := summary(tb).DistinctStates; got != 2 {
+			t.Fatalf("budget=%d: distinct = %d, want 2 (epoch slots must not count)", budget, got)
 		}
 	}
 }
@@ -289,8 +293,8 @@ func TestCompactTableClaims(t *testing.T) {
 // (zero) leaves growth enabled — explicit budgets pre-size, so this is the
 // one path that still rehashes.
 func TestCompactTableGrows(t *testing.T) {
-	tb := newCompactTable(true, true, 0, 0)
-	const n = 5000 // >> compactMinEntries, forces multiple doublings
+	tb := newSlotTable(Options{Table: TableCompact128}, false)
+	const n = 5000 // >> slotMinEntries, forces multiple doublings
 	for i := uint64(0); i < n; i++ {
 		claimed, newState, err := tb.claim(fpOf(i), 0)
 		if err != nil {
@@ -300,8 +304,8 @@ func TestCompactTableGrows(t *testing.T) {
 			t.Fatalf("insert %d: (%v, %v)", i, claimed, newState)
 		}
 	}
-	if tb.distinct() != n {
-		t.Fatalf("distinct = %d, want %d", tb.distinct(), n)
+	if got := summary(tb).DistinctStates; got != n {
+		t.Fatalf("distinct = %d, want %d", got, n)
 	}
 	for i := uint64(0); i < n; i++ {
 		claimed, newState, err := tb.claim(fpOf(i), 0)
@@ -312,7 +316,7 @@ func TestCompactTableGrows(t *testing.T) {
 			t.Fatalf("revisit %d not found after growth: (%v, %v)", i, claimed, newState)
 		}
 	}
-	if occ := tb.occupancy(); occ <= 0 || occ > 0.75 {
+	if occ := summary(tb).Mem.TableOccupancy; occ <= 0 || occ > 0.75 {
 		t.Fatalf("occupancy %v out of growth band", occ)
 	}
 }
@@ -326,16 +330,13 @@ func TestCompactTableGrows(t *testing.T) {
 func TestCompactTablePreSized(t *testing.T) {
 	const entries = 1 << 13
 	for _, wide := range []bool{false, true} {
-		stride := int64(2)
+		mode, stride := TableCompact, int64(2)
 		if wide {
-			stride = 3
+			mode, stride = TableCompact128, 3
 		}
 		budget := int64(entries) * stride * 8
-		tb := newCompactTable(wide, true, budget, 0)
-		if tb.growable {
-			t.Fatalf("wide=%v: explicit budget left the table growable", wide)
-		}
-		if got := tb.memBytes(); got != budget {
+		tb := newSlotTable(Options{Table: mode, TableBytes: budget}, false)
+		if got := summary(tb).Mem.TableBytes; got != budget {
 			t.Fatalf("wide=%v: pre-sized footprint %d, want exactly the budget %d", wide, got, budget)
 		}
 		limit := uint64(entries) * 15 / 16 // claims below this load must all fit
@@ -349,7 +350,7 @@ func TestCompactTablePreSized(t *testing.T) {
 				t.Fatalf("wide=%v: insert %d: (%v, %v)", wide, i, claimed, newState)
 			}
 		}
-		if got := tb.memBytes(); got != budget {
+		if got := summary(tb).Mem.TableBytes; got != budget {
 			t.Fatalf("wide=%v: footprint moved to %d during fill (budget %d)", wide, got, budget)
 		}
 		if _, _, err := tb.claim(fpOf(limit), 0); !errors.Is(err, ErrTableFull) {
@@ -361,9 +362,9 @@ func TestCompactTablePreSized(t *testing.T) {
 // TestCompactTableFull: a budget-capped table must refuse inserts with
 // ErrTableFull instead of looping or silently dropping states.
 func TestCompactTableFull(t *testing.T) {
-	tb := newCompactTable(false, false, 1, 0) // floor: compactMinEntries
+	tb := newSlotTable(Options{Table: TableCompact, TableBytes: 1}, false) // floor: slotMinEntries
 	var err error
-	for i := uint64(0); err == nil && i < 2*compactMinEntries; i++ {
+	for i := uint64(0); err == nil && i < 2*slotMinEntries; i++ {
 		_, _, err = tb.claim(fpOf(i), 0)
 	}
 	if err == nil {
@@ -397,7 +398,7 @@ func TestBitTableClaims(t *testing.T) {
 	if claimed, _, _ := tb.claim(fpOf(1), 4); !claimed {
 		t.Fatal("distinct depth not its own claim")
 	}
-	if tb.distinct() != 0 {
+	if summary(tb).DistinctStates != 0 {
 		t.Fatal("bitstate cannot count distinct states")
 	}
 	if occ := tb.occupancy(); occ <= 0 {
@@ -405,12 +406,14 @@ func TestBitTableClaims(t *testing.T) {
 	}
 }
 
-// TestCompactTableClaimInvariance is the -race hammer for the lock-free
-// table: many goroutines race claims over a shared (fingerprint, depth)
-// workload; every pair must be granted exactly once and every fingerprint
-// counted exactly once, no matter the interleaving. Failures here are
-// either lost CAS claims (double expansion) or double counting — the two
-// invariants the walk's accounting stands on.
+// TestCompactTableClaimInvariance is the -race hammer for a shared
+// compacted table pre-sized by an explicit budget: many goroutines race
+// claims over a shared (fingerprint, depth) workload; every pair must be
+// granted exactly once and every fingerprint counted exactly once, no
+// matter the interleaving. Failures here are either lost claims (double
+// expansion) or double counting — the two invariants the walk's accounting
+// stands on. TestSeenTableClaimRace hammers the growing default-budget
+// tables.
 func TestCompactTableClaimInvariance(t *testing.T) {
 	const (
 		goroutines = 8
@@ -418,7 +421,11 @@ func TestCompactTableClaimInvariance(t *testing.T) {
 		depths     = 70 // crosses the 64-depth epoch fold
 	)
 	for _, wide := range []bool{false, true} {
-		tb := newCompactTable(wide, false, 1<<22, 0)
+		mode := TableCompact
+		if wide {
+			mode = TableCompact128
+		}
+		tb := newSlotTable(Options{Table: mode, TableBytes: 1 << 22}, true)
 		claims := make([]int32, fps*depths)
 		news := make([]int32, fps)
 		var wg sync.WaitGroup
@@ -455,8 +462,8 @@ func TestCompactTableClaimInvariance(t *testing.T) {
 				t.Fatalf("wide=%v: fingerprint %d counted new %d times", wide, fp, c)
 			}
 		}
-		if tb.distinct() != fps {
-			t.Fatalf("wide=%v: distinct = %d, want %d", wide, tb.distinct(), fps)
+		if got := summary(tb).DistinctStates; got != fps {
+			t.Fatalf("wide=%v: distinct = %d, want %d", wide, got, fps)
 		}
 	}
 }

@@ -92,20 +92,21 @@ type Options struct {
 	Workers int
 	// Table selects the seen-state storage. Every mode keys a
 	// configuration by one 128-bit fingerprint built from 64-bit component
-	// hashes. The default TableExact keeps every fingerprint in an
-	// unbounded map and never sets UnderApprox; the compacted modes
-	// (TableCompact, TableCompact128, TableBitstate) store 16-24 bytes or a
-	// few bits per state under a budget and may merge distinct states with
-	// the (reported) collision probability, in which case
-	// Report.UnderApprox is set. See table.go for the soundness contract.
-	// With Dedup off a table only backs the DistinctStates count (nothing
-	// is ever pruned, so the search is still provably exhaustive);
-	// TableBitstate cannot count and reports 0.
+	// hashes. The counting modes share one slot table: the default
+	// TableExact stores every fingerprint without a cap and never sets
+	// UnderApprox; TableCompact and TableCompact128 store 16 or 24 bytes
+	// per state under a budget. They, and TableBitstate's few bits per
+	// state, may merge distinct states with the (reported) collision
+	// probability, in which case Report.UnderApprox is set. See table.go
+	// for the soundness contract. With Dedup off a table only backs the
+	// DistinctStates count (nothing is ever pruned, so the search is still
+	// provably exhaustive); TableBitstate cannot count and reports 0.
 	Table Table
 	// TableBytes caps the compacted table's memory (0 = a mode-specific
-	// default; ignored by TableExact). A one-worker compact table with
-	// the default budget grows up to it; an explicit budget, or several
-	// workers, allocate it up front. Either way a full compact table
+	// default; ignored by TableExact). Without an explicit budget a slot
+	// table starts small and grows up to the default, for any worker
+	// count; an explicit budget is allocated up front (split across the
+	// workers' shards), so it holds at every instant, and a full shard
 	// refuses inserts with ErrTableFull. Bitstate sizes its bit array from
 	// it and never fills.
 	TableBytes int64
@@ -127,8 +128,9 @@ type Options struct {
 	// on worker goroutines — possibly several at once — so it must be safe
 	// for concurrent use and should return quickly.
 	Progress func(states int64)
-	// testPWMask truncates the compacted modes' probe words — and the exact
-	// table's fingerprints, to (Lo&mask, 0) — so tests can plant
+	// testPWMask truncates the slot table's probe words — dropping the
+	// check word too under TableExact, so exact fingerprints collide while
+	// compact128's check word still separates them — so tests can plant
 	// fingerprint collisions deterministically. Zero (always, outside
 	// tests) leaves fingerprints untouched.
 	testPWMask uint64
@@ -197,12 +199,10 @@ type Report struct {
 
 // MemStats is the memory telemetry of one exploration (Report.Mem).
 type MemStats struct {
-	// TableBytes is the seen-state table's backing-store size — exact for
-	// the compacted modes, an estimate (a fixed size per fingerprint
-	// entry) for the exact map.
+	// TableBytes is the seen-state table's backing-store size: its slot
+	// arrays, or its bit array under bitstate.
 	TableBytes int64
-	// TableOccupancy is the fraction of compacted-table slots (or bitstate
-	// bits) in use; 0 for the exact map.
+	// TableOccupancy is the fraction of slots (or bitstate bits) in use.
 	TableOccupancy float64
 	// PeakFrontier is the largest number of pending frontier nodes —
 	// resident plus spilled, across all workers — seen after an expansion.

@@ -16,58 +16,68 @@ import (
 	"repro/internal/sim"
 )
 
-// TestSeenTableClaimRace hammers one shared exact table from many
-// goroutines with overlapping (state, depth) pairs — crossing the 64-depth
-// epoch fold — and verifies the claim invariant behind the walk's
+// TestSeenTableClaimRace hammers one shared slot table, in every counting
+// mode and at its default budget (so shards grow under the hammer), from
+// many goroutines with overlapping (state, depth) pairs — crossing the
+// 64-depth epoch fold — and verifies the claim invariant behind the walk's
 // worker-count invariance: every pair is claimed by exactly one caller, and
 // every state is reported new exactly once, no matter how the insertions
 // interleave, so the distinct-state count is exact.
 func TestSeenTableClaimRace(t *testing.T) {
 	const (
 		goroutines = 16
-		keys       = 97 // not a multiple of the shard count: uneven shards
+		keys       = 509 // past 3/4 of the starting shards: some grow
 		depths     = 70
-		rounds     = 50
+		rounds     = 20
 	)
-	table := newExactTable(0, exactShardCount)
-	claims := make([]atomic.Int64, keys*depths)
-	news := make([]atomic.Int64, keys)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				for k := 0; k < keys; k++ {
-					// Perturb the visiting order per goroutine so shards are
-					// hit in different sequences.
-					key := (k*(g+1) + r) % keys
-					depth := (g*rounds + r) % depths
-					fp := machine.Hash128{Lo: uint64(key) * 0x9e3779b97f4a7c15, Hi: uint64(key)}
-					claimed, newState, _ := table.claim(fp, depth)
-					if claimed {
-						claims[key*depths+depth].Add(1)
-					}
-					if newState {
-						news[key].Add(1)
+	for _, mode := range []Table{TableExact, TableCompact, TableCompact128} {
+		table := newCTable(Options{Table: mode}, true)
+		claims := make([]atomic.Int64, keys*depths)
+		news := make([]atomic.Int64, keys)
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for r := 0; r < rounds; r++ {
+					for k := 0; k < keys; k++ {
+						// Perturb the visiting order per goroutine so shards
+						// are hit in different sequences.
+						key := (k*(g+1) + r) % keys
+						depth := (g*rounds + r) % depths
+						claimed, newState, err := table.claim(fpOf(uint64(key)), depth)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if claimed {
+							claims[key*depths+depth].Add(1)
+						}
+						if newState {
+							news[key].Add(1)
+						}
 					}
 				}
+			}(g)
+		}
+		wg.Wait()
+		for i := range claims {
+			if got := claims[i].Load(); got != 1 {
+				t.Fatalf("%v: pair %d claimed %d times, want exactly 1", mode, i, got)
 			}
-		}(g)
-	}
-	wg.Wait()
-	for i := range claims {
-		if got := claims[i].Load(); got != 1 {
-			t.Fatalf("pair %d claimed %d times, want exactly 1", i, got)
 		}
-	}
-	for k := range news {
-		if got := news[k].Load(); got != 1 {
-			t.Fatalf("state %d reported new %d times, want exactly 1", k, got)
+		for k := range news {
+			if got := news[k].Load(); got != 1 {
+				t.Fatalf("%v: state %d reported new %d times, want exactly 1", mode, k, got)
+			}
 		}
-	}
-	if got := table.distinct(); got != keys {
-		t.Fatalf("distinct keys %d, want %d", got, keys)
+		sum := summary(table)
+		if sum.DistinctStates != keys {
+			t.Fatalf("%v: distinct keys %d, want %d", mode, sum.DistinctStates, keys)
+		}
+		if start := newCTable(Options{Table: mode}, true); sum.Mem.TableBytes <= summary(start).Mem.TableBytes {
+			t.Fatalf("%v: no shard grew under the hammer (%d bytes)", mode, sum.Mem.TableBytes)
+		}
 	}
 }
 
@@ -93,7 +103,7 @@ func TestSeenTableCountRace(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got := c.table.distinct(); got != keys {
+	if got := summary(c.table).DistinctStates; got != keys {
 		t.Fatalf("distinct keys %d, want %d", got, keys)
 	}
 }

@@ -3,12 +3,14 @@ package explore
 // Seen-state storage, selected by Options.Table. Every table keys a
 // configuration by one 128-bit fingerprint (sim.System.StateHash128, or a
 // hash of the symmetric key) and claims exact (state, depth) pairs. The
-// exact table keeps every fingerprint in an unbounded map; the SPIN-style
-// compacted modes store a 64- or 128-bit probe of it in a fixed budget
-// (hash compaction, 16-24 bytes per state) or k bits of a Bloom filter
-// (bitstate / supertrace, well under a byte per state), trading a
-// quantified false-merge probability for one to two orders of magnitude
-// more states per gigabyte.
+// three counting modes share one open-addressed slot table and differ only
+// in slot width and budget: exact and compact128 store the whole
+// fingerprint (24 bytes per entry), exact without a cap; the SPIN-style
+// hash compaction of TableCompact keeps a 64-bit probe of it (16 bytes)
+// under a budget. TableBitstate sets k bits of a Bloom filter (bitstate /
+// supertrace, well under a byte per state), trading a quantified
+// false-merge probability for one to two orders of magnitude more states
+// per gigabyte.
 //
 // Soundness contract (also in DESIGN.md): a false merge — two distinct
 // canonical states sharing a fingerprint — can only ever *prune* a subtree,
@@ -23,20 +25,15 @@ package explore
 // table tells apart two configurations whose components collide at 64 bits;
 // FalseMergeProb covers only the fold above that floor.
 //
-// The hash-compaction table doubles as the lock-free alternative to the
-// mutex-sharded exact table: slots are write-once —
-// published by a single CompareAndSwap from zero to the probe word — so
-// claims need no locks, and claim uniqueness follows from CAS monotonicity:
-// for two workers inserting the same fingerprint along the same probe
-// sequence, whichever CAS succeeds forces the other walker to observe the
-// published word and take the hit path.
+// Several workers share a slot table through mutex-guarded shards, each of
+// which grows under its own lock; the Bloom filter needs no lock, since a
+// claim is one atomic Or on one word.
 
 import (
 	"errors"
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -49,23 +46,25 @@ import (
 type Table int
 
 const (
-	// TableExact stores each configuration's 128-bit fingerprint in an
-	// unbounded (sharded) map. It never refuses a claim and never sets
+	// TableExact stores each configuration's 128-bit fingerprint in the
+	// uncapped slot table (24 bytes per entry), which grows with the
+	// exploration. It never refuses a claim and never sets
 	// Report.UnderApprox. Like every mode it rests on the 64-bit component
 	// hashes beneath the fingerprint, which no table reports; the fold
 	// above them adds ~2^-128 per pair of states. The default.
 	TableExact Table = iota
-	// TableCompact is SPIN-style hash compaction: a lock-free
-	// open-addressing table over 64-bit fingerprints of the canonical key,
-	// 16 bytes per state (probe word + depth word). False merges occur
-	// with birthday probability ~states^2/2^65 and are reported via
-	// Report.UnderApprox / FalseMergeProb.
+	// TableCompact is SPIN-style hash compaction: the slot table over
+	// 64-bit fingerprints of the canonical key under a budget, 16 bytes per
+	// state (probe word + depth word). False merges occur with birthday
+	// probability ~states^2/2^65 and are reported via Report.UnderApprox /
+	// FalseMergeProb.
 	TableCompact
 	// TableCompact128 widens TableCompact with a second, independently
-	// seeded 64-bit check word per entry (24 bytes per state), pushing the
-	// false-merge bound to ~states^2/2^129 — negligible at any reachable
-	// state count. That bound covers the 128-bit fold only, not the 64-bit
-	// component hashes beneath it (see the contract above).
+	// seeded 64-bit check word per entry (24 bytes per state: the exact
+	// table's slot under a budget), pushing the false-merge bound to
+	// ~states^2/2^129 — negligible at any reachable state count. That bound
+	// covers the 128-bit fold only, not the 64-bit component hashes beneath
+	// it (see the contract above).
 	TableCompact128
 	// TableBitstate is SPIN's supertrace mode: a k-hash Bloom filter over
 	// (state, depth) claims. Minimum memory, no distinct-state counting
@@ -115,53 +114,44 @@ var ErrTableFull = errors.New("explore: compacted seen-state table is full")
 // fingerprinted state at the given depth and reports whether the caller
 // owns the expansion of that (state, depth) pair (claimed) and whether the
 // fingerprint itself was first recorded by this call (newState, the
-// DistinctStates unit). All methods except the read-only summaries are safe
-// for concurrent use.
+// DistinctStates unit); it is safe for concurrent use when the table was
+// built shared. summarize fills the table-derived Report fields —
+// DistinctStates, Mem.TableBytes, Mem.TableOccupancy, and for a compacted
+// table that pruned something UnderApprox and FalseMergeProb — once every
+// claimant has finished.
 type ctable interface {
 	claim(fp machine.Hash128, depth int) (claimed, newState bool, err error)
-	// distinct counts distinct fingerprints recorded (0 when the mode
-	// cannot count, i.e. bitstate). Callers must have joined all writers.
-	distinct() int64
-	// memBytes is the table's backing-store size (an estimate for exact).
-	memBytes() int64
-	// occupancy is the fraction of slots (compact) or bits (bitstate) set;
-	// 0 for the unbounded exact table.
-	occupancy() float64
-	// falseMergeProb estimates the probability that at least one of the
-	// run's merges was false — two distinct states sharing a fingerprint —
-	// given that `deduped` configurations were merged.
-	falseMergeProb(deduped int64) float64
+	summarize(rep *Report)
 }
 
-// newCTable builds the store for opts.Table. shared marks a table several
-// workers claim through at once: an exact table then locks per shard, and a
-// compact table allocates its whole budget up front, because growing would
-// move slots under concurrent readers.
+// newCTable builds the store for opts.Table: the Bloom filter for bitstate,
+// the slot table for every counting mode. shared marks a table several
+// workers claim through at once.
 func newCTable(opts Options, shared bool) ctable {
-	switch opts.Table {
-	case TableCompact, TableCompact128:
-		return newCompactTable(opts.Table == TableCompact128, !shared, opts.TableBytes, opts.testPWMask)
-	case TableBitstate:
+	if opts.Table == TableBitstate {
 		return newBitTable(opts.TableBytes)
-	default:
-		shards := 1
-		if shared {
-			shards = exactShardCount
-		}
-		return newExactTable(opts.testPWMask, shards)
 	}
+	return newSlotTable(opts, shared)
 }
 
 const (
-	// compactDefaultBytes sizes a compact table when Options.TableBytes is
-	// unset: 64 MiB holds 4M states in 64-bit mode, about three times
-	// what the exact table's map holds in the same bytes.
+	// compactDefaultBytes caps a compacted slot table when
+	// Options.TableBytes is unset: 64 MiB holds 4M states in 64-bit mode.
 	compactDefaultBytes = 64 << 20
 	// bitstateDefaultBytes sizes the Bloom filter when unset: 32 MiB is
 	// 2^28 bits, good for ~20M states below 1% per-query false-merge rate.
 	bitstateDefaultBytes = 32 << 20
-	// compactMinEntries is the smallest (and initial growable) table size.
-	compactMinEntries = 1 << 10
+	// slotMinEntries is the smallest slot table and the size a growable
+	// one starts at, split evenly across its shards.
+	slotMinEntries = 1 << 10
+	// slotMaxEntries stops table sizes below int64 overflow of their byte
+	// counts for absurd budgets; a table that size could not be allocated
+	// anyway.
+	slotMaxEntries = 1 << 55
+	// slotShardBits sets the shard count of a shared slot table: 64 shards
+	// keep the expected number of workers contending on one mutex below
+	// W^2/64 pairs even at W=16 workers.
+	slotShardBits = 6
 	// bitstateK is the number of bits set per claim. All k bits land in one
 	// 64-bit word (a blocked Bloom filter), so a claim is a single atomic
 	// Or — which is also what makes concurrent claims exact: the Or returns
@@ -172,90 +162,93 @@ const (
 	depthEpochTag = 0xc2b2ae3d27d4eb4f
 )
 
-// compactTable is the hash-compaction store: open addressing with linear
-// probing over write-once slots of `stride` words — probe word, optional
-// 128-bit check word, and a depth word. The probe word is the claim point:
-// zero means empty, and the only write it ever sees is one successful
-// CAS(0 -> fingerprint), which makes every slot's contents monotone and the
-// whole structure lock-free.
+// slotTable is the store of the counting modes: open addressing with
+// linear probing over slots of `stride` words — the probe word (lane Lo of
+// the fingerprint; zero marks an empty slot), the check word (lane Hi;
+// exact and compact128 only) and a depth bitmap. Exact and compact128 thus
+// store the whole 128-bit fingerprint and differ only in budget: exact is
+// uncapped and never reports under-approximation, while compact128 and the
+// 64-bit compact mode live under TableBytes and disclose their false-merge
+// bound.
 //
 // Claim rule: the depth word is a bitmap of claimed depths (depths >= 64
 // fold their epoch into the fingerprint, so an entry is a (state,
-// depth-epoch) pair) — the exact (state, depth) claim rule of the exact
-// table, so absent collisions a compact run reproduces the exact Report.
+// depth-epoch) pair), so absent collisions every counting mode reproduces
+// the same Report.
 //
-// Sizing: shared tables, and any table given an explicit TableBytes
-// budget, allocate their final size up front (growing would move slots
-// under concurrent readers, and a rehash transiently holds ~1.5x the cap).
-// Only default-budget one-worker tables grow, by single-threaded rehash at
-// 3/4 load, until the default budget is reached. Either way inserts refuse
-// at 15/16 load with ErrTableFull, which also guarantees probe termination.
-type compactTable struct {
-	wide       bool // 128-bit mode: check word present
-	growable   bool
-	stride     uint64
-	pwMask     uint64 // test hook: truncates probe words to plant collisions
-	maxEntries uint64
-	mask       uint64 // current entries-1; entries is a power of two
-	slots      []uint64
-	used       atomic.Int64 // slots occupied (incl. depth-epoch entries)
-	states     atomic.Int64 // distinct fingerprints (base entries only)
+// Sizing and sharing: the table is split into shards by the probe word's
+// top bits, which the slot index (its low bits) does not use. A table
+// several workers share has 64 shards, each behind its own mutex; a
+// one-worker table has one shard and takes no lock. A table without an
+// explicit budget (exact always) starts at slotMinEntries entries and each
+// shard doubles at 3/4 load — up to its share of the default budget for
+// the compacted modes, without bound for exact. An explicit TableBytes
+// allocates the final size up front, split across the shards, so the cap
+// holds at every instant: a growth rehash transiently holds the old and
+// doubled arrays together. A shard at its final size refuses inserts at
+// 15/16 load with ErrTableFull, which also guarantees probe termination.
+type slotTable struct {
+	stride     uint64 // words per slot: probe, [check,] depth bitmap
+	compacted  bool   // compact, compact128: budgeted, may under-approximate
+	shardShift uint   // shard index = pw >> shardShift (64: the one shard)
+	maxEntries uint64 // entries per shard beyond which a shard never grows
+	// pwMask truncates probe words (Options.testPWMask) so tests can plant
+	// collisions deterministically; zero outside tests.
+	pwMask uint64
+	states atomic.Int64 // distinct fingerprints (base entries only)
+	shards []slotShard
 }
 
-func newCompactTable(wide, growable bool, budget int64, pwMask uint64) *compactTable {
-	stride := uint64(2)
-	if wide {
-		stride = 3
-	}
-	if budget <= 0 {
-		budget = compactDefaultBytes
-	} else {
-		// An explicit budget is a hard cap on the table's footprint at every
-		// instant, so the table is allocated at its final size up front and
-		// never rehashes: a growth rehash transiently holds the old and
-		// doubled slot arrays together — ~1.5x the final size — busting caps
-		// the final table fits comfortably. Growth only serves the
-		// default-budget one-worker case, where starting at 1024 entries
-		// keeps small explorations small.
-		growable = false
-	}
-	// Doubling while the *doubled* table still fits leaves the largest
-	// power-of-two table with memBytes <= budget. The 1<<55 stop keeps the
-	// product below int64 overflow for absurd budgets; a table that size
-	// could not be allocated anyway.
-	maxEntries := uint64(compactMinEntries)
-	for maxEntries < 1<<55 && int64(maxEntries*2)*int64(stride)*8 <= budget {
-		maxEntries *= 2
-	}
-	entries := maxEntries
-	if growable {
-		entries = compactMinEntries
-	}
-	return &compactTable{
-		wide:       wide,
-		growable:   growable,
-		stride:     stride,
-		pwMask:     pwMask,
-		maxEntries: maxEntries,
-		mask:       entries - 1,
-		slots:      make([]uint64, entries*stride),
-	}
+type slotShard struct {
+	mu    sync.Mutex
+	mask  uint64 // entries-1; entries is a power of two
+	used  uint64 // slots occupied (incl. depth-epoch entries)
+	slots []uint64
+	_     [64]byte // shards sit a cache line apart
 }
 
-// entrySetter is the one primitive of a counting table: set ORs bit into
-// the depth bitmap of fp's entry, creating the entry if absent, and reports
-// whether bit was newly set and whether the entry was new.
-type entrySetter interface {
-	set(fp machine.Hash128, bit uint64) (newBit, inserted bool, err error)
+func newSlotTable(opts Options, shared bool) *slotTable {
+	t := &slotTable{stride: 3, shardShift: 64, maxEntries: slotMaxEntries, pwMask: opts.testPWMask}
+	shards := uint64(1)
+	if shared {
+		shards, t.shardShift = 1<<slotShardBits, 64-slotShardBits
+	}
+	entries := uint64(slotMinEntries)
+	if opts.Table != TableExact {
+		t.compacted = true
+		if opts.Table == TableCompact {
+			t.stride = 2
+		}
+		budget := opts.TableBytes
+		if budget <= 0 {
+			budget = compactDefaultBytes
+		}
+		// Doubling while the *doubled* table still fits leaves the largest
+		// power-of-two table whose bytes fit the budget.
+		total := uint64(slotMinEntries)
+		for total < slotMaxEntries && int64(total*2)*int64(t.stride)*8 <= budget {
+			total *= 2
+		}
+		t.maxEntries = total / shards
+		if opts.TableBytes > 0 {
+			entries = total
+		}
+	}
+	t.shards = make([]slotShard, shards)
+	for i := range t.shards {
+		t.shards[i].mask = entries/shards - 1
+		t.shards[i].slots = make([]uint64, entries/shards*t.stride)
+	}
+	return t
 }
 
-// claimPair is the claim rule of the counting tables (exact and compact).
-// A state's claims at depths below 64 are bits of its base entry; claims at
-// depth >= 64 are bits of a (state, depth-epoch) entry, whose fingerprint
-// folds the epoch into both lanes. Only the base entry counts the state in
-// states, or every extra epoch would count it again; a race-hammer
-// invariant (one newState per fingerprint) pins this.
-func claimPair(t entrySetter, states *atomic.Int64, fp machine.Hash128, depth int) (claimed, newState bool, err error) {
+// claim is the claim rule of the counting modes. A state's claims at depths
+// below 64 are bits of its base entry; claims at depth >= 64 are bits of a
+// (state, depth-epoch) entry, whose fingerprint folds the epoch into both
+// lanes. Only the base entry counts the state in states, or every extra
+// epoch would count it again; a race-hammer invariant (one newState per
+// fingerprint) pins this.
+func (t *slotTable) claim(fp machine.Hash128, depth int) (claimed, newState bool, err error) {
 	epoch := uint64(depth) >> 6
 	if epoch != 0 {
 		if _, newState, err = t.set(fp, 0); err != nil {
@@ -274,161 +267,138 @@ func claimPair(t entrySetter, states *atomic.Int64, fp machine.Hash128, depth in
 		newState = inserted
 	}
 	if newState {
-		states.Add(1)
+		t.states.Add(1)
 	}
 	return claimed, newState, nil
 }
 
+// set ORs bit into the depth bitmap of fp's entry, creating the entry if
+// absent, and reports whether bit was newly set and whether the entry was
+// new.
+func (t *slotTable) set(fp machine.Hash128, bit uint64) (newBit, inserted bool, err error) {
+	pw, check := t.words(fp)
+	s := &t.shards[pw>>t.shardShift]
+	locked := len(t.shards) > 1
+	if locked {
+		s.mu.Lock()
+	}
+	base, inserted, err := t.slotFor(s, pw, check)
+	if err == nil {
+		depths := &s.slots[base+t.stride-1]
+		newBit = *depths&bit != bit
+		*depths |= bit
+	}
+	if locked {
+		s.mu.Unlock()
+	}
+	return newBit, inserted, err
+}
+
 // words derives the slot contents from an (epoch-folded) fingerprint: the
-// probe word (lane Lo) and the 128-bit check word (lane Hi). Zero is
-// reserved as the empty/unpublished marker in both words, so real zeros are
-// nudged to 1 — a 2^-64 perturbation already inside the fingerprint
-// collision budget.
-func (t *compactTable) words(fp machine.Hash128) (pw, check uint64) {
+// probe word (lane Lo) and the check word (lane Hi). Zero marks an empty
+// slot, so a real zero probe word is nudged to 1 — a 2^-64 perturbation
+// already inside the fingerprint collision budget. Under the test mask the
+// compacted modes truncate only the probe word, so compact128's check word
+// still separates the planted collisions, while exact drops its check word
+// too, so a masked exact table plants whole-fingerprint collisions.
+func (t *slotTable) words(fp machine.Hash128) (pw, check uint64) {
 	pw, check = fp.Lo, fp.Hi
 	if t.pwMask != 0 {
 		pw &= t.pwMask
+		if !t.compacted {
+			check = 0
+		}
 	}
 	if pw == 0 {
 		pw = 1
 	}
-	if check == 0 {
-		check = 1
-	}
 	return pw, check
 }
 
-func (t *compactTable) claim(fp machine.Hash128, depth int) (claimed, newState bool, err error) {
-	return claimPair(t, &t.states, fp, depth)
-}
-
-func (t *compactTable) set(fp machine.Hash128, bit uint64) (newBit, inserted bool, err error) {
-	base, inserted, err := t.slotFor(t.words(fp))
-	if err != nil || bit == 0 {
-		return false, inserted, err
-	}
-	// The atomic Or alone decides the claim, even for the slot's CAS winner:
-	// a same-depth visitor may reach the bitmap before the winner does, and
-	// the Or hands the claim to exactly one of them. Bits are never cleared,
-	// so a plain load that sees the bit already set proves a lost claim
-	// without the read-modify-write.
-	depths := &t.slots[base+t.stride-1]
-	if atomic.LoadUint64(depths)&bit != 0 {
-		return false, inserted, nil
-	}
-	return atomic.OrUint64(depths, bit)&bit == 0, inserted, nil
-}
-
-// slotFor finds or claims the slot holding (pw, check), returning its word
-// base and whether this call inserted it. Linear probing never leaves gaps
-// (slots are never deleted), so an empty slot proves absence.
-func (t *compactTable) slotFor(pw, check uint64) (base uint64, inserted bool, err error) {
-	for {
-		entries := t.mask + 1
-		grew := false
-		for i := uint64(0); i < entries; i++ {
-			base = ((pw + i) & t.mask) * t.stride
-			w := atomic.LoadUint64(&t.slots[base])
-			if w == 0 {
-				if t.growable && t.needsGrow() {
-					t.grow()
-					grew = true
-					break // positions moved: restart the probe
-				}
-				if t.full() {
-					return 0, false, fmt.Errorf("%w (%d entries, %d MiB; raise TableBytes)",
-						ErrTableFull, entries, t.memBytes()>>20)
-				}
-				if atomic.CompareAndSwapUint64(&t.slots[base], 0, pw) {
-					t.used.Add(1)
-					if t.wide {
-						atomic.StoreUint64(&t.slots[base+1], check)
-					}
-					return base, true, nil
-				}
-				// Lost the race for this slot; reload and fall through —
-				// the winner may have published our own fingerprint.
-				w = atomic.LoadUint64(&t.slots[base])
-			}
-			if w == pw {
-				if t.wide && !t.checkMatches(base, check) {
-					continue // same probe word, different state: keep probing
-				}
-				return base, false, nil
-			}
+// slotFor finds or inserts the slot holding (pw, check) in shard s,
+// returning its word base and whether this call inserted it. Linear probing
+// never leaves gaps (slots are never deleted), so an empty slot proves
+// absence.
+func (t *slotTable) slotFor(s *slotShard, pw, check uint64) (base uint64, inserted bool, err error) {
+	for i := pw; ; i++ {
+		base = (i & s.mask) * t.stride
+		w := s.slots[base]
+		if w == 0 {
+			break
 		}
-		if !grew {
-			// Unreachable below the load caps; closes the loop for safety.
-			return 0, false, ErrTableFull
+		if w == pw && (t.stride == 2 || s.slots[base+1] == check) {
+			return base, false, nil
+		}
+	}
+	entries := s.mask + 1
+	if entries < t.maxEntries && s.used*4 >= entries*3 {
+		s.grow(t.stride)
+		base = s.free(pw, t.stride)
+	} else if s.used*16 >= entries*15 {
+		total := t.maxEntries * uint64(len(t.shards))
+		return 0, false, fmt.Errorf("%w (%d entries, %d MiB; raise TableBytes)",
+			ErrTableFull, total, total*t.stride*8>>20)
+	}
+	s.slots[base] = pw
+	if t.stride == 3 {
+		s.slots[base+1] = check
+	}
+	s.used++
+	return base, true, nil
+}
+
+// free returns the word base of the first empty slot on pw's probe
+// sequence.
+func (s *slotShard) free(pw, stride uint64) uint64 {
+	for i := pw; ; i++ {
+		if base := (i & s.mask) * stride; s.slots[base] == 0 {
+			return base
 		}
 	}
 }
 
-// checkMatches compares the 128-bit check word, spinning out the
-// instruction-wide window between a winner's CAS and its check publication.
-func (t *compactTable) checkMatches(base uint64, check uint64) bool {
-	c := atomic.LoadUint64(&t.slots[base+1])
-	for c == 0 {
-		runtime.Gosched()
-		c = atomic.LoadUint64(&t.slots[base+1])
-	}
-	return c == check
-}
-
-func (t *compactTable) needsGrow() bool {
-	entries := t.mask + 1
-	return entries < t.maxEntries && uint64(t.used.Load())*4 >= entries*3
-}
-
-func (t *compactTable) full() bool {
-	return uint64(t.used.Load())*16 >= (t.mask+1)*15
-}
-
-// grow doubles the table and reinserts every slot. Growable tables have a
-// single claimant, so plain loads and stores suffice.
-func (t *compactTable) grow() {
-	old := t.slots
-	entries := (t.mask + 1) * 2
-	t.slots = make([]uint64, entries*t.stride)
-	t.mask = entries - 1
-	for base := uint64(0); base < uint64(len(old)); base += t.stride {
-		pw := old[base]
-		if pw == 0 {
-			continue
-		}
-		for i := uint64(0); ; i++ {
-			nb := ((pw + i) & t.mask) * t.stride
-			if t.slots[nb] == 0 {
-				copy(t.slots[nb:nb+t.stride], old[base:base+t.stride])
-				break
-			}
+// grow doubles the shard and reinserts every slot.
+func (s *slotShard) grow(stride uint64) {
+	old := s.slots
+	entries := (s.mask + 1) * 2
+	s.slots = make([]uint64, entries*stride)
+	s.mask = entries - 1
+	for base := uint64(0); base < uint64(len(old)); base += stride {
+		if pw := old[base]; pw != 0 {
+			nb := s.free(pw, stride)
+			copy(s.slots[nb:nb+stride], old[base:base+stride])
 		}
 	}
 }
 
-func (t *compactTable) distinct() int64 { return t.states.Load() }
-func (t *compactTable) memBytes() int64 { return int64(len(t.slots)) * 8 }
-
-func (t *compactTable) occupancy() float64 {
-	return float64(t.used.Load()) / float64(t.mask+1)
+func (t *slotTable) summarize(rep *Report) {
+	var used, entries uint64
+	for i := range t.shards {
+		used += t.shards[i].used
+		entries += t.shards[i].mask + 1
+	}
+	rep.DistinctStates = t.states.Load()
+	rep.Mem.TableBytes = int64(entries * t.stride * 8)
+	rep.Mem.TableOccupancy = float64(used) / float64(entries)
+	if t.compacted && rep.Deduped > 0 {
+		rep.UnderApprox = true
+		rep.FalseMergeProb = t.falseMergeProb(used)
+	}
 }
 
-// falseMergeProb is the birthday bound over the distinct fingerprints
-// stored: with D states hashed into b effective bits, some pair of distinct
-// states collides with probability ~1 - exp(-D(D-1)/2^(b+1)); only then can
-// any of the run's merges have been false.
-func (t *compactTable) falseMergeProb(deduped int64) float64 {
-	if deduped == 0 {
-		return 0
-	}
+// falseMergeProb is the birthday bound over the entries stored: with D
+// fingerprints hashed into b effective bits, some pair of distinct states
+// collides with probability ~1 - exp(-D(D-1)/2^(b+1)); only then can any of
+// the run's merges have been false.
+func (t *slotTable) falseMergeProb(entries uint64) float64 {
 	b := 64.0
 	if t.pwMask != 0 {
 		b = float64(bits.OnesCount64(t.pwMask))
 	}
-	if t.wide {
+	if t.stride == 3 {
 		b += 64
 	}
-	d := float64(t.used.Load())
+	d := float64(entries)
 	return -math.Expm1(-d * (d - 1) / math.Pow(2, b+1))
 }
 
@@ -437,8 +407,8 @@ func (t *compactTable) falseMergeProb(deduped int64) float64 {
 // fingerprint, so the rule is the exact-pair claim of the other tables.
 // Each claim derives one word index and k bit positions from the folded
 // fingerprint and issues a single atomic Or; the Or's return value hands
-// the pair's expansion to exactly one concurrent claimant. Distinct states are uncountable here, so
-// distinct reports 0 and Report.DistinctStates follows.
+// the pair's expansion to exactly one concurrent claimant. Distinct states
+// are uncountable here, so Report.DistinctStates is 0.
 type bitTable struct {
 	words []uint64
 }
@@ -471,8 +441,16 @@ func (t *bitTable) claim(fp machine.Hash128, depth int) (claimed, newState bool,
 	return old&mask != mask, false, nil
 }
 
-func (t *bitTable) distinct() int64 { return 0 }
-func (t *bitTable) memBytes() int64 { return int64(len(t.words)) * 8 }
+func (t *bitTable) summarize(rep *Report) {
+	rho := t.occupancy()
+	rep.DistinctStates = 0
+	rep.Mem.TableBytes = int64(len(t.words)) * 8
+	rep.Mem.TableOccupancy = rho
+	if rep.Deduped > 0 {
+		rep.UnderApprox = true
+		rep.FalseMergeProb = bitstateFalseMergeProb(rep.Deduped, rho)
+	}
+}
 
 func (t *bitTable) occupancy() float64 {
 	var ones int64
@@ -482,96 +460,17 @@ func (t *bitTable) occupancy() float64 {
 	return float64(ones) / float64(len(t.words)*64)
 }
 
-// falseMergeProb: a query false-merges when all k of its bits were already
-// set by other states, which at bit density rho happens with probability
-// ~rho^k per merged visit; over `deduped` merges the chance that at least
-// one was false is 1 - (1 - rho^k)^deduped.
-func (t *bitTable) falseMergeProb(deduped int64) float64 {
-	if deduped == 0 {
-		return 0
-	}
-	rho := t.occupancy()
+// bitstateFalseMergeProb: a query false-merges when all k of its bits were
+// already set by other states, which at bit density rho happens with
+// probability ~rho^k per merged visit; over `deduped` merges the chance
+// that at least one was false is 1 - (1 - rho^k)^deduped.
+func bitstateFalseMergeProb(deduped int64, rho float64) float64 {
 	if rho >= 1 {
 		return 1
 	}
 	perQuery := math.Pow(rho, bitstateK)
 	return -math.Expm1(float64(deduped) * math.Log1p(-perQuery))
 }
-
-// --- exact table and the claim point -----------------------------------------
-
-// exactShardCount is the number of independently locked shards of an exact
-// table shared by several workers. 64 shards keep the expected number of
-// workers contending on one mutex below W^2/64 pairs even at W=16 workers.
-// A one-worker walk uses a single shard and takes no locks. Must be a power
-// of two.
-const exactShardCount = 64
-
-// exactEntryBytes estimates one exact-table entry for Report.Mem: a 24-byte
-// (fingerprint, depth bitmap) map slot and its control byte, at a load
-// factor of about one half.
-const exactEntryBytes = 48
-
-// exactTable is the exact seen-state table (TableExact): an unbounded map
-// from an entry's fingerprint to its depth bitmap, claimed by the compact
-// table's rule (claimPair). Unlike the compacted tables it never refuses a
-// claim and never reports under-approximation.
-type exactTable struct {
-	// mask truncates fingerprints to (Lo&mask, 0) (Options.testPWMask) so
-	// tests can plant collisions deterministically; zero outside tests.
-	mask   uint64
-	states atomic.Int64 // distinct fingerprints (base entries only)
-	shards []exactShard
-}
-
-type exactShard struct {
-	mu sync.Mutex
-	m  map[machine.Hash128]uint64 // (state, depth-epoch) -> claimed depths mod 64
-	_  [64]byte                   // shards sit a cache line apart
-}
-
-func newExactTable(mask uint64, shards int) *exactTable {
-	t := &exactTable{mask: mask, shards: make([]exactShard, shards)}
-	for i := range t.shards {
-		t.shards[i].m = make(map[machine.Hash128]uint64)
-	}
-	return t
-}
-
-func (t *exactTable) claim(fp machine.Hash128, depth int) (claimed, newState bool, err error) {
-	return claimPair(t, &t.states, fp, depth)
-}
-
-// set allocates only when a map grows.
-func (t *exactTable) set(fp machine.Hash128, bit uint64) (newBit, inserted bool, err error) {
-	if t.mask != 0 {
-		fp = machine.Hash128{Lo: fp.Lo & t.mask}
-	}
-	sh := &t.shards[fp.Lo&uint64(len(t.shards)-1)]
-	if len(t.shards) > 1 {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-	}
-	depths, hit := sh.m[fp]
-	newBit = depths&bit != bit
-	if newBit || !hit {
-		sh.m[fp] = depths | bit
-	}
-	return newBit, !hit, nil
-}
-
-func (t *exactTable) distinct() int64 { return t.states.Load() }
-
-func (t *exactTable) memBytes() int64 {
-	var n int64
-	for i := range t.shards {
-		n += int64(len(t.shards[i].m)) * exactEntryBytes
-	}
-	return n
-}
-
-func (t *exactTable) occupancy() float64                   { return 0 }
-func (t *exactTable) falseMergeProb(deduped int64) float64 { return 0 }
 
 // claimer is the claim point of an exploration: it fingerprints a
 // configuration (exactly, or up to symmetry) and claims its (state, depth)
@@ -626,16 +525,9 @@ func (c *claimer) claimFingerprint(fp machine.Hash128, depth int) (bool, error) 
 }
 
 // summarize fills the table-derived Report fields once every claimant has
-// finished. Only a compacted table that pruned something may have merged
-// two distinct states on a fingerprint (see the contract above).
+// finished.
 func (c *claimer) summarize(rep *Report) {
-	rep.DistinctStates = c.table.distinct()
-	rep.Mem.TableBytes = c.table.memBytes()
-	rep.Mem.TableOccupancy = c.table.occupancy()
-	if _, exact := c.table.(*exactTable); !exact && rep.Deduped > 0 {
-		rep.UnderApprox = true
-		rep.FalseMergeProb = c.table.falseMergeProb(rep.Deduped)
-	}
+	c.table.summarize(rep)
 	if c.unkeyable.Load() {
 		rep.DistinctStates = 0
 	}

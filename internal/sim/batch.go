@@ -37,8 +37,6 @@ type BatchJob struct {
 
 // BatchResult is the outcome of one batch job.
 type BatchResult struct {
-	// Index identifies the job in the submitted slice.
-	Index int
 	// Result is the run's outcome; nil when Err is set before the run
 	// produced one.
 	Result *Result
@@ -47,29 +45,14 @@ type BatchResult struct {
 	Err error
 }
 
-// BatchStats aggregates a batch.
-type BatchStats struct {
-	// Runs is the number of jobs executed.
-	Runs int
-	// Failed counts jobs that ended in error.
-	Failed int
-	// Decided counts runs in which at least one process decided.
-	Decided int
-	// TotalSteps sums the steps of all runs.
-	TotalSteps int64
-	// LongestRun is the largest single-run step count.
-	LongestRun int64
-}
-
 // RunBatch executes the jobs across workers goroutines (workers <= 0 means
-// GOMAXPROCS) and returns per-job results, indexed like jobs, plus the
-// aggregate. Job order within the result slice is deterministic; execution
+// GOMAXPROCS) and returns per-job results, indexed like jobs. Job order within the result slice is deterministic; execution
 // order is not, which is fine because jobs are fully isolated. Cancelling
 // ctx stops the batch promptly: in-flight runs abort at their next
 // cancellation poll and unstarted jobs are never built; both report
 // ctx.Err() in their BatchResult. All workers are joined before RunBatch
 // returns on every path, so cancellation leaks no goroutines.
-func RunBatch(ctx context.Context, jobs []BatchJob, workers int) ([]BatchResult, BatchStats) {
+func RunBatch(ctx context.Context, jobs []BatchJob, workers int) []BatchResult {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -89,44 +72,26 @@ func RunBatch(ctx context.Context, jobs []BatchJob, workers int) ([]BatchResult,
 					return
 				}
 				if err := ctx.Err(); err != nil {
-					results[i] = BatchResult{Index: i, Err: err}
+					results[i] = BatchResult{Err: err}
 					continue
 				}
-				results[i] = runOne(ctx, i, jobs[i])
+				results[i] = runOne(ctx, jobs[i])
 			}
 		}()
 	}
 	wg.Wait()
-	var stats BatchStats
-	stats.Runs = len(results)
-	for i := range results {
-		r := &results[i]
-		if r.Err != nil {
-			stats.Failed++
-		}
-		if r.Result == nil {
-			continue
-		}
-		stats.TotalSteps += r.Result.Steps
-		if r.Result.Steps > stats.LongestRun {
-			stats.LongestRun = r.Result.Steps
-		}
-		if len(r.Result.Decisions) > 0 {
-			stats.Decided++
-		}
-	}
-	return results, stats
+	return results
 }
 
-func runOne(ctx context.Context, i int, job BatchJob) BatchResult {
+func runOne(ctx context.Context, job BatchJob) BatchResult {
 	sys, err := job.Make()
 	if err != nil {
-		return BatchResult{Index: i, Err: err}
+		return BatchResult{Err: err}
 	}
 	defer sys.Close()
 	res, err := sys.RunContext(ctx, job.Sched(), job.MaxSteps)
 	if job.Done != nil {
 		job.Done(sys)
 	}
-	return BatchResult{Index: i, Result: res, Err: err}
+	return BatchResult{Result: res, Err: err}
 }

@@ -171,12 +171,9 @@ func TestRunBatchCancellation(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	results, stats := RunBatch(ctx, jobs, 4)
+	results := RunBatch(ctx, jobs, 4)
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("batch cancellation took %v", elapsed)
-	}
-	if stats.Failed != len(jobs) {
-		t.Fatalf("failed %d of %d jobs", stats.Failed, len(jobs))
 	}
 	for i, r := range results {
 		if !errors.Is(r.Err, context.Canceled) {

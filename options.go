@@ -273,11 +273,12 @@ func ParseTableMode(s string) (TableMode, error) {
 }
 
 // WithTable selects the seen-state table representation of a Verify
-// exploration (default TableExact). The compacted modes trade exactness for
-// memory: they can only under-report the envelope — never invent states,
-// runs, or violations — and any run that pruned through a compacted table
-// says so via VerifyReport.UnderApprox and FalseMergeProb. A safety
-// violation found under any mode is always real.
+// exploration (default TableExact). Exact, compact and compact128 share
+// one slot table and differ in slot width and budget; the compacted modes
+// trade exactness for memory: they can only under-report the envelope —
+// never invent states, runs, or violations — and any run that pruned
+// through a compacted table says so via VerifyReport.UnderApprox and
+// FalseMergeProb. A safety violation found under any mode is always real.
 func WithTable(m TableMode) VerifyOption { return tableOption(m) }
 
 type tableOption TableMode
@@ -285,13 +286,16 @@ type tableOption TableMode
 func (o tableOption) applyVerify(c *verifyConfig) { c.table = TableMode(o) }
 
 // WithTableBytes caps the compacted table's memory (default 64 MiB for the
-// compact modes, 32 MiB for bitstate). An explicit budget is a hard cap at
-// every instant: the compact table is allocated at its final size up front
-// — no growth rehash whose transient footprint would overshoot the cap —
-// and refuses with an error, never a silent drop, when the cap cannot hold
+// compact modes, 32 MiB for bitstate). Without it a compact table starts
+// small and grows up to the default, at any worker count. An explicit
+// budget is a hard cap at every instant: the compact table is allocated at
+// its final size up front, split across the workers' shards — no growth
+// rehash whose transient footprint would overshoot the cap — and refuses
+// with an error, never a silent drop, when a shard cannot hold its share of
 // the explored states; bitstate filters never refuse, their false-merge
-// probability just grows with occupancy. Ignored under TableExact; zero
-// means the default; a negative budget reports ErrBadInput from Verify.
+// probability just grows with occupancy. Ignored under TableExact, whose
+// table grows without a cap; zero means the default; a negative budget
+// reports ErrBadInput from Verify.
 func WithTableBytes(b int64) VerifyOption { return tableBytesOption(b) }
 
 type tableBytesOption int64

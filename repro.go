@@ -111,12 +111,9 @@ type VerifyReport struct {
 
 // VerifyMemStats is VerifyReport's memory telemetry.
 type VerifyMemStats struct {
-	// TableBytes is the seen-state table's backing-store size — exact for
-	// the compacted modes, an estimate of fingerprint-map storage for
-	// TableExact.
+	// TableBytes is the seen-state table's backing-store size.
 	TableBytes int64
-	// TableOccupancy is the fraction of the table in use (compacted modes
-	// only).
+	// TableOccupancy is the fraction of the table in use.
 	TableOccupancy float64
 	// PeakFrontier is the largest number of pending configurations the
 	// exploration held at once, spilled batches included.
