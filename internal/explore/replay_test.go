@@ -16,7 +16,7 @@ import (
 // which the walk's spill rematerialization relies on.
 func exhaustiveReplay(ctx context.Context, f Factory, opts Options) (*Report, error) {
 	seen := newClaimer(opts, false)
-	var ks keyScratch
+	var ks sim.SymScratch
 	rep := &Report{}
 	decided := map[int]struct{}{}
 	var inputs []int

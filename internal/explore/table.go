@@ -485,29 +485,20 @@ type claimer struct {
 	unkeyable atomic.Bool
 }
 
-// keyScratch is one claimant's reusable symmetric-key buffers.
-type keyScratch struct {
-	buf []byte
-	sym sim.SymScratch
-}
-
 func newClaimer(opts Options, shared bool) *claimer {
 	return &claimer{table: newCTable(opts, shared), countOnly: !opts.Dedup, symmetry: opts.Symmetry}
 }
 
 // claim reports whether the caller owns the expansion of sys at depth. The
-// configuration's fingerprint is sim.System.StateHash128, computed without
-// materializing a key, except under Symmetry, whose sorted-multiset
-// canonicalization needs the key bytes anyway and hashes them. The error is
-// non-nil only for a full compacted table (ErrTableFull).
-func (c *claimer) claim(sys *sim.System, depth int, ks *keyScratch) (bool, error) {
+// configuration's fingerprint is sim.System.StateHash128, or under Symmetry
+// sim.System.SymHash128 (reusing the claimant's scratch), which streams the
+// symmetric key's bytes into the fingerprint without building them. The
+// error is non-nil only for a full compacted table (ErrTableFull).
+func (c *claimer) claim(sys *sim.System, depth int, sc *sim.SymScratch) (bool, error) {
 	var fp machine.Hash128
 	ok := false
 	if c.symmetry {
-		var key []byte
-		key, ok = sys.AppendSymStateKey(ks.buf[:0], &ks.sym)
-		ks.buf = key[:0]
-		fp = machine.HashBytes128(key)
+		fp, ok = sys.SymHash128(sc)
 	} else {
 		fp, ok = sys.StateHash128()
 	}

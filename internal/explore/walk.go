@@ -171,7 +171,7 @@ type worker struct {
 	deduped    int64
 	violations []Violation
 	decided    map[int]struct{}
-	keys       keyScratch
+	keys       sim.SymScratch
 	liveBuf    []int
 	// free recycles nodes that were taken but never became a parent
 	// (pruned, deduped, or ending a run): nothing references them any
@@ -260,9 +260,13 @@ func workerCount(opts Options) int {
 // closes. f may be nil when the walk never spills.
 func newWalker(f Factory, root *sim.System, opts Options) *walker {
 	nw := workerCount(opts)
-	// One pool shared by all workers: forks and closes hit it from several
-	// goroutines, which Pool is built for (a mutexed free list).
+	// One pool for all workers: shared, forks and closes hit it from several
+	// goroutines (a mutexed free list); one worker owns it outright and
+	// skips the lock, as the slot table and the deques do.
 	pool := new(sim.Pool)
+	if nw == 1 {
+		pool = sim.NewOwnedPool()
+	}
 	root.SetPool(pool)
 	w := &walker{
 		opts:    opts,

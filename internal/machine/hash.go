@@ -41,10 +41,12 @@ const (
 // splitmix64 lanes fed the same word stream (the second lane remixes each
 // word against its own tag before absorbing it, so the lanes decorrelate).
 // It is the unit of every explorer seen-state table, which stores
-// fingerprints of the canonical configuration key instead of the key bytes:
-// equal streams always produce equal fingerprints, distinct streams collide
-// with probability ~2^-64 per lane. Use SeedHash128 to start a stream and
-// Word to absorb; HashBytes128 fingerprints an already-materialized key.
+// fingerprints of the canonical configuration key instead of the key bytes
+// (sim's StateHash128 streams the key's components as words, never building
+// the key; SymHash128 streams the symmetric key's bytes through
+// ByteHash128): equal streams always produce equal fingerprints, distinct
+// streams collide with probability ~2^-64 per lane. Use SeedHash128 to
+// start a stream and Word to absorb.
 type Hash128 struct{ Lo, Hi uint64 }
 
 const (
@@ -66,22 +68,51 @@ func (h Hash128) Word(w uint64) Hash128 {
 	}
 }
 
-// HashBytes128 fingerprints a byte string: two FNV-1a lanes with distinct
-// offsets, each finalized through the splitmix mixer. It is the byte-stream
-// counterpart of the Word chain, used where a canonical key is already
-// materialized (the symmetry-reduced keys, whose sorted-multiset
-// canonicalization needs the bytes anyway).
-func HashBytes128(p []byte) Hash128 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	lo, hi := uint64(offset64), uint64(offset64)^hash128LaneTag
-	for _, b := range p {
-		lo = (lo ^ uint64(b)) * prime64
-		hi = (hi ^ uint64(b^0xa5)) * prime64
+// ByteHash128 is the byte-stream counterpart of the Hash128 word chain: two
+// FNV-1a lanes with distinct offsets, each finalized through the splitmix
+// mixer by Sum. It fingerprints a key given as bytes without the bytes
+// having to sit in one buffer: sim's SymHash128 streams the symmetric key
+// through it part by part, and a stream absorbs the same bytes to the same
+// fingerprint however they are split. Use NewByteHash128 to start one.
+type ByteHash128 struct{ lo, hi uint64 }
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// NewByteHash128 returns the initial state of a byte-stream fingerprint.
+func NewByteHash128() ByteHash128 {
+	return ByteHash128{lo: fnvOffset64, hi: fnvOffset64 ^ hash128LaneTag}
+}
+
+// Byte absorbs one byte.
+func (h ByteHash128) Byte(b byte) ByteHash128 {
+	return ByteHash128{
+		lo: (h.lo ^ uint64(b)) * fnvPrime64,
+		hi: (h.hi ^ uint64(b^0xa5)) * fnvPrime64,
 	}
-	return Hash128{Lo: Mix64(lo), Hi: Mix64(hi ^ hash128SeedHi)}
+}
+
+// Bytes absorbs p.
+func (h ByteHash128) Bytes(p []byte) ByteHash128 {
+	for _, b := range p {
+		h = h.Byte(b)
+	}
+	return h
+}
+
+// Uint64 absorbs the eight little-endian bytes of w.
+func (h ByteHash128) Uint64(w uint64) ByteHash128 {
+	for i := 0; i < 8; i++ {
+		h = h.Byte(byte(w >> (8 * i)))
+	}
+	return h
+}
+
+// Sum finalizes the stream.
+func (h ByteHash128) Sum() Hash128 {
+	return Hash128{Lo: Mix64(h.lo), Hi: Mix64(h.hi ^ hash128SeedHi)}
 }
 
 // Mix64 is the splitmix64 finalizer: a cheap bijective mixer used to chain

@@ -17,13 +17,20 @@ import "sync"
 // recycled — a factory-built root returns to the garbage collector as usual,
 // so a pool never resurrects a System whose steppers it did not build.
 //
-// A Pool is safe for concurrent use: the parallel explorer's workers share
-// one pool, forking and closing against it from several goroutines. The
-// critical section is a slice push/pop.
+// The zero Pool is safe for concurrent use: the parallel explorer's workers
+// share one pool, forking and closing against it from several goroutines.
+// The critical section is a slice push/pop. A pool from NewOwnedPool skips
+// the lock, for a single owner such as the explorer's one-worker walk.
 type Pool struct {
-	mu   sync.Mutex
-	free []*System
+	mu    sync.Mutex
+	owned bool // one goroutine at a time forks and closes: no lock
+	free  []*System
 }
+
+// NewOwnedPool returns a pool for a single owner: every Fork and Close
+// against it must come from one goroutine at a time, ordered by the
+// caller, as in the explorer's one-worker walk. It takes no lock.
+func NewOwnedPool() *Pool { return &Pool{owned: true} }
 
 // maxPoolFree bounds the free list. The explorer's live frontier, not the
 // pool, holds the open configurations, so the list only needs to cover the
@@ -33,21 +40,38 @@ const maxPoolFree = 1024
 
 // get pops a recycled System, or returns nil when the pool is empty.
 func (p *Pool) get() *System {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n := len(p.free); n > 0 {
-		s := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		return s
+	if p.owned {
+		return p.pop()
 	}
-	return nil
+	p.mu.Lock()
+	s := p.pop()
+	p.mu.Unlock()
+	return s
 }
 
 // put recycles a closed System.
 func (p *Pool) put(s *System) {
+	if p.owned {
+		p.push(s)
+		return
+	}
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.push(s)
+	p.mu.Unlock()
+}
+
+func (p *Pool) pop() *System {
+	n := len(p.free)
+	if n == 0 {
+		return nil
+	}
+	s := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	return s
+}
+
+func (p *Pool) push(s *System) {
 	if len(p.free) < maxPoolFree {
 		p.free = append(p.free, s)
 	}

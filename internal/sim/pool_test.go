@@ -56,27 +56,32 @@ func newLoopSystem(n, steps int) *System {
 
 // TestForkPoolSteadyStateAllocs pins the pool's contract from its doc
 // comment: once the pool is warm, a fork/step/close cycle — the explorer's
-// inner rhythm — allocates nothing at all.
+// inner rhythm — allocates nothing at all, from a shared pool or an owned
+// one.
 func TestForkPoolSteadyStateAllocs(t *testing.T) {
-	root := newLoopSystem(3, 50)
-	defer root.Close()
-	root.SetPool(new(Pool))
+	for name, pool := range map[string]*Pool{"shared": new(Pool), "owned": NewOwnedPool()} {
+		t.Run(name, func(t *testing.T) {
+			root := newLoopSystem(3, 50)
+			defer root.Close()
+			root.SetPool(pool)
 
-	cycle := func() {
-		child, err := root.Fork()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := child.Step(1); err != nil {
-			t.Fatal(err)
-		}
-		child.Close()
-	}
-	for i := 0; i < 3; i++ {
-		cycle() // warm the pool: the first forks allocate their storage
-	}
-	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
-		t.Fatalf("steady-state fork/step/close cycle allocates %.1f times, want 0", avg)
+			cycle := func() {
+				child, err := root.Fork()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := child.Step(1); err != nil {
+					t.Fatal(err)
+				}
+				child.Close()
+			}
+			for i := 0; i < 3; i++ {
+				cycle() // warm the pool: the first forks allocate their storage
+			}
+			if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+				t.Fatalf("steady-state fork/step/close cycle allocates %.1f times, want 0", avg)
+			}
+		})
 	}
 }
 

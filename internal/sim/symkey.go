@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
+	"math/bits"
 	"slices"
 
 	"repro/internal/machine"
@@ -77,19 +78,163 @@ const (
 	symKeyTagExact = 'e'
 )
 
-// SymScratch carries the reusable working buffers of AppendSymStateKey, so
-// callers keying every configuration of an exploration (the seen-state
-// tables) don't pay the cell/entry allocations per key. The zero value is
-// ready to use; a SymScratch must not be shared between concurrent keyers.
+// symEntry is one process entry of the symmetric key held without its
+// bytes: the entry (its tag byte, then at most ten payload bytes) packed
+// big-endian into hi and lo, zero-padded, and its length n. Comparing
+// (hi, lo, n) orders entries exactly as bytes.Compare orders their byte
+// strings — the first differing byte decides, and a proper prefix (whose
+// padding is zero) sorts first — so SymHash128 streams them in the byte
+// key's order.
+type symEntry struct {
+	hi, lo uint64
+	n      int
+}
+
+func (e *symEntry) push(b byte) {
+	if e.n < 8 {
+		e.hi |= uint64(b) << (56 - 8*e.n)
+	} else {
+		e.lo |= uint64(b) << (56 - 8*(e.n-8))
+	}
+	e.n++
+}
+
+func cmpSymEntry(a, b symEntry) int {
+	if c := cmp.Compare(a.hi, b.hi); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.lo, b.lo); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.n, b.n)
+}
+
+// SymScratch carries the reusable working buffers of SymHash128 and
+// AppendSymStateKey, so callers keying every configuration of an
+// exploration (the seen-state tables) don't pay the cell/entry allocations
+// per key. The zero value is ready to use; a SymScratch must not be shared
+// between concurrent keyers.
 type SymScratch struct {
-	cells   []machine.CellHash
-	rank    map[int]int
-	entries [][]byte
-	// relabel is the rank-lookup closure handed to every SymStateKey call,
-	// built once per scratch: closing over the scratch (whose rank map is
-	// cleared and refilled per key) instead of per-call state keeps the hot
-	// keying path from allocating a fresh closure per configuration.
+	cells []machine.CellHash
+	// rank maps a location to 1 + its rank in the sorted non-zero cell
+	// order, 0 for a zero cell: dense, so SymHash128 relabels by an index,
+	// and each hash resets exactly the entries it set.
+	rank  []int32
+	ents  []symEntry
+	exact []byte // the fallback's exact key
+	// relabel is SymHash128's rank lookup, built once per scratch so the hot
+	// keying path allocates no closure per configuration.
 	relabel func(loc int) int
+	// The byte form keeps its own map-based relabeling and byte-string
+	// entries, so the two forms are independent implementations of one
+	// key and check each other (TestSymHash128MatchesKey).
+	keyRank    map[int]int
+	entries    [][]byte
+	keyRelabel func(loc int) int
+}
+
+// SymHash128 is the fingerprint of the symmetric key, and what the explorer
+// claims under symmetry reduction: it streams exactly the bytes
+// AppendSymStateKey would append through a machine.ByteHash128, so it equals
+// NewByteHash128().Bytes(key).Sum() of that key, without building it. The
+// memory streams as the fold of its sorted non-zero cells, whose ranks it
+// keeps in a dense table; each process entry is packed into a symEntry and
+// the entries are sorted in the byte key's order; channel systems stream
+// their consumed drop budget last. A system with a live non-SymKeyer
+// process takes the fallback, which builds its exact key (into sc) and
+// hashes it. ok is false exactly when AppendSymStateKey's is. sc must not
+// be nil.
+//
+// Concurrency: like AppendSymStateKey it only reads the receiver, so it is
+// safe concurrently with Forks of the same system but not with
+// Step/Crash/Close; each concurrent caller needs its own SymScratch.
+func (s *System) SymHash128(sc *SymScratch) (machine.Hash128, bool) {
+	if s.closed {
+		return machine.Hash128{}, false
+	}
+	for _, pid := range s.live {
+		if _, keyed := s.procs[pid].st.(SymKeyer); !keyed {
+			key, ok := s.AppendStateKey(append(sc.exact[:0], symKeyTagExact))
+			sc.exact = key[:0]
+			return machine.NewByteHash128().Bytes(key).Sum(), ok
+		}
+	}
+	// Memory: the sorted multiset of non-zero cells, ranked for the
+	// relabeling. Ties (equal-content cells) are broken by physical index,
+	// as in AppendSymStateKey.
+	cells := s.mem.AppendCellHashes(sc.cells[:0])
+	sc.cells = cells
+	if n := len(cells); n > 0 {
+		// AppendCellHashes lists cells by ascending location, so the last
+		// one sizes the rank table.
+		if need := cells[n-1].Loc + 1; len(sc.rank) < need {
+			sc.rank = append(sc.rank, make([]int32, need-len(sc.rank))...)
+		}
+	}
+	slices.SortFunc(cells, func(a, b machine.CellHash) int {
+		if a.Hash != b.Hash {
+			return cmp.Compare(a.Hash, b.Hash)
+		}
+		return cmp.Compare(a.Loc, b.Loc)
+	})
+	for r, c := range cells {
+		sc.rank[c.Loc] = int32(r) + 1
+	}
+	if sc.relabel == nil {
+		sc.relabel = func(loc int) int {
+			if uint(loc) < uint(len(sc.rank)) {
+				if r := sc.rank[loc]; r != 0 {
+					return int(r - 1)
+				}
+			}
+			return symZeroBase + loc
+		}
+	}
+	h := machine.NewByteHash128().Byte(symKeyTagSym).Uint64(machine.FoldCellHashes(cells))
+
+	// Processes: one entry each, sorted.
+	var vb [binary.MaxVarintLen64]byte
+	ents := sc.ents[:0]
+	for _, ps := range s.procs {
+		var e symEntry
+		switch {
+		case ps.crashed:
+			e.push('x')
+		case ps.decided:
+			e.push('d')
+			for _, b := range vb[:binary.PutVarint(vb[:], int64(ps.decision))] {
+				e.push(b)
+			}
+		case ps.err != nil:
+			e.push('e')
+		case !ps.hasPoise:
+			e.push('?')
+		default:
+			// 'l' and the key's little-endian bytes.
+			r := bits.ReverseBytes64(ps.st.(SymKeyer).SymStateKey(sc.relabel))
+			e = symEntry{hi: 'l'<<56 | r>>8, lo: r << 56, n: 9}
+		}
+		ents = append(ents, e)
+	}
+	sc.ents = ents
+	for _, c := range cells {
+		sc.rank[c.Loc] = 0
+	}
+	slices.SortFunc(ents, cmpSymEntry)
+	for _, e := range ents {
+		w := e.hi
+		for i := 0; i < e.n; i++ {
+			if i == 8 {
+				w = e.lo
+			}
+			h = h.Byte(byte(w >> 56))
+			w <<= 8
+		}
+	}
+	if s.hasChans() {
+		h = h.Byte('c').Bytes(vb[:binary.PutUvarint(vb[:], uint64(s.dropsUsed))])
+	}
+	return h.Sum(), true
 }
 
 // SymStateKey is the symmetry-reduced form of StateKey: a canonical encoding
@@ -100,7 +245,8 @@ type SymScratch struct {
 // quotient only ever shrinks the table, never the explored semantics. If
 // some live stepper does not implement SymKeyer the exact StateKey is
 // returned (tagged into a disjoint key space); ok is false only when the
-// exact key is unavailable too.
+// exact key is unavailable too. The explorer claims its fingerprint,
+// SymHash128; the byte forms serve the tests and perfbench's key probe.
 func (s *System) SymStateKey() (key string, ok bool) {
 	dst, ok := s.AppendSymStateKey(make([]byte, 0, 16+10*len(s.procs)), nil)
 	return string(dst), ok
@@ -145,22 +291,22 @@ func (s *System) AppendSymStateKey(dst []byte, sc *SymScratch) (key []byte, ok b
 		return cmp.Compare(a.Loc, b.Loc)
 	})
 	dst = binary.LittleEndian.AppendUint64(dst, machine.FoldCellHashes(cells))
-	if len(cells) > 0 && sc.rank == nil {
-		sc.rank = make(map[int]int, len(cells))
+	if len(cells) > 0 && sc.keyRank == nil {
+		sc.keyRank = make(map[int]int, len(cells))
 	}
-	clear(sc.rank)
+	clear(sc.keyRank)
 	for r, c := range cells {
-		sc.rank[c.Loc] = r
+		sc.keyRank[c.Loc] = r
 	}
-	if sc.relabel == nil {
-		sc.relabel = func(loc int) int {
-			if r, hit := sc.rank[loc]; hit {
+	if sc.keyRelabel == nil {
+		sc.keyRelabel = func(loc int) int {
+			if r, hit := sc.keyRank[loc]; hit {
 				return r
 			}
 			return symZeroBase + loc
 		}
 	}
-	relabel := sc.relabel
+	relabel := sc.keyRelabel
 
 	// Processes: one self-delimiting entry each — terminal status or the
 	// relabeled local-state key — sorted so the key quotients by process
