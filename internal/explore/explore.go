@@ -27,6 +27,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/sim"
 )
@@ -298,28 +299,40 @@ func refuseUnforkable(root *sim.System) error {
 }
 
 // treeNode is one pending configuration of the walk. Nodes carry their
-// schedule as a parent chain — immutable after construction — materialized
-// into a slice only when a violation needs reporting. A node reloaded from
-// a frontier spill has no parent chain: it carries its whole schedule in
-// prefix, a nil sys until first taken, and rematerializes by replay.
+// schedule as a parent chain, materialized into a slice only when a
+// violation or a spill needs it. A node reloaded from a frontier spill has
+// no parent chain: it carries its whole schedule in prefix, a nil sys until
+// first taken, and rematerializes by replay. kids counts an expanded node's
+// unreleased children; the last to go recycles it too (worker.release).
 type treeNode struct {
 	sys    *sim.System
 	parent *treeNode
 	pid    int // step taken from the parent; meaningless at the root
 	depth  int
 	prefix []int // spill-reloaded root schedule (nil for forked nodes)
+	kids   atomic.Int32
 }
 
 func (nd *treeNode) schedule() []int {
 	out := make([]int, nd.depth)
+	nd.fillSchedule(out)
+	return out
+}
+
+// fillSchedule writes nd's schedule into out (length nd.depth). Each link
+// must climb one level, so at most nd.depth are followed: a chain broken by
+// a node recycled while still a parent panics instead of looping.
+func (nd *treeNode) fillSchedule(out []int) {
 	n := nd
 	for ; n.parent != nil; n = n.parent {
+		if n.parent.depth != n.depth-1 {
+			panic(fmt.Sprintf("explore: broken parent chain: depth %d under depth %d (a node was recycled while still a parent)", n.depth, n.parent.depth))
+		}
 		out[n.depth-1] = n.pid
 	}
 	// The chain root contributes its prefix — empty for the true root,
 	// the reloaded schedule for a spill root.
 	copy(out, n.prefix)
-	return out
 }
 
 // schedSource lazily materializes a configuration's schedule for violation

@@ -25,6 +25,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
+	"slices"
 )
 
 // frontierSpill owns the spill file and its batch directory. Batches are
@@ -35,6 +36,7 @@ type frontierSpill struct {
 	batches []spillBatch
 	spilled int64 // batches ever written (Report.Mem.SpilledBatches)
 	buf     []byte
+	sched   []int // one node's schedule while spill encodes it
 }
 
 type spillBatch struct {
@@ -54,15 +56,17 @@ func newFrontierSpill(dir string) (*frontierSpill, error) {
 	return &frontierSpill{f: f}, nil
 }
 
-// spill appends one batch holding the schedules of nds, oldest first.
-// Callers close the systems afterwards; the nodes' parent chains are
-// released with them.
+// spill appends one batch holding the schedules of nds, oldest first, each
+// read off its parent chain into one reused scratch slice. Callers close the
+// systems and release the nodes afterwards, which may recycle their
+// ancestors: the spilled schedules no longer need the chains.
 func (sp *frontierSpill) spill(nds []*treeNode) error {
 	buf := sp.buf[:0]
 	for _, nd := range nds {
-		sched := nd.schedule()
-		buf = binary.AppendUvarint(buf, uint64(len(sched)))
-		for _, pid := range sched {
+		sp.sched = slices.Grow(sp.sched[:0], nd.depth)[:nd.depth]
+		nd.fillSchedule(sp.sched)
+		buf = binary.AppendUvarint(buf, uint64(nd.depth))
+		for _, pid := range sp.sched {
 			buf = binary.AppendUvarint(buf, uint64(pid))
 		}
 	}
@@ -78,7 +82,8 @@ func (sp *frontierSpill) spill(nds []*treeNode) error {
 
 // reload pops the most recent batch and decodes its schedules in stored
 // (oldest-first) order, so pushing them back onto the empty deque restores
-// the exact relative order they had before spilling.
+// the exact relative order they had before spilling. The schedules share
+// one backing array sized for the batch.
 func (sp *frontierSpill) reload() ([][]int, error) {
 	n := len(sp.batches)
 	if n == 0 {
@@ -94,6 +99,8 @@ func (sp *frontierSpill) reload() ([][]int, error) {
 		return nil, fmt.Errorf("explore: reloading frontier batch: %w", err)
 	}
 	out := make([][]int, 0, b.count)
+	// A length byte and a byte per entry at least: a well-formed batch fits.
+	all := make([]int, 0, int(b.size)-b.count)
 	for i := 0; i < b.count; i++ {
 		slen, k := binary.Uvarint(buf)
 		// Every schedule entry takes at least one byte, so a decoded length
@@ -104,16 +111,16 @@ func (sp *frontierSpill) reload() ([][]int, error) {
 			return nil, fmt.Errorf("explore: corrupt spill batch at offset %d", b.off)
 		}
 		buf = buf[k:]
-		sched := make([]int, slen)
-		for j := range sched {
+		start := len(all)
+		for j := uint64(0); j < slen; j++ {
 			pid, k := binary.Uvarint(buf)
 			if k <= 0 {
 				return nil, fmt.Errorf("explore: corrupt spill batch at offset %d", b.off)
 			}
 			buf = buf[k:]
-			sched[j] = int(pid)
+			all = append(all, int(pid))
 		}
-		out = append(out, sched)
+		out = append(out, all[start:len(all):len(all)])
 	}
 	return out, nil
 }

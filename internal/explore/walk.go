@@ -125,19 +125,19 @@ func (d *deque) steal() *treeNode {
 	return nd
 }
 
-// spillExtract removes and returns the oldest (shallowest) half of the
-// deque when its occupancy exceeds bound, head-first — the same nodes a
-// thief would steal, which the owner spills to disk instead. Returns nil
-// when the deque is within bound.
-func (d *deque) spillExtract(bound int) []*treeNode {
+// spillExtract moves the oldest (shallowest) half of the deque into out,
+// head-first, when its occupancy exceeds bound — the same nodes a thief
+// would steal, which the owner spills to disk instead — and returns out.
+// out comes back empty when the deque is within bound.
+func (d *deque) spillExtract(bound int, out []*treeNode) []*treeNode {
+	out = out[:0]
 	d.lock()
 	if d.n <= bound {
 		d.unlock()
-		return nil
+		return out
 	}
-	out := make([]*treeNode, d.n/2)
-	for i := range out {
-		out[i] = d.buf[d.head]
+	for i := d.n / 2; i > 0; i-- {
+		out = append(out, d.buf[d.head])
 		d.buf[d.head] = nil
 		d.head = (d.head + 1) & (len(d.buf) - 1)
 	}
@@ -173,11 +173,10 @@ type worker struct {
 	decided    map[int]struct{}
 	keys       sim.SymScratch
 	liveBuf    []int
-	// free recycles nodes that were taken but never became a parent
-	// (pruned, deduped, or ending a run): nothing references them any
-	// more, so their storage can back the next push. Expanded nodes stay
-	// out — their children's parent chains reach through them.
-	free []*treeNode
+	// free holds released nodes (release): nothing references them any
+	// more, so their storage can back the next push. spilling is
+	// maybeSpill's reused batch.
+	free, spilling []*treeNode
 	// sp is this worker's disk spill (non-nil iff Options.SpillNodes > 0):
 	// the owner spills its deque's steal end into it and reloads from it
 	// when its deque runs dry; idle peers reload from it after failing to
@@ -195,6 +194,24 @@ func (pw *worker) newNode(sys *sim.System, parent *treeNode, pid, depth int) *tr
 		return nd
 	}
 	return &treeNode{sys: sys, parent: parent, pid: pid, depth: depth}
+}
+
+// release recycles nd, which the walk is done with, and then each ancestor
+// whose last unreleased child it was. Until nd is released it holds one
+// count on its parent, so the chain above a pending node stays intact. The
+// count drops atomically: a thief may hold a sibling.
+func (pw *worker) release(nd *treeNode) {
+	pw.free = append(pw.free, nd)
+	for p := nd.parent; p != nil; p = p.parent {
+		n := p.kids.Add(-1)
+		if n < 0 {
+			panic("explore: a node released more often than it has children")
+		}
+		if n > 0 {
+			return
+		}
+		pw.free = append(pw.free, p)
+	}
 }
 
 // spillRoot builds the node of a spill-reloaded schedule.
@@ -423,7 +440,8 @@ func (w *walker) reloadSpill(pw, victim *worker) *treeNode {
 // schedules and the systems are closed back into the pool. The spilled
 // nodes stay pending — they move from RAM to disk, not out of the search.
 func (w *walker) maybeSpill(pw *worker) {
-	nds := pw.dq.spillExtract(w.opts.SpillNodes)
+	pw.spilling = pw.dq.spillExtract(w.opts.SpillNodes, pw.spilling)
+	nds := pw.spilling
 	if len(nds) == 0 {
 		return
 	}
@@ -434,7 +452,7 @@ func (w *walker) maybeSpill(pw *worker) {
 		if nd.sys != nil {
 			nd.sys.Close()
 		}
-		pw.free = append(pw.free, nd)
+		pw.release(nd)
 	}
 	if err != nil {
 		// The extracted nodes are lost: release their pending counts and let
@@ -455,7 +473,7 @@ func (w *walker) process(pw *worker, nd *treeNode) {
 		if sys != nil {
 			sys.Close()
 		}
-		pw.free = append(pw.free, nd)
+		pw.release(nd)
 		w.pending.Add(-1)
 	}
 	if w.stopped.Load() {
@@ -537,8 +555,10 @@ func (w *walker) process(pw *worker, nd *treeNode) {
 	// over the parent system and steps it in place — one fork per sibling
 	// beyond the first, none for chains. Children are pushed deepest-last
 	// so the owner's tail pop continues depth-first in ascending pid order.
-	// Each is counted pending before it is published. On an error nd
-	// already parents pushed children, so it is not recycled.
+	// Each is counted pending before it is published, and nd counts all of
+	// them unreleased before the first can be stolen; on an error the count
+	// never reaches zero, so nd, which parents pushed children, is kept.
+	nd.kids.Store(int32(len(live)))
 	for i := len(live) - 1; i >= 0; i-- {
 		pid, child := live[i], sys
 		if i > 0 {
