@@ -95,12 +95,12 @@ func FetchAdd(n int) *Protocol {
 
 // addSteppers builds the racing steppers of Add, AddValues and FetchAdd. The
 // m powers of 3n and their instructions are built once per system and
-// shared: each process gets a Fork of one prototype machine, a struct copy,
-// instead of rebuilding the O(m²)-bit power table for itself.
+// shared: each process gets a fresh fork of one prototype machine, a struct
+// copy, instead of rebuilding the O(m²)-bit power table for itself.
 func addSteppers(inputs []int, m, n int, fetch bool) []sim.Stepper {
 	proto := counter.NewAddMachine(0, m, n, fetch)
 	return steppersOf(inputs, func(_, in int) sim.Stepper {
-		return newRaceStepper(proto.Fork().(*counter.AddMachine), n, in, true)
+		return newRaceStepper(proto.ForkInto(nil).(*counter.AddMachine), n, in, true)
 	})
 }
 

@@ -51,8 +51,9 @@ func cowCases() []cowCase {
 // step each. After every step, each system's step and state key must equal
 // those of a fresh system replaying the same schedule, and the run's root,
 // which both descend from, must keep its key. Each seed runs twice: once
-// forking afresh (Forker), once with a pool, where the forks closed at one
-// point are rebuilt over at the next (ForkerInto).
+// forking afresh (ForkInto over nothing), once with a pool, where the forks
+// closed at one point are rebuilt over at the next (ForkInto over a recycled
+// stepper).
 func TestStepperCopyOnWrite(t *testing.T) {
 	for _, tc := range cowCases() {
 		t.Run(tc.Name, func(t *testing.T) {

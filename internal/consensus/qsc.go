@@ -435,17 +435,10 @@ func (s *qscStepper) Resume(res machine.Value) bool {
 func (s *qscStepper) Outcome() (bool, int, error) { return s.core.done, s.core.decision, nil }
 func (s *qscStepper) Halt()                       {}
 
-func (s *qscStepper) Fork() sim.Stepper {
-	s.core.aggs.share()
-	f := &qscStepper{core: s.core}
-	f.core.spare = nil
-	return f
-}
-
 func (s *qscStepper) ForkInto(prev sim.Stepper) sim.Stepper {
 	p, ok := prev.(*qscStepper)
 	if !ok {
-		return s.Fork()
+		p = new(qscStepper)
 	}
 	spare := p.core.spare
 	if old := p.core.aggs; old != nil && !old.shared.Load() {

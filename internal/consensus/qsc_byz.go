@@ -134,17 +134,13 @@ func (b *byzStepper) Resume(machine.Value) bool {
 func (b *byzStepper) Outcome() (bool, int, error) { return false, 0, nil }
 func (b *byzStepper) Halt()                       {}
 
-func (b *byzStepper) Fork() sim.Stepper {
-	f := *b
-	return &f
-}
-
 func (b *byzStepper) ForkInto(prev sim.Stepper) sim.Stepper {
-	if p, ok := prev.(*byzStepper); ok {
-		*p = *b
-		return p
+	p, ok := prev.(*byzStepper)
+	if !ok {
+		p = new(byzStepper)
 	}
-	return b.Fork()
+	*p = *b
+	return p
 }
 
 func (b *byzStepper) StateKey() uint64 {

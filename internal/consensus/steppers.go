@@ -101,17 +101,13 @@ func (c *casStepper) Resume(res machine.Value) bool {
 func (c *casStepper) Outcome() (bool, int, error) { return c.done, c.decision, nil }
 func (c *casStepper) Halt()                       {}
 
-func (c *casStepper) Fork() sim.Stepper {
-	f := *c
-	return &f
-}
-
 func (c *casStepper) ForkInto(prev sim.Stepper) sim.Stepper {
-	if p, ok := prev.(*casStepper); ok {
-		*p = *c
-		return p
+	p, ok := prev.(*casStepper)
+	if !ok {
+		p = new(casStepper)
 	}
-	return c.Fork()
+	*p = *c
+	return p
 }
 
 func (c *casStepper) StateKey() uint64 { return machine.Mix64(uint64(c.input) ^ 0x636173) }
@@ -159,17 +155,13 @@ func (c *introFAA2TASStepper) Resume(res machine.Value) bool {
 func (c *introFAA2TASStepper) Outcome() (bool, int, error) { return c.done, c.decision, nil }
 func (c *introFAA2TASStepper) Halt()                       {}
 
-func (c *introFAA2TASStepper) Fork() sim.Stepper {
-	f := *c
-	return &f
-}
-
 func (c *introFAA2TASStepper) ForkInto(prev sim.Stepper) sim.Stepper {
-	if p, ok := prev.(*introFAA2TASStepper); ok {
-		*p = *c
-		return p
+	p, ok := prev.(*introFAA2TASStepper)
+	if !ok {
+		p = new(introFAA2TASStepper)
 	}
-	return c.Fork()
+	*p = *c
+	return p
 }
 
 func (c *introFAA2TASStepper) StateKey() uint64 { return machine.Mix64(uint64(c.input) ^ 0x666161) }
@@ -216,17 +208,13 @@ func (c *introDecMulStepper) Resume(res machine.Value) bool {
 func (c *introDecMulStepper) Outcome() (bool, int, error) { return c.done, c.decision, nil }
 func (c *introDecMulStepper) Halt()                       {}
 
-func (c *introDecMulStepper) Fork() sim.Stepper {
-	f := *c
-	return &f
-}
-
 func (c *introDecMulStepper) ForkInto(prev sim.Stepper) sim.Stepper {
-	if p, ok := prev.(*introDecMulStepper); ok {
-		*p = *c
-		return p
+	p, ok := prev.(*introDecMulStepper)
+	if !ok {
+		p = new(introDecMulStepper)
 	}
-	return c.Fork()
+	*p = *c
+	return p
 }
 
 func (c *introDecMulStepper) StateKey() uint64 {
@@ -333,17 +321,13 @@ func (s *maxRegStepper) Resume(res machine.Value) bool {
 func (s *maxRegStepper) Outcome() (bool, int, error) { return s.done, s.decision, nil }
 func (s *maxRegStepper) Halt()                       {}
 
-func (s *maxRegStepper) Fork() sim.Stepper {
-	f := *s
-	return &f
-}
-
 func (s *maxRegStepper) ForkInto(prev sim.Stepper) sim.Stepper {
-	if p, ok := prev.(*maxRegStepper); ok {
-		*p = *s
-		return p
+	p, ok := prev.(*maxRegStepper)
+	if !ok {
+		p = new(maxRegStepper)
 	}
-	return s.Fork()
+	*p = *s
+	return p
 }
 
 func (s *maxRegStepper) StateKey() uint64 {
@@ -474,22 +458,16 @@ func (s *raceStepper) Resume(res machine.Value) bool {
 func (s *raceStepper) Outcome() (bool, int, error) { return s.done, s.decision, nil }
 func (s *raceStepper) Halt()                       {}
 
-func (s *raceStepper) Fork() sim.Stepper { return s.fork() }
-
-func (s *raceStepper) fork() *raceStepper {
-	f := *s
-	f.cm = s.cm.Fork()
-	return &f
-}
-
 func (s *raceStepper) ForkInto(prev sim.Stepper) sim.Stepper {
-	if p, ok := prev.(*raceStepper); ok {
-		return s.forkOver(p)
-	}
-	return s.fork()
+	p, _ := prev.(*raceStepper)
+	return s.forkOver(p)
 }
 
+// forkOver copies s into p's storage, or into fresh storage when p is nil.
 func (s *raceStepper) forkOver(p *raceStepper) *raceStepper {
+	if p == nil {
+		p = new(raceStepper)
+	}
 	cm := p.cm
 	*p = *s
 	p.cm = s.cm.ForkInto(cm)
@@ -535,16 +513,10 @@ func (s *exactRaceStepper) Outcome() (bool, int, error)   { return s.r.Outcome()
 func (s *exactRaceStepper) Halt()                         {}
 func (s *exactRaceStepper) StateKey() uint64              { return s.r.StateKey() }
 
-func (s *exactRaceStepper) Fork() sim.Stepper {
-	f := &exactRaceStepper{r: s.r}
-	f.r.cm = s.r.cm.Fork()
-	return f
-}
-
 func (s *exactRaceStepper) ForkInto(prev sim.Stepper) sim.Stepper {
 	p, ok := prev.(*exactRaceStepper)
 	if !ok {
-		return s.Fork()
+		p = new(exactRaceStepper)
 	}
 	s.r.forkOver(&p.r)
 	return p
@@ -639,8 +611,8 @@ type mvStepper struct {
 	// or a recycled round stepper displaced by a pooled fork whose source was
 	// between rounds — so the next round (or a later fork landing mid-round
 	// in this storage) rebuilds over it instead of allocating. Always
-	// exclusively owned: Fork clears it on the copy and ForkInto never takes
-	// the source's, so two steppers cannot share one.
+	// exclusively owned: ForkInto never takes the source's, so two steppers
+	// cannot share one.
 	spareSub *raceStepper
 	recJ     int
 	pending  sim.OpInfo
@@ -746,19 +718,10 @@ func (s *mvStepper) Resume(res machine.Value) bool {
 func (s *mvStepper) Outcome() (bool, int, error) { return s.done, s.decision, s.err }
 func (s *mvStepper) Halt()                       {}
 
-func (s *mvStepper) Fork() sim.Stepper {
-	f := *s
-	f.spareSub = nil
-	if s.sub != nil {
-		f.sub = s.sub.fork()
-	}
-	return &f
-}
-
 func (s *mvStepper) ForkInto(prev sim.Stepper) sim.Stepper {
 	p, ok := prev.(*mvStepper)
 	if !ok {
-		return s.Fork()
+		p = new(mvStepper)
 	}
 	sub, spare := p.sub, p.spareSub
 	if sub == nil {
@@ -772,11 +735,7 @@ func (s *mvStepper) ForkInto(prev sim.Stepper) sim.Stepper {
 		return p
 	}
 	p.spareSub = spare
-	if sub != nil {
-		p.sub = s.sub.forkOver(sub)
-	} else {
-		p.sub = s.sub.fork()
-	}
+	p.sub = s.sub.forkOver(sub)
 	return p
 }
 

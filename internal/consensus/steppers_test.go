@@ -192,7 +192,7 @@ func TestMaxRegForkIntoKeepsForkWrite(t *testing.T) {
 		return s
 	}
 	s := driveToCatchUp(hi, lo)
-	fk := s.Fork()
+	fk := s.ForkInto(nil)
 	other := driveToCatchUp(EncodePair(MaxRegPair{R: 3, X: 0}, y), EncodePair(MaxRegPair{R: 1, X: 0}, y))
 	if got := other.ForkInto(s); got != s {
 		t.Fatal("ForkInto did not recycle its argument")

@@ -198,8 +198,8 @@ const (
 //
 // Published lap vectors are immutable: every swap publishes a fresh copy of
 // ell, and s and the collected vectors alias memory payloads (or the shared
-// all-zero vector), so they are only ever read. Fork and ForkInto copy the
-// private vectors (ell, the version and collect buffers) and share the
+// all-zero vector), so they are only ever read. ForkInto copies the
+// private vectors (ell, the version and collect buffers) and shares the
 // rest.
 type swapStepper struct {
 	n, k, id int
@@ -332,22 +332,13 @@ func (st *swapStepper) afterScan() bool {
 func (st *swapStepper) Outcome() (bool, int, error) { return st.done, st.decision, nil }
 func (st *swapStepper) Halt()                       {}
 
-func (st *swapStepper) Fork() sim.Stepper {
-	f := *st
-	f.ell = slices.Clone(st.ell)
-	f.cur = slices.Clone(st.cur)
-	f.curVer = slices.Clone(st.curVer)
-	f.prevVer = slices.Clone(st.prevVer)
-	return &f
-}
-
 // ForkInto reuses prev's private buffers only. The vectors the collect
 // buffer points at, and s, belong to memory payloads (or to the shared
 // zero vector) and are shared, never written.
 func (st *swapStepper) ForkInto(prev sim.Stepper) sim.Stepper {
 	p, ok := prev.(*swapStepper)
 	if !ok {
-		return st.Fork()
+		p = new(swapStepper)
 	}
 	ell, cur, curVer, prevVer := p.ell, p.cur, p.curVer, p.prevVer
 	*p = *st

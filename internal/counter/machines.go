@@ -26,12 +26,11 @@ import (
 type Machine interface {
 	// Components returns m.
 	Components() int
-	// Fork returns an independent copy, including mid-operation progress.
-	Fork() Machine
-	// ForkInto is Fork reusing prev's heap state (scratch slices) when prev
-	// is a discarded machine of the same concrete type — the counter-machine
-	// half of the pooled fork path (sim.ForkerInto). prev may be nil or of a
-	// foreign type, in which case ForkInto falls back to Fork.
+	// ForkInto returns an independent copy, including mid-operation
+	// progress — the counter-machine half of sim.Forker. It reuses prev's
+	// heap state (scratch slices) when prev is a discarded machine of the
+	// same concrete type; when prev is nil or of a foreign type it builds the
+	// copy in fresh storage by the same statements.
 	ForkInto(prev Machine) Machine
 	// Key returns a canonical hash of all machine-local state. It is part
 	// of the explorer's per-process dedup key, so any state that can affect
@@ -171,17 +170,13 @@ func NewAddMachine(loc, m, n int, fetch bool) *AddMachine {
 	return c
 }
 
-func (c *AddMachine) Fork() Machine {
-	f := *c
-	return &f
-}
-
 func (c *AddMachine) ForkInto(prev Machine) Machine {
-	if p, ok := prev.(*AddMachine); ok {
-		*p = *c
-		return p
+	p, ok := prev.(*AddMachine)
+	if !ok {
+		p = new(AddMachine)
 	}
-	return c.Fork()
+	*p = *c
+	return p
 }
 
 func (c *AddMachine) Key() uint64 { return c.baseKey(0x61646430) }
@@ -251,17 +246,13 @@ func NewMulMachine(loc, m int, fetch bool) *MulMachine {
 	return c
 }
 
-func (c *MulMachine) Fork() Machine {
-	f := *c
-	return &f
-}
-
 func (c *MulMachine) ForkInto(prev Machine) Machine {
-	if p, ok := prev.(*MulMachine); ok {
-		*p = *c
-		return p
+	p, ok := prev.(*MulMachine)
+	if !ok {
+		p = new(MulMachine)
 	}
-	return c.Fork()
+	*p = *c
+	return p
 }
 
 func (c *MulMachine) Key() uint64 { return c.baseKey(0x6d756c30) }
@@ -311,16 +302,10 @@ func NewSetBitMachine(loc, m, n, id int) *SetBitMachine {
 	return &SetBitMachine{flatMachine: flatMachine{loc: loc, m: m}, n: n, id: id, mine: make([]int64, m)}
 }
 
-func (c *SetBitMachine) Fork() Machine {
-	f := *c
-	f.mine = append([]int64(nil), c.mine...)
-	return &f
-}
-
 func (c *SetBitMachine) ForkInto(prev Machine) Machine {
 	p, ok := prev.(*SetBitMachine)
 	if !ok {
-		return c.Fork()
+		p = new(SetBitMachine)
 	}
 	mine := p.mine
 	*p = *c
@@ -389,20 +374,16 @@ type IncMachine struct {
 	scratch []int64
 }
 
-// NewIncMachine mirrors NewIncrement/NewFetchIncrement over locations
-// base..base+m-1.
-func NewIncMachine(base, m int, fai bool) *IncMachine {
-	return &IncMachine{base: base, m: m, fai: fai}
-}
-
-// NewIncMachineInto is NewIncMachine rebuilding in place when spare is a
-// retired *IncMachine: the struct is reinitialized and one of its exclusively
-// owned collect buffers is kept as scratch, so the machine's first scan can
-// skip its allocation. The result behaves exactly like a fresh machine.
+// NewIncMachineInto mirrors NewIncrement/NewFetchIncrement over locations
+// base..base+m-1. When spare is a retired *IncMachine it rebuilds in place:
+// the struct is reinitialized and one of its exclusively owned collect
+// buffers is kept as scratch, so the machine's first scan can skip its
+// allocation. spare may be nil or of a foreign type; either way the result
+// behaves exactly like a fresh machine.
 func NewIncMachineInto(spare Machine, base, m int, fai bool) *IncMachine {
 	p, ok := spare.(*IncMachine)
 	if !ok {
-		return NewIncMachine(base, m, fai)
+		p = new(IncMachine)
 	}
 	scratch := p.scratch
 	if scratch == nil {
@@ -433,18 +414,10 @@ func (c *IncMachine) Components() int { return c.m }
 
 func (c *IncMachine) Counts() []int64 { return c.counts }
 
-func (c *IncMachine) Fork() Machine {
-	f := *c
-	f.cur = append([]int64(nil), c.cur...)
-	f.prev = append([]int64(nil), c.prev...)
-	f.scratch = nil // scratch is exclusively owned; never share it
-	return &f
-}
-
 func (c *IncMachine) ForkInto(prev Machine) Machine {
 	p, ok := prev.(*IncMachine)
 	if !ok {
-		return c.Fork()
+		p = new(IncMachine)
 	}
 	// Rotate p's exclusively owned buffers (cur, prev, scratch — never
 	// counts) into whichever slots this fork needs filled; a leftover one
@@ -584,26 +557,21 @@ type UnaryMachine struct {
 	cnt  []int64
 }
 
-// NewUnaryMachine mirrors NewUnary (tas=false) and NewUnaryTAS (tas=true).
-func NewUnaryMachine(base, m, width int, tas bool) *UnaryMachine {
-	u := &UnaryMachine{base: base, m: m, width: width,
-		setOp: machine.OpWriteOne, clearOp: machine.OpWriteZero, confirming: 2}
-	if tas {
-		u.setOp, u.clearOp = machine.OpTestAndSet, machine.OpReset
-	}
-	return u
-}
-
-// NewUnaryMachineInto is NewUnaryMachine rebuilding in place when spare is a
-// retired *UnaryMachine, saving the struct allocation. The collect slices are
-// dropped rather than reused — cnt's backing array may be shared with forks —
-// so the result is field-for-field a fresh machine.
+// NewUnaryMachineInto mirrors NewUnary (tas=false) and NewUnaryTAS
+// (tas=true). When spare is a retired *UnaryMachine it rebuilds in place,
+// saving the struct allocation; spare may be nil or of a foreign type. The
+// collect slices are dropped rather than reused — cnt's backing array may be
+// shared with forks — so the result is field-for-field a fresh machine.
 func NewUnaryMachineInto(spare Machine, base, m, width int, tas bool) *UnaryMachine {
 	p, ok := spare.(*UnaryMachine)
 	if !ok {
-		return NewUnaryMachine(base, m, width, tas)
+		p = new(UnaryMachine)
 	}
-	*p = *NewUnaryMachine(base, m, width, tas)
+	*p = UnaryMachine{base: base, m: m, width: width,
+		setOp: machine.OpWriteOne, clearOp: machine.OpWriteZero, confirming: 2}
+	if tas {
+		p.setOp, p.clearOp = machine.OpTestAndSet, machine.OpReset
+	}
 	return p
 }
 
@@ -611,17 +579,10 @@ func (c *UnaryMachine) Components() int { return c.m }
 
 func (c *UnaryMachine) Counts() []int64 { return c.cnt }
 
-func (c *UnaryMachine) Fork() Machine {
-	f := *c
-	f.bits = append([]bool(nil), c.bits...)
-	f.prev = append([]bool(nil), c.prev...)
-	return &f
-}
-
 func (c *UnaryMachine) ForkInto(prev Machine) Machine {
 	p, ok := prev.(*UnaryMachine)
 	if !ok {
-		return c.Fork()
+		p = new(UnaryMachine)
 	}
 	bits, prv := p.bits, p.prev
 	*p = *c

@@ -83,24 +83,13 @@ func (c *RegistersMachine) Components() int { return c.m }
 
 func (c *RegistersMachine) Counts() []int64 { return c.counts }
 
-func (c *RegistersMachine) Fork() Machine {
-	f := *c
-	f.arr = c.arr.Fork()
-	f.mine = append([]int64(nil), c.mine...)
-	f.vers = append([]int64(nil), c.vers...)
-	f.sums = append([]int64(nil), c.sums...)
-	f.prev = append([]int64(nil), c.prev...)
-	f.counts = appendInto(nil, c.counts)
-	return &f
-}
-
 // ForkInto copies every slice into prev's storage. All of them are private:
 // the vectors a write publishes are fresh allocations (StartInc), so no
 // buffer reused here can be one another process reads back from memory.
 func (c *RegistersMachine) ForkInto(prev Machine) Machine {
 	p, ok := prev.(*RegistersMachine)
 	if !ok {
-		return c.Fork()
+		p = new(RegistersMachine)
 	}
 	old := *p
 	*p = *c

@@ -129,21 +129,13 @@ func (c *TracksMachine) Components() int { return c.m }
 
 func (c *TracksMachine) Counts() []int64 { return c.counts }
 
-func (c *TracksMachine) Fork() Machine {
-	f := *c
-	f.low = append([]int64(nil), c.low...)
-	f.prev = append([]int64(nil), c.prev...)
-	f.counts = appendInto(nil, c.counts)
-	return &f
-}
-
 // ForkInto copies every slice into prev's storage: all three are private to
 // the machine (nothing it holds is ever published to memory), so reuse
 // cannot alias a live fork.
 func (c *TracksMachine) ForkInto(prev Machine) Machine {
 	p, ok := prev.(*TracksMachine)
 	if !ok {
-		return c.Fork()
+		p = new(TracksMachine)
 	}
 	low, prv, counts := p.low, p.prev, p.counts
 	*p = *c

@@ -47,9 +47,6 @@ func NewUnaryTAS(p *sim.Proc, base, m, width int) *Unary {
 // Components returns m.
 func (c *Unary) Components() int { return c.m }
 
-// Locations returns the total number of bit locations the counter occupies.
-func (c *Unary) Locations() int { return c.m * c.width }
-
 func (c *Unary) loc(v, j int) int { return c.base + v*c.width + j }
 
 func (c *Unary) bit(v, j int) bool {

@@ -14,7 +14,7 @@ import (
 // pooling work landed it at ~4.3 allocations per expanded state (from ~47
 // before pooling), and it measured 2.78 while the claim built the byte key
 // and 2.74 since it streams SymHash128; the bound catches a lost pool
-// attachment, a stepper that stops implementing ForkerInto, or a fresh
+// attachment, a stepper whose ForkInto stops recycling prev, or a fresh
 // closure or key buffer per claimed state. The exact case pins that the
 // exact table claims a fingerprint rather than a materialized key: it
 // measured 1.77 per state, against 2.78 when every new state allocated its

@@ -248,7 +248,7 @@ func (s *chanFuzzStepper) Resume(res machine.Value) bool {
 func (s *chanFuzzStepper) Outcome() (bool, int, error) { return s.pos >= len(s.prog), 0, nil }
 func (s *chanFuzzStepper) Halt()                       {}
 
-func (s *chanFuzzStepper) Fork() sim.Stepper {
+func (s *chanFuzzStepper) ForkInto(sim.Stepper) sim.Stepper {
 	f := *s
 	return &f
 }

@@ -68,9 +68,9 @@ func (g *gateStepper) Resume(res machine.Value) bool {
 
 // Outcome decides 99 — deliberately not an input, so reaching the decision
 // within the explored envelope is a validity violation.
-func (g *gateStepper) Outcome() (bool, int, error) { return g.decided, 99, nil }
-func (g *gateStepper) Halt()                       {}
-func (g *gateStepper) Fork() sim.Stepper           { f := *g; return &f }
+func (g *gateStepper) Outcome() (bool, int, error)      { return g.decided, 99, nil }
+func (g *gateStepper) Halt()                            {}
+func (g *gateStepper) ForkInto(sim.Stepper) sim.Stepper { f := *g; return &f }
 func (g *gateStepper) StateKey() uint64 {
 	return machine.Mix64(uint64(g.pc) ^ 0x67617465)
 }
@@ -93,9 +93,9 @@ func (w *writerSpinStepper) Resume(machine.Value) bool {
 	return false
 }
 
-func (w *writerSpinStepper) Outcome() (bool, int, error) { return false, 0, nil }
-func (w *writerSpinStepper) Halt()                       {}
-func (w *writerSpinStepper) Fork() sim.Stepper           { f := *w; return &f }
+func (w *writerSpinStepper) Outcome() (bool, int, error)      { return false, 0, nil }
+func (w *writerSpinStepper) Halt()                            {}
+func (w *writerSpinStepper) ForkInto(sim.Stepper) sim.Stepper { f := *w; return &f }
 func (w *writerSpinStepper) StateKey() uint64 {
 	if w.wrote {
 		return machine.Mix64(0x77737031)

@@ -201,7 +201,12 @@ type Report struct {
 // MemStats is the memory telemetry of one exploration (Report.Mem).
 type MemStats struct {
 	// TableBytes is the seen-state table's backing-store size: its slot
-	// arrays, or its bit array under bitstate.
+	// arrays, or its bit array under bitstate. A slot table shared by
+	// several workers grows each of its shards by that shard's own load, so
+	// without an explicit Options.TableBytes the figure depends on the
+	// worker count and on how the fingerprints spread over the shards, not
+	// only on the state set: it is comparable across runs only at one
+	// worker.
 	TableBytes int64
 	// TableOccupancy is the fraction of slots (or bitstate bits) in use.
 	TableOccupancy float64

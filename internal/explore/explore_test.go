@@ -29,11 +29,11 @@ type brokenStepper struct {
 func (s *brokenStepper) Poise() (sim.OpInfo, bool) {
 	return sim.OpInfo{Loc: 0, Op: machine.OpRead}, !s.done
 }
-func (s *brokenStepper) Resume(machine.Value) bool   { s.done = true; return true }
-func (s *brokenStepper) Outcome() (bool, int, error) { return s.done, s.input, nil }
-func (s *brokenStepper) Halt()                       {}
-func (s *brokenStepper) Fork() sim.Stepper           { f := *s; return &f }
-func (s *brokenStepper) StateKey() uint64            { return machine.Mix64(uint64(s.input)) }
+func (s *brokenStepper) Resume(machine.Value) bool        { s.done = true; return true }
+func (s *brokenStepper) Outcome() (bool, int, error)      { return s.done, s.input, nil }
+func (s *brokenStepper) Halt()                            {}
+func (s *brokenStepper) ForkInto(sim.Stepper) sim.Stepper { f := *s; return &f }
+func (s *brokenStepper) StateKey() uint64                 { return machine.Mix64(uint64(s.input)) }
 
 // broken is the factory of the two-process broken protocol, inputs 0 and 1.
 func broken() (*sim.System, error) {

@@ -263,7 +263,7 @@ func (s *fuzzStepper) Resume(res machine.Value) bool {
 func (s *fuzzStepper) Outcome() (bool, int, error) { return s.pc >= len(s.prog), 0, nil }
 func (s *fuzzStepper) Halt()                       {}
 
-func (s *fuzzStepper) Fork() sim.Stepper {
+func (s *fuzzStepper) ForkInto(sim.Stepper) sim.Stepper {
 	f := *s
 	return &f
 }

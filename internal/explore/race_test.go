@@ -206,8 +206,8 @@ func (s *failingStepper) Poise() (sim.OpInfo, bool) {
 	}
 	return sim.OpInfo{Loc: loc, Op: machine.OpReadMax}, true
 }
-func (s *failingStepper) Resume(res machine.Value) bool { s.fuse--; return false }
-func (s *failingStepper) Outcome() (bool, int, error)   { return false, 0, nil }
-func (s *failingStepper) Halt()                         {}
-func (s *failingStepper) Fork() sim.Stepper             { f := *s; return &f }
-func (s *failingStepper) StateKey() uint64              { return uint64(s.fuse + 1) }
+func (s *failingStepper) Resume(res machine.Value) bool    { s.fuse--; return false }
+func (s *failingStepper) Outcome() (bool, int, error)      { return false, 0, nil }
+func (s *failingStepper) Halt()                            {}
+func (s *failingStepper) ForkInto(sim.Stepper) sim.Stepper { f := *s; return &f }
+func (s *failingStepper) StateKey() uint64                 { return uint64(s.fuse + 1) }

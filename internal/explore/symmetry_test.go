@@ -162,7 +162,7 @@ func (s *disagreeStepper) Resume(machine.Value) bool {
 func (s *disagreeStepper) Outcome() (bool, int, error) { return s.done, s.input, nil }
 func (s *disagreeStepper) Halt()                       {}
 
-func (s *disagreeStepper) Fork() sim.Stepper {
+func (s *disagreeStepper) ForkInto(sim.Stepper) sim.Stepper {
 	f := *s
 	return &f
 }
@@ -181,7 +181,7 @@ type symFuzzStepper struct {
 	fuzzStepper
 }
 
-func (s *symFuzzStepper) Fork() sim.Stepper {
+func (s *symFuzzStepper) ForkInto(sim.Stepper) sim.Stepper {
 	f := *s
 	return &f
 }

@@ -194,9 +194,6 @@ func (m *Memory) CloneInto(n *Memory) {
 	n.stats.PerOp = nil
 }
 
-// Set returns the memory's instruction set.
-func (m *Memory) Set() InstrSet { return m.set }
-
 // Size returns the current number of locations (for unbounded memories, the
 // high-water mark of touched indices plus one).
 func (m *Memory) Size() int { return len(m.locs) }

@@ -35,7 +35,6 @@ func (d doneStepper) Poise() (OpInfo, bool)       { return OpInfo{}, false }
 func (d doneStepper) Resume(machine.Value) bool   { return true }
 func (d doneStepper) Outcome() (bool, int, error) { return d.decided, d.decision, d.err }
 func (d doneStepper) Halt()                       {}
-func (d doneStepper) Fork() Stepper               { return d }
 
 // Fork returns an independent copy of the system at its current
 // configuration: same memory contents, same poised instructions, decisions,
@@ -45,11 +44,12 @@ func (d doneStepper) Fork() Stepper               { return d }
 // A fork copies only what a step can change. The memory clone copies the
 // location structs and shares every stored value and queue, which are
 // immutable once stored (machine.Memory.CloneInto). Each live process forks
-// through its stepper's Forker: the built-in steppers are struct copies that
-// share every value they read from memory and every buffer they published,
-// by the same rule. Finished and crashed processes fork as stubs. A live
-// process whose stepper does not implement Forker — the Body adapter, whose
-// local state lives on a coroutine stack — makes Fork fail with
+// through its stepper's ForkInto, over the stepper the target slot last held
+// (nil in a freshly built System): the built-in steppers are struct copies
+// that share every value they read from memory and every buffer they
+// published, by the same rule. Finished and crashed processes fork as stubs.
+// A live process whose stepper does not implement Forker — the Body adapter,
+// whose local state lives on a coroutine stack — makes Fork fail with
 // ErrNotForkable, and the partial fork is torn down.
 //
 // The fork does not re-poise its processes. Each one's cached instruction
@@ -69,7 +69,7 @@ func (d doneStepper) Fork() Stepper               { return d }
 //
 // With a Pool attached (SetPool), Fork first tries to rebuild the copy
 // inside a recycled System, reusing its memory clone buffers, process
-// states, and — through ForkerInto — the recycled steppers' storage. In
+// states, and — through ForkInto — the recycled steppers' storage. In
 // steady state a fork/step/close cycle then allocates nothing: the live list
 // too is copied into the recycled System's capacity.
 func (s *System) Fork() (*System, error) {
@@ -106,7 +106,7 @@ func (s *System) Fork() (*System, error) {
 	}
 	for i, ps := range s.procs {
 		nps := n.procs[i]
-		prev := nps.st // recycled stepper storage, reusable via ForkerInto
+		prev := nps.st // recycled stepper storage, reusable via ForkInto
 		if prev == &nps.doneSt {
 			// The slot last held a terminal stub; the displaced live stepper
 			// was parked in spare.
@@ -127,10 +127,8 @@ func (s *System) Fork() (*System, error) {
 			continue
 		}
 		var st Stepper
-		if fi, ok := ps.st.(ForkerInto); ok {
-			st = fi.ForkInto(prev)
-		} else if f, ok := ps.st.(Forker); ok {
-			st = f.Fork()
+		if f, ok := ps.st.(Forker); ok {
+			st = f.ForkInto(prev)
 		}
 		if st == nil {
 			for _, built := range n.procs[:i+1] {

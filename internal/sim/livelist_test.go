@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -107,58 +108,98 @@ func FuzzLiveList(f *testing.F) {
 	f.Add(uint8(0), false, []byte{0, 0, 2, 0, 0, 1, 5, 0, 4, 0, 1, 1, 3, 0})
 	f.Add(uint8(1), true, []byte{0, 3, 0, 3, 2, 0, 6, 0, 1, 0, 3, 1, 2, 0})
 	f.Add(uint8(3), true, []byte{0, 0, 2, 0, 4, 0, 4, 0x83, 5, 2, 3, 1, 2, 0})
-	f.Fuzz(func(t *testing.T, kind uint8, pooled bool, ops []byte) {
-		if len(ops) > 512 {
-			ops = ops[:512]
+	f.Fuzz(checkLiveListOps)
+}
+
+// checkLiveListOps is FuzzLiveList's body: it runs one (kind, pooled, ops)
+// input and fails t at the first operation after which a system's live list
+// disagrees with the scan.
+func checkLiveListOps(t *testing.T, kind uint8, pooled bool, ops []byte) {
+	if len(ops) > 512 {
+		ops = ops[:512]
+	}
+	root := liveListSystem(int(kind % 5))
+	if pooled {
+		root.SetPool(new(Pool))
+	}
+	systems := []*System{root}
+	defer func() {
+		for _, s := range systems {
+			s.Close()
 		}
-		root := liveListSystem(int(kind % 5))
-		if pooled {
-			root.SetPool(new(Pool))
-		}
-		systems := []*System{root}
-		defer func() {
-			for _, s := range systems {
-				s.Close()
+	}()
+	checkLiveList(t, root, -1)
+	for i := 0; i+1 < len(ops); i += 2 {
+		op, arg := ops[i], int(ops[i+1])
+		s := systems[int(op>>2)%len(systems)]
+		switch op & 3 {
+		case 0: // step a live pid, or (high bit) any pid, which may fail
+			pid := (arg & 0x7f) % (s.MaxPid() + 1)
+			if live := s.AppendLive(nil); len(live) > 0 && arg&0x80 == 0 {
+				pid = live[arg%len(live)]
 			}
-		}()
-		checkLiveList(t, root, -1)
-		for i := 0; i+1 < len(ops); i += 2 {
-			op, arg := ops[i], int(ops[i+1])
-			s := systems[int(op>>2)%len(systems)]
-			switch op & 3 {
-			case 0: // step a live pid, or (high bit) any pid, which may fail
-				pid := (arg & 0x7f) % (s.MaxPid() + 1)
-				if live := s.AppendLive(nil); len(live) > 0 && arg&0x80 == 0 {
-					pid = live[arg%len(live)]
-				}
-				s.Step(pid)
-			case 1:
-				s.Crash(arg % (s.MaxPid() + 1))
-			case 2:
-				child, err := s.Fork()
-				if errors.Is(err, ErrNotForkable) {
-					break
-				}
-				if err != nil {
-					t.Fatalf("op %d: Fork: %v", i, err)
-				}
-				if len(systems) < 4 {
-					systems = append(systems, child)
-					break
-				}
-				k := 1 + arg%3 // never the root
+			s.Step(pid)
+		case 1:
+			s.Crash(arg % (s.MaxPid() + 1))
+		case 2:
+			child, err := s.Fork()
+			if errors.Is(err, ErrNotForkable) {
+				break
+			}
+			if err != nil {
+				t.Fatalf("op %d: Fork: %v", i, err)
+			}
+			if len(systems) < 4 {
+				systems = append(systems, child)
+				break
+			}
+			k := 1 + arg%3 // never the root
+			systems[k].Close()
+			systems[k] = child
+		case 3:
+			if len(systems) > 1 {
+				k := 1 + arg%(len(systems)-1)
 				systems[k].Close()
-				systems[k] = child
-			case 3:
-				if len(systems) > 1 {
-					k := 1 + arg%(len(systems)-1)
-					systems[k].Close()
-					systems = slices.Delete(systems, k, k+1)
-				}
-			}
-			for _, s := range systems {
-				checkLiveList(t, s, i)
+				systems = slices.Delete(systems, k, k+1)
 			}
 		}
-	})
+		for _, s := range systems {
+			checkLiveList(t, s, i)
+		}
+	}
+}
+
+// TestLiveListRandom runs FuzzLiveList's body over a fixed-seed stream of
+// generated inputs, pooled and unpooled, every system kind, schedules of up
+// to 256 operations. It covers inputs past the seed corpus in every plain
+// test run, where the fuzz engine itself stalls after a few seconds on small
+// hosts.
+func TestLiveListRandom(t *testing.T) {
+	const inputs = 8000
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < inputs; i++ {
+		kind, pooled, ops := uint8(rng.Intn(256)), rng.Intn(2) == 1, randBytes(rng, 512)
+		checkRandomInput(t, i, func(t *testing.T) { checkLiveListOps(t, kind, pooled, ops) },
+			"kind %d pooled %v ops %x", kind, pooled, ops)
+	}
+	t.Logf("%d inputs", inputs)
+}
+
+// randBytes returns up to max bytes from rng, the length uniform.
+func randBytes(rng *rand.Rand, max int) []byte {
+	b := make([]byte, rng.Intn(max+1))
+	rng.Read(b)
+	return b
+}
+
+// checkRandomInput runs check on generated input i and, if it fails, logs
+// the input, described by format and args, before the test stops.
+func checkRandomInput(t *testing.T, i int, check func(*testing.T), format string, args ...any) {
+	t.Helper()
+	defer func() {
+		if t.Failed() {
+			t.Logf("failing input %d: "+format, append([]any{i}, args...)...)
+		}
+	}()
+	check(t)
 }

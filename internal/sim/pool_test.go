@@ -2,6 +2,8 @@ package sim
 
 import (
 	"context"
+	"fmt"
+	"maps"
 	"sync"
 	"testing"
 
@@ -9,8 +11,8 @@ import (
 )
 
 // loopStepper is the minimal natively forking stepper for pool tests: read
-// location 0 a fixed number of times, then decide 0. It implements
-// ForkerInto so pooled forks rebuild it inside recycled storage.
+// location 0 a fixed number of times, then decide 0. Its ForkInto rebuilds
+// over a recycled loopStepper, so pooled forks reuse the storage.
 type loopStepper struct {
 	remaining int
 	decided   bool
@@ -34,12 +36,10 @@ func (l *loopStepper) Resume(machine.Value) bool {
 func (l *loopStepper) Outcome() (bool, int, error) { return l.decided, 0, nil }
 func (l *loopStepper) Halt()                       {}
 
-func (l *loopStepper) Fork() Stepper { f := *l; return &f }
-
 func (l *loopStepper) ForkInto(prev Stepper) Stepper {
 	p, ok := prev.(*loopStepper)
 	if !ok {
-		return l.Fork()
+		p = new(loopStepper)
 	}
 	*p = *l
 	return p
@@ -120,28 +120,63 @@ func TestRunStepAllocs(t *testing.T) {
 	}
 }
 
-// TestForkPoolWithoutForkerInto checks the pool still works — correctly, if
-// not allocation-free — for steppers that only implement Forker, by making
-// sure a recycled slot holding a foreign stepper type falls back cleanly.
-func TestForkPoolWithoutForkerInto(t *testing.T) {
-	root := newLoopSystem(2, 4)
-	defer root.Close()
-	root.SetPool(new(Pool))
-	for i := 0; i < 5; i++ {
+// TestForkPoolForeignStepper checks that a pool shared by systems of two
+// stepper types stays correct: a fork rebuilt in a recycled System whose
+// slots hold the other type hands ForkInto a foreign prev, which must fall
+// back to fresh storage, and the fork must run exactly like an unpooled one.
+func TestForkPoolForeignStepper(t *testing.T) {
+	roots := []*System{newLoopSystem(2, 4), raceSystem(2)}
+	// runOut steps the lowest live process until none is left and returns
+	// the decisions and the step count.
+	runOut := func(sys *System) (map[int]int, int64) {
+		for {
+			live := sys.AppendLive(nil)
+			if len(live) == 0 {
+				return sys.Decisions(), sys.Steps()
+			}
+			if _, err := sys.Step(live[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	type outcome struct {
+		decisions map[int]int
+		steps     int64
+	}
+	want := make([]outcome, len(roots))
+	pool := new(Pool)
+	for i, root := range roots {
+		defer root.Close()
+		fk, err := root.Fork() // no pool yet: the reference run
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i].decisions, want[i].steps = runOut(fk)
+		fk.Close()
+		root.SetPool(pool)
+	}
+	var last *System
+	for i := 0; i < 6; i++ {
+		root := roots[i%2]
 		child, err := root.Fork()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for {
-			live := child.AppendLive(nil)
-			if len(live) == 0 {
-				break
-			}
-			if _, err := child.Step(live[0]); err != nil {
-				t.Fatal(err)
+		if last != nil && child != last {
+			t.Fatalf("fork %d did not reuse the System the last fork closed", i)
+		}
+		for pid, ps := range child.procs {
+			if got, want := fmt.Sprintf("%T", ps.st), fmt.Sprintf("%T", root.procs[pid].st); got != want {
+				t.Fatalf("fork %d: process %d runs a %s, its source a %s", i, pid, got, want)
 			}
 		}
+		decisions, steps := runOut(child)
+		if w := want[i%2]; steps != w.steps || !maps.Equal(decisions, w.decisions) {
+			t.Fatalf("fork %d over a foreign slot: decided %v in %d steps, unpooled %v in %d",
+				i, decisions, steps, w.decisions, w.steps)
+		}
 		child.Close()
+		last = child
 	}
 }
 

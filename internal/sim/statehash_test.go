@@ -62,7 +62,7 @@ func (s *hashStepper) Resume(res machine.Value) bool {
 
 func (s *hashStepper) Outcome() (bool, int, error) { return s.n <= 0, 0, nil }
 func (s *hashStepper) Halt()                       {}
-func (s *hashStepper) Fork() Stepper               { f := *s; return &f }
+func (s *hashStepper) ForkInto(Stepper) Stepper    { f := *s; return &f }
 func (s *hashStepper) StateKey() uint64            { return machine.Mix64(uint64(s.n)<<8 ^ s.acc) }
 
 // checkHash compares the incremental hash against the streamed reference.

@@ -42,29 +42,21 @@ type Stepper interface {
 	Halt()
 }
 
-// Forker is the optional Stepper extension behind System.Fork: a stepper
-// that can produce an independent copy of itself at its current poise
-// point. Explicit state machines (the ported protocols in
-// internal/consensus) implement it with a struct copy, making a fork
-// O(local state). A system forks iff every live process implements Forker;
-// the Body adapter does not, so Body systems run but never fork.
+// Forker is the optional Stepper extension behind System.Fork: ForkInto
+// returns an independent copy of the stepper at its current poise point.
+// prev is the storage the copy may be rebuilt in: nil for a fresh copy, or
+// a discarded stepper popped from a recycled System (sim.Pool). When prev
+// has the same concrete type the struct is overwritten in place and scratch
+// buffers prev owned alone (collect buffers, retired round steppers) are
+// reused instead of allocated; when prev is nil or of a foreign type the
+// copy is built in fresh storage by the same statements. Values read from
+// memory and published buffers are immutable and shared with the receiver,
+// never copied. Implementations must never write into state the returned
+// stepper shares with the receiver. Explicit state machines (the ported
+// protocols in internal/consensus) implement it with a struct copy, making
+// a fork O(local state). A system forks iff every live process implements
+// Forker; the Body adapter does not, so Body systems run but never fork.
 type Forker interface {
-	Fork() Stepper
-}
-
-// ForkerInto is the optional pooled-forking extension of Forker: ForkInto
-// returns an independent copy of the stepper exactly like Fork, but may
-// rebuild it inside prev — a discarded stepper popped from a recycled
-// System (sim.Pool) — when prev has the same concrete type: the struct is
-// overwritten in place, and scratch buffers prev owned alone (collect
-// buffers, retired round steppers) are reused instead of allocated. Values
-// read from memory and published buffers are immutable and shared with the
-// receiver, never copied. Implementations must tolerate prev being nil or
-// of a foreign type by falling back to a fresh copy, and must never write
-// into state the returned stepper shares with the receiver (the Fork
-// independence contract).
-type ForkerInto interface {
-	Forker
 	ForkInto(prev Stepper) Stepper
 }
 

@@ -41,7 +41,7 @@ func (s *routeStepper) Resume(machine.Value) bool {
 
 func (s *routeStepper) Outcome() (bool, int, error) { return s.done(), s.input, nil }
 func (s *routeStepper) Halt()                       {}
-func (s *routeStepper) Fork() Stepper               { f := *s; return &f }
+func (s *routeStepper) ForkInto(Stepper) Stepper    { f := *s; return &f }
 
 func (s *routeStepper) key(relabel func(int) int) uint64 {
 	h := machine.Mix64(uint64(s.input)<<32 ^ uint64(s.pc)<<16 ^ uint64(s.left+1))
@@ -57,7 +57,7 @@ func (s *routeStepper) StateKey() uint64 { return s.key(func(loc int) int { retu
 // reference to locations, and its code never reads its pid.
 type symRouteStepper struct{ routeStepper }
 
-func (s *symRouteStepper) Fork() Stepper                                { f := *s; return &f }
+func (s *symRouteStepper) ForkInto(Stepper) Stepper                     { f := *s; return &f }
 func (s *symRouteStepper) SymStateKey(relabel func(loc int) int) uint64 { return s.key(relabel) }
 
 // symPair is two systems built from one fuzzed layout, the second the first's
@@ -194,71 +194,92 @@ func (p symPair) mapPid(pid int) int {
 // between hashes, a dropped (hash, location) tie-break, a missing drop-budget
 // fold and an untagged fallback.
 func FuzzSymHash128(f *testing.F) {
-	f.Fuzz(func(t *testing.T, layout, ops []byte) {
-		if len(ops) > 256 {
-			ops = ops[:256]
+	f.Fuzz(checkSymHash128Ops)
+}
+
+// checkSymHash128Ops is FuzzSymHash128's body: it runs one (layout, ops)
+// input and fails t at the first configuration whose hash and byte key
+// disagree.
+func checkSymHash128Ops(t *testing.T, layout, ops []byte) {
+	if len(ops) > 256 {
+		ops = ops[:256]
+	}
+	p := buildSymPair(layout)
+	defer p.a.Close()
+	defer p.b.Close()
+	byKey := make(map[string]machine.Hash128)
+	byFP := make(map[machine.Hash128]string)
+	record := func(key []byte, fp machine.Hash128) {
+		if prev, hit := byKey[string(key)]; hit && prev != fp {
+			t.Fatalf("equal keys, distinct fingerprints: %x vs %x (key %q)", prev, fp, key)
 		}
-		p := buildSymPair(layout)
-		defer p.a.Close()
-		defer p.b.Close()
-		byKey := make(map[string]machine.Hash128)
-		byFP := make(map[machine.Hash128]string)
-		record := func(key []byte, fp machine.Hash128) {
-			if prev, hit := byKey[string(key)]; hit && prev != fp {
-				t.Fatalf("equal keys, distinct fingerprints: %x vs %x (key %q)", prev, fp, key)
-			}
-			if prev, hit := byFP[fp]; hit && prev != string(key) {
-				t.Fatalf("fingerprint %x shared by distinct keys:\n%q\n%q", fp, prev, key)
-			}
-			byKey[string(key)] = fp
-			byFP[fp] = string(key)
+		if prev, hit := byFP[fp]; hit && prev != string(key) {
+			t.Fatalf("fingerprint %x shared by distinct keys:\n%q\n%q", fp, prev, key)
 		}
-		var sc SymScratch
-		check := func(s *System) {
-			fp, ok := s.SymHash128(&sc)
-			key, kok := s.AppendSymStateKey(nil, nil)
-			if ok != kok {
-				t.Fatalf("ok flags disagree: SymHash128 %v, AppendSymStateKey %v", ok, kok)
+		byKey[string(key)] = fp
+		byFP[fp] = string(key)
+	}
+	var sc SymScratch
+	check := func(s *System) {
+		fp, ok := s.SymHash128(&sc)
+		key, kok := s.AppendSymStateKey(nil, nil)
+		if ok != kok {
+			t.Fatalf("ok flags disagree: SymHash128 %v, AppendSymStateKey %v", ok, kok)
+		}
+		if want := machine.NewByteHash128().Bytes(key).Sum(); ok && fp != want {
+			t.Fatalf("SymHash128 %x, byte-key fingerprint %x (key %q)", fp, want, key)
+		}
+		record(key, fp)
+		efp, _ := s.StateHash128()
+		exact, _ := s.AppendStateKey(nil)
+		record(exact, efp)
+	}
+	check(p.a)
+	check(p.b)
+	for i := 0; i+1 < len(ops); i += 2 {
+		op, arg := ops[i], int(ops[i+1])
+		switch op & 3 {
+		case 0, 3: // step corresponding pids where both are live
+			la := p.a.AppendLive(nil)
+			if len(la) == 0 {
+				continue
 			}
-			if want := machine.NewByteHash128().Bytes(key).Sum(); ok && fp != want {
-				t.Fatalf("SymHash128 %x, byte-key fingerprint %x (key %q)", fp, want, key)
+			pid := la[arg%len(la)]
+			p.a.Step(pid)
+			if q := p.mapPid(pid); q <= p.b.MaxPid() && p.b.Live(q) {
+				p.b.Step(q)
 			}
-			record(key, fp)
-			efp, _ := s.StateHash128()
-			exact, _ := s.AppendStateKey(nil)
-			record(exact, efp)
+		case 1: // step independently chosen pids: the systems diverge
+			if la := p.a.AppendLive(nil); len(la) > 0 {
+				p.a.Step(la[arg%len(la)])
+			}
+			if lb := p.b.AppendLive(nil); len(lb) > 0 {
+				p.b.Step(lb[(arg>>4)%len(lb)])
+			}
+		case 2:
+			pid := arg % p.a.N()
+			p.a.Crash(pid)
+			p.b.Crash(p.pi[pid])
 		}
 		check(p.a)
 		check(p.b)
-		for i := 0; i+1 < len(ops); i += 2 {
-			op, arg := ops[i], int(ops[i+1])
-			switch op & 3 {
-			case 0, 3: // step corresponding pids where both are live
-				la := p.a.AppendLive(nil)
-				if len(la) == 0 {
-					continue
-				}
-				pid := la[arg%len(la)]
-				p.a.Step(pid)
-				if q := p.mapPid(pid); q <= p.b.MaxPid() && p.b.Live(q) {
-					p.b.Step(q)
-				}
-			case 1: // step independently chosen pids: the systems diverge
-				if la := p.a.AppendLive(nil); len(la) > 0 {
-					p.a.Step(la[arg%len(la)])
-				}
-				if lb := p.b.AppendLive(nil); len(lb) > 0 {
-					p.b.Step(lb[(arg>>4)%len(lb)])
-				}
-			case 2:
-				pid := arg % p.a.N()
-				p.a.Crash(pid)
-				p.b.Crash(p.pi[pid])
-			}
-			check(p.a)
-			check(p.b)
-		}
-	})
+	}
+}
+
+// TestSymHash128Random runs FuzzSymHash128's body over a fixed-seed stream
+// of generated inputs: layouts long enough to set every field buildSymPair
+// decodes, and schedules of up to 128 operations. It covers inputs past the
+// seed corpus in every plain test run, where the fuzz engine itself stalls
+// after a few seconds on small hosts.
+func TestSymHash128Random(t *testing.T) {
+	const inputs = 5000
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < inputs; i++ {
+		layout, ops := randBytes(rng, 64), randBytes(rng, 256)
+		checkRandomInput(t, i, func(t *testing.T) { checkSymHash128Ops(t, layout, ops) },
+			"layout %x ops %x", layout, ops)
+	}
+	t.Logf("%d inputs", inputs)
 }
 
 // TestSymHash128Allocs: with a warm scratch, SymHash128 allocates nothing —

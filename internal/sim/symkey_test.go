@@ -23,7 +23,7 @@ func (s *symProbeStepper) Poise() (OpInfo, bool) {
 func (s *symProbeStepper) Resume(machine.Value) bool   { return false }
 func (s *symProbeStepper) Outcome() (bool, int, error) { return false, 0, nil }
 func (s *symProbeStepper) Halt()                       {}
-func (s *symProbeStepper) Fork() Stepper               { f := *s; return &f }
+func (s *symProbeStepper) ForkInto(Stepper) Stepper    { f := *s; return &f }
 func (s *symProbeStepper) StateKey() uint64 {
 	return machine.Mix64(uint64(s.input)<<8 ^ uint64(s.loc) ^ 0x73796d70)
 }

@@ -36,7 +36,7 @@ type procState struct {
 	doneSt doneStepper
 	// spare keeps the recycled live stepper a pooled fork displaced with the
 	// terminal stub, so a later fork of a live process into this slot can
-	// still rebuild over it (ForkerInto) instead of allocating afresh.
+	// still rebuild over it (Forker.ForkInto) instead of allocating afresh.
 	spare Stepper
 	// hcLo/hcHi cache this process's contribution to the incremental
 	// StateHash128 (see statehash.go); hcKeyed caches whether the process is

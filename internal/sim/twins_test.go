@@ -38,8 +38,8 @@ func (s *opsStepper) Outcome() (bool, int, error) {
 	return true, s.last, nil
 }
 
-func (s *opsStepper) Halt()         {}
-func (s *opsStepper) Fork() Stepper { f := *s; return &f }
+func (s *opsStepper) Halt()                    {}
+func (s *opsStepper) ForkInto(Stepper) Stepper { f := *s; return &f }
 
 // StateKey hashes the program position and the last result: together with
 // the (fixed) instruction list they determine the stepper's future.

@@ -148,7 +148,7 @@ func (a *Buffered) Collect() ([]any, string) {
 // snapshot exactly when equal fingerprints do.
 //
 // Machine is a value type: copying it forks it, except for the private
-// scratch slice, which Fork and ForkInto never share.
+// scratch slice, which ForkInto never shares.
 type Machine struct {
 	base, n, id int
 	l           int // buffer capacity; 0 for a Direct array
@@ -171,14 +171,8 @@ func NewBufferedMachine(base, n, l, id int) Machine {
 	return Machine{base: base, n: n, id: id, l: l}
 }
 
-// Fork returns an independent copy.
-func (a *Machine) Fork() Machine {
-	f := *a
-	f.scratch = nil
-	return f
-}
-
-// ForkInto copies a into *dst, keeping dst's private scratch.
+// ForkInto copies a into *dst, keeping dst's private scratch (none in a
+// zero dst).
 func (a *Machine) ForkInto(dst *Machine) {
 	scratch := dst.scratch
 	*dst = *a

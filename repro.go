@@ -111,7 +111,11 @@ type VerifyReport struct {
 
 // VerifyMemStats is VerifyReport's memory telemetry.
 type VerifyMemStats struct {
-	// TableBytes is the seen-state table's backing-store size.
+	// TableBytes is the seen-state table's backing-store size. A table
+	// shared by several workers grows each shard by that shard's own load,
+	// so without WithTableBytes the figure depends on the worker count and
+	// on how the fingerprints spread, and is comparable across runs only at
+	// one worker.
 	TableBytes int64
 	// TableOccupancy is the fraction of the table in use.
 	TableOccupancy float64
