@@ -33,7 +33,10 @@ const forkIntoSteps = 200
 // foreignStepper is a prev no production stepper shares a type with.
 type foreignStepper struct{}
 
-func (foreignStepper) Poise() (sim.OpInfo, bool)   { return sim.OpInfo{Op: machine.OpRead}, true }
+// foreignRead is foreignStepper's instruction, shared and never written.
+var foreignRead = sim.OpInfo{Op: machine.OpRead}
+
+func (foreignStepper) Poise() *sim.OpInfo          { return &foreignRead }
 func (foreignStepper) Resume(machine.Value) bool   { return false }
 func (foreignStepper) Outcome() (bool, int, error) { return false, 0, nil }
 func (foreignStepper) Halt()                       {}
@@ -116,12 +119,12 @@ func checkForkIntoAnyPrev(t *testing.T, tc cowCase, seed int64) {
 // otherwise its poised instruction, its state key, and its symmetric key
 // under a fixed relabeling when it has one.
 func stepperView(st sim.Stepper) string {
-	op, ok := st.Poise()
-	if !ok {
+	op := st.Poise()
+	if op == nil {
 		decided, decision, err := st.Outcome()
 		return fmt.Sprintf("finished decided=%v decision=%d err=%v", decided, decision, err)
 	}
-	s := stepString(sim.StepInfo{Info: op})
+	s := stepString(sim.StepInfo{Info: *op})
 	s += fmt.Sprintf(" key=%x", st.(sim.StateKeyer).StateKey())
 	if sk, ok := st.(sim.SymKeyer); ok {
 		s += fmt.Sprintf(" sym=%x", sk.SymStateKey(func(loc int) int { return 7*loc + 3 }))

@@ -71,9 +71,9 @@ func IntroDecMul(n int) *Protocol {
 			return 0
 		},
 		Steppers: func(inputs []int) []sim.Stepper {
-			mulArgs := []machine.Value{machine.Int(int64(n))}
+			mulOp := &sim.OpInfo{Loc: 0, Op: machine.OpMultiply, Args: []machine.Value{machine.Int(int64(n))}}
 			return steppersOf(inputs, func(_, in int) sim.Stepper {
-				return &introDecMulStepper{input: in, mulArgs: mulArgs}
+				return &introDecMulStepper{input: in, mulOp: mulOp}
 			})
 		},
 	}

@@ -199,7 +199,8 @@ type qscCore struct {
 	est   int
 	out   qscMsg // message being broadcast while dest < n
 	// box is the send argument: out wrapped once per broadcast, not once
-	// per send. It is set where out changes, so Poise only reads it.
+	// per send. It is set where out changes, so Poise only reads it, and
+	// the stepper's poised send points into it.
 	box  [1]machine.Value
 	dest int // next broadcast destination; n = broadcast done, gathering
 
@@ -402,33 +403,45 @@ func (c *qscCore) key() uint64 {
 // is a struct copy sharing the bucket array copy-on-write (see qscAggs).
 type qscStepper struct {
 	core qscCore
+	// op is the poised instruction: the send of core.box to core.dest while
+	// a broadcast is pending (Args points into core.box), the receive from
+	// the process's own channel otherwise.
+	op sim.OpInfo
 }
 
 func newQSCStepper(n, t, rounds, id, input int) *qscStepper {
-	return &qscStepper{core: *newQSCCore(n, t, rounds, id, input)}
+	s := &qscStepper{core: *newQSCCore(n, t, rounds, id, input)}
+	s.poise()
+	return s
 }
 
-func (s *qscStepper) Poise() (sim.OpInfo, bool) {
+// poise rebuilds op from the core, writing only the fields a resume can
+// change (op's Multi is always nil).
+func (s *qscStepper) poise() {
 	c := &s.core
-	if c.done {
-		return sim.OpInfo{}, false
-	}
 	if c.dest < c.n {
-		return sim.OpInfo{Loc: c.dest, Op: machine.OpChanSend, Args: c.box[:]}, true
+		s.op.Loc, s.op.Op, s.op.Args = c.dest, machine.OpChanSend, c.box[:]
+		return
 	}
-	return sim.OpInfo{Loc: c.id, Op: machine.OpChanRecv}, true
+	s.op.Loc, s.op.Op, s.op.Args = c.id, machine.OpChanRecv, nil
+}
+
+func (s *qscStepper) Poise() *sim.OpInfo {
+	if s.core.done {
+		return nil
+	}
+	return &s.op
 }
 
 func (s *qscStepper) Resume(res machine.Value) bool {
 	c := &s.core
 	if c.dest < c.n {
 		c.resumeSend()
-		return c.done
-	}
-	if w, ok := res.(*qscWire); ok {
+	} else if w, ok := res.(*qscWire); ok {
 		c.fold(w.msg)
 		c.advance()
 	}
+	s.poise()
 	return c.done
 }
 
@@ -447,6 +460,7 @@ func (s *qscStepper) ForkInto(prev sim.Stepper) sim.Stepper {
 	s.core.aggs.share()
 	p.core = s.core
 	p.core.spare = spare
+	p.poise() // op's Args must point into p's own box, not s's
 	return p
 }
 

@@ -50,43 +50,32 @@ func (a QSCAdversary) String() string {
 	return "invalid"
 }
 
-// byzSend is one scripted send: a destination channel and the prebuilt
-// one-element argument slice (immutable, shared by every fork of the
-// stepper).
-type byzSend struct {
-	dest int
-	args []machine.Value
-}
-
-func byzMsg(dest int, msg machine.Value) byzSend {
-	return byzSend{dest: dest, args: []machine.Value{msg}}
-}
-
 // byzScript builds the adversary's send script for an n-process instance
-// with the adversary at pid n-1.
-func byzScript(n, rounds int, adv QSCAdversary) []byzSend {
+// with the adversary at pid n-1. The script's instructions are immutable
+// and shared by every fork of the stepper, which poises on them in place.
+func byzScript(n, rounds int, adv QSCAdversary) []sim.OpInfo {
 	byz := n - 1
-	var s []byzSend
+	var s []sim.OpInfo
 	for dest := 0; dest < byz; dest++ {
 		switch adv {
 		case QSCByzMalformed:
 			s = append(s,
-				byzMsg(dest, machine.Word(42)), // not a message at all
-				byzMsg(dest, wire(qscMsg{From: byz, Round: 0, Phase: 7, Val: 0, Tkt: byz})),
-				byzMsg(dest, wire(qscMsg{From: byz, Phase: qscDecidePhase, Val: n + 39})),
+				sim.Send(dest, machine.Word(42)), // not a message at all
+				sim.Send(dest, wire(qscMsg{From: byz, Round: 0, Phase: 7, Val: 0, Tkt: byz})),
+				sim.Send(dest, wire(qscMsg{From: byz, Phase: qscDecidePhase, Val: n + 39})),
 			)
 		case QSCByzOutOfTurn:
 			future := rounds - 1
 			s = append(s,
-				byzMsg(dest, wire(qscMsg{From: byz, Round: future, Phase: 2, Val: 0, Tkt: future*n + byz, Ready: true})),
-				byzMsg(dest, wire(qscMsg{From: byz, Round: 0, Phase: 2, Val: 0, Tkt: byz})),
-				byzMsg(dest, wire(qscMsg{From: byz, Round: 0, Phase: 1, Val: 0, Tkt: byz})),
-				byzMsg(dest, wire(qscMsg{From: byz, Round: 0, Phase: 1, Val: 0, Tkt: byz})), // duplicate
+				sim.Send(dest, wire(qscMsg{From: byz, Round: future, Phase: 2, Val: 0, Tkt: future*n + byz, Ready: true})),
+				sim.Send(dest, wire(qscMsg{From: byz, Round: 0, Phase: 2, Val: 0, Tkt: byz})),
+				sim.Send(dest, wire(qscMsg{From: byz, Round: 0, Phase: 1, Val: 0, Tkt: byz})),
+				sim.Send(dest, wire(qscMsg{From: byz, Round: 0, Phase: 1, Val: 0, Tkt: byz})), // duplicate
 			)
 		case QSCByzFork:
 			s = append(s,
-				byzMsg(dest, wire(qscMsg{From: byz, Round: 0, Phase: 1, Val: dest, Tkt: byz})),
-				byzMsg(dest, wire(qscMsg{From: byz, Round: 0, Phase: 2, Val: dest, Tkt: byz, Ready: true})),
+				sim.Send(dest, wire(qscMsg{From: byz, Round: 0, Phase: 1, Val: dest, Tkt: byz})),
+				sim.Send(dest, wire(qscMsg{From: byz, Round: 0, Phase: 2, Val: dest, Tkt: byz, Ready: true})),
 			)
 		}
 	}
@@ -94,11 +83,11 @@ func byzScript(n, rounds int, adv QSCAdversary) []byzSend {
 }
 
 // byzScriptHash folds the script into the stepper's state-key salt.
-func byzScriptHash(sends []byzSend) uint64 {
+func byzScriptHash(sends []sim.OpInfo) uint64 {
 	h := machine.Mix64(uint64(len(sends)) ^ 0x62797a73)
 	for _, s := range sends {
-		h = machine.Mix64(h ^ uint64(int64(s.dest)))
-		h = machine.Mix64(h ^ machine.HashValue(s.args[0]))
+		h = machine.Mix64(h ^ uint64(int64(s.Loc)))
+		h = machine.Mix64(h ^ machine.HashValue(s.Args[0]))
 	}
 	return h
 }
@@ -107,21 +96,21 @@ func byzScriptHash(sends []byzSend) uint64 {
 // discarding everything it receives. It never decides.
 type byzStepper struct {
 	n, id  int
-	sends  []byzSend // immutable, shared across forks
+	sends  []sim.OpInfo // immutable, shared across forks
+	recv   sim.OpInfo   // the parked receive from the own channel
 	pos    int
 	script uint64
 }
 
-func newByzStepper(n, id int, sends []byzSend) *byzStepper {
-	return &byzStepper{n: n, id: id, sends: sends, script: byzScriptHash(sends)}
+func newByzStepper(n, id int, sends []sim.OpInfo) *byzStepper {
+	return &byzStepper{n: n, id: id, sends: sends, recv: sim.Recv(id), script: byzScriptHash(sends)}
 }
 
-func (b *byzStepper) Poise() (sim.OpInfo, bool) {
+func (b *byzStepper) Poise() *sim.OpInfo {
 	if b.pos < len(b.sends) {
-		s := b.sends[b.pos]
-		return sim.OpInfo{Loc: s.dest, Op: machine.OpChanSend, Args: s.args}, true
+		return &b.sends[b.pos]
 	}
-	return sim.OpInfo{Loc: b.id, Op: machine.OpChanRecv}, true
+	return &b.recv
 }
 
 func (b *byzStepper) Resume(machine.Value) bool {
@@ -172,7 +161,7 @@ func QSCWithByzantine(n, t, rounds int, adv QSCAdversary) *Protocol {
 	// channel to cover it so sends still never block.
 	perDest := 0
 	for _, s := range sends {
-		if s.dest == 0 {
+		if s.Loc == 0 {
 			perDest++
 		}
 	}
@@ -188,7 +177,7 @@ func QSCWithByzantine(n, t, rounds int, adv QSCAdversary) *Protocol {
 			return honest(p)
 		}
 		for _, s := range sends {
-			p.Send(s.dest, s.args[0])
+			p.Send(s.Loc, s.Args[0])
 		}
 		for {
 			p.Recv(byz) // park: discard everything, never decide

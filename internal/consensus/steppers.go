@@ -28,7 +28,7 @@ import (
 // instruction is part of a process's canonical state (it encodes every
 // decision the process has already committed to, such as which component it
 // is about to promote).
-func opInfoKey(i sim.OpInfo) uint64 {
+func opInfoKey(i *sim.OpInfo) uint64 {
 	h := machine.Mix64(uint64(i.Loc) ^ 0x706f6973)
 	h = machine.Mix64(h ^ uint64(i.Op))
 	for _, a := range i.Args {
@@ -43,7 +43,7 @@ func mix2(a, b uint64) uint64 { return machine.Mix64(a ^ b) }
 // instruction's location is mapped through relabel before hashing, so the
 // key is invariant under the location permutations the symmetry-reduced
 // state key quotients by (sim.SymKeyer).
-func opInfoSymKey(i sim.OpInfo, relabel func(int) int) uint64 {
+func opInfoSymKey(i *sim.OpInfo, relabel func(int) int) uint64 {
 	h := machine.Mix64(uint64(relabel(i.Loc)) ^ 0x706f6973)
 	h = machine.Mix64(h ^ uint64(i.Op))
 	for _, a := range i.Args {
@@ -60,28 +60,37 @@ func opInfoSymKey(i sim.OpInfo, relabel func(int) int) uint64 {
 // place a process id is genuine behavioral state (it picks the bit lane);
 // its SymKey folds the id, which conservatively keeps those processes
 // unmerged.
+//
+// Every stepper keeps its poised instruction as state, or points at a
+// shared immutable one, so Poise returns a pointer without assembling or
+// writing anything (sim.Stepper). Where the instruction's Args point into
+// an array inside the stepper (casStepper.args, maxRegStepper.arg,
+// qscCore.box), ForkInto points the copy's Args at the copy's own array.
 
 // --- compare-and-swap (Table 1 row 10) ---------------------------------------
 
 type casStepper struct {
 	input    int
 	args     [2]machine.Value
+	op       sim.OpInfo // the CAS; Args points into args
 	done     bool
 	decision int
 }
 
 func newCASStepper(input int) *casStepper {
-	return &casStepper{
+	c := &casStepper{
 		input: input,
 		args:  [2]machine.Value{machine.Word(0), machine.Word(int64(input + 1))},
 	}
+	c.op = sim.OpInfo{Loc: 0, Op: machine.OpCompareAndSwap, Args: c.args[:]}
+	return c
 }
 
-func (c *casStepper) Poise() (sim.OpInfo, bool) {
+func (c *casStepper) Poise() *sim.OpInfo {
 	if c.done {
-		return sim.OpInfo{}, false
+		return nil
 	}
-	return sim.OpInfo{Loc: 0, Op: machine.OpCompareAndSwap, Args: c.args[:]}, true
+	return &c.op
 }
 
 func (c *casStepper) Resume(res machine.Value) bool {
@@ -107,6 +116,7 @@ func (c *casStepper) ForkInto(prev sim.Stepper) sim.Stepper {
 		p = new(casStepper)
 	}
 	*p = *c
+	p.op.Args = p.args[:]
 	return p
 }
 
@@ -124,19 +134,25 @@ type introFAA2TASStepper struct {
 	decision int
 }
 
-// faa2Args is the shared, immutable argument of the protocol's
-// fetch-and-add(2): the memory never mutates instruction arguments, so one
-// package-level slice keeps Poise allocation-free.
-var faa2Args = []machine.Value{machine.Int(2)}
+// The introduction protocols' instructions, shared and immutable: the
+// memory never mutates instruction arguments and no caller writes through
+// a poised instruction, so Poise hands out pointers to these.
+var (
+	faa2Op = sim.OpInfo{Loc: 0, Op: machine.OpFetchAndAdd, Args: []machine.Value{machine.Int(2)}}
+	tasOp  = sim.OpInfo{Loc: 0, Op: machine.OpTestAndSet}
+	readOp = sim.OpInfo{Loc: 0, Op: machine.OpRead}
+	decOp  = sim.OpInfo{Loc: 0, Op: machine.OpDecrement}
+)
 
-func (c *introFAA2TASStepper) Poise() (sim.OpInfo, bool) {
-	if c.done {
-		return sim.OpInfo{}, false
+func (c *introFAA2TASStepper) Poise() *sim.OpInfo {
+	switch {
+	case c.done:
+		return nil
+	case c.input == 0:
+		return &faa2Op
+	default:
+		return &tasOp
 	}
-	if c.input == 0 {
-		return sim.OpInfo{Loc: 0, Op: machine.OpFetchAndAdd, Args: faa2Args}, true
-	}
-	return sim.OpInfo{Loc: 0, Op: machine.OpTestAndSet}, true
 }
 
 func (c *introFAA2TASStepper) Resume(res machine.Value) bool {
@@ -175,21 +191,21 @@ type introDecMulStepper struct {
 	reading  bool // the update is done; the read is poised
 	done     bool
 	decision int
-	// mulArgs is the multiply argument, built once per protocol instance
-	// and shared, immutable, by every stepper and fork.
-	mulArgs []machine.Value
+	// mulOp is the multiply, built once per protocol instance and shared,
+	// immutable, by every stepper and fork.
+	mulOp *sim.OpInfo
 }
 
-func (c *introDecMulStepper) Poise() (sim.OpInfo, bool) {
+func (c *introDecMulStepper) Poise() *sim.OpInfo {
 	switch {
 	case c.done:
-		return sim.OpInfo{}, false
+		return nil
 	case c.reading:
-		return sim.OpInfo{Loc: 0, Op: machine.OpRead}, true
+		return &readOp
 	case c.input == 0:
-		return sim.OpInfo{Loc: 0, Op: machine.OpDecrement}, true
+		return &decOp
 	default:
-		return sim.OpInfo{Loc: 0, Op: machine.OpMultiply, Args: c.mulArgs}, true
+		return c.mulOp
 	}
 }
 
@@ -248,16 +264,16 @@ const (
 // is a struct copy that shares them, and the catch-up write passes the read
 // value on as its argument. Pairs are decoded only once a double collect
 // completes, on the int64 path while the register values fit a word. The
-// poised instruction is kept as its parts, the write-max argument in the
-// stepper's own slot, so Poise assembles it without allocating and a fork's
-// instruction never points into its source.
+// poised instruction is stepper state, its write-max argument in the
+// stepper's own slot, so Poise neither assembles nor allocates; ForkInto
+// points a fork's argument at the fork's own slot.
 type maxRegStepper struct {
 	y        int64
 	input    int
 	pc       int
 	a, b, a2 machine.Value
-	loc      int              // location of the poised instruction
 	arg      [1]machine.Value // write-max argument, while pc is mrAnnounce or mrWrite
+	op       sim.OpInfo       // the poised instruction
 	done     bool
 	decision int
 }
@@ -265,42 +281,47 @@ type maxRegStepper struct {
 func newMaxRegStepper(input int, y int64) *maxRegStepper {
 	s := &maxRegStepper{y: y, input: input, pc: mrAnnounce}
 	s.arg[0] = encodePairValue(MaxRegPair{R: 0, X: input}, y)
+	s.write(0, s.arg[0])
 	return s
 }
 
-func (s *maxRegStepper) Poise() (sim.OpInfo, bool) {
+func (s *maxRegStepper) Poise() *sim.OpInfo {
 	if s.done {
-		return sim.OpInfo{}, false
+		return nil
 	}
-	return s.poised(), true
+	return &s.op
 }
 
-// poised assembles the pending instruction from pc, loc and arg.
-func (s *maxRegStepper) poised() sim.OpInfo {
-	if s.pc == mrAnnounce || s.pc == mrWrite {
-		return sim.OpInfo{Loc: s.loc, Op: machine.OpWriteMax, Args: s.arg[:]}
-	}
-	return sim.OpInfo{Loc: s.loc, Op: machine.OpReadMax}
+// read poises the read of register loc.
+func (s *maxRegStepper) read(pc, loc int) {
+	s.pc = pc
+	s.op.Loc, s.op.Op, s.op.Args = loc, machine.OpReadMax, nil
+}
+
+// write poises the write-max of v to register loc.
+func (s *maxRegStepper) write(loc int, v machine.Value) {
+	s.arg[0] = v
+	s.op.Loc, s.op.Op, s.op.Args = loc, machine.OpWriteMax, s.arg[:]
 }
 
 func (s *maxRegStepper) Resume(res machine.Value) bool {
 	switch s.pc {
 	case mrAnnounce, mrWrite:
-		s.pc, s.loc = mrReadA, 0
+		s.read(mrReadA, 0)
 	case mrReadA:
 		s.a = res
-		s.pc, s.loc = mrReadB, 1
+		s.read(mrReadB, 1)
 	case mrReadB:
 		s.b = res
-		s.pc, s.loc = mrReadA2, 0
+		s.read(mrReadA2, 0)
 	case mrReadA2:
 		s.a2 = res
-		s.pc, s.loc = mrReadB2, 1
+		s.read(mrReadB2, 1)
 	case mrReadB2:
 		if !machine.EqualValues(s.a2, s.a) || !machine.EqualValues(res, s.b) {
 			// Collects disagree: keep collecting (scanMax's inner loop).
 			s.a, s.b = s.a2, res
-			s.pc, s.loc = mrReadA2, 0
+			s.read(mrReadA2, 0)
 			return false
 		}
 		v1, v2 := s.a2, res
@@ -310,9 +331,11 @@ func (s *maxRegStepper) Resume(res machine.Value) bool {
 			s.done, s.decision = true, p1.X
 			return true
 		case machine.EqualValues(v1, v2):
-			s.pc, s.loc, s.arg[0] = mrWrite, 0, encodePairValue(MaxRegPair{R: p1.R + 1, X: p1.X}, s.y)
+			s.pc = mrWrite
+			s.write(0, encodePairValue(MaxRegPair{R: p1.R + 1, X: p1.X}, s.y))
 		default:
-			s.pc, s.loc, s.arg[0] = mrWrite, 1, v1
+			s.pc = mrWrite
+			s.write(1, v1)
 		}
 	}
 	return false
@@ -327,6 +350,9 @@ func (s *maxRegStepper) ForkInto(prev sim.Stepper) sim.Stepper {
 		p = new(maxRegStepper)
 	}
 	*p = *s
+	if p.op.Args != nil {
+		p.op.Args = p.arg[:]
+	}
 	return p
 }
 
@@ -337,7 +363,7 @@ func (s *maxRegStepper) StateKey() uint64 {
 	h = mix2(h, machine.HashValue(s.a))
 	h = mix2(h, machine.HashValue(s.b))
 	h = mix2(h, machine.HashValue(s.a2))
-	return mix2(h, opInfoKey(s.poised()))
+	return mix2(h, opInfoKey(&s.op))
 }
 
 func (s *maxRegStepper) SymStateKey(relabel func(int) int) uint64 {
@@ -345,7 +371,7 @@ func (s *maxRegStepper) SymStateKey(relabel func(int) int) uint64 {
 	h = mix2(h, machine.HashValue(s.a))
 	h = mix2(h, machine.HashValue(s.b))
 	h = mix2(h, machine.HashValue(s.a2))
-	h = mix2(h, opInfoSymKey(s.poised(), relabel))
+	h = mix2(h, opInfoSymKey(&s.op, relabel))
 	// Role order: m1 then m2 — every pc references both registers.
 	h = mix2(h, uint64(relabel(0)))
 	return mix2(h, uint64(relabel(1)))
@@ -397,16 +423,16 @@ func (s *raceStepper) init(cm counter.Machine, n, input int, bounded bool) {
 	*s = raceStepper{cm: cm, n: n, input: input, bounded: bounded}
 	if bounded {
 		s.stage = rsInitScan
-		s.pending = cm.StartScan()
+		cm.StartScan(&s.pending)
 	} else {
 		s.stage = rsUpdate
-		s.pending = cm.StartInc(input)
+		cm.StartInc(input, &s.pending)
 	}
 }
 
-// promoteOp mirrors RaceBounded's promote: decrement the largest other
+// promote mirrors RaceBounded's promote: decrement the largest other
 // component if it has reached n, otherwise increment v.
-func (s *raceStepper) promoteOp(v int, sc []int64) sim.OpInfo {
+func (s *raceStepper) promote(v int, sc []int64) {
 	u := -1
 	for w := range sc {
 		if w == v {
@@ -417,28 +443,32 @@ func (s *raceStepper) promoteOp(v int, sc []int64) sim.OpInfo {
 		}
 	}
 	if u >= 0 && sc[u] >= int64(s.n) {
-		return s.cm.StartDec(u)
+		s.cm.StartDec(u, &s.pending)
+		return
 	}
-	return s.cm.StartInc(v)
+	s.cm.StartInc(v, &s.pending)
 }
 
-func (s *raceStepper) Poise() (sim.OpInfo, bool) {
+func (s *raceStepper) Poise() *sim.OpInfo {
 	if s.done {
-		return sim.OpInfo{}, false
+		return nil
 	}
-	return s.pending, true
+	return &s.pending
 }
 
+// Resume has the counter machine write the next instruction straight into
+// pending: nothing is returned by value and copied on the step path.
 func (s *raceStepper) Resume(res machine.Value) bool {
-	if next, more := s.cm.Step(res); more {
-		s.pending = next
+	if s.cm.Step(res, &s.pending) {
 		return false
 	}
 	switch s.stage {
 	case rsUpdate:
-		s.stage, s.pending = rsScan, s.cm.StartScan()
+		s.stage = rsScan
+		s.cm.StartScan(&s.pending)
 	case rsInitScan:
-		s.stage, s.pending = rsUpdate, s.promoteOp(s.input, s.cm.Counts())
+		s.stage = rsUpdate
+		s.promote(s.input, s.cm.Counts())
 	case rsScan:
 		sc := s.cm.Counts()
 		if v, ok := winner(sc, int64(s.n)); ok {
@@ -447,9 +477,9 @@ func (s *raceStepper) Resume(res machine.Value) bool {
 		}
 		s.stage = rsUpdate
 		if s.bounded {
-			s.pending = s.promoteOp(leader(sc), sc)
+			s.promote(leader(sc), sc)
 		} else {
-			s.pending = s.cm.StartInc(leader(sc))
+			s.cm.StartInc(leader(sc), &s.pending)
 		}
 	}
 	return false
@@ -481,7 +511,7 @@ func (s *raceStepper) StateKey() uint64 {
 		h = mix2(h, uint64(s.input))
 	}
 	h = mix2(h, s.cm.Key())
-	return mix2(h, opInfoKey(s.pending))
+	return mix2(h, opInfoKey(&s.pending))
 }
 
 func (s *raceStepper) SymStateKey(relabel func(int) int) uint64 {
@@ -490,7 +520,7 @@ func (s *raceStepper) SymStateKey(relabel func(int) int) uint64 {
 		h = mix2(h, uint64(s.input))
 	}
 	h = mix2(h, s.cm.(counter.SymMachine).SymKey(relabel))
-	return mix2(h, opInfoSymKey(s.pending, relabel))
+	return mix2(h, opInfoSymKey(&s.pending, relabel))
 }
 
 // exactRaceStepper is the RaceUnbounded loop over a plain counter.Machine:
@@ -507,7 +537,7 @@ func newExactRaceStepper(cm counter.Machine, n, input int) *exactRaceStepper {
 	return s
 }
 
-func (s *exactRaceStepper) Poise() (sim.OpInfo, bool)     { return s.r.Poise() }
+func (s *exactRaceStepper) Poise() *sim.OpInfo            { return s.r.Poise() }
 func (s *exactRaceStepper) Resume(res machine.Value) bool { return s.r.Resume(res) }
 func (s *exactRaceStepper) Outcome() (bool, int, error)   { return s.r.Outcome() }
 func (s *exactRaceStepper) Halt()                         {}
@@ -525,14 +555,15 @@ func (s *exactRaceStepper) ForkInto(prev sim.Stepper) sim.Stepper {
 // --- the Lemma 5.2 multi-valued lift -----------------------------------------
 
 // slotOps is the stepper-side ValueSlot codec: Record is one instruction,
-// Recover a mini state machine driven through recoverStep.
+// Recover a mini state machine driven through recoverStep. Like the counter
+// machines, each writes its instruction into the caller's slot next.
 type slotOps interface {
 	size() int
-	recordOp(base, val int) sim.OpInfo
-	recoverStart(base int) sim.OpInfo
-	// recoverStep consumes one read result; done=false issues next. On
-	// done, ok reports whether a value was recovered.
-	recoverStep(res machine.Value, base int, j *int) (next sim.OpInfo, done bool, val int, ok bool)
+	recordOp(base, val int, next *sim.OpInfo)
+	// recoverStep consumes one read result; done=false wrote the next read
+	// into next. On done, ok reports whether a value was recovered. The
+	// first read is that of base, issued by the caller.
+	recoverStep(res machine.Value, base int, j *int, next *sim.OpInfo) (done bool, val int, ok bool)
 }
 
 // multiSlotOps mirrors MultiSlot: one {read, write(x)} location.
@@ -540,23 +571,19 @@ type multiSlotOps struct{}
 
 func (multiSlotOps) size() int { return 1 }
 
-func (multiSlotOps) recordOp(base, val int) sim.OpInfo {
-	return sim.OpInfo{Loc: base, Op: machine.OpWrite, Args: []machine.Value{machine.Int(int64(val) + 1)}}
+func (multiSlotOps) recordOp(base, val int, next *sim.OpInfo) {
+	*next = sim.OpInfo{Loc: base, Op: machine.OpWrite, Args: []machine.Value{machine.Int(int64(val) + 1)}}
 }
 
-func (multiSlotOps) recoverStart(base int) sim.OpInfo {
-	return sim.OpInfo{Loc: base, Op: machine.OpRead}
-}
-
-func (multiSlotOps) recoverStep(res machine.Value, _ int, _ *int) (sim.OpInfo, bool, int, bool) {
+func (multiSlotOps) recoverStep(res machine.Value, _ int, _ *int, _ *sim.OpInfo) (bool, int, bool) {
 	if res == nil {
-		return sim.OpInfo{}, true, 0, false
+		return true, 0, false
 	}
 	x := machine.MustInt(res)
 	if x.Sign() == 0 {
-		return sim.OpInfo{}, true, 0, false
+		return true, 0, false
 	}
-	return sim.OpInfo{}, true, int(x.Int64()) - 1, true
+	return true, int(x.Int64()) - 1, true
 }
 
 // bitSlotOps mirrors BitSlot: a run of `values` bit locations.
@@ -567,23 +594,20 @@ type bitSlotOps struct {
 
 func (s bitSlotOps) size() int { return s.values }
 
-func (s bitSlotOps) recordOp(base, val int) sim.OpInfo {
-	return sim.OpInfo{Loc: base + val, Op: s.setOne}
+func (s bitSlotOps) recordOp(base, val int, next *sim.OpInfo) {
+	*next = sim.OpInfo{Loc: base + val, Op: s.setOne}
 }
 
-func (s bitSlotOps) recoverStart(base int) sim.OpInfo {
-	return sim.OpInfo{Loc: base, Op: machine.OpRead}
-}
-
-func (s bitSlotOps) recoverStep(res machine.Value, base int, j *int) (sim.OpInfo, bool, int, bool) {
+func (s bitSlotOps) recoverStep(res machine.Value, base int, j *int, next *sim.OpInfo) (bool, int, bool) {
 	if machine.MustInt(res).Sign() != 0 {
-		return sim.OpInfo{}, true, *j, true
+		return true, *j, true
 	}
 	*j++
 	if *j < s.values {
-		return sim.OpInfo{Loc: base + *j, Op: machine.OpRead}, false, 0, false
+		*next = sim.OpInfo{Loc: base + *j, Op: machine.OpRead}
+		return false, 0, false
 	}
-	return sim.OpInfo{}, true, 0, false
+	return true, 0, false
 }
 
 // mvStepper phases.
@@ -646,7 +670,7 @@ func (s *mvStepper) startRound() {
 		return
 	}
 	s.phase = mvpRecord
-	s.pending = s.slot.recordOp(s.base+s.bit*s.slot.size(), s.v)
+	s.slot.recordOp(s.base+s.bit*s.slot.size(), s.v, &s.pending)
 }
 
 // finishRound folds the agreed bit into the candidate and advances.
@@ -659,14 +683,14 @@ func (s *mvStepper) advanceRound() {
 	s.startRound()
 }
 
-func (s *mvStepper) Poise() (sim.OpInfo, bool) {
+func (s *mvStepper) Poise() *sim.OpInfo {
 	if s.done || s.err != nil {
-		return sim.OpInfo{}, false
+		return nil
 	}
 	if s.phase == mvpRound {
 		return s.sub.Poise()
 	}
-	return s.pending, true
+	return &s.pending
 }
 
 func (s *mvStepper) Resume(res machine.Value) bool {
@@ -694,12 +718,11 @@ func (s *mvStepper) Resume(res machine.Value) bool {
 		}
 		s.phase = mvpRecover
 		s.recJ = 0
-		s.pending = s.slot.recoverStart(s.base + agreed*s.slot.size())
+		s.pending = sim.OpInfo{Loc: s.base + agreed*s.slot.size(), Op: machine.OpRead}
 	case mvpRecover:
 		agreedBase := s.pending.Loc - s.recJ // recover reads walk the slot run
-		next, doneRec, val, ok := s.slot.recoverStep(res, agreedBase, &s.recJ)
+		doneRec, val, ok := s.slot.recoverStep(res, agreedBase, &s.recJ, &s.pending)
 		if !doneRec {
-			s.pending = next
 			return false
 		}
 		if !ok {
@@ -739,22 +762,39 @@ func (s *mvStepper) ForkInto(prev sim.Stepper) sim.Stepper {
 	return p
 }
 
+// doneKey keys a finished stepper by its outcome. A stepper that decides
+// in its last round has retired its round stepper (sub is nil) while its
+// phase stays mvpRound, so the live keys below cannot be taken.
+func (s *mvStepper) doneKey() uint64 {
+	h := machine.Mix64(uint64(s.decision) ^ 0x6d76646f)
+	if s.err != nil {
+		h = mix2(h, 1)
+	}
+	return h
+}
+
 func (s *mvStepper) StateKey() uint64 {
+	if s.done || s.err != nil {
+		return s.doneKey()
+	}
 	h := machine.Mix64(uint64(s.v) ^ 0x6d7635)
 	h = mix2(h, uint64(s.round)|uint64(s.phase)<<16|uint64(s.recJ)<<32)
 	if s.phase == mvpRound {
 		return mix2(h, s.sub.StateKey())
 	}
-	return mix2(h, opInfoKey(s.pending))
+	return mix2(h, opInfoKey(&s.pending))
 }
 
 func (s *mvStepper) SymStateKey(relabel func(int) int) uint64 {
+	if s.done || s.err != nil {
+		return s.doneKey()
+	}
 	h := machine.Mix64(uint64(s.v) ^ 0x6d7635)
 	h = mix2(h, uint64(s.round)|uint64(s.phase)<<16|uint64(s.recJ)<<32)
 	if s.phase == mvpRound {
 		h = mix2(h, s.sub.SymStateKey(relabel))
 	} else {
-		h = mix2(h, opInfoSymKey(s.pending, relabel))
+		h = mix2(h, opInfoSymKey(&s.pending, relabel))
 	}
 	// Future references: the rest of the construction's layout, from the
 	// current round's block to the final round's bin-consensus locations

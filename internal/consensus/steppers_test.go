@@ -197,11 +197,45 @@ func TestMaxRegForkIntoKeepsForkWrite(t *testing.T) {
 	if got := other.ForkInto(s); got != s {
 		t.Fatal("ForkInto did not recycle its argument")
 	}
-	op, ok := fk.Poise()
-	if !ok || op.Loc != 1 || op.Op != machine.OpWriteMax {
+	op := fk.Poise()
+	if op == nil || op.Loc != 1 || op.Op != machine.OpWriteMax {
 		t.Fatalf("fork poised on %+v, want write-max to m2", op)
 	}
 	if got := machine.MustInt(op.Args[0]); got.Cmp(hi) != 0 {
 		t.Fatalf("fork's catch-up write changed to %v after recycling the original, want %v", got, hi)
+	}
+}
+
+// TestFinishedSteppersKey keys every portfolio stepper once it has
+// finished. The system keys a finished process by its outcome and never
+// asks its stepper, but a stepper's keys must still be safe to take: a
+// multi-valued stepper that decides in its last round has retired its
+// round stepper, and keying it used to dereference the nil round.
+func TestFinishedSteppersKey(t *testing.T) {
+	relabel := func(loc int) int { return loc + 1 }
+	for _, tc := range ForkablePortfolio() {
+		t.Run(tc.Name, func(t *testing.T) {
+			for seed := int64(1); seed <= 4; seed++ {
+				pr := tc.Build()
+				steppers := pr.Steppers(tc.Inputs)
+				sys := sim.NewSystemSteppers(pr.NewMemory(), tc.Inputs, steppers)
+				if _, err := sys.Run(sim.NewRandom(seed), 100000); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				for pid, st := range steppers {
+					if st.Poise() != nil {
+						t.Fatalf("seed %d: pid %d still poised after the run", seed, pid)
+					}
+					a, b := st.(sim.StateKeyer).StateKey(), st.(sim.StateKeyer).StateKey()
+					if a != b {
+						t.Fatalf("seed %d: pid %d's finished key is not stable: %x then %x", seed, pid, a, b)
+					}
+					if sk, ok := st.(sim.SymKeyer); ok {
+						sk.SymStateKey(relabel)
+					}
+				}
+				sys.Close()
+			}
+		})
 	}
 }

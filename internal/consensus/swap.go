@@ -230,14 +230,20 @@ func newSwapStepper(n, id, input int) *swapStepper {
 
 func (st *swapStepper) startCollect() {
 	st.pc, st.j = swCollect, 0
-	st.pending = sim.OpInfo{Loc: 0, Op: machine.OpRead}
+	st.read(0)
 }
 
-func (st *swapStepper) Poise() (sim.OpInfo, bool) {
+// read poises the collect read of location j, writing only Loc, Op and
+// Args (pending.Multi is always nil).
+func (st *swapStepper) read(j int) {
+	st.pending.Loc, st.pending.Op, st.pending.Args = j, machine.OpRead, nil
+}
+
+func (st *swapStepper) Poise() *sim.OpInfo {
 	if st.done {
-		return sim.OpInfo{}, false
+		return nil
 	}
-	return st.pending, true
+	return &st.pending
 }
 
 func (st *swapStepper) Resume(res machine.Value) bool {
@@ -258,7 +264,7 @@ func (st *swapStepper) Resume(res machine.Value) bool {
 		st.cur[st.j], st.curVer[st.j] = c.laps, swapVer{pid: c.pid, seq: c.seq}
 	}
 	if st.j++; st.j < st.k {
-		st.pending = sim.OpInfo{Loc: st.j, Op: machine.OpRead}
+		st.read(st.j)
 		return false
 	}
 	if !st.havePrev || !slices.Equal(st.curVer, st.prevVer) {
@@ -324,8 +330,8 @@ func (st *swapStepper) afterScan() bool {
 	laps := make([]int64, n)
 	copy(laps, ell)
 	st.pc, st.j = swSwap, j
-	st.pending = sim.OpInfo{Loc: j, Op: machine.OpSwap,
-		Args: []machine.Value{swapCell{pid: st.id, seq: st.seq, laps: laps}}}
+	st.pending.Loc, st.pending.Op = j, machine.OpSwap
+	st.pending.Args = []machine.Value{swapCell{pid: st.id, seq: st.seq, laps: laps}}
 	return false
 }
 

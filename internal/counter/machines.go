@@ -20,9 +20,14 @@ import (
 
 // Machine is an m-component counter as a resumable, forkable state machine.
 // An operation (Inc, Dec, or Scan) is begun with the corresponding Start
-// call, which returns the operation's first instruction; Step consumes each
-// instruction's result and either returns the next instruction (more=true)
-// or completes the operation. At most one operation is in flight at a time.
+// call, which writes the operation's first instruction into next; Step
+// consumes each instruction's result and either writes the next instruction
+// into next (more=true) or completes the operation, leaving next untouched.
+// At most one operation is in flight at a time. next is the caller's
+// instruction slot (the racing stepper's poised instruction), written in
+// place so no instruction is copied on the step path. A machine writes only
+// its Loc, Op and Args: machines never issue a multiple assignment, so the
+// slot's Multi must be, and stays, nil.
 type Machine interface {
 	// Components returns m.
 	Components() int
@@ -37,14 +42,14 @@ type Machine interface {
 	// future instructions must enter it.
 	Key() uint64
 	// StartInc begins an increment of component v.
-	StartInc(v int) sim.OpInfo
+	StartInc(v int, next *sim.OpInfo)
 	// StartDec begins a decrement of component v; it panics on machines for
 	// unbounded counters, mirroring the Counter/BoundedCounter split.
-	StartDec(v int) sim.OpInfo
+	StartDec(v int, next *sim.OpInfo)
 	// StartScan begins an atomic-looking scan of all components.
-	StartScan() sim.OpInfo
+	StartScan(next *sim.OpInfo)
 	// Step consumes the result of the previously issued instruction.
-	Step(res machine.Value) (next sim.OpInfo, more bool)
+	Step(res machine.Value, next *sim.OpInfo) (more bool)
 	// Counts returns the result of the last completed scan. Callers must
 	// not retain it across operations or mutate it.
 	Counts() []int64
@@ -66,6 +71,11 @@ type SymMachine interface {
 }
 
 func mixKey(h, x uint64) uint64 { return machine.Mix64(h ^ x) }
+
+// issue writes the instruction op@loc with args into next (see Machine).
+func issue(next *sim.OpInfo, loc int, op machine.Op, args []machine.Value) {
+	next.Loc, next.Op, next.Args = loc, op, args
+}
 
 // appendInto copies src into dst's storage (growing if needed), preserving
 // src's nil-ness — several machines distinguish nil from empty in their keys.
@@ -134,15 +144,14 @@ func (f *flatMachine) symKey(tag uint64, relabel func(int) int) uint64 {
 // {fetch-and-add}) location, component v in the (v+1)'st base-3n digit.
 type AddMachine struct {
 	flatMachine
-	base  *big.Int
-	pows  []*big.Int // shared, immutable
-	fetch bool
+	base *big.Int
 	// Start* instructions precomputed once: the memory never mutates
-	// instruction arguments, so the OpInfos (and their Args backing arrays)
-	// are immutable and shared across calls and forks, making the Start
-	// methods allocation-free on the hot explore/solve paths.
-	incOps, decOps []sim.OpInfo
-	scanOp         sim.OpInfo
+	// instruction arguments, so the argument slices are immutable and
+	// shared across calls and forks, making the Start methods
+	// allocation-free on the hot explore/solve paths.
+	addOp, scanOp    machine.Op
+	incArgs, decArgs [][]machine.Value
+	scanArgs         []machine.Value
 }
 
 // NewAddMachine mirrors NewAdd/NewFetchAdd.
@@ -154,18 +163,17 @@ func NewAddMachine(loc, m, n int, fetch bool) *AddMachine {
 		pows[v] = new(big.Int).Set(pow)
 		pow = new(big.Int).Mul(pow, base)
 	}
-	c := &AddMachine{flatMachine: flatMachine{loc: loc, m: m}, base: base, pows: pows, fetch: fetch}
-	op := c.addOp()
-	c.incOps = make([]sim.OpInfo, m)
-	c.decOps = make([]sim.OpInfo, m)
-	for v := 0; v < m; v++ {
-		c.incOps[v] = sim.OpInfo{Loc: loc, Op: op, Args: []machine.Value{pows[v]}}
-		c.decOps[v] = sim.OpInfo{Loc: loc, Op: op, Args: []machine.Value{new(big.Int).Neg(pows[v])}}
-	}
+	c := &AddMachine{flatMachine: flatMachine{loc: loc, m: m}, base: base,
+		addOp: machine.OpAdd, scanOp: machine.OpRead}
 	if fetch {
-		c.scanOp = sim.OpInfo{Loc: loc, Op: machine.OpFetchAndAdd, Args: []machine.Value{machine.Int(0)}}
-	} else {
-		c.scanOp = sim.OpInfo{Loc: loc, Op: machine.OpRead}
+		c.addOp, c.scanOp = machine.OpFetchAndAdd, machine.OpFetchAndAdd
+		c.scanArgs = []machine.Value{machine.Int(0)}
+	}
+	c.incArgs = make([][]machine.Value, m)
+	c.decArgs = make([][]machine.Value, m)
+	for v := 0; v < m; v++ {
+		c.incArgs[v] = []machine.Value{pows[v]}
+		c.decArgs[v] = []machine.Value{new(big.Int).Neg(pows[v])}
 	}
 	return c
 }
@@ -183,34 +191,27 @@ func (c *AddMachine) Key() uint64 { return c.baseKey(0x61646430) }
 
 func (c *AddMachine) SymKey(relabel func(int) int) uint64 { return c.symKey(0x61646430, relabel) }
 
-func (c *AddMachine) addOp() machine.Op {
-	if c.fetch {
-		return machine.OpFetchAndAdd
-	}
-	return machine.OpAdd
-}
-
-func (c *AddMachine) StartInc(v int) sim.OpInfo {
+func (c *AddMachine) StartInc(v int, next *sim.OpInfo) {
 	c.op = opInc
-	return c.incOps[v]
+	issue(next, c.loc, c.addOp, c.incArgs[v])
 }
 
-func (c *AddMachine) StartDec(v int) sim.OpInfo {
+func (c *AddMachine) StartDec(v int, next *sim.OpInfo) {
 	c.op = opDec
-	return c.decOps[v]
+	issue(next, c.loc, c.addOp, c.decArgs[v])
 }
 
-func (c *AddMachine) StartScan() sim.OpInfo {
+func (c *AddMachine) StartScan(next *sim.OpInfo) {
 	c.op = opScan
-	return c.scanOp
+	issue(next, c.loc, c.scanOp, c.scanArgs)
 }
 
-func (c *AddMachine) Step(res machine.Value) (sim.OpInfo, bool) {
+func (c *AddMachine) Step(res machine.Value, _ *sim.OpInfo) bool {
 	if c.op == opScan {
 		c.counts = decodeDigits(res, c.base, c.m)
 	}
 	c.op = opIdle
-	return sim.OpInfo{}, false
+	return false
 }
 
 // MulMachine is the forkable twin of Multiply: one {read, multiply} (or
@@ -218,11 +219,11 @@ func (c *AddMachine) Step(res machine.Value) (sim.OpInfo, bool) {
 // (v+1)'st prime.
 type MulMachine struct {
 	flatMachine
-	prms  []*big.Int // shared, immutable
-	fetch bool
+	prms []*big.Int // shared, immutable
 	// Precomputed immutable Start* instructions; see AddMachine.
-	incOps []sim.OpInfo
-	scanOp sim.OpInfo
+	mulOp, scanOp machine.Op
+	incArgs       [][]machine.Value
+	scanArgs      []machine.Value
 }
 
 // NewMulMachine mirrors NewMultiply/NewFetchMultiply.
@@ -232,16 +233,15 @@ func NewMulMachine(loc, m int, fetch bool) *MulMachine {
 	for i, q := range ps {
 		prms[i] = big.NewInt(q)
 	}
-	c := &MulMachine{flatMachine: flatMachine{loc: loc, m: m}, prms: prms, fetch: fetch}
-	op := c.mulOp()
-	c.incOps = make([]sim.OpInfo, m)
-	for v := 0; v < m; v++ {
-		c.incOps[v] = sim.OpInfo{Loc: loc, Op: op, Args: []machine.Value{prms[v]}}
-	}
+	c := &MulMachine{flatMachine: flatMachine{loc: loc, m: m}, prms: prms,
+		mulOp: machine.OpMultiply, scanOp: machine.OpRead}
 	if fetch {
-		c.scanOp = sim.OpInfo{Loc: loc, Op: machine.OpFetchAndMultiply, Args: []machine.Value{machine.Int(1)}}
-	} else {
-		c.scanOp = sim.OpInfo{Loc: loc, Op: machine.OpRead}
+		c.mulOp, c.scanOp = machine.OpFetchAndMultiply, machine.OpFetchAndMultiply
+		c.scanArgs = []machine.Value{machine.Int(1)}
+	}
+	c.incArgs = make([][]machine.Value, m)
+	for v := 0; v < m; v++ {
+		c.incArgs[v] = []machine.Value{prms[v]}
 	}
 	return c
 }
@@ -259,33 +259,26 @@ func (c *MulMachine) Key() uint64 { return c.baseKey(0x6d756c30) }
 
 func (c *MulMachine) SymKey(relabel func(int) int) uint64 { return c.symKey(0x6d756c30, relabel) }
 
-func (c *MulMachine) mulOp() machine.Op {
-	if c.fetch {
-		return machine.OpFetchAndMultiply
-	}
-	return machine.OpMultiply
-}
-
-func (c *MulMachine) StartInc(v int) sim.OpInfo {
+func (c *MulMachine) StartInc(v int, next *sim.OpInfo) {
 	c.op = opInc
-	return c.incOps[v]
+	issue(next, c.loc, c.mulOp, c.incArgs[v])
 }
 
-func (c *MulMachine) StartDec(int) sim.OpInfo {
+func (c *MulMachine) StartDec(int, *sim.OpInfo) {
 	panic("counter: MulMachine is unbounded; Dec unsupported")
 }
 
-func (c *MulMachine) StartScan() sim.OpInfo {
+func (c *MulMachine) StartScan(next *sim.OpInfo) {
 	c.op = opScan
-	return c.scanOp
+	issue(next, c.loc, c.scanOp, c.scanArgs)
 }
 
-func (c *MulMachine) Step(res machine.Value) (sim.OpInfo, bool) {
+func (c *MulMachine) Step(res machine.Value, _ *sim.OpInfo) bool {
 	if c.op == opScan {
 		c.counts = decodeFactors(machine.MustInt(res), c.prms)
 	}
 	c.op = opIdle
-	return sim.OpInfo{}, false
+	return false
 }
 
 // SetBitMachine is the forkable twin of SetBit: one {read, set-bit}
@@ -329,30 +322,30 @@ func (c *SetBitMachine) SymKey(relabel func(int) int) uint64 {
 	return mixKey(h, uint64(relabel(c.loc)))
 }
 
-func (c *SetBitMachine) StartInc(v int) sim.OpInfo {
+func (c *SetBitMachine) StartInc(v int, next *sim.OpInfo) {
 	b := c.mine[v]
 	c.mine[v]++
 	block := int64(c.m * c.n)
 	idx := b*block + int64(v*c.n+c.id)
 	c.op = opInc
-	return sim.OpInfo{Loc: c.loc, Op: machine.OpSetBit, Args: []machine.Value{machine.Word(idx)}}
+	issue(next, c.loc, machine.OpSetBit, []machine.Value{machine.Word(idx)})
 }
 
-func (c *SetBitMachine) StartDec(int) sim.OpInfo {
+func (c *SetBitMachine) StartDec(int, *sim.OpInfo) {
 	panic("counter: SetBitMachine is unbounded; Dec unsupported")
 }
 
-func (c *SetBitMachine) StartScan() sim.OpInfo {
+func (c *SetBitMachine) StartScan(next *sim.OpInfo) {
 	c.op = opScan
-	return sim.OpInfo{Loc: c.loc, Op: machine.OpRead}
+	issue(next, c.loc, machine.OpRead, nil)
 }
 
-func (c *SetBitMachine) Step(res machine.Value) (sim.OpInfo, bool) {
+func (c *SetBitMachine) Step(res machine.Value, _ *sim.OpInfo) bool {
 	if c.op == opScan {
 		c.counts = decodeBitBlocks(res, c.m, c.n)
 	}
 	c.op = opIdle
-	return sim.OpInfo{}, false
+	return false
 }
 
 // --- multi-location machines (increment, unary bits) -------------------------
@@ -471,40 +464,37 @@ func (c *IncMachine) SymKey(relabel func(int) int) uint64 {
 	return h
 }
 
-func (c *IncMachine) StartInc(v int) sim.OpInfo {
+func (c *IncMachine) StartInc(v int, next *sim.OpInfo) {
 	c.op = opInc
 	op := machine.OpIncrement
 	if c.fai {
 		op = machine.OpFetchAndIncrement
 	}
-	return sim.OpInfo{Loc: c.base + v, Op: op}
+	issue(next, c.base+v, op, nil)
 }
 
-func (c *IncMachine) StartDec(int) sim.OpInfo {
+func (c *IncMachine) StartDec(int, *sim.OpInfo) {
 	panic("counter: IncMachine is unbounded; Dec unsupported")
 }
 
-func (c *IncMachine) read(i int) sim.OpInfo {
-	return sim.OpInfo{Loc: c.base + i, Op: machine.OpRead}
-}
-
-func (c *IncMachine) StartScan() sim.OpInfo {
+func (c *IncMachine) StartScan(next *sim.OpInfo) {
 	c.op = opScan
 	c.idx = 0
 	c.cur = c.scanBuf()
 	c.prev = nil
-	return c.read(0)
+	issue(next, c.base, machine.OpRead, nil)
 }
 
-func (c *IncMachine) Step(res machine.Value) (sim.OpInfo, bool) {
+func (c *IncMachine) Step(res machine.Value, next *sim.OpInfo) bool {
 	if c.op != opScan {
 		c.op = opIdle
-		return sim.OpInfo{}, false
+		return false
 	}
 	c.cur[c.idx] = mustInt64(res)
 	c.idx++
 	if c.idx < c.m {
-		return c.read(c.idx), true
+		issue(next, c.base+c.idx, machine.OpRead, nil)
+		return true
 	}
 	// One collect complete: the double-collect rule of doubleCollect.
 	if c.prev != nil && equalCounts(c.cur, c.prev) {
@@ -512,13 +502,14 @@ func (c *IncMachine) Step(res machine.Value) (sim.OpInfo, bool) {
 		c.scratch = c.prev // retired and exclusively owned: reuse next scan
 		c.cur, c.prev = nil, nil
 		c.op = opIdle
-		return sim.OpInfo{}, false
+		return false
 	}
 	c.scratch = c.prev // superseded collect (nil on the first); reuse below
 	c.prev = c.cur
 	c.cur = c.scanBuf()
 	c.idx = 0
-	return c.read(0), true
+	issue(next, c.base, machine.OpRead, nil)
+	return true
 }
 
 func equalCounts(a, b []int64) bool {
@@ -618,64 +609,65 @@ func (c *UnaryMachine) SymKey(relabel func(int) int) uint64 {
 
 func (c *UnaryMachine) loc(v, j int) int { return c.base + v*c.width + j }
 
-func (c *UnaryMachine) readBit(v, j int) sim.OpInfo {
-	return sim.OpInfo{Loc: c.loc(v, j), Op: machine.OpRead}
-}
-
-func (c *UnaryMachine) StartInc(v int) sim.OpInfo {
+func (c *UnaryMachine) StartInc(v int, next *sim.OpInfo) {
 	c.op, c.sub, c.v, c.j = opInc, uSearch, v, 0
-	return c.readBit(v, 0)
+	issue(next, c.loc(v, 0), machine.OpRead, nil)
 }
 
-func (c *UnaryMachine) StartDec(v int) sim.OpInfo {
+func (c *UnaryMachine) StartDec(v int, next *sim.OpInfo) {
 	c.op, c.sub, c.v, c.j = opDec, uSearch, v, c.width-1
-	return c.readBit(v, c.j)
+	issue(next, c.loc(v, c.j), machine.OpRead, nil)
 }
 
-func (c *UnaryMachine) StartScan() sim.OpInfo {
+func (c *UnaryMachine) StartScan(next *sim.OpInfo) {
 	c.op = opScan
 	c.idx = 0
 	c.bits = make([]bool, c.m*c.width)
 	c.prev = nil
 	c.same = 0
-	return sim.OpInfo{Loc: c.base, Op: machine.OpRead}
+	issue(next, c.base, machine.OpRead, nil)
 }
 
-func (c *UnaryMachine) Step(res machine.Value) (sim.OpInfo, bool) {
+func (c *UnaryMachine) Step(res machine.Value, next *sim.OpInfo) bool {
 	switch c.op {
 	case opInc:
 		if c.sub == uFlip {
 			c.op = opIdle
-			return sim.OpInfo{}, false
+			return false
 		}
 		if mustInt64(res) == 0 { // lowest clear bit found: set it
 			c.sub = uFlip
-			return sim.OpInfo{Loc: c.loc(c.v, c.j), Op: c.setOp}, true
+			issue(next, c.loc(c.v, c.j), c.setOp, nil)
+			return true
 		}
 		c.j++
 		if c.j == c.width { // all observed set: transient contention; rescan
 			c.j = 0
 		}
-		return c.readBit(c.v, c.j), true
+		issue(next, c.loc(c.v, c.j), machine.OpRead, nil)
+		return true
 	case opDec:
 		if c.sub == uFlip {
 			c.op = opIdle
-			return sim.OpInfo{}, false
+			return false
 		}
 		if mustInt64(res) != 0 { // highest set bit found: clear it
 			c.sub = uFlip
-			return sim.OpInfo{Loc: c.loc(c.v, c.j), Op: c.clearOp}, true
+			issue(next, c.loc(c.v, c.j), c.clearOp, nil)
+			return true
 		}
 		c.j--
 		if c.j < 0 { // all observed clear: transient; rescan
 			c.j = c.width - 1
 		}
-		return c.readBit(c.v, c.j), true
+		issue(next, c.loc(c.v, c.j), machine.OpRead, nil)
+		return true
 	case opScan:
 		c.bits[c.idx] = mustInt64(res) != 0
 		c.idx++
 		if c.idx < len(c.bits) {
-			return sim.OpInfo{Loc: c.base + c.idx, Op: machine.OpRead}, true
+			issue(next, c.base+c.idx, machine.OpRead, nil)
+			return true
 		}
 		// One collect complete: require `confirming` consecutive identical
 		// collects, exactly as Unary.Scan does.
@@ -694,14 +686,15 @@ func (c *UnaryMachine) Step(res machine.Value) (sim.OpInfo, bool) {
 			}
 			c.bits, c.prev = nil, nil
 			c.op = opIdle
-			return sim.OpInfo{}, false
+			return false
 		}
 		c.bits = make([]bool, c.m*c.width)
 		c.idx = 0
-		return sim.OpInfo{Loc: c.base, Op: machine.OpRead}, true
+		issue(next, c.base, machine.OpRead, nil)
+		return true
 	}
 	c.op = opIdle
-	return sim.OpInfo{}, false
+	return false
 }
 
 func equalBits(a, b []bool) bool {

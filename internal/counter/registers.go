@@ -122,46 +122,48 @@ func (c *RegistersMachine) Key() uint64 {
 // StartInc bumps this process's contribution to component v and publishes
 // the whole contribution vector, in a fresh allocation: a published vector
 // is immutable, since other processes' collects read it back.
-func (c *RegistersMachine) StartInc(v int) sim.OpInfo {
+func (c *RegistersMachine) StartInc(v int, next *sim.OpInfo) {
 	c.mine[v]++
 	out := make([]int64, c.m)
 	copy(out, c.mine)
 	c.op = opInc
-	return c.arr.StartWrite(out)
+	c.arr.StartWrite(out, next)
 }
 
-func (c *RegistersMachine) StartDec(int) sim.OpInfo {
+func (c *RegistersMachine) StartDec(int, *sim.OpInfo) {
 	panic("counter: RegistersMachine is unbounded; Dec unsupported")
 }
 
-func (c *RegistersMachine) StartScan() sim.OpInfo {
+func (c *RegistersMachine) StartScan(next *sim.OpInfo) {
 	c.op, c.havePrev = opScan, false
-	return c.startCollect()
+	c.startCollect(next)
 }
 
-func (c *RegistersMachine) startCollect() sim.OpInfo {
+func (c *RegistersMachine) startCollect(next *sim.OpInfo) {
 	c.j = 0
 	clear(c.vers)
 	clear(c.sums)
-	return c.arr.ReadOp(0)
+	c.arr.ReadOp(0, next)
 }
 
-func (c *RegistersMachine) Step(res machine.Value) (sim.OpInfo, bool) {
+func (c *RegistersMachine) Step(res machine.Value, next *sim.OpInfo) bool {
 	switch c.op {
 	case opInc:
-		if next, more := c.arr.WriteStep(res); more {
-			return next, true
+		if c.arr.WriteStep(res, next) {
+			return true
 		}
 	case opScan:
 		c.arr.Absorb(c.j, res, c.vers, c.sums)
 		if c.j++; c.j < c.arr.Reads() {
-			return c.arr.ReadOp(c.j), true
+			c.arr.ReadOp(c.j, next)
+			return true
 		}
 		// One collect complete: the double-collect rule of doubleCollect.
 		if !c.havePrev || !equalCounts(c.vers, c.prev) {
 			c.prev = append(c.prev[:0], c.vers...)
 			c.havePrev = true
-			return c.startCollect(), true
+			c.startCollect(next)
+			return true
 		}
 		c.counts = append(c.counts[:0], c.sums...)
 		c.j, c.havePrev = 0, false
@@ -169,5 +171,5 @@ func (c *RegistersMachine) Step(res machine.Value) (sim.OpInfo, bool) {
 		clear(c.sums)
 	}
 	c.op = opIdle
-	return sim.OpInfo{}, false
+	return false
 }

@@ -154,14 +154,15 @@ func (c *TracksMachine) Key() uint64 {
 	return mixCounts(mixKey(h, 1), c.prev)
 }
 
-func (c *TracksMachine) read(track int) sim.OpInfo {
-	return sim.OpInfo{Loc: c.base + int(c.low[track])*c.m + track, Op: machine.OpRead}
+// read writes the read of track's low-water mark into next.
+func (c *TracksMachine) read(track int, next *sim.OpInfo) {
+	issue(next, c.base+int(c.low[track])*c.m+track, machine.OpRead, nil)
 }
 
 // StartInc sets the position of track v from which this process last read
 // 0, advancing the mark at once: the mark is not read again before the
 // write's result arrives.
-func (c *TracksMachine) StartInc(v int) sim.OpInfo {
+func (c *TracksMachine) StartInc(v int, next *sim.OpInfo) {
 	pos := c.low[v]
 	c.low[v] = pos + 1
 	c.op = opInc
@@ -169,38 +170,41 @@ func (c *TracksMachine) StartInc(v int) sim.OpInfo {
 	if c.tas {
 		op = machine.OpTestAndSet
 	}
-	return sim.OpInfo{Loc: c.base + int(pos)*c.m + v, Op: op}
+	issue(next, c.base+int(pos)*c.m+v, op, nil)
 }
 
-func (c *TracksMachine) StartDec(int) sim.OpInfo {
+func (c *TracksMachine) StartDec(int, *sim.OpInfo) {
 	panic("counter: TracksMachine is unbounded; Dec unsupported")
 }
 
-func (c *TracksMachine) StartScan() sim.OpInfo {
+func (c *TracksMachine) StartScan(next *sim.OpInfo) {
 	c.op, c.v, c.havePrev = opScan, 0, false
-	return c.read(0)
+	c.read(0, next)
 }
 
-func (c *TracksMachine) Step(res machine.Value) (sim.OpInfo, bool) {
+func (c *TracksMachine) Step(res machine.Value, next *sim.OpInfo) bool {
 	if c.op != opScan {
 		c.op = opIdle
-		return sim.OpInfo{}, false
+		return false
 	}
 	if mustInt64(res) != 0 {
 		c.low[c.v]++
-		return c.read(c.v), true
+		c.read(c.v, next)
+		return true
 	}
 	if c.v++; c.v < c.m {
-		return c.read(c.v), true
+		c.read(c.v, next)
+		return true
 	}
 	// One collect complete: its counts are the marks. Two equal
 	// consecutive collects form the snapshot (doubleCollect).
 	if c.havePrev && equalCounts(c.low, c.prev) {
 		c.counts = append(c.counts[:0], c.low...)
 		c.op, c.v, c.havePrev = opIdle, 0, false
-		return sim.OpInfo{}, false
+		return false
 	}
 	c.prev = append(c.prev[:0], c.low...)
 	c.havePrev, c.v = true, 0
-	return c.read(0), true
+	c.read(0, next)
+	return true
 }

@@ -214,6 +214,15 @@ type chanFuzzOp struct {
 	send bool
 	loc  int // send target; receives always read the process's own inbox
 	val  int64
+	info sim.OpInfo // the send, for a send
+}
+
+func newChanFuzzOp(send bool, loc int, val int64) chanFuzzOp {
+	op := chanFuzzOp{send: send, loc: loc, val: val}
+	if send {
+		op.info = sim.Send(loc, machine.Int(val))
+	}
+	return op
 }
 
 // chanFuzzStepper runs a shared random program of sends and receives; the
@@ -222,19 +231,23 @@ type chanFuzzOp struct {
 type chanFuzzStepper struct {
 	id, n int
 	prog  []chanFuzzOp
+	recv  sim.OpInfo // the receive from the own inbox
 	pos   int
 	rcv   uint64
 }
 
-func (s *chanFuzzStepper) Poise() (sim.OpInfo, bool) {
+func newChanFuzzStepper(id, n int, prog []chanFuzzOp) *chanFuzzStepper {
+	return &chanFuzzStepper{id: id, n: n, prog: prog, recv: sim.Recv(id)}
+}
+
+func (s *chanFuzzStepper) Poise() *sim.OpInfo {
 	if s.pos >= len(s.prog) {
-		return sim.OpInfo{}, false
+		return nil
 	}
-	op := s.prog[s.pos]
-	if op.send {
-		return sim.Send(op.loc, machine.Int(op.val)), true
+	if op := &s.prog[s.pos]; op.send {
+		return &op.info
 	}
-	return sim.Recv(s.id), true
+	return &s.recv
 }
 
 func (s *chanFuzzStepper) Resume(res machine.Value) bool {
@@ -286,11 +299,9 @@ func TestSymmetryFuzzChannels(t *testing.T) {
 		plen := 3 + rng.Intn(3)
 		prog := make([]chanFuzzOp, plen)
 		for i := range prog {
-			prog[i] = chanFuzzOp{
-				send: rng.Intn(3) > 0, // sends dominate so channels fill
-				loc:  rng.Intn(n),
-				val:  int64(rng.Intn(3)),
-			}
+			send := rng.Intn(3) > 0 // sends dominate so channels fill
+			loc := rng.Intn(n)
+			prog[i] = newChanFuzzOp(send, loc, int64(rng.Intn(3)))
 		}
 		kind := machine.ChanFIFO
 		if rng.Intn(2) == 0 {
@@ -308,7 +319,7 @@ func TestSymmetryFuzzChannels(t *testing.T) {
 			}
 			steppers := make([]sim.Stepper, n)
 			for p := range steppers {
-				steppers[p] = &chanFuzzStepper{id: p, n: n, prog: prog}
+				steppers[p] = newChanFuzzStepper(p, n, prog)
 			}
 			mem := machine.New(machine.SetChannels, n, machine.WithChannels(specs))
 			return sim.NewSystemSteppers(mem, make([]int, n), steppers,
@@ -347,12 +358,12 @@ func TestChannelPendingOrderKeys(t *testing.T) {
 			{Loc: 0, Kind: kind, Cap: 4},
 			{Loc: 1, Kind: kind, Cap: 4},
 		}
-		prog0 := []chanFuzzOp{{send: true, loc: 0, val: 1}}
-		prog1 := []chanFuzzOp{{send: true, loc: 0, val: 2}}
+		prog0 := []chanFuzzOp{newChanFuzzOp(true, 0, 1)}
+		prog1 := []chanFuzzOp{newChanFuzzOp(true, 0, 2)}
 		mem := machine.New(machine.SetChannels, 2, machine.WithChannels(specs))
 		return sim.NewSystemSteppers(mem, []int{0, 0}, []sim.Stepper{
-			&chanFuzzStepper{id: 0, n: 2, prog: prog0},
-			&chanFuzzStepper{id: 1, n: 2, prog: prog1},
+			newChanFuzzStepper(0, 2, prog0),
+			newChanFuzzStepper(1, 2, prog1),
 		})
 	}
 	for _, kind := range []machine.ChanKind{machine.ChanFIFO, machine.ChanBag} {

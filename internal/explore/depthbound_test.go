@@ -41,11 +41,11 @@ type gateStepper struct {
 	decided bool
 }
 
-func (g *gateStepper) Poise() (sim.OpInfo, bool) {
+func (g *gateStepper) Poise() *sim.OpInfo {
 	if g.decided {
-		return sim.OpInfo{}, false
+		return nil
 	}
-	return sim.OpInfo{Loc: 0, Op: machine.OpRead}, true
+	return &readLoc0
 }
 
 func (g *gateStepper) Resume(res machine.Value) bool {
@@ -81,11 +81,14 @@ type writerSpinStepper struct {
 	wrote bool
 }
 
-func (w *writerSpinStepper) Poise() (sim.OpInfo, bool) {
+// write1Loc0 is writerSpinStepper's write, shared and never written.
+var write1Loc0 = sim.OpInfo{Loc: 0, Op: machine.OpWrite, Args: []machine.Value{machine.Int(1)}}
+
+func (w *writerSpinStepper) Poise() *sim.OpInfo {
 	if !w.wrote {
-		return sim.OpInfo{Loc: 0, Op: machine.OpWrite, Args: []machine.Value{machine.Int(1)}}, true
+		return &write1Loc0
 	}
-	return sim.OpInfo{Loc: 0, Op: machine.OpRead}, true
+	return &readLoc0
 }
 
 func (w *writerSpinStepper) Resume(machine.Value) bool {

@@ -26,8 +26,15 @@ type brokenStepper struct {
 	done  bool
 }
 
-func (s *brokenStepper) Poise() (sim.OpInfo, bool) {
-	return sim.OpInfo{Loc: 0, Op: machine.OpRead}, !s.done
+// readLoc0 is the read of location 0 the package's test steppers poise on:
+// shared and never written, so Poise returns it without allocating.
+var readLoc0 = sim.OpInfo{Loc: 0, Op: machine.OpRead}
+
+func (s *brokenStepper) Poise() *sim.OpInfo {
+	if s.done {
+		return nil
+	}
+	return &readLoc0
 }
 func (s *brokenStepper) Resume(machine.Value) bool        { s.done = true; return true }
 func (s *brokenStepper) Outcome() (bool, int, error)      { return s.done, s.input, nil }
@@ -359,8 +366,11 @@ type refuseForkStepper struct {
 
 type refuseForkCount struct{ built, halted int }
 
-func (s *refuseForkStepper) Poise() (sim.OpInfo, bool) {
-	return sim.OpInfo{Loc: 0, Op: machine.OpRead}, !s.done
+func (s *refuseForkStepper) Poise() *sim.OpInfo {
+	if s.done {
+		return nil
+	}
+	return &readLoc0
 }
 func (s *refuseForkStepper) Resume(machine.Value) bool   { s.done = true; return true }
 func (s *refuseForkStepper) Outcome() (bool, int, error) { return s.done, s.input, nil }

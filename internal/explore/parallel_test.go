@@ -215,11 +215,22 @@ func TestParallelDedupCollapsesStates(t *testing.T) {
 var fuzzSet = machine.NewInstrSet("fuzz",
 	machine.OpRead, machine.OpWrite, machine.OpFetchAndAdd, machine.OpCompareAndSwap)
 
-// fuzzOp is one instruction of a random program.
-type fuzzOp struct {
-	loc        int
-	op         machine.Op
-	arg, cmpTo int64
+// randFuzzOp draws one instruction of a random program over locations
+// 0..locs-1.
+func randFuzzOp(rng *rand.Rand, locs int) sim.OpInfo {
+	loc := rng.Intn(locs)
+	op := []machine.Op{machine.OpRead, machine.OpWrite, machine.OpFetchAndAdd, machine.OpCompareAndSwap}[rng.Intn(4)]
+	arg := int64(rng.Intn(5))
+	cmpTo := int64(rng.Intn(3))
+	info := sim.OpInfo{Loc: loc, Op: op}
+	switch op {
+	case machine.OpRead:
+	case machine.OpCompareAndSwap:
+		info.Args = []machine.Value{machine.Int(cmpTo), machine.Int(arg)}
+	default: // write, fetch-add
+		info.Args = []machine.Value{machine.Int(arg)}
+	}
+	return info
 }
 
 // fuzzStepper executes a fixed random program as a forkable state machine.
@@ -230,25 +241,16 @@ type fuzzOp struct {
 // protocol trivially safe: the fuzz compares exploration accounting, not
 // consensus semantics.
 type fuzzStepper struct {
-	prog []fuzzOp // shared immutable program
+	prog []sim.OpInfo // shared immutable program
 	pc   int
 	acc  uint64 // rolling hash of consumed results: the local state
 }
 
-func (s *fuzzStepper) Poise() (sim.OpInfo, bool) {
+func (s *fuzzStepper) Poise() *sim.OpInfo {
 	if s.pc >= len(s.prog) {
-		return sim.OpInfo{}, false
+		return nil
 	}
-	op := s.prog[s.pc]
-	switch op.op {
-	case machine.OpRead:
-		return sim.OpInfo{Loc: op.loc, Op: op.op}, true
-	case machine.OpCompareAndSwap:
-		return sim.OpInfo{Loc: op.loc, Op: op.op,
-			Args: []machine.Value{machine.Int(op.cmpTo), machine.Int(op.arg)}}, true
-	default: // write, fetch-add
-		return sim.OpInfo{Loc: op.loc, Op: op.op, Args: []machine.Value{machine.Int(op.arg)}}, true
-	}
+	return &s.prog[s.pc]
 }
 
 func (s *fuzzStepper) Resume(res machine.Value) bool {
@@ -281,17 +283,12 @@ func TestParallelFuzzRandomPrograms(t *testing.T) {
 	for iter := 0; iter < 60; iter++ {
 		n := 2 + rng.Intn(3)    // 2..4 processes
 		locs := 1 + rng.Intn(3) // 1..3 locations
-		progs := make([][]fuzzOp, n)
+		progs := make([][]sim.OpInfo, n)
 		for p := range progs {
 			plen := 3 + rng.Intn(4)
-			prog := make([]fuzzOp, plen)
+			prog := make([]sim.OpInfo, plen)
 			for i := range prog {
-				prog[i] = fuzzOp{
-					loc:   rng.Intn(locs),
-					op:    []machine.Op{machine.OpRead, machine.OpWrite, machine.OpFetchAndAdd, machine.OpCompareAndSwap}[rng.Intn(4)],
-					arg:   int64(rng.Intn(5)),
-					cmpTo: int64(rng.Intn(3)),
-				}
+				prog[i] = randFuzzOp(rng, locs)
 			}
 			progs[p] = prog
 		}

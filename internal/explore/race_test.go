@@ -199,12 +199,17 @@ type failingStepper struct {
 	fuse int
 }
 
-func (s *failingStepper) Poise() (sim.OpInfo, bool) {
-	loc := 0
+// failingStepper's two instructions, shared and never written.
+var (
+	readMax0   = sim.OpInfo{Loc: 0, Op: machine.OpReadMax}
+	readMaxOut = sim.OpInfo{Loc: 1 << 30, Op: machine.OpReadMax} // out of range: Step errors
+)
+
+func (s *failingStepper) Poise() *sim.OpInfo {
 	if s.fuse <= 0 {
-		loc = 1 << 30 // out of range: Step errors
+		return &readMaxOut
 	}
-	return sim.OpInfo{Loc: loc, Op: machine.OpReadMax}, true
+	return &readMax0
 }
 func (s *failingStepper) Resume(res machine.Value) bool    { s.fuse--; return false }
 func (s *failingStepper) Outcome() (bool, int, error)      { return false, 0, nil }

@@ -147,11 +147,11 @@ type disagreeStepper struct {
 	done  bool
 }
 
-func (s *disagreeStepper) Poise() (sim.OpInfo, bool) {
+func (s *disagreeStepper) Poise() *sim.OpInfo {
 	if s.done {
-		return sim.OpInfo{}, false
+		return nil
 	}
-	return sim.OpInfo{Loc: 0, Op: machine.OpRead}, true
+	return &readLoc0
 }
 
 func (s *disagreeStepper) Resume(machine.Value) bool {
@@ -189,7 +189,7 @@ func (s *symFuzzStepper) ForkInto(sim.Stepper) sim.Stepper {
 func (s *symFuzzStepper) SymStateKey(relabel func(int) int) uint64 {
 	h := s.StateKey()
 	for _, op := range s.prog {
-		h = machine.Mix64(h ^ uint64(relabel(op.loc)))
+		h = machine.Mix64(h ^ uint64(relabel(op.Loc)))
 	}
 	return h
 }
@@ -207,14 +207,9 @@ func TestSymmetryFuzzSharedPrograms(t *testing.T) {
 		n := 2 + rng.Intn(3)
 		locs := 1 + rng.Intn(3)
 		plen := 3 + rng.Intn(4)
-		prog := make([]fuzzOp, plen)
+		prog := make([]sim.OpInfo, plen)
 		for i := range prog {
-			prog[i] = fuzzOp{
-				loc:   rng.Intn(locs),
-				op:    []machine.Op{machine.OpRead, machine.OpWrite, machine.OpFetchAndAdd, machine.OpCompareAndSwap}[rng.Intn(4)],
-				arg:   int64(rng.Intn(5)),
-				cmpTo: int64(rng.Intn(3)),
-			}
+			prog[i] = randFuzzOp(rng, locs)
 		}
 		f := func() (*sim.System, error) {
 			steppers := make([]sim.Stepper, n)

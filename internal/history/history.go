@@ -213,16 +213,16 @@ func (r *Registers) ReadAll(slots []int) ([]any, string) {
 // The two functions below are the instruction-level form of Registers, for
 // the forkable register-array machine (swreg.Machine): the payload types
 // stay private to this package, so the package builds the append's
-// buffer-write and decodes buffer-read results itself.
+// buffer-write payload and decodes buffer-read results itself.
 
-// AppendSlotOp is the buffer-write that completes Registers.Write(slot,
-// val) by process pid, given the raw result of the append's get-history
-// read and the appender's sequence number for the new entry. The payload is
-// the one Append writes: the reconstructed history plus the new entry.
-func AppendSlotOp(loc int, raw []machine.Value, pid int, seq int64, slot int, val any) sim.OpInfo {
+// AppendSlotArgs is the argument of the buffer-write that completes
+// Registers.Write(slot, val) by process pid, given the raw result of the
+// append's get-history read and the appender's sequence number for the new
+// entry. The payload is the one Append writes: the reconstructed history
+// plus the new entry.
+func AppendSlotArgs(raw []machine.Value, pid int, seq int64, slot int, val any) []machine.Value {
 	e := Entry{PID: pid, Seq: seq, Val: slotted{slot: slot, val: val}}
-	return sim.OpInfo{Loc: loc, Op: machine.OpBufferWrite,
-		Args: []machine.Value{record{hist: Reconstruct(raw), entry: e}}}
+	return []machine.Value{record{hist: Reconstruct(raw), entry: e}}
 }
 
 // NewestSlots decodes one l-buffer-read into the newest entry of each

@@ -15,22 +15,25 @@ import (
 type casStepper struct {
 	input    int
 	args     [2]machine.Value
+	op       OpInfo // the CAS, its Args pointing into args
 	decided  bool
 	decision int
 }
 
 func newCASStepper(input int) *casStepper {
-	return &casStepper{
+	c := &casStepper{
 		input: input,
 		args:  [2]machine.Value{machine.Word(0), machine.Word(int64(input + 1))},
 	}
+	c.op = OpInfo{Loc: 0, Op: machine.OpCompareAndSwap, Args: c.args[:]}
+	return c
 }
 
-func (c *casStepper) Poise() (OpInfo, bool) {
+func (c *casStepper) Poise() *OpInfo {
 	if c.decided {
-		return OpInfo{}, false
+		return nil
 	}
-	return OpInfo{Loc: 0, Op: machine.OpCompareAndSwap, Args: c.args[:]}, true
+	return &c.op
 }
 
 func (c *casStepper) Resume(res machine.Value) bool {

@@ -186,7 +186,7 @@ func (s *System) procEnabled(ps *procState) bool {
 	if len(s.chanLocs) == 0 {
 		return true
 	}
-	info := ps.poise()
+	info := ps.st.Poise()
 	if info.Multi != nil {
 		return true
 	}

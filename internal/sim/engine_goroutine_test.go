@@ -108,11 +108,11 @@ func (g *goroutineStepper) await() {
 	}
 }
 
-func (g *goroutineStepper) Poise() (OpInfo, bool) {
+func (g *goroutineStepper) Poise() *OpInfo {
 	if g.finished {
-		return OpInfo{}, false
+		return nil
 	}
-	return g.cur, true
+	return &g.cur
 }
 
 func (g *goroutineStepper) Resume(res machine.Value) bool {

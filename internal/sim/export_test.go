@@ -13,3 +13,7 @@ func (s *System) ProcStateKey(pid int) (key uint64, ok bool) {
 // NewGoroutineSystem builds a system of Body processes on the goroutine
 // engine, the oracle the coroutine adapter is tested against.
 var NewGoroutineSystem = newGoroutineSystem
+
+// Stepper returns process pid's stepper, for the tests of the Stepper
+// contract.
+func (s *System) Stepper(pid int) Stepper { return s.procs[pid].st }

@@ -31,7 +31,7 @@ type doneStepper struct {
 	err      error
 }
 
-func (d doneStepper) Poise() (OpInfo, bool)       { return OpInfo{}, false }
+func (d doneStepper) Poise() *OpInfo              { return nil }
 func (d doneStepper) Resume(machine.Value) bool   { return true }
 func (d doneStepper) Outcome() (bool, int, error) { return d.decided, d.decision, d.err }
 func (d doneStepper) Halt()                       {}
@@ -52,20 +52,19 @@ func (d doneStepper) Halt()                       {}
 // whose local state lives on a coroutine stack — makes Fork fail with
 // ErrNotForkable, and the partial fork is torn down.
 //
-// The fork does not re-poise its processes. Each one's cached instruction
-// is marked stale and read from the stepper when first needed, so a fork
-// that is stepped once and then discarded (the explorer's deduplicated
-// children) re-poises the one process that stepped, not all n.
+// The fork calls no stepper's Poise: a poised instruction is stepper state,
+// which ForkInto copies, and the System reads it through Poise where it is
+// needed. A fork that is stepped once and then discarded (the explorer's
+// deduplicated children) reads the poise of the one process that stepped.
 //
 // Concurrency: Fork only reads the receiver, and so do Poised, Live and
-// AppendLive (a stale poise is read through Stepper.Poise, which writes
-// nothing, and the live list is copied into the fork's own storage), so
-// multiple goroutines may Fork the same System concurrently —
-// and transfer the forks across goroutines — provided no goroutine
-// concurrently calls Step, Crash, or Close on it. External Forker
-// implementations must honor the same contract. A stepper that shares
-// mutable state with its forks must mark it shared without a data race
-// (the MP.QSC stepper's bucket array uses an atomic flag).
+// AppendLive (Stepper.Poise writes nothing, and the live list is copied
+// into the fork's own storage), so multiple goroutines may Fork the same
+// System concurrently — and transfer the forks across goroutines —
+// provided no goroutine concurrently calls Step, Crash, or Close on it.
+// External Forker implementations must honor the same contract. A stepper
+// that shares mutable state with its forks must mark it shared without a
+// data race (the MP.QSC stepper's bucket array uses an atomic flag).
 //
 // With a Pool attached (SetPool), Fork first tries to rebuild the copy
 // inside a recycled System, reusing its memory clone buffers, process
@@ -112,7 +111,7 @@ func (s *System) Fork() (*System, error) {
 			// was parked in spare.
 			prev = nps.spare
 		}
-		nps.hasPoise, nps.stale = false, false
+		nps.hasPoise = false
 		nps.decided, nps.decision = ps.decided, ps.decision
 		nps.crashed, nps.err = ps.crashed, ps.err
 		// The fork is at the source's exact configuration, so the cached
@@ -138,10 +137,9 @@ func (s *System) Fork() (*System, error) {
 			}
 			return nil, fmt.Errorf("%w: process %d (%T)", ErrNotForkable, i, ps.st)
 		}
-		// The copy sits at the source's poise point, so it is live; its
-		// instruction is read when first needed (procState.poise).
+		// The copy sits at the source's poise point, so it is live.
 		nps.st = st
-		nps.hasPoise, nps.stale = true, true
+		nps.hasPoise = true
 	}
 	n.hcAggLo, n.hcAggHi = s.hcAggLo, s.hcAggHi
 	n.hcUnkeyed = s.hcUnkeyed

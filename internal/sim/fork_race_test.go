@@ -127,78 +127,6 @@ func TestConcurrentStateKeys(t *testing.T) {
 	}
 }
 
-// TestConcurrentForkStalePoise: a fork leaves its processes' cached poise
-// stale until they step, and the read paths (Poised, Live) then read the
-// instruction through the stepper's Poise without filling the cache. Several
-// goroutines fork one stale system at once and read every pid's poise on
-// their own forks and on the shared source; under -race, a Poise that wrote
-// into its stepper, or a read that filled the source's cache, would race
-// with the other goroutines' forks. Every read must match the poise of the
-// system the source was forked from.
-func TestConcurrentForkStalePoise(t *testing.T) {
-	cases := []struct {
-		name  string
-		build func() (*sim.System, error)
-	}{
-		{"max-registers", func() (*sim.System, error) {
-			return consensus.MaxRegisters(3).NewSystem([]int{2, 0, 1})
-		}},
-		{"qsc", func() (*sim.System, error) {
-			return consensus.QSC(3).NewSystem([]int{2, 0, 1},
-				sim.WithDelivery(sim.Delivery{Mode: sim.DeliverReorder}))
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			root, err := tc.build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer root.Close()
-			for _, pid := range []int{0, 1, 2, 0} {
-				if _, err := root.Step(pid); err != nil {
-					t.Fatal(err)
-				}
-			}
-			poises := func(sys *sim.System) string {
-				s := ""
-				for pid := 0; pid < sys.MaxPid(); pid++ {
-					op, ok := sys.Poised(pid)
-					s += fmt.Sprintf("%d:%v%v%v %v|", pid, ok, op, op.Args, sys.Live(pid))
-				}
-				return s
-			}
-			want := poises(root)
-			src, err := root.Fork()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer src.Close()
-			var wg sync.WaitGroup
-			for g := 0; g < 8; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < 20; i++ {
-						fk, err := src.Fork()
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						got, shared := poises(fk), poises(src)
-						fk.Close()
-						if got != want || shared != want {
-							t.Errorf("poise read concurrently with forks:\nfork   %s\nsource %s\nwant   %s", got, shared, want)
-							return
-						}
-					}
-				}()
-			}
-			wg.Wait()
-		})
-	}
-}
-
 // TestPoisedDeliveryAllocs: the poise of a delivery pid is a view of the
 // system's shared rank table, so reading it allocates nothing.
 func TestPoisedDeliveryAllocs(t *testing.T) {

@@ -18,11 +18,15 @@ type loopStepper struct {
 	decided   bool
 }
 
-func (l *loopStepper) Poise() (OpInfo, bool) {
+// readLoc0 is every loopStepper's instruction: shared and never written,
+// so Poise hands out a pointer to it without allocating.
+var readLoc0 = OpInfo{Loc: 0, Op: machine.OpRead}
+
+func (l *loopStepper) Poise() *OpInfo {
 	if l.decided {
-		return OpInfo{}, false
+		return nil
 	}
-	return OpInfo{Loc: 0, Op: machine.OpRead}, true
+	return &readLoc0
 }
 
 func (l *loopStepper) Resume(machine.Value) bool {

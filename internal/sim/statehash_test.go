@@ -47,11 +47,14 @@ type hashStepper struct {
 	acc uint64
 }
 
-func (s *hashStepper) Poise() (OpInfo, bool) {
+// incOps are hashStepper's two instructions, shared and never written.
+var incOps = [2]OpInfo{{Loc: 0, Op: machine.OpIncrement}, {Loc: 1, Op: machine.OpIncrement}}
+
+func (s *hashStepper) Poise() *OpInfo {
 	if s.n <= 0 {
-		return OpInfo{}, false
+		return nil
 	}
-	return OpInfo{Loc: s.n % 2, Op: machine.OpIncrement}, true
+	return &incOps[s.n%2]
 }
 
 func (s *hashStepper) Resume(res machine.Value) bool {

@@ -15,26 +15,32 @@ import (
 // Stepper with the result, synchronously, on the caller's stack.
 //
 // A Stepper may also finish before poising any instruction (a process that
-// decides on its input alone); Poise reports ok=false and Outcome says how
+// decides on its input alone); Poise then returns nil and Outcome says how
 // it finished.
 //
 // Implementations need not be safe for concurrent use: a System is
 // single-threaded, and the batch runner gives every run its own System.
 type Stepper interface {
 	// Poise returns the instruction the process will perform when next
-	// resumed. ok=false means the process has finished (decided or failed);
-	// consult Outcome. Poise is idempotent and writes nothing: a forked
-	// system reads a stale poise through it while other goroutines may be
-	// forking the same stepper (see System.Fork). The returned Args may
-	// point into the stepper's own storage, valid until its next Resume.
-	Poise() (info OpInfo, ok bool)
+	// resumed, or nil once the process has finished (decided or failed;
+	// consult Outcome). The instruction is stepper state, not a copy: the
+	// pointer and everything it reaches stay valid and unchanged until the
+	// next Resume, Halt, or ForkInto over this stepper, and callers must
+	// not write through it. Poise is idempotent and writes nothing: a
+	// forked system reads its processes' poise through it while other
+	// goroutines may be forking the same stepper (see System.Fork). A
+	// stepper whose instruction's Args point into its own storage must
+	// point a fork's Args at the fork's own copy (see Forker).
+	Poise() *OpInfo
 	// Resume delivers the result of the poised instruction and advances the
 	// process to its next poise point or to its end. done=true means the
-	// process finished (see Outcome) and must not be resumed again.
+	// process finished (see Outcome) and must not be resumed again. done is
+	// exactly whether Poise now returns nil: System.Step learns that a
+	// process finished from done alone.
 	Resume(res machine.Value) (done bool)
 	// Outcome reports how a finished process ended: a decision, or a
-	// failure. It is meaningful only after Poise reported ok=false or
-	// Resume reported done.
+	// failure. It is meaningful only after Poise returned nil or Resume
+	// reported done.
 	Outcome() (decided bool, decision int, err error)
 	// Halt tears the process down (crash or system close), releasing any
 	// resource the adapter holds. It must be idempotent and safe to call at
@@ -52,10 +58,14 @@ type Stepper interface {
 // copy is built in fresh storage by the same statements. Values read from
 // memory and published buffers are immutable and shared with the receiver,
 // never copied. Implementations must never write into state the returned
-// stepper shares with the receiver. Explicit state machines (the ported
-// protocols in internal/consensus) implement it with a struct copy, making
-// a fork O(local state). A system forks iff every live process implements
-// Forker; the Body adapter does not, so Body systems run but never fork.
+// stepper shares with the receiver, and the copy's poised instruction must
+// not point into the receiver: after the struct copy, an Args slice that
+// points into an array inside the stepper is re-pointed at the copy's own
+// array, or recycling the receiver would silently rewrite the fork's
+// instruction. Explicit state machines (the ported protocols in
+// internal/consensus) implement it with a struct copy, making a fork
+// O(local state). A system forks iff every live process implements Forker;
+// the Body adapter does not, so Body systems run but never fork.
 type Forker interface {
 	ForkInto(prev Stepper) Stepper
 }
@@ -127,11 +137,11 @@ func newCoroStepper(id, n, input int, clock *int64, body Body) *coroStepper {
 	return c
 }
 
-func (c *coroStepper) Poise() (OpInfo, bool) {
+func (c *coroStepper) Poise() *OpInfo {
 	if c.finished {
-		return OpInfo{}, false
+		return nil
 	}
-	return c.slot.info, true
+	return &c.slot.info
 }
 
 func (c *coroStepper) Resume(res machine.Value) bool {

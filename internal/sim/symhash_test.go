@@ -20,11 +20,11 @@ type routeStepper struct {
 	left  int // steps before deciding; 0 = never decides
 }
 
-func (s *routeStepper) Poise() (OpInfo, bool) {
+func (s *routeStepper) Poise() *OpInfo {
 	if s.done() {
-		return OpInfo{}, false
+		return nil
 	}
-	return s.route[s.pc], true
+	return &s.route[s.pc]
 }
 
 func (s *routeStepper) done() bool { return s.left < 0 }

@@ -14,11 +14,14 @@ import (
 type symProbeStepper struct {
 	loc   int
 	input int
+	read  OpInfo // the read of loc
 }
 
-func (s *symProbeStepper) Poise() (OpInfo, bool) {
-	return OpInfo{Loc: s.loc, Op: machine.OpRead}, true
+func newSymProbeStepper(loc, input int) *symProbeStepper {
+	return &symProbeStepper{loc: loc, input: input, read: OpInfo{Loc: loc, Op: machine.OpRead}}
 }
+
+func (s *symProbeStepper) Poise() *OpInfo { return &s.read }
 
 func (s *symProbeStepper) Resume(machine.Value) bool   { return false }
 func (s *symProbeStepper) Outcome() (bool, int, error) { return false, 0, nil }
@@ -44,7 +47,7 @@ func probeSystem(t *testing.T, size int, initial map[int]machine.Value, procs []
 	steppers := make([]Stepper, len(procs))
 	inputs := make([]int, len(procs))
 	for i, p := range procs {
-		steppers[i] = &symProbeStepper{loc: p[0], input: p[1]}
+		steppers[i] = newSymProbeStepper(p[0], p[1])
 		inputs[i] = p[1]
 	}
 	return NewSystemSteppers(mem, inputs, steppers)

@@ -19,12 +19,10 @@ var (
 
 // procState is the System-side view of one process.
 type procState struct {
-	st     Stepper
-	poised OpInfo // cached poised instruction; valid while hasPoise && !stale
-	// stale marks poised as not yet read from st: a fork copies hasPoise
-	// and leaves the cache stale, so only the processes that step re-poise
-	// (see poise).
-	stale    bool
+	st Stepper
+	// hasPoise records that st is poised on an instruction (st.Poise is not
+	// nil). The instruction itself is read from st wherever it is needed:
+	// it is stepper state, so the System keeps no copy of it.
 	hasPoise bool
 	decided  bool
 	decision int
@@ -50,30 +48,6 @@ type procState struct {
 
 func (ps *procState) live() bool {
 	return ps.hasPoise && !ps.crashed
-}
-
-// refresh re-reads the stepper's poise point into the cache, recording the
-// outcome if the process finished.
-func (ps *procState) refresh() {
-	ps.stale = false
-	if info, ok := ps.st.Poise(); ok {
-		ps.poised, ps.hasPoise = info, true
-		return
-	}
-	ps.poised, ps.hasPoise = OpInfo{}, false
-	ps.recordOutcome()
-}
-
-// poise returns a live process's poised instruction. A stale cache is read
-// through the stepper without being filled: Poise writes nothing, so the
-// read paths (Poised, Live, AppendLive) leave a system that other
-// goroutines may be forking untouched. Step fills the cache instead.
-func (ps *procState) poise() OpInfo {
-	if ps.stale {
-		info, _ := ps.st.Poise()
-		return info
-	}
-	return ps.poised
 }
 
 func (ps *procState) recordOutcome() {
@@ -193,10 +167,12 @@ func newSystem(mem *machine.Memory, inputs []int, opts []SystemOption) *System {
 	return s
 }
 
-// adopt installs a stepper as process pid and caches its first poise point.
+// adopt installs a stepper as process pid and records whether it is poised.
 func (s *System) adopt(pid int, st Stepper) {
-	ps := &procState{st: st}
-	ps.refresh()
+	ps := &procState{st: st, hasPoise: st.Poise() != nil}
+	if !ps.hasPoise {
+		ps.recordOutcome()
+	}
 	s.procs[pid] = ps
 	if ps.live() {
 		s.live = append(s.live, pid) // adopted in pid order: stays ascending
@@ -293,10 +269,10 @@ func (s *System) Err() error {
 	return nil
 }
 
-// Poised returns the instruction process pid will perform when next
-// scheduled. ok is false if the process is not live. The Args slice may be
-// shared (a stepper's argument slot, or for a delivery pid the system's rank
-// table) and must not be written.
+// Poised returns a copy of the instruction process pid will perform when
+// next scheduled. ok is false if the process is not live. The Args slice may
+// be shared (a stepper's argument slot, or for a delivery pid the system's
+// rank table) and must not be written.
 func (s *System) Poised(pid int) (OpInfo, bool) {
 	if pid >= len(s.procs) {
 		if !s.deliveryLive(pid) {
@@ -312,7 +288,7 @@ func (s *System) Poised(pid int) (OpInfo, bool) {
 	if !s.procEnabled(ps) {
 		return OpInfo{}, false
 	}
-	return ps.poise(), true
+	return *ps.st.Poise(), true
 }
 
 // Step lets process pid perform its poised instruction. The instruction is
@@ -342,11 +318,7 @@ func (s *System) step(pid int, out *StepInfo) error {
 	if !s.procEnabled(ps) {
 		return fmt.Errorf("%w: pid %d", ErrNotLive, pid)
 	}
-	if ps.stale {
-		ps.poised, _ = ps.st.Poise()
-		ps.stale = false
-	}
-	info := &ps.poised
+	info := ps.st.Poise()
 	var (
 		res machine.Value
 		err error
@@ -368,7 +340,7 @@ func (s *System) step(pid int, out *StepInfo) error {
 	}
 	s.steps++
 	if out != nil || s.tracing {
-		step := StepInfo{PID: pid, Info: *info, Result: res} // before refresh: it may re-poise over *info
+		step := StepInfo{PID: pid, Info: *info, Result: res} // before Resume: it may re-poise over *info
 		if s.tracing {
 			if len(step.Info.Args) > 0 {
 				// Steppers reuse argument slots across poises; snapshot the
@@ -382,12 +354,12 @@ func (s *System) step(pid int, out *StepInfo) error {
 			*out = step
 		}
 	}
-	ps.st.Resume(res)
-	ps.refresh()
-	if !ps.hasPoise {
+	if ps.st.Resume(res) {
 		// Finished: decided, or a body failure after the step (panic
 		// between instructions), which surfaces via Err — the process simply
 		// stops being live, matching the goroutine engine's behavior.
+		ps.hasPoise = false
+		ps.recordOutcome()
 		s.dropLive(pid)
 	}
 	s.hashStale(pid)

@@ -14,11 +14,11 @@ type opsStepper struct {
 	last int
 }
 
-func (s *opsStepper) Poise() (OpInfo, bool) {
+func (s *opsStepper) Poise() *OpInfo {
 	if s.pc >= len(s.ops) {
-		return OpInfo{}, false
+		return nil
 	}
-	return s.ops[s.pc], true
+	return &s.ops[s.pc]
 }
 
 func (s *opsStepper) Resume(res machine.Value) bool {

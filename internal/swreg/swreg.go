@@ -142,10 +142,12 @@ func (a *Buffered) Collect() ([]any, string) {
 // instruction stream and writes identical payloads; the caller drives it
 // one instruction at a time. A write is begun with StartWrite and fed
 // through WriteStep; a collect is the fixed read sequence ReadOp(0..Reads-1),
-// each result decoded by Absorb. A collect's version vector — each
-// register's sequence number, 0 when never written — is what the handle's
-// fingerprint encodes, so equal vectors from consecutive collects certify a
-// snapshot exactly when equal fingerprints do.
+// each result decoded by Absorb. Every instruction is written into the
+// caller's slot next, Loc, Op and Args only, as counter.Machine does. A
+// collect's version vector — each register's sequence number, 0 when never
+// written — is what the handle's fingerprint encodes, so equal vectors from
+// consecutive collects certify a snapshot exactly when equal fingerprints
+// do.
 //
 // Machine is a value type: copying it forks it, except for the private
 // scratch slice, which ForkInto never shares.
@@ -202,12 +204,13 @@ func (a *Machine) Reads() int {
 	return (a.n + a.l - 1) / a.l
 }
 
-// ReadOp returns the collect's j'th instruction.
-func (a *Machine) ReadOp(j int) sim.OpInfo {
-	if a.l == 0 {
-		return sim.OpInfo{Loc: a.base + j, Op: machine.OpRead}
+// ReadOp writes the collect's j'th instruction into next.
+func (a *Machine) ReadOp(j int, next *sim.OpInfo) {
+	op := machine.OpRead
+	if a.l != 0 {
+		op = machine.OpBufferRead
 	}
-	return sim.OpInfo{Loc: a.base + j, Op: machine.OpBufferRead}
+	next.Loc, next.Op, next.Args = a.base+j, op, nil
 }
 
 // Absorb decodes the result of ReadOp(j): it sets the version of every
@@ -245,27 +248,31 @@ func addVec(sums []int64, v any) {
 }
 
 // StartWrite begins writing val, which the caller must not mutate
-// afterwards, to the process's own register and returns the first
-// instruction: the write itself (Direct) or the append's get-history read
-// (Buffered).
-func (a *Machine) StartWrite(val []int64) sim.OpInfo {
+// afterwards, to the process's own register and writes the first
+// instruction into next: the write itself (Direct) or the append's
+// get-history read (Buffered).
+func (a *Machine) StartWrite(val []int64, next *sim.OpInfo) {
 	if a.l == 0 {
 		a.seq++
-		return sim.OpInfo{Loc: a.base + a.id, Op: machine.OpWrite,
-			Args: []machine.Value{cell{seq: a.seq, val: val}}}
+		next.Loc, next.Op = a.base+a.id, machine.OpWrite
+		next.Args = []machine.Value{cell{seq: a.seq, val: val}}
+		return
 	}
 	a.pending = val
-	return sim.OpInfo{Loc: a.base + a.id/a.l, Op: machine.OpBufferRead}
+	next.Loc, next.Op, next.Args = a.base+a.id/a.l, machine.OpBufferRead, nil
 }
 
 // WriteStep consumes the result of the write's in-flight instruction and
-// returns the next one (more=true) or completes the write.
-func (a *Machine) WriteStep(res machine.Value) (next sim.OpInfo, more bool) {
+// writes the next one into next (more=true), or completes the write and
+// leaves next untouched.
+func (a *Machine) WriteStep(res machine.Value, next *sim.OpInfo) (more bool) {
 	if a.pending == nil {
-		return sim.OpInfo{}, false
+		return false
 	}
 	a.seq++
 	val := a.pending
 	a.pending = nil
-	return history.AppendSlotOp(a.base+a.id/a.l, res.([]machine.Value), a.id, a.seq, a.id, val), true
+	next.Loc, next.Op = a.base+a.id/a.l, machine.OpBufferWrite
+	next.Args = history.AppendSlotArgs(res.([]machine.Value), a.id, a.seq, a.id, val)
+	return true
 }
