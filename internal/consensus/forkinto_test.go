@@ -14,8 +14,8 @@ import (
 // or a recycled stepper of the copy's own type (a pooled fork), which it
 // must rebuild in place. At every poise point of a seeded run it forks the
 // scheduled process all three ways. Each copy must poise the source's
-// instruction and return its StateKey (and SymStateKey, where the stepper
-// has one) without changing the source's; after the source takes its step,
+// instruction and return its exact and symmetric StateKey (the latter where
+// the stepper has one) without changing the source's; after the source takes its step,
 // each copy resumed with the same result must still agree with it.
 func TestForkIntoAnyPrev(t *testing.T) {
 	for _, tc := range cowCases() {
@@ -125,9 +125,11 @@ func stepperView(st sim.Stepper) string {
 		return fmt.Sprintf("finished decided=%v decision=%d err=%v", decided, decision, err)
 	}
 	s := stepString(sim.StepInfo{Info: *op})
-	s += fmt.Sprintf(" key=%x", st.(sim.StateKeyer).StateKey())
-	if sk, ok := st.(sim.SymKeyer); ok {
-		s += fmt.Sprintf(" sym=%x", sk.SymStateKey(func(loc int) int { return 7*loc + 3 }))
+	k := st.(sim.StateKeyer)
+	key, _ := k.StateKey(nil)
+	s += fmt.Sprintf(" key=%x", key)
+	if sym, ok := k.StateKey(func(loc int) int { return 7*loc + 3 }); ok {
+		s += fmt.Sprintf(" sym=%x", sym)
 	}
 	return s
 }

@@ -464,19 +464,14 @@ func (s *qscStepper) ForkInto(prev sim.Stepper) sim.Stepper {
 	return p
 }
 
-func (s *qscStepper) StateKey() uint64 { return s.core.key() }
-
-// SymStateKey folds the pid (a QSC process's id is genuine behavioral state:
-// it owns its inbox channel and its tickets) plus every channel location the
-// protocol can reference, relabeled, in pid order. Processes therefore never
-// merge under the process-symmetry quotient — the conservative choice the
-// set-bit stepper also makes — while memory-location symmetry still applies.
-func (s *qscStepper) SymStateKey(relabel func(int) int) uint64 {
-	h := s.core.key()
-	for loc := 0; loc < s.core.n; loc++ {
-		h = mix2(h, uint64(relabel(loc)))
-	}
-	return h
+// StateKey is the core's key. The symmetric key adds every channel location
+// the protocol can reference, relabeled, in pid order; the core's key
+// already folds the pid (a QSC process's id is genuine behavioral state: it
+// owns its inbox channel and its tickets). Processes therefore never merge
+// under the process-symmetry quotient — the conservative choice the set-bit
+// stepper also makes — while memory-location symmetry still applies.
+func (s *qscStepper) StateKey(relabel func(int) int) (uint64, bool) {
+	return foldLocs(s.core.key(), relabel, 0, s.core.n), true
 }
 
 // qscBody is the coroutine twin of qscStepper, step-for-step: the same core

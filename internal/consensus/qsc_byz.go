@@ -132,18 +132,12 @@ func (b *byzStepper) ForkInto(prev sim.Stepper) sim.Stepper {
 	return p
 }
 
-func (b *byzStepper) StateKey() uint64 {
-	return machine.Mix64(machine.Mix64(uint64(int64(b.id))^b.script) ^ uint64(int64(b.pos)))
-}
-
-// SymStateKey folds the pid and every channel the script can reference,
-// relabeled — the conservative never-merge treatment, like qscStepper's.
-func (b *byzStepper) SymStateKey(relabel func(int) int) uint64 {
-	h := b.StateKey()
-	for loc := 0; loc < b.n; loc++ {
-		h = mix2(h, uint64(relabel(loc)))
-	}
-	return h
+// StateKey folds the pid, the script and its position; the symmetric key
+// adds every channel the script can reference, relabeled — the conservative
+// never-merge treatment, like qscStepper's.
+func (b *byzStepper) StateKey(relabel func(int) int) (uint64, bool) {
+	h := machine.Mix64(machine.Mix64(uint64(int64(b.id))^b.script) ^ uint64(int64(b.pos)))
+	return foldLocs(h, relabel, 0, b.n), true
 }
 
 // QSCWithByzantine derives a QSC instance whose last process runs the given

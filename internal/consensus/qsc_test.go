@@ -323,7 +323,8 @@ func TestQSCByzantineOutOfTurnStaysSafe(t *testing.T) {
 func TestQSCStateKeys(t *testing.T) {
 	a := newQSCStepper(3, 2, 4, 0, 0)
 	b := newQSCStepper(3, 2, 4, 0, 1)
-	if a.StateKey() == b.StateKey() {
+	ka, _ := a.StateKey(nil)
+	if kb, _ := b.StateKey(nil); ka == kb {
 		t.Fatal("different inputs share a state key")
 	}
 	sys := QSC(3).MustSystem([]int{2, 0, 1})
@@ -331,7 +332,7 @@ func TestQSCStateKeys(t *testing.T) {
 	if _, ok := sys.StateKey(); !ok {
 		t.Fatal("QSC system has no state key")
 	}
-	if _, ok := sys.SymStateKey(); !ok {
+	if _, ok := sys.AppendSymStateKey(nil, nil); !ok {
 		t.Fatal("QSC system has no symmetric state key")
 	}
 	fk, err := sys.Fork()

@@ -27,9 +27,15 @@ import (
 // opInfoKey hashes a poised instruction into a state key: the pending
 // instruction is part of a process's canonical state (it encodes every
 // decision the process has already committed to, such as which component it
-// is about to promote).
-func opInfoKey(i *sim.OpInfo) uint64 {
-	h := machine.Mix64(uint64(i.Loc) ^ 0x706f6973)
+// is about to promote). Under a relabeling the instruction's location is
+// mapped through relabel before hashing, so the key is invariant under the
+// location permutations the symmetric key quotients by.
+func opInfoKey(i *sim.OpInfo, relabel func(int) int) uint64 {
+	loc := i.Loc
+	if relabel != nil {
+		loc = relabel(loc)
+	}
+	h := machine.Mix64(uint64(loc) ^ 0x706f6973)
 	h = machine.Mix64(h ^ uint64(i.Op))
 	for _, a := range i.Args {
 		h = machine.Mix64(h ^ machine.HashValue(a))
@@ -39,27 +45,27 @@ func opInfoKey(i *sim.OpInfo) uint64 {
 
 func mix2(a, b uint64) uint64 { return machine.Mix64(a ^ b) }
 
-// opInfoSymKey is opInfoKey relative to a location relabeling: the poised
-// instruction's location is mapped through relabel before hashing, so the
-// key is invariant under the location permutations the symmetry-reduced
-// state key quotients by (sim.SymKeyer).
-func opInfoSymKey(i *sim.OpInfo, relabel func(int) int) uint64 {
-	h := machine.Mix64(uint64(relabel(i.Loc)) ^ 0x706f6973)
-	h = machine.Mix64(h ^ uint64(i.Op))
-	for _, a := range i.Args {
-		h = machine.Mix64(h ^ machine.HashValue(a))
+// foldLocs folds relabel(loc) for every loc in [from, to) into h, in
+// ascending order; the exact key (relabel == nil) folds none.
+func foldLocs(h uint64, relabel func(int) int, from, to int) uint64 {
+	if relabel != nil {
+		for loc := from; loc < to; loc++ {
+			h = mix2(h, uint64(relabel(loc)))
+		}
 	}
 	return h
 }
 
-// All the steppers in this file but exactRaceStepper implement
-// sim.SymKeyer: each is built from its input alone (never its pid — see
-// steppersOf call sites), and each folds every location its future
-// behavior can reference through the relabeling, in a fixed role order,
-// which is exactly the SymKeyer contract. The set-bit machine is the one
-// place a process id is genuine behavioral state (it picks the bit lane);
-// its SymKey folds the id, which conservatively keeps those processes
-// unmerged.
+// Every stepper's StateKey(relabel) computes the exact key when relabel is
+// nil and the symmetric key otherwise (sim.StateKeyer): the same folds, plus
+// every location the stepper's future behavior can reference, through the
+// relabeling, in a fixed role order. All the steppers in this file have a
+// symmetric key except a racing loop over a machine without one (the
+// tracks and the register arrays): each is built from its input alone
+// (never its pid — see steppersOf call sites). The set-bit machine is the
+// one place a process id is genuine behavioral state (it picks the bit
+// lane); its symmetric key folds the id, which conservatively keeps those
+// processes unmerged.
 //
 // Every stepper keeps its poised instruction as state, or points at a
 // shared immutable one, so Poise returns a pointer without assembling or
@@ -120,10 +126,8 @@ func (c *casStepper) ForkInto(prev sim.Stepper) sim.Stepper {
 	return p
 }
 
-func (c *casStepper) StateKey() uint64 { return machine.Mix64(uint64(c.input) ^ 0x636173) }
-
-func (c *casStepper) SymStateKey(relabel func(int) int) uint64 {
-	return mix2(c.StateKey(), uint64(relabel(0)))
+func (c *casStepper) StateKey(relabel func(int) int) (uint64, bool) {
+	return foldLocs(machine.Mix64(uint64(c.input)^0x636173), relabel, 0, 1), true
 }
 
 // --- introduction protocols --------------------------------------------------
@@ -180,10 +184,8 @@ func (c *introFAA2TASStepper) ForkInto(prev sim.Stepper) sim.Stepper {
 	return p
 }
 
-func (c *introFAA2TASStepper) StateKey() uint64 { return machine.Mix64(uint64(c.input) ^ 0x666161) }
-
-func (c *introFAA2TASStepper) SymStateKey(relabel func(int) int) uint64 {
-	return mix2(c.StateKey(), uint64(relabel(0)))
+func (c *introFAA2TASStepper) StateKey(relabel func(int) int) (uint64, bool) {
+	return foldLocs(machine.Mix64(uint64(c.input)^0x666161), relabel, 0, 1), true
 }
 
 type introDecMulStepper struct {
@@ -233,16 +235,13 @@ func (c *introDecMulStepper) ForkInto(prev sim.Stepper) sim.Stepper {
 	return p
 }
 
-func (c *introDecMulStepper) StateKey() uint64 {
-	if c.reading {
-		// Past the update the input is dead state: merge histories.
-		return machine.Mix64(0x646d72)
+func (c *introDecMulStepper) StateKey(relabel func(int) int) (uint64, bool) {
+	// Past the update the input is dead state: merge histories.
+	h := machine.Mix64(0x646d72)
+	if !c.reading {
+		h = machine.Mix64(uint64(c.input) ^ 0x646d75)
 	}
-	return machine.Mix64(uint64(c.input) ^ 0x646d75)
-}
-
-func (c *introDecMulStepper) SymStateKey(relabel func(int) int) uint64 {
-	return mix2(c.StateKey(), uint64(relabel(0)))
+	return foldLocs(h, relabel, 0, 1), true
 }
 
 // --- two max-registers (Theorem 4.2) -----------------------------------------
@@ -356,25 +355,16 @@ func (s *maxRegStepper) ForkInto(prev sim.Stepper) sim.Stepper {
 	return p
 }
 
-func (s *maxRegStepper) StateKey() uint64 {
+func (s *maxRegStepper) StateKey(relabel func(int) int) (uint64, bool) {
 	// Past the announcement the input is dead state; the locals and the
 	// pending instruction determine the future.
 	h := machine.Mix64(uint64(s.pc) ^ 0x6d7872)
 	h = mix2(h, machine.HashValue(s.a))
 	h = mix2(h, machine.HashValue(s.b))
 	h = mix2(h, machine.HashValue(s.a2))
-	return mix2(h, opInfoKey(&s.op))
-}
-
-func (s *maxRegStepper) SymStateKey(relabel func(int) int) uint64 {
-	h := machine.Mix64(uint64(s.pc) ^ 0x6d7872)
-	h = mix2(h, machine.HashValue(s.a))
-	h = mix2(h, machine.HashValue(s.b))
-	h = mix2(h, machine.HashValue(s.a2))
-	h = mix2(h, opInfoSymKey(&s.op, relabel))
+	h = mix2(h, opInfoKey(&s.op, relabel))
 	// Role order: m1 then m2 — every pc references both registers.
-	h = mix2(h, uint64(relabel(0)))
-	return mix2(h, uint64(relabel(1)))
+	return foldLocs(h, relabel, 0, 2), true
 }
 
 // --- the racing-counters loops (Lemmas 3.1/3.2) ------------------------------
@@ -388,9 +378,7 @@ const (
 
 // raceStepper runs RaceUnbounded (bounded=false) or RaceBounded
 // (bounded=true) over a forkable counter machine, issuing the identical
-// instruction stream. Its machine is a counter.SymMachine (the
-// constructors' parameter type), which SymStateKey relies on; loops over
-// plain machines run as exactRaceSteppers.
+// instruction stream. It has a symmetric key exactly when its machine does.
 type raceStepper struct {
 	cm       counter.Machine
 	n, input int
@@ -401,7 +389,7 @@ type raceStepper struct {
 	decision int
 }
 
-func newRaceStepper(cm counter.SymMachine, n, input int, bounded bool) *raceStepper {
+func newRaceStepper(cm counter.Machine, n, input int, bounded bool) *raceStepper {
 	return newRaceStepperInto(nil, cm, n, input, bounded)
 }
 
@@ -410,16 +398,11 @@ func newRaceStepper(cm counter.SymMachine, n, input int, bounded bool) *raceStep
 // transitions in a long-lived stepper stop allocating. cm is typically built
 // over spare.cm's storage first (NewIncMachineInto and friends); the rebuilt
 // stepper is indistinguishable from a fresh one.
-func newRaceStepperInto(spare *raceStepper, cm counter.SymMachine, n, input int, bounded bool) *raceStepper {
+func newRaceStepperInto(spare *raceStepper, cm counter.Machine, n, input int, bounded bool) *raceStepper {
 	s := spare
 	if s == nil {
 		s = new(raceStepper)
 	}
-	s.init(cm, n, input, bounded)
-	return s
-}
-
-func (s *raceStepper) init(cm counter.Machine, n, input int, bounded bool) {
 	*s = raceStepper{cm: cm, n: n, input: input, bounded: bounded}
 	if bounded {
 		s.stage = rsInitScan
@@ -428,6 +411,7 @@ func (s *raceStepper) init(cm counter.Machine, n, input int, bounded bool) {
 		s.stage = rsUpdate
 		cm.StartInc(input, &s.pending)
 	}
+	return s
 }
 
 // promote mirrors RaceBounded's promote: decrement the largest other
@@ -504,52 +488,18 @@ func (s *raceStepper) forkOver(p *raceStepper) *raceStepper {
 	return p
 }
 
-func (s *raceStepper) StateKey() uint64 {
+func (s *raceStepper) StateKey(relabel func(int) int) (uint64, bool) {
+	k, ok := s.cm.Key(relabel)
+	if !ok {
+		return 0, false
+	}
 	h := machine.Mix64(uint64(s.stage) ^ 0x726163)
 	if s.stage == rsInitScan {
 		// The only point after construction where the input is still read.
 		h = mix2(h, uint64(s.input))
 	}
-	h = mix2(h, s.cm.Key())
-	return mix2(h, opInfoKey(&s.pending))
-}
-
-func (s *raceStepper) SymStateKey(relabel func(int) int) uint64 {
-	h := machine.Mix64(uint64(s.stage) ^ 0x726163)
-	if s.stage == rsInitScan {
-		h = mix2(h, uint64(s.input))
-	}
-	h = mix2(h, s.cm.(counter.SymMachine).SymKey(relabel))
-	return mix2(h, opInfoSymKey(&s.pending, relabel))
-}
-
-// exactRaceStepper is the RaceUnbounded loop over a plain counter.Machine:
-// the tracks machine, whose location span is unbounded, and the register
-// arrays, where each process writes its own register (over buffers, with
-// its id in the payload). Neither admits a sound symmetric key, so the
-// wrapper exposes everything raceStepper does except SymStateKey, and
-// symmetric explorations of these rows fall back to the exact key.
-type exactRaceStepper struct{ r raceStepper }
-
-func newExactRaceStepper(cm counter.Machine, n, input int) *exactRaceStepper {
-	s := new(exactRaceStepper)
-	s.r.init(cm, n, input, false)
-	return s
-}
-
-func (s *exactRaceStepper) Poise() *sim.OpInfo            { return s.r.Poise() }
-func (s *exactRaceStepper) Resume(res machine.Value) bool { return s.r.Resume(res) }
-func (s *exactRaceStepper) Outcome() (bool, int, error)   { return s.r.Outcome() }
-func (s *exactRaceStepper) Halt()                         {}
-func (s *exactRaceStepper) StateKey() uint64              { return s.r.StateKey() }
-
-func (s *exactRaceStepper) ForkInto(prev sim.Stepper) sim.Stepper {
-	p, ok := prev.(*exactRaceStepper)
-	if !ok {
-		p = new(exactRaceStepper)
-	}
-	s.r.forkOver(&p.r)
-	return p
+	h = mix2(h, k)
+	return mix2(h, opInfoKey(&s.pending, relabel)), true
 }
 
 // --- the Lemma 5.2 multi-valued lift -----------------------------------------
@@ -762,48 +712,33 @@ func (s *mvStepper) ForkInto(prev sim.Stepper) sim.Stepper {
 	return p
 }
 
-// doneKey keys a finished stepper by its outcome. A stepper that decides
-// in its last round has retired its round stepper (sub is nil) while its
-// phase stays mvpRound, so the live keys below cannot be taken.
-func (s *mvStepper) doneKey() uint64 {
-	h := machine.Mix64(uint64(s.decision) ^ 0x6d76646f)
-	if s.err != nil {
-		h = mix2(h, 1)
-	}
-	return h
-}
-
-func (s *mvStepper) StateKey() uint64 {
+func (s *mvStepper) StateKey(relabel func(int) int) (uint64, bool) {
 	if s.done || s.err != nil {
-		return s.doneKey()
+		// A finished stepper is keyed by its outcome alone: one that decides
+		// in its last round has retired its round stepper (sub is nil) while
+		// its phase stays mvpRound.
+		h := machine.Mix64(uint64(s.decision) ^ 0x6d76646f)
+		if s.err != nil {
+			h = mix2(h, 1)
+		}
+		return h, true
 	}
 	h := machine.Mix64(uint64(s.v) ^ 0x6d7635)
 	h = mix2(h, uint64(s.round)|uint64(s.phase)<<16|uint64(s.recJ)<<32)
 	if s.phase == mvpRound {
-		return mix2(h, s.sub.StateKey())
-	}
-	return mix2(h, opInfoKey(&s.pending))
-}
-
-func (s *mvStepper) SymStateKey(relabel func(int) int) uint64 {
-	if s.done || s.err != nil {
-		return s.doneKey()
-	}
-	h := machine.Mix64(uint64(s.v) ^ 0x6d7635)
-	h = mix2(h, uint64(s.round)|uint64(s.phase)<<16|uint64(s.recJ)<<32)
-	if s.phase == mvpRound {
-		h = mix2(h, s.sub.SymStateKey(relabel))
+		k, ok := s.sub.StateKey(relabel)
+		if !ok {
+			return 0, false
+		}
+		h = mix2(h, k)
 	} else {
-		h = mix2(h, opInfoSymKey(&s.pending, relabel))
+		h = mix2(h, opInfoKey(&s.pending, relabel))
 	}
 	// Future references: the rest of the construction's layout, from the
 	// current round's block to the final round's bin-consensus locations
 	// (completed rounds are never touched again, so they stay out).
 	total := (s.k-1)*(2*s.slot.size()+s.c) + s.c
-	for loc := s.base; loc < total; loc++ {
-		h = mix2(h, uint64(relabel(loc)))
-	}
-	return h
+	return foldLocs(h, relabel, s.base, total), true
 }
 
 // --- constructors shared by the protocol wiring ------------------------------

@@ -226,13 +226,13 @@ func TestFinishedSteppersKey(t *testing.T) {
 					if st.Poise() != nil {
 						t.Fatalf("seed %d: pid %d still poised after the run", seed, pid)
 					}
-					a, b := st.(sim.StateKeyer).StateKey(), st.(sim.StateKeyer).StateKey()
+					k := st.(sim.StateKeyer)
+					a, _ := k.StateKey(nil)
+					b, _ := k.StateKey(nil)
 					if a != b {
 						t.Fatalf("seed %d: pid %d's finished key is not stable: %x then %x", seed, pid, a, b)
 					}
-					if sk, ok := st.(sim.SymKeyer); ok {
-						sk.SymStateKey(relabel)
-					}
+					k.StateKey(relabel)
 				}
 				sys.Close()
 			}

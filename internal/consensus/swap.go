@@ -359,14 +359,18 @@ func (st *swapStepper) ForkInto(prev sim.Stepper) sim.Stepper {
 // scan so far (the vectors and versions read, the previous collect's
 // versions) together with ell, s and seq; with the swap poised, the scan
 // and s are dead — the swap's result replaces s and a fresh scan follows —
-// and the swap target joins ell (the payload) and seq.
-func (st *swapStepper) StateKey() uint64 {
+// and the swap target joins ell (the payload) and seq. There is no symmetric
+// key: the swap stepper keeps the exact key under symmetry reduction.
+func (st *swapStepper) StateKey(relabel func(int) int) (uint64, bool) {
+	if relabel != nil {
+		return 0, false
+	}
 	h := machine.Mix64(uint64(st.pc) ^ 0x73777073)
 	h = mix2(h, uint64(st.j))
 	h = mix2(h, uint64(st.seq))
 	h = foldLaps(h, st.ell)
 	if st.pc == swSwap {
-		return h
+		return h, true
 	}
 	h = foldLaps(h, st.s)
 	for j := 0; j < st.j; j++ {
@@ -374,13 +378,13 @@ func (st *swapStepper) StateKey() uint64 {
 		h = mix2(mix2(h, uint64(st.curVer[j].pid)), uint64(st.curVer[j].seq))
 	}
 	if !st.havePrev {
-		return mix2(h, 0)
+		return mix2(h, 0), true
 	}
 	h = mix2(h, 1)
 	for _, v := range st.prevVer {
 		h = mix2(mix2(h, uint64(v.pid)), uint64(v.seq))
 	}
-	return h
+	return h, true
 }
 
 func foldLaps(h uint64, laps []int64) uint64 {

@@ -37,10 +37,19 @@ type Machine interface {
 	// same concrete type; when prev is nil or of a foreign type it builds the
 	// copy in fresh storage by the same statements.
 	ForkInto(prev Machine) Machine
-	// Key returns a canonical hash of all machine-local state. It is part
-	// of the explorer's per-process dedup key, so any state that can affect
-	// future instructions must enter it.
-	Key() uint64
+	// Key returns a canonical hash of all machine-local state: the
+	// counter-machine component of the stepper's key (sim.StateKeyer). It is
+	// part of the explorer's per-process dedup key, so any state that can
+	// affect future instructions must enter it. relabel == nil is the exact
+	// key, and ok is always true. A non-nil relabel is the symmetric key:
+	// every location the machine's current and future operations may touch
+	// is folded in through relabel, in a fixed role order. Machines over a
+	// fixed location span that behave the same under every process id
+	// reference their span and nothing else, so folding the whole span
+	// satisfies the contract. The tracks machine (an unbounded span) and the
+	// register-array machine (each process writes its own register) have no
+	// symmetric key: ok is false.
+	Key(relabel func(loc int) int) (key uint64, ok bool)
 	// StartInc begins an increment of component v.
 	StartInc(v int, next *sim.OpInfo)
 	// StartDec begins a decrement of component v; it panics on machines for
@@ -53,21 +62,6 @@ type Machine interface {
 	// Counts returns the result of the last completed scan. Callers must
 	// not retain it across operations or mutate it.
 	Counts() []int64
-}
-
-// SymMachine is a Machine with a symmetry-reduced key: the machines over a
-// fixed location span that behave the same under every process id. The
-// tracks machine (an unbounded span) and the register-array machine (each
-// process writes its own register) are plain Machines.
-type SymMachine interface {
-	Machine
-	// SymKey is Key relative to a memory-location relabeling: every
-	// location the machine's current and future operations may touch is
-	// folded in through relabel, in a fixed role order. It is the
-	// counter-machine component of the symmetry-reduced state key
-	// (sim.SymKeyer); machines reference their location span and nothing
-	// else, so folding the whole span satisfies the SymKeyer contract.
-	SymKey(relabel func(loc int) int) uint64
 }
 
 func mixKey(h, x uint64) uint64 { return machine.Mix64(h ^ x) }
@@ -131,13 +125,14 @@ func (f *flatMachine) Components() int { return f.m }
 
 func (f *flatMachine) Counts() []int64 { return f.counts }
 
-func (f *flatMachine) baseKey(tag uint64) uint64 {
-	return mixKey(tag, uint64(f.op))
-}
-
-// symKey folds the machine's single location through the relabeling.
-func (f *flatMachine) symKey(tag uint64, relabel func(int) int) uint64 {
-	return mixKey(f.baseKey(tag), uint64(relabel(f.loc)))
+// key folds the operation in flight and, under a relabeling, the machine's
+// single location.
+func (f *flatMachine) key(tag uint64, relabel func(int) int) uint64 {
+	h := mixKey(tag, uint64(f.op))
+	if relabel != nil {
+		h = mixKey(h, uint64(relabel(f.loc)))
+	}
+	return h
 }
 
 // AddMachine is the forkable twin of Add: one {read, add} (or
@@ -187,9 +182,9 @@ func (c *AddMachine) ForkInto(prev Machine) Machine {
 	return p
 }
 
-func (c *AddMachine) Key() uint64 { return c.baseKey(0x61646430) }
-
-func (c *AddMachine) SymKey(relabel func(int) int) uint64 { return c.symKey(0x61646430, relabel) }
+func (c *AddMachine) Key(relabel func(int) int) (uint64, bool) {
+	return c.key(0x61646430, relabel), true
+}
 
 func (c *AddMachine) StartInc(v int, next *sim.OpInfo) {
 	c.op = opInc
@@ -255,9 +250,9 @@ func (c *MulMachine) ForkInto(prev Machine) Machine {
 	return p
 }
 
-func (c *MulMachine) Key() uint64 { return c.baseKey(0x6d756c30) }
-
-func (c *MulMachine) SymKey(relabel func(int) int) uint64 { return c.symKey(0x6d756c30, relabel) }
+func (c *MulMachine) Key(relabel func(int) int) (uint64, bool) {
+	return c.key(0x6d756c30, relabel), true
+}
 
 func (c *MulMachine) StartInc(v int, next *sim.OpInfo) {
 	c.op = opInc
@@ -306,20 +301,19 @@ func (c *SetBitMachine) ForkInto(prev Machine) Machine {
 	return p
 }
 
-func (c *SetBitMachine) Key() uint64 {
-	return mixCounts(c.baseKey(0x73657430), c.mine)
-}
-
-func (c *SetBitMachine) SymKey(relabel func(int) int) uint64 {
+func (c *SetBitMachine) Key(relabel func(int) int) (uint64, bool) {
+	h := mixCounts(c.key(0x73657430, nil), c.mine)
+	if relabel == nil {
+		return h, true
+	}
 	// The set-bit lanes are per-(component, process): which bit a future
 	// increment sets depends on the machine's id, so the id is genuine
 	// behavioral state here — unlike in the exact per-pid key, where the
 	// entry's position implies it. Folding it in keeps set-bit processes
 	// unmerged across pids, which is the sound under-approximation (merging
 	// them would equate memories whose lane blocks differ).
-	h := mixCounts(c.baseKey(0x73657430), c.mine)
 	h = mixKey(h, uint64(c.id))
-	return mixKey(h, uint64(relabel(c.loc)))
+	return mixKey(h, uint64(relabel(c.loc))), true
 }
 
 func (c *SetBitMachine) StartInc(v int, next *sim.OpInfo) {
@@ -446,22 +440,21 @@ func appendPooled(pool *[3][]int64, pi int, src []int64) ([]int64, int) {
 	return append([]int64(nil), src...), pi
 }
 
-func (c *IncMachine) Key() uint64 {
+func (c *IncMachine) Key(relabel func(int) int) (uint64, bool) {
 	h := mixKey(0x696e6330, uint64(c.op))
 	h = mixKey(h, uint64(c.idx))
 	h = mixCounts(h, c.cur)
 	if c.prev == nil {
-		return mixKey(h, 0)
+		h = mixKey(h, 0)
+	} else {
+		h = mixCounts(mixKey(h, 1), c.prev)
 	}
-	return mixCounts(mixKey(h, 1), c.prev)
-}
-
-func (c *IncMachine) SymKey(relabel func(int) int) uint64 {
-	h := c.Key()
-	for v := 0; v < c.m; v++ {
-		h = mixKey(h, uint64(relabel(c.base+v)))
+	if relabel != nil {
+		for v := 0; v < c.m; v++ {
+			h = mixKey(h, uint64(relabel(c.base+v)))
+		}
 	}
-	return h
+	return h, true
 }
 
 func (c *IncMachine) StartInc(v int, next *sim.OpInfo) {
@@ -582,7 +575,7 @@ func (c *UnaryMachine) ForkInto(prev Machine) Machine {
 	return p
 }
 
-func (c *UnaryMachine) Key() uint64 {
+func (c *UnaryMachine) Key(relabel func(int) int) (uint64, bool) {
 	h := mixKey(0x756e7230, uint64(c.op))
 	h = mixKey(h, uint64(c.sub)|uint64(c.v)<<8)
 	h = mixKey(h, uint64(c.j)|uint64(c.idx)<<16|uint64(c.same)<<32)
@@ -596,15 +589,12 @@ func (c *UnaryMachine) Key() uint64 {
 			}
 		}
 	}
-	return h
-}
-
-func (c *UnaryMachine) SymKey(relabel func(int) int) uint64 {
-	h := c.Key()
-	for i := 0; i < c.m*c.width; i++ {
-		h = mixKey(h, uint64(relabel(c.base+i)))
+	if relabel != nil {
+		for i := 0; i < c.m*c.width; i++ {
+			h = mixKey(h, uint64(relabel(c.base+i)))
+		}
 	}
-	return h
+	return h, true
 }
 
 func (c *UnaryMachine) loc(v, j int) int { return c.base + v*c.width + j }

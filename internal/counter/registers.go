@@ -103,7 +103,11 @@ func (c *RegistersMachine) ForkInto(prev Machine) Machine {
 	return p
 }
 
-func (c *RegistersMachine) Key() uint64 {
+// Key has no symmetric form: each process writes its own register.
+func (c *RegistersMachine) Key(relabel func(int) int) (uint64, bool) {
+	if relabel != nil {
+		return 0, false
+	}
 	h := mixKey(0x72656730, uint64(c.op)|uint64(c.j)<<8)
 	h = mixKey(h, c.arr.Key())
 	h = mixCounts(h, c.mine)
@@ -114,9 +118,9 @@ func (c *RegistersMachine) Key() uint64 {
 		h = mixCounts(h, c.sums)
 	}
 	if !c.havePrev {
-		return mixKey(h, 0)
+		return mixKey(h, 0), true
 	}
-	return mixCounts(mixKey(h, 1), c.prev)
+	return mixCounts(mixKey(h, 1), c.prev), true
 }
 
 // StartInc bumps this process's contribution to component v and publishes

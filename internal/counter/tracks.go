@@ -145,13 +145,17 @@ func (c *TracksMachine) ForkInto(prev Machine) Machine {
 	return p
 }
 
-func (c *TracksMachine) Key() uint64 {
+// Key has no symmetric form: the tracks' location span is unbounded.
+func (c *TracksMachine) Key(relabel func(int) int) (uint64, bool) {
+	if relabel != nil {
+		return 0, false
+	}
 	h := mixKey(0x74726b30, uint64(c.op)|uint64(c.v)<<8)
 	h = mixCounts(h, c.low)
 	if !c.havePrev {
-		return mixKey(h, 0)
+		return mixKey(h, 0), true
 	}
-	return mixCounts(mixKey(h, 1), c.prev)
+	return mixCounts(mixKey(h, 1), c.prev), true
 }
 
 // read writes the read of track's low-water mark into next.

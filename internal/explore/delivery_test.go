@@ -266,23 +266,23 @@ func (s *chanFuzzStepper) ForkInto(sim.Stepper) sim.Stepper {
 	return &f
 }
 
-func (s *chanFuzzStepper) StateKey() uint64 {
+// StateKey's symmetric form folds the process's inbox and every program
+// target through the relabeling — the full channel-location
+// future-reference set.
+func (s *chanFuzzStepper) StateKey(relabel func(int) int) (uint64, bool) {
 	h := machine.Mix64(uint64(int64(s.id)) ^ 0x6366757a)
 	h = machine.Mix64(h ^ uint64(int64(s.pos)))
-	return machine.Mix64(h ^ s.rcv)
-}
-
-// SymStateKey folds the process's inbox and every program target through
-// the relabeling — the full channel-location future-reference set.
-func (s *chanFuzzStepper) SymStateKey(relabel func(int) int) uint64 {
-	h := s.StateKey()
+	h = machine.Mix64(h ^ s.rcv)
+	if relabel == nil {
+		return h, true
+	}
 	h = machine.Mix64(h ^ uint64(relabel(s.id)))
 	for _, op := range s.prog {
 		if op.send {
 			h = machine.Mix64(h ^ uint64(relabel(op.loc)))
 		}
 	}
-	return h
+	return h, true
 }
 
 // TestSymmetryFuzzChannels extends the over-merge hunter to channel-bearing
@@ -384,11 +384,12 @@ func TestChannelPendingOrderKeys(t *testing.T) {
 			t.Fatalf("%v: no state key", kind)
 		}
 		kb, _ := b.StateKey()
-		sa, ok := a.SymStateKey()
+		sab, ok := a.AppendSymStateKey(nil, nil)
 		if !ok {
 			t.Fatalf("%v: no symmetric key", kind)
 		}
-		sb, _ := b.SymStateKey()
+		sbb, _ := b.AppendSymStateKey(nil, nil)
+		sa, sb := string(sab), string(sbb)
 		if kind == machine.ChanFIFO && (ka == kb || sa == sb) {
 			t.Fatalf("FIFO pending [1,2] and [2,1] merged: key %v/%v, sym %v/%v", ka, kb, sa, sb)
 		}

@@ -71,8 +71,11 @@ func (g *gateStepper) Resume(res machine.Value) bool {
 func (g *gateStepper) Outcome() (bool, int, error)      { return g.decided, 99, nil }
 func (g *gateStepper) Halt()                            {}
 func (g *gateStepper) ForkInto(sim.Stepper) sim.Stepper { f := *g; return &f }
-func (g *gateStepper) StateKey() uint64 {
-	return machine.Mix64(uint64(g.pc) ^ 0x67617465)
+func (g *gateStepper) StateKey(relabel func(int) int) (uint64, bool) {
+	if relabel != nil {
+		return 0, false
+	}
+	return machine.Mix64(uint64(g.pc) ^ 0x67617465), true
 }
 
 // writerSpinStepper writes 1 to loc0, then spins reading it with constant
@@ -99,11 +102,14 @@ func (w *writerSpinStepper) Resume(machine.Value) bool {
 func (w *writerSpinStepper) Outcome() (bool, int, error)      { return false, 0, nil }
 func (w *writerSpinStepper) Halt()                            {}
 func (w *writerSpinStepper) ForkInto(sim.Stepper) sim.Stepper { f := *w; return &f }
-func (w *writerSpinStepper) StateKey() uint64 {
-	if w.wrote {
-		return machine.Mix64(0x77737031)
+func (w *writerSpinStepper) StateKey(relabel func(int) int) (uint64, bool) {
+	if relabel != nil {
+		return 0, false
 	}
-	return machine.Mix64(0x77737030)
+	if w.wrote {
+		return machine.Mix64(0x77737031), true
+	}
+	return machine.Mix64(0x77737030), true
 }
 
 func depthBoundFactory() (*sim.System, error) {

@@ -74,13 +74,13 @@ type Options struct {
 	// the symmetry-reduced canonical state key instead of the exact one:
 	// configurations equal up to a permutation of the uniform memory
 	// locations — and up to a permutation of the process vector when every
-	// live stepper opts in via sim.SymKeyer — merge to one table entry.
-	// Safety verdicts and the decided-value set are unchanged (the retained
-	// orbit representative's subtree covers the pruned twin's up to the
-	// symmetry); Runs/States/Deduped shrink and DistinctStates counts
-	// orbits rather than exact states. Systems with live non-SymKeyer
-	// steppers transparently fall back to the exact key, so the option is
-	// sound for every protocol.
+	// live stepper has a symmetric key (sim.StateKeyer) — merge to one
+	// table entry. Safety verdicts and the decided-value set are unchanged
+	// (the retained orbit representative's subtree covers the pruned twin's
+	// up to the symmetry); Runs/States/Deduped shrink and DistinctStates
+	// counts orbits rather than exact states. Systems with live steppers
+	// without a symmetric key transparently fall back to the exact key, so
+	// the option is sound for every protocol.
 	Symmetry bool
 	// Workers is the number of goroutines the walk spreads across; <= 1
 	// runs it on the calling goroutine. A MaxRuns cap forces one worker,

@@ -40,7 +40,12 @@ func (s *brokenStepper) Resume(machine.Value) bool        { s.done = true; retur
 func (s *brokenStepper) Outcome() (bool, int, error)      { return s.done, s.input, nil }
 func (s *brokenStepper) Halt()                            {}
 func (s *brokenStepper) ForkInto(sim.Stepper) sim.Stepper { f := *s; return &f }
-func (s *brokenStepper) StateKey() uint64                 { return machine.Mix64(uint64(s.input)) }
+func (s *brokenStepper) StateKey(relabel func(int) int) (uint64, bool) {
+	if relabel != nil {
+		return 0, false
+	}
+	return machine.Mix64(uint64(s.input)), true
+}
 
 // broken is the factory of the two-process broken protocol, inputs 0 and 1.
 func broken() (*sim.System, error) {

@@ -270,8 +270,11 @@ func (s *fuzzStepper) ForkInto(sim.Stepper) sim.Stepper {
 	return &f
 }
 
-func (s *fuzzStepper) StateKey() uint64 {
-	return machine.Mix64(machine.Mix64(uint64(s.pc)^0x66757a7a) ^ s.acc)
+func (s *fuzzStepper) StateKey(relabel func(int) int) (uint64, bool) {
+	if relabel != nil {
+		return 0, false
+	}
+	return machine.Mix64(machine.Mix64(uint64(s.pc)^0x66757a7a) ^ s.acc), true
 }
 
 // TestParallelFuzzRandomPrograms: seeded random programs, random worker

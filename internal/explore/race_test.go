@@ -215,4 +215,9 @@ func (s *failingStepper) Resume(res machine.Value) bool    { s.fuse--; return fa
 func (s *failingStepper) Outcome() (bool, int, error)      { return false, 0, nil }
 func (s *failingStepper) Halt()                            {}
 func (s *failingStepper) ForkInto(sim.Stepper) sim.Stepper { f := *s; return &f }
-func (s *failingStepper) StateKey() uint64                 { return uint64(s.fuse + 1) }
+func (s *failingStepper) StateKey(relabel func(int) int) (uint64, bool) {
+	if relabel != nil {
+		return 0, false
+	}
+	return uint64(s.fuse + 1), true
+}

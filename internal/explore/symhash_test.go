@@ -81,7 +81,7 @@ func symWalk(t *testing.T, f Factory, depth int, visit func(sys *sim.System, fp 
 // TestSymHash128MatchesKey pins the streamed symmetric fingerprint the walk
 // claims to the symmetric byte key, an independent implementation of the
 // same canonical form: over every configuration a symmetric walk claims on
-// the forkable portfolio (the non-SymKeyer rows take the fallback) and on
+// the forkable portfolio (the rows without a symmetric key take the fallback) and on
 // MP.QSC under reordering and lossy(1) delivery (the drop-budget fold),
 // SymHash128 must equal the byte-stream fingerprint of AppendSymStateKey —
 // the fingerprint the claim took before it stopped building the key, so

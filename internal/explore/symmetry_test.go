@@ -140,7 +140,8 @@ func TestSymmetryCatchesBrokenProtocol(t *testing.T) {
 }
 
 // disagreeStepper reads once and decides its own input — an agreement
-// violation whenever inputs differ — as an explicit SymKeyer stepper, so
+// violation whenever inputs differ — as an explicit stepper with a
+// symmetric key, so
 // the symmetric key path (not the body fallback) is what must catch it.
 type disagreeStepper struct {
 	input int
@@ -167,10 +168,12 @@ func (s *disagreeStepper) ForkInto(sim.Stepper) sim.Stepper {
 	return &f
 }
 
-func (s *disagreeStepper) StateKey() uint64 { return machine.Mix64(uint64(s.input) ^ 0x6469) }
-
-func (s *disagreeStepper) SymStateKey(relabel func(int) int) uint64 {
-	return machine.Mix64(s.StateKey() ^ uint64(relabel(0)))
+func (s *disagreeStepper) StateKey(relabel func(int) int) (uint64, bool) {
+	h := machine.Mix64(uint64(s.input) ^ 0x6469)
+	if relabel != nil {
+		h = machine.Mix64(h ^ uint64(relabel(0)))
+	}
+	return h, true
 }
 
 // symFuzzStepper lifts fuzzStepper into the symmetric key world: all
@@ -186,12 +189,14 @@ func (s *symFuzzStepper) ForkInto(sim.Stepper) sim.Stepper {
 	return &f
 }
 
-func (s *symFuzzStepper) SymStateKey(relabel func(int) int) uint64 {
-	h := s.StateKey()
-	for _, op := range s.prog {
-		h = machine.Mix64(h ^ uint64(relabel(op.Loc)))
+func (s *symFuzzStepper) StateKey(relabel func(int) int) (uint64, bool) {
+	h, _ := s.fuzzStepper.StateKey(nil)
+	if relabel != nil {
+		for _, op := range s.prog {
+			h = machine.Mix64(h ^ uint64(relabel(op.Loc)))
+		}
 	}
-	return h
+	return h, true
 }
 
 // TestSymmetryFuzzSharedPrograms: seeded random shared-program systems —

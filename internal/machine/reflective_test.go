@@ -42,7 +42,7 @@ func TestTableRowsNeverHashReflectively(t *testing.T) {
 				}
 				sys.StateKey()
 				sys.StateHash128()
-				sys.SymStateKey()
+				sys.AppendSymStateKey(nil, nil)
 				if i%50 == 0 {
 					fk, err := sys.Fork()
 					if err != nil {

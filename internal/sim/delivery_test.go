@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"maps"
 	"testing"
 
@@ -270,9 +271,9 @@ func TestDeliveryForkCarriesState(t *testing.T) {
 	if ks != kf {
 		t.Fatal("fork state key differs from source")
 	}
-	sks, ok1 := s.SymStateKey()
-	skf, ok2 := f.SymStateKey()
-	if ok1 != ok2 || sks != skf {
+	sks, ok1 := s.AppendSymStateKey(nil, nil)
+	skf, ok2 := f.AppendSymStateKey(nil, nil)
+	if ok1 != ok2 || !bytes.Equal(sks, skf) {
 		t.Fatal("fork sym state key differs from source")
 	}
 }

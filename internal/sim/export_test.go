@@ -7,7 +7,7 @@ func (s *System) ProcStateKey(pid int) (key uint64, ok bool) {
 	if !ok {
 		return 0, false
 	}
-	return k.StateKey(), true
+	return k.StateKey(nil)
 }
 
 // NewGoroutineSystem builds a system of Body processes on the goroutine

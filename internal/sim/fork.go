@@ -221,8 +221,9 @@ func (s *System) AppendStateKey(dst []byte) (key []byte, ok bool) {
 			if !keyed {
 				return dst, false
 			}
+			key, _ := k.StateKey(nil)
 			dst = append(dst, 'l')
-			dst = binary.LittleEndian.AppendUint64(dst, k.StateKey())
+			dst = binary.LittleEndian.AppendUint64(dst, key)
 		}
 	}
 	// Channel systems: the remaining drop budget shapes the enabled delivery

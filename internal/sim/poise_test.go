@@ -153,12 +153,10 @@ func checkPoisePoint(t *testing.T, sys *sim.System, pid int, retired []sim.Stepp
 	}
 	same("a second Poise")
 	if k, ok := st.(sim.StateKeyer); ok {
-		k.StateKey()
-		same("StateKey")
-	}
-	if k, ok := st.(sim.SymKeyer); ok {
-		k.SymStateKey(func(loc int) int { return 5*loc + 1 })
-		same("SymStateKey")
+		k.StateKey(nil)
+		same("StateKey(nil)")
+		k.StateKey(func(loc int) int { return 5*loc + 1 })
+		same("StateKey(relabel)")
 	}
 	f, ok := st.(sim.Forker)
 	if !ok {

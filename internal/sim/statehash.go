@@ -106,7 +106,8 @@ func procHashContribution(pid int, ps *procState) (lo, hi uint64, keyed bool) {
 		if !ok {
 			return 0, 0, false
 		}
-		h = h.Word('l').Word(k.StateKey())
+		key, _ := k.StateKey(nil)
+		h = h.Word('l').Word(key)
 	}
 	return h.Lo, h.Hi, true
 }

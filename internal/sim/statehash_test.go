@@ -66,7 +66,12 @@ func (s *hashStepper) Resume(res machine.Value) bool {
 func (s *hashStepper) Outcome() (bool, int, error) { return s.n <= 0, 0, nil }
 func (s *hashStepper) Halt()                       {}
 func (s *hashStepper) ForkInto(Stepper) Stepper    { f := *s; return &f }
-func (s *hashStepper) StateKey() uint64            { return machine.Mix64(uint64(s.n)<<8 ^ s.acc) }
+func (s *hashStepper) StateKey(relabel func(int) int) (uint64, bool) {
+	if relabel != nil {
+		return 0, false
+	}
+	return machine.Mix64(uint64(s.n)<<8 ^ s.acc), true
+}
 
 // checkHash compares the incremental hash against the streamed reference.
 func checkHash(t *testing.T, sys *System, where string) {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -51,14 +52,27 @@ func (s *routeStepper) key(relabel func(int) int) uint64 {
 	return h
 }
 
-func (s *routeStepper) StateKey() uint64 { return s.key(func(loc int) int { return loc }) }
+func identityLoc(loc int) int { return loc }
 
-// symRouteStepper is routeStepper with a SymStateKey: the route is its only
-// reference to locations, and its code never reads its pid.
+// StateKey has no symmetric form.
+func (s *routeStepper) StateKey(relabel func(int) int) (uint64, bool) {
+	if relabel != nil {
+		return 0, false
+	}
+	return s.key(identityLoc), true
+}
+
+// symRouteStepper is routeStepper with a symmetric key: the route is its
+// only reference to locations, and its code never reads its pid.
 type symRouteStepper struct{ routeStepper }
 
-func (s *symRouteStepper) ForkInto(Stepper) Stepper                     { f := *s; return &f }
-func (s *symRouteStepper) SymStateKey(relabel func(loc int) int) uint64 { return s.key(relabel) }
+func (s *symRouteStepper) ForkInto(Stepper) Stepper { f := *s; return &f }
+func (s *symRouteStepper) StateKey(relabel func(loc int) int) (uint64, bool) {
+	if relabel == nil {
+		relabel = identityLoc
+	}
+	return s.key(relabel), true
+}
 
 // symPair is two systems built from one fuzzed layout, the second the first's
 // image under a location permutation sigma and a process permutation pi.
@@ -82,7 +96,7 @@ func (r *byteReader) next() int {
 
 // buildSymPair decodes a layout: memory size and process count, flags (a
 // channel location; lossy rather than reordering delivery; one process
-// without a SymStateKey, so the system takes the fallback), the initial
+// without a symmetric key, so the system takes the fallback), the initial
 // cell values (small, so equal-content cells are common), each process's
 // input, budget and route, and the seed of the two permutations.
 func buildSymPair(layout []byte) symPair {
@@ -321,14 +335,14 @@ func TestSymHash128Permuted(t *testing.T) {
 	distinct := 0
 	for seed := 0; seed < 32; seed++ {
 		p := buildSymPair([]byte{3, 1, 0, 1, 2, 3, 0, 0, 1, 0, 0, 1, 2, 0, 1, 2, 3, 1, 2, 0x81, byte(seed)})
-		ka, _ := p.a.SymStateKey()
-		kb, _ := p.b.SymStateKey()
+		ka, _ := p.a.AppendSymStateKey(nil, nil)
+		kb, _ := p.b.AppendSymStateKey(nil, nil)
 		var sc SymScratch
 		ha, _ := p.a.SymHash128(&sc)
 		hb, _ := p.b.SymHash128(&sc)
-		if ka != kb || ha != hb {
+		if !bytes.Equal(ka, kb) || ha != hb {
 			t.Fatalf("seed %d (sigma %v pi %v): keys equal %v, hashes equal %v",
-				seed, p.sigma, p.pi, ka == kb, ha == hb)
+				seed, p.sigma, p.pi, bytes.Equal(ka, kb), ha == hb)
 		}
 		ea, _ := p.a.StateHash128()
 		if eb, _ := p.b.StateHash128(); ea != eb {

@@ -35,33 +35,11 @@ import (
 //     become indistinguishable — equal inputs, or inputs that are dead
 //     state — actually merge.
 //
-// Both quotients are opt-in per stepper through SymKeyer; a system with any
-// live non-SymKeyer process transparently falls back to the exact key, so
+// Both quotients are opt-in per stepper: a stepper's StateKey(relabel)
+// with a non-nil relabel is its symmetric local-state key, and ok=false
+// says it has none (see StateKeyer for the contract). A system with any
+// live process without one transparently falls back to the exact key, so
 // the symmetric key is sound for every protocol by construction.
-
-// SymKeyer is the optional Stepper extension behind System.SymStateKey: the
-// process's local-state key computed relative to a memory-location
-// relabeling. Implementations must fold relabel(loc) into the key for every
-// location their current and future behavior may reference, in a fixed,
-// state-independent role order, together with every piece of location-free
-// local state that StateKey would cover.
-//
-// Implementing SymKeyer is a double contract:
-//
-//   - Location uniformity: the stepper's future location references are
-//     determined by its (relabeled) local state — so if two steppers have
-//     equal SymStateKeys under relabelings that identify their references,
-//     their futures correspond under that relabeling.
-//
-//   - Pid independence: the stepper's behavior depends only on its local
-//     state, never on its process id, so configurations that differ by a
-//     permutation of the process vector are equivalent. (The built-in
-//     protocol steppers are constructed from the input alone; the Body
-//     adapters, whose bodies may read p.ID(), do not implement SymKeyer and
-//     keep the exact key.)
-type SymKeyer interface {
-	SymStateKey(relabel func(loc int) int) uint64
-}
 
 // symZeroBase is the relabeling offset for references to locations in the
 // canonical zero state: such a cell has no rank in the sorted non-zero cell
@@ -133,6 +111,16 @@ type SymScratch struct {
 	keyRelabel func(loc int) int
 }
 
+// procSymKey is a live process's symmetric local-state key; ok is false
+// when its stepper has none.
+func procSymKey(st Stepper, relabel func(loc int) int) (key uint64, ok bool) {
+	k, ok := st.(StateKeyer)
+	if !ok {
+		return 0, false
+	}
+	return k.StateKey(relabel)
+}
+
 // SymHash128 is the fingerprint of the symmetric key, and what the explorer
 // claims under symmetry reduction: it streams exactly the bytes
 // AppendSymStateKey would append through a machine.ByteHash128, so it equals
@@ -140,10 +128,10 @@ type SymScratch struct {
 // memory streams as the fold of its sorted non-zero cells, whose ranks it
 // keeps in a dense table; each process entry is packed into a symEntry and
 // the entries are sorted in the byte key's order; channel systems stream
-// their consumed drop budget last. A system with a live non-SymKeyer
-// process takes the fallback, which builds its exact key (into sc) and
-// hashes it. ok is false exactly when AppendSymStateKey's is. sc must not
-// be nil.
+// their consumed drop budget last. A system with a live process without a
+// symmetric key takes the fallback, which builds its exact key (into sc)
+// and hashes it. ok is false exactly when AppendSymStateKey's is. sc must
+// not be nil.
 //
 // Concurrency: like AppendSymStateKey it only reads the receiver, so it is
 // safe concurrently with Forks of the same system but not with
@@ -151,13 +139,6 @@ type SymScratch struct {
 func (s *System) SymHash128(sc *SymScratch) (machine.Hash128, bool) {
 	if s.closed {
 		return machine.Hash128{}, false
-	}
-	for _, pid := range s.live {
-		if _, keyed := s.procs[pid].st.(SymKeyer); !keyed {
-			key, ok := s.AppendStateKey(append(sc.exact[:0], symKeyTagExact))
-			sc.exact = key[:0]
-			return machine.NewByteHash128().Bytes(key).Sum(), ok
-		}
 	}
 	// Memory: the sorted multiset of non-zero cells, ranked for the
 	// relabeling. Ties (equal-content cells) are broken by physical index,
@@ -190,11 +171,12 @@ func (s *System) SymHash128(sc *SymScratch) (machine.Hash128, bool) {
 			return symZeroBase + loc
 		}
 	}
-	h := machine.NewByteHash128().Byte(symKeyTagSym).Uint64(machine.FoldCellHashes(cells))
 
 	// Processes: one entry each, sorted.
 	var vb [binary.MaxVarintLen64]byte
 	ents := sc.ents[:0]
+	keyed := true
+procs:
 	for _, ps := range s.procs {
 		var e symEntry
 		switch {
@@ -210,8 +192,13 @@ func (s *System) SymHash128(sc *SymScratch) (machine.Hash128, bool) {
 		case !ps.hasPoise:
 			e.push('?')
 		default:
+			k, ok := procSymKey(ps.st, sc.relabel)
+			if !ok {
+				keyed = false
+				break procs
+			}
 			// 'l' and the key's little-endian bytes.
-			r := bits.ReverseBytes64(ps.st.(SymKeyer).SymStateKey(sc.relabel))
+			r := bits.ReverseBytes64(k)
 			e = symEntry{hi: 'l'<<56 | r>>8, lo: r << 56, n: 9}
 		}
 		ents = append(ents, e)
@@ -220,7 +207,13 @@ func (s *System) SymHash128(sc *SymScratch) (machine.Hash128, bool) {
 	for _, c := range cells {
 		sc.rank[c.Loc] = 0
 	}
+	if !keyed {
+		key, ok := s.AppendStateKey(append(sc.exact[:0], symKeyTagExact))
+		sc.exact = key[:0]
+		return machine.NewByteHash128().Bytes(key).Sum(), ok
+	}
 	slices.SortFunc(ents, cmpSymEntry)
+	h := machine.NewByteHash128().Byte(symKeyTagSym).Uint64(machine.FoldCellHashes(cells))
 	for _, e := range ents {
 		w := e.hi
 		for i := 0; i < e.n; i++ {
@@ -237,42 +230,29 @@ func (s *System) SymHash128(sc *SymScratch) (machine.Hash128, bool) {
 	return h.Sum(), true
 }
 
-// SymStateKey is the symmetry-reduced form of StateKey: a canonical encoding
-// of the configuration's orbit under location permutations and (when every
-// live stepper implements SymKeyer) permutations of the process vector.
+// AppendSymStateKey appends the symmetry-reduced form of StateKey to dst,
+// reusing sc's buffers when non-nil: a canonical encoding of the
+// configuration's orbit under location permutations and (when every live
+// stepper has a symmetric key) permutations of the process vector.
 // Configurations with equal keys behave identically under corresponding
 // future schedules, so the explorer's seen-state table may merge them; the
 // quotient only ever shrinks the table, never the explored semantics. If
-// some live stepper does not implement SymKeyer the exact StateKey is
-// returned (tagged into a disjoint key space); ok is false only when the
-// exact key is unavailable too. The explorer claims its fingerprint,
-// SymHash128; the byte forms serve the tests and perfbench's key probe.
-func (s *System) SymStateKey() (key string, ok bool) {
-	dst, ok := s.AppendSymStateKey(make([]byte, 0, 16+10*len(s.procs)), nil)
-	return string(dst), ok
-}
-
-// AppendSymStateKey is SymStateKey appending into dst, reusing sc's buffers
-// when non-nil. Its concurrency contract matches AppendStateKey's: it only
-// reads the receiver — safe concurrently with Forks of the same system, but
-// not with Step/Crash/Close (and each concurrent caller needs its own
-// SymScratch).
+// some live stepper has no symmetric key the exact key is appended instead
+// (tagged into a disjoint key space); ok is false only when the exact key
+// is unavailable too. The explorer claims its fingerprint, SymHash128; the
+// byte form serves the tests and perfbench's key probe.
+//
+// Its concurrency contract matches AppendStateKey's: it only reads the
+// receiver — safe concurrently with Forks of the same system, but not with
+// Step/Crash/Close (and each concurrent caller needs its own SymScratch).
 func (s *System) AppendSymStateKey(dst []byte, sc *SymScratch) (key []byte, ok bool) {
 	if s.closed {
 		return dst, false
 	}
-	for _, ps := range s.procs {
-		if !ps.live() {
-			continue
-		}
-		if _, keyed := ps.st.(SymKeyer); !keyed {
-			// Transparent fallback: the exact key, in its own tag space.
-			return s.AppendStateKey(append(dst, symKeyTagExact))
-		}
-	}
 	if sc == nil {
 		sc = &SymScratch{}
 	}
+	start := len(dst)
 	dst = append(dst, symKeyTagSym)
 
 	// Memory: canonicalize to the sorted multiset of non-zero cells — the
@@ -328,8 +308,13 @@ func (s *System) AppendSymStateKey(dst []byte, sc *SymScratch) (key []byte, ok b
 		case !ps.hasPoise:
 			e = append(e, '?')
 		default:
+			k, ok := procSymKey(ps.st, relabel)
+			if !ok {
+				// Transparent fallback: the exact key, in its own tag space.
+				return s.AppendStateKey(append(dst[:start], symKeyTagExact))
+			}
 			e = append(e, 'l')
-			e = binary.LittleEndian.AppendUint64(e, ps.st.(SymKeyer).SymStateKey(relabel))
+			e = binary.LittleEndian.AppendUint64(e, k)
 		}
 		entries[i] = e
 	}

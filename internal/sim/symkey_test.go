@@ -8,7 +8,8 @@ import (
 	"repro/internal/machine"
 )
 
-// symProbeStepper is a minimal location-uniform SymKeyer stepper: it spins
+// symProbeStepper is a minimal location-uniform stepper with a symmetric
+// key: it spins
 // reading its target location, which it carries in its state (so a location
 // relabeling genuinely relabels it), tagged with an input.
 type symProbeStepper struct {
@@ -27,12 +28,12 @@ func (s *symProbeStepper) Resume(machine.Value) bool   { return false }
 func (s *symProbeStepper) Outcome() (bool, int, error) { return false, 0, nil }
 func (s *symProbeStepper) Halt()                       {}
 func (s *symProbeStepper) ForkInto(Stepper) Stepper    { f := *s; return &f }
-func (s *symProbeStepper) StateKey() uint64 {
-	return machine.Mix64(uint64(s.input)<<8 ^ uint64(s.loc) ^ 0x73796d70)
-}
-
-func (s *symProbeStepper) SymStateKey(relabel func(int) int) uint64 {
-	return machine.Mix64(uint64(s.input)<<8 ^ uint64(relabel(s.loc)) ^ 0x73796d70)
+func (s *symProbeStepper) StateKey(relabel func(int) int) (uint64, bool) {
+	loc := s.loc
+	if relabel != nil {
+		loc = relabel(loc)
+	}
+	return machine.Mix64(uint64(s.input)<<8 ^ uint64(loc) ^ 0x73796d70), true
 }
 
 // probeSystem builds a read-write system over size locations with the given
@@ -55,11 +56,11 @@ func probeSystem(t *testing.T, size int, initial map[int]machine.Value, procs []
 
 func symKeyOf(t *testing.T, s *System) string {
 	t.Helper()
-	key, ok := s.SymStateKey()
+	key, ok := s.AppendSymStateKey(nil, nil)
 	if !ok {
-		t.Fatal("SymStateKey unavailable")
+		t.Fatal("symmetric key unavailable")
 	}
-	return key
+	return string(key)
 }
 
 // TestSymStateKeyLocationSymmetry: a configuration and its image under a
@@ -136,8 +137,8 @@ func TestSymStateKeyProcessSymmetry(t *testing.T) {
 	}
 }
 
-// TestSymStateKeyBodyFallback: a system with live keyed steppers that do
-// not implement SymKeyer must fall back to the exact key, byte-for-byte,
+// TestSymStateKeyBodyFallback: a system with live keyed steppers that have
+// no symmetric key must fall back to the exact key, byte-for-byte,
 // behind the fallback tag — so symmetric explorations of such protocols
 // behave exactly like exact ones.
 func TestSymStateKeyBodyFallback(t *testing.T) {
@@ -163,12 +164,12 @@ func TestSymStateKeyBodyFallback(t *testing.T) {
 // the terminal-entry test runs on the symmetric path.
 type symCASStepper struct{ *casStepper }
 
-func (c symCASStepper) StateKey() uint64 {
-	return machine.Mix64(uint64(c.input) ^ 0x73636173)
-}
-
-func (c symCASStepper) SymStateKey(relabel func(int) int) uint64 {
-	return machine.Mix64(c.StateKey() ^ uint64(relabel(0)))
+func (c symCASStepper) StateKey(relabel func(int) int) (uint64, bool) {
+	h := machine.Mix64(uint64(c.input) ^ 0x73636173)
+	if relabel != nil {
+		h = machine.Mix64(h ^ uint64(relabel(0)))
+	}
+	return h, true
 }
 
 // TestSymStateKeyMemoryComponent: the key's memory component must be

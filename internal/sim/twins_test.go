@@ -42,9 +42,13 @@ func (s *opsStepper) Halt()                    {}
 func (s *opsStepper) ForkInto(Stepper) Stepper { f := *s; return &f }
 
 // StateKey hashes the program position and the last result: together with
-// the (fixed) instruction list they determine the stepper's future.
-func (s *opsStepper) StateKey() uint64 {
-	return machine.Mix64(uint64(s.pc)<<32 ^ uint64(int64(s.last)))
+// the (fixed) instruction list they determine the stepper's future. There
+// is no symmetric key.
+func (s *opsStepper) StateKey(relabel func(int) int) (uint64, bool) {
+	if relabel != nil {
+		return 0, false
+	}
+	return machine.Mix64(uint64(s.pc)<<32 ^ uint64(int64(s.last))), true
 }
 
 // raceSteppers is raceBody as n opsSteppers: four rounds of increment-own,
