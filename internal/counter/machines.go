@@ -535,24 +535,32 @@ type UnaryMachine struct {
 	v    int // component of the in-flight inc/dec
 	j    int // bit cursor of the in-flight inc/dec
 	idx  int // collect cursor of the in-flight scan
+	// bits and prev are the current and the previous collect of a scan, nil
+	// outside one. While non-nil, bits is a prefix of bufs[0] and prev of
+	// bufs[1]: the two collect buffers the machine owns alone (ForkInto
+	// copies them, never shares them), reused from scan to scan.
 	bits []bool
 	prev []bool
+	bufs [2][]bool
 	same int
-	cnt  []int64
+	// cnt is the last completed scan's result, rebuilt in place by the next
+	// scan: ForkInto copies it, so it too is owned alone.
+	cnt []int64
 }
 
 // NewUnaryMachineInto mirrors NewUnary (tas=false) and NewUnaryTAS
 // (tas=true). When spare is a retired *UnaryMachine it rebuilds in place,
-// saving the struct allocation; spare may be nil or of a foreign type. The
-// collect slices are dropped rather than reused — cnt's backing array may be
-// shared with forks — so the result is field-for-field a fresh machine.
+// keeping its exclusively owned collect buffers and scan result for reuse;
+// spare may be nil or of a foreign type. Either way the result behaves
+// exactly like a fresh machine.
 func NewUnaryMachineInto(spare Machine, base, m, width int, tas bool) *UnaryMachine {
 	p, ok := spare.(*UnaryMachine)
 	if !ok {
 		p = new(UnaryMachine)
 	}
 	*p = UnaryMachine{base: base, m: m, width: width,
-		setOp: machine.OpWriteOne, clearOp: machine.OpWriteZero, confirming: 2}
+		setOp: machine.OpWriteOne, clearOp: machine.OpWriteZero, confirming: 2,
+		bufs: p.bufs, cnt: p.cnt[:0]}
 	if tas {
 		p.setOp, p.clearOp = machine.OpTestAndSet, machine.OpReset
 	}
@@ -568,11 +576,33 @@ func (c *UnaryMachine) ForkInto(prev Machine) Machine {
 	if !ok {
 		p = new(UnaryMachine)
 	}
-	bits, prv := p.bits, p.prev
+	bufs, cnt := p.bufs, p.cnt
 	*p = *c
-	p.bits = appendInto(bits, c.bits)
-	p.prev = appendInto(prv, c.prev)
+	p.bufs = bufs
+	if c.bits != nil {
+		p.bufs[0] = append(bufs[0][:0], c.bits...)
+		p.bits = p.bufs[0]
+	}
+	if c.prev != nil {
+		p.bufs[1] = append(bufs[1][:0], c.prev...)
+		p.prev = p.bufs[1]
+	}
+	p.cnt = append(cnt[:0], c.cnt...)
 	return p
+}
+
+// collect starts a collect into bufs[0], zeroed: Key hashes the whole
+// buffer, not just the filled prefix, so a recycled buffer must look
+// exactly like a fresh make for mid-scan keys to stay deterministic.
+func (c *UnaryMachine) collect(next *sim.OpInfo) {
+	n := c.m * c.width
+	if cap(c.bufs[0]) < n {
+		c.bufs[0] = make([]bool, n)
+	}
+	c.bits = c.bufs[0][:n]
+	clear(c.bits)
+	c.idx = 0
+	issue(next, c.base, machine.OpRead, nil)
 }
 
 func (c *UnaryMachine) Key(relabel func(int) int) (uint64, bool) {
@@ -611,11 +641,9 @@ func (c *UnaryMachine) StartDec(v int, next *sim.OpInfo) {
 
 func (c *UnaryMachine) StartScan(next *sim.OpInfo) {
 	c.op = opScan
-	c.idx = 0
-	c.bits = make([]bool, c.m*c.width)
 	c.prev = nil
 	c.same = 0
-	issue(next, c.base, machine.OpRead, nil)
+	c.collect(next)
 }
 
 func (c *UnaryMachine) Step(res machine.Value, next *sim.OpInfo) bool {
@@ -666,9 +694,12 @@ func (c *UnaryMachine) Step(res machine.Value, next *sim.OpInfo) bool {
 		} else {
 			c.same = 1
 		}
+		// The finished collect becomes prev; the superseded one's buffer
+		// takes the next collect.
+		c.bufs[0], c.bufs[1] = c.bufs[1], c.bufs[0]
 		c.prev = c.bits
 		if c.same >= c.confirming {
-			c.cnt = make([]int64, c.m)
+			c.cnt = append(c.cnt[:0], make([]int64, c.m)...)
 			for i, b := range c.prev {
 				if b {
 					c.cnt[i/c.width]++
@@ -678,9 +709,7 @@ func (c *UnaryMachine) Step(res machine.Value, next *sim.OpInfo) bool {
 			c.op = opIdle
 			return false
 		}
-		c.bits = make([]bool, c.m*c.width)
-		c.idx = 0
-		issue(next, c.base, machine.OpRead, nil)
+		c.collect(next)
 		return true
 	}
 	c.op = opIdle
