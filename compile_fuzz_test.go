@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"testing"
 )
 
@@ -19,26 +20,52 @@ func FuzzCompile(f *testing.F) {
 			f.Add(r.ID, n, defaultBufferCap, 0, false)
 		}
 	}
-	f.Fuzz(func(t *testing.T, row string, n, bufCap, values int, withValues bool) {
-		n, bufCap, values = min(n, 16), min(bufCap, 16), min(values, 16)
-		opts := []CompileOption{BufferCap(bufCap)}
-		if withValues {
-			opts = append(opts, WithValues(values))
+	f.Fuzz(checkCompile)
+}
+
+func checkCompile(t *testing.T, row string, n, bufCap, values int, withValues bool) {
+	n, bufCap, values = min(n, 16), min(bufCap, 16), min(values, 16)
+	opts := []CompileOption{BufferCap(bufCap)}
+	if withValues {
+		opts = append(opts, WithValues(values))
+	}
+	p, err := Compile(row, n, opts...)
+	if err != nil {
+		if !errors.Is(err, ErrBadInput) && !errors.Is(err, ErrUnknownRow) {
+			t.Fatalf("Compile(%q, %d, BufferCap(%d), values %d/%v): error %v wraps neither ErrBadInput nor ErrUnknownRow",
+				row, n, bufCap, values, withValues, err)
 		}
-		p, err := Compile(row, n, opts...)
-		if err != nil {
-			if !errors.Is(err, ErrBadInput) && !errors.Is(err, ErrUnknownRow) {
-				t.Fatalf("Compile(%q, %d, BufferCap(%d), values %d/%v): error %v wraps neither ErrBadInput nor ErrUnknownRow",
-					row, n, bufCap, values, withValues, err)
-			}
-			return
+		return
+	}
+	inputs := make([]int, p.N())
+	for i := range inputs {
+		inputs[i] = i % p.Values()
+	}
+	ctx := context.Background()
+	p.Solve(ctx, inputs, MaxSteps(20000))
+	p.Verify(ctx, inputs, 2)
+}
+
+// TestCompileRandom runs FuzzCompile's body over a fixed-seed stream of
+// tuples: a Table 1 row id (a quarter of them mutated by random byte
+// edits), and n, buffer capacity and value count drawn from -2..12, so the
+// zero and negative cases stay common.
+func TestCompileRandom(t *testing.T) {
+	const inputs = 6000
+	var rows []string
+	for _, r := range Hierarchy(defaultBufferCap) {
+		rows = append(rows, r.ID)
+	}
+	rng := rand.New(rand.NewSource(1))
+	small := func() int { return rng.Intn(15) - 2 }
+	for i := 0; i < inputs; i++ {
+		row := rows[rng.Intn(len(rows))]
+		if rng.Intn(4) == 0 {
+			row = mutateString(rng, row)
 		}
-		inputs := make([]int, p.N())
-		for i := range inputs {
-			inputs[i] = i % p.Values()
-		}
-		ctx := context.Background()
-		p.Solve(ctx, inputs, MaxSteps(20000))
-		p.Verify(ctx, inputs, 2)
-	})
+		n, bufCap, values, withValues := small(), small(), small(), rng.Intn(2) == 1
+		checkRandomInput(t, i, func(t *testing.T) { checkCompile(t, row, n, bufCap, values, withValues) },
+			"row %q n %d bufCap %d values %d withValues %v", row, n, bufCap, values, withValues)
+	}
+	t.Logf("%d inputs", inputs)
 }
