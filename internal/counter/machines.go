@@ -530,11 +530,11 @@ type UnaryMachine struct {
 	setOp, clearOp machine.Op
 	confirming     int
 
-	op   opKind
-	sub  uint8
-	v    int // component of the in-flight inc/dec
-	j    int // bit cursor of the in-flight inc/dec
-	idx  int // collect cursor of the in-flight scan
+	op  opKind
+	sub uint8
+	v   int // component of the in-flight inc/dec
+	j   int // bit cursor of the in-flight inc/dec
+	idx int // collect cursor of the in-flight scan
 	// bits and prev are the current and the previous collect of a scan, nil
 	// outside one. While non-nil, bits is a prefix of bufs[0] and prev of
 	// bufs[1]: the two collect buffers the machine owns alone (ForkInto
