@@ -30,7 +30,7 @@ func MultiplyValues(n, m int) *Protocol {
 		},
 		Steppers: func(inputs []int) []sim.Stepper {
 			return steppersOf(inputs, func(_, in int) sim.Stepper {
-				return newRaceStepper(counter.NewMulMachine(0, m, false), n, in, false)
+				return newRaceStepper(nil, counter.NewMulMachine(0, m, false), n, in, false)
 			})
 		},
 	}
@@ -51,7 +51,7 @@ func FetchMultiply(n int) *Protocol {
 		},
 		Steppers: func(inputs []int) []sim.Stepper {
 			return steppersOf(inputs, func(_, in int) sim.Stepper {
-				return newRaceStepper(counter.NewMulMachine(0, n, true), n, in, false)
+				return newRaceStepper(nil, counter.NewMulMachine(0, n, true), n, in, false)
 			})
 		},
 	}
@@ -100,7 +100,7 @@ func FetchAdd(n int) *Protocol {
 func addSteppers(inputs []int, m, n int, fetch bool) []sim.Stepper {
 	proto := counter.NewAddMachine(0, m, n, fetch)
 	return steppersOf(inputs, func(_, in int) sim.Stepper {
-		return newRaceStepper(proto.ForkInto(nil).(*counter.AddMachine), n, in, true)
+		return newRaceStepper(nil, proto.ForkInto(nil).(*counter.AddMachine), n, in, true)
 	})
 }
 
@@ -121,7 +121,7 @@ func SetBitValues(n, m int) *Protocol {
 		},
 		Steppers: func(inputs []int) []sim.Stepper {
 			return steppersOf(inputs, func(i, in int) sim.Stepper {
-				return newRaceStepper(counter.NewSetBitMachine(0, m, n, i), n, in, false)
+				return newRaceStepper(nil, counter.NewSetBitMachine(0, m, n, i), n, in, false)
 			})
 		},
 	}

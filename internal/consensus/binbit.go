@@ -39,7 +39,7 @@ func binBitRoundStepper(n int, tas bool) func(spare *raceStepper, binBase, bit i
 			prevCM = spare.cm
 		}
 		cm := counter.NewUnaryMachineInto(prevCM, binBase, 2, unaryWidth(n), tas)
-		return newRaceStepperInto(spare, cm, n, bit, true)
+		return newRaceStepper(spare, cm, n, bit, true)
 	}
 }
 

@@ -36,7 +36,7 @@ func incrementRoundStepper(n int, fai bool) func(spare *raceStepper, binBase, bi
 			prevCM = spare.cm
 		}
 		cm := counter.NewIncMachineInto(prevCM, binBase, 2, fai)
-		return newRaceStepperInto(spare, cm, n, bit, false)
+		return newRaceStepper(spare, cm, n, bit, false)
 	}
 }
 

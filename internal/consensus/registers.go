@@ -37,7 +37,7 @@ func RegistersValues(n, m int) *Protocol {
 // register array, arr(id) being process id's view of it.
 func registerSteppers(n, m int, inputs []int, arr func(id int) swreg.Machine) []sim.Stepper {
 	return steppersOf(inputs, func(id, in int) sim.Stepper {
-		return newRaceStepper(counter.NewRegistersMachine(arr(id), m), n, in, false)
+		return newRaceStepper(nil, counter.NewRegistersMachine(arr(id), m), n, in, false)
 	})
 }
 

@@ -389,16 +389,12 @@ type raceStepper struct {
 	decision int
 }
 
-func newRaceStepper(cm counter.Machine, n, input int, bounded bool) *raceStepper {
-	return newRaceStepperInto(nil, cm, n, input, bounded)
-}
-
-// newRaceStepperInto is newRaceStepper rebuilding into spare's storage when
-// non-nil (a retired round stepper recycled by mvStepper), so round
-// transitions in a long-lived stepper stop allocating. cm is typically built
-// over spare.cm's storage first (NewIncMachineInto and friends); the rebuilt
-// stepper is indistinguishable from a fresh one.
-func newRaceStepperInto(spare *raceStepper, cm counter.Machine, n, input int, bounded bool) *raceStepper {
+// newRaceStepper builds the racing loop over cm, rebuilding into spare's
+// storage when non-nil (a retired round stepper recycled by mvStepper), so
+// round transitions in a long-lived stepper stop allocating. cm is
+// typically built over spare.cm's storage first (NewIncMachineInto and
+// friends); the rebuilt stepper is indistinguishable from a fresh one.
+func newRaceStepper(spare *raceStepper, cm counter.Machine, n, input int, bounded bool) *raceStepper {
 	s := spare
 	if s == nil {
 		s = new(raceStepper)
@@ -474,11 +470,6 @@ func (s *raceStepper) Halt()                       {}
 
 func (s *raceStepper) ForkInto(prev sim.Stepper) sim.Stepper {
 	p, _ := prev.(*raceStepper)
-	return s.forkOver(p)
-}
-
-// forkOver copies s into p's storage, or into fresh storage when p is nil.
-func (s *raceStepper) forkOver(p *raceStepper) *raceStepper {
 	if p == nil {
 		p = new(raceStepper)
 	}
@@ -708,7 +699,7 @@ func (s *mvStepper) ForkInto(prev sim.Stepper) sim.Stepper {
 		return p
 	}
 	p.spareSub = spare
-	p.sub = s.sub.forkOver(sub)
+	p.sub = s.sub.ForkInto(sub).(*raceStepper)
 	return p
 }
 

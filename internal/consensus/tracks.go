@@ -53,7 +53,7 @@ func TASTracks(n int) *Protocol {
 // tracksSteppers builds the forkable form of the racing loop over n tracks.
 func tracksSteppers(n int, tas bool, inputs []int) []sim.Stepper {
 	return steppersOf(inputs, func(_, in int) sim.Stepper {
-		return newRaceStepper(counter.NewTracksMachine(0, n, tas), n, in, false)
+		return newRaceStepper(nil, counter.NewTracksMachine(0, n, tas), n, in, false)
 	})
 }
 

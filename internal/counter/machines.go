@@ -37,18 +37,12 @@ type Machine interface {
 	// same concrete type; when prev is nil or of a foreign type it builds the
 	// copy in fresh storage by the same statements.
 	ForkInto(prev Machine) Machine
-	// Key returns a canonical hash of all machine-local state: the
-	// counter-machine component of the stepper's key (sim.StateKeyer). It is
-	// part of the explorer's per-process dedup key, so any state that can
-	// affect future instructions must enter it. relabel == nil is the exact
-	// key, and ok is always true. A non-nil relabel is the symmetric key:
-	// every location the machine's current and future operations may touch
-	// is folded in through relabel, in a fixed role order. Machines over a
-	// fixed location span that behave the same under every process id
-	// reference their span and nothing else, so folding the whole span
-	// satisfies the contract. The tracks machine (an unbounded span) and the
-	// register-array machine (each process writes its own register) have no
-	// symmetric key: ok is false.
+	// Key is the machine's component of its stepper's key, under the
+	// sim.StateKeyer contract: any state that can affect future
+	// instructions must enter it, and a non-nil relabel asks for the
+	// symmetric key, which folds the machine's location span through it.
+	// The tracks machine (an unbounded span) and the register-array
+	// machine (each process writes its own register) have no symmetric key.
 	Key(relabel func(loc int) int) (key uint64, ok bool)
 	// StartInc begins an increment of component v.
 	StartInc(v int, next *sim.OpInfo)
@@ -65,6 +59,17 @@ type Machine interface {
 }
 
 func mixKey(h, x uint64) uint64 { return machine.Mix64(h ^ x) }
+
+// foldSpan folds relabel(loc) for the n locations from base into h, in
+// ascending order; the exact key (relabel == nil) folds none.
+func foldSpan(h uint64, relabel func(int) int, base, n int) uint64 {
+	if relabel != nil {
+		for loc := base; loc < base+n; loc++ {
+			h = mixKey(h, uint64(relabel(loc)))
+		}
+	}
+	return h
+}
 
 // issue writes the instruction op@loc with args into next (see Machine).
 func issue(next *sim.OpInfo, loc int, op machine.Op, args []machine.Value) {
@@ -128,11 +133,7 @@ func (f *flatMachine) Counts() []int64 { return f.counts }
 // key folds the operation in flight and, under a relabeling, the machine's
 // single location.
 func (f *flatMachine) key(tag uint64, relabel func(int) int) uint64 {
-	h := mixKey(tag, uint64(f.op))
-	if relabel != nil {
-		h = mixKey(h, uint64(relabel(f.loc)))
-	}
-	return h
+	return foldSpan(mixKey(tag, uint64(f.op)), relabel, f.loc, 1)
 }
 
 // AddMachine is the forkable twin of Add: one {read, add} (or
@@ -312,8 +313,7 @@ func (c *SetBitMachine) Key(relabel func(int) int) (uint64, bool) {
 	// entry's position implies it. Folding it in keeps set-bit processes
 	// unmerged across pids, which is the sound under-approximation (merging
 	// them would equate memories whose lane blocks differ).
-	h = mixKey(h, uint64(c.id))
-	return mixKey(h, uint64(relabel(c.loc))), true
+	return foldSpan(mixKey(h, uint64(c.id)), relabel, c.loc, 1), true
 }
 
 func (c *SetBitMachine) StartInc(v int, next *sim.OpInfo) {
@@ -449,12 +449,7 @@ func (c *IncMachine) Key(relabel func(int) int) (uint64, bool) {
 	} else {
 		h = mixCounts(mixKey(h, 1), c.prev)
 	}
-	if relabel != nil {
-		for v := 0; v < c.m; v++ {
-			h = mixKey(h, uint64(relabel(c.base+v)))
-		}
-	}
-	return h, true
+	return foldSpan(h, relabel, c.base, c.m), true
 }
 
 func (c *IncMachine) StartInc(v int, next *sim.OpInfo) {
@@ -619,12 +614,7 @@ func (c *UnaryMachine) Key(relabel func(int) int) (uint64, bool) {
 			}
 		}
 	}
-	if relabel != nil {
-		for i := 0; i < c.m*c.width; i++ {
-			h = mixKey(h, uint64(relabel(c.base+i)))
-		}
-	}
-	return h, true
+	return foldSpan(h, relabel, c.base, c.m*c.width), true
 }
 
 func (c *UnaryMachine) loc(v, j int) int { return c.base + v*c.width + j }

@@ -72,30 +72,24 @@ type Forker interface {
 
 // StateKeyer is the optional Stepper extension behind the configuration
 // keys: a canonical 64-bit hash of the process's local state, the
-// per-process component of the explorer's seen-state dedup key. relabel
-// selects which key.
+// per-process component of the explorer's seen-state dedup key.
 //
-//   - relabel == nil is the exact key (System.StateKey, StateHash128), and
-//     ok is always true. Two steppers whose futures are identical given
-//     identical instruction results must return equal keys; distinct states
-//     should collide only with hash probability. Explicit state machines
-//     hash their actual state, which also merges processes that reached the
-//     same state along different histories.
+// relabel == nil asks for the exact key, and ok is always true. Steppers
+// whose futures are identical given identical instruction results must
+// return equal keys; distinct states should collide only with hash
+// probability. Explicit state machines hash their actual state, which also
+// merges processes that reached the same state along different histories.
 //
-//   - A non-nil relabel is the symmetric key (System.SymHash128,
-//     AppendSymStateKey): the same key computed relative to a memory-location
-//     relabeling. It must fold relabel(loc) for every location the stepper's
-//     current and future behavior may reference, in a fixed,
-//     state-independent role order, on top of everything the exact key
-//     folds. ok=false says the stepper has no symmetric key, and the
-//     configuration falls back to the exact key. Returning ok=true is a
-//     double contract. Location uniformity: the stepper's future location
-//     references are determined by its relabeled local state, so steppers
-//     with equal keys under relabelings that identify their references have
-//     futures that correspond under that relabeling. Pid independence: its
-//     behavior depends only on its local state, never on its process id, so
-//     configurations that differ by a permutation of the process vector are
-//     equivalent; a stepper whose id is behavioral state folds the id.
+// A non-nil relabel asks for the symmetric key: the exact key's folds plus
+// relabel(loc) for every location the stepper's current and future
+// behavior may reference, in a fixed, state-independent role order. ok is
+// false when the stepper has none, and the configuration falls back to the
+// exact key. ok=true is a double contract. Location uniformity: steppers
+// with equal keys under relabelings that identify their references have
+// futures that correspond under that relabeling. Pid independence: the
+// stepper's behavior depends on its local state, never on its process id,
+// so configurations that differ by a permutation of the process vector are
+// equivalent; a stepper whose id is behavioral state folds the id.
 //
 // The Body adapter has no key: its local state lives on a coroutine stack.
 type StateKeyer interface {
