@@ -108,8 +108,8 @@ func congruenceWalk(t *testing.T, in keyInstance, symmetric bool) (configs, mism
 // only stable: two configurations with one key must have the same future,
 // and a one-step check over every configuration of the walk implies it for
 // every number of steps within the explored region, by induction. It walks
-// the forkable portfolio two steps past the portfolio depth and MP.QSC
-// under ordered delivery, under the exact key (StateHash128) and the
+// the forkable portfolio and the pastFirstRound instances two steps past
+// their golden depth and MP.QSC under ordered delivery, under the exact key (StateHash128) and the
 // symmetric key (SymHash128). A key that drops a field its stepper still
 // reads merges configurations whose successors differ.
 func TestKeyCongruence(t *testing.T) {
@@ -118,6 +118,10 @@ func TestKeyCongruence(t *testing.T) {
 		insts[i].depth += 2
 	}
 	insts = append(insts, qscKeyInstance(sim.Delivery{Mode: sim.DeliverOrdered}, 9))
+	for _, in := range pastFirstRound() {
+		in.depth += 2
+		insts = append(insts, in)
+	}
 	for _, symmetric := range []bool{false, true} {
 		total := 0
 		for _, in := range insts {

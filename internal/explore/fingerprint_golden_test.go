@@ -49,6 +49,48 @@ func portfolioKeyInstances() []keyInstance {
 	return out
 }
 
+// pastFirstRound is the instances whose interesting states lie beyond a
+// walk from the initial configuration: each starts after a fixed schedule
+// prefix (round robin over the live set, three steps a turn). MP.QSC's
+// prefix ends in its second round, a few steps before a ready phase-2
+// quorum decides; the Lemma 5.2 lift's ends a few steps before its first
+// round transition.
+func pastFirstRound() []keyInstance {
+	var lift keyInstance
+	for _, in := range portfolioKeyInstances() {
+		if in.name == "increment" {
+			lift = in
+		}
+	}
+	return []keyInstance{
+		prefixed(qscKeyInstance(sim.Delivery{Mode: sim.DeliverOrdered}, 5), 63),
+		prefixed(lift, 54),
+	}
+}
+
+// prefixed is in started after its first steps of the round-robin schedule.
+func prefixed(in keyInstance, steps int) keyInstance {
+	f := func() (*sim.System, error) {
+		sys, err := in.f()
+		if err != nil {
+			return nil, err
+		}
+		for i := 0; i < steps; i++ {
+			live := sys.AppendLive(nil)
+			if len(live) == 0 {
+				sys.Close()
+				return nil, fmt.Errorf("%s: no live process after %d steps", in.name, i)
+			}
+			if _, err := sys.Step(live[i/3%len(live)]); err != nil {
+				sys.Close()
+				return nil, err
+			}
+		}
+		return sys, nil
+	}
+	return keyInstance{fmt.Sprintf("%s@%d", in.name, steps), f, in.depth}
+}
+
 // treeWalk visits every configuration of f's schedule tree within depth
 // steps, without deduplication, so what it visits does not depend on any
 // key.
@@ -98,8 +140,8 @@ func (s *laneSum) add(h machine.Hash128, ok bool) {
 func (s laneSum) String() string { return fmt.Sprintf("%016x:%016x/%d", s.lo, s.hi, s.n) }
 
 // TestFingerprintGolden walks every configuration of the forkable
-// portfolio at the portfolio depth and of MP.QSC under ordered, reorder and
-// lossy(1) delivery, and compares the configuration count and the lane
+// portfolio at the portfolio depth, of MP.QSC under ordered, reorder and
+// lossy(1) delivery, and of the pastFirstRound instances, and compares the configuration count and the lane
 // sums of StateHash128 and of SymHash128 with the golden file.
 func TestFingerprintGolden(t *testing.T) {
 	insts := portfolioKeyInstances()
@@ -108,6 +150,7 @@ func TestFingerprintGolden(t *testing.T) {
 		qscKeyInstance(sim.Delivery{Mode: sim.DeliverReorder}, 6),
 		qscKeyInstance(sim.Delivery{Mode: sim.DeliverLossy, MaxDrops: 1}, 6),
 	)
+	insts = append(insts, pastFirstRound()...)
 	var got strings.Builder
 	var sc sim.SymScratch
 	for _, in := range insts {
