@@ -117,7 +117,11 @@ func TestKeyCongruence(t *testing.T) {
 	for i := range insts {
 		insts[i].depth += 2
 	}
-	insts = append(insts, qscKeyInstance(sim.Delivery{Mode: sim.DeliverOrdered}, 9))
+	insts = append(insts,
+		qscKeyInstance(sim.Delivery{Mode: sim.DeliverOrdered}, 9),
+		qscKeyInstance(sim.Delivery{Mode: sim.DeliverReorder}, 8),
+		qscKeyInstance(sim.Delivery{Mode: sim.DeliverLossy, MaxDrops: 1}, 8),
+	)
 	for _, in := range pastFirstRound() {
 		in.depth += 2
 		insts = append(insts, in)
