@@ -30,16 +30,10 @@ func binBitRound(n int, tas bool) BinaryRound {
 	}
 }
 
-// binBitRoundStepper is binBitRound in forkable stepper form. A non-nil
-// spare (a retired round stepper) is rebuilt in place.
-func binBitRoundStepper(n int, tas bool) func(spare *raceStepper, binBase, bit int) *raceStepper {
-	return func(spare *raceStepper, binBase, bit int) *raceStepper {
-		var prevCM counter.Machine
-		if spare != nil {
-			prevCM = spare.cm
-		}
-		cm := counter.NewUnaryMachineInto(prevCM, binBase, 2, unaryWidth(n), tas)
-		return newRaceStepper(spare, cm, n, bit, true)
+// binBitRoundStepper is binBitRound in forkable stepper form.
+func binBitRoundStepper(n int, tas bool) roundBuilder {
+	return func(sub *raceStepper, binBase, bit int) *raceStepper {
+		return sub.start(counter.NewUnaryMachineInto(sub.cm, binBase, 2, unaryWidth(n), tas), n, bit, true)
 	}
 }
 
@@ -60,7 +54,7 @@ func BinaryBits(n int) *Protocol {
 		},
 		Steppers: func(inputs []int) []sim.Stepper {
 			return steppersOf(inputs, func(_, in int) sim.Stepper {
-				return binBitRoundStepper(n, false)(nil, 0, in)
+				return binBitRoundStepper(n, false)(new(raceStepper), 0, in)
 			})
 		},
 	}

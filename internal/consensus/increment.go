@@ -26,17 +26,10 @@ func incrementRound(n int, fai bool) BinaryRound {
 	}
 }
 
-// incrementRoundStepper is incrementRound in forkable stepper form. A
-// non-nil spare (a retired round stepper) is rebuilt in place, machine and
-// collect buffers included.
-func incrementRoundStepper(n int, fai bool) func(spare *raceStepper, binBase, bit int) *raceStepper {
-	return func(spare *raceStepper, binBase, bit int) *raceStepper {
-		var prevCM counter.Machine
-		if spare != nil {
-			prevCM = spare.cm
-		}
-		cm := counter.NewIncMachineInto(prevCM, binBase, 2, fai)
-		return newRaceStepper(spare, cm, n, bit, false)
+// incrementRoundStepper is incrementRound in forkable stepper form.
+func incrementRoundStepper(n int, fai bool) roundBuilder {
+	return func(sub *raceStepper, binBase, bit int) *raceStepper {
+		return sub.start(counter.NewIncMachineInto(sub.cm, binBase, 2, fai), n, bit, false)
 	}
 }
 
@@ -54,7 +47,7 @@ func IncrementBinary(n int) *Protocol {
 		},
 		Steppers: func(inputs []int) []sim.Stepper {
 			return steppersOf(inputs, func(_, in int) sim.Stepper {
-				return incrementRoundStepper(n, false)(nil, 0, in)
+				return incrementRoundStepper(n, false)(new(raceStepper), 0, in)
 			})
 		},
 	}

@@ -449,10 +449,7 @@ func (s *qscStepper) Outcome() (bool, int, error) { return s.core.done, s.core.d
 func (s *qscStepper) Halt()                       {}
 
 func (s *qscStepper) ForkInto(prev sim.Stepper) sim.Stepper {
-	p, ok := prev.(*qscStepper)
-	if !ok {
-		p = new(qscStepper)
-	}
+	p := sim.ForkTarget[qscStepper](prev)
 	spare := p.core.spare
 	if old := p.core.aggs; old != nil && !old.shared.Load() {
 		spare = old // never shared, so p owned it alone: recycle it
@@ -471,7 +468,7 @@ func (s *qscStepper) ForkInto(prev sim.Stepper) sim.Stepper {
 // under the process-symmetry quotient — the conservative choice the set-bit
 // stepper also makes — while memory-location symmetry still applies.
 func (s *qscStepper) StateKey(relabel func(int) int) (uint64, bool) {
-	return foldLocs(s.core.key(), relabel, 0, s.core.n), true
+	return sim.FoldSpan(s.core.key(), relabel, 0, s.core.n), true
 }
 
 // qscBody is the coroutine twin of qscStepper, step-for-step: the same core

@@ -124,10 +124,7 @@ func (b *byzStepper) Outcome() (bool, int, error) { return false, 0, nil }
 func (b *byzStepper) Halt()                       {}
 
 func (b *byzStepper) ForkInto(prev sim.Stepper) sim.Stepper {
-	p, ok := prev.(*byzStepper)
-	if !ok {
-		p = new(byzStepper)
-	}
+	p := sim.ForkTarget[byzStepper](prev)
 	*p = *b
 	return p
 }
@@ -137,7 +134,7 @@ func (b *byzStepper) ForkInto(prev sim.Stepper) sim.Stepper {
 // never-merge treatment, like qscStepper's.
 func (b *byzStepper) StateKey(relabel func(int) int) (uint64, bool) {
 	h := machine.Mix64(machine.Mix64(uint64(int64(b.id))^b.script) ^ uint64(int64(b.pos)))
-	return foldLocs(h, relabel, 0, b.n), true
+	return sim.FoldSpan(h, relabel, 0, b.n), true
 }
 
 // QSCWithByzantine derives a QSC instance whose last process runs the given

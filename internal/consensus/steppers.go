@@ -43,19 +43,6 @@ func opInfoKey(i *sim.OpInfo, relabel func(int) int) uint64 {
 	return h
 }
 
-func mix2(a, b uint64) uint64 { return machine.Mix64(a ^ b) }
-
-// foldLocs folds relabel(loc) for every loc in [from, to) into h, in
-// ascending order; the exact key (relabel == nil) folds none.
-func foldLocs(h uint64, relabel func(int) int, from, to int) uint64 {
-	if relabel != nil {
-		for loc := from; loc < to; loc++ {
-			h = mix2(h, uint64(relabel(loc)))
-		}
-	}
-	return h
-}
-
 // Every stepper's StateKey(relabel) computes the exact key when relabel is
 // nil and the symmetric key otherwise (sim.StateKeyer): the same folds, plus
 // every location the stepper's future behavior can reference, through the
@@ -72,6 +59,13 @@ func foldLocs(h uint64, relabel func(int) int, from, to int) uint64 {
 // writing anything (sim.Stepper). Where the instruction's Args point into
 // an array inside the stepper (casStepper.args, maxRegStepper.arg,
 // qscCore.box), ForkInto points the copy's Args at the copy's own array.
+//
+// Every stepper owns its mutable state, so ForkInto is a struct copy into
+// the storage sim.ForkTarget picks plus a copy of each owned buffer into
+// the target's: a racing loop forks its counter machine, whose words sit in
+// one buffer, over the target's machine, and the Lemma 5.2 lift holds its
+// round's racing loop by value and rebuilds it in place at each new round,
+// machine included.
 
 // --- compare-and-swap (Table 1 row 10) ---------------------------------------
 
@@ -117,17 +111,14 @@ func (c *casStepper) Outcome() (bool, int, error) { return c.done, c.decision, n
 func (c *casStepper) Halt()                       {}
 
 func (c *casStepper) ForkInto(prev sim.Stepper) sim.Stepper {
-	p, ok := prev.(*casStepper)
-	if !ok {
-		p = new(casStepper)
-	}
+	p := sim.ForkTarget[casStepper](prev)
 	*p = *c
 	p.op.Args = p.args[:]
 	return p
 }
 
 func (c *casStepper) StateKey(relabel func(int) int) (uint64, bool) {
-	return foldLocs(machine.Mix64(uint64(c.input)^0x636173), relabel, 0, 1), true
+	return sim.FoldSpan(machine.Mix64(uint64(c.input)^0x636173), relabel, 0, 1), true
 }
 
 // --- introduction protocols --------------------------------------------------
@@ -176,16 +167,13 @@ func (c *introFAA2TASStepper) Outcome() (bool, int, error) { return c.done, c.de
 func (c *introFAA2TASStepper) Halt()                       {}
 
 func (c *introFAA2TASStepper) ForkInto(prev sim.Stepper) sim.Stepper {
-	p, ok := prev.(*introFAA2TASStepper)
-	if !ok {
-		p = new(introFAA2TASStepper)
-	}
+	p := sim.ForkTarget[introFAA2TASStepper](prev)
 	*p = *c
 	return p
 }
 
 func (c *introFAA2TASStepper) StateKey(relabel func(int) int) (uint64, bool) {
-	return foldLocs(machine.Mix64(uint64(c.input)^0x666161), relabel, 0, 1), true
+	return sim.FoldSpan(machine.Mix64(uint64(c.input)^0x666161), relabel, 0, 1), true
 }
 
 type introDecMulStepper struct {
@@ -227,10 +215,7 @@ func (c *introDecMulStepper) Outcome() (bool, int, error) { return c.done, c.dec
 func (c *introDecMulStepper) Halt()                       {}
 
 func (c *introDecMulStepper) ForkInto(prev sim.Stepper) sim.Stepper {
-	p, ok := prev.(*introDecMulStepper)
-	if !ok {
-		p = new(introDecMulStepper)
-	}
+	p := sim.ForkTarget[introDecMulStepper](prev)
 	*p = *c
 	return p
 }
@@ -241,7 +226,7 @@ func (c *introDecMulStepper) StateKey(relabel func(int) int) (uint64, bool) {
 	if !c.reading {
 		h = machine.Mix64(uint64(c.input) ^ 0x646d75)
 	}
-	return foldLocs(h, relabel, 0, 1), true
+	return sim.FoldSpan(h, relabel, 0, 1), true
 }
 
 // --- two max-registers (Theorem 4.2) -----------------------------------------
@@ -344,10 +329,7 @@ func (s *maxRegStepper) Outcome() (bool, int, error) { return s.done, s.decision
 func (s *maxRegStepper) Halt()                       {}
 
 func (s *maxRegStepper) ForkInto(prev sim.Stepper) sim.Stepper {
-	p, ok := prev.(*maxRegStepper)
-	if !ok {
-		p = new(maxRegStepper)
-	}
+	p := sim.ForkTarget[maxRegStepper](prev)
 	*p = *s
 	if p.op.Args != nil {
 		p.op.Args = p.arg[:]
@@ -359,12 +341,12 @@ func (s *maxRegStepper) StateKey(relabel func(int) int) (uint64, bool) {
 	// Past the announcement the input is dead state; the locals and the
 	// pending instruction determine the future.
 	h := machine.Mix64(uint64(s.pc) ^ 0x6d7872)
-	h = mix2(h, machine.HashValue(s.a))
-	h = mix2(h, machine.HashValue(s.b))
-	h = mix2(h, machine.HashValue(s.a2))
-	h = mix2(h, opInfoKey(&s.op, relabel))
+	h = sim.MixKey(h, machine.HashValue(s.a))
+	h = sim.MixKey(h, machine.HashValue(s.b))
+	h = sim.MixKey(h, machine.HashValue(s.a2))
+	h = sim.MixKey(h, opInfoKey(&s.op, relabel))
 	// Role order: m1 then m2 — every pc references both registers.
-	return foldLocs(h, relabel, 0, 2), true
+	return sim.FoldSpan(h, relabel, 0, 2), true
 }
 
 // --- the racing-counters loops (Lemmas 3.1/3.2) ------------------------------
@@ -389,16 +371,9 @@ type raceStepper struct {
 	decision int
 }
 
-// newRaceStepper builds the racing loop over cm, rebuilding into spare's
-// storage when non-nil (a retired round stepper recycled by mvStepper), so
-// round transitions in a long-lived stepper stop allocating. cm is
-// typically built over spare.cm's storage first (NewIncMachineInto and
-// friends); the rebuilt stepper is indistinguishable from a fresh one.
-func newRaceStepper(spare *raceStepper, cm counter.Machine, n, input int, bounded bool) *raceStepper {
-	s := spare
-	if s == nil {
-		s = new(raceStepper)
-	}
+// start (re)builds s as the racing loop over cm, poised on its first
+// instruction, and returns s.
+func (s *raceStepper) start(cm counter.Machine, n, input int, bounded bool) *raceStepper {
 	*s = raceStepper{cm: cm, n: n, input: input, bounded: bounded}
 	if bounded {
 		s.stage = rsInitScan
@@ -469,14 +444,16 @@ func (s *raceStepper) Outcome() (bool, int, error) { return s.done, s.decision, 
 func (s *raceStepper) Halt()                       {}
 
 func (s *raceStepper) ForkInto(prev sim.Stepper) sim.Stepper {
-	p, _ := prev.(*raceStepper)
-	if p == nil {
-		p = new(raceStepper)
-	}
+	p := sim.ForkTarget[raceStepper](prev)
+	s.copyTo(p)
+	return p
+}
+
+// copyTo makes *p a copy of s, its machine forked over p's.
+func (s *raceStepper) copyTo(p *raceStepper) {
 	cm := p.cm
 	*p = *s
 	p.cm = s.cm.ForkInto(cm)
-	return p
 }
 
 func (s *raceStepper) StateKey(relabel func(int) int) (uint64, bool) {
@@ -487,10 +464,10 @@ func (s *raceStepper) StateKey(relabel func(int) int) (uint64, bool) {
 	h := machine.Mix64(uint64(s.stage) ^ 0x726163)
 	if s.stage == rsInitScan {
 		// The only point after construction where the input is still read.
-		h = mix2(h, uint64(s.input))
+		h = sim.MixKey(h, uint64(s.input))
 	}
-	h = mix2(h, k)
-	return mix2(h, opInfoKey(&s.pending, relabel)), true
+	h = sim.MixKey(h, k)
+	return sim.MixKey(h, opInfoKey(&s.pending, relabel)), true
 }
 
 // --- the Lemma 5.2 multi-valued lift -----------------------------------------
@@ -558,44 +535,36 @@ const (
 	mvpRecover        // recovering the value behind the agreed bit
 )
 
+// roundBuilder (re)builds sub as a round's binary consensus over the bin
+// locations from binBase, proposing bit, reusing sub's machine storage.
+type roundBuilder func(sub *raceStepper, binBase, bit int) *raceStepper
+
 // mvStepper is MultiValued as an explicit state machine: k =
 // ceil(log2 values) rounds of record / binary-consensus / recover, with the
 // per-round binary consensus a nested raceStepper.
 type mvStepper struct {
 	k, c     int
 	slot     slotOps
-	newRound func(spare *raceStepper, binBase, bit int) *raceStepper
+	newRound roundBuilder
 
 	v     int // current candidate value
 	round int
 	bit   int // this round's proposed bit
 	base  int // this round's location base
 	phase int
-	sub   *raceStepper
-	// spareSub parks a retired round stepper — the sub of a finished round,
-	// or a recycled round stepper displaced by a pooled fork whose source was
-	// between rounds — so the next round (or a later fork landing mid-round
-	// in this storage) rebuilds over it instead of allocating. Always
-	// exclusively owned: ForkInto never takes the source's, so two steppers
-	// cannot share one.
-	spareSub *raceStepper
-	recJ     int
-	pending  sim.OpInfo
+	// sub is the round's binary consensus while phase is mvpRound. Between
+	// rounds it keeps the last round's stepper, which the next round
+	// rebuilds in place, machine included; its cm is nil before the first.
+	sub     raceStepper
+	recJ    int
+	pending sim.OpInfo
 
 	done     bool
 	decision int
 	err      error
 }
 
-// takeSpare hands out the parked round stepper (nil when none), clearing the
-// slot so its storage is never handed out twice.
-func (s *mvStepper) takeSpare() *raceStepper {
-	sp := s.spareSub
-	s.spareSub = nil
-	return sp
-}
-
-func newMVStepper(values, c int, slot slotOps, input int, newRound func(spare *raceStepper, binBase, bit int) *raceStepper) *mvStepper {
+func newMVStepper(values, c int, slot slotOps, input int, newRound roundBuilder) *mvStepper {
 	s := &mvStepper{k: bitsFor(values), c: c, slot: slot, newRound: newRound, v: input}
 	s.startRound()
 	return s
@@ -607,7 +576,7 @@ func (s *mvStepper) startRound() {
 	if s.round == s.k-1 {
 		// Final round: no designated slots.
 		s.phase = mvpRound
-		s.sub = s.newRound(s.takeSpare(), s.base, s.bit)
+		s.newRound(&s.sub, s.base, s.bit)
 		return
 	}
 	s.phase = mvpRecord
@@ -638,16 +607,12 @@ func (s *mvStepper) Resume(res machine.Value) bool {
 	switch s.phase {
 	case mvpRecord:
 		s.phase = mvpRound
-		s.sub = s.newRound(s.takeSpare(), s.base+2*s.slot.size(), s.bit)
+		s.newRound(&s.sub, s.base+2*s.slot.size(), s.bit)
 	case mvpRound:
 		if !s.sub.Resume(res) {
 			return false
 		}
 		agreed := s.sub.decision
-		// Retire the finished round's stepper into the spare slot: the next
-		// round rebuilds over it (stepper, machine, and collect buffers)
-		// instead of allocating afresh.
-		s.spareSub, s.sub = s.sub, nil
 		if agreed == s.bit {
 			s.advanceRound()
 			return s.done
@@ -683,53 +648,42 @@ func (s *mvStepper) Outcome() (bool, int, error) { return s.done, s.decision, s.
 func (s *mvStepper) Halt()                       {}
 
 func (s *mvStepper) ForkInto(prev sim.Stepper) sim.Stepper {
-	p, ok := prev.(*mvStepper)
-	if !ok {
-		p = new(mvStepper)
-	}
-	sub, spare := p.sub, p.spareSub
-	if sub == nil {
-		sub, spare = spare, nil
-	}
+	p := sim.ForkTarget[mvStepper](prev)
+	sub := p.sub
 	*p = *s
-	if s.sub == nil {
-		// Between rounds: park the displaced round stepper for a later fork
-		// that lands mid-round in this storage.
-		p.sub, p.spareSub = nil, sub
-		return p
+	p.sub = sub
+	if s.sub.cm != nil {
+		s.sub.copyTo(&p.sub)
 	}
-	p.spareSub = spare
-	p.sub = s.sub.ForkInto(sub).(*raceStepper)
 	return p
 }
 
 func (s *mvStepper) StateKey(relabel func(int) int) (uint64, bool) {
 	if s.done || s.err != nil {
 		// A finished stepper is keyed by its outcome alone: one that decides
-		// in its last round has retired its round stepper (sub is nil) while
-		// its phase stays mvpRound.
+		// in its last round keeps phase mvpRound over a finished sub.
 		h := machine.Mix64(uint64(s.decision) ^ 0x6d76646f)
 		if s.err != nil {
-			h = mix2(h, 1)
+			h = sim.MixKey(h, 1)
 		}
 		return h, true
 	}
 	h := machine.Mix64(uint64(s.v) ^ 0x6d7635)
-	h = mix2(h, uint64(s.round)|uint64(s.phase)<<16|uint64(s.recJ)<<32)
+	h = sim.MixKey(h, uint64(s.round)|uint64(s.phase)<<16|uint64(s.recJ)<<32)
 	if s.phase == mvpRound {
 		k, ok := s.sub.StateKey(relabel)
 		if !ok {
 			return 0, false
 		}
-		h = mix2(h, k)
+		h = sim.MixKey(h, k)
 	} else {
-		h = mix2(h, opInfoKey(&s.pending, relabel))
+		h = sim.MixKey(h, opInfoKey(&s.pending, relabel))
 	}
 	// Future references: the rest of the construction's layout, from the
 	// current round's block to the final round's bin-consensus locations
 	// (completed rounds are never touched again, so they stay out).
 	total := (s.k-1)*(2*s.slot.size()+s.c) + s.c
-	return foldLocs(h, relabel, s.base, total), true
+	return sim.FoldSpan(h, relabel, s.base, total-s.base), true
 }
 
 // --- constructors shared by the protocol wiring ------------------------------

@@ -342,10 +342,7 @@ func (st *swapStepper) Halt()                       {}
 // buffer points at, and s, belong to memory payloads (or to the shared
 // zero vector) and are shared, never written.
 func (st *swapStepper) ForkInto(prev sim.Stepper) sim.Stepper {
-	p, ok := prev.(*swapStepper)
-	if !ok {
-		p = new(swapStepper)
-	}
+	p := sim.ForkTarget[swapStepper](prev)
 	ell, cur, curVer, prevVer := p.ell, p.cur, p.curVer, p.prevVer
 	*p = *st
 	p.ell = append(ell[:0], st.ell...)
@@ -366,8 +363,8 @@ func (st *swapStepper) StateKey(relabel func(int) int) (uint64, bool) {
 		return 0, false
 	}
 	h := machine.Mix64(uint64(st.pc) ^ 0x73777073)
-	h = mix2(h, uint64(st.j))
-	h = mix2(h, uint64(st.seq))
+	h = sim.MixKey(h, uint64(st.j))
+	h = sim.MixKey(h, uint64(st.seq))
 	h = foldLaps(h, st.ell)
 	if st.pc == swSwap {
 		return h, true
@@ -375,21 +372,21 @@ func (st *swapStepper) StateKey(relabel func(int) int) (uint64, bool) {
 	h = foldLaps(h, st.s)
 	for j := 0; j < st.j; j++ {
 		h = foldLaps(h, st.cur[j])
-		h = mix2(mix2(h, uint64(st.curVer[j].pid)), uint64(st.curVer[j].seq))
+		h = sim.MixKey(sim.MixKey(h, uint64(st.curVer[j].pid)), uint64(st.curVer[j].seq))
 	}
 	if !st.havePrev {
-		return mix2(h, 0), true
+		return sim.MixKey(h, 0), true
 	}
-	h = mix2(h, 1)
+	h = sim.MixKey(h, 1)
 	for _, v := range st.prevVer {
-		h = mix2(mix2(h, uint64(v.pid)), uint64(v.seq))
+		h = sim.MixKey(sim.MixKey(h, uint64(v.pid)), uint64(v.seq))
 	}
 	return h, true
 }
 
 func foldLaps(h uint64, laps []int64) uint64 {
 	for _, x := range laps {
-		h = mix2(h, uint64(x))
+		h = sim.MixKey(h, uint64(x))
 	}
 	return h
 }

@@ -3,6 +3,7 @@ package counter
 import (
 	"fmt"
 	"math/big"
+	"slices"
 
 	"repro/internal/machine"
 	"repro/internal/primes"
@@ -13,7 +14,8 @@ import (
 // *sim.Proc-bound counters above. A Machine issues the exact same
 // instruction stream as its Counter twin but holds every scrap of state —
 // persistent (set-bit tallies) and transient (scan progress) — in a plain
-// struct, so a process built on it can be snapshotted with a struct copy.
+// struct and at most one buffer it owns, so a process built on it is
+// snapshotted with a struct copy plus one buffer copy.
 // The forkable protocol steppers in internal/consensus drive Machines; the
 // cross-engine differential suite pins the instruction streams to the Body
 // versions step for step.
@@ -32,10 +34,11 @@ type Machine interface {
 	// Components returns m.
 	Components() int
 	// ForkInto returns an independent copy, including mid-operation
-	// progress — the counter-machine half of sim.Forker. It reuses prev's
-	// heap state (scratch slices) when prev is a discarded machine of the
-	// same concrete type; when prev is nil or of a foreign type it builds the
-	// copy in fresh storage by the same statements.
+	// progress — the counter-machine half of sim.Forker. A machine keeps its
+	// mutable words in one buffer it owns at fixed offsets, so the copy is a
+	// struct copy plus one copy of that buffer, rebuilt in prev and prev's
+	// buffer when prev is a discarded machine of the same concrete type and
+	// in fresh storage by the same statements otherwise (sim.ForkTarget).
 	ForkInto(prev Machine) Machine
 	// Key is the machine's component of its stepper's key, under the
 	// sim.StateKeyer contract: any state that can affect future
@@ -58,40 +61,27 @@ type Machine interface {
 	Counts() []int64
 }
 
-func mixKey(h, x uint64) uint64 { return machine.Mix64(h ^ x) }
-
-// foldSpan folds relabel(loc) for the n locations from base into h, in
-// ascending order; the exact key (relabel == nil) folds none.
-func foldSpan(h uint64, relabel func(int) int, base, n int) uint64 {
-	if relabel != nil {
-		for loc := base; loc < base+n; loc++ {
-			h = mixKey(h, uint64(relabel(loc)))
-		}
-	}
-	return h
-}
-
 // issue writes the instruction op@loc with args into next (see Machine).
 func issue(next *sim.OpInfo, loc int, op machine.Op, args []machine.Value) {
 	next.Loc, next.Op, next.Args = loc, op, args
 }
 
-// appendInto copies src into dst's storage (growing if needed), preserving
-// src's nil-ness — several machines distinguish nil from empty in their keys.
-// It is the reuse half of the ForkInto implementations.
-func appendInto[E any](dst, src []E) []E {
-	if src == nil {
-		return nil
+// zeroed returns n zero words, in buf's storage when it has room.
+func zeroed(buf []int64, n int) []int64 {
+	if cap(buf) < n {
+		return make([]int64, n)
 	}
-	return append(dst[:0], src...)
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // mixCounts folds a count slice (with a length prefix, so nil and empty
 // distinguish from longer states) into a rolling key.
 func mixCounts(h uint64, xs []int64) uint64 {
-	h = mixKey(h, uint64(len(xs)))
+	h = sim.MixKey(h, uint64(len(xs)))
 	for _, x := range xs {
-		h = mixKey(h, uint64(x))
+		h = sim.MixKey(h, uint64(x))
 	}
 	return h
 }
@@ -133,7 +123,7 @@ func (f *flatMachine) Counts() []int64 { return f.counts }
 // key folds the operation in flight and, under a relabeling, the machine's
 // single location.
 func (f *flatMachine) key(tag uint64, relabel func(int) int) uint64 {
-	return foldSpan(mixKey(tag, uint64(f.op)), relabel, f.loc, 1)
+	return sim.FoldSpan(sim.MixKey(tag, uint64(f.op)), relabel, f.loc, 1)
 }
 
 // AddMachine is the forkable twin of Add: one {read, add} (or
@@ -175,10 +165,7 @@ func NewAddMachine(loc, m, n int, fetch bool) *AddMachine {
 }
 
 func (c *AddMachine) ForkInto(prev Machine) Machine {
-	p, ok := prev.(*AddMachine)
-	if !ok {
-		p = new(AddMachine)
-	}
+	p := sim.ForkTarget[AddMachine](prev)
 	*p = *c
 	return p
 }
@@ -243,10 +230,7 @@ func NewMulMachine(loc, m int, fetch bool) *MulMachine {
 }
 
 func (c *MulMachine) ForkInto(prev Machine) Machine {
-	p, ok := prev.(*MulMachine)
-	if !ok {
-		p = new(MulMachine)
-	}
+	p := sim.ForkTarget[MulMachine](prev)
 	*p = *c
 	return p
 }
@@ -292,10 +276,7 @@ func NewSetBitMachine(loc, m, n, id int) *SetBitMachine {
 }
 
 func (c *SetBitMachine) ForkInto(prev Machine) Machine {
-	p, ok := prev.(*SetBitMachine)
-	if !ok {
-		p = new(SetBitMachine)
-	}
+	p := sim.ForkTarget[SetBitMachine](prev)
 	mine := p.mine
 	*p = *c
 	p.mine = append(mine[:0], c.mine...)
@@ -313,7 +294,7 @@ func (c *SetBitMachine) Key(relabel func(int) int) (uint64, bool) {
 	// entry's position implies it. Folding it in keeps set-bit processes
 	// unmerged across pids, which is the sound under-approximation (merging
 	// them would equate memories whose lane blocks differ).
-	return foldSpan(mixKey(h, uint64(c.id)), relabel, c.loc, 1), true
+	return sim.FoldSpan(sim.MixKey(h, uint64(c.id)), relabel, c.loc, 1), true
 }
 
 func (c *SetBitMachine) StartInc(v int, next *sim.OpInfo) {
@@ -351,105 +332,55 @@ type IncMachine struct {
 	fai     bool
 	op      opKind
 	idx     int
-	cur     []int64
-	prev    []int64
-	counts  []int64
-	// scratch is a retired collect buffer kept for reuse. Only buffers this
-	// machine owns exclusively land here (a superseded prev, or a harvested
-	// buffer in NewIncMachineInto) — never counts, whose backing array may be
-	// shared with forks of this machine and must stay immutable.
-	scratch []int64
+	// havePrev marks that the scan in flight has completed a collect, held
+	// in the prev words.
+	havePrev bool
+	// buf holds the collect in flight (cur), the previous collect (prev) and
+	// the last completed scan (counts), m words each.
+	buf []int64
 }
 
 // NewIncMachineInto mirrors NewIncrement/NewFetchIncrement over locations
-// base..base+m-1. When spare is a retired *IncMachine it rebuilds in place:
-// the struct is reinitialized and one of its exclusively owned collect
-// buffers is kept as scratch, so the machine's first scan can skip its
-// allocation. spare may be nil or of a foreign type; either way the result
-// behaves exactly like a fresh machine.
-func NewIncMachineInto(spare Machine, base, m int, fai bool) *IncMachine {
-	p, ok := spare.(*IncMachine)
-	if !ok {
-		p = new(IncMachine)
-	}
-	scratch := p.scratch
-	if scratch == nil {
-		scratch = p.prev // exclusively owned, unlike counts
-	}
-	if scratch == nil {
-		scratch = p.cur
-	}
-	*p = IncMachine{base: base, m: m, fai: fai, scratch: scratch}
+// base..base+m-1, built in prev's storage when prev is an *IncMachine (see
+// sim.ForkTarget).
+func NewIncMachineInto(prev Machine, base, m int, fai bool) *IncMachine {
+	p := sim.ForkTarget[IncMachine](prev)
+	*p = IncMachine{base: base, m: m, fai: fai, buf: zeroed(p.buf, 3*m)}
 	return p
-}
-
-// scanBuf returns a zeroed collect buffer of m entries, reusing scratch when
-// it fits. Zeroing matters beyond hygiene: Key hashes the whole buffer, not
-// just the filled prefix, so a recycled buffer must look exactly like a fresh
-// make for mid-scan keys to stay deterministic.
-func (c *IncMachine) scanBuf() []int64 {
-	if cap(c.scratch) >= c.m {
-		b := c.scratch[:c.m]
-		c.scratch = nil
-		clear(b)
-		return b
-	}
-	return make([]int64, c.m)
 }
 
 func (c *IncMachine) Components() int { return c.m }
 
-func (c *IncMachine) Counts() []int64 { return c.counts }
+// cur is the collect in flight, nil outside a scan.
+func (c *IncMachine) cur() []int64 {
+	if c.op != opScan {
+		return nil
+	}
+	return c.buf[:c.m]
+}
+
+func (c *IncMachine) prev() []int64 { return c.buf[c.m : 2*c.m] }
+
+func (c *IncMachine) Counts() []int64 { return c.buf[2*c.m:] }
 
 func (c *IncMachine) ForkInto(prev Machine) Machine {
-	p, ok := prev.(*IncMachine)
-	if !ok {
-		p = new(IncMachine)
-	}
-	// Rotate p's exclusively owned buffers (cur, prev, scratch — never
-	// counts) into whichever slots this fork needs filled; a leftover one
-	// stays parked as scratch for the next scan.
-	pool := [3][]int64{p.cur, p.prev, p.scratch}
-	pi := 0
+	p := sim.ForkTarget[IncMachine](prev)
+	buf := p.buf
 	*p = *c
-	p.cur, pi = appendPooled(&pool, pi, c.cur)
-	p.prev, pi = appendPooled(&pool, pi, c.prev)
-	p.scratch = nil
-	for ; pi < 3; pi++ {
-		if pool[pi] != nil {
-			p.scratch = pool[pi]
-			break
-		}
-	}
+	p.buf = append(buf[:0], c.buf...)
 	return p
 }
 
-// appendPooled copies src into the next recycled buffer with capacity (nil
-// srcs stay nil), returning the copy and the advanced pool cursor.
-func appendPooled(pool *[3][]int64, pi int, src []int64) ([]int64, int) {
-	if src == nil {
-		return nil, pi
-	}
-	for pi < 3 {
-		b := pool[pi]
-		pi++
-		if b != nil {
-			return append(b[:0], src...), pi
-		}
-	}
-	return append([]int64(nil), src...), pi
-}
-
 func (c *IncMachine) Key(relabel func(int) int) (uint64, bool) {
-	h := mixKey(0x696e6330, uint64(c.op))
-	h = mixKey(h, uint64(c.idx))
-	h = mixCounts(h, c.cur)
-	if c.prev == nil {
-		h = mixKey(h, 0)
+	h := sim.MixKey(0x696e6330, uint64(c.op))
+	h = sim.MixKey(h, uint64(c.idx))
+	h = mixCounts(h, c.cur())
+	if !c.havePrev {
+		h = sim.MixKey(h, 0)
 	} else {
-		h = mixCounts(mixKey(h, 1), c.prev)
+		h = mixCounts(sim.MixKey(h, 1), c.prev())
 	}
-	return foldSpan(h, relabel, c.base, c.m), true
+	return sim.FoldSpan(h, relabel, c.base, c.m), true
 }
 
 func (c *IncMachine) StartInc(v int, next *sim.OpInfo) {
@@ -465,11 +396,13 @@ func (c *IncMachine) StartDec(int, *sim.OpInfo) {
 	panic("counter: IncMachine is unbounded; Dec unsupported")
 }
 
+// StartScan and each later collect start from zeroed cur words: Key hashes
+// all m of them, not just the filled prefix.
 func (c *IncMachine) StartScan(next *sim.OpInfo) {
 	c.op = opScan
 	c.idx = 0
-	c.cur = c.scanBuf()
-	c.prev = nil
+	clear(c.cur())
+	c.havePrev = false
 	issue(next, c.base, machine.OpRead, nil)
 }
 
@@ -478,37 +411,25 @@ func (c *IncMachine) Step(res machine.Value, next *sim.OpInfo) bool {
 		c.op = opIdle
 		return false
 	}
-	c.cur[c.idx] = mustInt64(res)
+	cur := c.cur()
+	cur[c.idx] = mustInt64(res)
 	c.idx++
 	if c.idx < c.m {
 		issue(next, c.base+c.idx, machine.OpRead, nil)
 		return true
 	}
 	// One collect complete: the double-collect rule of doubleCollect.
-	if c.prev != nil && equalCounts(c.cur, c.prev) {
-		c.counts = c.cur
-		c.scratch = c.prev // retired and exclusively owned: reuse next scan
-		c.cur, c.prev = nil, nil
+	if c.havePrev && slices.Equal(cur, c.prev()) {
+		copy(c.Counts(), cur)
+		c.havePrev = false
 		c.op = opIdle
 		return false
 	}
-	c.scratch = c.prev // superseded collect (nil on the first); reuse below
-	c.prev = c.cur
-	c.cur = c.scanBuf()
+	copy(c.prev(), cur)
+	c.havePrev = true
+	clear(cur)
 	c.idx = 0
 	issue(next, c.base, machine.OpRead, nil)
-	return true
-}
-
-func equalCounts(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
 	return true
 }
 
@@ -525,37 +446,29 @@ type UnaryMachine struct {
 	setOp, clearOp machine.Op
 	confirming     int
 
-	op  opKind
-	sub uint8
-	v   int // component of the in-flight inc/dec
-	j   int // bit cursor of the in-flight inc/dec
-	idx int // collect cursor of the in-flight scan
-	// bits and prev are the current and the previous collect of a scan, nil
-	// outside one. While non-nil, bits is a prefix of bufs[0] and prev of
-	// bufs[1]: the two collect buffers the machine owns alone (ForkInto
-	// copies them, never shares them), reused from scan to scan.
-	bits []bool
-	prev []bool
-	bufs [2][]bool
+	op   opKind
+	sub  uint8
+	v    int // component of the in-flight inc/dec
+	j    int // bit cursor of the in-flight inc/dec
+	idx  int // collect cursor of the in-flight scan
 	same int
-	// cnt is the last completed scan's result, rebuilt in place by the next
-	// scan: ForkInto copies it, so it too is owned alone.
-	cnt []int64
+	// havePrev marks that the scan in flight has completed a collect, held
+	// in the prev words.
+	havePrev bool
+	// buf holds the collect in flight (cur) and the previous collect
+	// (prev), m*width bits each as 0 or 1, then the last completed scan's
+	// m counts.
+	buf []int64
 }
 
 // NewUnaryMachineInto mirrors NewUnary (tas=false) and NewUnaryTAS
-// (tas=true). When spare is a retired *UnaryMachine it rebuilds in place,
-// keeping its exclusively owned collect buffers and scan result for reuse;
-// spare may be nil or of a foreign type. Either way the result behaves
-// exactly like a fresh machine.
-func NewUnaryMachineInto(spare Machine, base, m, width int, tas bool) *UnaryMachine {
-	p, ok := spare.(*UnaryMachine)
-	if !ok {
-		p = new(UnaryMachine)
-	}
+// (tas=true), built in prev's storage when prev is a *UnaryMachine (see
+// sim.ForkTarget).
+func NewUnaryMachineInto(prev Machine, base, m, width int, tas bool) *UnaryMachine {
+	p := sim.ForkTarget[UnaryMachine](prev)
 	*p = UnaryMachine{base: base, m: m, width: width,
 		setOp: machine.OpWriteOne, clearOp: machine.OpWriteZero, confirming: 2,
-		bufs: p.bufs, cnt: p.cnt[:0]}
+		buf: zeroed(p.buf, (2*width+1)*m)}
 	if tas {
 		p.setOp, p.clearOp = machine.OpTestAndSet, machine.OpReset
 	}
@@ -564,57 +477,52 @@ func NewUnaryMachineInto(spare Machine, base, m, width int, tas bool) *UnaryMach
 
 func (c *UnaryMachine) Components() int { return c.m }
 
-func (c *UnaryMachine) Counts() []int64 { return c.cnt }
+func (c *UnaryMachine) cur() []int64 { return c.buf[:c.m*c.width] }
+
+func (c *UnaryMachine) prev() []int64 { return c.buf[c.m*c.width : 2*c.m*c.width] }
+
+func (c *UnaryMachine) Counts() []int64 { return c.buf[2*c.m*c.width:] }
 
 func (c *UnaryMachine) ForkInto(prev Machine) Machine {
-	p, ok := prev.(*UnaryMachine)
-	if !ok {
-		p = new(UnaryMachine)
-	}
-	bufs, cnt := p.bufs, p.cnt
+	p := sim.ForkTarget[UnaryMachine](prev)
+	buf := p.buf
 	*p = *c
-	p.bufs = bufs
-	if c.bits != nil {
-		p.bufs[0] = append(bufs[0][:0], c.bits...)
-		p.bits = p.bufs[0]
-	}
-	if c.prev != nil {
-		p.bufs[1] = append(bufs[1][:0], c.prev...)
-		p.prev = p.bufs[1]
-	}
-	p.cnt = append(cnt[:0], c.cnt...)
+	p.buf = append(buf[:0], c.buf...)
 	return p
 }
 
-// collect starts a collect into bufs[0], zeroed: Key hashes the whole
-// buffer, not just the filled prefix, so a recycled buffer must look
-// exactly like a fresh make for mid-scan keys to stay deterministic.
+// collect starts a collect into zeroed cur words: Key hashes all of them,
+// not just the filled prefix.
 func (c *UnaryMachine) collect(next *sim.OpInfo) {
-	n := c.m * c.width
-	if cap(c.bufs[0]) < n {
-		c.bufs[0] = make([]bool, n)
-	}
-	c.bits = c.bufs[0][:n]
-	clear(c.bits)
+	clear(c.cur())
 	c.idx = 0
 	issue(next, c.base, machine.OpRead, nil)
 }
 
 func (c *UnaryMachine) Key(relabel func(int) int) (uint64, bool) {
-	h := mixKey(0x756e7230, uint64(c.op))
-	h = mixKey(h, uint64(c.sub)|uint64(c.v)<<8)
-	h = mixKey(h, uint64(c.j)|uint64(c.idx)<<16|uint64(c.same)<<32)
-	for _, bs := range [][]bool{c.bits, c.prev} {
-		h = mixKey(h, uint64(len(bs)))
-		for _, b := range bs {
-			if b {
-				h = mixKey(h, 3)
-			} else {
-				h = mixKey(h, 5)
-			}
+	h := sim.MixKey(0x756e7230, uint64(c.op))
+	h = sim.MixKey(h, uint64(c.sub)|uint64(c.v)<<8)
+	h = sim.MixKey(h, uint64(c.j)|uint64(c.idx)<<16|uint64(c.same)<<32)
+	h = mixBits(h, c.op == opScan, c.cur())
+	h = mixBits(h, c.havePrev, c.prev())
+	return sim.FoldSpan(h, relabel, c.base, c.m*c.width), true
+}
+
+// mixBits folds a collect (length-prefixed, each bit as 3 or 5), or a bare
+// zero length when the collect is absent.
+func mixBits(h uint64, present bool, bits []int64) uint64 {
+	if !present {
+		return sim.MixKey(h, 0)
+	}
+	h = sim.MixKey(h, uint64(len(bits)))
+	for _, b := range bits {
+		if b != 0 {
+			h = sim.MixKey(h, 3)
+		} else {
+			h = sim.MixKey(h, 5)
 		}
 	}
-	return foldSpan(h, relabel, c.base, c.m*c.width), true
+	return h
 }
 
 func (c *UnaryMachine) loc(v, j int) int { return c.base + v*c.width + j }
@@ -631,7 +539,7 @@ func (c *UnaryMachine) StartDec(v int, next *sim.OpInfo) {
 
 func (c *UnaryMachine) StartScan(next *sim.OpInfo) {
 	c.op = opScan
-	c.prev = nil
+	c.havePrev = false
 	c.same = 0
 	c.collect(next)
 }
@@ -671,31 +579,31 @@ func (c *UnaryMachine) Step(res machine.Value, next *sim.OpInfo) bool {
 		issue(next, c.loc(c.v, c.j), machine.OpRead, nil)
 		return true
 	case opScan:
-		c.bits[c.idx] = mustInt64(res) != 0
+		cur := c.cur()
+		if mustInt64(res) != 0 {
+			cur[c.idx] = 1
+		}
 		c.idx++
-		if c.idx < len(c.bits) {
+		if c.idx < len(cur) {
 			issue(next, c.base+c.idx, machine.OpRead, nil)
 			return true
 		}
 		// One collect complete: require `confirming` consecutive identical
 		// collects, exactly as Unary.Scan does.
-		if c.prev != nil && equalBits(c.bits, c.prev) {
+		if c.havePrev && slices.Equal(cur, c.prev()) {
 			c.same++
 		} else {
 			c.same = 1
 		}
-		// The finished collect becomes prev; the superseded one's buffer
-		// takes the next collect.
-		c.bufs[0], c.bufs[1] = c.bufs[1], c.bufs[0]
-		c.prev = c.bits
+		copy(c.prev(), cur)
+		c.havePrev = true
 		if c.same >= c.confirming {
-			c.cnt = append(c.cnt[:0], make([]int64, c.m)...)
-			for i, b := range c.prev {
-				if b {
-					c.cnt[i/c.width]++
-				}
+			cnt := c.Counts()
+			clear(cnt)
+			for i, b := range cur {
+				cnt[i/c.width] += b
 			}
-			c.bits, c.prev = nil, nil
+			c.havePrev = false
 			c.op = opIdle
 			return false
 		}
@@ -704,16 +612,4 @@ func (c *UnaryMachine) Step(res machine.Value, next *sim.OpInfo) bool {
 	}
 	c.op = opIdle
 	return false
-}
-
-func equalBits(a, b []bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -1,6 +1,8 @@
 package counter
 
 import (
+	"slices"
+
 	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/swreg"
@@ -58,48 +60,48 @@ func (c *Registers) Scan() []int64 {
 // register version vectors (the integers the array fingerprint encodes)
 // and sums contributions as each read's result arrives.
 type RegistersMachine struct {
-	arr  swreg.Machine
-	m    int
-	mine []int64
-	op   opKind
-	j    int     // read of the collect in flight
-	vers []int64 // this collect's register versions, filled through j
-	sums []int64 // this collect's component sums, through read j
-	// prev holds the previous collect's versions while havePrev is set.
-	prev     []int64
+	arr swreg.Machine
+	m   int
+	op  opKind
+	j   int // read of the collect in flight
+	// havePrev marks that the scan in flight has completed a collect, whose
+	// versions the prev words hold.
 	havePrev bool
-	counts   []int64
+	// buf holds, m words each, this process's contributions (mine), this
+	// collect's component sums through read j (sums) and the last completed
+	// scan (counts); then, one word per register, this collect's versions
+	// filled through j (vers) and the previous collect's (prev). Nothing in
+	// it is ever published: a write publishes a fresh vector (StartInc).
+	buf []int64
 }
 
 // NewRegistersMachine builds the counter machine of one process over arr
 // with m components.
 func NewRegistersMachine(arr swreg.Machine, m int) *RegistersMachine {
-	n := arr.Registers()
-	return &RegistersMachine{arr: arr, m: m, mine: make([]int64, m),
-		vers: make([]int64, n), sums: make([]int64, m), prev: make([]int64, n)}
+	return &RegistersMachine{arr: arr, m: m, buf: make([]int64, 3*m+2*arr.Registers())}
 }
 
 func (c *RegistersMachine) Components() int { return c.m }
 
-func (c *RegistersMachine) Counts() []int64 { return c.counts }
+func (c *RegistersMachine) mine() []int64 { return c.buf[:c.m] }
 
-// ForkInto copies every slice into prev's storage. All of them are private:
-// the vectors a write publishes are fresh allocations (StartInc), so no
-// buffer reused here can be one another process reads back from memory.
+func (c *RegistersMachine) sums() []int64 { return c.buf[c.m : 2*c.m] }
+
+func (c *RegistersMachine) Counts() []int64 { return c.buf[2*c.m : 3*c.m] }
+
+func (c *RegistersMachine) vers() []int64 {
+	return c.buf[3*c.m : 3*c.m+c.arr.Registers()]
+}
+
+func (c *RegistersMachine) prev() []int64 { return c.buf[3*c.m+c.arr.Registers():] }
+
 func (c *RegistersMachine) ForkInto(prev Machine) Machine {
-	p, ok := prev.(*RegistersMachine)
-	if !ok {
-		p = new(RegistersMachine)
-	}
-	old := *p
+	p := sim.ForkTarget[RegistersMachine](prev)
+	buf, arr := p.buf, p.arr
 	*p = *c
-	p.arr = old.arr
+	p.arr = arr
 	c.arr.ForkInto(&p.arr)
-	p.mine = append(old.mine[:0], c.mine...)
-	p.vers = append(old.vers[:0], c.vers...)
-	p.sums = append(old.sums[:0], c.sums...)
-	p.prev = append(old.prev[:0], c.prev...)
-	p.counts = appendInto(old.counts, c.counts)
+	p.buf = append(buf[:0], c.buf...)
 	return p
 }
 
@@ -108,28 +110,28 @@ func (c *RegistersMachine) Key(relabel func(int) int) (uint64, bool) {
 	if relabel != nil {
 		return 0, false
 	}
-	h := mixKey(0x72656730, uint64(c.op)|uint64(c.j)<<8)
-	h = mixKey(h, c.arr.Key())
-	h = mixCounts(h, c.mine)
+	h := sim.MixKey(0x72656730, uint64(c.op)|uint64(c.j)<<8)
+	h = sim.MixKey(h, c.arr.Key())
+	h = mixCounts(h, c.mine())
 	if c.op == opScan {
 		// Both are zeroed at each collect's start, so their unread tails
 		// hash the same however the scan got here.
-		h = mixCounts(h, c.vers)
-		h = mixCounts(h, c.sums)
+		h = mixCounts(h, c.vers())
+		h = mixCounts(h, c.sums())
 	}
 	if !c.havePrev {
-		return mixKey(h, 0), true
+		return sim.MixKey(h, 0), true
 	}
-	return mixCounts(mixKey(h, 1), c.prev), true
+	return mixCounts(sim.MixKey(h, 1), c.prev()), true
 }
 
 // StartInc bumps this process's contribution to component v and publishes
 // the whole contribution vector, in a fresh allocation: a published vector
 // is immutable, since other processes' collects read it back.
 func (c *RegistersMachine) StartInc(v int, next *sim.OpInfo) {
-	c.mine[v]++
+	c.buf[v]++
 	out := make([]int64, c.m)
-	copy(out, c.mine)
+	copy(out, c.mine())
 	c.op = opInc
 	c.arr.StartWrite(out, next)
 }
@@ -145,8 +147,8 @@ func (c *RegistersMachine) StartScan(next *sim.OpInfo) {
 
 func (c *RegistersMachine) startCollect(next *sim.OpInfo) {
 	c.j = 0
-	clear(c.vers)
-	clear(c.sums)
+	clear(c.vers())
+	clear(c.sums())
 	c.arr.ReadOp(0, next)
 }
 
@@ -157,22 +159,22 @@ func (c *RegistersMachine) Step(res machine.Value, next *sim.OpInfo) bool {
 			return true
 		}
 	case opScan:
-		c.arr.Absorb(c.j, res, c.vers, c.sums)
+		c.arr.Absorb(c.j, res, c.vers(), c.sums())
 		if c.j++; c.j < c.arr.Reads() {
 			c.arr.ReadOp(c.j, next)
 			return true
 		}
 		// One collect complete: the double-collect rule of doubleCollect.
-		if !c.havePrev || !equalCounts(c.vers, c.prev) {
-			c.prev = append(c.prev[:0], c.vers...)
+		if !c.havePrev || !slices.Equal(c.vers(), c.prev()) {
+			copy(c.prev(), c.vers())
 			c.havePrev = true
 			c.startCollect(next)
 			return true
 		}
-		c.counts = append(c.counts[:0], c.sums...)
+		copy(c.Counts(), c.sums())
 		c.j, c.havePrev = 0, false
-		clear(c.vers)
-		clear(c.sums)
+		clear(c.vers())
+		clear(c.sums())
 	}
 	c.op = opIdle
 	return false

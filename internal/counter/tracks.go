@@ -1,6 +1,7 @@
 package counter
 
 import (
+	"slices"
 	"strconv"
 
 	"repro/internal/machine"
@@ -108,40 +109,38 @@ func (c *Tracks) Scan() []int64 {
 type TracksMachine struct {
 	base, m int
 	tas     bool
-	low     []int64 // first position of each track not known to be 1
 	op      opKind
 	v       int // track of the in-flight scan read; 0 outside scans
-	// prev holds the previous collect's counts while havePrev is set. A
-	// completed collect's counts are the low-water marks themselves, so the
-	// collect in progress needs no buffer of its own.
-	prev     []int64
+	// havePrev marks that the scan in flight has completed a collect, held
+	// in the prev words. A completed collect's counts are the low-water
+	// marks themselves, so the collect in progress needs no words of its
+	// own.
 	havePrev bool
-	counts   []int64
+	// buf holds the low-water marks (low: each track's first position not
+	// known to be 1), the previous collect (prev) and the last completed
+	// scan (counts), m words each.
+	buf []int64
 }
 
 // NewTracksMachine mirrors NewTracks (tas=false) and NewTracksTAS (tas=true)
 // for m tracks starting at location base.
 func NewTracksMachine(base, m int, tas bool) *TracksMachine {
-	return &TracksMachine{base: base, m: m, tas: tas, low: make([]int64, m)}
+	return &TracksMachine{base: base, m: m, tas: tas, buf: make([]int64, 3*m)}
 }
 
 func (c *TracksMachine) Components() int { return c.m }
 
-func (c *TracksMachine) Counts() []int64 { return c.counts }
+func (c *TracksMachine) low() []int64 { return c.buf[:c.m] }
 
-// ForkInto copies every slice into prev's storage: all three are private to
-// the machine (nothing it holds is ever published to memory), so reuse
-// cannot alias a live fork.
+func (c *TracksMachine) prev() []int64 { return c.buf[c.m : 2*c.m] }
+
+func (c *TracksMachine) Counts() []int64 { return c.buf[2*c.m:] }
+
 func (c *TracksMachine) ForkInto(prev Machine) Machine {
-	p, ok := prev.(*TracksMachine)
-	if !ok {
-		p = new(TracksMachine)
-	}
-	low, prv, counts := p.low, p.prev, p.counts
+	p := sim.ForkTarget[TracksMachine](prev)
+	buf := p.buf
 	*p = *c
-	p.low = append(low[:0], c.low...)
-	p.prev = append(prv[:0], c.prev...)
-	p.counts = appendInto(counts, c.counts)
+	p.buf = append(buf[:0], c.buf...)
 	return p
 }
 
@@ -150,25 +149,25 @@ func (c *TracksMachine) Key(relabel func(int) int) (uint64, bool) {
 	if relabel != nil {
 		return 0, false
 	}
-	h := mixKey(0x74726b30, uint64(c.op)|uint64(c.v)<<8)
-	h = mixCounts(h, c.low)
+	h := sim.MixKey(0x74726b30, uint64(c.op)|uint64(c.v)<<8)
+	h = mixCounts(h, c.low())
 	if !c.havePrev {
-		return mixKey(h, 0), true
+		return sim.MixKey(h, 0), true
 	}
-	return mixCounts(mixKey(h, 1), c.prev), true
+	return mixCounts(sim.MixKey(h, 1), c.prev()), true
 }
 
 // read writes the read of track's low-water mark into next.
 func (c *TracksMachine) read(track int, next *sim.OpInfo) {
-	issue(next, c.base+int(c.low[track])*c.m+track, machine.OpRead, nil)
+	issue(next, c.base+int(c.buf[track])*c.m+track, machine.OpRead, nil)
 }
 
 // StartInc sets the position of track v from which this process last read
 // 0, advancing the mark at once: the mark is not read again before the
 // write's result arrives.
 func (c *TracksMachine) StartInc(v int, next *sim.OpInfo) {
-	pos := c.low[v]
-	c.low[v] = pos + 1
+	pos := c.buf[v]
+	c.buf[v] = pos + 1
 	c.op = opInc
 	op := machine.OpWriteOne
 	if c.tas {
@@ -192,7 +191,7 @@ func (c *TracksMachine) Step(res machine.Value, next *sim.OpInfo) bool {
 		return false
 	}
 	if mustInt64(res) != 0 {
-		c.low[c.v]++
+		c.buf[c.v]++
 		c.read(c.v, next)
 		return true
 	}
@@ -202,12 +201,12 @@ func (c *TracksMachine) Step(res machine.Value, next *sim.OpInfo) bool {
 	}
 	// One collect complete: its counts are the marks. Two equal
 	// consecutive collects form the snapshot (doubleCollect).
-	if c.havePrev && equalCounts(c.low, c.prev) {
-		c.counts = append(c.counts[:0], c.low...)
+	if c.havePrev && slices.Equal(c.low(), c.prev()) {
+		copy(c.Counts(), c.low())
 		c.op, c.v, c.havePrev = opIdle, 0, false
 		return false
 	}
-	c.prev = append(c.prev[:0], c.low...)
+	copy(c.prev(), c.low())
 	c.havePrev, c.v = true, 0
 	c.read(0, next)
 	return true

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-
-	"repro/internal/machine"
 )
 
 // forkTally counts successful System.Fork calls process-wide. It exists for
@@ -23,19 +21,6 @@ func ForkTally() int64 { return forkTally.Load() }
 // stepper — and by the explorer for a system that cannot fork.
 var ErrNotForkable = errors.New("sim: stepper does not support forking")
 
-// doneStepper stands in for a finished or crashed process in a forked
-// system: it only has to report the recorded outcome.
-type doneStepper struct {
-	decided  bool
-	decision int
-	err      error
-}
-
-func (d doneStepper) Poise() *OpInfo              { return nil }
-func (d doneStepper) Resume(machine.Value) bool   { return true }
-func (d doneStepper) Outcome() (bool, int, error) { return d.decided, d.decision, d.err }
-func (d doneStepper) Halt()                       {}
-
 // Fork returns an independent copy of the system at its current
 // configuration: same memory contents, same poised instructions, decisions,
 // crashes, and step count. The fork and the original never observe each
@@ -47,7 +32,8 @@ func (d doneStepper) Halt()                       {}
 // through its stepper's ForkInto, over the stepper the target slot last held
 // (nil in a freshly built System): the built-in steppers are struct copies
 // that share every value they read from memory and every buffer they
-// published, by the same rule. Finished and crashed processes fork as stubs.
+// published, by the same rule. A finished or crashed process forks as its
+// recorded outcome alone; its slot keeps the stepper it last held.
 // A live process whose stepper does not implement Forker — the Body adapter,
 // whose local state lives on a coroutine stack — makes Fork fail with
 // ErrNotForkable, and the partial fork is torn down.
@@ -105,12 +91,6 @@ func (s *System) Fork() (*System, error) {
 	}
 	for i, ps := range s.procs {
 		nps := n.procs[i]
-		prev := nps.st // recycled stepper storage, reusable via ForkInto
-		if prev == &nps.doneSt {
-			// The slot last held a terminal stub; the displaced live stepper
-			// was parked in spare.
-			prev = nps.spare
-		}
 		nps.hasPoise = false
 		nps.decided, nps.decision = ps.decided, ps.decision
 		nps.crashed, nps.err = ps.crashed, ps.err
@@ -119,15 +99,11 @@ func (s *System) Fork() (*System, error) {
 		nps.hcLo, nps.hcHi = ps.hcLo, ps.hcHi
 		nps.hcKeyed, nps.hcValid = ps.hcKeyed, ps.hcValid
 		if !ps.hasPoise || ps.crashed {
-			// Terminal stub: the outcome fields are already copied.
-			nps.spare = prev // keep the live stepper storage for a later fork
-			nps.doneSt = doneStepper{decided: ps.decided, decision: ps.decision, err: ps.err}
-			nps.st = &nps.doneSt
-			continue
+			continue // terminal: the outcome fields are already copied
 		}
 		var st Stepper
 		if f, ok := ps.st.(Forker); ok {
-			st = f.ForkInto(prev)
+			st = f.ForkInto(nps.st)
 		}
 		if st == nil {
 			for _, built := range n.procs[:i+1] {

@@ -49,25 +49,30 @@ type Stepper interface {
 }
 
 // Forker is the optional Stepper extension behind System.Fork: ForkInto
-// returns an independent copy of the stepper at its current poise point.
-// prev is the storage the copy may be rebuilt in: nil for a fresh copy, or
-// a discarded stepper popped from a recycled System (sim.Pool). When prev
-// has the same concrete type the struct is overwritten in place and scratch
-// buffers prev owned alone (collect buffers, retired round steppers) are
-// reused instead of allocated; when prev is nil or of a foreign type the
-// copy is built in fresh storage by the same statements. Values read from
-// memory and published buffers are immutable and shared with the receiver,
-// never copied. Implementations must never write into state the returned
-// stepper shares with the receiver, and the copy's poised instruction must
-// not point into the receiver: after the struct copy, an Args slice that
-// points into an array inside the stepper is re-pointed at the copy's own
-// array, or recycling the receiver would silently rewrite the fork's
-// instruction. Explicit state machines (the ported protocols in
-// internal/consensus) implement it with a struct copy, making a fork
-// O(local state). A system forks iff every live process implements Forker;
-// the Body adapter does not, so Body systems run but never fork.
+// returns an independent copy of the stepper at its current poise point,
+// built in prev when prev is a stepper of the copy's type (the one a
+// recycled System's slot last held, sim.Pool) and in fresh storage when it
+// is nil or foreign (ForkTarget). A stepper owns its mutable state, in
+// fields and buffers of its own, so the copy is a struct copy plus a copy
+// of each owned buffer into prev's. What the copy shares with the receiver
+// is immutable (values read from memory, published buffers) or copied on
+// write (the MP.QSC bucket array), and its poised instruction must not
+// point into the receiver: an Args slice that points into an array inside
+// the stepper is re-pointed at the copy's own array, or recycling the
+// receiver would rewrite the fork's instruction. A system forks iff every
+// live process implements Forker; the Body adapter does not.
 type Forker interface {
 	ForkInto(prev Stepper) Stepper
+}
+
+// ForkTarget returns the storage a ForkInto rebuilds its copy in: prev
+// itself when it is a non-nil *T, and a new T when prev is nil, a nil *T or
+// of another type.
+func ForkTarget[T any](prev any) *T {
+	if p, ok := prev.(*T); ok && p != nil {
+		return p
+	}
+	return new(T)
 }
 
 // StateKeyer is the optional Stepper extension behind the configuration
@@ -94,6 +99,20 @@ type Forker interface {
 // The Body adapter has no key: its local state lives on a coroutine stack.
 type StateKeyer interface {
 	StateKey(relabel func(loc int) int) (key uint64, ok bool)
+}
+
+// MixKey folds x into the rolling key h.
+func MixKey(h, x uint64) uint64 { return machine.Mix64(h ^ x) }
+
+// FoldSpan folds relabel(loc) for the n locations from base into h, in
+// ascending order; the exact key (relabel == nil) folds none.
+func FoldSpan(h uint64, relabel func(loc int) int, base, n int) uint64 {
+	if relabel != nil {
+		for loc := base; loc < base+n; loc++ {
+			h = MixKey(h, uint64(relabel(loc)))
+		}
+	}
+	return h
 }
 
 // coroStepper adapts a function-shaped Body onto the Stepper interface using

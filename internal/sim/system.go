@@ -19,6 +19,8 @@ var (
 
 // procState is the System-side view of one process.
 type procState struct {
+	// st is the stepper; a fork's terminal slot keeps the one it last held
+	// (nil if none) for a later fork, so st is read only while live.
 	st Stepper
 	// hasPoise records that st is poised on an instruction (st.Poise is not
 	// nil). The instruction itself is read from st wherever it is needed:
@@ -28,14 +30,6 @@ type procState struct {
 	decision int
 	crashed  bool
 	err      error
-	// doneSt is the in-place terminal stub a fork installs for a finished or
-	// crashed source process: boxing &doneSt into st costs no allocation,
-	// unlike boxing a doneStepper value.
-	doneSt doneStepper
-	// spare keeps the recycled live stepper a pooled fork displaced with the
-	// terminal stub, so a later fork of a live process into this slot can
-	// still rebuild over it (Forker.ForkInto) instead of allocating afresh.
-	spare Stepper
 	// hcLo/hcHi cache this process's contribution to the incremental
 	// StateHash128 (see statehash.go); hcKeyed caches whether the process is
 	// keyable. hcValid marks the cache current — invariant: a process is
@@ -396,7 +390,9 @@ func (s *System) Close() {
 	}
 	s.closed = true
 	for _, ps := range s.procs {
-		ps.st.Halt()
+		if ps.st != nil {
+			ps.st.Halt()
+		}
 	}
 	if s.pooled && s.pool != nil {
 		s.pool.put(s)

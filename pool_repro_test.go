@@ -116,10 +116,10 @@ func TestSolveBodyRowAllocs(t *testing.T) {
 
 // The unary-bit rows (T1.2 over write(0)/write(1) bits, T1.4 over
 // test-and-set/reset bits) run their racing counters as UnaryMachines,
-// whose scans double-collect 6n bit locations. A warm machine recycles its
-// collect buffers and its scan result, so a repeat Solve allocates nothing
-// per collect or per scan: what remains is the per-Solve result,
-// statistics and scheduler. Measured on 4-process inputs at seed 7: T1.2
+// whose scans double-collect 6n bit locations. A machine keeps both
+// collects and its scan result in one buffer it owns, so a repeat Solve
+// allocates nothing per collect or per scan: what remains is the per-Solve
+// result, statistics and scheduler. Measured on 4-process inputs at seed 7: T1.2
 // 20, T1.4 20 (109 each while every collect and scan allocated). The bounds
 // sit 15% above the measurement.
 func TestSolveUnaryRowAllocs(t *testing.T) {
