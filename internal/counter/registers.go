@@ -129,7 +129,7 @@ func (c *RegistersMachine) Key(relabel func(int) int) (uint64, bool) {
 // the whole contribution vector, in a fresh allocation: a published vector
 // is immutable, since other processes' collects read it back.
 func (c *RegistersMachine) StartInc(v int, next *sim.OpInfo) {
-	c.buf[v]++
+	c.mine()[v]++
 	out := make([]int64, c.m)
 	copy(out, c.mine())
 	c.op = opInc

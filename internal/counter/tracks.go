@@ -159,15 +159,16 @@ func (c *TracksMachine) Key(relabel func(int) int) (uint64, bool) {
 
 // read writes the read of track's low-water mark into next.
 func (c *TracksMachine) read(track int, next *sim.OpInfo) {
-	issue(next, c.base+int(c.buf[track])*c.m+track, machine.OpRead, nil)
+	issue(next, c.base+int(c.low()[track])*c.m+track, machine.OpRead, nil)
 }
 
 // StartInc sets the position of track v from which this process last read
 // 0, advancing the mark at once: the mark is not read again before the
 // write's result arrives.
 func (c *TracksMachine) StartInc(v int, next *sim.OpInfo) {
-	pos := c.buf[v]
-	c.buf[v] = pos + 1
+	low := c.low()
+	pos := low[v]
+	low[v] = pos + 1
 	c.op = opInc
 	op := machine.OpWriteOne
 	if c.tas {
@@ -191,7 +192,7 @@ func (c *TracksMachine) Step(res machine.Value, next *sim.OpInfo) bool {
 		return false
 	}
 	if mustInt64(res) != 0 {
-		c.buf[c.v]++
+		c.low()[c.v]++
 		c.read(c.v, next)
 		return true
 	}
