@@ -552,9 +552,10 @@ type mvStepper struct {
 	bit   int // this round's proposed bit
 	base  int // this round's location base
 	phase int
-	// sub is the round's binary consensus while phase is mvpRound. Between
-	// rounds it keeps the last round's stepper, which the next round
-	// rebuilds in place, machine included; its cm is nil before the first.
+	// sub is the round's binary consensus while phase is mvpRound and the
+	// stepper is not done. Otherwise it is storage kept for the next round
+	// to rebuild in place, machine included, and may hold a stale round: a
+	// fork neither reads nor copies it then.
 	sub     raceStepper
 	recJ    int
 	pending sim.OpInfo
@@ -652,7 +653,7 @@ func (s *mvStepper) ForkInto(prev sim.Stepper) sim.Stepper {
 	sub := p.sub
 	*p = *s
 	p.sub = sub
-	if s.sub.cm != nil {
+	if s.phase == mvpRound && !s.done {
 		s.sub.copyTo(&p.sub)
 	}
 	return p

@@ -456,10 +456,13 @@ type UnaryMachine struct {
 	// in the prev words.
 	havePrev bool
 	// buf holds the collect in flight (cur) and the previous collect
-	// (prev), m*width bits each as 0 or 1, then the last completed scan's
-	// m counts.
+	// (prev), m*width bits each, packed (bit i in bit i%64 of word i/64),
+	// then the last completed scan's m counts.
 	buf []int64
 }
+
+// words is the number of words one packed collect takes.
+func (c *UnaryMachine) words() int { return (c.m*c.width + 63) / 64 }
 
 // NewUnaryMachineInto mirrors NewUnary (tas=false) and NewUnaryTAS
 // (tas=true), built in prev's storage when prev is a *UnaryMachine (see
@@ -468,7 +471,7 @@ func NewUnaryMachineInto(prev Machine, base, m, width int, tas bool) *UnaryMachi
 	p := sim.ForkTarget[UnaryMachine](prev)
 	*p = UnaryMachine{base: base, m: m, width: width,
 		setOp: machine.OpWriteOne, clearOp: machine.OpWriteZero, confirming: 2,
-		buf: zeroed(p.buf, (2*width+1)*m)}
+		buf: zeroed(p.buf, 2*((m*width+63)/64)+m)}
 	if tas {
 		p.setOp, p.clearOp = machine.OpTestAndSet, machine.OpReset
 	}
@@ -477,11 +480,11 @@ func NewUnaryMachineInto(prev Machine, base, m, width int, tas bool) *UnaryMachi
 
 func (c *UnaryMachine) Components() int { return c.m }
 
-func (c *UnaryMachine) cur() []int64 { return c.buf[:c.m*c.width] }
+func (c *UnaryMachine) cur() []int64 { return c.buf[:c.words()] }
 
-func (c *UnaryMachine) prev() []int64 { return c.buf[c.m*c.width : 2*c.m*c.width] }
+func (c *UnaryMachine) prev() []int64 { return c.buf[c.words() : 2*c.words()] }
 
-func (c *UnaryMachine) Counts() []int64 { return c.buf[2*c.m*c.width:] }
+func (c *UnaryMachine) Counts() []int64 { return c.buf[2*c.words():] }
 
 func (c *UnaryMachine) ForkInto(prev Machine) Machine {
 	p := sim.ForkTarget[UnaryMachine](prev)
@@ -503,20 +506,20 @@ func (c *UnaryMachine) Key(relabel func(int) int) (uint64, bool) {
 	h := sim.MixKey(0x756e7230, uint64(c.op))
 	h = sim.MixKey(h, uint64(c.sub)|uint64(c.v)<<8)
 	h = sim.MixKey(h, uint64(c.j)|uint64(c.idx)<<16|uint64(c.same)<<32)
-	h = mixBits(h, c.op == opScan, c.cur())
-	h = mixBits(h, c.havePrev, c.prev())
+	h = mixBits(h, c.op == opScan, c.cur(), c.m*c.width)
+	h = mixBits(h, c.havePrev, c.prev(), c.m*c.width)
 	return sim.FoldSpan(h, relabel, c.base, c.m*c.width), true
 }
 
-// mixBits folds a collect (length-prefixed, each bit as 3 or 5), or a bare
-// zero length when the collect is absent.
-func mixBits(h uint64, present bool, bits []int64) uint64 {
+// mixBits folds an n-bit packed collect (length-prefixed, each bit as 3 or
+// 5), or a bare zero length when the collect is absent.
+func mixBits(h uint64, present bool, words []int64, n int) uint64 {
 	if !present {
 		return sim.MixKey(h, 0)
 	}
-	h = sim.MixKey(h, uint64(len(bits)))
-	for _, b := range bits {
-		if b != 0 {
+	h = sim.MixKey(h, uint64(n))
+	for i := 0; i < n; i++ {
+		if bit(words, i) != 0 {
 			h = sim.MixKey(h, 3)
 		} else {
 			h = sim.MixKey(h, 5)
@@ -524,6 +527,9 @@ func mixBits(h uint64, present bool, bits []int64) uint64 {
 	}
 	return h
 }
+
+// bit returns bit i of a packed collect, 0 or 1.
+func bit(words []int64, i int) int64 { return words[i/64] >> (i % 64) & 1 }
 
 func (c *UnaryMachine) loc(v, j int) int { return c.base + v*c.width + j }
 
@@ -581,10 +587,10 @@ func (c *UnaryMachine) Step(res machine.Value, next *sim.OpInfo) bool {
 	case opScan:
 		cur := c.cur()
 		if mustInt64(res) != 0 {
-			cur[c.idx] = 1
+			cur[c.idx/64] |= 1 << (c.idx % 64)
 		}
 		c.idx++
-		if c.idx < len(cur) {
+		if c.idx < c.m*c.width {
 			issue(next, c.base+c.idx, machine.OpRead, nil)
 			return true
 		}
@@ -600,8 +606,8 @@ func (c *UnaryMachine) Step(res machine.Value, next *sim.OpInfo) bool {
 		if c.same >= c.confirming {
 			cnt := c.Counts()
 			clear(cnt)
-			for i, b := range cur {
-				cnt[i/c.width] += b
+			for i := 0; i < c.m*c.width; i++ {
+				cnt[i/c.width] += bit(cur, i)
 			}
 			c.havePrev = false
 			c.op = opIdle

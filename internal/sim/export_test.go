@@ -1,7 +1,5 @@
 package sim
 
-import "repro/internal/machine"
-
 // ProcStateKey returns process pid's local-state key; ok is false when its
 // stepper has none.
 func (s *System) ProcStateKey(pid int) (key uint64, ok bool) {
@@ -17,25 +15,6 @@ func (s *System) ProcStateKey(pid int) (key uint64, ok bool) {
 var NewGoroutineSystem = newGoroutineSystem
 
 // Stepper returns process pid's stepper, for the tests of the Stepper
-// contract. A terminal process reads as its recorded outcome: a fork keeps
-// no stepper of its own for a process that had finished or crashed in its
-// source.
-func (s *System) Stepper(pid int) Stepper {
-	ps := s.procs[pid]
-	if ps.live() {
-		return ps.st
-	}
-	return outcomeStepper{ps.decided, ps.decision, ps.err}
-}
-
-// outcomeStepper is a finished process reporting its recorded outcome.
-type outcomeStepper struct {
-	decided  bool
-	decision int
-	err      error
-}
-
-func (o outcomeStepper) Poise() *OpInfo              { return nil }
-func (o outcomeStepper) Resume(machine.Value) bool   { return true }
-func (o outcomeStepper) Outcome() (bool, int, error) { return o.decided, o.decision, o.err }
-func (o outcomeStepper) Halt()                       {}
+// contract. A fork's terminal slot holds no stepper of its own (nil, or a
+// recycled one), so read only a live process's stepper there.
+func (s *System) Stepper(pid int) Stepper { return s.procs[pid].st }
