@@ -484,6 +484,15 @@ type slotOps interface {
 	recoverStep(res machine.Value, base int, j *int, next *sim.OpInfo) (done bool, val int, ok bool)
 }
 
+// nonzero reports whether a numeric result is non-zero, without the big.Int
+// MustInt builds of a word; a non-numeric result panics, as with MustInt.
+func nonzero(res machine.Value) bool {
+	if x, ok := machine.AsInt64(res); ok {
+		return x != 0
+	}
+	return machine.MustInt(res).Sign() != 0
+}
+
 // multiSlotOps mirrors MultiSlot: one {read, write(x)} location.
 type multiSlotOps struct{}
 
@@ -494,14 +503,14 @@ func (multiSlotOps) recordOp(base, val int, next *sim.OpInfo) {
 }
 
 func (multiSlotOps) recoverStep(res machine.Value, _ int, _ *int, _ *sim.OpInfo) (bool, int, bool) {
-	if res == nil {
+	if res == nil || !nonzero(res) {
 		return true, 0, false
 	}
-	x := machine.MustInt(res)
-	if x.Sign() == 0 {
-		return true, 0, false
+	x, ok := machine.AsInt64(res)
+	if !ok {
+		x = machine.MustInt(res).Int64()
 	}
-	return true, int(x.Int64()) - 1, true
+	return true, int(x) - 1, true
 }
 
 // bitSlotOps mirrors BitSlot: a run of `values` bit locations.
@@ -517,7 +526,7 @@ func (s bitSlotOps) recordOp(base, val int, next *sim.OpInfo) {
 }
 
 func (s bitSlotOps) recoverStep(res machine.Value, base int, j *int, next *sim.OpInfo) (bool, int, bool) {
-	if machine.MustInt(res).Sign() != 0 {
+	if nonzero(res) {
 		return true, *j, true
 	}
 	*j++

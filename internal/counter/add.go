@@ -73,18 +73,18 @@ func (c *Add) Scan() []int64 {
 	} else {
 		x = c.p.Apply(c.loc, machine.OpRead)
 	}
-	return decodeDigits(x, c.base, c.m)
+	return decodeDigits(make([]int64, c.m), x, c.base)
 }
 
-// decodeDigits decomposes the numeric value x into its m least significant
-// base-`base` digits, on int64 arithmetic while x fits a word (truncated
-// division, as big.Int.QuoRem). Pure local computation shared with the
-// forkable AddMachine.
-func decodeDigits(x machine.Value, base *big.Int, m int) []int64 {
-	out := make([]int64, m)
+// decodeDigits decomposes the numeric value x into its len(out) least
+// significant base-`base` digits, written into out and returned, on int64
+// arithmetic while x fits a word (truncated division, as big.Int.QuoRem).
+// Pure local computation shared with the forkable AddMachine, which decodes
+// into storage it owns.
+func decodeDigits(out []int64, x machine.Value, base *big.Int) []int64 {
 	if w, ok := machine.AsInt64(x); ok {
 		b := base.Int64()
-		for v := 0; v < m; v++ {
+		for v := range out {
 			out[v] = w % b
 			w /= b
 		}
@@ -92,7 +92,7 @@ func decodeDigits(x machine.Value, base *big.Int, m int) []int64 {
 	}
 	xb := new(big.Int).Set(machine.MustInt(x))
 	digit := new(big.Int)
-	for v := 0; v < m; v++ {
+	for v := range out {
 		xb.QuoRem(xb, base, digit)
 		out[v] = digit.Int64()
 	}

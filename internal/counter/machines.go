@@ -3,6 +3,7 @@ package counter
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 	"slices"
 
 	"repro/internal/machine"
@@ -108,17 +109,17 @@ const (
 
 // flatMachine is the shared shape of the single-location counters: Inc/Dec
 // are one instruction, Scan is one read (or fetch-style no-op update) plus a
-// pure decode.
+// pure decode into the first m words of buf, the buffer the machine owns.
 type flatMachine struct {
-	loc    int
-	m      int
-	op     opKind
-	counts []int64
+	loc int
+	m   int
+	op  opKind
+	buf []int64
 }
 
 func (f *flatMachine) Components() int { return f.m }
 
-func (f *flatMachine) Counts() []int64 { return f.counts }
+func (f *flatMachine) Counts() []int64 { return f.buf[:f.m] }
 
 // key folds the operation in flight and, under a relabeling, the machine's
 // single location.
@@ -149,7 +150,7 @@ func NewAddMachine(loc, m, n int, fetch bool) *AddMachine {
 		pows[v] = new(big.Int).Set(pow)
 		pow = new(big.Int).Mul(pow, base)
 	}
-	c := &AddMachine{flatMachine: flatMachine{loc: loc, m: m}, base: base,
+	c := &AddMachine{flatMachine: flatMachine{loc: loc, m: m, buf: make([]int64, m)}, base: base,
 		addOp: machine.OpAdd, scanOp: machine.OpRead}
 	if fetch {
 		c.addOp, c.scanOp = machine.OpFetchAndAdd, machine.OpFetchAndAdd
@@ -166,7 +167,9 @@ func NewAddMachine(loc, m, n int, fetch bool) *AddMachine {
 
 func (c *AddMachine) ForkInto(prev Machine) Machine {
 	p := sim.ForkTarget[AddMachine](prev)
+	buf := p.buf
 	*p = *c
+	p.buf = append(buf[:0], c.buf...)
 	return p
 }
 
@@ -191,7 +194,7 @@ func (c *AddMachine) StartScan(next *sim.OpInfo) {
 
 func (c *AddMachine) Step(res machine.Value, _ *sim.OpInfo) bool {
 	if c.op == opScan {
-		c.counts = decodeDigits(res, c.base, c.m)
+		decodeDigits(c.Counts(), res, c.base)
 	}
 	c.op = opIdle
 	return false
@@ -216,7 +219,7 @@ func NewMulMachine(loc, m int, fetch bool) *MulMachine {
 	for i, q := range ps {
 		prms[i] = big.NewInt(q)
 	}
-	c := &MulMachine{flatMachine: flatMachine{loc: loc, m: m}, prms: prms,
+	c := &MulMachine{flatMachine: flatMachine{loc: loc, m: m, buf: make([]int64, m)}, prms: prms,
 		mulOp: machine.OpMultiply, scanOp: machine.OpRead}
 	if fetch {
 		c.mulOp, c.scanOp = machine.OpFetchAndMultiply, machine.OpFetchAndMultiply
@@ -231,7 +234,9 @@ func NewMulMachine(loc, m int, fetch bool) *MulMachine {
 
 func (c *MulMachine) ForkInto(prev Machine) Machine {
 	p := sim.ForkTarget[MulMachine](prev)
+	buf := p.buf
 	*p = *c
+	p.buf = append(buf[:0], c.buf...)
 	return p
 }
 
@@ -255,7 +260,7 @@ func (c *MulMachine) StartScan(next *sim.OpInfo) {
 
 func (c *MulMachine) Step(res machine.Value, _ *sim.OpInfo) bool {
 	if c.op == opScan {
-		c.counts = decodeFactors(machine.MustInt(res), c.prms)
+		decodeFactors(c.Counts(), res, c.prms)
 	}
 	c.op = opIdle
 	return false
@@ -263,28 +268,30 @@ func (c *MulMachine) Step(res machine.Value, _ *sim.OpInfo) bool {
 
 // SetBitMachine is the forkable twin of SetBit: one {read, set-bit}
 // location, per-(component, process) lanes in consecutive blocks. Its
-// `mine` tallies are persistent process-local state and enter the key.
+// `mine` tallies, the m words after the counts in buf, are persistent
+// process-local state and enter the key.
 type SetBitMachine struct {
 	flatMachine
 	n, id int
-	mine  []int64
 }
 
 // NewSetBitMachine mirrors NewSetBit for process id of n.
 func NewSetBitMachine(loc, m, n, id int) *SetBitMachine {
-	return &SetBitMachine{flatMachine: flatMachine{loc: loc, m: m}, n: n, id: id, mine: make([]int64, m)}
+	return &SetBitMachine{flatMachine: flatMachine{loc: loc, m: m, buf: make([]int64, 2*m)}, n: n, id: id}
 }
+
+func (c *SetBitMachine) mine() []int64 { return c.buf[c.m:] }
 
 func (c *SetBitMachine) ForkInto(prev Machine) Machine {
 	p := sim.ForkTarget[SetBitMachine](prev)
-	mine := p.mine
+	buf := p.buf
 	*p = *c
-	p.mine = append(mine[:0], c.mine...)
+	p.buf = append(buf[:0], c.buf...)
 	return p
 }
 
 func (c *SetBitMachine) Key(relabel func(int) int) (uint64, bool) {
-	h := mixCounts(c.key(0x73657430, nil), c.mine)
+	h := mixCounts(c.key(0x73657430, nil), c.mine())
 	if relabel == nil {
 		return h, true
 	}
@@ -298,8 +305,9 @@ func (c *SetBitMachine) Key(relabel func(int) int) (uint64, bool) {
 }
 
 func (c *SetBitMachine) StartInc(v int, next *sim.OpInfo) {
-	b := c.mine[v]
-	c.mine[v]++
+	mine := c.mine()
+	b := mine[v]
+	mine[v]++
 	block := int64(c.m * c.n)
 	idx := b*block + int64(v*c.n+c.id)
 	c.op = opInc
@@ -317,7 +325,7 @@ func (c *SetBitMachine) StartScan(next *sim.OpInfo) {
 
 func (c *SetBitMachine) Step(res machine.Value, _ *sim.OpInfo) bool {
 	if c.op == opScan {
-		c.counts = decodeBitBlocks(res, c.m, c.n)
+		decodeBitBlocks(c.Counts(), res, c.n)
 	}
 	c.op = opIdle
 	return false
@@ -443,6 +451,9 @@ const (
 // single-bit locations, write(1)/write(0) or test-and-set/reset.
 type UnaryMachine struct {
 	base, m, width int
+	// bits is the number of bit locations, m*width, and words the number of
+	// words one packed collect of them takes; both fixed at construction.
+	bits, words    int
 	setOp, clearOp machine.Op
 	confirming     int
 
@@ -461,17 +472,15 @@ type UnaryMachine struct {
 	buf []int64
 }
 
-// words is the number of words one packed collect takes.
-func (c *UnaryMachine) words() int { return (c.m*c.width + 63) / 64 }
-
 // NewUnaryMachineInto mirrors NewUnary (tas=false) and NewUnaryTAS
 // (tas=true), built in prev's storage when prev is a *UnaryMachine (see
 // sim.ForkTarget).
 func NewUnaryMachineInto(prev Machine, base, m, width int, tas bool) *UnaryMachine {
 	p := sim.ForkTarget[UnaryMachine](prev)
-	*p = UnaryMachine{base: base, m: m, width: width,
+	words := (m*width + 63) / 64
+	*p = UnaryMachine{base: base, m: m, width: width, bits: m * width, words: words,
 		setOp: machine.OpWriteOne, clearOp: machine.OpWriteZero, confirming: 2,
-		buf: zeroed(p.buf, 2*((m*width+63)/64)+m)}
+		buf: zeroed(p.buf, 2*words+m)}
 	if tas {
 		p.setOp, p.clearOp = machine.OpTestAndSet, machine.OpReset
 	}
@@ -480,11 +489,11 @@ func NewUnaryMachineInto(prev Machine, base, m, width int, tas bool) *UnaryMachi
 
 func (c *UnaryMachine) Components() int { return c.m }
 
-func (c *UnaryMachine) cur() []int64 { return c.buf[:c.words()] }
+func (c *UnaryMachine) cur() []int64 { return c.buf[:c.words] }
 
-func (c *UnaryMachine) prev() []int64 { return c.buf[c.words() : 2*c.words()] }
+func (c *UnaryMachine) prev() []int64 { return c.buf[c.words : 2*c.words] }
 
-func (c *UnaryMachine) Counts() []int64 { return c.buf[2*c.words():] }
+func (c *UnaryMachine) Counts() []int64 { return c.buf[2*c.words:] }
 
 func (c *UnaryMachine) ForkInto(prev Machine) Machine {
 	p := sim.ForkTarget[UnaryMachine](prev)
@@ -506,9 +515,9 @@ func (c *UnaryMachine) Key(relabel func(int) int) (uint64, bool) {
 	h := sim.MixKey(0x756e7230, uint64(c.op))
 	h = sim.MixKey(h, uint64(c.sub)|uint64(c.v)<<8)
 	h = sim.MixKey(h, uint64(c.j)|uint64(c.idx)<<16|uint64(c.same)<<32)
-	h = mixBits(h, c.op == opScan, c.cur(), c.m*c.width)
-	h = mixBits(h, c.havePrev, c.prev(), c.m*c.width)
-	return sim.FoldSpan(h, relabel, c.base, c.m*c.width), true
+	h = mixBits(h, c.op == opScan, c.cur(), c.bits)
+	h = mixBits(h, c.havePrev, c.prev(), c.bits)
+	return sim.FoldSpan(h, relabel, c.base, c.bits), true
 }
 
 // mixBits folds an n-bit packed collect (length-prefixed, each bit as 3 or
@@ -530,6 +539,21 @@ func mixBits(h uint64, present bool, words []int64, n int) uint64 {
 
 // bit returns bit i of a packed collect, 0 or 1.
 func bit(words []int64, i int) int64 { return words[i/64] >> (i % 64) & 1 }
+
+// ones counts the set bits lo..hi-1 of a packed collect, a word at a time.
+func ones(words []int64, lo, hi int) int64 {
+	n := 0
+	for lo < hi {
+		k := min(hi-lo, 64-lo%64)
+		w := uint64(words[lo/64]) >> (lo % 64)
+		if k < 64 {
+			w &= 1<<k - 1
+		}
+		n += bits.OnesCount64(w)
+		lo += k
+	}
+	return int64(n)
+}
 
 func (c *UnaryMachine) loc(v, j int) int { return c.base + v*c.width + j }
 
@@ -590,7 +614,7 @@ func (c *UnaryMachine) Step(res machine.Value, next *sim.OpInfo) bool {
 			cur[c.idx/64] |= 1 << (c.idx % 64)
 		}
 		c.idx++
-		if c.idx < c.m*c.width {
+		if c.idx < c.bits {
 			issue(next, c.base+c.idx, machine.OpRead, nil)
 			return true
 		}
@@ -605,9 +629,8 @@ func (c *UnaryMachine) Step(res machine.Value, next *sim.OpInfo) bool {
 		c.havePrev = true
 		if c.same >= c.confirming {
 			cnt := c.Counts()
-			clear(cnt)
-			for i := 0; i < c.m*c.width; i++ {
-				cnt[i/c.width] += bit(cur, i)
+			for v := range cnt {
+				cnt[v] = ones(cur, v*c.width, (v+1)*c.width)
 			}
 			c.havePrev = false
 			c.op = opIdle

@@ -61,30 +61,41 @@ func (c *Multiply) Inc(v int) {
 // single read is the linearization point, so the scan is atomic by
 // construction.
 func (c *Multiply) Scan() []int64 {
-	var x *big.Int
+	var x machine.Value
 	if c.fetch {
 		// fetch-and-multiply(1) leaves the value unchanged and returns it.
-		x = machine.MustInt(c.p.Apply(c.loc, machine.OpFetchAndMultiply, machine.Int(1)))
+		x = c.p.Apply(c.loc, machine.OpFetchAndMultiply, machine.Int(1))
 	} else {
-		x = machine.MustInt(c.p.Apply(c.loc, machine.OpRead))
+		x = c.p.Apply(c.loc, machine.OpRead)
 	}
-	return decodeFactors(x, c.prms)
+	return decodeFactors(make([]int64, len(c.prms)), x, c.prms)
 }
 
-// decodeFactors recovers per-component counts as prime multiplicities. Pure
-// local computation shared with the forkable MulMachine.
-func decodeFactors(x *big.Int, prms []*big.Int) []int64 {
-	out := make([]int64, len(prms))
-	x = new(big.Int).Set(x)
+// decodeFactors recovers per-component counts as prime multiplicities,
+// written into out (one word per prime) and returned. It divides on int64
+// arithmetic while x fits a word and falls back to big.Int only beyond it,
+// as decodeDigits does. Pure local computation shared with the forkable
+// MulMachine, which decodes into storage it owns.
+func decodeFactors(out []int64, x machine.Value, prms []*big.Int) []int64 {
+	clear(out)
+	if w, ok := machine.AsInt64(x); ok {
+		for v, q := range prms {
+			for qw := q.Int64(); w%qw == 0; w /= qw {
+				out[v]++
+			}
+		}
+		return out
+	}
+	xb := new(big.Int).Set(machine.MustInt(x))
 	for v, q := range prms {
 		quo, rem := new(big.Int), new(big.Int)
 		for {
-			quo.QuoRem(x, q, rem)
+			quo.QuoRem(xb, q, rem)
 			if rem.Sign() != 0 {
 				break
 			}
 			out[v]++
-			x.Set(quo)
+			xb.Set(quo)
 		}
 	}
 	return out

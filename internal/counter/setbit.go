@@ -41,15 +41,16 @@ func (c *SetBit) Inc(v int) {
 // Scan reads the location once; the count of component v is the number of
 // set bits lying in component v's lanes across all blocks.
 func (c *SetBit) Scan() []int64 {
-	return decodeBitBlocks(c.p.Apply(c.loc, machine.OpRead), c.m, c.n)
+	return decodeBitBlocks(make([]int64, c.m), c.p.Apply(c.loc, machine.OpRead), c.n)
 }
 
 // decodeBitBlocks counts the set bits of the numeric value x per component
-// lane, walking a non-negative word's bits without a big.Int. Pure local
-// computation shared with the forkable SetBitMachine.
-func decodeBitBlocks(x machine.Value, m, n int) []int64 {
-	out := make([]int64, m)
-	block := m * n
+// lane into out (one word per component) and returns it, walking a
+// non-negative word's bits without a big.Int. Pure local computation shared
+// with the forkable SetBitMachine, which decodes into storage it owns.
+func decodeBitBlocks(out []int64, x machine.Value, n int) []int64 {
+	clear(out)
+	block := len(out) * n
 	if w, ok := machine.AsInt64(x); ok && w >= 0 {
 		for u := uint64(w); u != 0; u &= u - 1 {
 			j := bits.TrailingZeros64(u)

@@ -234,8 +234,10 @@ func (m *Memory) Apply(loc int, op Op, args ...Value) (Value, error) {
 		return nil, fmt.Errorf("%w: %v takes %d arguments, got %d",
 			ErrBadOperand, op, op.arity(), len(args))
 	}
-	if err := m.grow(loc); err != nil {
-		return nil, err
+	if uint(loc) >= uint(len(m.locs)) { // out of range or not yet grown
+		if err := m.grow(loc); err != nil {
+			return nil, err
+		}
 	}
 	res, err := m.apply(loc, op, args)
 	if err != nil {

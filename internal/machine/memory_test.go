@@ -3,6 +3,7 @@ package machine
 import (
 	"errors"
 	"math/big"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -569,4 +570,120 @@ func TestInstrSetNames(t *testing.T) {
 	if SetBuffers(3).BufferLen() != 3 {
 		t.Fatal("buffer len")
 	}
+}
+
+// probeEvery is the width rule Stats.record narrowed, kept as the oracle: it
+// measures the touched location after every applied instruction, trivial
+// or not, and carries its maximum across forks.
+type probeEvery struct {
+	m   *Memory
+	max int
+}
+
+// apply applies one instruction and fails t unless the memory's MaxBits
+// equals the oracle's.
+func (p *probeEvery) apply(t *testing.T, loc int, op Op, args ...Value) {
+	t.Helper()
+	mustApply(t, p.m, loc, op, args...)
+	p.max = max(p.max, valueBits(p.m.locs[loc].val))
+	if got := p.m.Stats().MaxBits; got != p.max {
+		t.Fatalf("after %v@%d: MaxBits %d, probing every step gives %d", op, loc, got, p.max)
+	}
+}
+
+func (p *probeEvery) fork() *probeEvery {
+	n := &Memory{}
+	p.m.CloneInto(n)
+	return &probeEvery{m: n, max: p.max}
+}
+
+// TestMaxBitsProbeRule checks that probing a location's width only after a
+// non-trivial instruction or on its first touch gives the MaxBits that
+// probing after every instruction does.
+func TestMaxBitsProbeRule(t *testing.T) {
+	huge := new(big.Int).Lsh(Int(1), 100)
+	t.Run("initial-read-only", func(t *testing.T) {
+		p := &probeEvery{m: New(SetReadWrite, 3, WithInitial(map[int]Value{1: Int(1 << 40), 2: huge}))}
+		p.apply(t, 0, OpRead)
+		p.apply(t, 1, OpRead)
+		p.apply(t, 1, OpRead)
+		p.apply(t, 2, OpRead)
+		if p.max != 101 {
+			t.Fatalf("oracle MaxBits %d, want 101", p.max)
+		}
+	})
+	t.Run("wide-narrow-read", func(t *testing.T) {
+		p := &probeEvery{m: New(SetReadWrite, 2)}
+		p.apply(t, 0, OpWrite, Int(1<<50))
+		p.apply(t, 0, OpWrite, Int(1))
+		p.apply(t, 0, OpRead)
+		p.apply(t, 1, OpWrite, huge)
+		p.apply(t, 1, OpWrite, Int(0))
+		p.apply(t, 1, OpRead)
+		if p.max != 101 {
+			t.Fatalf("oracle MaxBits %d, want 101", p.max)
+		}
+	})
+	t.Run("unbounded-first-read", func(t *testing.T) {
+		p := &probeEvery{m: New(SetReadWrite, 2, WithUnbounded(), WithInitial(map[int]Value{1: Int(1 << 30)}))}
+		p.apply(t, 4, OpRead) // grows the memory: a fresh location reads 0
+		p.apply(t, 1, OpRead)
+		p.apply(t, 6, OpWrite, Int(1<<33))
+		p.apply(t, 6, OpRead)
+		p.apply(t, 4, OpRead)
+		if p.max != 34 {
+			t.Fatalf("oracle MaxBits %d, want 34", p.max)
+		}
+	})
+	t.Run("fork-reads-parent-touch", func(t *testing.T) {
+		p := &probeEvery{m: New(SetReadWrite, 3, WithInitial(map[int]Value{0: Int(1 << 20), 2: Int(1 << 12)}))}
+		p.apply(t, 0, OpRead)
+		p.apply(t, 1, OpWrite, Int(1<<45))
+		p.apply(t, 1, OpWrite, Int(3))
+		c := p.fork()
+		c.apply(t, 0, OpRead)
+		c.apply(t, 1, OpRead)
+		c.apply(t, 2, OpRead) // first touched in the fork
+		p.apply(t, 2, OpRead)
+		if c.max != 46 {
+			t.Fatalf("oracle MaxBits %d, want 46", c.max)
+		}
+	})
+	t.Run("random", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(5))
+		set := NewInstrSet("t", OpRead, OpWrite, OpAdd, OpMultiply, OpReadMax, OpWriteMax)
+		vals := []Value{Int(0), Int(1), Int(-7), Int(1 << 9), Int(1 << 40), huge, new(big.Int).Neg(huge)}
+		for trial := 0; trial < 200; trial++ {
+			init := map[int]Value{}
+			for loc := 0; loc < 4; loc++ {
+				if rng.Intn(2) == 0 {
+					init[loc] = vals[rng.Intn(len(vals))]
+				}
+			}
+			mems := []*probeEvery{{m: New(set, 4, WithInitial(init))}}
+			for op := 0; op < 40; op++ {
+				p := mems[rng.Intn(len(mems))]
+				if rng.Intn(8) == 0 && len(mems) < 4 {
+					mems = append(mems, p.fork())
+					continue
+				}
+				loc := rng.Intn(4)
+				arg := vals[rng.Intn(len(vals))]
+				switch rng.Intn(8) {
+				case 0, 1, 2:
+					p.apply(t, loc, OpRead)
+				case 3:
+					p.apply(t, loc, OpReadMax)
+				case 4:
+					p.apply(t, loc, OpWrite, arg)
+				case 5:
+					p.apply(t, loc, OpWriteMax, arg)
+				case 6:
+					p.apply(t, loc, OpAdd, arg)
+				default:
+					p.apply(t, loc, OpMultiply, arg)
+				}
+			}
+		}
+	})
 }

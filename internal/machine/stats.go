@@ -27,11 +27,23 @@ type Stats struct {
 	perOp [numOps]int64
 }
 
+// record counts one applied instruction. It probes the location's width
+// only where the value can have changed since the last probe: after a
+// non-trivial instruction, or on the location's first touch (PerLoc was 0),
+// which measures an initial value. A trivial instruction on a touched
+// location reads a value already measured when it was written or first
+// touched, so skipping it leaves MaxBits exact; CloneInto carries PerLoc
+// and MaxBits together, so the rule holds across forks.
 func (s *Stats) record(loc int, op Op, l *location) {
 	s.Steps++
 	s.perOp[op]++
+	first := true
 	if loc < len(s.PerLoc) {
+		first = s.PerLoc[loc] == 0
 		s.PerLoc[loc]++
+	}
+	if !first && op.Trivial() {
+		return
 	}
 	if b := valueBits(l.val); b > s.MaxBits {
 		s.MaxBits = b

@@ -41,7 +41,7 @@ func (r *RoundRobin) Next(s *System) int {
 // builds one scheduler per run.
 type Random struct {
 	state uint64
-	buf   []int // reused across steps; Next is on the solve hot path
+	buf   []int // channel systems' filtered live set, reused across steps
 }
 
 // NewRandom returns a Random scheduler with the given seed. Schedules are a
@@ -78,15 +78,23 @@ func (r *Random) intn(n int) int {
 	return int(hi)
 }
 
-// Next picks a live process uniformly at random. It costs a copy of the
-// system's live list into a reused buffer (System.AppendLive) and one draw:
-// no scan over the processes that have finished.
+// Next picks a live process uniformly at random. On a shared-memory system
+// it draws straight from the system's live list: one draw and one index, no
+// copy and no scan over the processes that have finished. A channel system
+// first filters its live list and adds the enabled delivery branches into a
+// reused buffer (System.AppendLive). Either way the pick is AppendLive's
+// entry at the drawn index, so the two paths choose the same pid from the
+// same generator state.
 func (r *Random) Next(s *System) int {
-	r.buf = s.AppendLive(r.buf[:0])
-	if len(r.buf) == 0 {
+	live := s.live
+	if s.hasChans() {
+		r.buf = s.AppendLive(r.buf[:0])
+		live = r.buf
+	}
+	if len(live) == 0 {
 		return -1
 	}
-	return r.buf[r.intn(len(r.buf))]
+	return live[r.intn(len(live))]
 }
 
 // Solo runs a single process exclusively: the paper's solo execution, the
