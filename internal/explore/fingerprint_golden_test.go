@@ -54,17 +54,19 @@ func portfolioKeyInstances() []keyInstance {
 // prefix (round robin over the live set, three steps a turn). MP.QSC's
 // prefix ends in its second round, a few steps before a ready phase-2
 // quorum decides; the Lemma 5.2 lift's ends a few steps before its first
-// round transition.
+// round transition. The register array's (T1.3) and Algorithm 1's (T1.5)
+// end inside their scans, where a completed collect is compared with the
+// next one.
 func pastFirstRound() []keyInstance {
-	var lift keyInstance
+	byName := make(map[string]keyInstance)
 	for _, in := range portfolioKeyInstances() {
-		if in.name == "increment" {
-			lift = in
-		}
+		byName[in.name] = in
 	}
 	return []keyInstance{
 		prefixed(qscKeyInstance(sim.Delivery{Mode: sim.DeliverOrdered}, 5), 63),
-		prefixed(lift, 54),
+		prefixed(byName["increment"], 54),
+		prefixed(byName["registers"], 12),
+		prefixed(byName["swap"], 18),
 	}
 }
 
