@@ -104,32 +104,3 @@ func BenchmarkExt_AdoptCommitRounds(b *testing.B) {
 	b.ReportMetric(float64(fp), "locations")
 	b.ReportMetric(float64(fp)/float64(2*n), "instances")
 }
-
-// BenchmarkExt_HeterogeneousBuffers exercises the Section 6.2 extension:
-// mixed capacities summing to n.
-func BenchmarkExt_HeterogeneousBuffers(b *testing.B) {
-	caps := []int{1, 2, 5} // n = 8 over three buffers of differing capacity
-	n := 8
-	inputs := make([]int, n)
-	for i := range inputs {
-		inputs[i] = (i * 3) % n
-	}
-	var fp int
-	for i := 0; i < b.N; i++ {
-		pr := consensus.BufferedHeterogeneous(n, caps)
-		sys, err := pr.NewSystem(inputs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := sys.Run(sim.NewRandom(int64(i+1)), 10_000_000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := res.CheckConsensus(inputs); err != nil {
-			b.Fatal(err)
-		}
-		fp = sys.Mem().Stats().Footprint()
-		sys.Close()
-	}
-	b.ReportMetric(float64(fp), "locations")
-}

@@ -10,6 +10,9 @@ import (
 	"os"
 	"reflect"
 	"testing"
+
+	"repro/internal/machine"
+	"repro/internal/sim"
 )
 
 func TestCompileBadArguments(t *testing.T) {
@@ -196,10 +199,10 @@ func TestHandleAmortizesForkableRows(t *testing.T) {
 		t.Fatalf("after input swap %+v != fresh handle %+v", *viaCache, *want)
 	}
 
-	// A handle whose protocol runs on the coroutine Body adapter (T1.5's
-	// Body form) cannot fork: no snapshot is cached, each run builds a fresh
-	// system, and results are the same either way.
-	body, err := compileBody("T1.5", len(inputs))
+	// A handle whose protocol runs on the coroutine Body adapter (a Body
+	// over T1.5's memory) cannot fork: no snapshot is cached, each run
+	// builds a fresh system, and results are the same either way.
+	body, err := compileBody("T1.5", len(inputs), followLeader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,6 +222,21 @@ func TestHandleAmortizesForkableRows(t *testing.T) {
 	}
 	if *b1 != *b2 {
 		t.Fatalf("body-row runs diverged: %+v vs %+v", *b1, *b2)
+	}
+}
+
+// followLeader is a small consensus Body over one {read, swap} location:
+// process 0 swaps its input in and decides it, and every other process
+// reads the location until the value appears and decides it.
+func followLeader(p *sim.Proc) int {
+	if p.ID() == 0 {
+		p.Apply(0, machine.OpSwap, machine.Int(int64(p.Input()+1)))
+		return p.Input()
+	}
+	for {
+		if x, ok := machine.AsInt64(p.Apply(0, machine.OpRead)); ok && x != 0 {
+			return int(x) - 1
+		}
 	}
 }
 

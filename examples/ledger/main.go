@@ -51,21 +51,15 @@ func run(ctx context.Context, w io.Writer) error {
 	pr.Locations += 2
 	indexLoc, auditLoc := consensusLocs, consensusLocs+1
 
-	decided := make([]int, replicas)
-	inner := pr.Body
-	pr.SetBody(func(p *sim.Proc) int {
-		batch := inner(p)
-		decided[p.ID()] = batch
-		// Atomically publish the decision to the index and the audit log —
-		// a simple transaction in the paper's Section 7 sense.
-		p.MultiAssign(
-			machine.Assignment{Loc: indexLoc, Op: machine.OpBufferWrite,
-				Args: []machine.Value{batch}},
-			machine.Assignment{Loc: auditLoc, Op: machine.OpBufferWrite,
-				Args: []machine.Value{fmt.Sprintf("replica %d commits %d", p.ID(), batch)}},
-		)
-		return batch
-	})
+	// Each replica runs its consensus stepper, then publishes the decision.
+	inner := pr.Steppers
+	pr.Steppers = func(inputs []int) []sim.Stepper {
+		steppers := inner(inputs)
+		for id, st := range steppers {
+			steppers[id] = &publisher{inner: st, id: id, indexLoc: indexLoc, auditLoc: auditLoc}
+		}
+		return steppers
+	}
 
 	fmt.Fprintf(w, "committing one of %d batches across %d replicas over %s\n",
 		len(batches), replicas, pr.Set)
@@ -106,6 +100,55 @@ func run(ctx context.Context, w io.Writer) error {
 		st.Footprint(), st.Steps, st.MultiAssigns)
 	return nil
 }
+
+// publisher runs one replica's consensus stepper to its decision, then
+// publishes the decided batch to the index and the audit log atomically with
+// one multiple assignment — a simple transaction in the paper's Section 7
+// sense — and finishes with the batch.
+type publisher struct {
+	inner              sim.Stepper
+	id                 int
+	indexLoc, auditLoc int
+	publish            sim.OpInfo // the multiple assignment, once poised
+	done               bool
+	batch              int
+	err                error
+}
+
+func (s *publisher) Poise() *sim.OpInfo {
+	switch {
+	case s.done:
+		return nil
+	case s.publish.Multi != nil:
+		return &s.publish
+	}
+	return s.inner.Poise()
+}
+
+func (s *publisher) Resume(res machine.Value) bool {
+	if s.publish.Multi != nil {
+		s.done = true
+		return true
+	}
+	if !s.inner.Resume(res) {
+		return false
+	}
+	decided, batch, err := s.inner.Outcome()
+	if !decided || err != nil {
+		s.done, s.err = true, err
+		return true
+	}
+	s.batch = batch
+	s.publish.Multi = []machine.Assignment{
+		{Loc: s.indexLoc, Op: machine.OpBufferWrite, Args: []machine.Value{batch}},
+		{Loc: s.auditLoc, Op: machine.OpBufferWrite,
+			Args: []machine.Value{fmt.Sprintf("replica %d commits %d", s.id, batch)}},
+	}
+	return false
+}
+
+func (s *publisher) Outcome() (bool, int, error) { return s.done && s.err == nil, s.batch, s.err }
+func (s *publisher) Halt()                       { s.inner.Halt() }
 
 func main() {
 	log.SetFlags(0)

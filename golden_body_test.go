@@ -1,30 +1,25 @@
 package repro
 
-// TestBodyRowsGolden pins the Solve outcomes of the Body forms of T1.1,
-// T1.3, T1.5, T1.6 and T1.MA, run on the coroutine Body adapter, to
-// testdata/body_rows.golden. The Body forms are the reference semantics of
-// those rows: their step path hashes history payloads and double-collect
-// versions, and none of that may move a decision or a step count. The
-// file's verify lines were rendered by exploring the Body forms when the
-// adapter could still fork; it no longer can, so they are frozen records,
-// and Verify on a Body form must fail with sim.ErrNotForkable. The rows'
-// handles run forkable steppers; TestStepperRowsMatchBodyGolden pins their
-// outcomes and verdicts against the same file. Regenerate the solve lines
-// deliberately with (the verify lines are copied over unchanged)
+// TestStepperRowsMatchBodyGolden pins the Solve outcomes and Verify verdicts
+// of T1.1, T1.3, T1.5, T1.6 and T1.MA to testdata/body_rows.golden. The
+// file's solve lines were rendered by the rows' Body forms, which live on as
+// test oracles in internal/consensus: its TestBodyRowsGolden runs each Body
+// against the row's steppers under every solve line's seed and requires the
+// line's outcome, so the oracles, the steppers and the file agree. The
+// verify lines were rendered by exploring the Body forms when the coroutine
+// adapter could still fork; they are frozen records. Regenerate the solve
+// lines deliberately, from the rows' steppers (the verify lines are copied
+// over unchanged), with
 //
-//	go test -run TestBodyRowsGolden -update-body-golden .
+//	go test -run TestStepperRowsMatchBodyGolden -update-body-golden .
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 	"testing"
-
-	"repro/internal/consensus"
-	"repro/internal/sim"
 )
 
 var updateBodyGolden = flag.Bool("update-body-golden", false, "rewrite testdata/body_rows.golden")
@@ -53,24 +48,6 @@ func bodyGoldenInputs(p *Protocol, variant int) []int {
 	return in
 }
 
-// compileBody is Compile with the row's steppers cleared from every
-// protocol the handle builds, so its runs take the coroutine Body adapter:
-// the reference form the golden file pins.
-func compileBody(row string, n int) (*Protocol, error) {
-	p, err := Compile(row, n)
-	if err != nil {
-		return nil, err
-	}
-	build := p.build
-	p.build = func() *consensus.Protocol {
-		pr := build()
-		pr.Steppers = nil
-		return pr
-	}
-	p.pr = p.build()
-	return p, nil
-}
-
 // bodyGoldenRun is one line of the golden file: a whole solve line, or the
 // header of a verify line (its text before ": ") with the outcome of the
 // Verify behind it.
@@ -81,13 +58,13 @@ type bodyGoldenRun struct {
 	err    error
 }
 
-func renderBodyGolden(t *testing.T, compile func(row string, n int) (*Protocol, error)) []bodyGoldenRun {
+func renderBodyGolden(t *testing.T) []bodyGoldenRun {
 	t.Helper()
 	ctx := context.Background()
 	var runs []bodyGoldenRun
 	for _, row := range bodyRows {
 		for _, n := range bodyGoldenNs {
-			p, err := compile(row, n)
+			p, err := Compile(row, n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,41 +128,16 @@ func verdictSpan(line string) string {
 	return line[i:j]
 }
 
-// renderAgainstGolden renders the rows with compile and reads the golden
-// file, failing unless the two have one line per run.
-func renderAgainstGolden(t *testing.T, compile func(row string, n int) (*Protocol, error)) ([]bodyGoldenRun, []string) {
+// renderAgainstGolden renders the rows and reads the golden file, failing
+// unless the two have one line per run.
+func renderAgainstGolden(t *testing.T) ([]bodyGoldenRun, []string) {
 	t.Helper()
 	golden := readBodyGolden(t)
-	runs := renderBodyGolden(t, compile)
+	runs := renderBodyGolden(t)
 	if len(runs) != len(golden) {
 		t.Fatalf("render has %d lines, %s has %d", len(runs), bodyGoldenFile, len(golden))
 	}
 	return runs, golden
-}
-
-func TestBodyRowsGolden(t *testing.T) {
-	runs, golden := renderAgainstGolden(t, compileBody)
-	var b strings.Builder
-	for i, r := range runs {
-		if !r.verify {
-			b.WriteString(r.line)
-			continue
-		}
-		if !errors.Is(r.err, sim.ErrNotForkable) {
-			t.Fatalf("%s on the Body form: err = %v, want sim.ErrNotForkable", r.line, r.err)
-		}
-		b.WriteString(goldenLine(t, golden, i, r)) // a frozen record
-	}
-	got := b.String()
-	if *updateBodyGolden {
-		if err := os.WriteFile(bodyGoldenFile, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	if want := strings.Join(golden, ""); got != want {
-		t.Fatalf("Body-row outcomes changed\n--- %s\n+++ current\n%s", bodyGoldenFile, diffLines(want, got))
-	}
 }
 
 // TestStepperRowsMatchBodyGolden: the handles of the five rows run their
@@ -195,7 +147,21 @@ func TestBodyRowsGolden(t *testing.T) {
 // because stepper state keys are canonical where the Body adapter's folded
 // its result log and the step count (so they are logged, not compared).
 func TestStepperRowsMatchBodyGolden(t *testing.T) {
-	runs, golden := renderAgainstGolden(t, func(row string, n int) (*Protocol, error) { return Compile(row, n) })
+	runs, golden := renderAgainstGolden(t)
+	if *updateBodyGolden {
+		var b strings.Builder
+		for i, r := range runs {
+			if r.verify {
+				b.WriteString(goldenLine(t, golden, i, r)) // a frozen record
+			} else {
+				b.WriteString(r.line)
+			}
+		}
+		if err := os.WriteFile(bodyGoldenFile, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
 	for i, s := range runs {
 		want := goldenLine(t, golden, i, s)
 		if !s.verify {

@@ -25,12 +25,9 @@ func MultiplyValues(n, m int) *Protocol {
 		Values:    m,
 		Locations: 1,
 		Initial:   map[int]machine.Value{0: counter.MultiplyInitial()},
-		Body: func(p *sim.Proc) int {
-			return RaceUnbounded(counter.NewMultiply(p, 0, m), n, p.Input())
-		},
 		Steppers: func(inputs []int) []sim.Stepper {
 			return steppersOf(inputs, func(_, in int) sim.Stepper {
-				return new(raceStepper).start(counter.NewMulMachine(0, m, false), n, in, false)
+				return new(raceStepper).start(counter.NewMulMachine(0, m, false), n, in, raceUnbounded)
 			})
 		},
 	}
@@ -46,12 +43,9 @@ func FetchMultiply(n int) *Protocol {
 		Values:    n,
 		Locations: 1,
 		Initial:   map[int]machine.Value{0: counter.MultiplyInitial()},
-		Body: func(p *sim.Proc) int {
-			return RaceUnbounded(counter.NewFetchMultiply(p, 0, n), n, p.Input())
-		},
 		Steppers: func(inputs []int) []sim.Stepper {
 			return steppersOf(inputs, func(_, in int) sim.Stepper {
-				return new(raceStepper).start(counter.NewMulMachine(0, n, true), n, in, false)
+				return new(raceStepper).start(counter.NewMulMachine(0, n, true), n, in, raceUnbounded)
 			})
 		},
 	}
@@ -70,10 +64,7 @@ func AddValues(n, m int) *Protocol {
 		N:         n,
 		Values:    m,
 		Locations: 1,
-		Body: func(p *sim.Proc) int {
-			return RaceBounded(counter.NewAdd(p, 0, m, n), n, p.Input())
-		},
-		Steppers: func(inputs []int) []sim.Stepper { return addSteppers(inputs, m, n, false) },
+		Steppers:  func(inputs []int) []sim.Stepper { return addSteppers(inputs, m, n, false) },
 	}
 }
 
@@ -86,10 +77,7 @@ func FetchAdd(n int) *Protocol {
 		N:         n,
 		Values:    n,
 		Locations: 1,
-		Body: func(p *sim.Proc) int {
-			return RaceBounded(counter.NewFetchAdd(p, 0, n, n), n, p.Input())
-		},
-		Steppers: func(inputs []int) []sim.Stepper { return addSteppers(inputs, n, n, true) },
+		Steppers:  func(inputs []int) []sim.Stepper { return addSteppers(inputs, n, n, true) },
 	}
 }
 
@@ -100,7 +88,7 @@ func FetchAdd(n int) *Protocol {
 func addSteppers(inputs []int, m, n int, fetch bool) []sim.Stepper {
 	proto := counter.NewAddMachine(0, m, n, fetch)
 	return steppersOf(inputs, func(_, in int) sim.Stepper {
-		return new(raceStepper).start(proto.ForkInto(nil).(*counter.AddMachine), n, in, true)
+		return new(raceStepper).start(proto.ForkInto(nil).(*counter.AddMachine), n, in, raceBounded)
 	})
 }
 
@@ -116,12 +104,9 @@ func SetBitValues(n, m int) *Protocol {
 		N:         n,
 		Values:    m,
 		Locations: 1,
-		Body: func(p *sim.Proc) int {
-			return RaceUnbounded(counter.NewSetBit(p, 0, m), n, p.Input())
-		},
 		Steppers: func(inputs []int) []sim.Stepper {
 			return steppersOf(inputs, func(i, in int) sim.Stepper {
-				return new(raceStepper).start(counter.NewSetBitMachine(0, m, n, i), n, in, false)
+				return new(raceStepper).start(counter.NewSetBitMachine(0, m, n, i), n, in, raceUnbounded)
 			})
 		},
 	}

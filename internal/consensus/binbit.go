@@ -16,24 +16,11 @@ import (
 // {0,...,3n-1}, so 3n bits per component can never wrap.
 func unaryWidth(n int) int { return 3 * n }
 
-// binBitRound returns the per-round binary consensus body over two unary
-// bounded components (2 * 3n bit locations).
-func binBitRound(n int, tas bool) BinaryRound {
-	return func(p *sim.Proc, base int, bit int) int {
-		var c counter.BoundedCounter
-		if tas {
-			c = counter.NewUnaryTAS(p, base, 2, unaryWidth(n))
-		} else {
-			c = counter.NewUnary(p, base, 2, unaryWidth(n))
-		}
-		return RaceBounded(c, n, bit)
-	}
-}
-
-// binBitRoundStepper is binBitRound in forkable stepper form.
+// binBitRoundStepper builds the per-round binary consensus: the bounded race
+// over two unary components (2 * 3n bit locations).
 func binBitRoundStepper(n int, tas bool) roundBuilder {
 	return func(sub *raceStepper, binBase, bit int) *raceStepper {
-		return sub.start(counter.NewUnaryMachineInto(sub.cm, binBase, 2, unaryWidth(n), tas), n, bit, true)
+		return sub.start(counter.NewUnaryMachineInto(sub.cm, binBase, 2, unaryWidth(n), tas), n, bit, raceBounded)
 	}
 }
 
@@ -49,9 +36,6 @@ func BinaryBits(n int) *Protocol {
 		N:         n,
 		Values:    2,
 		Locations: binBitCost(n),
-		Body: func(p *sim.Proc) int {
-			return binBitRound(n, false)(p, 0, p.Input())
-		},
 		Steppers: func(inputs []int) []sim.Stepper {
 			return steppersOf(inputs, func(_, in int) sim.Stepper {
 				return binBitRoundStepper(n, false)(new(raceStepper), 0, in)
@@ -63,16 +47,14 @@ func BinaryBits(n int) *Protocol {
 // WriteBits solves n-consensus using O(n log n) {read, write(0), write(1)}
 // single-bit locations (Theorem 9.4).
 func WriteBits(n int) *Protocol {
-	slot := BitSlot{Values: n, SetOne: machine.OpWriteOne}
+	ops := bitSlotOps{values: n, setOne: machine.OpWriteOne}
 	return &Protocol{
 		Name:      "write-bits",
 		Set:       machine.SetReadWrite01,
 		N:         n,
 		Values:    n,
-		Locations: lemma52Locations(n, binBitCost(n), slot),
-		Body:      MultiValued(n, binBitCost(n), slot, binBitRound(n, false)),
+		Locations: lemma52Locations(n, binBitCost(n), ops.size()),
 		Steppers: func(inputs []int) []sim.Stepper {
-			ops := bitSlotOps{values: n, setOne: machine.OpWriteOne}
 			return steppersOf(inputs, func(_, in int) sim.Stepper {
 				return newMVStepper(n, binBitCost(n), ops, in, binBitRoundStepper(n, false))
 			})
@@ -83,16 +65,14 @@ func WriteBits(n int) *Protocol {
 // TASReset solves n-consensus using O(n log n) {read, test-and-set, reset}
 // locations (Theorem 9.4's second instantiation; Table 1 row 4).
 func TASReset(n int) *Protocol {
-	slot := BitSlot{Values: n, SetOne: machine.OpTestAndSet}
+	ops := bitSlotOps{values: n, setOne: machine.OpTestAndSet}
 	return &Protocol{
 		Name:      "test-and-set+reset",
 		Set:       machine.SetReadTASReset,
 		N:         n,
 		Values:    n,
-		Locations: lemma52Locations(n, binBitCost(n), slot),
-		Body:      MultiValued(n, binBitCost(n), slot, binBitRound(n, true)),
+		Locations: lemma52Locations(n, binBitCost(n), ops.size()),
 		Steppers: func(inputs []int) []sim.Stepper {
-			ops := bitSlotOps{values: n, setOne: machine.OpTestAndSet}
 			return steppersOf(inputs, func(_, in int) sim.Stepper {
 				return newMVStepper(n, binBitCost(n), ops, in, binBitRoundStepper(n, true))
 			})

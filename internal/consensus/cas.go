@@ -18,14 +18,6 @@ func CAS(n int) *Protocol {
 		Values:    n,
 		Locations: 1,
 		WaitFree:  true,
-		Body: func(p *sim.Proc) int {
-			old := machine.MustInt(p.Apply(0, machine.OpCompareAndSwap,
-				machine.Int(0), machine.Int(int64(p.Input()+1))))
-			if old.Sign() == 0 {
-				return p.Input()
-			}
-			return int(old.Int64()) - 1
-		},
 		Steppers: func(inputs []int) []sim.Stepper {
 			return steppersOf(inputs, func(_, in int) sim.Stepper { return newCASStepper(in) })
 		},

@@ -1,7 +1,6 @@
 package consensus
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -312,35 +311,6 @@ func TestSwapSoloStepBound(t *testing.T) {
 	}
 }
 
-// TestHeterogeneousBuffers exercises the Section 6.2 heterogeneous-capacity
-// extension: capacities summing to >= n suffice.
-func TestHeterogeneousBuffers(t *testing.T) {
-	cases := [][]int{
-		{1, 2, 3},    // n=6 over capacities 1+2+3
-		{3, 3},       // n=6 over two 3-buffers
-		{1, 1, 1, 3}, // n=6, mixed
-		{6},          // n=6, single 6-buffer
-	}
-	for _, caps := range cases {
-		t.Run(fmt.Sprint(caps), func(t *testing.T) {
-			n := 0
-			for _, c := range caps {
-				n += c
-			}
-			pr := BufferedHeterogeneous(n, caps)
-			inputs := make([]int, n)
-			for i := range inputs {
-				inputs[i] = (i * 3) % n
-			}
-			runAndCheck(t, pr, inputs, &sim.RoundRobin{}, true)
-			for seed := int64(0); seed < 5; seed++ {
-				pr := BufferedHeterogeneous(n, caps)
-				runAndCheck(t, pr, inputs, sim.NewRandom(seed), true)
-			}
-		})
-	}
-}
-
 // TestLargerN pushes a representative subset to n=12 to catch size-dependent
 // arithmetic bugs (prime tables, digit bases, bit layouts, lap vectors).
 func TestLargerN(t *testing.T) {
@@ -373,28 +343,31 @@ func TestInputValidation(t *testing.T) {
 	}
 }
 
-// TestHeterogeneousBuffersProperty fuzzes random capacity mixes summing to
-// at least n (the Section 6.2 heterogeneous rule).
-func TestHeterogeneousBuffersProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 15; trial++ {
-		n := 3 + rng.Intn(5)
-		var caps []int
-		total := 0
-		for total < n {
-			c := 1 + rng.Intn(3)
-			caps = append(caps, c)
-			total += c
+// TestNewSystemOneForm: a protocol sets exactly one of Body and Steppers;
+// NewSystem refuses one with both or neither instead of picking one.
+func TestNewSystemOneForm(t *testing.T) {
+	both := CAS(2)
+	both.Body = casBody
+	neither := CAS(2)
+	neither.Steppers = nil
+	for _, pr := range []*Protocol{both, neither} {
+		if sys, err := pr.NewSystem([]int{0, 1}); err == nil {
+			sys.Close()
+			t.Fatalf("Body set %v, Steppers set %v: NewSystem accepted the protocol",
+				pr.Body != nil, pr.Steppers != nil)
 		}
-		pr := BufferedHeterogeneous(n, caps)
-		inputs := randInputs(rng, n, n)
-		res := runAndCheck(t, pr, inputs, sim.NewRandom(rng.Int63()), true)
-		if res.Steps == 0 {
-			t.Fatal("no steps")
+	}
+	body := CAS(2)
+	body.Body, body.Steppers = casBody, nil
+	for _, pr := range []*Protocol{CAS(2), body} {
+		sys, err := pr.NewSystem([]int{0, 1})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if pr.Locations != len(caps) {
-			t.Fatalf("declared %d locations for %d capacities", pr.Locations, len(caps))
+		if sys.ForksNatively() != (pr.Steppers != nil) {
+			t.Fatalf("Steppers set %v, but the system forks natively: %v", pr.Steppers != nil, sys.ForksNatively())
 		}
+		sys.Close()
 	}
 }
 

@@ -26,7 +26,8 @@ type cowCase struct {
 // cowCases is the forkable portfolio plus the instances that reach the
 // remaining shared shapes: max-registers starting past the int64 range, so
 // every value a collect reads is a *big.Int, and MP.QSC under reordering
-// delivery, whose processes fold messages into shared bucket arrays.
+// delivery, whose processes fold messages into shared bucket arrays; and
+// the sticky tracks, the one racing rule the portfolio does not run.
 func cowCases() []cowCase {
 	var out []cowCase
 	for _, tc := range ForkablePortfolio() {
@@ -43,6 +44,7 @@ func cowCases() []cowCase {
 		cowCase{ForkableInstance{"max-registers-big", bigMaxReg, []int{2, 0, 1}}, nil},
 		cowCase{ForkableInstance{"qsc", func() *Protocol { return QSCConfig(3, 2, 2) }, []int{2, 0, 1}},
 			[]sim.SystemOption{reorder}},
+		cowCase{ForkableInstance{"write1-tracks-sticky", func() *Protocol { return WriteOneTracksSticky(3) }, []int{1, 2, 0}}, nil},
 	)
 }
 

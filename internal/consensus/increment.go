@@ -12,24 +12,11 @@ import (
 // Lemma 5.2. The fetch-and-increment variant of Table 1's next row runs the
 // same algorithm with fetch-and-increment as the update.
 
-// incrementRound returns the per-round binary consensus body over two
-// increment locations.
-func incrementRound(n int, fai bool) BinaryRound {
-	return func(p *sim.Proc, base int, bit int) int {
-		var c counter.Counter
-		if fai {
-			c = counter.NewFetchIncrement(p, base, 2)
-		} else {
-			c = counter.NewIncrement(p, base, 2)
-		}
-		return RaceUnbounded(c, n, bit)
-	}
-}
-
-// incrementRoundStepper is incrementRound in forkable stepper form.
+// incrementRoundStepper builds the per-round binary consensus: the unbounded
+// race over two increment locations.
 func incrementRoundStepper(n int, fai bool) roundBuilder {
 	return func(sub *raceStepper, binBase, bit int) *raceStepper {
-		return sub.start(counter.NewIncMachineInto(sub.cm, binBase, 2, fai), n, bit, false)
+		return sub.start(counter.NewIncMachineInto(sub.cm, binBase, 2, fai), n, bit, raceUnbounded)
 	}
 }
 
@@ -42,9 +29,6 @@ func IncrementBinary(n int) *Protocol {
 		N:         n,
 		Values:    2,
 		Locations: 2,
-		Body: func(p *sim.Proc) int {
-			return incrementRound(n, false)(p, 0, p.Input())
-		},
 		Steppers: func(inputs []int) []sim.Stepper {
 			return steppersOf(inputs, func(_, in int) sim.Stepper {
 				return incrementRoundStepper(n, false)(new(raceStepper), 0, in)
@@ -56,14 +40,12 @@ func IncrementBinary(n int) *Protocol {
 // Increment solves n-consensus using (2+2)*ceil(log2 n) - 2 locations
 // supporting {read, write(x), increment} (Theorem 5.3).
 func Increment(n int) *Protocol {
-	slot := MultiSlot{}
 	return &Protocol{
 		Name:      "increment",
 		Set:       machine.SetReadWriteIncrement,
 		N:         n,
 		Values:    n,
-		Locations: lemma52Locations(n, 2, slot),
-		Body:      MultiValued(n, 2, slot, incrementRound(n, false)),
+		Locations: lemma52Locations(n, 2, multiSlotOps{}.size()),
 		Steppers: func(inputs []int) []sim.Stepper {
 			return steppersOf(inputs, func(_, in int) sim.Stepper {
 				return newMVStepper(n, 2, multiSlotOps{}, in, incrementRoundStepper(n, false))
@@ -75,14 +57,12 @@ func Increment(n int) *Protocol {
 // FetchIncrement solves n-consensus with {read, write(x),
 // fetch-and-increment} using the same construction (Table 1 row 8).
 func FetchIncrement(n int) *Protocol {
-	slot := MultiSlot{}
 	return &Protocol{
 		Name:      "fetch-and-increment",
 		Set:       machine.SetReadWriteFAI,
 		N:         n,
 		Values:    n,
-		Locations: lemma52Locations(n, 2, slot),
-		Body:      MultiValued(n, 2, slot, incrementRound(n, true)),
+		Locations: lemma52Locations(n, 2, multiSlotOps{}.size()),
 		Steppers: func(inputs []int) []sim.Stepper {
 			return steppersOf(inputs, func(_, in int) sim.Stepper {
 				return newMVStepper(n, 2, multiSlotOps{}, in, incrementRoundStepper(n, true))

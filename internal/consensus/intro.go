@@ -23,20 +23,6 @@ func IntroFAA2TAS(n int) *Protocol {
 		Values:    2,
 		Locations: 1,
 		WaitFree:  true,
-		Body: func(p *sim.Proc) int {
-			if p.Input() == 0 {
-				old := machine.MustInt(p.Apply(0, machine.OpFetchAndAdd, machine.Int(2)))
-				if old.Bit(0) == 1 {
-					return 1
-				}
-				return 0
-			}
-			old := machine.MustInt(p.Apply(0, machine.OpTestAndSet))
-			if old.Sign() == 0 || old.Bit(0) == 1 {
-				return 1
-			}
-			return 0
-		},
 		Steppers: func(inputs []int) []sim.Stepper {
 			return steppersOf(inputs, func(_, in int) sim.Stepper {
 				return &introFAA2TASStepper{input: in}
@@ -58,18 +44,6 @@ func IntroDecMul(n int) *Protocol {
 		Locations: 1,
 		WaitFree:  true,
 		Initial:   map[int]machine.Value{0: machine.Int(1)},
-		Body: func(p *sim.Proc) int {
-			if p.Input() == 0 {
-				p.Apply(0, machine.OpDecrement)
-			} else {
-				p.Apply(0, machine.OpMultiply, machine.Int(int64(n)))
-			}
-			v := machine.MustInt(p.Apply(0, machine.OpRead))
-			if v.Sign() > 0 {
-				return 1
-			}
-			return 0
-		},
 		Steppers: func(inputs []int) []sim.Stepper {
 			mulOp := &sim.OpInfo{Loc: 0, Op: machine.OpMultiply, Args: []machine.Value{machine.Int(int64(n))}}
 			return steppersOf(inputs, func(_, in int) sim.Stepper {

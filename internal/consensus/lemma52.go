@@ -1,90 +1,12 @@
 package consensus
 
-import (
-	"fmt"
-
-	"repro/internal/machine"
-	"repro/internal/sim"
-)
-
-// This file implements Lemma 5.2: given an obstruction-free binary consensus
-// algorithm using c locations, n processes agree on an n-valued input
-// bit-by-bit in ceil(log2 n) rounds of c+2 locations each, saving the two
-// designated value locations in the final round — (c+2)*ceil(log2 n) - 2
-// locations total.
-//
-// The construction is parameterized over (a) the per-round binary consensus
-// body and (b) the "designated location" codec, because Theorem 9.4 replaces
-// each designated multi-valued location with a run of n binary locations.
-
-// BinaryRound runs one binary consensus instance among n processes over
-// locations base..base+c-1, returning the agreed bit given this process's
-// proposed bit.
-type BinaryRound func(p *sim.Proc, base int, bit int) int
-
-// ValueSlot is the codec for one designated value location (or location
-// run): processes record candidate values in it and later adopt one.
-type ValueSlot interface {
-	// Size returns how many memory locations one slot occupies.
-	Size() int
-	// Record stores val in the slot rooted at base.
-	Record(p *sim.Proc, base int, val int)
-	// Recover returns any value previously recorded in the slot rooted at
-	// base; ok is false when none is visible yet.
-	Recover(p *sim.Proc, base int) (val int, ok bool)
-}
-
-// MultiSlot is the plain codec: one {read, write(x)} location per slot.
-type MultiSlot struct{}
-
-// Size returns 1.
-func (MultiSlot) Size() int { return 1 }
-
-// Record writes the value into the single location, offset by one so a
-// recorded 0 is distinguishable from the initial contents.
-func (MultiSlot) Record(p *sim.Proc, base int, val int) {
-	p.Apply(base, machine.OpWrite, machine.Int(int64(val)+1))
-}
-
-// Recover reads the single location.
-func (MultiSlot) Recover(p *sim.Proc, base int) (int, bool) {
-	v := p.Apply(base, machine.OpRead)
-	if v == nil {
-		return 0, false
-	}
-	x := machine.MustInt(v)
-	if x.Sign() == 0 {
-		return 0, false
-	}
-	return int(x.Int64()) - 1, true
-}
-
-// BitSlot is Theorem 9.4's codec: a run of `values` single-bit locations;
-// recording value x sets bit x, recovering scans for any set bit. setOne is
-// write(1) or test-and-set depending on the instruction set.
-type BitSlot struct {
-	Values int
-	SetOne machine.Op
-}
-
-// Size returns the number of bit locations per slot.
-func (s BitSlot) Size() int { return s.Values }
-
-// Record sets the bit location indexed by the value.
-func (s BitSlot) Record(p *sim.Proc, base int, val int) {
-	p.Apply(base+val, s.SetOne)
-}
-
-// Recover scans the bit locations for a set bit.
-func (s BitSlot) Recover(p *sim.Proc, base int) (int, bool) {
-	for v := 0; v < s.Values; v++ {
-		x := machine.MustInt(p.Apply(base+v, machine.OpRead))
-		if x.Sign() != 0 {
-			return v, true
-		}
-	}
-	return 0, false
-}
+// This file holds the layout of Lemma 5.2: given an obstruction-free binary
+// consensus algorithm using c locations, n processes agree on an n-valued
+// input bit-by-bit in ceil(log2 n) rounds of c+2 locations each, saving the
+// two designated value locations in the final round — (c+2)*ceil(log2 n) - 2
+// locations total. Theorem 9.4 replaces each designated multi-valued
+// location with a run of n binary locations, so a slot spans slotSize
+// locations. mvStepper (steppers.go) runs the construction.
 
 // bitsFor returns ceil(log2 m), the number of agreement rounds for m values
 // (at least 1).
@@ -97,55 +19,12 @@ func bitsFor(m int) int {
 }
 
 // lemma52Locations returns the total location count of the construction.
-func lemma52Locations(m, c int, slot ValueSlot) int {
-	k := bitsFor(m)
-	return (k-1)*(2*slot.Size()+c) + c
+func lemma52Locations(m, c, slotSize int) int {
+	return roundBase(bitsFor(m)-1, c, slotSize) + c
 }
 
-// recordOffset abstracts the per-round memory layout: rounds 0..k-2 are
+// roundBase returns the first location of a round: rounds 0..k-2 are
 // [slot0][slot1][binary consensus locations]; round k-1 has no slots.
-func roundBase(round, c int, slot ValueSlot) int {
-	return round * (2*slot.Size() + c)
-}
-
-// MultiValued builds the n-valued consensus body from a binary consensus
-// round and a slot codec (Lemma 5.2). Values are agreed most-significant-bit
-// first; after the final round the process's candidate value equals the
-// agreed bit string, which is some process's input by the round invariant.
-func MultiValued(m, c int, slot ValueSlot, round BinaryRound) sim.Body {
-	k := bitsFor(m)
-	return func(p *sim.Proc) int {
-		v := p.Input()
-		for i := 0; i < k; i++ {
-			base := roundBase(i, c, slot)
-			bit := (v >> (k - 1 - i)) & 1
-			last := i == k-1
-			binBase := base
-			if !last {
-				// Record the candidate value in the designated location for
-				// the proposed bit before entering the round's binary
-				// consensus.
-				slot.Record(p, base+bit*slot.Size(), v)
-				binBase = base + 2*slot.Size()
-			}
-			agreed := round(p, binBase, bit)
-			if agreed != bit {
-				if last {
-					// No designated locations in the final round: all
-					// candidates agree on the first k-1 bits, so flipping
-					// the last bit reconstructs the winning input.
-					v = (v &^ 1) | agreed
-				} else {
-					w, ok := slot.Recover(p, base+agreed*slot.Size())
-					if !ok {
-						// The agreed bit was proposed by some process, which
-						// recorded its value first: it must be visible.
-						panic(fmt.Sprintf("consensus: round %d agreed bit %d has no recorded value", i, agreed))
-					}
-					v = w
-				}
-			}
-		}
-		return v
-	}
+func roundBase(round, c, slotSize int) int {
+	return round * (2*slotSize + c)
 }

@@ -95,50 +95,10 @@ func MaxRegisters(n int) *Protocol {
 			0: new(big.Int).Set(one),
 			1: new(big.Int).Set(one),
 		},
-		Body: func(p *sim.Proc) int {
-			return maxRegBody(p, y)
-		},
 		Steppers: func(inputs []int) []sim.Stepper {
 			return steppersOf(inputs, func(_, in int) sim.Stepper {
 				return newMaxRegStepper(in, y)
 			})
 		},
-	}
-}
-
-// scanMax double-collects the two max-registers. Max-register values never
-// decrease, so two identical consecutive collects form a snapshot.
-func scanMax(p *sim.Proc) (m1, m2 *big.Int) {
-	a := machine.MustInt(p.Apply(0, machine.OpReadMax))
-	b := machine.MustInt(p.Apply(1, machine.OpReadMax))
-	for {
-		a2 := machine.MustInt(p.Apply(0, machine.OpReadMax))
-		b2 := machine.MustInt(p.Apply(1, machine.OpReadMax))
-		if a2.Cmp(a) == 0 && b2.Cmp(b) == 0 {
-			return a2, b2
-		}
-		a, b = a2, b2
-	}
-}
-
-func maxRegBody(p *sim.Proc, y int64) int {
-	// Announce the input as (0, x') in m1.
-	p.Apply(0, machine.OpWriteMax,
-		EncodePair(MaxRegPair{R: 0, X: p.Input()}, y))
-	for {
-		v1, v2 := scanMax(p)
-		p1, p2 := DecodePair(v1, y), DecodePair(v2, y)
-		switch {
-		case p1.R == p2.R+1 && p1.X == p2.X:
-			// m1 = (r+1, x), m2 = (r, x): decide x.
-			return p1.X
-		case v1.Cmp(v2) == 0:
-			// Both registers agree on (r, x): promote x to round r+1 in m1.
-			p.Apply(0, machine.OpWriteMax,
-				EncodePair(MaxRegPair{R: p1.R + 1, X: p1.X}, y))
-		default:
-			// Catch m2 up to m1's value from the scan.
-			p.Apply(1, machine.OpWriteMax, v1)
-		}
 	}
 }

@@ -40,29 +40,19 @@ type Protocol struct {
 	// memory (the message-passing companion rows); nil for the pure
 	// shared-memory rows. Channel locations count toward Locations.
 	Channels []machine.ChannelSpec
-	// Body is the per-process code.
-	Body sim.Body
-	// Steppers, when non-nil, builds the processes as explicit forkable
-	// state machines issuing the same instruction stream as Body
-	// (steppers.go). NewSystem prefers it whenever it is set, which makes
-	// System.Fork O(state) and the explorer's dedup keys canonical; Body
-	// remains the reference semantics (TestSteppersMatchBodies).
-	// Callers that wrap or replace Body must clear Steppers.
+	// A protocol sets exactly one of Body and Steppers. Steppers builds
+	// the processes for the given inputs as explicit forkable state
+	// machines (steppers.go), which makes System.Fork O(state) and the
+	// explorer's dedup keys canonical; every protocol this package builds
+	// sets it. Body is per-process coroutine code, for protocols written
+	// that way (user protocols, internal/adoptcommit): the coroutine
+	// adapter solves them but cannot fork them, so exploring one fails
+	// with sim.ErrNotForkable.
+	Body     sim.Body
 	Steppers func(inputs []int) []sim.Stepper
 	// WaitFree marks protocols that decide in a bounded number of own
 	// steps regardless of scheduling (the introduction's examples).
 	WaitFree bool
-}
-
-// SetBody replaces the protocol's per-process code and clears any explicit
-// steppers, so the replacement is authoritative. Deriving a protocol
-// variant by assigning Body directly would silently keep the parent's
-// steppers; always derive through SetBody. The variant then runs on the
-// coroutine Body adapter, which solves it but cannot fork it, so exploring
-// it fails with sim.ErrNotForkable.
-func (pr *Protocol) SetBody(body sim.Body) {
-	pr.Body = body
-	pr.Steppers = nil
 }
 
 // NewMemory allocates a fresh memory sized and initialized for the protocol.
@@ -84,8 +74,12 @@ func (pr *Protocol) NewMemory() *machine.Memory {
 }
 
 // NewSystem builds a fresh system of N processes with the given inputs
-// running the protocol. Inputs must lie in [0, Values).
+// running the protocol. Inputs must lie in [0, Values), and the protocol
+// must set exactly one of Body and Steppers.
 func (pr *Protocol) NewSystem(inputs []int, opts ...sim.SystemOption) (*sim.System, error) {
+	if (pr.Body == nil) == (pr.Steppers == nil) {
+		return nil, fmt.Errorf("consensus: %s must set exactly one of Body and Steppers", pr.Name)
+	}
 	if len(inputs) != pr.N {
 		return nil, fmt.Errorf("consensus: %s built for %d processes, got %d inputs",
 			pr.Name, pr.N, len(inputs))

@@ -32,10 +32,10 @@ import (
 // decision before halting, which unsticks parked and lagging processes under
 // any schedule that eventually delivers.
 //
-// Like the Table 1 ports, the protocol exists twice — a coroutine Body and
-// an explicit forkable stepper issuing the identical instruction stream
-// (pinned by TestQSCStepperMatchesBody) — so it runs on every engine and
-// explores with O(state) forks and canonical dedup keys.
+// Like the Table 1 protocols, it runs as an explicit forkable stepper, so it
+// explores with O(state) forks and canonical dedup keys; a coroutine form
+// over the same core is the test oracle TestQSCStepperMatchesBody pins its
+// instruction stream to.
 
 // qscDecidePhase tags a decide announcement; phases 1 and 2 are the round
 // phases.
@@ -186,10 +186,9 @@ func (a *qscAggs) share() {
 	}
 }
 
-// qscCore is the protocol logic shared verbatim by the coroutine Body and
-// the explicit stepper: both drive it through the same three entry points
-// (resumeSend, fold+advance), so their instruction streams agree by
-// construction.
+// qscCore is the protocol logic. The stepper drives it through three entry
+// points (resumeSend, fold+advance); so does the coroutine test oracle, so
+// their instruction streams agree by construction.
 type qscCore struct {
 	n, t, rounds int
 	id, input    int
@@ -471,26 +470,6 @@ func (s *qscStepper) StateKey(relabel func(int) int) (uint64, bool) {
 	return sim.FoldSpan(s.core.key(), relabel, 0, s.core.n), true
 }
 
-// qscBody is the coroutine twin of qscStepper, step-for-step: the same core
-// drives it, so the instruction streams are identical under one schedule.
-func qscBody(n, t, rounds int) sim.Body {
-	return func(p *sim.Proc) int {
-		c := newQSCCore(n, t, rounds, p.ID(), p.Input())
-		for !c.done {
-			if c.dest < c.n {
-				p.Send(c.dest, c.box[0])
-				c.resumeSend()
-				continue
-			}
-			if w, ok := p.Recv(c.id).(*qscWire); ok {
-				c.fold(w.msg)
-				c.advance()
-			}
-		}
-		return c.decision
-	}
-}
-
 // qscDefaultRounds caps the adopt-commit rounds of the default QSC instance:
 // enough that fair random schedules essentially always decide, small enough
 // that state keys and channel capacities stay tight.
@@ -534,7 +513,6 @@ func QSCConfig(n, t, rounds int) *Protocol {
 		Values:    n,
 		Locations: n,
 		Channels:  specs,
-		Body:      qscBody(n, t, rounds),
 		Steppers: func(inputs []int) []sim.Stepper {
 			return steppersOf(inputs, func(i, in int) sim.Stepper {
 				return newQSCStepper(n, t, rounds, i, in)

@@ -9,10 +9,10 @@ import (
 
 // Byzantine QSC variants: one process (always the last pid) runs a fixed
 // adversarial send script instead of the protocol, then parks receiving and
-// discarding forever. The scripts are input-independent, so the coroutine
-// Body and the explicit stepper stay twins, and the honest processes run the
-// unmodified protocol — what the scenario portfolio probes is exactly the
-// honest code's resilience to each class of misbehavior.
+// discarding forever. The scripts are input-independent, and the honest
+// processes run the unmodified protocol — what the scenario portfolio
+// probes is exactly the honest code's resilience to each class of
+// misbehavior.
 
 // QSCAdversary names a scripted Byzantine behavior for the last process of a
 // QSC instance.
@@ -162,18 +162,6 @@ func QSCWithByzantine(n, t, rounds int, adv QSCAdversary) *Protocol {
 		}
 	}
 	pr.Name = fmt.Sprintf("qsc-byzantine-%s(n=%d,t=%d,r=%d)", adv, n, t, rounds)
-	honest := qscBody(n, t, rounds)
-	pr.Body = func(p *sim.Proc) int {
-		if p.ID() != byz {
-			return honest(p)
-		}
-		for _, s := range sends {
-			p.Send(s.Loc, s.Args[0])
-		}
-		for {
-			p.Recv(byz) // park: discard everything, never decide
-		}
-	}
 	pr.Steppers = func(inputs []int) []sim.Stepper {
 		return steppersOf(inputs, func(i, in int) sim.Stepper {
 			if i == byz {

@@ -30,7 +30,7 @@ func qscInstances() []ForkableInstance {
 }
 
 // TestQSCStepperMatchesBody pins the QSC steppers (honest and Byzantine) to
-// their coroutine Body twins: identical seeded schedules must yield identical
+// their coroutine Body oracles: identical seeded schedules must yield identical
 // instruction traces, decisions, and final memory. QSC is not in the
 // wait-free portfolio battery because FLP lets runs end undecided; this
 // differential tolerates that, but requires the two engines to agree on it.
@@ -43,7 +43,7 @@ func TestQSCStepperMatchesBody(t *testing.T) {
 				if pr.Steppers == nil {
 					t.Fatal("protocol carries no steppers")
 				}
-				bodySys := sim.NewSystem(pr.NewMemory(), tc.Inputs, pr.Body, sim.WithTrace())
+				bodySys := sim.NewSystem(pr.NewMemory(), tc.Inputs, bodyOf(pr), sim.WithTrace())
 				stepSys := sim.NewSystemSteppers(pr.NewMemory(), tc.Inputs, pr.Steppers(tc.Inputs), sim.WithTrace())
 
 				bres, berr := bodySys.Run(sim.NewRandom(seed), 200_000)

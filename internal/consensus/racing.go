@@ -1,11 +1,11 @@
 package consensus
 
-import "repro/internal/counter"
-
-// This file implements the racing-counters consensus algorithms of
-// Lemmas 3.1 and 3.2 generically over any counter object. Every upper bound
-// in the paper except the max-register, CAS and introduction protocols
-// reduces to one of these two loops over a suitable counter implementation.
+// The racing-counters consensus algorithms of Lemmas 3.1 and 3.2 run
+// generically over any counter object. Every upper bound in the paper except
+// the max-register, CAS and introduction protocols reduces to one of these
+// two loops over a suitable counter implementation; raceStepper
+// (steppers.go) runs both over a counter.Machine, and this file holds the
+// rules they share.
 
 // leader returns the component with the largest count, breaking ties towards
 // the smallest index (any deterministic rule satisfies the lemmas).
@@ -29,75 +29,4 @@ func winner(s []int64, lead int64) (int, bool) {
 		}
 	}
 	return v, true
-}
-
-// RaceUnbounded is Lemma 3.1: m-valued consensus among n processes over an
-// m-component unbounded counter. The process first promotes its input, then
-// alternates scans with promotions of the current leader, deciding once the
-// leader is n ahead of every other component.
-func RaceUnbounded(c counter.Counter, n, input int) int {
-	c.Inc(input)
-	for {
-		s := c.Scan()
-		if v, ok := winner(s, int64(n)); ok {
-			return v
-		}
-		c.Inc(leader(s))
-	}
-}
-
-// RaceUnboundedSticky is RaceUnbounded with a different — equally legitimate
-// under Lemma 3.1's "breaking ties arbitrarily" — tie-break: among maximal
-// components the process prefers the one it last promoted. The choice does
-// not affect safety or obstruction-freedom, but it admits simple schedules
-// in which distinct processes promote distinct components forever, which the
-// Lemma 9.1 flood demonstration exploits to keep the write(1)-track
-// protocols growing without a decision.
-func RaceUnboundedSticky(c counter.Counter, n, input int) int {
-	last := input
-	c.Inc(input)
-	for {
-		s := c.Scan()
-		if v, ok := winner(s, int64(n)); ok {
-			return v
-		}
-		v := leader(s)
-		if s[last] == s[v] {
-			v = last
-		}
-		last = v
-		c.Inc(v)
-	}
-}
-
-// RaceBounded is Lemma 3.2: the same race over a bounded counter whose
-// components must stay within {0,...,3n-1}. To promote v when some other
-// component already holds a count of at least n, the process decrements that
-// component instead of incrementing v; the lemma shows counts then never
-// leave the legal range.
-func RaceBounded(c counter.BoundedCounter, n, input int) int {
-	promote := func(v int, s []int64) {
-		u := -1
-		for w := range s {
-			if w == v {
-				continue
-			}
-			if u < 0 || s[w] > s[u] {
-				u = w
-			}
-		}
-		if u >= 0 && s[u] >= int64(n) {
-			c.Dec(u)
-		} else {
-			c.Inc(v)
-		}
-	}
-	promote(input, c.Scan())
-	for {
-		s := c.Scan()
-		if v, ok := winner(s, int64(n)); ok {
-			return v
-		}
-		promote(leader(s), s)
-	}
 }

@@ -8,21 +8,19 @@ import (
 	"repro/internal/sim"
 )
 
-// This file ports the protocol bodies to explicit forkable state machines
+// This file holds the protocols as explicit forkable state machines
 // (sim.Stepper + sim.Forker + sim.StateKeyer): the CAS, introduction,
 // max-register, racing-counter and Lemma 5.2 multi-valued protocols. The
-// racing loops run over every counter machine, the unbounded tracks (T1.1)
-// and the register arrays of T1.3, T1.6 and T1.MA included; Algorithm 1's
-// stepper (T1.5) sits beside its Body in swap.go. Every Table 1 row runs on
-// these steppers. Each issues the exact same instruction stream and
-// payloads as its Body twin (pinned by TestSteppersMatchBodies), so seeded
-// runs, traces, and measurements are unchanged; what the port buys is
-// O(local state) System.Fork, no coroutine switch per step, and true
-// canonical state keys for the explorer's deduplication. The Body forms
-// stay the reference semantics. The coroutine adapter runs the protocols
-// that exist only as Bodies — SetBody variants such as the sticky tracks,
-// BufferedHeterogeneous, and user protocols like examples/ledger — but
-// cannot fork or key them, so they solve and replay but are not explored.
+// racing loops run over every counter machine, the unbounded tracks (T1.1,
+// and the sticky tracks of the Lemma 9.1 flood) and the register arrays of
+// T1.3, T1.6 and T1.MA included; Algorithm 1's stepper (T1.5) is in swap.go
+// and MP.QSC's in qsc.go. Every Table 1 protocol exists only in this form:
+// a process is O(local state) to fork, costs no coroutine switch per step,
+// and has a canonical state key for the explorer's deduplication. The same
+// algorithms written as coroutine code (sim.Body) live in the package's
+// test files as oracles: TestSteppersMatchBodies pins every stepper's
+// instruction stream, payloads, decisions and final memory to them under
+// seeded schedules.
 
 // opInfoKey hashes a poised instruction into a state key: the pending
 // instruction is part of a process's canonical state (it encodes every
@@ -231,8 +229,12 @@ func (c *introDecMulStepper) StateKey(relabel func(int) int) (uint64, bool) {
 
 // --- two max-registers (Theorem 4.2) -----------------------------------------
 
-// maxRegStepper program counter values; see maxRegBody for the loop being
-// mirrored. The double collect of scanMax is unrolled into the read states.
+// maxRegStepper program counter values. The process announces (0, input) in
+// m1, then loops: double-collect the two registers (max-register values
+// never decrease, so two identical consecutive collects form a snapshot);
+// decide x when m1 = (r+1, x) and m2 = (r, x); promote x to round r+1 in m1
+// when both hold (r, x); otherwise catch m2 up to m1's value. The double
+// collect is unrolled into the read states.
 const (
 	mrAnnounce = iota // write-max of (0, input) to m1 poised
 	mrReadA           // first collect: read m1 poised
@@ -303,7 +305,7 @@ func (s *maxRegStepper) Resume(res machine.Value) bool {
 		s.read(mrReadB2, 1)
 	case mrReadB2:
 		if !machine.EqualValues(s.a2, s.a) || !machine.EqualValues(res, s.b) {
-			// Collects disagree: keep collecting (scanMax's inner loop).
+			// Collects disagree: keep collecting.
 			s.a, s.b = s.a2, res
 			s.read(mrReadA2, 0)
 			return false
@@ -358,14 +360,40 @@ const (
 	rsInitScan        // bounded only: the first scan, feeding promote(input, s)
 )
 
-// raceStepper runs RaceUnbounded (bounded=false) or RaceBounded
-// (bounded=true) over a forkable counter machine, issuing the identical
-// instruction stream. It has a symmetric key exactly when its machine does.
+// raceRule picks the racing loop a raceStepper runs.
+type raceRule uint8
+
+const (
+	// raceUnbounded is Lemma 3.1: m-valued consensus among n processes over
+	// an m-component unbounded counter. The process first promotes its
+	// input, then alternates scans with promotions of the current leader
+	// (ties to the smallest component), deciding once the leader is n ahead
+	// of every other component.
+	raceUnbounded raceRule = iota
+	// raceSticky is raceUnbounded with a different — equally legitimate
+	// under Lemma 3.1's "breaking ties arbitrarily" — tie-break: among
+	// maximal components the process prefers the one it last promoted. The
+	// choice does not affect safety or obstruction-freedom, but it admits
+	// simple schedules in which distinct processes promote distinct
+	// components forever, which the Lemma 9.1 flood demonstration exploits
+	// to keep the write(1)-track protocols growing without a decision.
+	raceSticky
+	// raceBounded is Lemma 3.2: the same race over a bounded counter whose
+	// components must stay within {0,...,3n-1}. To promote v when some
+	// other component already holds a count of at least n, the process
+	// decrements that component instead of incrementing v; the lemma shows
+	// counts then never leave the legal range.
+	raceBounded
+)
+
+// raceStepper runs a racing loop over a forkable counter machine. It has a
+// symmetric key exactly when its machine does.
 type raceStepper struct {
 	cm       counter.Machine
 	n, input int
-	bounded  bool
+	rule     raceRule
 	stage    int
+	last     int // the component last promoted, under raceSticky
 	pending  sim.OpInfo
 	done     bool
 	decision int
@@ -373,9 +401,9 @@ type raceStepper struct {
 
 // start (re)builds s as the racing loop over cm, poised on its first
 // instruction, and returns s.
-func (s *raceStepper) start(cm counter.Machine, n, input int, bounded bool) *raceStepper {
-	*s = raceStepper{cm: cm, n: n, input: input, bounded: bounded}
-	if bounded {
+func (s *raceStepper) start(cm counter.Machine, n, input int, rule raceRule) *raceStepper {
+	*s = raceStepper{cm: cm, n: n, input: input, rule: rule, last: input}
+	if rule == raceBounded {
 		s.stage = rsInitScan
 		cm.StartScan(&s.pending)
 	} else {
@@ -385,7 +413,7 @@ func (s *raceStepper) start(cm counter.Machine, n, input int, bounded bool) *rac
 	return s
 }
 
-// promote mirrors RaceBounded's promote: decrement the largest other
+// promote is Lemma 3.2's promotion of v: decrement the largest other
 // component if it has reached n, otherwise increment v.
 func (s *raceStepper) promote(v int, sc []int64) {
 	u := -1
@@ -431,11 +459,18 @@ func (s *raceStepper) Resume(res machine.Value) bool {
 			return true
 		}
 		s.stage = rsUpdate
-		if s.bounded {
-			s.promote(leader(sc), sc)
-		} else {
-			s.cm.StartInc(leader(sc), &s.pending)
+		v := leader(sc)
+		switch s.rule {
+		case raceBounded:
+			s.promote(v, sc)
+			return false
+		case raceSticky:
+			if sc[s.last] == sc[v] {
+				v = s.last
+			}
+			s.last = v
 		}
+		s.cm.StartInc(v, &s.pending)
 	}
 	return false
 }
@@ -466,15 +501,20 @@ func (s *raceStepper) StateKey(relabel func(int) int) (uint64, bool) {
 		// The only point after construction where the input is still read.
 		h = sim.MixKey(h, uint64(s.input))
 	}
+	if s.rule == raceSticky {
+		h = sim.MixKey(h, uint64(s.last))
+	}
 	h = sim.MixKey(h, k)
 	return sim.MixKey(h, opInfoKey(&s.pending, relabel)), true
 }
 
 // --- the Lemma 5.2 multi-valued lift -----------------------------------------
 
-// slotOps is the stepper-side ValueSlot codec: Record is one instruction,
-// Recover a mini state machine driven through recoverStep. Like the counter
-// machines, each writes its instruction into the caller's slot next.
+// slotOps is the codec for one designated value location (or location
+// run): a process records its candidate value in it with one instruction
+// and later recovers one, a mini state machine driven through recoverStep.
+// Like the counter machines, each writes its instruction into the caller's
+// slot next.
 type slotOps interface {
 	size() int
 	recordOp(base, val int, next *sim.OpInfo)
@@ -493,7 +533,9 @@ func nonzero(res machine.Value) bool {
 	return machine.MustInt(res).Sign() != 0
 }
 
-// multiSlotOps mirrors MultiSlot: one {read, write(x)} location.
+// multiSlotOps is the plain codec: one {read, write(x)} location, written
+// with the value offset by one so a recorded 0 is distinguishable from the
+// initial contents.
 type multiSlotOps struct{}
 
 func (multiSlotOps) size() int { return 1 }
@@ -513,7 +555,9 @@ func (multiSlotOps) recoverStep(res machine.Value, _ int, _ *int, _ *sim.OpInfo)
 	return true, int(x) - 1, true
 }
 
-// bitSlotOps mirrors BitSlot: a run of `values` bit locations.
+// bitSlotOps is Theorem 9.4's codec: a run of `values` single-bit
+// locations; recording value x sets bit x (setOne is write(1) or
+// test-and-set), recovering scans for any set bit.
 type bitSlotOps struct {
 	values int
 	setOne machine.Op
@@ -548,9 +592,11 @@ const (
 // locations from binBase, proposing bit, reusing sub's machine storage.
 type roundBuilder func(sub *raceStepper, binBase, bit int) *raceStepper
 
-// mvStepper is MultiValued as an explicit state machine: k =
-// ceil(log2 values) rounds of record / binary-consensus / recover, with the
-// per-round binary consensus a nested raceStepper.
+// mvStepper is the Lemma 5.2 lift: k = ceil(log2 values) rounds of record /
+// binary-consensus / recover, with the per-round binary consensus a nested
+// raceStepper. Values are agreed most-significant-bit first; after the final
+// round the candidate value equals the agreed bit string, which is some
+// process's input by the round invariant.
 type mvStepper struct {
 	k, c     int
 	slot     slotOps
@@ -581,7 +627,7 @@ func newMVStepper(values, c int, slot slotOps, input int, newRound roundBuilder)
 }
 
 func (s *mvStepper) startRound() {
-	s.base = s.round * (2*s.slot.size() + s.c)
+	s.base = roundBase(s.round, s.c, s.slot.size())
 	s.bit = (s.v >> (s.k - 1 - s.round)) & 1
 	if s.round == s.k-1 {
 		// Final round: no designated slots.
@@ -593,7 +639,7 @@ func (s *mvStepper) startRound() {
 	s.slot.recordOp(s.base+s.bit*s.slot.size(), s.v, &s.pending)
 }
 
-// finishRound folds the agreed bit into the candidate and advances.
+// advanceRound moves past a round whose agreed bit the candidate holds.
 func (s *mvStepper) advanceRound() {
 	s.round++
 	if s.round == s.k {
@@ -692,7 +738,7 @@ func (s *mvStepper) StateKey(relabel func(int) int) (uint64, bool) {
 	// Future references: the rest of the construction's layout, from the
 	// current round's block to the final round's bin-consensus locations
 	// (completed rounds are never touched again, so they stay out).
-	total := (s.k-1)*(2*s.slot.size()+s.c) + s.c
+	total := roundBase(s.k-1, s.c, s.slot.size()) + s.c
 	return sim.FoldSpan(h, relabel, s.base, total-s.base), true
 }
 

@@ -15,12 +15,15 @@ func portedProtocols() []ForkableInstance {
 	return ForkablePortfolio()
 }
 
-// twinOnlyInstances widen the Body-twin comparison past the portfolio's
+// twinOnlyInstances widen the Body-oracle comparison past the portfolio's
 // explorer-sized instances: more processes, other buffer capacities, the
-// m-valued forms and the write(1) tracks. The explorer batteries skip them.
+// m-valued forms, the write(1) tracks and the sticky tracks. The explorer
+// batteries skip them.
 func twinOnlyInstances() []ForkableInstance {
 	return []ForkableInstance{
 		{"write1-tracks", func() *Protocol { return WriteOneTracks(3) }, []int{1, 2, 0}},
+		{"write1-tracks-sticky", func() *Protocol { return WriteOneTracksSticky(3) }, []int{1, 2, 0}},
+		{"tas-tracks-sticky-4", func() *Protocol { return TASTracksSticky(4) }, []int{3, 0, 2, 0}},
 		{"tas-tracks-5", func() *Protocol { return TASTracks(5) }, []int{4, 1, 1, 0, 3}},
 		{"registers-5", func() *Protocol { return Registers(5) }, []int{2, 4, 0, 1, 3}},
 		{"registers-values", func() *Protocol { return RegistersValues(4, 6) }, []int{5, 0, 3, 3}},
@@ -45,53 +48,61 @@ func stepString(st sim.StepInfo) string {
 }
 
 // TestSteppersMatchBodies pins the explicit state machines to their Body
-// twins: under identical seeded schedules both runs must produce identical
-// instruction traces (pid, op, location, arguments, result), identical
-// decisions, and identical final memory — across a seed sweep.
+// oracles: under identical seeded schedules both runs must produce
+// identical instruction traces (pid, op, location, arguments, result),
+// identical decisions, and identical final memory — across a seed sweep.
 func TestSteppersMatchBodies(t *testing.T) {
 	for _, tc := range append(portedProtocols(), twinOnlyInstances()...) {
 		t.Run(tc.Name, func(t *testing.T) {
 			for seed := int64(1); seed <= 12; seed++ {
-				pr := tc.Build()
-				if pr.Steppers == nil {
-					t.Fatal("protocol carries no steppers")
-				}
-				bodySys := sim.NewSystem(pr.NewMemory(), tc.Inputs, pr.Body, sim.WithTrace())
-				stepSys := sim.NewSystemSteppers(pr.NewMemory(), tc.Inputs, pr.Steppers(tc.Inputs), sim.WithTrace())
-
-				bres, berr := bodySys.Run(sim.NewRandom(seed), 500_000)
-				sres, serr := stepSys.Run(sim.NewRandom(seed), 500_000)
-				if berr != nil || serr != nil {
-					t.Fatalf("seed %d: body err %v, stepper err %v", seed, berr, serr)
-				}
-				bt, st := bodySys.Trace(), stepSys.Trace()
-				if len(bt) != len(st) {
-					t.Fatalf("seed %d: trace lengths %d vs %d", seed, len(bt), len(st))
-				}
-				for i := range bt {
-					if bt[i].PID != st[i].PID || bt[i].Info.Loc != st[i].Info.Loc ||
-						bt[i].Info.Op != st[i].Info.Op || len(bt[i].Info.Args) != len(st[i].Info.Args) {
-						t.Fatalf("seed %d step %d: body %s vs stepper %s",
-							seed, i, stepString(bt[i]), stepString(st[i]))
-					}
-					for j := range bt[i].Info.Args {
-						if !machine.EqualValues(bt[i].Info.Args[j], st[i].Info.Args[j]) {
-							t.Fatalf("seed %d step %d arg %d: body %s vs stepper %s",
-								seed, i, j, stepString(bt[i]), stepString(st[i]))
-						}
-					}
-				}
-				if fmt.Sprint(bres.Decisions) != fmt.Sprint(sres.Decisions) {
-					t.Fatalf("seed %d: decisions %v vs %v", seed, bres.Decisions, sres.Decisions)
-				}
-				if bf, sf := bodySys.Mem().Fingerprint(), stepSys.Mem().Fingerprint(); bf != sf {
-					t.Fatalf("seed %d: final memory %q vs %q", seed, bf, sf)
-				}
-				bodySys.Close()
-				stepSys.Close()
+				matchBody(t, tc.Build(), tc.Inputs, seed, 500_000).Close()
 			}
 		})
 	}
+}
+
+// matchBody runs pr's Body oracle and its steppers on inputs under
+// sim.NewRandom(seed), each for at most maxSteps steps, and fails unless
+// the two instruction traces, decision maps and final memories are
+// identical. It returns the Body run's system, closed by the caller.
+func matchBody(t *testing.T, pr *Protocol, inputs []int, seed, maxSteps int64) *sim.System {
+	t.Helper()
+	if pr.Steppers == nil {
+		t.Fatal("protocol carries no steppers")
+	}
+	bodySys := sim.NewSystem(pr.NewMemory(), inputs, bodyOf(pr), sim.WithTrace())
+	stepSys := sim.NewSystemSteppers(pr.NewMemory(), inputs, pr.Steppers(inputs), sim.WithTrace())
+	defer stepSys.Close()
+
+	bres, berr := bodySys.Run(sim.NewRandom(seed), maxSteps)
+	sres, serr := stepSys.Run(sim.NewRandom(seed), maxSteps)
+	if berr != nil || serr != nil {
+		t.Fatalf("seed %d: body err %v, stepper err %v", seed, berr, serr)
+	}
+	bt, st := bodySys.Trace(), stepSys.Trace()
+	if len(bt) != len(st) {
+		t.Fatalf("seed %d: trace lengths %d vs %d", seed, len(bt), len(st))
+	}
+	for i := range bt {
+		if bt[i].PID != st[i].PID || bt[i].Info.Loc != st[i].Info.Loc ||
+			bt[i].Info.Op != st[i].Info.Op || len(bt[i].Info.Args) != len(st[i].Info.Args) {
+			t.Fatalf("seed %d step %d: body %s vs stepper %s",
+				seed, i, stepString(bt[i]), stepString(st[i]))
+		}
+		for j := range bt[i].Info.Args {
+			if !machine.EqualValues(bt[i].Info.Args[j], st[i].Info.Args[j]) {
+				t.Fatalf("seed %d step %d arg %d: body %s vs stepper %s",
+					seed, i, j, stepString(bt[i]), stepString(st[i]))
+			}
+		}
+	}
+	if fmt.Sprint(bres.Decisions) != fmt.Sprint(sres.Decisions) {
+		t.Fatalf("seed %d: decisions %v vs %v", seed, bres.Decisions, sres.Decisions)
+	}
+	if bf, sf := bodySys.Mem().Fingerprint(), stepSys.Mem().Fingerprint(); bf != sf {
+		t.Fatalf("seed %d: final memory %q vs %q", seed, bf, sf)
+	}
+	return bodySys
 }
 
 // TestSteppersForkNatively: every ported protocol builds a natively

@@ -26,10 +26,7 @@ func WriteOneTracks(n int) *Protocol {
 		N:         n,
 		Values:    n,
 		Unbounded: true,
-		Body: func(p *sim.Proc) int {
-			return RaceUnbounded(counter.NewTracks(p, 0, n), n, p.Input())
-		},
-		Steppers: func(inputs []int) []sim.Stepper { return tracksSteppers(n, false, inputs) },
+		Steppers:  func(inputs []int) []sim.Stepper { return tracksSteppers(n, false, raceUnbounded, inputs) },
 	}
 }
 
@@ -43,31 +40,26 @@ func TASTracks(n int) *Protocol {
 		N:         n,
 		Values:    n,
 		Unbounded: true,
-		Body: func(p *sim.Proc) int {
-			return RaceUnbounded(counter.NewTracksTAS(p, 0, n), n, p.Input())
-		},
-		Steppers: func(inputs []int) []sim.Stepper { return tracksSteppers(n, true, inputs) },
+		Steppers:  func(inputs []int) []sim.Stepper { return tracksSteppers(n, true, raceUnbounded, inputs) },
 	}
 }
 
 // tracksSteppers builds the forkable form of the racing loop over n tracks.
-func tracksSteppers(n int, tas bool, inputs []int) []sim.Stepper {
+func tracksSteppers(n int, tas bool, rule raceRule, inputs []int) []sim.Stepper {
 	return steppersOf(inputs, func(_, in int) sim.Stepper {
-		return new(raceStepper).start(counter.NewTracksMachine(0, n, tas), n, in, false)
+		return new(raceStepper).start(counter.NewTracksMachine(0, n, tas), n, in, rule)
 	})
 }
 
 // WriteOneTracksSticky and TASTracksSticky are the same protocols with the
-// sticky tie-break of RaceUnboundedSticky; the Lemma 9.1 flood adversary
-// drives them to arbitrary space consumption without a decision.
+// sticky tie-break (raceSticky); the Lemma 9.1 flood adversary drives them
+// to arbitrary space consumption without a decision.
 
 // WriteOneTracksSticky is WriteOneTracks with sticky tie-breaking.
 func WriteOneTracksSticky(n int) *Protocol {
 	pr := WriteOneTracks(n)
 	pr.Name = "write(1)-tracks-sticky"
-	pr.SetBody(func(p *sim.Proc) int {
-		return RaceUnboundedSticky(counter.NewTracks(p, 0, n), n, p.Input())
-	})
+	pr.Steppers = func(inputs []int) []sim.Stepper { return tracksSteppers(n, false, raceSticky, inputs) }
 	return pr
 }
 
@@ -75,8 +67,6 @@ func WriteOneTracksSticky(n int) *Protocol {
 func TASTracksSticky(n int) *Protocol {
 	pr := TASTracks(n)
 	pr.Name = "test-and-set-tracks-sticky"
-	pr.SetBody(func(p *sim.Proc) int {
-		return RaceUnboundedSticky(counter.NewTracksTAS(p, 0, n), n, p.Input())
-	})
+	pr.Steppers = func(inputs []int) []sim.Stepper { return tracksSteppers(n, true, raceSticky, inputs) }
 	return pr
 }

@@ -147,11 +147,11 @@ func TestBitsForAndLocations(t *testing.T) {
 		t.Errorf("bitsFor(5) = %d", got)
 	}
 	// (c+2)k - 2 with multi slots: c=2, n=8 -> k=3 -> 10.
-	if got := lemma52Locations(8, 2, MultiSlot{}); got != 10 {
+	if got := lemma52Locations(8, 2, MultiSlot{}.Size()); got != 10 {
 		t.Errorf("lemma52Locations(8,2,multi) = %d, want 10", got)
 	}
 	// Bit slots for n=4 (k=2, slot size 4, c=24): (2*4+24)*1 + 24 = 56.
-	if got := lemma52Locations(4, 24, BitSlot{Values: 4}); got != 56 {
+	if got := lemma52Locations(4, 24, BitSlot{Values: 4}.Size()); got != 56 {
 		t.Errorf("lemma52Locations(4,24,bits) = %d, want 56", got)
 	}
 }

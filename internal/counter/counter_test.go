@@ -2,12 +2,57 @@ package counter
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/machine"
 	"repro/internal/sim"
 )
+
+// Counter is a counter machine driven by one process of a running system:
+// each call runs one whole operation.
+type Counter interface {
+	// Components returns m, the number of components.
+	Components() int
+	// Inc increments component v by one.
+	Inc(v int)
+	// Scan returns the counts of all components.
+	Scan() []int64
+}
+
+// BoundedCounter additionally decrements.
+type BoundedCounter interface {
+	Counter
+	// Dec decrements component v by one.
+	Dec(v int)
+}
+
+// procCounter runs machine c's operations as process p's steps.
+type procCounter struct {
+	p    *sim.Proc
+	c    Machine
+	next sim.OpInfo
+}
+
+// driveOn runs c on p; the result is a BoundedCounter, whose Dec panics on
+// the machines of unbounded counters.
+func driveOn(p *sim.Proc, c Machine) BoundedCounter { return &procCounter{p: p, c: c} }
+
+func (c *procCounter) run(start func(*sim.OpInfo)) {
+	start(&c.next)
+	for c.c.Step(c.p.Apply(c.next.Loc, c.next.Op, c.next.Args...), &c.next) {
+	}
+}
+
+func (c *procCounter) Components() int { return c.c.Components() }
+func (c *procCounter) Inc(v int)       { c.run(func(next *sim.OpInfo) { c.c.StartInc(v, next) }) }
+func (c *procCounter) Dec(v int)       { c.run(func(next *sim.OpInfo) { c.c.StartDec(v, next) }) }
+
+func (c *procCounter) Scan() []int64 {
+	c.run(c.c.StartScan)
+	return slices.Clone(c.c.Counts())
+}
 
 // runSingle runs body as a 1-process system against mem and waits for it to
 // finish; use it to test counter semantics sequentially.
@@ -42,7 +87,7 @@ func implementations() []mkCounter {
 				return machine.New(machine.SetReadMultiply, 1,
 					machine.WithInitial(map[int]machine.Value{0: MultiplyInitial()}))
 			},
-			build: func(p *sim.Proc, m, n int) Counter { return NewMultiply(p, 0, m) },
+			build: func(p *sim.Proc, m, n int) Counter { return driveOn(p, NewMulMachine(0, m, false)) },
 		},
 		{
 			name:  "fetch-multiply",
@@ -51,7 +96,7 @@ func implementations() []mkCounter {
 				return machine.New(machine.SetFetchMultiply, 1,
 					machine.WithInitial(map[int]machine.Value{0: MultiplyInitial()}))
 			},
-			build: func(p *sim.Proc, m, n int) Counter { return NewFetchMultiply(p, 0, m) },
+			build: func(p *sim.Proc, m, n int) Counter { return driveOn(p, NewMulMachine(0, m, true)) },
 		},
 		{
 			name:    "add",
@@ -60,7 +105,7 @@ func implementations() []mkCounter {
 			mem: func(m, n int) *machine.Memory {
 				return machine.New(machine.SetReadAdd, 1)
 			},
-			build: func(p *sim.Proc, m, n int) Counter { return NewAdd(p, 0, m, n) },
+			build: func(p *sim.Proc, m, n int) Counter { return driveOn(p, NewAddMachine(0, m, n, false)) },
 		},
 		{
 			name:    "fetch-add",
@@ -69,7 +114,7 @@ func implementations() []mkCounter {
 			mem: func(m, n int) *machine.Memory {
 				return machine.New(machine.SetFAA, 1)
 			},
-			build: func(p *sim.Proc, m, n int) Counter { return NewFetchAdd(p, 0, m, n) },
+			build: func(p *sim.Proc, m, n int) Counter { return driveOn(p, NewAddMachine(0, m, n, true)) },
 		},
 		{
 			name:  "set-bit",
@@ -77,7 +122,7 @@ func implementations() []mkCounter {
 			mem: func(m, n int) *machine.Memory {
 				return machine.New(machine.SetReadSetBit, 1)
 			},
-			build: func(p *sim.Proc, m, n int) Counter { return NewSetBit(p, 0, m) },
+			build: func(p *sim.Proc, m, n int) Counter { return driveOn(p, NewSetBitMachine(0, m, p.N(), p.ID())) },
 		},
 		{
 			name:  "increment",
@@ -85,21 +130,21 @@ func implementations() []mkCounter {
 			mem: func(m, n int) *machine.Memory {
 				return machine.New(machine.SetReadWriteIncrement, m)
 			},
-			build: func(p *sim.Proc, m, n int) Counter { return NewIncrement(p, 0, m) },
+			build: func(p *sim.Proc, m, n int) Counter { return driveOn(p, NewIncMachineInto(nil, 0, m, false)) },
 		},
 		{
 			name: "tracks",
 			mem: func(m, n int) *machine.Memory {
 				return machine.New(machine.SetReadWrite1, 0, machine.WithUnbounded())
 			},
-			build: func(p *sim.Proc, m, n int) Counter { return NewTracks(p, 0, m) },
+			build: func(p *sim.Proc, m, n int) Counter { return driveOn(p, NewTracksMachine(0, m, false)) },
 		},
 		{
 			name: "tracks-tas",
 			mem: func(m, n int) *machine.Memory {
 				return machine.New(machine.SetReadTAS, 0, machine.WithUnbounded())
 			},
-			build: func(p *sim.Proc, m, n int) Counter { return NewTracksTAS(p, 0, m) },
+			build: func(p *sim.Proc, m, n int) Counter { return driveOn(p, NewTracksMachine(0, m, true)) },
 		},
 		{
 			// Unary counters merge racing increments (two processes can set
@@ -110,7 +155,7 @@ func implementations() []mkCounter {
 			mem: func(m, n int) *machine.Memory {
 				return machine.New(machine.SetReadWrite01, m*3*n)
 			},
-			build: func(p *sim.Proc, m, n int) Counter { return NewUnary(p, 0, m, 3*n) },
+			build: func(p *sim.Proc, m, n int) Counter { return driveOn(p, NewUnaryMachineInto(nil, 0, m, 3*n, false)) },
 		},
 		{
 			name:    "unary-tas",
@@ -118,7 +163,7 @@ func implementations() []mkCounter {
 			mem: func(m, n int) *machine.Memory {
 				return machine.New(machine.SetReadTASReset, m*3*n)
 			},
-			build: func(p *sim.Proc, m, n int) Counter { return NewUnaryTAS(p, 0, m, 3*n) },
+			build: func(p *sim.Proc, m, n int) Counter { return driveOn(p, NewUnaryMachineInto(nil, 0, m, 3*n, true)) },
 		},
 	}
 }
@@ -276,16 +321,18 @@ func TestConcurrentExactness(t *testing.T) {
 // TestAddBound checks the Add counter's digit capacity bookkeeping.
 func TestAddBound(t *testing.T) {
 	runSingle(t, machine.New(machine.SetReadAdd, 1), func(p *sim.Proc) int {
-		c := NewAdd(p, 0, 3, 7)
-		if c.Bound() != 21 {
-			t.Errorf("bound = %d, want 21", c.Bound())
+		am := NewAddMachine(0, 3, 7, false)
+		bound := am.base.Int64()
+		if bound != 21 {
+			t.Errorf("bound = %d, want 21", bound)
 		}
+		c := driveOn(p, am)
 		// Fill one component to the cap and make sure neighbours are clean.
-		for i := int64(0); i < c.Bound()-1; i++ {
+		for i := int64(0); i < bound-1; i++ {
 			c.Inc(1)
 		}
 		got := c.Scan()
-		if got[0] != 0 || got[1] != c.Bound()-1 || got[2] != 0 {
+		if got[0] != 0 || got[1] != bound-1 || got[2] != 0 {
 			t.Errorf("scan = %v", got)
 		}
 		return 0
@@ -298,7 +345,7 @@ func TestAddBound(t *testing.T) {
 func TestTracksFootprintGrows(t *testing.T) {
 	mem := machine.New(machine.SetReadWrite1, 0, machine.WithUnbounded())
 	runSingle(t, mem, func(p *sim.Proc) int {
-		c := NewTracks(p, 0, 2)
+		c := driveOn(p, NewTracksMachine(0, 2, false))
 		for i := 0; i < 25; i++ {
 			c.Inc(0)
 		}

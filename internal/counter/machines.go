@@ -11,15 +11,12 @@ import (
 	"repro/internal/sim"
 )
 
-// This file provides the explicit-state, forkable counterparts of the
-// *sim.Proc-bound counters above. A Machine issues the exact same
-// instruction stream as its Counter twin but holds every scrap of state —
-// persistent (set-bit tallies) and transient (scan progress) — in a plain
-// struct and at most one buffer it owns, so a process built on it is
-// snapshotted with a struct copy plus one buffer copy.
-// The forkable protocol steppers in internal/consensus drive Machines; the
-// cross-engine differential suite pins the instruction streams to the Body
-// versions step for step.
+// A Machine holds every scrap of state — persistent (set-bit tallies) and
+// transient (scan progress) — in a plain struct and at most one buffer it
+// owns, so a process built on it is snapshotted with a struct copy plus one
+// buffer copy. The forkable protocol steppers in internal/consensus drive
+// Machines; the differential tests there pin each machine's instruction
+// stream to its coroutine oracle's step for step.
 
 // Machine is an m-component counter as a resumable, forkable state machine.
 // An operation (Inc, Dec, or Scan) is begun with the corresponding Start
@@ -51,7 +48,7 @@ type Machine interface {
 	// StartInc begins an increment of component v.
 	StartInc(v int, next *sim.OpInfo)
 	// StartDec begins a decrement of component v; it panics on machines for
-	// unbounded counters, mirroring the Counter/BoundedCounter split.
+	// unbounded counters, which Lemma 3.1's race never decrements.
 	StartDec(v int, next *sim.OpInfo)
 	// StartScan begins an atomic-looking scan of all components.
 	StartScan(next *sim.OpInfo)
@@ -127,8 +124,11 @@ func (f *flatMachine) key(tag uint64, relabel func(int) int) uint64 {
 	return sim.FoldSpan(sim.MixKey(tag, uint64(f.op)), relabel, f.loc, 1)
 }
 
-// AddMachine is the forkable twin of Add: one {read, add} (or
-// {fetch-and-add}) location, component v in the (v+1)'st base-3n digit.
+// AddMachine is the base-3n digit m-component bounded counter of
+// Theorem 3.3: one {read, add} (or {fetch-and-add}) location read as a
+// number in base 3n whose (v+1)'st least significant digit is the count of
+// component v. Counts must stay in {0,...,3n-1}; the racing algorithm of
+// Lemma 3.2 guarantees that. With fetch, add-of-0 is the read.
 type AddMachine struct {
 	flatMachine
 	base *big.Int
@@ -141,7 +141,8 @@ type AddMachine struct {
 	scanArgs         []machine.Value
 }
 
-// NewAddMachine mirrors NewAdd/NewFetchAdd.
+// NewAddMachine builds the counter machine over location loc with m
+// components and digit base 3n, on {fetch-and-add} alone when fetch is set.
 func NewAddMachine(loc, m, n int, fetch bool) *AddMachine {
 	base := big.NewInt(int64(3 * n))
 	pows := make([]*big.Int, m)
@@ -200,9 +201,10 @@ func (c *AddMachine) Step(res machine.Value, _ *sim.OpInfo) bool {
 	return false
 }
 
-// MulMachine is the forkable twin of Multiply: one {read, multiply} (or
-// {fetch-and-multiply}) location, component v in the exponent of the
-// (v+1)'st prime.
+// MulMachine is the prime-exponent m-component unbounded counter of
+// Theorem 3.3: one {read, multiply} (or {fetch-and-multiply}) location,
+// initialized to 1 (MultiplyInitial), component v counted in the exponent
+// of the (v+1)'st prime. With fetch, multiply-by-1 is the read.
 type MulMachine struct {
 	flatMachine
 	prms []*big.Int // shared, immutable
@@ -212,7 +214,8 @@ type MulMachine struct {
 	scanArgs      []machine.Value
 }
 
-// NewMulMachine mirrors NewMultiply/NewFetchMultiply.
+// NewMulMachine builds the counter machine over location loc with m
+// components, on {fetch-and-multiply} alone when fetch is set.
 func NewMulMachine(loc, m int, fetch bool) *MulMachine {
 	ps := primes.First(m)
 	prms := make([]*big.Int, m)
@@ -266,16 +269,20 @@ func (c *MulMachine) Step(res machine.Value, _ *sim.OpInfo) bool {
 	return false
 }
 
-// SetBitMachine is the forkable twin of SetBit: one {read, set-bit}
-// location, per-(component, process) lanes in consecutive blocks. Its
-// `mine` tallies, the m words after the counts in buf, are persistent
-// process-local state and enter the key.
+// SetBitMachine is the bit-block m-component unbounded counter of
+// Theorem 3.3: one {read, set-bit} location partitioned into consecutive
+// blocks of m*n bits. When process i increments component v for the
+// (b+1)'st time, it sets bit b*(m*n) + v*n + i, so every set bit is one
+// increment and a single read recovers all counts. Its `mine` tallies, the
+// m words after the counts in buf, are persistent process-local state and
+// enter the key.
 type SetBitMachine struct {
 	flatMachine
 	n, id int
 }
 
-// NewSetBitMachine mirrors NewSetBit for process id of n.
+// NewSetBitMachine builds process id's counter machine over location loc
+// with m components shared by n processes.
 func NewSetBitMachine(loc, m, n, id int) *SetBitMachine {
 	return &SetBitMachine{flatMachine: flatMachine{loc: loc, m: m, buf: make([]int64, 2*m)}, n: n, id: id}
 }
@@ -333,8 +340,9 @@ func (c *SetBitMachine) Step(res machine.Value, _ *sim.OpInfo) bool {
 
 // --- multi-location machines (increment, unary bits) -------------------------
 
-// IncMachine is the forkable twin of Increment: m {read, increment} (or
-// fetch-and-increment) locations, double-collect scans.
+// IncMachine is the m-component unbounded counter over m {read,
+// increment} (or fetch-and-increment) locations of Section 5. Counts only
+// grow, so two equal consecutive collects form an atomic scan.
 type IncMachine struct {
 	base, m int
 	fai     bool
@@ -348,8 +356,8 @@ type IncMachine struct {
 	buf []int64
 }
 
-// NewIncMachineInto mirrors NewIncrement/NewFetchIncrement over locations
-// base..base+m-1, built in prev's storage when prev is an *IncMachine (see
+// NewIncMachineInto builds the counter machine over locations
+// base..base+m-1, updating with fetch-and-increment when fai is set, built in prev's storage when prev is an *IncMachine (see
 // sim.ForkTarget).
 func NewIncMachineInto(prev Machine, base, m int, fai bool) *IncMachine {
 	p := sim.ForkTarget[IncMachine](prev)
@@ -426,7 +434,8 @@ func (c *IncMachine) Step(res machine.Value, next *sim.OpInfo) bool {
 		issue(next, c.base+c.idx, machine.OpRead, nil)
 		return true
 	}
-	// One collect complete: the double-collect rule of doubleCollect.
+	// One collect complete: two equal consecutive collects form the
+	// snapshot.
 	if c.havePrev && slices.Equal(cur, c.prev()) {
 		copy(c.Counts(), cur)
 		c.havePrev = false
@@ -447,8 +456,18 @@ const (
 	uFlip                // the set/clear instruction is in flight
 )
 
-// UnaryMachine is the forkable twin of Unary: m components of width
-// single-bit locations, write(1)/write(0) or test-and-set/reset.
+// UnaryMachine is an m-component bounded counter over single-bit
+// locations, used by the O(n log n) upper bounds of Theorem 9.4: component
+// v's count is the number of set bits among its width locations, written
+// with write(1)/write(0) or test-and-set/reset. An increment sets the lowest
+// clear bit, a decrement clears the highest set bit, and a scan collects
+// all bits until `confirming` consecutive collects agree.
+//
+// This is a reconstruction in the spirit of Bowman's technical report (the
+// paper's [Bow11], cited for the 2n-bit binary consensus building block):
+// the racing algorithm of Lemma 3.2 keeps every component's count within
+// {0,...,3n-1}, so a width of 3n bits per component suffices and no
+// wrap-around ever occurs. See DESIGN.md for the substitution note.
 type UnaryMachine struct {
 	base, m, width int
 	// bits is the number of bit locations, m*width, and words the number of
@@ -472,8 +491,8 @@ type UnaryMachine struct {
 	buf []int64
 }
 
-// NewUnaryMachineInto mirrors NewUnary (tas=false) and NewUnaryTAS
-// (tas=true), built in prev's storage when prev is a *UnaryMachine (see
+// NewUnaryMachineInto builds the counter machine of m components of width
+// bits from location base, on test-and-set/reset when tas is set, built in prev's storage when prev is a *UnaryMachine (see
 // sim.ForkTarget).
 func NewUnaryMachineInto(prev Machine, base, m, width int, tas bool) *UnaryMachine {
 	p := sim.ForkTarget[UnaryMachine](prev)
@@ -619,7 +638,7 @@ func (c *UnaryMachine) Step(res machine.Value, next *sim.OpInfo) bool {
 			return true
 		}
 		// One collect complete: require `confirming` consecutive identical
-		// collects, exactly as Unary.Scan does.
+		// collects.
 		if c.havePrev && slices.Equal(cur, c.prev()) {
 			c.same++
 		} else {

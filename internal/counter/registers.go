@@ -8,57 +8,13 @@ import (
 	"repro/internal/swreg"
 )
 
-// Registers is an m-component unbounded counter over an array of n
-// single-writer registers: each process records in its own register how
-// many times it has incremented each component; a scan double-collects the
-// array and sums component-wise. Used by the {read, write(x)} row (direct
-// arrays) and by Theorem 6.3 (buffered arrays).
-type Registers struct {
-	arr  swreg.Array
-	m    int
-	mine []int64
-}
-
-// NewRegisters builds the counter view of one process over arr with m
-// components.
-func NewRegisters(arr swreg.Array, m int) *Registers {
-	return &Registers{arr: arr, m: m, mine: make([]int64, m)}
-}
-
-// Components returns m.
-func (c *Registers) Components() int { return c.m }
-
-// Inc bumps this process's contribution to component v and publishes the
-// whole contribution vector in its register.
-func (c *Registers) Inc(v int) {
-	c.mine[v]++
-	out := make([]int64, c.m)
-	copy(out, c.mine)
-	c.arr.Write(out)
-}
-
-// Scan double-collects the register array and sums contributions.
-func (c *Registers) Scan() []int64 {
-	return doubleCollect(func() ([]int64, string) {
-		vals, fp := c.arr.Collect()
-		counts := make([]int64, c.m)
-		for _, v := range vals {
-			if v == nil {
-				continue
-			}
-			for i, x := range v.([]int64) {
-				counts[i] += x
-			}
-		}
-		return counts, fp
-	})
-}
-
-// RegistersMachine is the forkable twin of Registers over a swreg.Machine:
-// the same instruction stream, with the contribution tallies and the scan's
-// progress in plain fields. A scan compares consecutive collects by their
-// register version vectors (the integers the array fingerprint encodes)
-// and sums contributions as each read's result arrives.
+// RegistersMachine is an m-component unbounded counter over an array of n
+// single-writer registers (a swreg.Machine): each process records in its
+// own register how many times it has incremented each component, and a
+// scan double-collects the array and sums component-wise. Used by the
+// {read, write(x)} row (direct arrays) and by Theorem 6.3 (buffered
+// arrays). A scan compares consecutive collects by their register version
+// vectors and sums contributions as each read's result arrives.
 type RegistersMachine struct {
 	arr swreg.Machine
 	m   int
@@ -164,7 +120,8 @@ func (c *RegistersMachine) Step(res machine.Value, next *sim.OpInfo) bool {
 			c.arr.ReadOp(c.j, next)
 			return true
 		}
-		// One collect complete: the double-collect rule of doubleCollect.
+		// One collect complete: two equal consecutive version vectors
+		// form the snapshot.
 		if !c.havePrev || !slices.Equal(c.vers(), c.prev()) {
 			copy(c.prev(), c.vers())
 			c.havePrev = true

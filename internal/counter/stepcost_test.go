@@ -39,17 +39,17 @@ func TestSingleLocationCountersCostOneStepPerOp(t *testing.T) {
 				return machine.New(machine.SetReadMultiply, 1,
 					machine.WithInitial(map[int]machine.Value{0: MultiplyInitial()}))
 			},
-			func(p *sim.Proc) Counter { return NewMultiply(p, 0, 3) },
+			func(p *sim.Proc) Counter { return driveOn(p, NewMulMachine(0, 3, false)) },
 		},
 		{
 			"add",
 			func() *machine.Memory { return machine.New(machine.SetReadAdd, 1) },
-			func(p *sim.Proc) Counter { return NewAdd(p, 0, 3, 4) },
+			func(p *sim.Proc) Counter { return driveOn(p, NewAddMachine(0, 3, 4, false)) },
 		},
 		{
 			"set-bit",
 			func() *machine.Memory { return machine.New(machine.SetReadSetBit, 1) },
-			func(p *sim.Proc) Counter { return NewSetBit(p, 0, 3) },
+			func(p *sim.Proc) Counter { return driveOn(p, NewSetBitMachine(0, 3, p.N(), p.ID())) },
 		},
 	}
 	for _, c := range cases {
@@ -76,7 +76,7 @@ func TestIncrementCounterScanCost(t *testing.T) {
 	// m locations; a quiescent solo double collect costs exactly 2m reads.
 	m := 3
 	got := stepsOf(t, machine.New(machine.SetReadWriteIncrement, m), func(p *sim.Proc) int {
-		c := NewIncrement(p, 0, m)
+		c := driveOn(p, NewIncMachineInto(nil, 0, m, false))
 		c.Inc(1) // 1 step
 		c.Scan() // 2m steps solo (two identical collects)
 		return 0
@@ -94,8 +94,7 @@ func TestRegistersCounterCosts(t *testing.T) {
 		if p.ID() != 0 {
 			return 0
 		}
-		arr := swreg.NewDirect(p, 0)
-		c := NewRegisters(arr, 2)
+		c := driveOn(p, NewRegistersMachine(swreg.NewDirectMachine(0, n, p.ID()), 2))
 		c.Inc(0)
 		c.Scan()
 		return 0

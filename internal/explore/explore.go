@@ -4,10 +4,10 @@
 // branch points instead of re-executing the whole schedule prefix from a
 // fresh system. Every Table 1 row runs as explicit forkable steppers (see
 // internal/consensus/steppers.go), which System.Fork copies in O(state).
-// A system that cannot fork — one on the coroutine Body adapter, such as the
-// sticky tracks, BufferedHeterogeneous, examples/ledger and SetBody
-// variants, or one over external steppers without sim.Forker — is refused
-// with sim.ErrNotForkable before any walk starts.
+// A system that cannot fork — one on the coroutine Body adapter (a
+// protocol written as a Body, such as internal/adoptcommit's or a user's),
+// or one over external steppers without sim.Forker — is refused with
+// sim.ErrNotForkable before any walk starts.
 //
 // There is one walk (walk.go): a depth-first search over a work-stealing
 // frontier, run on the calling goroutine for one worker and across a pool

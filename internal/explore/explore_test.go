@@ -386,6 +386,22 @@ func (s *refuseForkStepper) Halt() {
 	}
 }
 
+// TestStickyTracksExplored: the sticky tracks of the Lemma 9.1 flood run as
+// forkable steppers, so the explorer walks them like any Table 1 row and
+// finds them safe.
+func TestStickyTracksExplored(t *testing.T) {
+	for _, build := range []func(int) *consensus.Protocol{consensus.WriteOneTracksSticky, consensus.TASTracksSticky} {
+		f := factoryFor(func() *consensus.Protocol { return build(3) }, []int{2, 0, 1})
+		rep, err := Exhaustive(context.Background(), f, Options{MaxDepth: 12, Dedup: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Violations) > 0 || rep.States == 0 {
+			t.Fatalf("%s: %d states, violations %v", build(3).Name, rep.States, rep.Violations)
+		}
+	}
+}
+
 // TestNotForkableRefused: systems whose steppers cannot fork are refused
 // with sim.ErrNotForkable — there is no replay fallback — by both
 // Exhaustive (at every worker count, with and without solo probes) and

@@ -56,17 +56,21 @@ func portfolioKeyInstances() []keyInstance {
 // quorum decides; the Lemma 5.2 lift's ends a few steps before its first
 // round transition. The register array's (T1.3) and Algorithm 1's (T1.5)
 // end inside their scans, where a completed collect is compared with the
-// next one.
+// next one. The sticky tracks' ends past the first promotions, where the
+// component a process last promoted breaks its ties.
 func pastFirstRound() []keyInstance {
 	byName := make(map[string]keyInstance)
 	for _, in := range portfolioKeyInstances() {
 		byName[in.name] = in
 	}
+	sticky := keyInstance{"write1-tracks-sticky",
+		factoryFor(func() *consensus.Protocol { return consensus.WriteOneTracksSticky(3) }, []int{2, 0, 1}), 6}
 	return []keyInstance{
 		prefixed(qscKeyInstance(sim.Delivery{Mode: sim.DeliverOrdered}, 5), 63),
 		prefixed(byName["increment"], 54),
 		prefixed(byName["registers"], 12),
 		prefixed(byName["swap"], 18),
+		prefixed(sticky, 24),
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/consensus"
+	"repro/internal/machine"
 	"repro/internal/sim"
 )
 
@@ -25,8 +26,10 @@ type poiseCase struct {
 
 // poiseCases covers every stepper type: the forkable portfolio (the
 // consensus steppers, swap, and the racing loops over every counter
-// machine), MP.QSC, its Byzantine adversary, and the coroutine Body adapter
-// over shared memory and over channels.
+// machine), MP.QSC, its Byzantine adversary, the sticky tracks (the one
+// racing rule the portfolio does not run), and the coroutine Body adapter
+// over shared memory (Algorithm 1's {read, swap} locations) and over
+// channels (MP.QSC's), running small Bodies of the test's own.
 func poiseCases() []poiseCase {
 	var out []poiseCase
 	for _, tc := range consensus.ForkablePortfolio() {
@@ -35,9 +38,25 @@ func poiseCases() []poiseCase {
 		}})
 	}
 	reorder := sim.WithDelivery(sim.Delivery{Mode: sim.DeliverReorder})
-	body := func(pr *consensus.Protocol) *consensus.Protocol {
-		pr.SetBody(pr.Body)
-		return pr
+	// swapper swaps its input into one location and adopts what it reads
+	// from the other, when anything.
+	swapper := func(p *sim.Proc) int {
+		loc := p.ID() % 2
+		p.Apply(loc, machine.OpSwap, machine.Int(int64(p.Input())))
+		if x, ok := machine.AsInt64(p.Apply(1-loc, machine.OpRead)); ok {
+			return int(x)
+		}
+		return p.Input()
+	}
+	// gossip sends its input to every other process and decides the
+	// largest of its input and the first value it receives.
+	gossip := func(p *sim.Proc) int {
+		for dest := 0; dest < p.N(); dest++ {
+			if dest != p.ID() {
+				p.Send(dest, machine.Int(int64(p.Input())))
+			}
+		}
+		return max(p.Input(), int(machine.MustInt(p.Recv(p.ID())).Int64()))
 	}
 	return append(out,
 		poiseCase{"qsc", func() (*sim.System, error) {
@@ -46,11 +65,14 @@ func poiseCases() []poiseCase {
 		poiseCase{"qsc-byzantine", func() (*sim.System, error) {
 			return consensus.QSCWithByzantine(3, 2, 2, consensus.QSCByzFork).NewSystem([]int{0, 1, 0}, reorder)
 		}},
+		poiseCase{"write1-tracks-sticky", func() (*sim.System, error) {
+			return consensus.WriteOneTracksSticky(3).NewSystem([]int{1, 2, 0})
+		}},
 		poiseCase{"body-swap", func() (*sim.System, error) {
-			return body(consensus.Swap(3)).NewSystem([]int{2, 1, 0})
+			return sim.NewSystem(consensus.Swap(3).NewMemory(), []int{2, 1, 0}, swapper), nil
 		}},
 		poiseCase{"body-qsc", func() (*sim.System, error) {
-			return body(consensus.QSCConfig(3, 2, 2)).NewSystem([]int{2, 0, 1}, reorder)
+			return sim.NewSystem(consensus.QSCConfig(3, 2, 2).NewMemory(), []int{2, 0, 1}, gossip, reorder), nil
 		}},
 	)
 }

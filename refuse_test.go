@@ -23,16 +23,10 @@ import (
 // configurations by replaying the schedule.
 func TestBodySystemsRefused(t *testing.T) {
 	solo := func() (*sim.System, error) {
-		return sim.NewSystem(machine.New(machine.SetReadWrite, 1), []int{0}, func(p *sim.Proc) int {
-			for i := 0; i < 3; i++ {
-				p.Apply(0, machine.OpRead)
-			}
-			return p.Input()
-		}), nil
+		return sim.NewSystem(machine.New(machine.SetReadWrite, 1), []int{0}, readThrice), nil
 	}
 	pair := func() (*sim.System, error) {
-		pr := consensus.MaxRegisters(2)
-		return sim.NewSystem(pr.NewMemory(), []int{0, 1}, pr.Body), nil
+		return sim.NewSystem(machine.New(machine.SetReadWrite, 1), []int{0, 1}, readThrice), nil
 	}
 	refused := func(what string, err error) {
 		t.Helper()
@@ -66,11 +60,37 @@ func TestBodySystemsRefused(t *testing.T) {
 		row string
 		n   int
 	}{{"T1.1", 1}, {"T1.5", 3}} {
-		p, err := compileBody(tc.row, tc.n)
+		p, err := compileBody(tc.row, tc.n, readThrice)
 		if err != nil {
 			t.Fatal(err)
 		}
 		_, err = p.Verify(context.Background(), make([]int, tc.n), 3)
 		refused(tc.row+" Body-form Verify", err)
 	}
+}
+
+// readThrice is a small Body for the systems that must run on the coroutine
+// adapter: it reads location 0 three times and decides its input.
+func readThrice(p *sim.Proc) int {
+	for i := 0; i < 3; i++ {
+		p.Apply(0, machine.OpRead)
+	}
+	return p.Input()
+}
+
+// compileBody is Compile with body, run on the coroutine adapter, in place of
+// the row's steppers in every protocol the handle builds.
+func compileBody(row string, n int, body sim.Body) (*Protocol, error) {
+	p, err := Compile(row, n)
+	if err != nil {
+		return nil, err
+	}
+	build := p.build
+	p.build = func() *consensus.Protocol {
+		pr := build()
+		pr.Body, pr.Steppers = body, nil
+		return pr
+	}
+	p.pr = p.build()
+	return p, nil
 }
