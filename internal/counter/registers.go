@@ -53,10 +53,8 @@ func (c *RegistersMachine) prev() []int64 { return c.buf[3*c.m+c.arr.Registers()
 
 func (c *RegistersMachine) ForkInto(prev Machine) Machine {
 	p := sim.ForkTarget[RegistersMachine](prev)
-	buf, arr := p.buf, p.arr
+	buf := p.buf
 	*p = *c
-	p.arr = arr
-	c.arr.ForkInto(&p.arr)
 	p.buf = append(buf[:0], c.buf...)
 	return p
 }

@@ -227,20 +227,21 @@ func AppendSlotArgs(raw []machine.Value, pid int, seq int64, slot int, val any) 
 
 // NewestSlots decodes one l-buffer-read into the newest entry of each
 // register slot lo..lo+len(seqs)-1, exactly as Registers.ReadAll would find
-// it in the reconstructed history: seqs[i] is the entry's sequence number
-// (0 when the slot was never written) and vals[i] its value (set only when
-// seqs[i] is not 0). It walks the history newest first without
-// materializing it — the buffer's records, then the carried history
-// Reconstruct would prefix them with — and stops once every slot is
-// resolved. A slot is written only by the process it belongs to, so the
-// sequence number alone versions it. len(vals) must be at least len(seqs).
-func NewestSlots(raw []machine.Value, lo int, seqs []int64, vals []any) {
+// it in the reconstructed history: seqs[i] is the entry's sequence number,
+// 0 when the slot was never written, and visit(i, val) is called once for
+// every written slot i with its value, newest entry first. It walks the
+// history newest first without materializing it — the buffer's records,
+// then the carried history Reconstruct would prefix them with — and stops
+// once every slot is resolved. A slot is written only by the process it
+// belongs to, so the sequence number alone versions it.
+func NewestSlots(raw []machine.Value, lo int, seqs []int64, visit func(i int, val any)) {
 	clear(seqs)
 	left := len(seqs)
 	resolve := func(e *Entry) {
 		sl := e.Val.(slotted)
 		if i := sl.slot - lo; i >= 0 && i < len(seqs) && seqs[i] == 0 {
-			seqs[i], vals[i] = e.Seq, sl.val
+			seqs[i] = e.Seq
+			visit(i, sl.val)
 			left--
 		}
 	}

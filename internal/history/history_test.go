@@ -308,9 +308,14 @@ func TestNewestSlotsMatchesReadAll(t *testing.T) {
 						}
 					}
 					seqs := make([]int64, width)
-					vals := make([]any, width+1) // longer than seqs is allowed
-					NewestSlots(raw, lo, seqs, vals)
+					vals := make([]any, width)
+					visits := make([]int, width)
+					NewestSlots(raw, lo, seqs, func(i int, v any) { vals[i] = v; visits[i]++ })
 					for i := range seqs {
+						if want := min(seqs[i], 1); int64(visits[i]) != want {
+							t.Fatalf("seed %d step %d slots [%d,%d): slot %d with sequence %d visited %d times",
+								seed, step, lo, lo+width, lo+i, seqs[i], visits[i])
+						}
 						if seqs[i] != wantSeq[i] || (seqs[i] != 0 && vals[i] != wantVal[i]) {
 							t.Fatalf("seed %d step %d slots [%d,%d): slot %d newest (%d, %v), ReadAll finds (%d, %v)",
 								seed, step, lo, lo+width, lo+i, seqs[i], vals[i], wantSeq[i], wantVal[i])

@@ -149,8 +149,7 @@ func (a *Buffered) Collect() ([]any, string) {
 // consecutive collects certify a snapshot exactly when equal fingerprints
 // do.
 //
-// Machine is a value type: copying it forks it, except for the private
-// scratch slice, which ForkInto never shares.
+// Machine is a value type: copying it forks it.
 type Machine struct {
 	base, n, id int
 	l           int // buffer capacity; 0 for a Direct array
@@ -159,7 +158,6 @@ type Machine struct {
 	// get-history read is in flight (nil otherwise). It was allocated for
 	// this write and is never mutated, so forks share it.
 	pending []int64
-	scratch []any // NewestSlots output, private
 }
 
 // NewDirectMachine is process id's Direct array of n registers at base.
@@ -171,14 +169,6 @@ func NewDirectMachine(base, n, id int) Machine {
 // l-buffers at base.
 func NewBufferedMachine(base, n, l, id int) Machine {
 	return Machine{base: base, n: n, id: id, l: l}
-}
-
-// ForkInto copies a into *dst, keeping dst's private scratch (none in a
-// zero dst).
-func (a *Machine) ForkInto(dst *Machine) {
-	scratch := dst.scratch
-	*dst = *a
-	dst.scratch = scratch
 }
 
 // Key hashes the state that shapes future payloads: the sequence number
@@ -229,16 +219,7 @@ func (a *Machine) Absorb(j int, res machine.Value, vers, sums []int64) {
 	}
 	lo := j * a.l
 	hi := min(lo+a.l, a.n)
-	if cap(a.scratch) < a.l {
-		a.scratch = make([]any, a.l)
-	}
-	vals := a.scratch[:a.l]
-	history.NewestSlots(res.([]machine.Value), lo, vers[lo:hi], vals)
-	for i := range hi - lo {
-		if vers[lo+i] != 0 {
-			addVec(sums, vals[i])
-		}
-	}
+	history.NewestSlots(res.([]machine.Value), lo, vers[lo:hi], func(_ int, v any) { addVec(sums, v) })
 }
 
 func addVec(sums []int64, v any) {
