@@ -9,7 +9,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/consensus"
@@ -246,28 +245,6 @@ func RowByID(id string, l int) (Row, bool) {
 // SP reports the paper's bounds on SP(I, n) for a row.
 func SP(r Row, n int) (lower, upper int) {
 	return r.Lower.At(n), r.Upper.At(n)
-}
-
-// Sanity checks a row's internal consistency for a given n: the lower bound
-// must not exceed the upper bound, and the protocol's declared location
-// count must match the upper-bound evaluation for exact bounds.
-func Sanity(r Row, n int) error {
-	lo, up := SP(r, n)
-	if lo != Unbounded && up != Unbounded && lo > up {
-		return fmt.Errorf("core: row %s at n=%d: lower %d exceeds upper %d", r.ID, n, lo, up)
-	}
-	if r.Build == nil {
-		return nil
-	}
-	pr := r.Build(n)
-	if pr.Unbounded != (up == Unbounded) {
-		return fmt.Errorf("core: row %s: protocol unboundedness mismatch", r.ID)
-	}
-	if !pr.Unbounded && !r.Upper.Asymptotic && pr.Locations != up {
-		return fmt.Errorf("core: row %s at n=%d: protocol declares %d locations, upper bound is %d",
-			r.ID, n, pr.Locations, up)
-	}
-	return nil
 }
 
 // Log2Ceil is exported for harnesses reporting the Lemma 5.2 round count.

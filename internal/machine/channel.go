@@ -129,24 +129,6 @@ func (m *Memory) ChanFull(loc int) bool {
 	return l.chanKind != ChanNone && len(l.pending)+len(l.inbox) >= l.chanCap
 }
 
-// PeekPending returns a copy of channel loc's pending queue in physical
-// (send) order, without counting as a step. Tests and adversaries only.
-func (m *Memory) PeekPending(loc int) []Value {
-	if loc < 0 || loc >= len(m.locs) {
-		return nil
-	}
-	return append([]Value(nil), m.locs[loc].pending...)
-}
-
-// PeekInbox returns a copy of channel loc's inbox in delivery order, without
-// counting as a step. Tests and adversaries only.
-func (m *Memory) PeekInbox(loc int) []Value {
-	if loc < 0 || loc >= len(m.locs) {
-		return nil
-	}
-	return append([]Value(nil), m.locs[loc].inbox...)
-}
-
 // AppendChannelLocs appends the indices of all channel locations and returns
 // the extended slice; the sim layer uses it to lay out delivery branches.
 func (m *Memory) AppendChannelLocs(dst []int) []int {

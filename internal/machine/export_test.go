@@ -39,3 +39,29 @@ func StaleHashTerms(m *Memory) []int {
 	}
 	return stale
 }
+
+// BufferWrites reports how many l-buffer-writes location loc has absorbed.
+func (m *Memory) BufferWrites(loc int) int {
+	if loc < 0 || loc >= len(m.locs) {
+		return 0
+	}
+	return m.locs[loc].writes
+}
+
+// PeekPending returns a copy of channel loc's pending queue in physical
+// (send) order, without counting as a step.
+func (m *Memory) PeekPending(loc int) []Value {
+	if loc < 0 || loc >= len(m.locs) {
+		return nil
+	}
+	return append([]Value(nil), m.locs[loc].pending...)
+}
+
+// PeekInbox returns a copy of channel loc's inbox in delivery order, without
+// counting as a step.
+func (m *Memory) PeekInbox(loc int) []Value {
+	if loc < 0 || loc >= len(m.locs) {
+		return nil
+	}
+	return append([]Value(nil), m.locs[loc].inbox...)
+}

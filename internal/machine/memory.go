@@ -548,14 +548,6 @@ func (m *Memory) PeekBuffer(loc int) []Value {
 	return append([]Value(nil), m.locs[loc].buf...)
 }
 
-// BufferWrites reports how many l-buffer-writes location loc has absorbed.
-func (m *Memory) BufferWrites(loc int) int {
-	if loc < 0 || loc >= len(m.locs) {
-		return 0
-	}
-	return m.locs[loc].writes
-}
-
 // Stats returns a copy of the memory's instrumentation counters.
 func (m *Memory) Stats() Stats { return m.stats.clone() }
 
