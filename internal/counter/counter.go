@@ -22,9 +22,9 @@
 //
 // A machine is local to one process: it holds the process-local bookkeeping
 // the construction needs (for example, set-bit increment counts) and the
-// progress of the operation in flight. The coroutine forms these machines
-// replaced live on as test oracles in internal/consensus, which pins every
-// machine's instruction stream to theirs.
+// progress of the operation in flight. internal/consensus's tests hold the
+// same counters as coroutine code, the oracles every machine's instruction
+// stream is pinned to.
 package counter
 
 import (

@@ -8,11 +8,12 @@
 // as explicit forkable steppers each Config lazily caches a snapshot, so
 // re-materializing — which the probes do constantly — costs one O(state)
 // fork of the nearest cached ancestor plus the remaining suffix steps,
-// instead of a fresh system plus the whole prefix. Protocols on the
-// coroutine Body adapter cannot fork: Materialize reaches their
-// configurations by replaying the schedule from a fresh system, which the
-// step-VM keeps cheap, and the valency oracle Bivalent, which explores,
-// refuses them with sim.ErrNotForkable.
+// instead of a fresh system plus the whole prefix. Every protocol of
+// internal/consensus forks. Protocols written as a Body (user protocols,
+// internal/adoptcommit) run on the coroutine adapter and cannot fork:
+// Materialize reaches their configurations by replaying the schedule from a
+// fresh system, which the step-VM keeps cheap, and the valency oracle
+// Bivalent, which explores, refuses them with sim.ErrNotForkable.
 //
 // These are bounded, executable forms: the lemmas quantify over all
 // protocols and use unbounded executions; the functions here verify or

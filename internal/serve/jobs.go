@@ -47,9 +47,9 @@ type verifyParams struct {
 // every key. It changes whenever the reports an unchanged request produces
 // change, so records written by an older service miss instead of being
 // served stale. Generation 1 keys carried no tag; generation 2 began when
-// T1.1, T1.3, T1.5, T1.6 and T1.MA moved from the coroutine Body adapter to
-// forkable steppers, whose canonical state keys change those rows'
-// States, Runs, Deduped and DistinctStates.
+// T1.1, T1.3, T1.5, T1.6 and T1.MA moved from coroutine Body code (now only
+// test oracles) to forkable steppers, whose canonical state keys change
+// those rows' States, Runs, Deduped and DistinctStates.
 const resultKeyGen = 2
 
 // cacheKey derives the persistent result-cache key: the key generation,

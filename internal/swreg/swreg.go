@@ -136,7 +136,7 @@ func (a *Buffered) Collect() ([]any, string) {
 	return vals, string(fp)
 }
 
-// Machine is the forkable, instruction-level twin of one process's Direct
+// Machine is the forkable, instruction-level form of one process's Direct
 // or Buffered handle, for register arrays whose values are []int64 vectors
 // (the racing counters' contribution vectors). It issues the handle's exact
 // instruction stream and writes identical payloads; the caller drives it
