@@ -70,18 +70,20 @@ func TestBodyRowsGolden(t *testing.T) {
 				t.Fatalf("golden line %q: input %q: %v", line, f, err)
 			}
 		}
-		sys := matchBody(t, build(n), in, seed, solveStepBudget)
-		res := sys.Result()
-		if err := res.CheckConsensus(in); err != nil {
-			t.Fatalf("%s: %v", head, err)
-		}
-		v, _ := res.AgreedValue()
-		st := sys.Mem().Stats()
-		got := fmt.Sprintf("{Value:%d Footprint:%d Steps:%d MaxBits:%d}", v, st.Footprint(), st.Steps, st.MaxBits)
-		if got != want {
-			t.Fatalf("%s: Body outcome %s, golden %s", head, got, want)
-		}
-		sys.Close()
+		t.Run(fmt.Sprintf("%s/n=%d/seed=%d", row, n, seed), func(t *testing.T) {
+			sys := matchBody(t, build(n), in, seed, solveStepBudget)
+			defer sys.Close()
+			res := sys.Result()
+			if err := res.CheckConsensus(in); err != nil {
+				t.Fatal(err)
+			}
+			v, _ := res.AgreedValue()
+			st := sys.Mem().Stats()
+			got := fmt.Sprintf("{Value:%d Footprint:%d Steps:%d MaxBits:%d}", v, st.Footprint(), st.Steps, st.MaxBits)
+			if got != want {
+				t.Fatalf("Body outcome %s, golden %s", got, want)
+			}
+		})
 		lines++
 	}
 	if lines == 0 {
